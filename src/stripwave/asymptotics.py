@@ -181,7 +181,7 @@ def check_rho_bounds(table: SymbolTable, refined: SymbolTable | None = None,
     def infima(t):
         vecs = t.grid.xi_vectors()
         mag2 = (vecs ** 2).sum(axis=-1)
-        rho2 = np.abs(t.rho_lattice()) ** 2
+        rho2 = np.abs(t.rho) ** 2
         low = (mag2 > 0) & (mag2 <= 1.0)
         high = mag2 > 1.0
         env_low = vecs[..., 0] ** 2 + mag2 ** 2
@@ -214,16 +214,16 @@ def check_rho_bounds(table: SymbolTable, refined: SymbolTable | None = None,
 
 _DECAY_CHECKS = (
     ("int |om_v|^2 * |xi|^3",
-     lambda e, w, m2: float((np.abs(e.y[0]) ** 2 + np.abs(e.y[1]) ** 2) @ w
-                            * np.sqrt(m2) ** 3)),
+     lambda y, w, m2: ((np.abs(y[:, 0]) ** 2 + np.abs(y[:, 1]) ** 2) @ w)
+     * np.sqrt(m2) ** 3),
     ("|om_vn_surf| * |xi|",
-     lambda e, w, m2: float(abs(e.om_vn_surf) * np.sqrt(m2))),
+     lambda y, w, m2: np.abs(y[:, 1, -1]) * np.sqrt(m2)),
     ("int |om_temp|^2 * |xi|^3",
-     lambda e, w, m2: float((np.abs(e.y[2]) ** 2 @ w) * np.sqrt(m2) ** 3)),
+     lambda y, w, m2: (np.abs(y[:, 2]) ** 2 @ w) * np.sqrt(m2) ** 3),
     ("|om_temp_surf| * (1+|xi|^2)^(1/2)",
-     lambda e, w, m2: float(abs(e.om_temp_surf) * np.sqrt(1.0 + m2))),
+     lambda y, w, m2: np.abs(y[:, 2, -1]) * np.sqrt(1.0 + m2)),
     ("int |om_q|^2 * (1+|xi|^2)^(1/2)",
-     lambda e, w, m2: float((np.abs(e.y[3]) ** 2 @ w) * np.sqrt(1.0 + m2))),
+     lambda y, w, m2: (np.abs(y[:, 3]) ** 2 @ w) * np.sqrt(1.0 + m2)),
 )
 
 
@@ -232,17 +232,12 @@ def check_highfreq_decay(table: SymbolTable, refined: SymbolTable | None = None,
     """Suprema of the five decay ratios over 1 < |xi| <= xi_max."""
 
     def suprema(t):
-        w = t.vgrid.weights
-        sups = np.zeros(len(_DECAY_CHECKS))
-        hits = 0
-        for idx, e in t.entries.items():
-            m2 = float(e.xi @ e.xi)
-            if m2 <= 1.0:
-                continue
-            hits += 1
-            for i, (_, fn) in enumerate(_DECAY_CHECKS):
-                sups[i] = max(sups[i], fn(e, w, m2))
-        return sups, hits
+        m2 = (t.grid.xi_vectors() ** 2).sum(axis=-1)
+        high = m2 > 1.0
+        y, m2 = t.y[high], m2[high]
+        sups = np.array([float(np.max(fn(y, t.vgrid.weights, m2), initial=0.0))
+                         for _, fn in _DECAY_CHECKS])
+        return sups, int(high.sum())
 
     sups, hits = suprema(table)
     rows = []

@@ -84,18 +84,17 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
                                "re_om_temp_surf", "im_om_temp_surf",
                                "re_om_q_surf", "im_om_q_surf",
                                "re_rho", "im_rho", "backend", "cond"])
-            for idx in sorted(table.entries):
-                e = table.entries[idx]
+            for idx in np.ndindex(grid.freq_shape):
+                e = table.entry(idx)
                 row = [_fmt(v) for v in e.xi]
                 for val in (e.om_vn_surf, e.om_temp_surf, complex(e.y[3, -1]), e.rho):
                     row += [_fmt(val.real), _fmt(val.imag)]
                 row += [e.backend, _fmt(e.cond)]
                 w.writerow(row)
-        neg = [e for e in table.entries.values()
-               if float(np.linalg.norm(e.xi)) > 0 and e.om_vn_surf.real >= 0]
-        summary["rows"] = len(table.entries)
-        summary["re_om_vn_negative"] = not neg
-        summary["ok"] = not neg
+        neg = (grid.xi_magnitude() > 0) & (table.y[..., 1, -1].real >= 0)
+        summary["rows"] = int(table.rho.size)
+        summary["re_om_vn_negative"] = not neg.any()
+        summary["ok"] = not neg.any()
 
     elif mode == "asym-check":
         report = full_report(p, grid, vgrid, refine=r["fit"]["refine"],
@@ -206,7 +205,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="path to a JSON config file")
     ap.add_argument("--mode", help="override the config mode")
     ap.add_argument("--out", help="override the output directory")
-    ap.add_argument("--threads", type=int, help="worker thread count (recorded)")
     ap.add_argument("--seed", type=int, help="seed for randomized suites")
     args = ap.parse_args(argv)
     try:
@@ -216,8 +214,6 @@ def main(argv=None) -> int:
             overrides["mode"] = args.mode
         if args.out:
             overrides["out"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.seed is not None:
             overrides["seed"] = args.seed
         if overrides:

@@ -28,7 +28,6 @@ _DEFAULTS = {
     "input": None,
     "out": "out",
     "seed": 0,
-    "threads": 1,
     "maxiter": 50,
 }
 

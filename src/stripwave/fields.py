@@ -6,7 +6,8 @@ convention f(x) = sum_xi fhat(xi, x_n) exp(2 pi i xi . x'), so a forward
 transform of samples on the collocation grid is fftn/modes^dim_h.  Real
 fields carry conjugate symmetry fhat(-xi) = conj(fhat(xi)); the Nyquist
 column is forced to zero for real fields so the symmetry is exact on the
-lattice.
+lattice.  ``FrequencyGrid.half_mask`` is the half lattice that carries the
+information of a real field; ``conjugate_mirror`` completes it.
 """
 
 from __future__ import annotations
@@ -18,25 +19,56 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FrequencyGrid, VerticalGrid
+from .ops import on_lattice, synthesize, to_coeff, to_phys
 
 HERMITIAN_TOL = 1e-12
 
 
-def _haxes(dim_h: int, offset: int = 1) -> tuple:
-    return tuple(range(offset, offset + dim_h))
+def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
+    """The lattice reflected through xi = 0: the value at -xi on the
+    horizontal axes first .. first + dim_h - 1."""
+    for ax in range(first, first + grid.dim_h):
+        data = np.flip(np.roll(data, -1, axis=ax), axis=ax)
+    return data
 
 
-def _nyquist_slices(grid: FrequencyGrid):
-    half = grid.modes // 2
-    if grid.dim_h == 1:
-        yield (slice(None), half)
-    else:
-        yield (slice(None), half, slice(None))
-        yield (slice(None), slice(None), half)
+def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
+    """Complete a lattice array from its half-lattice values.
+
+    Keeps ``data`` on grid.half_mask() and puts conj(data(-xi)) at every
+    other xi, so the result is Hermitian off the self-paired indices.
+    """
+    half = on_lattice(grid.half_mask(), data.ndim, first)
+    return np.where(half, data, np.conj(reflect(data, grid, first)))
+
+
+class _LatticeField:
+    """Methods shared by bulk and surface fields, whose ``data`` carries the
+    lattice on axes 1 .. dim_h."""
+
+    @property
+    def comps(self) -> int:
+        return self.data.shape[0]
+
+    def hermitian_defect(self) -> float:
+        """max |fhat(-xi) - conj(fhat(xi))| over the lattice."""
+        return float(np.abs(reflect(self.data, self.grid) - np.conj(self.data)).max())
+
+    def check_real(self, tol: float = HERMITIAN_TOL):
+        if self.real_flag and self.hermitian_defect() > tol:
+            raise ValueError("real_flag set but coefficients are not Hermitian-symmetric")
+
+    def enforce_real(self):
+        """Project onto Hermitian symmetry and zero the Nyquist column."""
+        self.data = 0.5 * (self.data + np.conj(reflect(self.data, self.grid)))
+        for ax in range(1, 1 + self.grid.dim_h):
+            self.data[(slice(None),) * ax + (self.grid.modes // 2,)] = 0.0
+        self.real_flag = True
+        return self
 
 
 @dataclass
-class SpectralField:
+class SpectralField(_LatticeField):
     """Bulk field: complex coefficients, shape (comps,) + freq_shape + (Nz,)."""
 
     grid: FrequencyGrid
@@ -52,10 +84,6 @@ class SpectralField:
         if self.data.shape[1:] != expect:
             raise ValueError(f"data shape {self.data.shape} does not match grids {expect}")
 
-    @property
-    def comps(self) -> int:
-        return self.data.shape[0]
-
     @classmethod
     def zeros(cls, grid, vgrid, comps=1, real_flag=True):
         shape = (comps,) + grid.freq_shape + (vgrid.count,)
@@ -64,31 +92,9 @@ class SpectralField:
     def copy(self):
         return SpectralField(self.grid, self.vgrid, self.data.copy(), self.real_flag)
 
-    def hermitian_defect(self) -> float:
-        """max |fhat(-xi) - conj(fhat(xi))| over the lattice."""
-        flipped = self.data
-        for ax in _haxes(self.grid.dim_h):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        return float(np.abs(flipped - np.conj(self.data)).max())
-
-    def check_real(self, tol: float = HERMITIAN_TOL):
-        if self.real_flag and self.hermitian_defect() > tol:
-            raise ValueError("real_flag set but coefficients are not Hermitian-symmetric")
-
-    def enforce_real(self):
-        """Project onto Hermitian symmetry and zero the Nyquist column."""
-        flipped = self.data
-        for ax in _haxes(self.grid.dim_h):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        self.data = 0.5 * (self.data + np.conj(flipped))
-        for sl in _nyquist_slices(self.grid):
-            self.data[sl] = 0.0
-        self.real_flag = True
-        return self
-
 
 @dataclass
-class SurfaceSpectral:
+class SurfaceSpectral(_LatticeField):
     """Surface field: complex coefficients, shape (comps,) + freq_shape."""
 
     grid: FrequencyGrid
@@ -103,40 +109,12 @@ class SurfaceSpectral:
         if self.data.shape[1:] != expect:
             raise ValueError(f"data shape {self.data.shape} does not match grid {expect}")
 
-    @property
-    def comps(self) -> int:
-        return self.data.shape[0]
-
     @classmethod
     def zeros(cls, grid, comps=1, real_flag=True):
         return cls(grid, np.zeros((comps,) + grid.freq_shape, dtype=complex), real_flag)
 
     def copy(self):
         return SurfaceSpectral(self.grid, self.data.copy(), self.real_flag)
-
-    def hermitian_defect(self) -> float:
-        flipped = self.data
-        for ax in _haxes(self.grid.dim_h):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        return float(np.abs(flipped - np.conj(self.data)).max())
-
-    def check_real(self, tol: float = HERMITIAN_TOL):
-        if self.real_flag and self.hermitian_defect() > tol:
-            raise ValueError("real_flag set but coefficients are not Hermitian-symmetric")
-
-    def enforce_real(self):
-        flipped = self.data
-        for ax in _haxes(self.grid.dim_h):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        self.data = 0.5 * (self.data + np.conj(flipped))
-        half = self.grid.modes // 2
-        if self.grid.dim_h == 1:
-            self.data[:, half] = 0.0
-        else:
-            self.data[:, half, :] = 0.0
-            self.data[:, :, half] = 0.0
-        self.real_flag = True
-        return self
 
     def zero_mean(self):
         zero = (0,) * self.grid.dim_h
@@ -159,7 +137,7 @@ def transform_forward(phys: np.ndarray, grid: FrequencyGrid, vgrid: VerticalGrid
         phys = phys[None]
     if phys.shape[1:] != expect:
         raise ValueError(f"physical shape {phys.shape} does not match grids {expect}")
-    coeff = np.fft.fftn(phys, axes=_haxes(grid.dim_h)) / grid.modes ** grid.dim_h
+    coeff = to_coeff(phys, grid)
     if vgrid is not None:
         return SpectralField(grid, vgrid, coeff, real_flag)
     return SurfaceSpectral(grid, coeff, real_flag)
@@ -167,11 +145,9 @@ def transform_forward(phys: np.ndarray, grid: FrequencyGrid, vgrid: VerticalGrid
 
 def transform_inverse(field) -> np.ndarray:
     """Spectral coefficients -> collocation samples (real array for real fields)."""
-    grid = field.grid
-    phys = np.fft.ifftn(field.data, axes=_haxes(grid.dim_h)) * grid.modes ** grid.dim_h
     if field.real_flag:
-        return np.real(phys)
-    return phys
+        return to_phys(field.data, field.grid)
+    return synthesize(field.data, field.grid)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SurfaceTooLarge
-from .fields import SurfaceSpectral, transform_forward
+from .fields import SurfaceSpectral
 from .grids import FrequencyGrid, VerticalGrid
 from .ops import dealias, horiz_deriv, to_coeff, to_phys
 
@@ -102,17 +102,21 @@ def surface_normal(eta: SurfaceSpectral) -> SurfaceSpectral:
     return SurfaceSpectral(grid, data, real_flag=True)
 
 
-def inverse_vertical(eta_at: np.ndarray, y_n: np.ndarray, b: float) -> np.ndarray:
-    """Closed-form vertical component of F_eta^{-1}: x_n = y_n b/(b+eta(y'))."""
-    return y_n * b / (b + eta_at)
+def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
+    """exp(2 pi i xi . x') per horizontal point (rows) and lattice frequency
+    (columns, freq_shape flattened in C order)."""
+    vecs = grid.xi_vectors().reshape(-1, grid.dim_h)
+    return np.exp(2j * np.pi * points @ vecs.T)
 
 
 def eval_surface(eta: SurfaceSpectral, points: np.ndarray) -> np.ndarray:
     """Evaluate a surface field at arbitrary horizontal points (slow direct sum)."""
-    grid = eta.grid
-    vecs = grid.xi_vectors().reshape(-1, grid.dim_h)
+    return surface_at(eta, lattice_phases(eta.grid, points))
+
+
+def surface_at(eta: SurfaceSpectral, phases: np.ndarray) -> np.ndarray:
+    """eval_surface at the points whose lattice_phases are given."""
     coeffs = eta.data.reshape(eta.comps, -1)
-    phases = np.exp(2j * np.pi * points @ vecs.T)
     vals = phases @ coeffs.T
     if eta.real_flag:
         vals = np.real(vals)

@@ -98,14 +98,24 @@ class VerticalGrid:
         """d/dx_n along the last axis."""
         return values @ self.diff.T
 
+    def interp_weights(self, z) -> np.ndarray:
+        """Barycentric interpolation rows for heights z in [0, depth].
+
+        Returns shape z.shape + (count,): contracting node values with the
+        row of a height gives their interpolant there.  A height within
+        roundoff of a node gets the unit row of that node.
+        """
+        diffs = np.asarray(z, dtype=float)[..., None] - self.nodes
+        hit = np.abs(diffs) < 1e-14 * max(1.0, self.depth)
+        w = barycentric_weights_lobatto(self.count - 1) / np.where(hit, 1.0, diffs)
+        rows = w / w.sum(axis=-1, keepdims=True)
+        on_node = hit.any(axis=-1)
+        rows[on_node] = hit[on_node]
+        return rows
+
     def interpolate(self, values: np.ndarray, z: float) -> np.ndarray:
         """Barycentric evaluation at a point z in [0, depth], last axis = node."""
-        diffs = z - self.nodes
-        exact = np.nonzero(np.abs(diffs) < 1e-14 * max(1.0, self.depth))[0]
-        if exact.size:
-            return values[..., exact[0]]
-        w = barycentric_weights_lobatto(self.count - 1) / diffs
-        return (values @ w) / w.sum()
+        return values @ self.interp_weights(z)
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,24 @@ class FrequencyGrid:
     def negate_index(self, idx: tuple) -> tuple:
         """Lattice index of -xi (Nyquist is its own negative, mod aliasing)."""
         return tuple((-i) % self.modes for i in idx)
+
+    def half_mask(self) -> np.ndarray:
+        """The half lattice: True at idx iff idx <= negate_index(idx) in
+        lexicographic order.
+
+        This picks one index of every +-xi pair, plus the self-paired ones
+        (xi = 0 and the Nyquist indices).  For real fields the values on the
+        other half are the complex conjugates of these.
+        """
+        j = np.arange(self.modes)
+        neg = (-j) % self.modes
+        if self.dim_h == 1:
+            return j <= neg
+        return (j < neg)[:, None] | ((j == neg)[:, None] & (j <= neg)[None, :])
+
+    def half_indices(self) -> list:
+        """Indices of half_mask() in lexicographic order."""
+        return [tuple(idx) for idx in np.argwhere(self.half_mask()).tolist()]
 
     def dealias_mask(self) -> np.ndarray:
         """True on modes kept by the 2/3 rule (per axis |j| <= modes//3)."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidualTooLarge, RhoVanishing
-from .fields import SpectralField, SurfaceSpectral, YData
+from .fields import SpectralField, SurfaceSpectral, YData, conjugate_mirror
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm, ydata_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
@@ -174,14 +174,6 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
 # Compatibility functional and the multiplier solve
 # ---------------------------------------------------------------------------
 
-def _profile_lattice(table: SymbolTable, row: int) -> np.ndarray:
-    grid, vgrid = table.grid, table.vgrid
-    out = np.zeros(grid.freq_shape + (vgrid.count,), dtype=complex)
-    for idx, e in table.entries.items():
-        out[idx] = e.y[row]
-    return out
-
-
 def _long_amplitude(vec: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Contract the horizontal part of an n-vector field with i xi/|xi|."""
     unit, _ = _unit_xi(grid)
@@ -197,10 +189,7 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     grid, vgrid = data.grid, data.vgrid
     n = grid.dim_h + 1
     w = vgrid.weights
-    y_long = np.conj(_profile_lattice(table, 0))
-    y_vn = np.conj(_profile_lattice(table, 1))
-    y_temp = np.conj(_profile_lattice(table, 2))
-    y_q = np.conj(_profile_lattice(table, 3))
+    y_long, y_vn, y_temp, y_q = (np.conj(table.y[..., row, :]) for row in range(4))
 
     f_long = _long_amplitude(data.f.data, grid)
     bulk = (f_long * y_long + data.f.data[n - 1] * y_vn
@@ -225,7 +214,7 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable,
     """
     grid = pairing.grid
     p = table.params
-    rho = table.rho_lattice()
+    rho = table.rho
     vecs = grid.xi_vectors()
     mag2 = (vecs ** 2).sum(axis=-1)
     scale = p.grav + p.sigma0 * 4.0 * np.pi ** 2 * mag2 \
@@ -321,7 +310,6 @@ class LinearInverter:
         p = table.params
         grid, vgrid = data.grid, data.vgrid
         n = grid.dim_h + 1
-        modes = grid.modes
 
         pairing = compatibility_functional(data, table)
         eta = solve_surface(pairing, table)
@@ -343,11 +331,8 @@ class LinearInverter:
         out.eta = eta
         vecs = grid.xi_vectors()
 
-        for idx in np.ndindex(grid.freq_shape):
-            signed = tuple(i if i <= modes // 2 else i - modes for i in idx)
-            if all(s == 0 for s in signed):
-                continue
-            if not next((s > 0 for s in signed if s != 0), True):
+        for idx in grid.half_indices():
+            if not any(idx):
                 continue
             xi = vecs[idx]
             m2pi = 2.0 * np.pi * float(np.linalg.norm(xi))
@@ -381,11 +366,8 @@ class LinearInverter:
             out.u.data[(slice(None),) + idx] = u_here
             out.psi.data[(0,) + idx] = Y[2]
             out.pres.data[(0,) + idx] = Y[3]
-            neg = grid.negate_index(idx)
-            if neg != idx:
-                out.u.data[(slice(None),) + neg] = np.conj(u_here)
-                out.psi.data[(0,) + neg] = np.conj(Y[2])
-                out.pres.data[(0,) + neg] = np.conj(Y[3])
+        for part in (out.u, out.psi, out.pres):
+            part.data = conjugate_mirror(part.data, grid)
 
         self._solve_zero_mode(data, out)
 

@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import AliasingWarning, ConfigError, Diverged, NotConverged, PointOutsideDomain
 from .fields import SpectralField, SurfaceSpectral, YData
-from .geometry import build_flattening, eval_surface, flattening_points, mean_curvature
-from .grids import FrequencyGrid, VerticalGrid, barycentric_weights_lobatto
+from .geometry import (build_flattening, eval_surface, flattening_points,
+                       lattice_phases, mean_curvature, surface_at)
+from .grids import FrequencyGrid, VerticalGrid
 from .linear import LinearState, LinearInverter
 from .norms import ydata_norm
 from .odesystem import SymbolTable
@@ -377,27 +378,15 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     n = grid.dim_h + 1
     points = np.asarray(points, dtype=float)
     xp = points[..., :n - 1]
-    eta_at = eval_surface(state.eta, xp)
+    phases = lattice_phases(grid, xp)                     # (npts, K)
+    eta_at = surface_at(state.eta, phases)
     top = vgrid.depth + eta_at
     yn = points[..., -1]
     pad = 1e-12 * max(1.0, vgrid.depth)
     if np.any(yn > top + pad) or np.any(yn < -pad):
         raise PointOutsideDomain("sample point outside the fluid domain")
     xn = yn * vgrid.depth / top
-
-    lam = barycentric_weights_lobatto(vgrid.count - 1)
-    wvec = np.zeros((points.shape[0], vgrid.count))
-    for i, x in enumerate(xn):
-        diffs = x - vgrid.nodes
-        hit = np.nonzero(np.abs(diffs) < 1e-14 * max(1.0, vgrid.depth))[0]
-        if hit.size:
-            wvec[i, hit[0]] = 1.0
-        else:
-            w = lam / diffs
-            wvec[i] = w / w.sum()
-
-    vecs = grid.xi_vectors().reshape(-1, grid.dim_h)
-    phases = np.exp(2j * np.pi * xp @ vecs.T)              # (npts, K)
+    wvec = vgrid.interp_weights(xn)
 
     def sample_bulk(fieldarr):
         coeffs = fieldarr.reshape(fieldarr.shape[0], -1, vgrid.count)

@@ -41,7 +41,8 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg import lapack as _lapack
 
 from .errors import IllConditionedCollocation, NumericallySingular
-from .grids import VerticalGrid, barycentric_weights_lobatto
+from .fields import conjugate_mirror, reflect
+from .grids import VerticalGrid
 from .params import PhysicalParams
 
 DEFAULT_SPLIT = 30.0
@@ -240,7 +241,6 @@ class _MatexpPrep:
         if self.quad_exp is not None:
             return
         nodes = vgrid.nodes
-        lam = barycentric_weights_lobatto(vgrid.count - 1)
         quad_exp, quad_interp = [], []
         for j in range(vgrid.count - 1):
             a, c = nodes[j], nodes[j + 1]
@@ -249,13 +249,8 @@ class _MatexpPrep:
             wq = 0.5 * h * _GL_WEIGHTS
             exps = np.stack([wq[q] * matrix_exponential(self.A, c - tq[q])
                              for q in range(len(tq))])
-            interp = np.empty((len(tq), vgrid.count))
-            for q in range(len(tq)):
-                diffs = tq[q] - nodes
-                w = lam / diffs
-                interp[q] = w / w.sum()
             quad_exp.append(exps)
-            quad_interp.append(interp)
+            quad_interp.append(vgrid.interp_weights(tq))
         self.quad_exp = quad_exp
         self.quad_interp = quad_interp
 
@@ -506,11 +501,6 @@ class SymbolEntry:
         out[-1] = self.y[1, -1]
         return out
 
-    def conjugated(self, xi_new) -> "SymbolEntry":
-        return SymbolEntry(np.atleast_1d(np.asarray(xi_new, dtype=float)),
-                           np.conj(self.y), np.conj(self.rho), self.backend,
-                           self.cond)
-
 
 def rho_of(p: PhysicalParams, xi, om_vn_surf: complex) -> complex:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -545,13 +535,22 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
 
 
 class SymbolTable:
-    """Symbol entries over a frequency lattice, conjugate-mirrored."""
+    """Response symbols over a frequency lattice, stored as lattice arrays.
 
-    def __init__(self, grid, vgrid, p: PhysicalParams, entries: dict):
+    ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend`` and ``cond``
+    have shape freq_shape.  ``build`` solves on the half lattice and fills the
+    rest with the conjugate mirror.
+    """
+
+    def __init__(self, grid, vgrid, p: PhysicalParams, y: np.ndarray,
+                 rho: np.ndarray, backend: np.ndarray, cond: np.ndarray):
         self.grid = grid
         self.vgrid = vgrid
         self.params = p
-        self.entries = entries
+        self.y = y
+        self.rho = rho
+        self.backend = backend
+        self.cond = cond
 
     @classmethod
     def build(cls, grid, vgrid, p: PhysicalParams,
@@ -559,38 +558,23 @@ class SymbolTable:
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=split, cond_limit=cond_limit, reuse=False)
-        modes = grid.modes
+        shape = grid.freq_shape
         vecs = grid.xi_vectors()
-        entries = {}
-        for idx in np.ndindex(grid.freq_shape):
-            if idx in entries:
-                continue
-            signed = tuple(i if i <= modes // 2 else i - modes for i in idx)
-            canonical = signed == tuple(0 for _ in signed) or \
-                next((s > 0 for s in signed if s != 0), True)
-            if not canonical:
-                continue
-            xi = vecs[idx]
-            entry = solve_symbol(xi, p, vgrid, solver=solver)
-            entries[idx] = entry
-            neg = grid.negate_index(idx)
-            if neg not in entries:
-                entries[neg] = entry.conjugated(vecs[neg])
-        return cls(grid, vgrid, p, entries)
+        y = np.zeros(shape + (6, vgrid.count), dtype=complex)
+        rho = np.zeros(shape, dtype=complex)
+        backend = np.empty(shape, dtype=object)
+        cond = np.zeros(shape)
+        for idx in grid.half_indices():
+            e = solve_symbol(vecs[idx], p, vgrid, solver=solver)
+            y[idx], rho[idx], backend[idx], cond[idx] = e.y, e.rho, e.backend, e.cond
+        backend = np.where(grid.half_mask(), backend, reflect(backend, grid, 0))
+        return cls(grid, vgrid, p, conjugate_mirror(y, grid, 0),
+                   conjugate_mirror(rho, grid, 0), backend,
+                   conjugate_mirror(cond, grid, 0))
 
     def entry(self, idx) -> SymbolEntry:
-        return self.entries[tuple(idx)]
-
-    def rho_lattice(self) -> np.ndarray:
-        out = np.zeros(self.grid.freq_shape, dtype=complex)
-        for idx, e in self.entries.items():
-            out[idx] = e.rho
-        return out
-
-    def surface_lattice(self, which: str) -> np.ndarray:
-        """Lattice array of one surface trace: vn, temp, long or q."""
-        row = {"vn": 1, "temp": 2, "long": 0, "q": 3}[which]
-        out = np.zeros(self.grid.freq_shape, dtype=complex)
-        for idx, e in self.entries.items():
-            out[idx] = e.y[row, -1]
-        return out
+        """View of one lattice point as a SymbolEntry."""
+        idx = tuple(idx)
+        return SymbolEntry(self.grid.xi_axis()[list(idx)], self.y[idx],
+                           complex(self.rho[idx]), self.backend[idx],
+                           float(self.cond[idx]))

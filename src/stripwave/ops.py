@@ -7,6 +7,14 @@ import numpy as np
 from .grids import FrequencyGrid
 
 
+def on_lattice(arr: np.ndarray, ndim: int, first: int = 1) -> np.ndarray:
+    """Reshape a lattice array (or a per-axis factor of one) to broadcast
+    against an ndim array whose horizontal axes start at ``first``."""
+    shape = [1] * ndim
+    shape[first:first + arr.ndim] = arr.shape
+    return arr.reshape(shape)
+
+
 def xi_multipliers(grid: FrequencyGrid):
     """2*pi*i*xi factors per horizontal axis, broadcastable over freq_shape."""
     ax = grid.xi_axis()
@@ -17,16 +25,19 @@ def xi_multipliers(grid: FrequencyGrid):
 
 def horiz_deriv(coeffs: np.ndarray, grid: FrequencyGrid, axis: int) -> np.ndarray:
     """Spectral d/dx'_axis on coefficient arrays with leading component axis."""
-    mult = xi_multipliers(grid)[axis]
-    shape = [1] * coeffs.ndim
-    for k in range(mult.ndim):
-        shape[1 + k] = mult.shape[k]
-    return coeffs * mult.reshape(shape)
+    return coeffs * on_lattice(xi_multipliers(grid)[axis], coeffs.ndim)
+
+
+def synthesize(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Fourier series summed on the collocation grid (complex samples)."""
+    axes = tuple(range(1, 1 + grid.dim_h))
+    return np.fft.ifftn(coeffs, axes=axes) * grid.modes ** grid.dim_h
 
 
 def to_phys(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    axes = tuple(range(1, 1 + grid.dim_h))
-    return np.real(np.fft.ifftn(coeffs, axes=axes)) * grid.modes ** grid.dim_h
+    # copied out of the complex samples: a strided real view would slow
+    # every pointwise product that follows
+    return np.ascontiguousarray(np.real(synthesize(coeffs, grid)))
 
 
 def to_coeff(phys: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -36,20 +47,12 @@ def to_coeff(phys: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 def dealias(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Zero coefficients beyond the 2/3 cutoff (per horizontal axis)."""
-    mask = grid.dealias_mask()
-    shape = [1] * coeffs.ndim
-    for k in range(mask.ndim):
-        shape[1 + k] = mask.shape[k]
-    return coeffs * mask.reshape(shape)
+    return coeffs * on_lattice(grid.dealias_mask(), coeffs.ndim)
 
 
 def dealias_tail_fraction(coeffs: np.ndarray, grid: FrequencyGrid) -> float:
     """Fraction of spectral energy sitting beyond the 2/3 cutoff."""
-    mask = grid.dealias_mask()
-    shape = [1] * coeffs.ndim
-    for k in range(mask.ndim):
-        shape[1 + k] = mask.shape[k]
-    mask = mask.reshape(shape)
+    mask = on_lattice(grid.dealias_mask(), coeffs.ndim)
     power = np.abs(coeffs) ** 2
     total = float(power.sum())
     if total == 0.0:

@@ -2,10 +2,10 @@
 
 The coupling gate compares max{|Q1|^2/4, |Q2|^2/4} * sigma1^2 against
 2*mu*kappa, where Q1 and Q2 are the boundary pairings between the velocity
-trace and the temperature trace.  Their norms are never available in closed
-form; ``estimate_q_norms`` computes per-frequency fiber norms on [0, depth]
-and takes the supremum over sampled |xi|, which is a lower bound on the true
-constant.  A user-overridable safety factor (default 2x) compensates when the
+trace and the temperature trace.  The two norms coincide, and they are never
+available in closed form; ``estimate_q_norms`` computes per-frequency fiber
+norms on [0, depth] and takes the supremum over sampled |xi|, which is a
+lower bound on the true constant.  A user-overridable safety factor (default 2x) compensates when the
 gate is evaluated.
 """
 
@@ -173,8 +173,7 @@ def constitutive_violations(c: ConstitutiveSet, p: PhysicalParams,
 
 @dataclass(frozen=True)
 class QNormEstimate:
-    q1: float
-    q2: float
+    q1: float            # the common norm of Q1 and Q2
     method: str
 
 
@@ -232,8 +231,8 @@ def estimate_q_norms(vgrid: VerticalGrid, freq_samples, dim: int = 2) -> QNormEs
 
     For each |xi| the pairing factorizes through the two trace functionals,
     so its fiber norm is 2*pi*|xi| times the product of their representer
-    norms.  Transposing the arguments leaves that value unchanged, hence the
-    two reported norms coincide by construction.
+    norms.  Transposing the arguments leaves that value unchanged, so one
+    number bounds both pairings.
     """
     freq_samples = np.atleast_1d(np.asarray(freq_samples, dtype=float))
     if freq_samples.size == 0:
@@ -248,17 +247,17 @@ def estimate_q_norms(vgrid: VerticalGrid, freq_samples, dim: int = 2) -> QNormEs
         m_theta, m_v = _fiber_trace_norms(a, vgrid, dim)
         best = max(best, a * m_theta * m_v)
     method = f"fiber-trace sup over {freq_samples.size} samples, Nz={vgrid.count}"
-    return QNormEstimate(q1=best, q2=best, method=method)
+    return QNormEstimate(q1=best, method=method)
 
 
 def check_parameter_gate(p: PhysicalParams, est: QNormEstimate,
                          safety: float = 2.0):
-    """Gate max{q1^2/4, q2^2/4} * sigma1^2 < 2*mu*kappa, with safety margin.
+    """Gate q1^2/4 * sigma1^2 < 2*mu*kappa, with safety margin.
 
     Returns (ok, margin) where margin = 2*mu*kappa - lhs after inflating the
-    norm estimates by ``safety``.
+    norm estimate by ``safety``.
     """
-    q = max(safety * est.q1, safety * est.q2)
+    q = safety * est.q1
     lhs = 0.25 * q * q * p.sigma1 ** 2
     rhs = 2.0 * p.mu * p.kappa
     return lhs < rhs, rhs - lhs

@@ -86,7 +86,7 @@ def test_rho_bounds(tables):
 
 def test_rho_conjugate_symmetry(tables):
     coarse, _ = tables
-    rho = coarse.rho_lattice()
+    rho = coarse.rho
     for j in (1, 7, 40):
         assert rho[-j] == pytest.approx(np.conj(rho[j]), rel=1e-12)
 
@@ -125,6 +125,6 @@ def test_continuity_across_unit_circle(tables):
     xi = grid.xi_axis()
     below = np.argmin(np.abs(xi - (1.0 - grid.spacing)))
     above = np.argmin(np.abs(xi - (1.0 + grid.spacing)))
-    r1 = coarse.entries[(below,)].rho
-    r2 = coarse.entries[(above,)].rho
+    r1 = coarse.rho[below]
+    r2 = coarse.rho[above]
     assert abs(r1 - r2) < 0.2 * abs(r1)

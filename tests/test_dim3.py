@@ -90,3 +90,27 @@ def test_eulerian_sampler_3d(setup3):
     assert out["points"].shape == (32, 3)
     assert out["velocity"].shape == (3, 32)
     assert np.isfinite(out["velocity"]).all()
+
+
+def test_invert_one_solve_per_pair_3d():
+    # modes 8: 64 lattice points, 4 self-paired (zero and the Nyquist
+    # indices), so 30 + 3 nonzero +-xi pairs; the Nyquist row (4, j) and
+    # (4, 8 - j) is one pair and must be solved once
+    grid = FrequencyGrid(2, 2 * np.pi, 8)
+    vg = VerticalGrid(1.0, 16)
+    inv = LinearInverter(SymbolTable.build(grid, vg, P3))
+    solved = []
+    solve = inv.solver.solve
+
+    def counting(xi, z, d, backend=None):
+        solved.append(tuple(np.round(xi, 12)))
+        return solve(xi, z, d, backend)
+
+    inv.solver.solve = counting
+    st = make_random_state(grid, vg, seed=2, jmax=2)
+    data = apply_linear_operator(st, P3)
+    out = inv.invert(data)
+    assert len(solved) == len(set(solved)) == 33
+    back = apply_linear_operator(out, P3)
+    back.axpy(-1.0, data)
+    assert ydata_norm(back) / ydata_norm(data) < 1e-6

@@ -32,6 +32,12 @@ def test_vertical_interpolation():
     f = np.cos(3.0 * vg.nodes)
     for z in (0.0, 0.123, 0.5, 1.0):
         assert vg.interpolate(f, z) == pytest.approx(np.cos(3.0 * z), abs=1e-12)
+    # batched rows, with a node hit giving the unit row of that node
+    z = np.array([[0.0, 0.123], [vg.nodes[7], 1.0]])
+    rows = vg.interp_weights(z)
+    assert rows.shape == (2, 2, 30)
+    assert np.array_equal(rows[1, 0], np.eye(30)[7])
+    assert np.abs(rows @ f - np.cos(3.0 * z)).max() < 1e-12
 
 
 def test_frequency_grid_lattice():
@@ -167,3 +173,17 @@ def test_ydata_shape_contracts():
             h=SurfaceSpectral.zeros(grid, 1),
             m=SurfaceSpectral.zeros(grid, 1),
         )
+
+
+@pytest.mark.parametrize("dim_h,modes", [(1, 16), (1, 256), (2, 8), (2, 32)])
+def test_half_mask_rule(dim_h, modes):
+    grid = FrequencyGrid(dim_h, 3.0, modes)
+    half = grid.half_mask()
+    for idx in np.ndindex(grid.freq_shape):
+        neg = grid.negate_index(idx)
+        assert half[idx] == (idx <= neg)
+        # exactly one representative per +-xi pair
+        assert half[idx] or half[neg]
+        assert not (half[idx] and half[neg]) or idx == neg
+    assert grid.half_indices() == [idx for idx in np.ndindex(grid.freq_shape)
+                                   if half[idx]]

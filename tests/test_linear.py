@@ -102,8 +102,7 @@ def test_solve_surface_trivial_and_unit(table):
     eta = solve_surface(Xi, table)
     assert np.abs(eta.data).max() == 0.0
 
-    rho = table.rho_lattice()
-    Xi = SurfaceSpectral(GRID, rho[None].copy(), real_flag=True)
+    Xi = SurfaceSpectral(GRID, table.rho[None].copy(), real_flag=True)
     zero = (0,) * GRID.dim_h
     eta = solve_surface(Xi, table)
     expect = np.ones(GRID.freq_shape, dtype=complex)
@@ -121,11 +120,9 @@ def test_solve_surface_realness(table):
 
 def test_solve_surface_rho_floor(table):
     import copy
-    broken = SymbolTable(table.grid, table.vgrid, table.params,
-                         dict(table.entries))
-    bad = copy.deepcopy(table.entries[(5,)])
-    bad.rho = 0.0 + 0.0j
-    broken.entries[(5,)] = bad
+    broken = copy.copy(table)
+    broken.rho = table.rho.copy()
+    broken.rho[5] = 0.0
     Xi = SurfaceSpectral.zeros(GRID)
     with pytest.raises(RhoVanishing):
         solve_surface(Xi, broken)

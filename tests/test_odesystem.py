@@ -361,7 +361,7 @@ def test_transverse_requires_dim3():
 def test_table_mirror_consistency():
     grid = FrequencyGrid(1, 10.0, 16)
     table = SymbolTable.build(grid, VG, P1)
-    assert len(table.entries) == 16
+    assert table.rho.shape == (16,) and table.y.shape == (16, 6, VG.count)
     for j in (1, 5):
         direct = solve_symbol([grid.xi_axis()[-j]], P1, VG)
         stored = table.entry((16 - j,))
@@ -373,8 +373,8 @@ def test_table_2d_small():
     grid = FrequencyGrid(2, 6.0, 8)
     vg = VerticalGrid(1.0, 24)
     table = SymbolTable.build(grid, vg, P3)
-    assert len(table.entries) == 64
-    rho = table.rho_lattice()
+    assert table.rho.shape == (8, 8) and table.y.shape == (8, 8, 6, 24)
+    rho = table.rho
     # conjugate symmetry of the lattice (skip Nyquist row/col)
     for i in range(1, 4):
         for j in range(1, 4):

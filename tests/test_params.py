@@ -31,7 +31,7 @@ def test_validate_dim():
 
 
 def test_gate_vanishing_coupling():
-    est = QNormEstimate(q1=123.0, q2=456.0, method="stub")
+    est = QNormEstimate(q1=123.0, method="stub")
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.0, 2)
     ok, margin = check_parameter_gate(p, est)
     assert ok
@@ -40,7 +40,7 @@ def test_gate_vanishing_coupling():
 
 def test_gate_violated():
     # max{1/4, 1/4} * 100 = 25 > 2 (no safety factor, plain arithmetic)
-    est = QNormEstimate(q1=1.0, q2=1.0, method="stub")
+    est = QNormEstimate(q1=1.0, method="stub")
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 10.0, 2)
     ok, margin = check_parameter_gate(p, est, safety=1.0)
     assert not ok
@@ -55,7 +55,7 @@ def test_gate_default_params_pass():
 
 
 def test_gate_monotone_in_sigma1():
-    est = QNormEstimate(q1=2.3, q2=2.3, method="stub")
+    est = QNormEstimate(q1=2.3, method="stub")
     prev_ok = True
     for s1 in np.linspace(0.0, 5.0, 40):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, s1, 2)
@@ -67,7 +67,7 @@ def test_gate_monotone_in_sigma1():
 def test_qnorm_zero_frequency():
     vg = VerticalGrid(1.0, 32)
     est = estimate_q_norms(vg, [0.0], dim=2)
-    assert est.q1 == 0.0 and est.q2 == 0.0
+    assert est.q1 == 0.0
 
 
 def test_qnorm_grid_refinement():
@@ -90,7 +90,7 @@ def test_qnorm_sweep_saturates():
 def test_qnorm_dim3():
     vg = VerticalGrid(1.0, 48)
     est = estimate_q_norms(vg, [0.5, 1.0, 2.0], dim=3)
-    assert est.q1 > 0 and est.q1 == est.q2
+    assert est.q1 > 0
 
 
 def test_linearization_newtonian_exact():
