@@ -157,7 +157,10 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
                 w.writerow(row)
         summary["iterations"] = trace.iterations
         summary["final_residual"] = trace.residuals[-1]
-        summary["ok"] = trace.converged
+        summary["amplitude_requested"] = forcing.amplitude
+        summary["amplitude_used"] = trace.amplitude_used
+        # a divergence retry solves at a reduced amplitude: not the problem asked
+        summary["ok"] = trace.converged and trace.amplitude_used == forcing.amplitude
 
     elif mode == "roundtrip-test":
         table = SymbolTable.build(grid, vgrid, p,

@@ -377,11 +377,12 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
     points = np.asarray(points, dtype=float)
-    xp = points[..., :n - 1]
-    phases = lattice_phases(grid, xp)                     # (npts, K)
-    eta_at = surface_at(state.eta, phases)
+    # phases once per distinct horizontal point; ``where`` maps points to them
+    xp, where = np.unique(points[:, :n - 1], axis=0, return_inverse=True)
+    phases = lattice_phases(grid, xp)                     # (distinct, K)
+    eta_at = surface_at(state.eta, phases)[where]
     top = vgrid.depth + eta_at
-    yn = points[..., -1]
+    yn = points[:, -1]
     pad = 1e-12 * max(1.0, vgrid.depth)
     if np.any(yn > top + pad) or np.any(yn < -pad):
         raise PointOutsideDomain("sample point outside the fluid domain")
@@ -389,9 +390,10 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     wvec = vgrid.interp_weights(xn)
 
     def sample_bulk(fieldarr):
+        # sum over the lattice first: (comps, distinct, Nz) profiles
         coeffs = fieldarr.reshape(fieldarr.shape[0], -1, vgrid.count)
-        prof = np.einsum("ckz,pz->ckp", coeffs, wvec)
-        return np.real(np.einsum("ckp,pk->cp", prof, phases))
+        prof = phases @ coeffs
+        return np.real(np.einsum("cpz,pz->cp", prof[:, where], wvec))
 
     return {
         "points": points,

@@ -19,8 +19,12 @@ Two backends solve the system and validate each other:
   y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
   B = M + N exp(bA), evaluated by forward marching with per-interval
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
-  the same integrals).  It degrades once exp(2 pi |xi| b) eats the floating
-  point headroom, so it is gated by a configurable split.
+  the same integrals).  The preparation of a frequency is batched: one
+  stacked ``matrix_exponential`` call gives all step exponentials and one
+  all quadrature exponentials, and the panels' nodes, weights and
+  interpolation rows are built once per solver.  It degrades once
+  exp(2 pi |xi| b) eats the floating point headroom, so it is gated by a
+  configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   a dense linear solve per frequency, valid at all frequencies.
@@ -138,9 +142,10 @@ _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
 
 
 def _pade_uv(A, order):
+    """Odd and even parts (U, V) of the degree-``order`` diagonal Pade
+    approximant of exp at a stack A of shape (k, n, n)."""
     b = _PADE_B[order]
-    n = A.shape[0]
-    I = np.eye(n, dtype=A.dtype)
+    I = np.eye(A.shape[-1], dtype=A.dtype)
     A2 = A @ A
     if order == 13:
         A4 = A2 @ A2
@@ -166,24 +171,37 @@ def _pade_uv(A, order):
     return U, V
 
 
-def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t M) by scaling and squaring with diagonal Pade approximants."""
-    A = t * np.asarray(M, dtype=complex)
-    nrm = float(np.linalg.norm(A, 1))
-    if not np.isfinite(nrm):
+def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """exp(t M) by scaling and squaring with diagonal Pade approximants.
+
+    ``M`` is one matrix (n, n) or a stack (..., n, n); ``t`` is a scalar or an
+    array broadcast against the stack shape.  Each member picks its own Pade
+    order from its 1-norm and, at order 13, its own number of squarings s
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); members sharing
+    (order, s) are evaluated together.
+    """
+    A = np.asarray(t)[..., None, None] * np.asarray(M, dtype=complex)
+    stack = A.reshape(-1, *A.shape[-2:])
+    nrm = np.linalg.norm(stack, 1, axis=(-2, -1))
+    if not np.all(np.isfinite(nrm)):
         raise NumericallySingular("non-finite matrix handed to the exponential")
-    for order in (3, 5, 7, 9):
-        if nrm <= _PADE_THETA[order]:
-            U, V = _pade_uv(A, order)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(np.ceil(np.log2(nrm / _PADE_THETA[13]))))
-    U, V = _pade_uv(A / 2.0 ** s, 13)
-    X = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        X = X @ X
+    order = np.full(nrm.shape, 13)
+    for o in (9, 7, 5, 3):
+        order[nrm <= _PADE_THETA[o]] = o
+    theta = _PADE_THETA[13]
+    squarings = np.where(order == 13,
+                         np.ceil(np.log2(np.maximum(nrm, theta) / theta)), 0)
+    X = np.empty_like(stack)
+    for o, s in sorted(set(zip(order.tolist(), squarings.astype(int).tolist()))):
+        members = np.flatnonzero((order == o) & (squarings == s))
+        U, V = _pade_uv(stack[members] / 2.0 ** s, o)
+        Y = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            Y = Y @ Y
+        X[members] = Y
     if not np.all(np.isfinite(X)):
         raise NumericallySingular("matrix exponential overflowed")
-    return X
+    return X.reshape(A.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +248,18 @@ class BVPSpec:
 @dataclass
 class _MatexpPrep:
     A: np.ndarray
-    step_exp: list                 # exp(h_j A) per interval
+    step_exp: np.ndarray           # (Nz-1, 6, 6): exp(h_j A) per interval
     Binv: np.ndarray
     Nmat: np.ndarray
     cond: float
-    quad_exp: list | None = None   # per interval: (8, 6, 6) weighted exponentials
-    quad_interp: list | None = None  # per interval: (8, Nz) interpolation weights
+    quad_exp: np.ndarray | None = None  # (Nz-1, 8, 6, 6) weighted exponentials
 
-    def ensure_quad(self, vgrid: VerticalGrid):
-        if self.quad_exp is not None:
-            return
-        nodes = vgrid.nodes
-        quad_exp, quad_interp = [], []
-        for j in range(vgrid.count - 1):
-            a, c = nodes[j], nodes[j + 1]
-            h = c - a
-            tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
-            wq = 0.5 * h * _GL_WEIGHTS
-            exps = np.stack([wq[q] * matrix_exponential(self.A, c - tq[q])
-                             for q in range(len(tq))])
-            quad_exp.append(exps)
-            quad_interp.append(vgrid.interp_weights(tq))
-        self.quad_exp = quad_exp
-        self.quad_interp = quad_interp
+    def ensure_quad(self, offsets: np.ndarray, weights: np.ndarray):
+        """Weighted exp((c_j - t_q) A) at the Gauss-Legendre nodes t_q of every
+        interval [a_j, c_j], from the solver's shared offsets c_j - t_q and
+        weights, both (Nz-1, 8)."""
+        if self.quad_exp is None:
+            self.quad_exp = weights[..., None, None] * matrix_exponential(self.A, offsets)
 
 
 @dataclass
@@ -286,6 +293,7 @@ class FrequencySolver:
         self.reuse = reuse
         self._matexp_cache = {}
         self._coll_cache = {}
+        self._quad = None
 
     # -- backend selection ---------------------------------------------------
 
@@ -308,13 +316,25 @@ class FrequencySolver:
         _, Binv, cond = assemble_B(xi, p, self.gamma_tilde, self.alpha1,
                                    self.alpha2, vgrid.depth, self.cond_limit)
         _, Nmat = assemble_boundary(xi, p, self.alpha1, self.alpha2)
-        nodes = vgrid.nodes
-        step_exp = [matrix_exponential(A, nodes[j + 1] - nodes[j])
-                    for j in range(vgrid.count - 1)]
+        step_exp = matrix_exponential(A, np.diff(vgrid.nodes))
         prep = _MatexpPrep(A, step_exp, Binv, Nmat, cond)
         if self.reuse:
             self._matexp_cache[key] = prep
         return prep
+
+    def _quadrature(self):
+        """Composite Gauss-Legendre panels of the vertical grid, shared by every
+        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q,
+        the weights and the interpolation rows at t_q, shapes (Nz-1, 8),
+        (Nz-1, 8) and (Nz-1, 8, Nz)."""
+        if self._quad is None:
+            nodes = self.vgrid.nodes
+            a, c = nodes[:-1, None], nodes[1:, None]
+            h = c - a
+            tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
+            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS,
+                          self.vgrid.interp_weights(tq))
+        return self._quad
 
     def _solve_matexp(self, xi, z_profile, d_vec):
         prep = self._prep_matexp(xi)
@@ -323,9 +343,10 @@ class FrequencySolver:
         homogeneous = z_profile is None or not np.any(z_profile)
         local = []
         if not homogeneous:
-            prep.ensure_quad(vgrid)
+            offsets, weights, rows = self._quadrature()
+            prep.ensure_quad(offsets, weights)
             for j in range(nz - 1):
-                zq = z_profile @ prep.quad_interp[j].T        # (6, 8)
+                zq = z_profile @ rows[j].T                    # (6, 8)
                 local.append(np.einsum("qij,jq->i", prep.quad_exp[j], zq))
         else:
             local = [np.zeros(6, dtype=complex)] * (nz - 1)
@@ -349,8 +370,18 @@ class FrequencySolver:
         nz = vgrid.count
         A = assemble_bulk_matrix(xi, p, self.gamma_tilde)
         _, Nmat = assemble_boundary(xi, p, self.alpha1, self.alpha2)
+        # kron(I6, D) - kron(A, I_nz), block by block into the Fortran-ordered
+        # array that lu_factor overwrites.  Each block is computed as the
+        # kron difference computes it, so the signed zeros off the block
+        # diagonals (which reach the solution, e.g. phi(0) = -0) are kept.
         D = vgrid.diff
-        sys = np.kron(np.eye(6, dtype=complex), D) - np.kron(A, np.eye(nz))
+        kron_blocks = (0.0 * D, D)
+        eye = np.eye(nz)
+        sys = np.empty((6 * nz, 6 * nz), dtype=complex, order="F")
+        for r in range(6):
+            for c in range(6):
+                np.subtract(kron_blocks[r == c], A[r, c] * eye,
+                            out=sys[r * nz:(r + 1) * nz, c * nz:(c + 1) * nz])
         bottom_rows = tuple(c * nz for c in range(3))
         top_rows = tuple((3 + r) * nz + (nz - 1) for r in range(3))
         for c, row in enumerate(bottom_rows):
@@ -361,8 +392,10 @@ class FrequencySolver:
             for c in range(3):
                 sys[row, c * nz + (nz - 1)] = Nmat[3 + r, c]
                 sys[row, (3 + c) * nz + (nz - 1)] = Nmat[3 + r, 3 + c]
-        anorm = float(np.linalg.norm(sys, 1))
-        lu = lu_factor(sys)
+        # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
+        # does on a C-ordered system
+        anorm = float(np.abs(sys, order="C").sum(axis=0).max())
+        lu = lu_factor(sys, overwrite_a=True)
         gecon = _lapack.zgecon if sys.dtype == np.complex128 else _lapack.cgecon
         rcond, _ = gecon(lu[0], anorm)
         cond_estimate = 1.0 / max(rcond, np.finfo(float).tiny)

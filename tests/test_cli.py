@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from stripwave import cli
 from stripwave.cli import main, run
 from stripwave.config import RunConfig
 from stripwave.errors import ConfigError
@@ -118,6 +120,33 @@ def test_nonlinear_solve_mode(tmp_path):
     assert trace["converged"] is True
     assert trace["residuals"][-1] <= 1e-9
     assert os.path.exists(os.path.join(out, "eulerian.csv"))
+    summary = json.load(open(os.path.join(out, "manifest.json")))["summary"]
+    assert summary["amplitude_requested"] == summary["amplitude_used"] == 1e-3
+
+
+def test_nonlinear_solve_fails_on_halved_amplitude(tmp_path, monkeypatch):
+    # a divergence retry converges at half the forcing: the CLI must not
+    # report that as a solve of the requested problem
+    real = cli.picard_solve
+
+    def retried(forcing, *args, **kwargs):
+        trace = real(dataclasses.replace(forcing, amplitude=forcing.amplitude / 2.0),
+                     *args, **kwargs)
+        trace.diagnostics["retried_after_divergence"] = True
+        return trace
+
+    monkeypatch.setattr(cli, "picard_solve", retried)
+    out = tmp_path / "nl"
+    path = _write_cfg(tmp_path, {
+        "mode": "nonlinear-solve", "out": str(out),
+        "grid": {"modes": 48, "nz": 32},
+        "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
+    })
+    assert main(["--config", path]) == 1
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["ok"] is False
+    assert summary["amplitude_requested"] == 1e-3
+    assert summary["amplitude_used"] == 5e-4
 
 
 def test_roundtrip_mode_and_exit(tmp_path):

@@ -10,7 +10,7 @@ from stripwave.linear import (LinearState, LinearInverter,
                               state_norm)
 from stripwave.nonlinear import (ForcingData, eulerian_grid_samples,
                                  make_forcing_preset, nonlinear_residual,
-                                 picard_solve)
+                                 picard_solve, pushforward_eulerian)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import SymbolTable
 from stripwave.params import PhysicalParams, make_constitutive
@@ -90,6 +90,34 @@ def test_eulerian_sampler_3d(setup3):
     assert out["points"].shape == (32, 3)
     assert out["velocity"].shape == (3, 32)
     assert np.isfinite(out["velocity"]).all()
+
+
+def test_pushforward_matches_direct_sum_3d():
+    grid = FrequencyGrid(2, 2 * np.pi * 3, 8)
+    vg = VerticalGrid(1.0, 12)
+    st = make_random_state(grid, vg, seed=5, jmax=2, eta_scale=0.05)
+    xi = grid.xi_vectors().reshape(-1, 2)
+    xp = np.random.default_rng(0).uniform(0, grid.box_len, size=(4, 2))
+    xp = np.concatenate([xp, xp[:2]])       # repeated horizontal points
+    points, expect = [], {"eta": [], "velocity": [], "temperature": [],
+                          "pressure": []}
+    for x, frac in zip(xp, (0.1, 0.5, 0.9, 0.3, 0.6, 0.95)):
+        e = np.array([np.exp(2j * np.pi * (x[0] * k[0] + x[1] * k[1])) for k in xi])
+        eta = np.real(np.sum(st.eta.data[0].ravel() * e))
+        yn = frac * (vg.depth + eta)
+        w = vg.interp_weights(yn * vg.depth / (vg.depth + eta))
+        points.append([x[0], x[1], yn])
+        expect["eta"].append(eta)
+        for name, data in (("velocity", st.u.data), ("temperature", st.psi.data),
+                           ("pressure", st.pres.data)):
+            coeffs = data.reshape(data.shape[0], -1, vg.count)
+            expect[name].append([np.real(np.sum(coeffs[c] * e[:, None] * w[None, :]))
+                                 for c in range(coeffs.shape[0])])
+    out = pushforward_eulerian(st, np.array(points))
+    for name, vals in expect.items():
+        vals = np.array(vals).T
+        vals = vals[0] if name in ("temperature", "pressure") else vals
+        assert np.abs(out[name] - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
 def test_invert_one_solve_per_pair_3d():

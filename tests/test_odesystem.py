@@ -127,6 +127,59 @@ def test_exp_large_scaling():
     assert np.abs(ours - ref).max() / np.abs(ref).max() < 1e-12
 
 
+def test_exp_stack_matches_single_calls():
+    # t spans Pade orders 3, 5, 7, 9 and 13 with 0 to 6 squarings
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    M /= np.linalg.norm(M, 1)
+    ts = np.array([0.0, 0.01, 0.2, 0.9, 2.0, 5.0, 11.0, 40.0, 300.0])
+    stacked = matrix_exponential(M, ts)
+    for t, X in zip(ts, stacked):
+        assert np.array_equal(X, matrix_exponential(M, t))
+    Ms = ts[:, None, None] * M
+    assert np.array_equal(matrix_exponential(Ms), stacked)
+
+
+def test_exp_broadcast_shapes():
+    A = assemble_bulk_matrix([0.7], P1, P1.gamma)
+    assert matrix_exponential(A, 0.5).shape == (6, 6)
+    assert matrix_exponential(A, np.array([0.1, 0.5, 2.0])).shape == (3, 6, 6)
+    stack = np.stack([A, 2.0 * A, np.conj(A), -A]).reshape(2, 2, 6, 6)
+    X = matrix_exponential(stack, 0.3)
+    assert X.shape == (2, 2, 6, 6)
+    assert np.array_equal(X[1, 0], matrix_exponential(np.conj(A), 0.3))
+    assert matrix_exponential(stack, np.array([[0.1], [0.2]])).shape == (2, 2, 6, 6)
+
+
+def test_exp_stack_nan_member_raises():
+    A = assemble_bulk_matrix([0.7], P1, P1.gamma)
+    stack = np.stack([A, A, A])
+    stack[1, 2, 3] = np.nan
+    with pytest.raises(NumericallySingular):
+        matrix_exponential(stack, 0.5)
+
+
+def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
+    import stripwave.odesystem as ode
+    real = ode.matrix_exponential
+    counts = {}
+    for nz in (16, 48):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "matrix_exponential", counting)
+        vg = VerticalGrid(P1.depth, nz)
+        z = np.zeros((6, nz), dtype=complex)
+        z[4] = np.cos(vg.nodes)
+        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0)
+        solver.solve([0.4], z, np.zeros(6), backend="matexp")
+        counts[nz] = len(calls)
+    assert counts[16] == counts[48]
+
+
 # ---------------------------------------------------------------------------
 # boundary matrix B
 # ---------------------------------------------------------------------------
