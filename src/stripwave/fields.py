@@ -12,7 +12,7 @@ information of a real field; ``conjugate_mirror`` completes it.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -22,6 +22,8 @@ from .grids import FrequencyGrid, VerticalGrid
 from .ops import on_lattice, synthesize, to_coeff, to_phys
 
 HERMITIAN_TOL = 1e-12
+# CSV rows formatted per block: bounds the Python floats alive at a time
+_CSV_BLOCK = 4096
 
 
 def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
@@ -227,19 +229,19 @@ def write_field_csv(path, field, sidecar_path=None):
     """One row per (component, xi indices, node index) with re/im columns."""
     grid = field.grid
     bulk = isinstance(field, SpectralField)
+    idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
+    header = ["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"]
+    # one row per entry in C order (itertools.product of the index ranges
+    # runs as np.ndindex), formatted a block of whole columns at a time
+    values = field.data.reshape(-1)
+    index = itertools.product(*map(range, field.data.shape))
+    row = ",".join(["%d"] * field.data.ndim + ["%.17g", "%.17g"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
-        header = ["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"]
-        w.writerow(header)
-        it = np.ndindex(field.data.shape)
-        for idx in it:
-            val = field.data[idx]
-            row = [idx[0]] + list(idx[1:1 + grid.dim_h])
-            if bulk:
-                row.append(idx[-1])
-            row += [format(val.real, ".17g"), format(val.imag, ".17g")]
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, values.size, _CSV_BLOCK):
+            block = values[lo:lo + _CSV_BLOCK]
+            fh.writelines(row % (*idx, re, im) for re, im, idx in zip(
+                block.real.tolist(), block.imag.tolist(), index))
     meta = _grid_meta(grid, field.vgrid if bulk else None)
     meta["comps"] = field.comps
     meta["real_flag"] = bool(field.real_flag)
@@ -275,19 +277,10 @@ def read_field_csv(path, sidecar_path=None):
     vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
     shape = (meta["comps"],) + grid.freq_shape + ((vgrid.count,) if bulk else ())
     data = np.zeros(shape, dtype=complex)
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            comp = int(row[0])
-            kidx = tuple(int(v) for v in row[1:1 + grid.dim_h])
-            pos = 1 + grid.dim_h
-            if bulk:
-                node = int(row[pos])
-                pos += 1
-                data[(comp,) + kidx + (node,)] = float(row[pos]) + 1j * float(row[pos + 1])
-            else:
-                data[(comp,) + kidx] = float(row[pos]) + 1j * float(row[pos + 1])
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if table.size:
+        index = tuple(table[:, :len(shape)].astype(int).T)
+        data[index] = table[:, -2] + 1j * table[:, -1]
     if bulk:
         return SpectralField(grid, vgrid, data, meta["real_flag"])
     return SurfaceSpectral(grid, data, meta["real_flag"])

@@ -104,9 +104,18 @@ def surface_normal(eta: SurfaceSpectral) -> SurfaceSpectral:
 
 def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
     """exp(2 pi i xi . x') per horizontal point (rows) and lattice frequency
-    (columns, freq_shape flattened in C order)."""
-    vecs = grid.xi_vectors().reshape(-1, grid.dim_h)
-    return np.exp(2j * np.pi * points @ vecs.T)
+    (columns, freq_shape flattened in C order).
+
+    The lattice is a product of one axis per direction, so the phases are
+    products of one table exp(2 pi i x_d xi_d) per direction: dim_h * modes
+    exponentials per point instead of modes^dim_h.
+    """
+    points = np.asarray(points, dtype=float)
+    tables = np.exp(2j * np.pi * (points[:, :, None] * grid.xi_axis()))
+    phases = tables[:, 0]
+    for d in range(1, grid.dim_h):
+        phases = (phases[:, :, None] * tables[:, d, None, :]).reshape(len(points), -1)
+    return phases
 
 
 def eval_surface(eta: SurfaceSpectral, points: np.ndarray) -> np.ndarray:

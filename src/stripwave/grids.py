@@ -197,9 +197,13 @@ class FrequencyGrid:
             return j <= neg
         return (j < neg)[:, None] | ((j == neg)[:, None] & (j <= neg)[None, :])
 
-    def half_indices(self) -> list:
-        """Indices of half_mask() in lexicographic order."""
-        return [tuple(idx) for idx in np.argwhere(self.half_mask()).tolist()]
+    def half_nonzero(self) -> tuple:
+        """The half lattice without xi = 0, the frequencies that per-frequency
+        solves visit, as index arrays (lexicographic order) for fancy
+        indexing."""
+        mask = self.half_mask()
+        mask[(0,) * self.dim_h] = False
+        return np.nonzero(mask)
 
     def dealias_mask(self) -> np.ndarray:
         """True on modes kept by the 2/3 rule (per axis |j| <= modes//3)."""

@@ -36,7 +36,7 @@ from .fields import SpectralField, SurfaceSpectral, YData, conjugate_mirror
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm, ydata_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
-                        SymbolTable, solve_transverse)
+                        SymbolTable, transverse_factor, transverse_solve)
 from .ops import horiz_deriv, xi_multipliers
 from .params import PhysicalParams
 
@@ -235,15 +235,26 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable,
 # ---------------------------------------------------------------------------
 
 class LinearInverter:
-    """Caches the per-frequency machinery for repeated inversions."""
+    """Caches the per-frequency machinery for repeated inversions.
+
+    The first inversion prepares one FrequencyStack over the half lattice
+    without xi = 0.  Each inversion fills ``backend`` and ``cond``, lattice
+    arrays shaped like SymbolTable's: the backend each frequency is solved
+    with and its condition estimate ("zero-mode" and 0 at xi = 0, where no
+    6x6 problem is solved).  In dim_h = 2 each transverse system is factored
+    once, at its first use.
+    """
 
     def __init__(self, table: SymbolTable, split: float = DEFAULT_SPLIT,
                  cond_limit: float = DEFAULT_COND_LIMIT):
         self.table = table
         p = table.params
         self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0,
-                                      split=split, cond_limit=cond_limit,
-                                      reuse=True)
+                                      split=split, cond_limit=cond_limit)
+        self.backend = None
+        self.cond = None
+        self._stack = None
+        self._transverse = {}
         self._zero_mode_ops = None
 
     # zero-frequency scalar two-point problems, assembled once
@@ -305,6 +316,63 @@ class LinearInverter:
         rhs[-1] = data.k.data[(n - 1,) + zero] + 2.0 * p.mu * gz[-1]
         out.pres.data[(0,) + zero] = ops["anti"] @ rhs
 
+    def _add_transverse(self, u, fd, kd, half, unit, xis):
+        """Add the transverse velocity beta perp at every half-lattice
+        frequency with transverse forcing (dim_h = 2)."""
+        p = self.table.params
+        vgrid = self.table.vgrid
+        perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
+        f_perp = perp[:, 0, None] * fd[0][half] + perp[:, 1, None] * fd[1][half]
+        k_perp = perp[:, 0] * kd[0][half] + perp[:, 1] * kd[1][half]
+        live = (np.abs(f_perp).max(axis=1) > 0) | (np.abs(k_perp) > 0)
+        for i in np.flatnonzero(live).tolist():
+            lu = self._transverse.get(i)
+            if lu is None:
+                lu = self._transverse[i] = transverse_factor(xis[i], p, vgrid, -p.gamma)
+            beta = transverse_solve(lu, f_perp[i], k_perp[i])
+            at = (half[0][i], half[1][i])
+            u[(0,) + at] += beta * perp[i, 0]
+            u[(1,) + at] += beta * perp[i, 1]
+
+    def _solve_half(self, data: YData, fd, kd, out: LinearState):
+        """The forced problems at every half-lattice frequency but xi = 0, as
+        one FrequencyStack solve; writes u, psi and pres there into out."""
+        p = self.table.params
+        grid, vgrid = data.grid, data.vgrid
+        n = grid.dim_h + 1
+        unit, mag = _unit_xi(grid)
+        f_long = _long_amplitude(fd, grid)
+        k_long = _long_amplitude(kd, grid)
+
+        half = grid.half_nonzero()
+        xis = grid.xi_vectors()[half]
+        if self._stack is None:
+            self._stack = self.solver.prepare(xis)
+        unit = unit[half]                                 # (K, dim_h)
+        G = data.g.data[0][half]                          # (K, Nz)
+        # momentum contains mu grad(div u): F1 = f_long - 2 pi mu |xi| g,
+        # F2 = f_n + mu dn g, and the z template adds another mu dn G
+        z = np.zeros(G.shape[:1] + (6, vgrid.count), dtype=complex)
+        z[:, 1] = G
+        z[:, 3] = fd[n - 1][half] + 2.0 * p.mu * vgrid.differentiate(G)
+        z[:, 4] = -f_long[half] / p.mu + (2.0 * np.pi * mag[half])[:, None] * G
+        z[:, 5] = -data.l.data[0][half] / p.kappa
+        d = np.zeros((len(G), 6), dtype=complex)
+        d[:, 3] = k_long[half]
+        d[:, 4] = kd[n - 1][half] + 2.0 * p.mu * G[:, -1]
+        d[:, 5] = data.m.data[0][half]
+        Y = self._stack.solve(z, d)
+        self.backend, self.cond = self._stack.lattice_record(grid, "zero-mode", 0.0)
+
+        u = out.u.data
+        for j in range(grid.dim_h):
+            u[(j,) + half] = -1j * Y[:, 0] * unit[:, j, None]
+        u[(n - 1,) + half] = Y[:, 1]
+        if grid.dim_h == 2:
+            self._add_transverse(u, fd, kd, half, unit, xis)
+        out.psi.data[(0,) + half] = Y[:, 2]
+        out.pres.data[(0,) + half] = Y[:, 3]
+
     def invert(self, data: YData, residual_tol: float | None = None) -> LinearState:
         table = self.table
         p = table.params
@@ -323,49 +391,9 @@ class LinearInverter:
                       for ax in range(grid.dim_h))[0]
         kd[n - 1] = kd[n - 1] - p.sigma0 * lap_eta
 
-        unit, _ = _unit_xi(grid)
-        f_long = _long_amplitude(fd, grid)
-        k_long = _long_amplitude(kd, grid)
-
         out = LinearState.zeros(grid, vgrid)
         out.eta = eta
-        vecs = grid.xi_vectors()
-
-        for idx in grid.half_indices():
-            if not any(idx):
-                continue
-            xi = vecs[idx]
-            m2pi = 2.0 * np.pi * float(np.linalg.norm(xi))
-            G = data.g.data[(0,) + idx]
-            # momentum contains mu grad(div u): F1 = f_long - 2 pi mu |xi| g,
-            # F2 = f_n + mu dn g, and the z template adds another mu dn G
-            z = np.zeros((6, vgrid.count), dtype=complex)
-            z[1] = G
-            z[3] = fd[(n - 1,) + idx] + 2.0 * p.mu * vgrid.differentiate(G)
-            z[4] = -f_long[idx] / p.mu + m2pi * G
-            z[5] = -data.l.data[(0,) + idx] / p.kappa
-            d = np.zeros(6, dtype=complex)
-            d[3] = k_long[idx]
-            d[4] = kd[(n - 1,) + idx] + 2.0 * p.mu * G[-1]
-            d[5] = data.m.data[(0,) + idx]
-            Y, _, _ = self.solver.solve(xi, z, d)
-            u_here = np.zeros((n, vgrid.count), dtype=complex)
-            for j in range(grid.dim_h):
-                u_here[j] = -1j * Y[0] * unit[idx + (j,)]
-            u_here[n - 1] = Y[1]
-            if grid.dim_h == 2:
-                perp = np.array([-unit[idx + (1,)], unit[idx + (0,)]])
-                f_perp = perp[0] * fd[0][idx] + perp[1] * fd[1][idx]
-                k_perp = perp[0] * kd[0][idx] + perp[1] * kd[1][idx]
-                if np.abs(f_perp).max() > 0 or abs(k_perp) > 0:
-                    beta = solve_transverse(xi, p, vgrid, -p.gamma,
-                                            f_transverse=f_perp,
-                                            k_transverse=k_perp)
-                    u_here[0] += beta * perp[0]
-                    u_here[1] += beta * perp[1]
-            out.u.data[(slice(None),) + idx] = u_here
-            out.psi.data[(0,) + idx] = Y[2]
-            out.pres.data[(0,) + idx] = Y[3]
+        self._solve_half(data, fd, kd, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
 
@@ -404,30 +432,31 @@ def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,
     basis0 = np.stack([np.sin((k + 0.5) * np.pi * z) for k in range(kmax)])
     basisf = np.stack([np.cos(k * np.pi * z) for k in range(kmax)])
 
-    def modes_iter():
-        if grid.dim_h == 1:
-            for j in range(1, jmax + 1):
-                yield (j,), j
-        else:
-            for j1 in range(0, jmax + 1):
-                for j2 in range(-jmax, jmax + 1):
-                    if j1 == 0 and j2 <= 0:
-                        continue
-                    yield (j1, j2 % grid.modes), np.hypot(j1, j2)
+    if grid.dim_h == 1:
+        j = np.arange(1, jmax + 1)
+        idx, jm = (j,), j
+    else:
+        j1, j2 = np.meshgrid(np.arange(jmax + 1), np.arange(-jmax, jmax + 1),
+                             indexing="ij")
+        keep = (j1 > 0) | (j2 > 0)
+        j1, j2 = j1[keep], j2[keep]
+        idx, jm = (j1, j2 % grid.modes), np.hypot(j1, j2)
+
+    def draw(count):
+        # the (re, im) pairs of consecutive scalar draws
+        return rng.standard_normal(2 * count).view(complex)
 
     def fill(arr, comps, basis):
-        for c in range(comps):
-            for idx, jm in modes_iter():
-                for k in range(kmax):
-                    amp = (rng.standard_normal() + 1j * rng.standard_normal())
-                    amp *= np.exp(-mode_decay * jm - 0.5 * k)
-                    arr[(c,) + idx] += amp * basis[k]
+        # amplitudes in the order of the loops comps > modes > k
+        amp = draw(comps * len(jm) * kmax).reshape(comps, len(jm), kmax)
+        amp = amp * np.exp(-mode_decay * jm[:, None] - 0.5 * np.arange(kmax))
+        at = (np.arange(comps)[:, None],) + idx
+        for k in range(kmax):
+            np.add.at(arr, at, amp[..., k, None] * basis[k])
 
     fill(st.u.data, grid.dim_h + 1, basis0)
     fill(st.psi.data, 1, basis0)
     fill(st.pres.data, 1, basisf)
-    for idx, jm in modes_iter():
-        st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * (
-            rng.standard_normal() + 1j * rng.standard_normal())
+    st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * draw(len(jm))
     st.enforce_real()
     return st

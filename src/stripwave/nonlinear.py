@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import AliasingWarning, ConfigError, Diverged, NotConverged, PointOutsideDomain
 from .fields import SpectralField, SurfaceSpectral, YData
-from .geometry import (build_flattening, eval_surface, flattening_points,
-                       lattice_phases, mean_curvature, surface_at)
+from .geometry import (build_flattening, flattening_points, lattice_phases,
+                       mean_curvature, surface_at)
 from .grids import FrequencyGrid, VerticalGrid
 from .linear import LinearState, LinearInverter
 from .norms import ydata_norm
@@ -374,12 +374,18 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     ``points`` has shape (npts, n).  Raises PointOutsideDomain for samples
     above the free surface or below the bottom.
     """
-    grid, vgrid = state.grid, state.vgrid
-    n = grid.dim_h + 1
+    n = state.grid.dim_h + 1
     points = np.asarray(points, dtype=float)
     # phases once per distinct horizontal point; ``where`` maps points to them
     xp, where = np.unique(points[:, :n - 1], axis=0, return_inverse=True)
-    phases = lattice_phases(grid, xp)                     # (distinct, K)
+    return _sample_at(state, points, lattice_phases(state.grid, xp), where)
+
+
+def _sample_at(state: LinearState, points: np.ndarray, phases: np.ndarray,
+               where: np.ndarray) -> dict:
+    """pushforward_eulerian at ``points`` whose horizontal positions have the
+    lattice_phases rows ``phases[where]``."""
+    vgrid = state.vgrid
     eta_at = surface_at(state.eta, phases)[where]
     top = vgrid.depth + eta_at
     yn = points[:, -1]
@@ -405,7 +411,11 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
 
 
 def eulerian_grid_samples(state: LinearState, nx: int = 32, nlevel: int = 8) -> dict:
-    """Convenience sampler: uniform horizontal points, proportional levels."""
+    """Convenience sampler: uniform horizontal points, proportional levels.
+
+    The lattice phases of the horizontal points are built once and serve
+    both the surface heights that place the levels and the samples.
+    """
     grid, vgrid = state.grid, state.vgrid
     xs = grid.box_len * np.arange(nx) / nx
     fracs = (np.arange(nlevel) + 0.5) / nlevel
@@ -414,9 +424,11 @@ def eulerian_grid_samples(state: LinearState, nx: int = 32, nlevel: int = 8) -> 
     else:
         X1, X2 = np.meshgrid(xs, xs, indexing="ij")
         xp = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    eta_at = eval_surface(state.eta, xp)
+    phases = lattice_phases(grid, xp)
+    eta_at = surface_at(state.eta, phases)
     pts = []
     for frac in fracs:
         yn = frac * (vgrid.depth + eta_at)
         pts.append(np.concatenate([xp, yn[:, None]], axis=1))
-    return pushforward_eulerian(state, np.concatenate(pts, axis=0))
+    where = np.tile(np.arange(len(xp)), nlevel)
+    return _sample_at(state, np.concatenate(pts, axis=0), phases, where)

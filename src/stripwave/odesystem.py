@@ -19,9 +19,10 @@ Two backends solve the system and validate each other:
   y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
   B = M + N exp(bA), evaluated by forward marching with per-interval
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
-  the same integrals).  The preparation of a frequency is batched: one
-  stacked ``matrix_exponential`` call gives all step exponentials and one
-  all quadrature exponentials, and the panels' nodes, weights and
+  the same integrals).  A FrequencyStack prepares and solves many
+  frequencies at once: the boundary matrices, the step and quadrature
+  exponentials are stacks across frequencies, and the marches run over the
+  intervals with every frequency at once.  The panels' nodes, weights and
   interpolation rows are built once per solver.  It degrades once
   exp(2 pi |xi| b) eats the floating point headroom, so it is gated by a
   configurable split.
@@ -53,57 +54,85 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
+# matrices per stacked exponential call when a FrequencyStack is prepared:
+# bounds the Pade temporaries whatever the number of frequencies
+_EXP_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
 # Matrix assembly
 # ---------------------------------------------------------------------------
 
+def _xi_array(xi) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    return xi[None] if xi.ndim == 0 else xi
+
+
 def assemble_bulk_matrix(xi, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
-    """The 6x6 coefficient matrix A(xi) of the first-order system."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    m = 2.0 * np.pi * float(np.linalg.norm(xi))
-    t = 2j * np.pi * gamma_tilde * xi[0]
+    """The 6x6 coefficient matrix A(xi) of the first-order system.
+
+    ``xi`` of shape (dim_h,) gives one matrix, a stack (..., dim_h) one
+    matrix per frequency, shape (..., 6, 6).
+    """
+    xi = _xi_array(xi)
+    m = 2.0 * np.pi * np.linalg.norm(xi, axis=-1)
+    t = 2j * np.pi * gamma_tilde * xi[..., 0]
     mu, kappa = p.mu, p.kappa
-    A = np.zeros((6, 6), dtype=complex)
-    A[0, 4] = 1.0
-    A[1, 0] = -m
-    A[2, 5] = 1.0
-    A[3, 1] = -mu * m * m - t
-    A[3, 4] = -mu * m
-    A[4, 0] = m * m + t / mu
-    A[4, 3] = -m / mu
-    A[5, 2] = m * m + t / kappa
+    A = np.zeros(xi.shape[:-1] + (6, 6), dtype=complex)
+    A[..., 0, 4] = 1.0
+    A[..., 1, 0] = -m
+    A[..., 2, 5] = 1.0
+    A[..., 3, 1] = -mu * m * m - t
+    A[..., 3, 4] = -mu * m
+    A[..., 4, 0] = m * m + t / mu
+    A[..., 4, 3] = -m / mu
+    A[..., 5, 2] = m * m + t / kappa
     return A
 
 
 def assemble_boundary(xi, p: PhysicalParams, alpha1: float, alpha2: float):
-    """Boundary matrices (M, N) with M y(0) + N y(b) = d.
+    """Boundary matrices (M, N) with M y(0) + N y(b) = d, stacked like
+    ``assemble_bulk_matrix``.
 
     Row 1 is the tangential stress (alpha1 couples the temperature into it),
     row 2 the normal stress, row 3 the heat flux (alpha2 couples the
     longitudinal velocity).  At (alpha1, alpha2) = (0, sigma1) this is the
     adjoint/normal-stress problem; at (sigma1, 0) the forward one.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    m = 2.0 * np.pi * float(np.linalg.norm(xi))
+    xi = _xi_array(xi)
+    m = 2.0 * np.pi * np.linalg.norm(xi, axis=-1)
     mu, kappa = p.mu, p.kappa
-    Mmat = np.zeros((6, 6), dtype=complex)
-    Mmat[:3, :3] = np.eye(3)
-    N1 = np.array([
-        [0.0, mu * m, -alpha1 * m],
-        [2.0 * mu * m, 0.0, 0.0],
-        [alpha2 * m, 0.0, 0.0],
-    ], dtype=complex)
-    N2 = np.array([
-        [0.0, -mu, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 0.0, kappa],
-    ], dtype=complex)
-    Nmat = np.zeros((6, 6), dtype=complex)
-    Nmat[3:, :3] = N1
-    Nmat[3:, 3:] = N2
+    shape = xi.shape[:-1] + (6, 6)
+    Mmat = np.zeros(shape, dtype=complex)
+    Mmat[..., :3, :3] = np.eye(3)
+    Nmat = np.zeros(shape, dtype=complex)
+    Nmat[..., 3, 1] = mu * m
+    Nmat[..., 3, 2] = -alpha1 * m
+    Nmat[..., 3, 4] = -mu
+    Nmat[..., 4, 0] = 2.0 * mu * m
+    Nmat[..., 4, 3] = 1.0
+    Nmat[..., 5, 0] = alpha2 * m
+    Nmat[..., 5, 5] = kappa
     return Mmat, Nmat
+
+
+def _boundary_stack(A, Mmat, Nmat, depth: float, cond_limit: float):
+    """B = M + N exp(bA) for a stack (k, 6, 6), with cond(B) and B^{-1}.
+
+    ``ok`` marks the members whose B is finite with cond(B) <= cond_limit;
+    cond is inf and B^{-1} zero at the others.
+    """
+    expb, finite = _member_exponentials(A, depth)
+    B = Mmat + Nmat @ expb
+    finite &= np.isfinite(B).all(axis=(-2, -1))
+    cond = np.full(len(B), np.inf)
+    Binv = np.zeros_like(B)
+    if finite.any():
+        cond[finite] = np.linalg.cond(B[finite])
+    ok = cond <= cond_limit
+    if ok.any():
+        Binv[ok] = np.linalg.inv(B[ok])
+    return B, Binv, cond, ok
 
 
 def assemble_B(xi, p: PhysicalParams, gamma_tilde: float, alpha1: float,
@@ -111,14 +140,13 @@ def assemble_B(xi, p: PhysicalParams, gamma_tilde: float, alpha1: float,
     """B = M + N exp(bA), its inverse, and a condition estimate."""
     A = assemble_bulk_matrix(xi, p, gamma_tilde)
     Mmat, Nmat = assemble_boundary(xi, p, alpha1, alpha2)
-    expb = matrix_exponential(A, depth)
-    B = Mmat + Nmat @ expb
-    cond = float(np.linalg.cond(B))
-    if not np.isfinite(cond) or cond > cond_limit:
+    B, Binv, cond, ok = _boundary_stack(A[None], Mmat[None], Nmat[None],
+                                        depth, cond_limit)
+    if not ok[0]:
         raise NumericallySingular(
-            f"cond(B) = {cond:.3g} beyond {cond_limit:.3g} at 2pi|xi|b = "
+            f"cond(B) = {cond[0]:.3g} beyond {cond_limit:.3g} at 2pi|xi|b = "
             f"{2 * np.pi * np.linalg.norm(xi) * depth:.3g}")
-    return B, np.linalg.inv(B), cond
+    return B[0], Binv[0], float(cond[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +232,27 @@ def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray
     return X.reshape(A.shape)
 
 
+def _member_exponentials(A: np.ndarray, t):
+    """matrix_exponential(A[i], t) for every member of a stack A (k, n, n)
+    in one call, shape (k,) + t.shape + (n, n), with a mask of the members
+    whose exponential is finite.  When the stacked call fails, the members
+    are redone one by one and a failed member's entries are NaN."""
+    t = np.asarray(t)
+    A = A.reshape(A.shape[:1] + (1,) * t.ndim + A.shape[1:])
+    try:
+        return matrix_exponential(A, t), np.ones(len(A), dtype=bool)
+    except NumericallySingular:
+        X = np.full(A.shape[:1] + t.shape + A.shape[-2:], np.nan, dtype=complex)
+        ok = np.zeros(len(A), dtype=bool)
+        for i in range(len(A)):
+            try:
+                X[i] = matrix_exponential(A[i], t)
+                ok[i] = True
+            except NumericallySingular:
+                pass
+        return X, ok
+
+
 # ---------------------------------------------------------------------------
 # Forced boundary value problems
 # ---------------------------------------------------------------------------
@@ -245,37 +294,41 @@ class BVPSpec:
                    alpha1, alpha2, z, d)
 
 
-@dataclass
-class _MatexpPrep:
-    A: np.ndarray
-    step_exp: np.ndarray           # (Nz-1, 6, 6): exp(h_j A) per interval
-    Binv: np.ndarray
-    Nmat: np.ndarray
-    cond: float
-    quad_exp: np.ndarray | None = None  # (Nz-1, 8, 6, 6) weighted exponentials
-
-    def ensure_quad(self, offsets: np.ndarray, weights: np.ndarray):
-        """Weighted exp((c_j - t_q) A) at the Gauss-Legendre nodes t_q of every
-        interval [a_j, c_j], from the solver's shared offsets c_j - t_q and
-        weights, both (Nz-1, 8)."""
-        if self.quad_exp is None:
-            self.quad_exp = weights[..., None, None] * matrix_exponential(self.A, offsets)
+def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
+    """LU factors of ``sys`` (overwritten when Fortran-ordered) and its 1-norm
+    condition estimate; raises IllConditionedCollocation beyond cond_limit."""
+    # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
+    # does on a C-ordered system
+    anorm = float(np.abs(sys, order="C").sum(axis=0).max())
+    lu = lu_factor(sys, overwrite_a=True)
+    gecon = _lapack.zgecon if sys.dtype == np.complex128 else _lapack.cgecon
+    rcond, _ = gecon(lu[0], anorm)
+    cond_estimate = 1.0 / max(rcond, np.finfo(float).tiny)
+    if cond_estimate > cond_limit:
+        raise IllConditionedCollocation(
+            f"{what} condition estimate {cond_estimate:.3g} beyond "
+            f"{cond_limit:.3g}", cond_estimate=cond_estimate)
+    return lu, cond_estimate
 
 
 @dataclass
 class _CollocationPrep:
     lu: tuple
     rows_replaced: tuple
-    Nmat: np.ndarray
     cond_estimate: float
 
 
 class FrequencySolver:
-    """Per-frequency solver with cached preparations.
+    """Per-frequency solver for fixed coefficients.
 
     Fixed coefficients (params, transport speed gamma_tilde, coupling
     placement alpha1/alpha2, vertical grid); the backend is chosen per
-    frequency by the size of 2 pi |xi| b against ``split``.
+    frequency by the size of 2 pi |xi| b against ``split``.  ``prepare``
+    readies a set of frequencies as one FrequencyStack; ``solve`` is the
+    stack of a single frequency.  With ``reuse`` a stack keeps the LU factors
+    of its collocation members for its later solves; without, each is made
+    at every solve and dropped after use, so one dense factorisation is
+    alive at a time.
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
@@ -291,90 +344,42 @@ class FrequencySolver:
         self.split = split
         self.cond_limit = cond_limit
         self.reuse = reuse
-        self._matexp_cache = {}
-        self._coll_cache = {}
         self._quad = None
 
     # -- backend selection ---------------------------------------------------
 
+    def _scale(self, xi) -> np.ndarray:
+        """2 pi |xi| b per frequency (last axis of ``xi`` = dim_h)."""
+        return 2.0 * np.pi * np.linalg.norm(xi, axis=-1) * self.vgrid.depth
+
     def backend_for(self, xi) -> str:
-        scale = 2.0 * np.pi * float(np.linalg.norm(xi)) * self.vgrid.depth
-        return "matexp" if scale <= self.split else "collocation"
-
-    def _key(self, xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return tuple(np.round(xi, 12))
-
-    # -- matexp backend -------------------------------------------------------
-
-    def _prep_matexp(self, xi) -> _MatexpPrep:
-        key = self._key(xi)
-        if self.reuse and key in self._matexp_cache:
-            return self._matexp_cache[key]
-        p, vgrid = self.p, self.vgrid
-        A = assemble_bulk_matrix(xi, p, self.gamma_tilde)
-        _, Binv, cond = assemble_B(xi, p, self.gamma_tilde, self.alpha1,
-                                   self.alpha2, vgrid.depth, self.cond_limit)
-        _, Nmat = assemble_boundary(xi, p, self.alpha1, self.alpha2)
-        step_exp = matrix_exponential(A, np.diff(vgrid.nodes))
-        prep = _MatexpPrep(A, step_exp, Binv, Nmat, cond)
-        if self.reuse:
-            self._matexp_cache[key] = prep
-        return prep
+        return "matexp" if self._scale(_xi_array(xi)) <= self.split else "collocation"
 
     def _quadrature(self):
         """Composite Gauss-Legendre panels of the vertical grid, shared by every
-        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q,
-        the weights and the interpolation rows at t_q, shapes (Nz-1, 8),
-        (Nz-1, 8) and (Nz-1, 8, Nz)."""
+        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q
+        and the weights, both (Nz-1, 8), and the interpolation rows at the
+        t_q, (8 (Nz-1), Nz) interval-major."""
         if self._quad is None:
             nodes = self.vgrid.nodes
             a, c = nodes[:-1, None], nodes[1:, None]
             h = c - a
             tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
-            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS,
-                          self.vgrid.interp_weights(tq))
+            rows = self.vgrid.interp_weights(tq).reshape(-1, nodes.size)
+            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS, rows.astype(complex))
         return self._quad
-
-    def _solve_matexp(self, xi, z_profile, d_vec):
-        prep = self._prep_matexp(xi)
-        vgrid = self.vgrid
-        nz = vgrid.count
-        homogeneous = z_profile is None or not np.any(z_profile)
-        local = []
-        if not homogeneous:
-            offsets, weights, rows = self._quadrature()
-            prep.ensure_quad(offsets, weights)
-            for j in range(nz - 1):
-                zq = z_profile @ rows[j].T                    # (6, 8)
-                local.append(np.einsum("qij,jq->i", prep.quad_exp[j], zq))
-        else:
-            local = [np.zeros(6, dtype=complex)] * (nz - 1)
-        integral = np.zeros(6, dtype=complex)
-        for j in range(nz - 1):
-            integral = prep.step_exp[j] @ integral + local[j]
-        y0 = prep.Binv @ (np.asarray(d_vec, dtype=complex) - prep.Nmat @ integral)
-        Y = np.empty((6, nz), dtype=complex)
-        Y[:, 0] = y0
-        for j in range(nz - 1):
-            Y[:, j + 1] = prep.step_exp[j] @ Y[:, j] + local[j]
-        return Y, prep.cond
 
     # -- collocation backend ---------------------------------------------------
 
     def _prep_collocation(self, xi) -> _CollocationPrep:
-        key = self._key(xi)
-        if self.reuse and key in self._coll_cache:
-            return self._coll_cache[key]
-        p, vgrid = self.p, self.vgrid
-        nz = vgrid.count
-        A = assemble_bulk_matrix(xi, p, self.gamma_tilde)
-        _, Nmat = assemble_boundary(xi, p, self.alpha1, self.alpha2)
+        nz = self.vgrid.count
+        A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
+        _, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
         # kron(I6, D) - kron(A, I_nz), block by block into the Fortran-ordered
         # array that lu_factor overwrites.  Each block is computed as the
         # kron difference computes it, so the signed zeros off the block
         # diagonals (which reach the solution, e.g. phi(0) = -0) are kept.
-        D = vgrid.diff
+        D = self.vgrid.diff
         kron_blocks = (0.0 * D, D)
         eye = np.eye(nz)
         sys = np.empty((6 * nz, 6 * nz), dtype=complex, order="F")
@@ -392,50 +397,220 @@ class FrequencySolver:
             for c in range(3):
                 sys[row, c * nz + (nz - 1)] = Nmat[3 + r, c]
                 sys[row, (3 + c) * nz + (nz - 1)] = Nmat[3 + r, 3 + c]
-        # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
-        # does on a C-ordered system
-        anorm = float(np.abs(sys, order="C").sum(axis=0).max())
-        lu = lu_factor(sys, overwrite_a=True)
-        gecon = _lapack.zgecon if sys.dtype == np.complex128 else _lapack.cgecon
-        rcond, _ = gecon(lu[0], anorm)
-        cond_estimate = 1.0 / max(rcond, np.finfo(float).tiny)
-        if cond_estimate > self.cond_limit:
-            raise IllConditionedCollocation(
-                f"collocation condition estimate {cond_estimate:.3g} beyond "
-                f"{self.cond_limit:.3g}", cond_estimate=cond_estimate)
-        prep = _CollocationPrep(lu, bottom_rows + top_rows, Nmat, cond_estimate)
-        if self.reuse:
-            self._coll_cache[key] = prep
-        return prep
+        lu, cond_estimate = _factor_checked(sys, self.cond_limit, "collocation")
+        return _CollocationPrep(lu, bottom_rows + top_rows, cond_estimate)
 
-    def _solve_collocation(self, xi, z_profile, d_vec):
-        prep = self._prep_collocation(xi)
+    def _solve_collocation(self, prep: _CollocationPrep, z_profile, d_vec):
         nz = self.vgrid.count
         rhs = np.zeros(6 * nz, dtype=complex) if z_profile is None \
             else np.asarray(z_profile, dtype=complex).reshape(6 * nz).copy()
-        d = np.asarray(d_vec, dtype=complex)
-        for c, row in enumerate(prep.rows_replaced[:3]):
-            rhs[row] = d[c]
-        for r, row in enumerate(prep.rows_replaced[3:]):
-            rhs[row] = d[3 + r]
-        Y = lu_solve(prep.lu, rhs).reshape(6, nz)
-        return Y, prep.cond_estimate
+        rhs[list(prep.rows_replaced)] = d_vec
+        return lu_solve(prep.lu, rhs).reshape(6, nz)
 
     # -- public entry ----------------------------------------------------------
 
+    def prepare(self, xis, backend: str | None = None) -> "FrequencyStack":
+        """Prepared solves at the frequencies ``xis`` (K, dim_h)."""
+        return FrequencyStack(self, xis, backend)
+
     def solve(self, xi, z_profile, d_vec, backend: str | None = None):
         """Solve one forced problem; returns (Y, backend_used, cond_estimate)."""
-        choice = backend or self.backend_for(xi)
-        if choice == "matexp":
-            try:
-                Y, cond = self._solve_matexp(xi, z_profile, d_vec)
-                return Y, "matexp", cond
-            except NumericallySingular:
-                if backend == "matexp":
-                    raise
-                choice = "collocation"
-        Y, cond = self._solve_collocation(xi, z_profile, d_vec)
-        return Y, "collocation", cond
+        stack = self.prepare(_xi_array(xi)[None], backend)
+        z = None if z_profile is None else np.asarray(z_profile, dtype=complex)[None]
+        Y = stack.solve(z, np.asarray(d_vec, dtype=complex)[None])
+        return Y[0], stack.backend[0], float(stack.cond[0])
+
+
+class FrequencyStack:
+    """One FrequencySolver prepared at K frequencies.
+
+    The matexp members are prepared together as stacks: ``Binv`` and
+    ``Nmat`` are (k, 6, 6) and ``step`` holds exp(h_j A) as one (k, 6, 6)
+    array per interval j.  The weighted Gauss-Legendre exponentials
+    w_q exp((c_j - t_q) A) of a member are computed when a solve first
+    forces it; ``quad`` keeps them as one (members with forcing, 6, 8*6)
+    array per interval, so that the quadrature of an interval is one
+    matrix-vector product per member.  The exponentials are computed in
+    calls of at most _EXP_CHUNK matrices (one member's exponentials stay in
+    one call), and the arrays kept are per interval, so no allocation grows
+    with the product of frequencies and intervals.
+
+    A member whose exponentials are not finite or whose cond(B) exceeds the
+    solver's limit is solved by collocation instead (or raises
+    NumericallySingular when matexp was requested); the other members are
+    unaffected.  A collocation member is factored at its first solve (see
+    FrequencySolver's ``reuse``).  ``backend`` and ``cond`` (K,) record what
+    each member is solved with; the cond of a collocation member is set when
+    it is factored.
+    """
+
+    def __init__(self, solver: FrequencySolver, xis, backend: str | None = None):
+        self.solver = solver
+        self.xis = np.asarray(xis, dtype=float)
+        self.requested = backend
+        if backend is None:
+            matexp = solver._scale(self.xis) <= solver.split
+        else:
+            matexp = np.full(len(self.xis), backend == "matexp")
+        self.backend = np.where(matexp, "matexp", "collocation").astype(object)
+        self.cond = np.zeros(len(self.xis))
+        self.members = np.flatnonzero(matexp)
+        self.colloc = {}                # member -> LU factors, or None
+        if self.members.size:
+            self._prepare_matexp()
+        for i in np.flatnonzero(~matexp):
+            self._to_collocation(i)
+
+    def _to_collocation(self, i: int):
+        self.colloc[int(i)] = None
+        self.backend[i] = "collocation"
+
+    def _collocation_prep(self, i: int) -> _CollocationPrep:
+        prep = self.colloc[i]
+        if prep is None:
+            prep = self.solver._prep_collocation(self.xis[i])
+            self.cond[i] = prep.cond_estimate
+            if self.solver.reuse:
+                self.colloc[i] = prep
+        return prep
+
+    def _matexp_failed(self, i: int):
+        if self.requested == "matexp":
+            raise NumericallySingular(
+                f"matexp preparation failed at 2pi|xi|b = "
+                f"{self.solver._scale(self.xis[i]):.3g}: a non-finite "
+                f"exponential or cond(B) = {self.cond[i]:.3g} beyond "
+                f"{self.solver.cond_limit:.3g}")
+        self._to_collocation(i)
+
+    def _prepare_matexp(self):
+        s = self.solver
+        vgrid = s.vgrid
+        xis = self.xis[self.members]
+        A = assemble_bulk_matrix(xis, s.p, s.gamma_tilde)
+        Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
+        _, Binv, cond, ok = _boundary_stack(A, Mmat, Nmat, vgrid.depth,
+                                            s.cond_limit)
+        self.cond[self.members] = cond
+        good = np.flatnonzero(ok)
+        finite = np.ones(len(good), dtype=bool)
+        h = np.diff(vgrid.nodes)
+        self.step = [np.empty((len(good), 6, 6), dtype=complex) for _ in h]
+        for blk, X in self._exponentials(A[good], h, finite):
+            for j, st in enumerate(self.step):
+                st[blk] = X[:, j]
+        ok[good] = finite
+        for i in self.members[~ok]:
+            self._matexp_failed(i)
+        if not finite.all():
+            self.step = [st[finite] for st in self.step]
+        self.members = self.members[ok]
+        self.A, self.Binv, self.Nmat = A[ok], Binv[ok], Nmat[ok]
+        self.quad = [np.empty((0, 6, 48), dtype=complex) for _ in h]
+        self.quad_of = np.full(len(self.members), -1)   # row of quad per member
+        self.forced = np.empty(0, dtype=int)            # members with a row
+
+    @staticmethod
+    def _exponentials(A, t, finite):
+        """Yield (members, exp(t A)) over chunks of the members of A (k, 6, 6),
+        each exp of shape (chunk,) + t.shape + (6, 6).  A call holds all
+        times of its members and at most _EXP_CHUNK matrices when it holds
+        more than one member; ``finite`` is cleared at the members whose
+        exponential fails."""
+        t = np.asarray(t)
+        width = max(1, _EXP_CHUNK // t.size)
+        for lo in range(0, len(A), width):
+            blk = slice(lo, lo + width)
+            X, ok = _member_exponentials(A[blk], t)
+            finite[blk] &= ok
+            yield blk, X
+
+    def _ensure_quad(self, new: np.ndarray):
+        """Weighted quadrature exponentials of the members ``new`` (positions
+        in ``members``), appended as rows of every interval's quad."""
+        offsets, weights, _ = self.solver._quadrature()
+        finite = np.ones(len(new), dtype=bool)
+        blocks = [np.empty((len(new), 6, 48), dtype=complex) for _ in self.quad]
+        for blk, X in self._exponentials(self.A[new], offsets, finite):
+            for j, block in enumerate(blocks):
+                block[blk] = (weights[j, :, None, None] * X[:, j]).transpose(
+                    0, 2, 1, 3).reshape(-1, 6, 48)
+        for pos in new[~finite]:
+            # the march still carries this member (with zero rows) and
+            # collocation overwrites it
+            self._matexp_failed(self.members[pos])
+        for j, block in enumerate(blocks):
+            block[~finite] = 0.0
+            self.quad[j] = np.concatenate([self.quad[j], block]) if len(self.quad[j]) else block
+        self.quad_of[new] = len(self.forced) + np.arange(len(new))
+        self.forced = np.concatenate([self.forced, new])
+
+    def _local_integrals(self, z) -> list:
+        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt for
+        the members with quad rows, (len(forced), 6, 1) each; the members
+        that ``z`` forces for the first time get their rows first."""
+        k, _, nz = z.shape
+        live = np.flatnonzero(z.reshape(k, -1).any(axis=1))
+        new = live[self.quad_of[live] < 0]
+        if new.size:
+            self._ensure_quad(new)
+        rows = self.solver._quadrature()[2].reshape(nz - 1, 8, nz)
+        zt = z[self.forced].transpose(0, 2, 1)
+        # samples (member, node, component): the column order of quad
+        return [q @ (r @ zt).reshape(-1, 48, 1) for q, r in zip(self.quad, rows)]
+
+    def _march(self, z, d) -> np.ndarray:
+        """Variation of constants for the matexp members, marched over the
+        intervals with every member at once."""
+        step = self.step
+        nz = len(step) + 1
+        k = len(self.members)
+        local = None if z is None else self._local_integrals(z)
+        forced = self.forced if local is not None and self.forced.size else None
+        integral = np.zeros((k, 6, 1), dtype=complex)
+        if forced is not None:
+            for j in range(nz - 1):
+                integral = step[j] @ integral
+                integral[forced] += local[j]
+        y = self.Binv @ (d[..., None] - self.Nmat @ integral)
+        Y = np.empty((k, 6, nz), dtype=complex)
+        Y[..., 0] = y[..., 0]
+        for j in range(nz - 1):
+            y = step[j] @ y
+            if forced is not None:
+                y[forced] += local[j]
+            Y[..., j + 1] = y[..., 0]
+        return Y
+
+    def solve(self, z, d) -> np.ndarray:
+        """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
+        for none, and boundary data ``d`` (K, 6)."""
+        d = np.asarray(d, dtype=complex)
+        if len(self.members) == len(self.backend):
+            Y = self._march(z, d)       # all on matexp: no gather and scatter
+        else:
+            Y = np.empty((len(self.backend), 6, self.solver.vgrid.count),
+                         dtype=complex)
+            if self.members.size:
+                Y[self.members] = self._march(
+                    None if z is None else z[self.members], d[self.members])
+        for i in self.colloc:
+            Y[i] = self.solver._solve_collocation(
+                self._collocation_prep(i), None if z is None else z[i], d[i])
+        return Y
+
+    def lattice_record(self, grid, zero_backend: str, zero_cond: float):
+        """``backend`` and ``cond`` as lattice arrays, for a stack prepared at
+        grid.half_nonzero(): the given values at xi = 0, the mirror on the
+        other half."""
+        half = grid.half_nonzero()
+        zero = (0,) * grid.dim_h
+        backend = np.empty(grid.freq_shape, dtype=object)
+        cond = np.zeros(grid.freq_shape)
+        backend[zero], cond[zero] = zero_backend, zero_cond
+        backend[half], cond[half] = self.backend, self.cond
+        return (np.where(grid.half_mask(), backend, reflect(backend, grid, 0)),
+                conjugate_mirror(cond, grid, 0))
 
 
 def solve_forced_bvp(spec: BVPSpec, p: PhysicalParams, vgrid: VerticalGrid,
@@ -450,15 +625,11 @@ def solve_forced_bvp(spec: BVPSpec, p: PhysicalParams, vgrid: VerticalGrid,
     return Y
 
 
-def solve_transverse(xi, p: PhysicalParams, vgrid: VerticalGrid,
-                     gamma_tilde: float, f_transverse=None, k_transverse=0.0,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Scalar transverse velocity problem (horizontal dimension two only).
-
-    gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
-    beta(0) = 0, -mu dn beta(b) = k.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+def transverse_factor(xi, p: PhysicalParams, vgrid: VerticalGrid,
+                      gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
+    """LU factors of the transverse system at one frequency (see
+    ``solve_transverse``), checked against cond_limit."""
+    xi = _xi_array(xi)
     if xi.size != 2:
         raise ValueError("transverse problems only arise for dim_h = 2")
     nz = vgrid.count
@@ -467,23 +638,43 @@ def solve_transverse(xi, p: PhysicalParams, vgrid: VerticalGrid,
     D = vgrid.diff
     L = t * np.eye(nz) - p.mu * (D @ D - m * m * np.eye(nz))
     L = L.astype(complex)
-    rhs = np.zeros(nz, dtype=complex) if f_transverse is None \
-        else np.asarray(f_transverse, dtype=complex).copy()
     L[0] = 0.0
     L[0, 0] = 1.0
-    rhs[0] = 0.0
     L[-1] = -p.mu * D[-1]
+    lu, _ = _factor_checked(L, cond_limit, "transverse system")
+    return lu
+
+
+def transverse_solve(lu, f_transverse=None, k_transverse=0.0) -> np.ndarray:
+    """beta from the factors of ``transverse_factor`` and the forcing."""
+    nz = lu[0].shape[0]
+    rhs = np.zeros(nz, dtype=complex) if f_transverse is None \
+        else np.asarray(f_transverse, dtype=complex).copy()
+    rhs[0] = 0.0
     rhs[-1] = k_transverse
-    cond = float(abs(np.linalg.cond(L, 1)))
-    if cond > cond_limit:
-        raise IllConditionedCollocation("transverse system ill-conditioned",
-                                        cond_estimate=cond)
-    return np.linalg.solve(L, rhs)
+    return lu_solve(lu, rhs)
+
+
+def solve_transverse(xi, p: PhysicalParams, vgrid: VerticalGrid,
+                     gamma_tilde: float, f_transverse=None, k_transverse=0.0,
+                     cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
+    """Scalar transverse velocity problem (horizontal dimension two only).
+
+    gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
+    beta(0) = 0, -mu dn beta(b) = k.
+    """
+    return transverse_solve(transverse_factor(xi, p, vgrid, gamma_tilde, cond_limit),
+                            f_transverse, k_transverse)
 
 
 # ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
+
+# boundary data of the symbol solves: a unit normal stress on the top
+_UNIT_NORMAL_STRESS = np.array([0, 0, 0, 0, 1, 0], dtype=complex)
+_UNIT_NORMAL_STRESS.flags.writeable = False
+
 
 @dataclass
 class SymbolEntry:
@@ -535,11 +726,12 @@ class SymbolEntry:
         return out
 
 
-def rho_of(p: PhysicalParams, xi, om_vn_surf: complex) -> complex:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    mag2 = float(xi @ xi)
+def rho_of(p: PhysicalParams, xi, om_vn_surf):
+    """rho at one frequency, or per frequency for a stack xi (..., dim_h)."""
+    xi = _xi_array(xi)
+    mag2 = (xi * xi).sum(axis=-1)
     return ((p.sigma0 * 4.0 * np.pi ** 2 * mag2 + p.grav) * np.conj(om_vn_surf)
-            + 2j * np.pi * p.gamma * xi[0])
+            + 2j * np.pi * p.gamma * xi[..., 0])
 
 
 def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
@@ -561,9 +753,7 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
     if solver is None:
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=split, cond_limit=cond_limit, reuse=False)
-    d = np.zeros(6, dtype=complex)
-    d[4] = 1.0
-    Y, used, cond = solver.solve(xi, None, d, backend=backend)
+    Y, used, cond = solver.solve(xi, None, _UNIT_NORMAL_STRESS, backend=backend)
     return SymbolEntry(xi, Y, rho_of(p, xi, Y[1, -1]), used, cond)
 
 
@@ -571,8 +761,8 @@ class SymbolTable:
     """Response symbols over a frequency lattice, stored as lattice arrays.
 
     ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend`` and ``cond``
-    have shape freq_shape.  ``build`` solves on the half lattice and fills the
-    rest with the conjugate mirror.
+    have shape freq_shape.  ``build`` solves the half lattice as one
+    FrequencyStack and fills the rest with the conjugate mirror.
     """
 
     def __init__(self, grid, vgrid, p: PhysicalParams, y: np.ndarray,
@@ -591,19 +781,19 @@ class SymbolTable:
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=split, cond_limit=cond_limit, reuse=False)
-        shape = grid.freq_shape
-        vecs = grid.xi_vectors()
-        y = np.zeros(shape + (6, vgrid.count), dtype=complex)
-        rho = np.zeros(shape, dtype=complex)
-        backend = np.empty(shape, dtype=object)
-        cond = np.zeros(shape)
-        for idx in grid.half_indices():
-            e = solve_symbol(vecs[idx], p, vgrid, solver=solver)
-            y[idx], rho[idx], backend[idx], cond[idx] = e.y, e.rho, e.backend, e.cond
-        backend = np.where(grid.half_mask(), backend, reflect(backend, grid, 0))
+        half = grid.half_nonzero()
+        xis = grid.xi_vectors()[half]
+        stack = solver.prepare(xis)
+        Y = stack.solve(None, np.broadcast_to(_UNIT_NORMAL_STRESS, (len(xis), 6)))
+        backend, cond = stack.lattice_record(grid, "closed-form", 1.0)
+        del stack                       # its exponentials, before the mirror
+        y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
+        y[(0,) * grid.dim_h + (3,)] = 1.0
+        y[half] = Y
+        rho = np.zeros(grid.freq_shape, dtype=complex)
+        rho[half] = rho_of(p, xis, Y[:, 1, -1])
         return cls(grid, vgrid, p, conjugate_mirror(y, grid, 0),
-                   conjugate_mirror(rho, grid, 0), backend,
-                   conjugate_mirror(cond, grid, 0))
+                   conjugate_mirror(rho, grid, 0), backend, cond)
 
     def entry(self, idx) -> SymbolEntry:
         """View of one lattice point as a SymbolEntry."""

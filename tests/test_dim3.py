@@ -128,17 +128,42 @@ def test_invert_one_solve_per_pair_3d():
     vg = VerticalGrid(1.0, 16)
     inv = LinearInverter(SymbolTable.build(grid, vg, P3))
     solved = []
-    solve = inv.solver.solve
+    prepare = inv.solver.prepare
 
-    def counting(xi, z, d, backend=None):
-        solved.append(tuple(np.round(xi, 12)))
-        return solve(xi, z, d, backend)
+    def counting(xis, *args, **kwargs):
+        solved.extend(tuple(np.round(xi, 12)) for xi in xis)
+        return prepare(xis, *args, **kwargs)
 
-    inv.solver.solve = counting
+    inv.solver.prepare = counting
     st = make_random_state(grid, vg, seed=2, jmax=2)
     data = apply_linear_operator(st, P3)
     out = inv.invert(data)
+    inv.invert(data)                # warm: reuses the prepared frequencies
     assert len(solved) == len(set(solved)) == 33
     back = apply_linear_operator(out, P3)
     back.axpy(-1.0, data)
     assert ydata_norm(back) / ydata_norm(data) < 1e-6
+
+
+def test_grid_samples_build_phases_once(monkeypatch):
+    import stripwave.geometry as geometry
+    import stripwave.nonlinear as nonlinear
+    grid = FrequencyGrid(2, 2 * np.pi * 3, 8)
+    vg = VerticalGrid(1.0, 12)
+    st = make_random_state(grid, vg, seed=4, jmax=2, eta_scale=0.05)
+    built = []
+    real = geometry.lattice_phases
+
+    def counting(g, points):
+        built.append(len(points))
+        return real(g, points)
+
+    for module in (geometry, nonlinear):
+        monkeypatch.setattr(module, "lattice_phases", counting)
+    out = eulerian_grid_samples(st, nx=5, nlevel=3)
+    assert built == [25]
+    monkeypatch.undo()
+    direct = pushforward_eulerian(st, out["points"])
+    for name in ("eta", "velocity", "temperature", "pressure"):
+        assert np.abs(out[name] - direct[name]).max() \
+            <= 1e-12 * np.abs(direct[name]).max()

@@ -185,5 +185,77 @@ def test_half_mask_rule(dim_h, modes):
         # exactly one representative per +-xi pair
         assert half[idx] or half[neg]
         assert not (half[idx] and half[neg]) or idx == neg
-    assert grid.half_indices() == [idx for idx in np.ndindex(grid.freq_shape)
-                                   if half[idx]]
+    assert list(zip(*grid.half_nonzero())) == [
+        idx for idx in np.ndindex(grid.freq_shape) if half[idx] and any(idx)]
+
+
+def _write_field_csv_rows(path, field):
+    """write_field_csv as one csv row per entry (the reference)."""
+    import csv
+    grid = field.grid
+    bulk = isinstance(field, SpectralField)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
+        w.writerow(["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"])
+        for idx in np.ndindex(field.data.shape):
+            val = field.data[idx]
+            row = [idx[0]] + list(idx[1:1 + grid.dim_h])
+            if bulk:
+                row.append(idx[-1])
+            row += [format(val.real, ".17g"), format(val.imag, ".17g")]
+            w.writerow(row)
+
+
+def _read_field_csv_rows(path, shape):
+    import csv
+    data = np.zeros(shape, dtype=complex)
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        next(rd)
+        for row in rd:
+            idx = tuple(int(v) for v in row[:len(shape)])
+            data[idx] = float(row[-2]) + 1j * float(row[-1])
+    return data
+
+
+def _awkward_values(rng, shape):
+    """Magnitudes across the double range plus -0, zeros and a subnormal."""
+    vals = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            + 1j * rng.standard_normal(shape))
+    flat = vals.reshape(-1)
+    flat[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1e300j]
+    flat[4:9] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("kind", ["bulk-complex", "bulk-3d", "bulk-large", "surface",
+                                  "surface-3d"])
+def test_csv_bytes_match_row_writer(tmp_path, kind):
+    rng = np.random.default_rng(11)
+    vg = VerticalGrid(0.8, 5)
+    if kind == "bulk-complex":
+        grid = FrequencyGrid(1, 2.5, 8)
+        f = SpectralField(grid, vg, _awkward_values(rng, (3, 8, 5)), real_flag=False)
+    elif kind == "bulk-large":             # more rows than one formatting block
+        grid = FrequencyGrid(1, 2.5, 64)
+        vg = VerticalGrid(0.8, 41)
+        f = SpectralField(grid, vg, _awkward_values(rng, (2, 64, 41)))
+    elif kind == "bulk-3d":
+        grid = FrequencyGrid(2, 2.5, 4)
+        f = SpectralField(grid, vg, _awkward_values(rng, (2, 4, 4, 5)))
+    elif kind == "surface":
+        grid = FrequencyGrid(1, 2.5, 16)
+        f = SurfaceSpectral(grid, _awkward_values(rng, (2, 16)))
+    else:
+        grid = FrequencyGrid(2, 2.5, 6)
+        f = SurfaceSpectral(grid, _awkward_values(rng, (1, 6, 6)), real_flag=False)
+    write_field_csv(tmp_path / "new.csv", f)
+    _write_field_csv_rows(tmp_path / "old.csv", f)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert b"-0," in (tmp_path / "new.csv").read_bytes()
+    back = read_field_csv(tmp_path / "new.csv")
+    assert type(back) is type(f) and back.real_flag == f.real_flag
+    assert np.array_equal(back.data, f.data)
+    ref = _read_field_csv_rows(tmp_path / "new.csv", f.data.shape)
+    assert np.array_equal(back.data.view(np.uint64), ref.view(np.uint64))

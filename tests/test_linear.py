@@ -228,3 +228,57 @@ def test_roundtrip_dim3():
     back = apply_linear_operator(st2, p3)
     back.axpy(-1.0, data)
     assert ydata_norm(back) / ydata_norm(data) < 1e-6
+
+
+def _random_state_loop(grid, vgrid, seed, mode_decay=0.7, kmax=6, jmax=None,
+                       eta_scale=1.0):
+    """make_random_state as one scalar draw per amplitude (the reference)."""
+    rng = np.random.default_rng(seed)
+    if jmax is None:
+        jmax = min(grid.modes // 4, 8)
+    st = LinearState.zeros(grid, vgrid)
+    z = vgrid.nodes / vgrid.depth
+    basis0 = np.stack([np.sin((k + 0.5) * np.pi * z) for k in range(kmax)])
+    basisf = np.stack([np.cos(k * np.pi * z) for k in range(kmax)])
+
+    def modes_iter():
+        if grid.dim_h == 1:
+            for j in range(1, jmax + 1):
+                yield (j,), j
+        else:
+            for j1 in range(0, jmax + 1):
+                for j2 in range(-jmax, jmax + 1):
+                    if j1 == 0 and j2 <= 0:
+                        continue
+                    yield (j1, j2 % grid.modes), np.hypot(j1, j2)
+
+    def fill(arr, comps, basis):
+        for c in range(comps):
+            for idx, jm in modes_iter():
+                for k in range(kmax):
+                    amp = (rng.standard_normal() + 1j * rng.standard_normal())
+                    amp *= np.exp(-mode_decay * jm - 0.5 * k)
+                    arr[(c,) + idx] += amp * basis[k]
+
+    fill(st.u.data, grid.dim_h + 1, basis0)
+    fill(st.psi.data, 1, basis0)
+    fill(st.pres.data, 1, basisf)
+    for idx, jm in modes_iter():
+        st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * (
+            rng.standard_normal() + 1j * rng.standard_normal())
+    st.enforce_real()
+    return st
+
+
+@pytest.mark.parametrize("dim_h,modes,nz,kwargs", [
+    (1, 64, 24, {}), (1, 128, 20, {"jmax": 20, "eta_scale": 0.3}),
+    (2, 32, 16, {}), (2, 16, 12, {"jmax": 3, "kmax": 4, "mode_decay": 0.4})])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_random_state_bit_identical_to_loop(dim_h, modes, nz, kwargs, seed):
+    grid = FrequencyGrid(dim_h, 7.0, modes)
+    vg = VerticalGrid(1.0, nz)
+    got = make_random_state(grid, vg, seed=seed, **kwargs)
+    want = _random_state_loop(grid, vg, seed, **kwargs)
+    for a, b in ((got.u, want.u), (got.psi, want.psi), (got.pres, want.pres),
+                 (got.eta, want.eta)):
+        assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
