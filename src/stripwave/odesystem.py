@@ -424,16 +424,19 @@ class FrequencySolver:
 class FrequencyStack:
     """One FrequencySolver prepared at K frequencies.
 
-    The matexp members are prepared together as stacks: ``Binv`` and
-    ``Nmat`` are (k, 6, 6) and ``step`` holds exp(h_j A) as one (k, 6, 6)
-    array per interval j.  The weighted Gauss-Legendre exponentials
-    w_q exp((c_j - t_q) A) of a member are computed when a solve first
-    forces it; ``quad`` keeps them as one (members with forcing, 6, 8*6)
-    array per interval, so that the quadrature of an interval is one
-    matrix-vector product per member.  The exponentials are computed in
-    calls of at most _EXP_CHUNK matrices (one member's exponentials stay in
-    one call), and the arrays kept are per interval, so no allocation grows
-    with the product of frequencies and intervals.
+    The matexp members are prepared together as stacks: ``A``, ``Binv``
+    and ``Nmat`` are (k, 6, 6).  The step exponentials exp(h_j A) of a
+    member are computed at its first solve with nonzero data, and ``step``
+    keeps them as one (members with data, 6, 6) array per interval j; a
+    member that never has data gets Y = 0 and no exponentials.  The weighted
+    Gauss-Legendre exponentials w_q exp((c_j - t_q) A) are computed at a
+    member's first nonzero bulk forcing, and ``quad`` keeps them as one
+    (members with forcing, 6, 8*6) array per interval, so that the
+    quadrature of an interval is one matrix-vector product per member.  The
+    exponentials are computed in calls of at most _EXP_CHUNK matrices (one
+    member's exponentials stay in one call), and the arrays kept are per
+    interval, so no allocation grows with the product of frequencies and
+    intervals.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead (or raises
@@ -485,30 +488,25 @@ class FrequencyStack:
 
     def _prepare_matexp(self):
         s = self.solver
-        vgrid = s.vgrid
         xis = self.xis[self.members]
         A = assemble_bulk_matrix(xis, s.p, s.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
-        _, Binv, cond, ok = _boundary_stack(A, Mmat, Nmat, vgrid.depth,
+        _, Binv, cond, ok = _boundary_stack(A, Mmat, Nmat, s.vgrid.depth,
                                             s.cond_limit)
         self.cond[self.members] = cond
-        good = np.flatnonzero(ok)
-        finite = np.ones(len(good), dtype=bool)
-        h = np.diff(vgrid.nodes)
-        self.step = [np.empty((len(good), 6, 6), dtype=complex) for _ in h]
-        for blk, X in self._exponentials(A[good], h, finite):
-            for j, st in enumerate(self.step):
-                st[blk] = X[:, j]
-        ok[good] = finite
         for i in self.members[~ok]:
             self._matexp_failed(i)
-        if not finite.all():
-            self.step = [st[finite] for st in self.step]
         self.members = self.members[ok]
         self.A, self.Binv, self.Nmat = A[ok], Binv[ok], Nmat[ok]
-        self.quad = [np.empty((0, 6, 48), dtype=complex) for _ in h]
+        intervals = range(s.vgrid.count - 1)
+        # rows of a member's step and quadrature exponentials, made at its
+        # first solve with nonzero data and first nonzero bulk forcing
+        self.step = [np.empty((0, 6, 6), dtype=complex) for _ in intervals]
+        self.quad = [np.empty((0, 6, 48), dtype=complex) for _ in intervals]
+        self.step_of = np.full(len(self.members), -1)   # row of step per member
         self.quad_of = np.full(len(self.members), -1)   # row of quad per member
-        self.forced = np.empty(0, dtype=int)            # members with a row
+        self.ready = np.empty(0, dtype=int)             # members with step rows
+        self.forced = np.empty(0, dtype=int)            # members with quad rows
 
     @staticmethod
     def _exponentials(A, t, finite):
@@ -525,35 +523,47 @@ class FrequencyStack:
             finite[blk] &= ok
             yield blk, X
 
-    def _ensure_quad(self, new: np.ndarray):
-        """Weighted quadrature exponentials of the members ``new`` (positions
-        in ``members``), appended as rows of every interval's quad."""
-        offsets, weights, _ = self.solver._quadrature()
+    def _append_rows(self, arrays, new, t, rows_of):
+        """Append to ``arrays`` (one per interval j) the rows rows_of(w_j,
+        exp(t_j A)) of the members ``new`` (positions in ``members``).  A
+        member whose exponential fails gets zero rows, which the march
+        carries, and is solved by collocation instead."""
         finite = np.ones(len(new), dtype=bool)
-        blocks = [np.empty((len(new), 6, 48), dtype=complex) for _ in self.quad]
-        for blk, X in self._exponentials(self.A[new], offsets, finite):
+        blocks = [np.empty((len(new),) + a.shape[1:], dtype=complex) for a in arrays]
+        for blk, X in self._exponentials(self.A[new], t, finite):
             for j, block in enumerate(blocks):
-                block[blk] = (weights[j, :, None, None] * X[:, j]).transpose(
-                    0, 2, 1, 3).reshape(-1, 6, 48)
+                block[blk] = rows_of(j, X[:, j])
         for pos in new[~finite]:
-            # the march still carries this member (with zero rows) and
-            # collocation overwrites it
             self._matexp_failed(self.members[pos])
         for j, block in enumerate(blocks):
             block[~finite] = 0.0
-            self.quad[j] = np.concatenate([self.quad[j], block]) if len(self.quad[j]) else block
-        self.quad_of[new] = len(self.forced) + np.arange(len(new))
-        self.forced = np.concatenate([self.forced, new])
+            arrays[j] = np.concatenate([arrays[j], block]) if len(arrays[j]) else block
+
+    def _ensure_rows(self, z, d):
+        """Step rows for the members with nonzero data, quadrature rows for
+        the members with nonzero bulk forcing."""
+        data = d.any(axis=1)
+        if z is not None:
+            forcing = z.reshape(len(z), -1).any(axis=1)
+            data |= forcing
+            new = np.flatnonzero(forcing & (self.quad_of < 0))
+            if new.size:
+                offsets, weights, _ = self.solver._quadrature()
+                self._append_rows(self.quad, new, offsets, lambda j, X: (
+                    weights[j, :, None, None] * X).transpose(0, 2, 1, 3).reshape(-1, 6, 48))
+                self.quad_of[new] = len(self.forced) + np.arange(len(new))
+                self.forced = np.concatenate([self.forced, new])
+        new = np.flatnonzero((data | (self.quad_of >= 0)) & (self.step_of < 0))
+        if new.size:
+            self._append_rows(self.step, new, np.diff(self.solver.vgrid.nodes),
+                              lambda j, X: X)
+            self.step_of[new] = len(self.ready) + np.arange(len(new))
+            self.ready = np.concatenate([self.ready, new])
 
     def _local_integrals(self, z) -> list:
         """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt for
-        the members with quad rows, (len(forced), 6, 1) each; the members
-        that ``z`` forces for the first time get their rows first."""
-        k, _, nz = z.shape
-        live = np.flatnonzero(z.reshape(k, -1).any(axis=1))
-        new = live[self.quad_of[live] < 0]
-        if new.size:
-            self._ensure_quad(new)
+        the members with quad rows, (len(forced), 6, 1) each."""
+        nz = z.shape[-1]
         rows = self.solver._quadrature()[2].reshape(nz - 1, 8, nz)
         zt = z[self.forced].transpose(0, 2, 1)
         # samples (member, node, component): the column order of quad
@@ -561,25 +571,28 @@ class FrequencyStack:
 
     def _march(self, z, d) -> np.ndarray:
         """Variation of constants for the matexp members, marched over the
-        intervals with every member at once."""
-        step = self.step
+        intervals with every member that has step rows at once; the others
+        have zero data and get Y = 0."""
+        self._ensure_rows(z, d)
+        step, ready = self.step, self.ready
         nz = len(step) + 1
-        k = len(self.members)
-        local = None if z is None else self._local_integrals(z)
-        forced = self.forced if local is not None and self.forced.size else None
-        integral = np.zeros((k, 6, 1), dtype=complex)
-        if forced is not None:
+        local = None if z is None or not self.forced.size else self._local_integrals(z)
+        forced = self.step_of[self.forced]        # their rows in the march
+        integral = np.zeros((len(ready), 6, 1), dtype=complex)
+        if local is not None:
             for j in range(nz - 1):
                 integral = step[j] @ integral
                 integral[forced] += local[j]
-        y = self.Binv @ (d[..., None] - self.Nmat @ integral)
-        Y = np.empty((k, 6, nz), dtype=complex)
-        Y[..., 0] = y[..., 0]
+        y = self.Binv[ready] @ (d[ready, :, None] - self.Nmat[ready] @ integral)
+        Y = np.zeros((len(self.members), 6, nz), dtype=complex)
+        Yr = np.empty((len(ready), 6, nz), dtype=complex)
+        Yr[..., 0] = y[..., 0]
         for j in range(nz - 1):
             y = step[j] @ y
-            if forced is not None:
+            if local is not None:
                 y[forced] += local[j]
-            Y[..., j + 1] = y[..., 0]
+            Yr[..., j + 1] = y[..., 0]
+        Y[ready] = Yr
         return Y
 
     def solve(self, z, d) -> np.ndarray:

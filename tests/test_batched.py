@@ -80,13 +80,20 @@ def test_stack_reuses_preparation_across_solves():
     solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-3.0, 3.0, (12, 1))
     stack = solver.prepare(xis)
-    for trial in range(3):
+    for trial in range(4):
         z, d = _forcing(rng, 12, vg.count, vg, p.depth)
+        if trial < 2:
+            z[::4] = 0.0                # no data at all: Y = 0, nothing made
+            d[::4] = 0.0
         if trial == 2:
             z[::3] = z[1]               # bulk forcing at new frequencies
         Y = stack.solve(z, d)
         singles = [solver.solve(xi, z[i], d[i]) for i, xi in enumerate(xis)]
         _assert_rows_agree(Y, singles)
+        if trial < 2:
+            assert np.abs(Y[::4]).max() == 0.0
+            assert sorted(stack.ready) == [i for i in range(12) if i % 4]
+    assert sorted(stack.ready) == list(range(12))
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)
