@@ -508,29 +508,21 @@ class FrequencyStack:
         self.ready = np.empty(0, dtype=int)             # members with step rows
         self.forced = np.empty(0, dtype=int)            # members with quad rows
 
-    @staticmethod
-    def _exponentials(A, t, finite):
-        """Yield (members, exp(t A)) over chunks of the members of A (k, 6, 6),
-        each exp of shape (chunk,) + t.shape + (6, 6).  A call holds all
-        times of its members and at most _EXP_CHUNK matrices when it holds
-        more than one member; ``finite`` is cleared at the members whose
-        exponential fails."""
-        t = np.asarray(t)
-        width = max(1, _EXP_CHUNK // t.size)
-        for lo in range(0, len(A), width):
-            blk = slice(lo, lo + width)
-            X, ok = _member_exponentials(A[blk], t)
-            finite[blk] &= ok
-            yield blk, X
-
     def _append_rows(self, arrays, new, t, rows_of):
-        """Append to ``arrays`` (one per interval j) the rows rows_of(w_j,
+        """Append to ``arrays`` (one per interval j) the rows rows_of(j,
         exp(t_j A)) of the members ``new`` (positions in ``members``).  A
-        member whose exponential fails gets zero rows, which the march
-        carries, and is solved by collocation instead."""
+        call holds all times of its members and at most _EXP_CHUNK matrices
+        when it holds more than one member.  A member whose exponential
+        fails gets zero rows, which the march carries, and is solved by
+        collocation instead."""
+        t = np.asarray(t)
+        A = self.A[new]
         finite = np.ones(len(new), dtype=bool)
         blocks = [np.empty((len(new),) + a.shape[1:], dtype=complex) for a in arrays]
-        for blk, X in self._exponentials(self.A[new], t, finite):
+        width = max(1, _EXP_CHUNK // t.size)
+        for lo in range(0, len(new), width):
+            blk = slice(lo, lo + width)
+            X, finite[blk] = _member_exponentials(A[blk], t)
             for j, block in enumerate(blocks):
                 block[blk] = rows_of(j, X[:, j])
         for pos in new[~finite]:
