@@ -44,6 +44,14 @@ def _write_state(outdir, state):
         write_field_csv(os.path.join(outdir, f"{name}.csv"), fieldval)
 
 
+def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
+    """Linear inverter and its symbol table, with the config's backend section."""
+    b = config.raw["backend"]
+    table = SymbolTable.build(grid, vgrid, config.params(),
+                              split=b["symbol_split"], cond_limit=b["cond_limit"])
+    return LinearInverter(table, split=b["split"], cond_limit=b["cond_limit"])
+
+
 def run(config: RunConfig) -> int:
     r = config.raw
     outdir = r["out"]
@@ -111,9 +119,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not r["input"]:
             raise ConfigError("linear-solve requires input: directory of data CSVs")
         data = read_ydata_csv(r["input"])
-        table = SymbolTable.build(data.grid, data.vgrid, p,
-                                  split=r["backend"]["symbol_split"])
-        inv = LinearInverter(table, split=r["backend"]["split"])
+        inv = _inverter(config, data.grid, data.vgrid)
         state = inv.invert(data)
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
@@ -139,8 +145,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         forcing = make_forcing_preset(r["forcing"]["preset"],
                                       r["forcing"]["amplitude"], grid,
                                       p.depth, r["forcing"]["mode_index"])
-        trace = picard_solve(forcing, p, c, grid, vgrid,
-                             tol=r["tol"]["picard"], maxiter=r["maxiter"])
+        inv = _inverter(config, grid, vgrid)
+        trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
+                             maxiter=r["maxiter"], inverter=inv)
         _write_json(os.path.join(outdir, "solve_trace.json"), trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
@@ -163,9 +170,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         summary["ok"] = trace.converged and trace.amplitude_used == forcing.amplitude
 
     elif mode == "roundtrip-test":
-        table = SymbolTable.build(grid, vgrid, p,
-                                  split=r["backend"]["symbol_split"])
-        inv = LinearInverter(table, split=r["backend"]["split"])
+        inv = _inverter(config, grid, vgrid)
         rng_seed = r["seed"]
         worst_data, worst_state = 0.0, 0.0
         for trial in range(r["roundtrip"]["count"]):

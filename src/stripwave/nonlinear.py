@@ -121,10 +121,6 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
 # Residual
 # ---------------------------------------------------------------------------
 
-def _sigma_deriv(c: ConstitutiveSet, rvals, h: float = 1e-6):
-    return (c.sigma_fn(rvals + h) - c.sigma_fn(rvals - h)) / (2.0 * h)
-
-
 def nonlinear_residual(state: LinearState, forcing: ForcingData,
                        p: PhysicalParams, c: ConstitutiveSet,
                        tail_warn: float = 1e-6) -> YData:
@@ -192,7 +188,7 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
     curv = to_phys(mean_curvature(state.eta).data, grid)[0]
     psi_b = psi[..., -1]
     sigma_b = np.asarray(c.sigma_fn(psi_b))
-    sigp_b = _sigma_deriv(c, psi_b)
+    sigp_b = np.asarray(c.sigma_prime(psi_b))
     grad_sigma = sigp_b * grad_A_psi[..., -1]                  # (n, phys)
     nu = Np / normN
     sg_tan = grad_sigma - nu * np.einsum("i...,i...->...", nu, grad_sigma)

@@ -28,7 +28,12 @@ Two backends solve the system and validate each other:
   configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
-  a dense linear solve per frequency, valid at all frequencies.
+  valid at all frequencies.  Its interior rows never couple the Stokes
+  unknowns (phi, psi, q, dn phi) with the heat unknowns (delta, dn delta);
+  only the tangential stress (alpha1 delta(b)) and the heat flux
+  (alpha2 phi(b)) reach across.  So each frequency factors a 4Nz Stokes
+  block and a 2Nz heat block, and a solve joins them through a 2x2 system
+  for (phi(b), delta(b)).
 
 The homogeneous solve with d = (0,0,0,0,1,0) yields the response symbols to
 a unit normal stress on the top boundary; their top traces assemble the
@@ -311,10 +316,23 @@ def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
     return lu, cond_estimate
 
 
+# The Stokes and heat blocks of the collocation system: their components,
+# and the entry (row, column) of N by which the other block reaches each,
+# held in the top row of q (tangential stress, -alpha1 m delta(b)) and of
+# dn delta (heat flux, alpha2 m phi(b)).
+_BLOCKS = (((0, 1, 3, 4), (3, 2)), ((2, 5), (5, 0)))
+
+
+def _boundary_rows(comps, nz: int) -> list:
+    """Rows of a block's system that hold the boundary conditions: the bottom
+    node of phi, psi and delta (M = [I 0]), the top node of the others."""
+    return [r * nz + (0 if c < 3 else nz - 1) for r, c in enumerate(comps)]
+
+
 @dataclass
 class _CollocationPrep:
-    lu: tuple
-    rows_replaced: tuple
+    lu: tuple                      # LU factors of the Stokes and heat blocks
+    coupling: tuple                # per block, its solve against its N entry
     cond_estimate: float
 
 
@@ -326,9 +344,9 @@ class FrequencySolver:
     frequency by the size of 2 pi |xi| b against ``split``.  ``prepare``
     readies a set of frequencies as one FrequencyStack; ``solve`` is the
     stack of a single frequency.  With ``reuse`` a stack keeps the LU factors
-    of its collocation members for its later solves; without, each is made
-    at every solve and dropped after use, so one dense factorisation is
-    alive at a time.
+    of its collocation members' Stokes and heat blocks for its later solves;
+    without, they are made at every solve and dropped after use, so one
+    member's pair of factorisations is alive at a time.
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
@@ -372,40 +390,66 @@ class FrequencySolver:
     # -- collocation backend ---------------------------------------------------
 
     def _prep_collocation(self, xi) -> _CollocationPrep:
+        """Factor the Stokes and heat blocks of the collocation system and
+        solve each against its coupling column: the other block's top value
+        (delta(b) or phi(b)) times its entry of N, placed in its row."""
         nz = self.vgrid.count
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
-        _, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
-        # kron(I6, D) - kron(A, I_nz), block by block into the Fortran-ordered
-        # array that lu_factor overwrites.  Each block is computed as the
-        # kron difference computes it, so the signed zeros off the block
-        # diagonals (which reach the solution, e.g. phi(0) = -0) are kept.
+        Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
+        # kron(I, D) - kron(A, I_nz) over the block's components, block by
+        # block into the Fortran-ordered array that lu_factor overwrites.
+        # Each block is computed as the kron difference computes it, so the
+        # signed zeros off the block diagonals (which reach the solution,
+        # e.g. phi(0) = -0) are kept.
         D = self.vgrid.diff
         kron_blocks = (0.0 * D, D)
         eye = np.eye(nz)
-        sys = np.empty((6 * nz, 6 * nz), dtype=complex, order="F")
-        for r in range(6):
-            for c in range(6):
-                np.subtract(kron_blocks[r == c], A[r, c] * eye,
-                            out=sys[r * nz:(r + 1) * nz, c * nz:(c + 1) * nz])
-        bottom_rows = tuple(c * nz for c in range(3))
-        top_rows = tuple((3 + r) * nz + (nz - 1) for r in range(3))
-        for c, row in enumerate(bottom_rows):
-            sys[row] = 0.0
-            sys[row, c * nz] = 1.0
-        for r, row in enumerate(top_rows):
-            sys[row] = 0.0
-            for c in range(3):
-                sys[row, c * nz + (nz - 1)] = Nmat[3 + r, c]
-                sys[row, (3 + c) * nz + (nz - 1)] = Nmat[3 + r, 3 + c]
-        lu, cond_estimate = _factor_checked(sys, self.cond_limit, "collocation")
-        return _CollocationPrep(lu, bottom_rows + top_rows, cond_estimate)
+        lus, coupling, conds = [], [], []
+        for comps, (row, col) in _BLOCKS:
+            n = len(comps) * nz
+            sys = np.empty((n, n), dtype=complex, order="F")
+            for r, cr in enumerate(comps):
+                for c, cc in enumerate(comps):
+                    np.subtract(kron_blocks[cr == cc], A[cr, cc] * eye,
+                                out=sys[r * nz:(r + 1) * nz, c * nz:(c + 1) * nz])
+            rows = _boundary_rows(comps, nz)
+            for cr, br in zip(comps, rows):
+                sys[br] = 0.0
+                # the bottom row of a component meets every component's
+                # bottom node, the top row every top node
+                sys[br, br % nz::nz] = (Mmat if cr < 3 else Nmat)[cr, list(comps)]
+            lu, cond = _factor_checked(sys, self.cond_limit, "collocation")
+            e = np.zeros(n, dtype=complex)
+            e[rows[comps.index(row)]] = Nmat[row, col]
+            lus.append(lu)
+            coupling.append(lu_solve(lu, e))
+            conds.append(cond)
+        return _CollocationPrep(tuple(lus), tuple(coupling), max(conds))
 
     def _solve_collocation(self, prep: _CollocationPrep, z_profile, d_vec):
+        """Solve each block, then join them through the 2x2 system for the
+        top values phi(b) and delta(b), which lead their blocks (index nz-1).
+        One of the two couplings is zero for the forward and the adjoint
+        problem, and the 2x2 is then unit triangular."""
         nz = self.vgrid.count
-        rhs = np.zeros(6 * nz, dtype=complex) if z_profile is None \
-            else np.asarray(z_profile, dtype=complex).reshape(6 * nz).copy()
-        rhs[list(prep.rows_replaced)] = d_vec
-        return lu_solve(prep.lu, rhs).reshape(6, nz)
+        z = np.zeros((6, nz), dtype=complex) if z_profile is None \
+            else np.asarray(z_profile, dtype=complex)
+        d = np.asarray(d_vec, dtype=complex)
+        sols = []
+        for lu, (comps, _) in zip(prep.lu, _BLOCKS):
+            rhs = z[list(comps)].reshape(-1)        # a copy (fancy index)
+            rhs[_boundary_rows(comps, nz)] = d[list(comps)]
+            sols.append(lu_solve(lu, rhs, overwrite_b=True))
+        x, w = sols
+        gs, gh = prep.coupling
+        t = nz - 1
+        det = 1.0 - gs[t] * gh[t]
+        phi_b = (x[t] - gs[t] * w[t]) / det
+        delta_b = (w[t] - gh[t] * x[t]) / det
+        Y = np.empty((6, nz), dtype=complex)
+        Y[list(_BLOCKS[0][0])] = (x - delta_b * gs).reshape(-1, nz)
+        Y[list(_BLOCKS[1][0])] = (w - phi_b * gh).reshape(-1, nz)
+        return Y
 
     # -- public entry ----------------------------------------------------------
 
@@ -441,10 +485,10 @@ class FrequencyStack:
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead (or raises
     NumericallySingular when matexp was requested); the other members are
-    unaffected.  A collocation member is factored at its first solve (see
-    FrequencySolver's ``reuse``).  ``backend`` and ``cond`` (K,) record what
-    each member is solved with; the cond of a collocation member is set when
-    it is factored.
+    unaffected.  The two blocks of a collocation member are factored at its
+    first solve (see FrequencySolver's ``reuse``).  ``backend`` and ``cond``
+    (K,) record what each member is solved with; the cond of a collocation
+    member, the larger of its blocks' estimates, is set when it is factored.
     """
 
     def __init__(self, solver: FrequencySolver, xis, backend: str | None = None):

@@ -66,11 +66,13 @@ class ConstitutiveSet:
     gamma_visc(r, M): symmetric matrix -> symmetric matrix, gamma_visc(r, 0) = 0
     phi_heat(r, z):   n-vector -> n-vector
     sigma_fn(r):      positive scalar with sigma_fn(0) = sigma0, slope sigma1
+    sigma_prime(r):   the derivative of sigma_fn, elementwise
     """
 
     gamma_visc: object
     phi_heat: object
     sigma_fn: object
+    sigma_prime: object
     names: dict = field(default_factory=dict)
 
 
@@ -104,13 +106,19 @@ def make_constitutive(p: PhysicalParams, visc="newtonian", heat="fourier",
     if sigma == "linear":
         def sigma_fn(r):
             return s0 + s1 * r
+
+        def sigma_prime(r):
+            return np.full(np.shape(r), s1)
     elif sigma == "smooth":
         def sigma_fn(r):
             return s0 + s1 * np.tanh(r)
+
+        def sigma_prime(r):
+            return s1 * (1.0 - np.tanh(r) ** 2)
     else:
         raise ValueError(f"unknown sigma closure {sigma!r}")
 
-    return ConstitutiveSet(gamma_visc, phi_heat, sigma_fn,
+    return ConstitutiveSet(gamma_visc, phi_heat, sigma_fn, sigma_prime,
                            names={"visc": visc, "heat": heat, "sigma": sigma})
 
 
@@ -120,7 +128,8 @@ def verify_constitutive_linearization(c: ConstitutiveSet, p: PhysicalParams,
     """Worst relative deviation of central differences from the linearized laws.
 
     Checks D gamma_visc(0,0)(r, M) = mu M, D phi_heat(0,0)(r, z) = -kappa z,
-    sigma(0) = sigma0 and sigma'(0) = sigma1.  O(h^2) for smooth closures.
+    sigma(0) = sigma0 and sigma'(0) = sigma1, the last both by central
+    difference and from sigma_prime.  O(h^2) for smooth closures.
     """
     if not (1e-6 <= h <= 1e-2):
         raise ValueError("step h must lie in [1e-6, 1e-2]")
@@ -148,6 +157,7 @@ def verify_constitutive_linearization(c: ConstitutiveSet, p: PhysicalParams,
     ds = (c.sigma_fn(h) - c.sigma_fn(-h)) / (2 * h)
     ref = max(abs(p.sigma1), abs(p.sigma0), 1.0)
     worst = max(worst, abs(ds - p.sigma1) / ref)
+    worst = max(worst, abs(c.sigma_prime(0.0) - p.sigma1) / ref)
     worst = max(worst, abs(c.sigma_fn(0.0) - p.sigma0) / ref)
     return worst
 

@@ -14,7 +14,7 @@ from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    fit_lf_coefficient, predicted_coefficient)
 from stripwave.cli import run
 from stripwave.config import RunConfig
-from stripwave.fields import SurfaceSpectral
+from stripwave.fields import SurfaceSpectral, write_ydata_csv
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
                               make_random_state, state_norm)
@@ -273,5 +273,25 @@ def test_criterion_10_determinism(tmp_path):
         assert run(cfg) == 0
         reports.append(open(os.path.join(out, "roundtrip_report.json"), "rb").read())
     same_reports = reports[0] == reports[1]
-    _report("10 determinism", same_symbols and same_reports,
-            f"symbols byte-identical {same_symbols}, reports byte-identical {same_reports}")
+
+    # linear-solve at a grid with collocation members (2 pi |xi| b up to 12.8)
+    box, modes, nz = 2.5 * np.pi, 32, 32
+    indir = str(tmp_path / "det_input")
+    state = make_random_state(FrequencyGrid(1, box, modes), VerticalGrid(1.0, nz),
+                              seed=7)
+    write_ydata_csv(indir, apply_linear_operator(state, PSET1))
+    linear = []
+    for tag in ("e", "f"):
+        out = str(tmp_path / f"det_{tag}")
+        cfg = RunConfig.from_dict({
+            "mode": "linear-solve", "out": out, "input": indir,
+            "grid": {"box_len": box, "modes": modes, "nz": nz},
+        })
+        assert run(cfg) == 0
+        linear.append([open(os.path.join(out, name), "rb").read()
+                       for name in ("u.csv", "psi.csv", "pres.csv", "eta.csv",
+                                    "linear_report.json")])
+    same_linear = linear[0] == linear[1]
+    _report("10 determinism", same_symbols and same_reports and same_linear,
+            f"symbols byte-identical {same_symbols}, reports byte-identical "
+            f"{same_reports}, linear-solve artifacts byte-identical {same_linear}")

@@ -8,7 +8,8 @@ import pytest
 
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
-from stripwave.odesystem import FrequencySolver, SymbolTable
+from stripwave.odesystem import (FrequencySolver, SymbolTable,
+                                 assemble_boundary, assemble_bulk_matrix)
 from stripwave.params import PhysicalParams
 
 
@@ -169,3 +170,60 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
         out = inv.invert(data, residual_tol=1e-6)
         assert np.abs(out.u.data[0]).max() > 0
     assert factored and len(factored) == len(set(factored))
+
+
+def _dense_collocation(solver, xi, z, d):
+    """The whole 6Nz collocation system, assembled as kron(I6, D) - kron(A, I)
+    with the boundary rows replaced, and its dense solution."""
+    nz = solver.vgrid.count
+    A = assemble_bulk_matrix(xi, solver.p, solver.gamma_tilde)
+    _, Nmat = assemble_boundary(xi, solver.p, solver.alpha1, solver.alpha2)
+    full = np.kron(np.eye(6), solver.vgrid.diff) - np.kron(A, np.eye(nz))
+    bottom_rows = [c * nz for c in range(3)]
+    top_rows = [(3 + r) * nz + nz - 1 for r in range(3)]
+    for c, row in enumerate(bottom_rows):
+        full[row] = 0.0
+        full[row, c * nz] = 1.0
+    for r, row in enumerate(top_rows):
+        full[row] = 0.0
+        full[row, nz - 1::nz] = Nmat[3 + r]
+    rhs = z.reshape(-1).copy()
+    rhs[bottom_rows + top_rows] = d
+    return full, np.linalg.solve(full, rhs).reshape(6, nz)
+
+
+@pytest.mark.parametrize("nz", [16, 24, 48])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
+    # six parameter sets per case, 36 in all, each with the adjoint, the
+    # forward and a two-sided coupling
+    import stripwave.odesystem as ode
+    sizes = []
+    real = ode.lu_factor
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "lu_factor", recording)
+    rng = np.random.default_rng(100 * dim + nz)
+    for _ in range(6):
+        p = _random_params(rng, dim)
+        vg = VerticalGrid(p.depth, nz)
+        for gt, a1, a2 in ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0),
+                           (p.gamma, p.sigma1, p.sigma1)):
+            solver = FrequencySolver(p, vg, gt, a1, a2)
+            direction = rng.standard_normal(dim - 1)
+            for scale in (rng.uniform(0.05, 5.0), rng.uniform(5.0, 60.0)):
+                xi = direction / np.linalg.norm(direction) \
+                    * scale / (2 * np.pi * p.depth)
+                z, d = _forcing(rng, 1, nz, vg, p.depth)
+                Y, used, cond = solver.solve(xi, z[0], d[0], backend="collocation")
+                full, Yd = _dense_collocation(solver, xi, z[0], d[0])
+                assert used == "collocation"
+                peak = np.abs(Yd).max(axis=1)
+                assert np.all(np.abs(Y - Yd).max(axis=1) <= 1e-10 * peak)
+                assert 0.5 <= cond / np.linalg.cond(full, 1) <= 1.0 + 1e-9
+    # every collocation solve factors the Stokes (4 Nz) and heat (2 Nz) blocks
+    assert sizes and set(sizes) == {4 * nz, 2 * nz}
+    assert sizes.count(4 * nz) == sizes.count(2 * nz)

@@ -101,6 +101,57 @@ def test_linear_solve_mode(tmp_path):
     assert os.path.exists(os.path.join(out, "eta.csv"))
 
 
+@pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
+                                  "roundtrip-test"])
+def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
+    # this grid has a collocation band (2 pi |xi| b up to 12.8), and every
+    # collocation system there has a condition estimate far above 1e3
+    box = 2.5 * np.pi
+    cfg = {"mode": mode, "out": str(tmp_path / "out"),
+           "grid": {"box_len": box, "modes": 32, "nz": 32},
+           "backend": {"cond_limit": 1e3}}
+    if mode == "linear-solve":
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+        grid, vg = FrequencyGrid(1, box, 32), VerticalGrid(1.0, 32)
+        cfg["input"] = str(tmp_path / "ydata")
+        write_ydata_csv(cfg["input"],
+                        apply_linear_operator(make_random_state(grid, vg, seed=1), p))
+    assert main(["--config", _write_cfg(tmp_path, cfg)]) == 1
+    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    assert summary["ok"] is False
+    assert summary["error"].startswith("IllConditionedCollocation:")
+
+
+@pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
+                                  "roundtrip-test"])
+def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode):
+    seen = []
+
+    class Recording(cli.LinearInverter):
+        def __init__(self, table, **kwargs):
+            super().__init__(table, **kwargs)
+            seen.append((table, kwargs))
+
+    monkeypatch.setattr(cli, "LinearInverter", Recording)
+    box, modes, nz = 2 * np.pi * 10, 48, 32
+    cfg = {"mode": mode, "out": str(tmp_path / "out"),
+           "grid": {"box_len": box, "modes": modes, "nz": nz},
+           "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
+           "roundtrip": {"count": 1},
+           "backend": {"split": 0.3, "symbol_split": 0.5, "cond_limit": 1e11}}
+    grid = FrequencyGrid(1, box, modes)
+    if mode == "linear-solve":
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+        cfg["input"] = str(tmp_path / "ydata")
+        write_ydata_csv(cfg["input"], apply_linear_operator(
+            make_random_state(grid, VerticalGrid(1.0, nz), seed=1), p))
+    assert main(["--config", _write_cfg(tmp_path, cfg)]) == 0
+    [(table, kwargs)] = seen
+    assert kwargs == {"split": 0.3, "cond_limit": 1e11}
+    scale = 2 * np.pi * grid.xi_magnitude()
+    assert np.array_equal(table.backend == "collocation", scale > 0.5)
+
+
 def test_linear_solve_requires_input(tmp_path):
     cfg = RunConfig.from_dict({"mode": "linear-solve",
                                "out": str(tmp_path / "x")})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,26 @@ def test_linearization_step_bounds():
     c = make_constitutive(P1)
     with pytest.raises(ValueError):
         verify_constitutive_linearization(c, P1, h=1.0)
+
+
+@pytest.mark.parametrize("sigma", ["linear", "smooth"])
+@pytest.mark.parametrize("sigma1", [0.1, -0.35])
+def test_sigma_prime_matches_complex_step(sigma, sigma1):
+    p = dataclasses.replace(P1, sigma1=sigma1)
+    c = make_constitutive(p, sigma=sigma)
+    r = np.linspace(-2.0, 2.0, 401)
+    h = 1e-30
+    # the complex step Im sigma(r + ih) / h has no cancellation
+    ref = np.imag(c.sigma_fn(r + 1j * h)) / h
+    assert np.abs(c.sigma_prime(r) - ref).max() <= 1e-13 * abs(sigma1)
+    assert c.sigma_prime(0.0) == sigma1
+
+
+def test_linearization_checks_sigma_prime():
+    c = make_constitutive(P1, visc="newtonian", heat="fourier", sigma="linear")
+    wrong = dataclasses.replace(c, sigma_prime=lambda r: 1.1 * c.sigma_prime(r))
+    dev = verify_constitutive_linearization(wrong, P1, h=1e-3)
+    assert dev == pytest.approx(0.1 * P1.sigma1 / max(P1.sigma1, P1.sigma0, 1.0))
 
 
 def test_constitutive_soft_checks():
