@@ -12,7 +12,7 @@ from .norms import (sobolev_norm, surface_sobolev_norm, x_norm, hdot_neg1,
 from .geometry import (FlatteningFields, build_flattening, mean_curvature,
                        surface_normal)
 from .odesystem import (BVPSpec, FrequencySolver, SymbolEntry, SymbolTable,
-                        assemble_bulk_matrix, assemble_boundary, assemble_B,
+                        assemble_bulk_matrix, assemble_boundary,
                         matrix_exponential, solve_forced_bvp, solve_symbol,
                         solve_transverse)
 from .asymptotics import (AsymptoticReport, fit_lf_coefficient,

@@ -150,8 +150,7 @@ def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
                      xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
                      split: float = SYMBOL_SPLIT) -> list:
     """Fit every closed-form low-frequency coefficient and compare."""
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                             split=split, reuse=True)
+    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split)
     b = p.depth
     jobs = [("vn_surf", None), ("temp_surf", None)]
     jobs += [("q_minus_1_at", x) for x in (b / 4, b / 2, b)]

@@ -19,7 +19,6 @@ from .asymptotics import full_report
 from .config import RunConfig
 from .errors import ConfigError, SolverFailure, StripwaveError
 from .fields import read_ydata_csv, write_field_csv
-from .grids import FrequencyGrid
 from .linear import (LinearInverter, apply_linear_operator, make_random_state,
                      state_norm)
 from .nonlinear import eulerian_grid_samples, make_forcing_preset, picard_solve

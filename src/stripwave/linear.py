@@ -36,7 +36,8 @@ from .fields import SpectralField, SurfaceSpectral, YData, conjugate_mirror
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm, ydata_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
-                        SymbolTable, transverse_factor, transverse_solve)
+                        SymbolTable, forcing_rows, transverse_factor,
+                        transverse_solve)
 from .ops import horiz_deriv, xi_multipliers
 from .params import PhysicalParams
 
@@ -349,18 +350,10 @@ class LinearInverter:
         if self._stack is None:
             self._stack = self.solver.prepare(xis)
         unit = unit[half]                                 # (K, dim_h)
-        G = data.g.data[0][half]                          # (K, Nz)
-        # momentum contains mu grad(div u): F1 = f_long - 2 pi mu |xi| g,
-        # F2 = f_n + mu dn g, and the z template adds another mu dn G
-        z = np.zeros(G.shape[:1] + (6, vgrid.count), dtype=complex)
-        z[:, 1] = G
-        z[:, 3] = fd[n - 1][half] + 2.0 * p.mu * vgrid.differentiate(G)
-        z[:, 4] = -f_long[half] / p.mu + (2.0 * np.pi * mag[half])[:, None] * G
-        z[:, 5] = -data.l.data[0][half] / p.kappa
-        d = np.zeros((len(G), 6), dtype=complex)
-        d[:, 3] = k_long[half]
-        d[:, 4] = kd[n - 1][half] + 2.0 * p.mu * G[:, -1]
-        d[:, 5] = data.m.data[0][half]
+        z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag[half], f_long[half],
+                            fd[n - 1][half], data.g.data[0][half],
+                            data.l.data[0][half], k_long[half], kd[n - 1][half],
+                            data.m.data[0][half])
         Y = self._stack.solve(z, d)
         self.backend, self.cond = self._stack.lattice_record(grid, "zero-mode", 0.0)
 

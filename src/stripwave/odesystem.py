@@ -43,7 +43,7 @@ surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -138,20 +138,6 @@ def _boundary_stack(A, Mmat, Nmat, depth: float, cond_limit: float):
     if ok.any():
         Binv[ok] = np.linalg.inv(B[ok])
     return B, Binv, cond, ok
-
-
-def assemble_B(xi, p: PhysicalParams, gamma_tilde: float, alpha1: float,
-               alpha2: float, depth: float, cond_limit: float = DEFAULT_COND_LIMIT):
-    """B = M + N exp(bA), its inverse, and a condition estimate."""
-    A = assemble_bulk_matrix(xi, p, gamma_tilde)
-    Mmat, Nmat = assemble_boundary(xi, p, alpha1, alpha2)
-    B, Binv, cond, ok = _boundary_stack(A[None], Mmat[None], Nmat[None],
-                                        depth, cond_limit)
-    if not ok[0]:
-        raise NumericallySingular(
-            f"cond(B) = {cond[0]:.3g} beyond {cond_limit:.3g} at 2pi|xi|b = "
-            f"{2 * np.pi * np.linalg.norm(xi) * depth:.3g}")
-    return B[0], Binv[0], float(cond[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +264,35 @@ class BVPSpec:
                  gamma_tilde: float, alpha1: float, alpha2: float,
                  F1=None, F2=None, G=None, L=None, K1=0.0, K2=0.0, M_heat=0.0):
         """Assemble z = (0, G, 0, F2 + mu dG, -F1/mu, -L/kappa) and
-        d = (0, 0, 0, K1, K2 + 2 mu G(b), M_heat)."""
-        nz = vgrid.count
-        zero = np.zeros(nz, dtype=complex)
-        F1 = zero if F1 is None else np.asarray(F1, dtype=complex)
-        F2 = zero if F2 is None else np.asarray(F2, dtype=complex)
-        G = zero if G is None else np.asarray(G, dtype=complex)
-        L = zero if L is None else np.asarray(L, dtype=complex)
-        dG = vgrid.differentiate(G)
-        z = np.zeros((6, nz), dtype=complex)
-        z[1] = G
-        z[3] = F2 + p.mu * dG
-        z[4] = -F1 / p.mu
-        z[5] = -L / p.kappa
-        d = np.zeros(6, dtype=complex)
-        d[3] = K1
-        d[4] = K2 + 2.0 * p.mu * G[-1]
-        d[5] = M_heat
-        return cls(np.atleast_1d(np.asarray(xi, dtype=float)), gamma_tilde,
-                   alpha1, alpha2, z, d)
+        d = (0, 0, 0, K1, K2 + 2 mu G(b), M_heat) through ``forcing_rows``."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        zero = np.zeros(vgrid.count, dtype=complex)
+        F1, F2, G, L = (zero if a is None else np.asarray(a, dtype=complex)
+                        for a in (F1, F2, G, L))
+        m = 2.0 * np.pi * np.linalg.norm(xi)
+        z, d = forcing_rows(p, vgrid, np.array([m]), (F1 + p.mu * m * G)[None],
+                            (F2 - p.mu * vgrid.differentiate(G))[None], G[None],
+                            L[None], K1, K2, M_heat)
+        return cls(xi, gamma_tilde, alpha1, alpha2, z[0], d[0])
+
+
+def forcing_rows(p: PhysicalParams, vgrid: VerticalGrid, m, f_long, f_n, G, L,
+                 k_long, k_n, M_heat):
+    """z (K, 6, Nz) and d (K, 6) of K forced problems at 2 pi |xi| = ``m``
+    from the longitudinal and normal momentum data f_long, f_n, which contain
+    mu grad(div u): with F1 = f_long - mu m G and F2 = f_n + mu dG,
+    z = (0, G, 0, F2 + mu dG, -F1/mu, -L/kappa) and
+    d = (0, 0, 0, k_long, k_n + 2 mu G(b), M_heat)."""
+    z = np.zeros(G.shape[:1] + (6, vgrid.count), dtype=complex)
+    z[:, 1] = G
+    z[:, 3] = f_n + 2.0 * p.mu * vgrid.differentiate(G)
+    z[:, 4] = -f_long / p.mu + m[:, None] * G
+    z[:, 5] = -L / p.kappa
+    d = np.zeros((len(G), 6), dtype=complex)
+    d[:, 3] = k_long
+    d[:, 4] = k_n + 2.0 * p.mu * G[:, -1]
+    d[:, 5] = M_heat
+    return z, d
 
 
 def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
@@ -329,13 +325,6 @@ def _boundary_rows(comps, nz: int) -> list:
     return [r * nz + (0 if c < 3 else nz - 1) for r, c in enumerate(comps)]
 
 
-@dataclass
-class _CollocationPrep:
-    lu: tuple                      # LU factors of the Stokes and heat blocks
-    coupling: tuple                # per block, its solve against its N entry
-    cond_estimate: float
-
-
 class FrequencySolver:
     """Per-frequency solver for fixed coefficients.
 
@@ -343,17 +332,13 @@ class FrequencySolver:
     placement alpha1/alpha2, vertical grid); the backend is chosen per
     frequency by the size of 2 pi |xi| b against ``split``.  ``prepare``
     readies a set of frequencies as one FrequencyStack; ``solve`` is the
-    stack of a single frequency.  With ``reuse`` a stack keeps the LU factors
-    of its collocation members' Stokes and heat blocks for its later solves;
-    without, they are made at every solve and dropped after use, so one
-    member's pair of factorisations is alive at a time.
+    stack of a single frequency.
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
                  gamma_tilde: float, alpha1: float, alpha2: float,
                  split: float = DEFAULT_SPLIT,
-                 cond_limit: float = DEFAULT_COND_LIMIT,
-                 reuse: bool = True):
+                 cond_limit: float = DEFAULT_COND_LIMIT):
         self.p = p
         self.vgrid = vgrid
         self.gamma_tilde = gamma_tilde
@@ -361,7 +346,6 @@ class FrequencySolver:
         self.alpha2 = alpha2
         self.split = split
         self.cond_limit = cond_limit
-        self.reuse = reuse
         self._quad = None
 
     # -- backend selection ---------------------------------------------------
@@ -389,13 +373,21 @@ class FrequencySolver:
 
     # -- collocation backend ---------------------------------------------------
 
-    def _prep_collocation(self, xi) -> _CollocationPrep:
-        """Factor the Stokes and heat blocks of the collocation system and
-        solve each against its coupling column: the other block's top value
-        (delta(b) or phi(b)) times its entry of N, placed in its row."""
+    def _solve_collocation(self, xi, z_profile, d_vec):
+        """Collocation solve at one frequency; returns (Y, cond_estimate).
+
+        Factors the Stokes and heat blocks and solves each against the data
+        and its coupling column: the other block's top value (delta(b) or
+        phi(b)) times its entry of N, placed in its row.  The 2x2 system for
+        phi(b) and delta(b), which lead their blocks (index nz-1), joins
+        them; it is unit triangular for the forward and the adjoint problem.
+        """
         nz = self.vgrid.count
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
+        z = np.zeros((6, nz), dtype=complex) if z_profile is None \
+            else np.asarray(z_profile, dtype=complex)
+        d = np.asarray(d_vec, dtype=complex)
         # kron(I, D) - kron(A, I_nz) over the block's components, block by
         # block into the Fortran-ordered array that lu_factor overwrites.
         # Each block is computed as the kron difference computes it, so the
@@ -404,7 +396,7 @@ class FrequencySolver:
         D = self.vgrid.diff
         kron_blocks = (0.0 * D, D)
         eye = np.eye(nz)
-        lus, coupling, conds = [], [], []
+        sols, coupling, conds = [], [], []
         for comps, (row, col) in _BLOCKS:
             n = len(comps) * nz
             sys = np.empty((n, n), dtype=complex, order="F")
@@ -421,27 +413,13 @@ class FrequencySolver:
             lu, cond = _factor_checked(sys, self.cond_limit, "collocation")
             e = np.zeros(n, dtype=complex)
             e[rows[comps.index(row)]] = Nmat[row, col]
-            lus.append(lu)
             coupling.append(lu_solve(lu, e))
-            conds.append(cond)
-        return _CollocationPrep(tuple(lus), tuple(coupling), max(conds))
-
-    def _solve_collocation(self, prep: _CollocationPrep, z_profile, d_vec):
-        """Solve each block, then join them through the 2x2 system for the
-        top values phi(b) and delta(b), which lead their blocks (index nz-1).
-        One of the two couplings is zero for the forward and the adjoint
-        problem, and the 2x2 is then unit triangular."""
-        nz = self.vgrid.count
-        z = np.zeros((6, nz), dtype=complex) if z_profile is None \
-            else np.asarray(z_profile, dtype=complex)
-        d = np.asarray(d_vec, dtype=complex)
-        sols = []
-        for lu, (comps, _) in zip(prep.lu, _BLOCKS):
             rhs = z[list(comps)].reshape(-1)        # a copy (fancy index)
-            rhs[_boundary_rows(comps, nz)] = d[list(comps)]
+            rhs[rows] = d[list(comps)]
             sols.append(lu_solve(lu, rhs, overwrite_b=True))
+            conds.append(cond)
         x, w = sols
-        gs, gh = prep.coupling
+        gs, gh = coupling
         t = nz - 1
         det = 1.0 - gs[t] * gh[t]
         phi_b = (x[t] - gs[t] * w[t]) / det
@@ -449,7 +427,7 @@ class FrequencySolver:
         Y = np.empty((6, nz), dtype=complex)
         Y[list(_BLOCKS[0][0])] = (x - delta_b * gs).reshape(-1, nz)
         Y[list(_BLOCKS[1][0])] = (w - phi_b * gh).reshape(-1, nz)
-        return Y
+        return Y, max(conds)
 
     # -- public entry ----------------------------------------------------------
 
@@ -485,10 +463,12 @@ class FrequencyStack:
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead (or raises
     NumericallySingular when matexp was requested); the other members are
-    unaffected.  The two blocks of a collocation member are factored at its
-    first solve (see FrequencySolver's ``reuse``).  ``backend`` and ``cond``
-    (K,) record what each member is solved with; the cond of a collocation
-    member, the larger of its blocks' estimates, is set when it is factored.
+    unaffected.  ``colloc`` lists the collocation members.  Their Stokes and
+    heat blocks are factored at every solve and dropped after the member is
+    solved, so one member's pair of factorisations is alive at a time.
+    ``backend`` and ``cond`` (K,) record what each member is solved with;
+    the cond of a collocation member, the larger of its blocks' estimates,
+    is set when it is solved.
     """
 
     def __init__(self, solver: FrequencySolver, xis, backend: str | None = None):
@@ -502,24 +482,15 @@ class FrequencyStack:
         self.backend = np.where(matexp, "matexp", "collocation").astype(object)
         self.cond = np.zeros(len(self.xis))
         self.members = np.flatnonzero(matexp)
-        self.colloc = {}                # member -> LU factors, or None
+        self.colloc = []                # collocation members
         if self.members.size:
             self._prepare_matexp()
         for i in np.flatnonzero(~matexp):
             self._to_collocation(i)
 
     def _to_collocation(self, i: int):
-        self.colloc[int(i)] = None
+        self.colloc.append(int(i))
         self.backend[i] = "collocation"
-
-    def _collocation_prep(self, i: int) -> _CollocationPrep:
-        prep = self.colloc[i]
-        if prep is None:
-            prep = self.solver._prep_collocation(self.xis[i])
-            self.cond[i] = prep.cond_estimate
-            if self.solver.reuse:
-                self.colloc[i] = prep
-        return prep
 
     def _matexp_failed(self, i: int):
         if self.requested == "matexp":
@@ -644,8 +615,8 @@ class FrequencyStack:
                 Y[self.members] = self._march(
                     None if z is None else z[self.members], d[self.members])
         for i in self.colloc:
-            Y[i] = self.solver._solve_collocation(
-                self._collocation_prep(i), None if z is None else z[i], d[i])
+            Y[i], self.cond[i] = self.solver._solve_collocation(
+                self.xis[i], None if z is None else z[i], d[i])
         return Y
 
     def lattice_record(self, grid, zero_backend: str, zero_cond: float):
@@ -667,8 +638,7 @@ def solve_forced_bvp(spec: BVPSpec, p: PhysicalParams, vgrid: VerticalGrid,
                      cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
     """One-shot forced solve; returns the (6, Nz) state profile."""
     solver = FrequencySolver(p, vgrid, spec.gamma_tilde, spec.alpha1,
-                             spec.alpha2, split=split, cond_limit=cond_limit,
-                             reuse=False)
+                             spec.alpha2, split=split, cond_limit=cond_limit)
     Y, _, _ = solver.solve(spec.xi, spec.z_profile, spec.d_vec,
                            backend=None if backend == "auto" else backend)
     return Y
@@ -801,7 +771,7 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
         return SymbolEntry(xi, y, 0.0 + 0.0j, "closed-form", 1.0)
     if solver is None:
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                                 split=split, cond_limit=cond_limit, reuse=False)
+                                 split=split, cond_limit=cond_limit)
     Y, used, cond = solver.solve(xi, None, _UNIT_NORMAL_STRESS, backend=backend)
     return SymbolEntry(xi, Y, rho_of(p, xi, Y[1, -1]), used, cond)
 
@@ -829,7 +799,7 @@ class SymbolTable:
               split: float = SYMBOL_SPLIT,
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                                 split=split, cond_limit=cond_limit, reuse=False)
+                                 split=split, cond_limit=cond_limit)
         half = grid.half_nonzero()
         xis = grid.xi_vectors()[half]
         stack = solver.prepare(xis)

@@ -111,7 +111,7 @@ def test_criterion_5_dual_backend():
             gt, a1, a2 = p.gamma, 0.0, p.sigma1
         else:
             gt, a1, a2 = -p.gamma, p.sigma1, 0.0
-        solver = FrequencySolver(p, vg, gt, a1, a2, reuse=False)
+        solver = FrequencySolver(p, vg, gt, a1, a2)
         ximag = rng.uniform(0.02, 10.0 / (2 * np.pi * p.depth))
         xi = [ximag * rng.choice([-1.0, 1.0])]
         z = np.zeros((6, vg.count), dtype=complex)

@@ -150,6 +150,49 @@ def test_inverter_backend_and_cond_match_single_solves():
     assert int(fallbacks[grid.half_mask()].sum()) == 15
 
 
+# LinearInverter.cond on the half lattice of the grid below (index order),
+# measured when the inverter kept its collocation factorisations
+LIFETIME_COND = [0.0, 7.917543e3, 3.376874e6, 6.376916e8, 8.408163e10,
+                 2.707794e5, 3.503076e5, 4.469473e5, 5.649699e5, 7.036378e5,
+                 8.647102e5, 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6,
+                 2.088663e6, 2.429065e6]
+
+
+def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
+    # 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16, three fallbacks inside
+    # the inverter's band (20, 24, 28) and collocation above 30, so twelve
+    # collocation members; the table (split 10) has fourteen
+    import stripwave.odesystem as ode
+    sizes = []
+    real = ode.lu_factor
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "lu_factor", counting)
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    grid = FrequencyGrid(1, 0.5 * math.pi, 32)
+    vg = VerticalGrid(1.0, 24)
+    table = SymbolTable.build(grid, vg, p)
+    assert len(sizes) == 28
+    inv = LinearInverter(table)
+    data = apply_linear_operator(make_random_state(grid, vg, seed=1), p)
+    records = []
+    for _ in ("cold", "warm"):
+        sizes.clear()
+        inv.invert(data)
+        # every inversion factors each member's Stokes and heat blocks anew
+        assert len(sizes) == 24 and sorted(set(sizes)) == [2 * 24, 4 * 24]
+        records.append((inv.backend.copy(), inv.cond.copy()))
+    (b_cold, c_cold), (b_warm, c_warm) = records
+    assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
+    half = grid.half_mask()
+    assert list(inv.backend[half]) == ["zero-mode"] + ["matexp"] * 4 \
+        + ["collocation"] * 12
+    assert np.allclose(inv.cond[half], LIFETIME_COND, rtol=1e-6, atol=0.0)
+
+
 def test_transverse_factored_once_per_frequency(monkeypatch):
     import stripwave.linear as linear
     p = PhysicalParams(1, 1, 1, 1, -1.0, 1, -0.2, 3)

@@ -6,7 +6,7 @@ import pytest
 from stripwave.errors import NumericallySingular
 from stripwave.grids import VerticalGrid
 from stripwave.odesystem import (BVPSpec, FrequencySolver, SymbolTable,
-                                 assemble_B, assemble_boundary,
+                                 assemble_boundary,
                                  assemble_bulk_matrix, matrix_exponential,
                                  solve_forced_bvp, solve_symbol,
                                  solve_transverse)
@@ -184,8 +184,16 @@ def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
 # boundary matrix B
 # ---------------------------------------------------------------------------
 
+def _boundary_B(xi, p):
+    """B = M + N exp(bA) of the adjoint problem and its inverse."""
+    A = assemble_bulk_matrix(xi, p, p.gamma)
+    Mm, Nm = assemble_boundary(xi, p, 0.0, p.sigma1)
+    B = Mm + Nm @ matrix_exponential(A, p.depth)
+    return B, np.linalg.inv(B)
+
+
 def test_B_xi_zero_block_det():
-    B, Binv, cond = assemble_B([0.0], P1, P1.gamma, 0.0, P1.sigma1, P1.depth)
+    B, Binv = _boundary_B([0.0], P1)
     lower = B[3:, 3:]
     assert np.linalg.det(lower) == pytest.approx(P1.mu * P1.kappa)
     assert np.abs(B @ Binv - np.eye(6)).max() < 1e-12
@@ -195,7 +203,7 @@ def test_B_xi_zero_hand_solve():
     # with d = (0,0,0,0,chi,0) the solved initial state is a constant
     # pressure chi and nothing else
     chi = 2.5
-    B, Binv, _ = assemble_B([0.0], P2, P2.gamma, 0.0, P2.sigma1, P2.depth)
+    B, Binv = _boundary_B([0.0], P2)
     d = np.zeros(6, dtype=complex)
     d[4] = chi
     y0 = Binv @ d
@@ -206,13 +214,18 @@ def test_B_xi_zero_hand_solve():
 
 def test_B_inverse_contract_moderate_xi():
     for ximag in (0.3, 1.0, 10.0 / (2 * np.pi)):
-        B, Binv, _ = assemble_B([ximag], P2, P2.gamma, 0.0, P2.sigma1, P2.depth)
+        B, Binv = _boundary_B([ximag], P2)
         assert np.abs(B @ Binv - np.eye(6)).max() < 1e-10
 
 
 def test_B_numerically_singular_raises():
+    # 2 pi |xi| b = 251: cond(B) is far beyond the limit, and a forced
+    # matexp solve must not fall back to collocation
+    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
+    d = np.zeros(6, dtype=complex)
+    d[4] = 1.0
     with pytest.raises(NumericallySingular):
-        assemble_B([40.0], P1, P1.gamma, 0.0, P1.sigma1, P1.depth)
+        solver.solve([40.0], None, d, backend="matexp")
 
 
 # ---------------------------------------------------------------------------
