@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import NonConvergent
 from .grids import VerticalGrid
-from .odesystem import SYMBOL_SPLIT, FrequencySolver, SymbolTable, solve_symbol
+from .odesystem import (SYMBOL_SPLIT, UNIT_NORMAL_STRESS, FrequencySolver,
+                        SymbolTable)
 from .params import PhysicalParams
 
 
@@ -71,12 +72,12 @@ def richardson_limit(values, ratios) -> FitResult:
 
 
 SELECTORS = {
-    "vn_surf": lambda e, vg, x: e.om_vn_surf,
-    "temp_surf": lambda e, vg, x: e.om_temp_surf,
-    "q_minus_1_at": lambda e, vg, x: vg.interpolate(e.y[3], x) - 1.0,
-    "vn_at": lambda e, vg, x: vg.interpolate(e.y[1], x),
-    "temp_at": lambda e, vg, x: vg.interpolate(e.y[2], x),
-    "long_sq_at": lambda e, vg, x: abs(vg.interpolate(e.y[0], x)) ** 2,
+    "vn_surf": lambda y, vg, x: y[1, -1],
+    "temp_surf": lambda y, vg, x: y[2, -1],
+    "q_minus_1_at": lambda y, vg, x: vg.interpolate(y[3], x) - 1.0,
+    "vn_at": lambda y, vg, x: vg.interpolate(y[1], x),
+    "temp_at": lambda y, vg, x: vg.interpolate(y[2], x),
+    "long_sq_at": lambda y, vg, x: abs(vg.interpolate(y[0], x)) ** 2,
 }
 
 
@@ -101,19 +102,22 @@ def predicted_coefficient(selector: str, p: PhysicalParams, x: float | None = No
 def fit_lf_coefficient(selector: str, p: PhysicalParams, vgrid: VerticalGrid,
                        xi_seq=(1e-2, 5e-3, 2.5e-3), x: float | None = None,
                        solver: FrequencySolver | None = None) -> FitResult:
-    """Richardson-extrapolated limit of selector(xi)/|xi|^2 along xi_seq."""
+    """Richardson-extrapolated limit of selector(xi)/|xi|^2 along xi_seq,
+    whose symbols are solved as one stack."""
     xi_seq = np.asarray(xi_seq, dtype=float)
     if np.any(np.diff(xi_seq) >= 0):
         raise ValueError("xi_seq must decrease")
     ratios = xi_seq[:-1] / xi_seq[1:]
     sel = SELECTORS[selector]
-    vals = []
-    for ximag in xi_seq:
-        xi = np.zeros(p.dim_h)
-        xi[0] = ximag
-        entry = solve_symbol(xi, p, vgrid, solver=solver)
-        vals.append(sel(entry, vgrid, x) / ximag ** 2)
-    return richardson_limit(vals, ratios)
+    if solver is None:
+        solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
+                                 split=SYMBOL_SPLIT)
+    xis = np.zeros((len(xi_seq), p.dim_h))
+    xis[:, 0] = xi_seq
+    Y = solver.prepare(xis).solve(
+        None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
+    return richardson_limit([sel(y, vgrid, x) / ximag ** 2
+                             for y, ximag in zip(Y, xi_seq)], ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
 
     elif mode == "nonlinear-solve":
         c = config.constitutive()
-        est = estimate_q_norms(vgrid, [0.25, 0.5, 1.0, 2.0, 4.0], dim=p.dim)
+        # the pairing-norm sup over the grid's own frequency range
+        est = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5),
+                               dim=p.dim)
         ok_gate, margin = check_parameter_gate(p, est)
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")

@@ -189,21 +189,14 @@ class FrequencyGrid:
 
         This picks one index of every +-xi pair, plus the self-paired ones
         (xi = 0 and the Nyquist indices).  For real fields the values on the
-        other half are the complex conjugates of these.
+        other half are the complex conjugates of these.  The per-frequency
+        solves visit these frequencies, in the order of np.nonzero.
         """
         j = np.arange(self.modes)
         neg = (-j) % self.modes
         if self.dim_h == 1:
             return j <= neg
         return (j < neg)[:, None] | ((j == neg)[:, None] & (j <= neg)[None, :])
-
-    def half_nonzero(self) -> tuple:
-        """The half lattice without xi = 0, the frequencies that per-frequency
-        solves visit, as index arrays (lexicographic order) for fancy
-        indexing."""
-        mask = self.half_mask()
-        mask[(0,) * self.dim_h] = False
-        return np.nonzero(mask)
 
     def dealias_mask(self) -> np.ndarray:
         """True on modes kept by the 2/3 rule (per axis |j| <= modes//3)."""

@@ -106,10 +106,11 @@ def state_norm(state: LinearState, s: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def _unit_xi(grid: FrequencyGrid):
-    """xi/|xi| per lattice point (zero vector at xi = 0)."""
+    """xi/|xi| per lattice point; at xi = 0 the first horizontal axis."""
     vecs = grid.xi_vectors()
     mag = np.sqrt((vecs ** 2).sum(axis=-1))
     unit = np.zeros_like(vecs)
+    unit[(0,) * (grid.dim_h + 1)] = 1.0
     nz = mag > 0
     for j in range(grid.dim_h):
         unit[..., j][nz] = vecs[..., j][nz] / mag[nz]
@@ -238,11 +239,12 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable,
 class LinearInverter:
     """Caches the per-frequency machinery for repeated inversions.
 
-    The first inversion prepares one FrequencyStack over the half lattice
-    without xi = 0.  Each inversion fills ``backend`` and ``cond``, lattice
-    arrays shaped like SymbolTable's: the backend each frequency is solved
-    with and its condition estimate ("zero-mode" and 0 at xi = 0, where no
-    6x6 problem is solved).  In dim_h = 2 each transverse system is factored
+    The first inversion prepares one FrequencyStack over the half lattice,
+    xi = 0 included: there the longitudinal direction is the first
+    horizontal axis and, in dim_h = 2, the transverse one the second.  Each
+    inversion fills ``backend`` and ``cond``, lattice arrays shaped like
+    SymbolTable's: the backend each frequency is solved with and its
+    condition estimate.  In dim_h = 2 each transverse system is factored
     once, at its first use.
     """
 
@@ -256,66 +258,6 @@ class LinearInverter:
         self.cond = None
         self._stack = None
         self._transverse = {}
-        self._zero_mode_ops = None
-
-    # zero-frequency scalar two-point problems, assembled once
-    def _zero_ops(self):
-        if self._zero_mode_ops is None:
-            p = self.table.params
-            vgrid = self.table.vgrid
-            D = vgrid.diff
-            nz = vgrid.count
-            visc = -p.mu * (D @ D)
-            visc[0] = 0.0
-            visc[0, 0] = 1.0
-            visc[-1] = -p.mu * D[-1]
-            heat = -p.kappa * (D @ D)
-            heat[0] = 0.0
-            heat[0, 0] = 1.0
-            heat[-1] = p.kappa * D[-1]
-            integ = D.astype(float).copy()
-            integ[0] = 0.0
-            integ[0, 0] = 1.0
-            anti = D.astype(float).copy()
-            anti[-1] = 0.0
-            anti[-1, -1] = 1.0
-            self._zero_mode_ops = {
-                "visc": np.linalg.inv(visc),
-                "heat": np.linalg.inv(heat),
-                "integ": np.linalg.inv(integ),
-                "anti": np.linalg.inv(anti),
-            }
-        return self._zero_mode_ops
-
-    def _solve_zero_mode(self, data: YData, out: LinearState):
-        p = self.table.params
-        vgrid = self.table.vgrid
-        grid = data.grid
-        n = grid.dim_h + 1
-        zero = (0,) * grid.dim_h
-        ops = self._zero_ops()
-
-        for i in range(grid.dim_h):
-            rhs = data.f.data[(i,) + zero].copy()
-            rhs[0] = 0.0
-            rhs[-1] = data.k.data[(i,) + zero]
-            out.u.data[(i,) + zero] = ops["visc"] @ rhs
-
-        rhs = data.g.data[(0,) + zero].copy()
-        rhs[0] = 0.0
-        wn = ops["integ"] @ rhs
-        out.u.data[(n - 1,) + zero] = wn
-
-        rhs = data.l.data[(0,) + zero].copy()
-        rhs[0] = 0.0
-        rhs[-1] = data.m.data[(0,) + zero]
-        out.psi.data[(0,) + zero] = ops["heat"] @ rhs
-
-        gz = data.g.data[(0,) + zero]
-        rhs = data.f.data[(n - 1,) + zero] + 2.0 * p.mu * vgrid.differentiate(gz)
-        rhs = rhs.copy()
-        rhs[-1] = data.k.data[(n - 1,) + zero] + 2.0 * p.mu * gz[-1]
-        out.pres.data[(0,) + zero] = ops["anti"] @ rhs
 
     def _add_transverse(self, u, fd, kd, half, unit, xis):
         """Add the transverse velocity beta perp at every half-lattice
@@ -336,8 +278,8 @@ class LinearInverter:
             u[(1,) + at] += beta * perp[i, 1]
 
     def _solve_half(self, data: YData, fd, kd, out: LinearState):
-        """The forced problems at every half-lattice frequency but xi = 0, as
-        one FrequencyStack solve; writes u, psi and pres there into out."""
+        """The forced problems at every half-lattice frequency as one
+        FrequencyStack solve; writes u, psi and pres there into out."""
         p = self.table.params
         grid, vgrid = data.grid, data.vgrid
         n = grid.dim_h + 1
@@ -345,7 +287,7 @@ class LinearInverter:
         f_long = _long_amplitude(fd, grid)
         k_long = _long_amplitude(kd, grid)
 
-        half = grid.half_nonzero()
+        half = np.nonzero(grid.half_mask())
         xis = grid.xi_vectors()[half]
         if self._stack is None:
             self._stack = self.solver.prepare(xis)
@@ -355,7 +297,7 @@ class LinearInverter:
                             data.l.data[0][half], k_long[half], kd[n - 1][half],
                             data.m.data[0][half])
         Y = self._stack.solve(z, d)
-        self.backend, self.cond = self._stack.lattice_record(grid, "zero-mode", 0.0)
+        self.backend, self.cond = self._stack.lattice_record(grid)
 
         u = out.u.data
         for j in range(grid.dim_h):
@@ -389,8 +331,6 @@ class LinearInverter:
         self._solve_half(data, fd, kd, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
-
-        self._solve_zero_mode(data, out)
 
         if residual_tol is not None:
             back = apply_linear_operator(out, p)

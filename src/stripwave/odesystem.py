@@ -248,34 +248,6 @@ def _member_exponentials(A: np.ndarray, t):
 # Forced boundary value problems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BVPSpec:
-    """One per-frequency problem: coefficients plus forcing."""
-
-    xi: np.ndarray
-    gamma_tilde: float
-    alpha1: float
-    alpha2: float
-    z_profile: np.ndarray          # (6, Nz); rows 1 and 3 identically zero
-    d_vec: np.ndarray              # (6,)
-
-    @classmethod
-    def from_rhs(cls, xi, p: PhysicalParams, vgrid: VerticalGrid,
-                 gamma_tilde: float, alpha1: float, alpha2: float,
-                 F1=None, F2=None, G=None, L=None, K1=0.0, K2=0.0, M_heat=0.0):
-        """Assemble z = (0, G, 0, F2 + mu dG, -F1/mu, -L/kappa) and
-        d = (0, 0, 0, K1, K2 + 2 mu G(b), M_heat) through ``forcing_rows``."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        zero = np.zeros(vgrid.count, dtype=complex)
-        F1, F2, G, L = (zero if a is None else np.asarray(a, dtype=complex)
-                        for a in (F1, F2, G, L))
-        m = 2.0 * np.pi * np.linalg.norm(xi)
-        z, d = forcing_rows(p, vgrid, np.array([m]), (F1 + p.mu * m * G)[None],
-                            (F2 - p.mu * vgrid.differentiate(G))[None], G[None],
-                            L[None], K1, K2, M_heat)
-        return cls(xi, gamma_tilde, alpha1, alpha2, z[0], d[0])
-
-
 def forcing_rows(p: PhysicalParams, vgrid: VerticalGrid, m, f_long, f_n, G, L,
                  k_long, k_n, M_heat):
     """z (K, 6, Nz) and d (K, 6) of K forced problems at 2 pi |xi| = ``m``
@@ -619,29 +591,16 @@ class FrequencyStack:
                 self.xis[i], None if z is None else z[i], d[i])
         return Y
 
-    def lattice_record(self, grid, zero_backend: str, zero_cond: float):
+    def lattice_record(self, grid):
         """``backend`` and ``cond`` as lattice arrays, for a stack prepared at
-        grid.half_nonzero(): the given values at xi = 0, the mirror on the
-        other half."""
-        half = grid.half_nonzero()
-        zero = (0,) * grid.dim_h
+        the half lattice, grid.xi_vectors()[grid.half_mask()]: the mirror on
+        the other half."""
+        half = grid.half_mask()
         backend = np.empty(grid.freq_shape, dtype=object)
         cond = np.zeros(grid.freq_shape)
-        backend[zero], cond[zero] = zero_backend, zero_cond
         backend[half], cond[half] = self.backend, self.cond
-        return (np.where(grid.half_mask(), backend, reflect(backend, grid, 0)),
+        return (np.where(half, backend, reflect(backend, grid, 0)),
                 conjugate_mirror(cond, grid, 0))
-
-
-def solve_forced_bvp(spec: BVPSpec, p: PhysicalParams, vgrid: VerticalGrid,
-                     backend: str = "auto", split: float = DEFAULT_SPLIT,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """One-shot forced solve; returns the (6, Nz) state profile."""
-    solver = FrequencySolver(p, vgrid, spec.gamma_tilde, spec.alpha1,
-                             spec.alpha2, split=split, cond_limit=cond_limit)
-    Y, _, _ = solver.solve(spec.xi, spec.z_profile, spec.d_vec,
-                           backend=None if backend == "auto" else backend)
-    return Y
 
 
 def transverse_factor(xi, p: PhysicalParams, vgrid: VerticalGrid,
@@ -691,8 +650,8 @@ def solve_transverse(xi, p: PhysicalParams, vgrid: VerticalGrid,
 # ---------------------------------------------------------------------------
 
 # boundary data of the symbol solves: a unit normal stress on the top
-_UNIT_NORMAL_STRESS = np.array([0, 0, 0, 0, 1, 0], dtype=complex)
-_UNIT_NORMAL_STRESS.flags.writeable = False
+UNIT_NORMAL_STRESS = np.array([0, 0, 0, 0, 1, 0], dtype=complex)
+UNIT_NORMAL_STRESS.flags.writeable = False
 
 
 @dataclass
@@ -704,23 +663,6 @@ class SymbolEntry:
     rho: complex
     backend: str
     cond: float
-
-    @property
-    def om_long(self) -> np.ndarray:
-        """Longitudinal velocity amplitude profile (phi)."""
-        return self.y[0]
-
-    @property
-    def om_vn(self) -> np.ndarray:
-        return self.y[1]
-
-    @property
-    def om_temp(self) -> np.ndarray:
-        return self.y[2]
-
-    @property
-    def om_q(self) -> np.ndarray:
-        return self.y[3]
 
     @property
     def om_vn_surf(self) -> complex:
@@ -760,19 +702,14 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
                  cond_limit: float = DEFAULT_COND_LIMIT) -> SymbolEntry:
     """Homogeneous adjoint solve with unit normal stress; populates a table row.
 
-    xi = 0 is closed form: the pressure symbol is identically one and every
-    other response vanishes, so rho(0) = 0.
+    xi = 0 is no special case: A(0) is nilpotent, the pressure symbol comes
+    out identically one and every other response zero, so rho(0) = 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nz = vgrid.count
-    if float(np.linalg.norm(xi)) == 0.0:
-        y = np.zeros((6, nz), dtype=complex)
-        y[3] = 1.0
-        return SymbolEntry(xi, y, 0.0 + 0.0j, "closed-form", 1.0)
     if solver is None:
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=split, cond_limit=cond_limit)
-    Y, used, cond = solver.solve(xi, None, _UNIT_NORMAL_STRESS, backend=backend)
+    Y, used, cond = solver.solve(xi, None, UNIT_NORMAL_STRESS, backend=backend)
     return SymbolEntry(xi, Y, rho_of(p, xi, Y[1, -1]), used, cond)
 
 
@@ -780,8 +717,9 @@ class SymbolTable:
     """Response symbols over a frequency lattice, stored as lattice arrays.
 
     ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend`` and ``cond``
-    have shape freq_shape.  ``build`` solves the half lattice as one
-    FrequencyStack and fills the rest with the conjugate mirror.
+    have shape freq_shape.  ``build`` solves the half lattice, xi = 0
+    included, as one FrequencyStack and fills the rest with the conjugate
+    mirror.
     """
 
     def __init__(self, grid, vgrid, p: PhysicalParams, y: np.ndarray,
@@ -800,14 +738,13 @@ class SymbolTable:
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=split, cond_limit=cond_limit)
-        half = grid.half_nonzero()
+        half = grid.half_mask()
         xis = grid.xi_vectors()[half]
         stack = solver.prepare(xis)
-        Y = stack.solve(None, np.broadcast_to(_UNIT_NORMAL_STRESS, (len(xis), 6)))
-        backend, cond = stack.lattice_record(grid, "closed-form", 1.0)
+        Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
+        backend, cond = stack.lattice_record(grid)
         del stack                       # its exponentials, before the mirror
         y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
-        y[(0,) * grid.dim_h + (3,)] = 1.0
         y[half] = Y
         rho = np.zeros(grid.freq_shape, dtype=complex)
         rho[half] = rho_of(p, xis, Y[:, 1, -1])

@@ -103,10 +103,10 @@ BENCH_GRIDS = {
     "roundtrip-3d": (3, 2 * math.pi * 10, 32, 24),
     "linear-deep": (2, 2.5 * math.pi, 128, 80),
 }
-# SymbolTable.backend counts (closed-form, matexp, collocation) measured with
-# the per-frequency loop that preceded FrequencyStack
-BENCH_BACKENDS = {"wave-2d": (1, 200, 55), "roundtrip-3d": (1, 1023, 0),
-                  "linear-deep": (1, 24, 103)}
+# SymbolTable.backend counts (matexp, collocation) measured with the
+# per-frequency loop that preceded FrequencyStack, plus xi = 0 as matexp
+BENCH_BACKENDS = {"wave-2d": (201, 55), "roundtrip-3d": (1024, 0),
+                  "linear-deep": (25, 103)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_GRIDS))
@@ -117,10 +117,9 @@ def test_table_backend_at_bench_grids(name):
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
     scale = 2 * np.pi * grid.xi_magnitude()
     expect = np.where(scale <= 10.0, "matexp", "collocation").astype(object)
-    expect[(0,) * grid.dim_h] = "closed-form"
     assert np.array_equal(table.backend, expect)
     counts = tuple(int((table.backend == b).sum())
-                   for b in ("closed-form", "matexp", "collocation"))
+                   for b in ("matexp", "collocation"))
     assert counts == BENCH_BACKENDS[name]
 
 
@@ -139,9 +138,6 @@ def test_inverter_backend_and_cond_match_single_solves():
     z[[0, 2]] = 0.0
     vecs = grid.xi_vectors()
     for idx in np.ndindex(grid.freq_shape):
-        if not any(idx):
-            assert inv.backend[idx] == "zero-mode" and inv.cond[idx] == 0.0
-            continue
         _, used, cond = inv.solver.solve(vecs[idx], z, np.ones(6))
         assert inv.backend[idx] == used
         assert inv.cond[idx] == pytest.approx(cond, rel=1e-12)
@@ -151,8 +147,9 @@ def test_inverter_backend_and_cond_match_single_solves():
 
 
 # LinearInverter.cond on the half lattice of the grid below (index order),
-# measured when the inverter kept its collocation factorisations
-LIFETIME_COND = [0.0, 7.917543e3, 3.376874e6, 6.376916e8, 8.408163e10,
+# measured when the inverter kept its collocation factorisations; at xi = 0,
+# cond(B) = 1 since mu = kappa = 1
+LIFETIME_COND = [1.0, 7.917543e3, 3.376874e6, 6.376916e8, 8.408163e10,
                  2.707794e5, 3.503076e5, 4.469473e5, 5.649699e5, 7.036378e5,
                  8.647102e5, 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6,
                  2.088663e6, 2.429065e6]
@@ -188,8 +185,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     (b_cold, c_cold), (b_warm, c_warm) = records
     assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
     half = grid.half_mask()
-    assert list(inv.backend[half]) == ["zero-mode"] + ["matexp"] * 4 \
-        + ["collocation"] * 12
+    assert list(inv.backend[half]) == ["matexp"] * 5 + ["collocation"] * 12
     assert np.allclose(inv.cond[half], LIFETIME_COND, rtol=1e-6, atol=0.0)
 
 

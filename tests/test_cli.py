@@ -200,6 +200,29 @@ def test_nonlinear_solve_fails_on_halved_amplitude(tmp_path, monkeypatch):
     assert summary["amplitude_used"] == 5e-4
 
 
+@pytest.mark.parametrize("grid", [{"modes": 48}, {"box_len": 2.0, "modes": 64}])
+def test_parameter_gate_samples_up_to_xi_max(tmp_path, monkeypatch, grid):
+    # five geometric samples ending at the grid's xi_max, whatever the grid;
+    # a failed gate stops the run before any solve
+    samples = []
+    real = cli.estimate_q_norms
+
+    def recording(vgrid, freq_samples, dim=2):
+        samples.extend(freq_samples)
+        return real(vgrid, freq_samples, dim=dim)
+
+    monkeypatch.setattr(cli, "estimate_q_norms", recording)
+    monkeypatch.setattr(cli, "check_parameter_gate", lambda p, est: (False, -1.0))
+    cfg = RunConfig.from_dict({"mode": "nonlinear-solve", "grid": grid,
+                               "out": str(tmp_path / "gate")})
+    with pytest.raises(ConfigError, match="parameter gate"):
+        run(cfg)
+    xi_max = cfg.frequency_grid().xi_max
+    assert samples == pytest.approx(xi_max * np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1]),
+                                    rel=1e-15)
+    assert samples[-1] == xi_max
+
+
 def test_roundtrip_mode_and_exit(tmp_path):
     out = str(tmp_path / "rt")
     cfg = RunConfig.from_dict({

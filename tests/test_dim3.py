@@ -122,8 +122,8 @@ def test_pushforward_matches_direct_sum_3d():
 
 def test_invert_one_solve_per_pair_3d():
     # modes 8: 64 lattice points, 4 self-paired (zero and the Nyquist
-    # indices), so 30 + 3 nonzero +-xi pairs; the Nyquist row (4, j) and
-    # (4, 8 - j) is one pair and must be solved once
+    # indices), so 30 +-xi pairs and 4 self-paired frequencies; the Nyquist
+    # row (4, j) and (4, 8 - j) is one pair and must be solved once
     grid = FrequencyGrid(2, 2 * np.pi, 8)
     vg = VerticalGrid(1.0, 16)
     inv = LinearInverter(SymbolTable.build(grid, vg, P3))
@@ -139,7 +139,7 @@ def test_invert_one_solve_per_pair_3d():
     data = apply_linear_operator(st, P3)
     out = inv.invert(data)
     inv.invert(data)                # warm: reuses the prepared frequencies
-    assert len(solved) == len(set(solved)) == 33
+    assert len(solved) == len(set(solved)) == 34
     back = apply_linear_operator(out, P3)
     back.axpy(-1.0, data)
     assert ydata_norm(back) / ydata_norm(data) < 1e-6

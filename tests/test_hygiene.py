@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+every private name the package defines is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,64 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _bound_names(target) -> list:
+    """Names bound by an assignment target (tuples unpacked)."""
+    if isinstance(target, ast.Name):
+        return [target]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for elt in target.elts for n in _bound_names(elt)]
+    return []
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each leading-underscore module-level function,
+    class or constant, and each such method, that no module of ``sources``
+    ({module: source}) reads as a name or an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.lineno, n.id)
+                            for t in targets for n in _bound_names(t)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f.lineno, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return sorted(d for d in defined if _private(d[2]) and d[2] not in read)
+
+
+def test_private_detector_flags_unread_and_keeps_read():
+    sources = {
+        "a": ("_LIMIT = 3\n_A, _B = 1, 2\n"
+              "def _helper():\n    return _LIMIT + _A\n"
+              "def _dead():\n    return 0\n"
+              "class _Unused:\n    pass\n"
+              "class Public:\n"
+              "    def __init__(self):\n        self._x = _helper()\n"
+              "    def _used(self):\n        return self._x\n"
+              "    def _orphan(self):\n        return self._used()\n"),
+        "b": "from c import _Cross\nprint(_Cross)\n",
+        "c": "class _Cross:\n    pass\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a", 2, "_B"), ("a", 5, "_dead"), ("a", 7, "_Unused"),
+        ("a", 14, "_orphan")]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == []

@@ -230,6 +230,36 @@ def test_roundtrip_dim3():
     assert ydata_norm(back) / ydata_norm(data) < 1e-6
 
 
+@pytest.mark.parametrize("dim,nz,gamma,sigma1,mu,kappa", [
+    (2, 16, 1.0, 0.1, 1.0, 1.0),
+    (2, 48, -1.0, -0.2, 2.0, 0.5),
+    (3, 24, -0.5, 0.3, 1.0, 1.0),
+    (3, 40, 1.0, -0.1, 0.5, 2.0),
+])
+def test_roundtrip_zero_mode(dim, nz, gamma, sigma1, mu, kappa):
+    # u, psi and pres are smooth real profiles at xi = 0 only
+    p = PhysicalParams(mu, kappa, 1.0, 1.0, gamma, 1.0, sigma1, dim)
+    grid = FrequencyGrid(dim - 1, 2 * np.pi, 8)
+    vg = VerticalGrid(1.0, nz)
+    rng = np.random.default_rng(nz)
+    z = vg.nodes / vg.depth
+    sines = np.stack([np.sin((k + 0.5) * np.pi * z) for k in range(4)])
+    zero = (0,) * grid.dim_h
+    st = LinearState.zeros(grid, vg)
+    for j in range(dim):
+        st.u.data[(j,) + zero] = rng.standard_normal(4) @ sines
+    st.psi.data[(0,) + zero] = rng.standard_normal(4) @ sines
+    st.pres.data[(0,) + zero] = rng.standard_normal(4) @ np.cos(np.outer(range(4), np.pi * z))
+    data = apply_linear_operator(st, p)
+    st2 = LinearInverter(SymbolTable.build(grid, vg, p)).invert(data)
+    diff = st2.copy()
+    diff.axpy(-1.0, st)
+    assert state_norm(diff) / state_norm(st) <= 1e-12
+    back = apply_linear_operator(st2, p)
+    back.axpy(-1.0, data)
+    assert ydata_norm(back) / ydata_norm(data) <= 1e-12
+
+
 def _random_state_loop(grid, vgrid, seed, mode_decay=0.7, kmax=6, jmax=None,
                        eta_scale=1.0):
     """make_random_state as one scalar draw per amplitude (the reference)."""

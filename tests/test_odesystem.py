@@ -5,10 +5,10 @@ import pytest
 
 from stripwave.errors import NumericallySingular
 from stripwave.grids import VerticalGrid
-from stripwave.odesystem import (BVPSpec, FrequencySolver, SymbolTable,
+from stripwave.odesystem import (FrequencySolver, SymbolTable,
                                  assemble_boundary,
-                                 assemble_bulk_matrix, matrix_exponential,
-                                 solve_forced_bvp, solve_symbol,
+                                 assemble_bulk_matrix, forcing_rows,
+                                 matrix_exponential, solve_symbol,
                                  solve_transverse)
 from stripwave.params import PhysicalParams
 from stripwave.grids import FrequencyGrid
@@ -233,11 +233,13 @@ def test_B_numerically_singular_raises():
 # ---------------------------------------------------------------------------
 
 def test_symbol_xi_zero_closed_form():
+    # the matexp solve at the nilpotent A(0) reproduces the closed form
+    # exactly: q = 1, every other response 0, rho(0) = 0
     e = solve_symbol([0.0], P1, VG)
     assert np.abs(e.y[3] - 1.0).max() == 0.0
     assert np.abs(e.y[[0, 1, 2, 4, 5]]).max() == 0.0
     assert e.rho == 0.0
-    assert e.backend == "closed-form"
+    assert e.backend == "matexp" and e.cond == 1.0
 
 
 @pytest.mark.parametrize("p", [P1, P2])
@@ -306,15 +308,25 @@ def test_symbol_surface_velocity_trace():
 # forced problems
 # ---------------------------------------------------------------------------
 
+def _forced_rows(xi, G=None, k_n=0.0):
+    """z (6, Nz) and d (6,) of one forced problem with normal stress k_n and
+    divergence G, no other forcing."""
+    zero = np.zeros((1, VG.count), dtype=complex)
+    G = zero if G is None else np.asarray(G, dtype=complex)[None]
+    z, d = forcing_rows(P1, VG, np.array([2 * np.pi * xi]), zero, zero, G,
+                        zero, 0.0, k_n, 0.0)
+    return z[0], d[0]
+
+
 def test_forced_zero_data():
-    spec = BVPSpec.from_rhs([0.5], P1, VG, P1.gamma, 0.0, P1.sigma1)
-    Y = solve_forced_bvp(spec, P1, VG)
+    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
+    Y, _, _ = solver.solve([0.5], *_forced_rows(0.5))
     assert np.abs(Y).max() < 1e-14
 
 
 def test_forced_unit_stress_matches_symbol():
-    spec = BVPSpec.from_rhs([0.5], P1, VG, P1.gamma, 0.0, P1.sigma1, K2=1.0)
-    Y = solve_forced_bvp(spec, P1, VG)
+    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
+    Y, _, _ = solver.solve([0.5], *_forced_rows(0.5, k_n=1.0))
     e = solve_symbol([0.5], P1, VG)
     assert np.abs(Y - e.y).max() < 1e-12
 
@@ -322,10 +334,10 @@ def test_forced_unit_stress_matches_symbol():
 def test_z_profile_rows():
     rng = np.random.default_rng(3)
     G = rng.standard_normal(VG.count) + 1j * rng.standard_normal(VG.count)
-    spec = BVPSpec.from_rhs([0.5], P1, VG, P1.gamma, 0.0, P1.sigma1, G=G, K2=0.3)
-    assert np.abs(spec.z_profile[0]).max() == 0.0
-    assert np.abs(spec.z_profile[2]).max() == 0.0
-    assert spec.d_vec[4] == pytest.approx(0.3 + 2 * P1.mu * G[-1])
+    z, d = _forced_rows(0.5, G=G, k_n=0.3)
+    assert np.abs(z[0]).max() == 0.0
+    assert np.abs(z[2]).max() == 0.0
+    assert d[4] == pytest.approx(0.3 + 2 * P1.mu * G[-1])
 
 
 def _manufactured(p, vg, xi, gt, a1, a2, seed=0):
