@@ -16,15 +16,14 @@ proofs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NonConvergent
-from .grids import VerticalGrid
-from .odesystem import (SYMBOL_SPLIT, UNIT_NORMAL_STRESS, FrequencySolver,
-                        SymbolTable)
+from .grids import FrequencyGrid, VerticalGrid
+from .odesystem import (DEFAULT_COND_LIMIT, SYMBOL_SPLIT, UNIT_NORMAL_STRESS,
+                        FrequencySolver, SymbolTable)
 from .params import PhysicalParams
 
 
@@ -99,25 +98,30 @@ def predicted_coefficient(selector: str, p: PhysicalParams, x: float | None = No
     raise KeyError(selector)
 
 
+def _lf_fits(solver: FrequencySolver, vgrid: VerticalGrid, xi_seq, jobs) -> list:
+    """``fit_lf_coefficient`` of each (selector, x) in jobs, from one stack
+    solve of the symbols along xi_seq."""
+    xi_seq = np.asarray(xi_seq, dtype=float)
+    if np.any(np.diff(xi_seq) >= 0):
+        raise ValueError("xi_seq must decrease")
+    xis = np.zeros((len(xi_seq), solver.p.dim_h))
+    xis[:, 0] = xi_seq
+    Y = solver.prepare(xis).solve(
+        None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
+    return [richardson_limit([SELECTORS[sel](y, vgrid, x) / ximag ** 2
+                              for y, ximag in zip(Y, xi_seq)],
+                             xi_seq[:-1] / xi_seq[1:]) for sel, x in jobs]
+
+
 def fit_lf_coefficient(selector: str, p: PhysicalParams, vgrid: VerticalGrid,
                        xi_seq=(1e-2, 5e-3, 2.5e-3), x: float | None = None,
                        solver: FrequencySolver | None = None) -> FitResult:
     """Richardson-extrapolated limit of selector(xi)/|xi|^2 along xi_seq,
     whose symbols are solved as one stack."""
-    xi_seq = np.asarray(xi_seq, dtype=float)
-    if np.any(np.diff(xi_seq) >= 0):
-        raise ValueError("xi_seq must decrease")
-    ratios = xi_seq[:-1] / xi_seq[1:]
-    sel = SELECTORS[selector]
     if solver is None:
         solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
                                  split=SYMBOL_SPLIT)
-    xis = np.zeros((len(xi_seq), p.dim_h))
-    xis[:, 0] = xi_seq
-    Y = solver.prepare(xis).solve(
-        None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
-    return richardson_limit([sel(y, vgrid, x) / ximag ** 2
-                             for y, ximag in zip(Y, xi_seq)], ratios)
+    return _lf_fits(solver, vgrid, xi_seq, [(selector, x)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +145,25 @@ class AsymptoticReport:
     def passed(self) -> bool:
         return all(r.verdict == "pass" for r in self.rows)
 
-    def to_json(self) -> str:
-        payload = [
-            {"claim": r.claim, "predicted": r.predicted, "fitted": r.fitted,
-             "margin": r.margin, "verdict": r.verdict, "detail": r.detail}
-            for r in self.rows
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def to_jsonable(self) -> list:
+        return [asdict(r) for r in self.rows]
 
 
 def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
                      xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
-                     split: float = SYMBOL_SPLIT) -> list:
-    """Fit every closed-form low-frequency coefficient and compare."""
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split)
+                     split: float = SYMBOL_SPLIT,
+                     cond_limit: float = DEFAULT_COND_LIMIT) -> list:
+    """Fit every closed-form low-frequency coefficient and compare; the
+    symbols along xi_seq are solved once for all fits."""
+    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split,
+                             cond_limit=cond_limit)
     b = p.depth
     jobs = [("vn_surf", None), ("temp_surf", None)]
     jobs += [("q_minus_1_at", x) for x in (b / 4, b / 2, b)]
     jobs += [("long_sq_at", x) for x in (b / 4, b / 2)]
     jobs += [("vn_at", b / 2), ("temp_at", b / 2)]
     rows = []
-    for selector, x in jobs:
-        fit = fit_lf_coefficient(selector, p, vgrid, xi_seq, x=x, solver=solver)
+    for (selector, x), fit in zip(jobs, _lf_fits(solver, vgrid, xi_seq, jobs)):
         pred = predicted_coefficient(selector, p, x)
         scale = max(abs(pred), 1e-12)
         rel = abs(fit.value - pred) / scale
@@ -265,14 +266,17 @@ def check_highfreq_decay(table: SymbolTable, refined: SymbolTable | None = None,
 
 def full_report(p: PhysicalParams, grid, vgrid, refine: bool = True,
                 xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
-                stability_tol: float = 0.10) -> AsymptoticReport:
-    from .grids import FrequencyGrid
-    rows = theorem_fit_rows(p, vgrid, xi_seq=xi_seq, rel_tol=rel_tol)
-    table = SymbolTable.build(grid, vgrid, p)
+                stability_tol: float = 0.10, split: float = SYMBOL_SPLIT,
+                cond_limit: float = DEFAULT_COND_LIMIT) -> AsymptoticReport:
+    """Every claim; the fits and both tables use ``split`` and ``cond_limit``."""
+    rows = theorem_fit_rows(p, vgrid, xi_seq=xi_seq, rel_tol=rel_tol,
+                            split=split, cond_limit=cond_limit)
+    table = SymbolTable.build(grid, vgrid, p, split=split, cond_limit=cond_limit)
     refined = None
     if refine:
         fine_grid = FrequencyGrid(grid.dim_h, 2.0 * grid.box_len, 2 * grid.modes)
-        refined = SymbolTable.build(fine_grid, vgrid, p)
+        refined = SymbolTable.build(fine_grid, vgrid, p, split=split,
+                                    cond_limit=cond_limit)
     rows += check_rho_bounds(table, refined, stability_tol)
     rows += check_highfreq_decay(table, refined, stability_tol)
     return AsymptoticReport(rows)

@@ -8,8 +8,6 @@ numerical failure, 2 a configuration problem.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -18,7 +16,7 @@ import numpy as np
 from .asymptotics import full_report
 from .config import RunConfig
 from .errors import ConfigError, SolverFailure, StripwaveError
-from .fields import read_ydata_csv, write_field_csv
+from .fields import read_ydata_csv, write_csv, write_field_csv, write_json
 from .linear import (LinearInverter, apply_linear_operator, make_random_state,
                      state_norm)
 from .nonlinear import eulerian_grid_samples, make_forcing_preset, picard_solve
@@ -27,28 +25,24 @@ from .odesystem import SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _write_state(outdir, state):
     for name, fieldval in (("u", state.u), ("psi", state.psi),
                            ("pres", state.pres), ("eta", state.eta)):
         write_field_csv(os.path.join(outdir, f"{name}.csv"), fieldval)
 
 
+def _table(config: RunConfig, grid, vgrid) -> SymbolTable:
+    """Symbol table with the config's backend section."""
+    b = config.raw["backend"]
+    return SymbolTable.build(grid, vgrid, config.params(),
+                             split=b["symbol_split"], cond_limit=b["cond_limit"])
+
+
 def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
     """Linear inverter and its symbol table, with the config's backend section."""
     b = config.raw["backend"]
-    table = SymbolTable.build(grid, vgrid, config.params(),
-                              split=b["symbol_split"], cond_limit=b["cond_limit"])
-    return LinearInverter(table, split=b["split"], cond_limit=b["cond_limit"])
+    return LinearInverter(_table(config, grid, vgrid), split=b["split"],
+                          cond_limit=b["cond_limit"])
 
 
 def run(config: RunConfig) -> int:
@@ -67,8 +61,8 @@ def run(config: RunConfig) -> int:
         summary["error"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        _write_json(os.path.join(outdir, "manifest.json"),
-                    {"config": config.manifest(), "summary": summary})
+        write_json(os.path.join(outdir, "manifest.json"),
+                   {"config": config.manifest(), "summary": summary})
 
 
 def _dispatch(config: RunConfig, summary: dict) -> int:
@@ -80,24 +74,18 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     mode = r["mode"]
 
     if mode == "symbols":
-        table = SymbolTable.build(grid, vgrid, p,
-                                  split=r["backend"]["symbol_split"],
-                                  cond_limit=r["backend"]["cond_limit"])
-        path = os.path.join(outdir, "symbols.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            head = [f"xi{i+1}" for i in range(grid.dim_h)]
-            w.writerow(head + ["re_om_vn_surf", "im_om_vn_surf",
-                               "re_om_temp_surf", "im_om_temp_surf",
-                               "re_om_q_surf", "im_om_q_surf",
-                               "re_rho", "im_rho", "backend", "cond"])
-            for idx in np.ndindex(grid.freq_shape):
-                e = table.entry(idx)
-                row = [_fmt(v) for v in e.xi]
-                for val in (e.om_vn_surf, e.om_temp_surf, complex(e.y[3, -1]), e.rho):
-                    row += [_fmt(val.real), _fmt(val.imag)]
-                row += [e.backend, _fmt(e.cond)]
-                w.writerow(row)
+        table = _table(config, grid, vgrid)
+        # one row per lattice point in C order: xi, the surface traces of
+        # psi, delta and q, rho, the backend and its condition estimate
+        header = [f"xi{i+1}" for i in range(grid.dim_h)]
+        columns = list(grid.xi_vectors().reshape(-1, grid.dim_h).T)
+        surf = table.y[..., -1].reshape(-1, 6)
+        for name, val in (("om_vn_surf", surf[:, 1]), ("om_temp_surf", surf[:, 2]),
+                          ("om_q_surf", surf[:, 3]), ("rho", table.rho.reshape(-1))):
+            header += [f"re_{name}", f"im_{name}"]
+            columns += [val.real, val.imag]
+        write_csv(os.path.join(outdir, "symbols.csv"), header + ["backend", "cond"],
+                  columns + [table.backend.reshape(-1), table.cond.reshape(-1)])
         neg = (grid.xi_magnitude() > 0) & (table.y[..., 1, -1].real >= 0)
         summary["rows"] = int(table.rho.size)
         summary["re_om_vn_negative"] = not neg.any()
@@ -107,10 +95,10 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         report = full_report(p, grid, vgrid, refine=r["fit"]["refine"],
                              xi_seq=tuple(r["fit"]["xi_seq"]),
                              rel_tol=r["tol"]["fit_rel"],
-                             stability_tol=r["tol"]["stability"])
-        with open(os.path.join(outdir, "asym_report.json"), "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+                             stability_tol=r["tol"]["stability"],
+                             split=r["backend"]["symbol_split"],
+                             cond_limit=r["backend"]["cond_limit"])
+        write_json(os.path.join(outdir, "asym_report.json"), report.to_jsonable())
         summary["claims"] = len(report.rows)
         summary["ok"] = report.passed()
 
@@ -125,7 +113,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
         _write_state(outdir, state)
         dt = check_divergence_trace(data)
-        _write_json(os.path.join(outdir, "linear_report.json"), {
+        write_json(os.path.join(outdir, "linear_report.json"), {
             "roundtrip_misfit": misfit,
             "state_norm": state_norm(state),
             "data_norm": ydata_norm(data),
@@ -138,8 +126,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     elif mode == "nonlinear-solve":
         c = config.constitutive()
         # the pairing-norm sup over the grid's own frequency range
-        est = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5),
-                               dim=p.dim)
+        est = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5))
         ok_gate, margin = check_parameter_gate(p, est)
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
@@ -149,20 +136,15 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         inv = _inverter(config, grid, vgrid)
         trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
                              maxiter=r["maxiter"], inverter=inv)
-        _write_json(os.path.join(outdir, "solve_trace.json"), trace.to_jsonable())
+        write_json(os.path.join(outdir, "solve_trace.json"), trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
-        with open(os.path.join(outdir, "eulerian.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            n = grid.dim_h + 1
-            w.writerow([f"y{i+1}" for i in range(n)] + ["eta"]
-                       + [f"w{i+1}" for i in range(n)] + ["temperature", "pressure"])
-            for i in range(samples["points"].shape[0]):
-                row = [_fmt(v) for v in samples["points"][i]]
-                row.append(_fmt(samples["eta"][i]))
-                row += [_fmt(v) for v in samples["velocity"][:, i]]
-                row += [_fmt(samples["temperature"][i]), _fmt(samples["pressure"][i])]
-                w.writerow(row)
+        n = grid.dim_h + 1
+        write_csv(os.path.join(outdir, "eulerian.csv"),
+                  [f"y{i+1}" for i in range(n)] + ["eta"]
+                  + [f"w{i+1}" for i in range(n)] + ["temperature", "pressure"],
+                  [*samples["points"].T, samples["eta"], *samples["velocity"],
+                   samples["temperature"], samples["pressure"]])
         summary["iterations"] = trace.iterations
         summary["final_residual"] = trace.residuals[-1]
         summary["amplitude_requested"] = forcing.amplitude
@@ -183,7 +165,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             worst_data = max(worst_data, ydata_norm(back) / ydata_norm(data))
             st2.axpy(-1.0, st)
             worst_state = max(worst_state, state_norm(st2) / state_norm(st))
-        _write_json(os.path.join(outdir, "roundtrip_report.json"), {
+        write_json(os.path.join(outdir, "roundtrip_report.json"), {
             "count": r["roundtrip"]["count"],
             "max_data_misfit": worst_data,
             "max_state_misfit": worst_state,
@@ -198,7 +180,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             raise ConfigError("norms mode requires input: directory of data CSVs")
         data = read_ydata_csv(r["input"])
         dt = check_divergence_trace(data)
-        _write_json(os.path.join(outdir, "norms_report.json"), {
+        write_json(os.path.join(outdir, "norms_report.json"), {
             "ydata_norm": ydata_norm(data),
             "divergence_trace_residual": dt.residual_hneg1,
             "divergence_trace_zero_mode": dt.zero_mode_abs,

@@ -8,12 +8,16 @@ fields carry conjugate symmetry fhat(-xi) = conj(fhat(xi)); the Nyquist
 column is forced to zero for real fields so the symmetry is exact on the
 lattice.  ``FrequencyGrid.half_mask`` is the half lattice that carries the
 information of a real field; ``conjugate_mirror`` completes it.
+
+Every artifact file is written by ``write_csv`` or ``write_json``, the one
+CSV and the one JSON format of the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +26,6 @@ from .grids import FrequencyGrid, VerticalGrid
 from .ops import on_lattice, synthesize, to_coeff, to_phys
 
 HERMITIAN_TOL = 1e-12
-# CSV rows formatted per block: bounds the Python floats alive at a time
-_CSV_BLOCK = 4096
 
 
 def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
@@ -214,63 +216,72 @@ class YData:
 
 
 # ---------------------------------------------------------------------------
-# CSV + JSON sidecar import/export
+# The artifact formats: CSV (fields, symbols, samples) and JSON
 # ---------------------------------------------------------------------------
 
-def _grid_meta(grid: FrequencyGrid, vgrid: VerticalGrid | None):
-    meta = {"dim_h": grid.dim_h, "box_len": grid.box_len, "modes": grid.modes}
-    if vgrid is not None:
-        meta["depth"] = vgrid.depth
-        meta["nz"] = vgrid.count
-    return meta
+_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+# CSV rows formatted per block: bounds the Python objects alive at a time
+_CSV_BLOCK = 4096
 
 
-def write_field_csv(path, field, sidecar_path=None):
-    """One row per (component, xi indices, node index) with re/im columns."""
-    grid = field.grid
-    bulk = isinstance(field, SpectralField)
-    idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
-    header = ["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"]
-    # one row per entry in C order (itertools.product of the index ranges
-    # runs as np.ndindex), formatted a block of whole columns at a time
-    values = field.data.reshape(-1)
-    index = itertools.product(*map(range, field.data.shape))
-    row = ",".join(["%d"] * field.data.ndim + ["%.17g", "%.17g"]) + "\r\n"
+def write_csv(path, header, columns):
+    """The one CSV format: a header line, then one row per entry of the
+    equal-length 1-D ``columns``, formatted %d for integer columns, %.17g
+    for float columns and %s otherwise, with CRLF line ends."""
+    size = len(columns[0])
+    if any(len(col) != size for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    row = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, values.size, _CSV_BLOCK):
-            block = values[lo:lo + _CSV_BLOCK]
-            fh.writelines(row % (*idx, re, im) for re, im, idx in zip(
-                block.real.tolist(), block.imag.tolist(), index))
-    meta = _grid_meta(grid, field.vgrid if bulk else None)
-    meta["comps"] = field.comps
-    meta["real_flag"] = bool(field.real_flag)
-    meta["kind"] = "bulk" if bulk else "surface"
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".json"
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        for lo in range(0, size, _CSV_BLOCK):
+            block = [col[lo:lo + _CSV_BLOCK].tolist() for col in columns]
+            # one format call per block, row-major through the columns
+            fh.write(row * len(block[0])
+                     % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
+def write_json(path, payload):
+    """The one JSON format: 2-space indent, sorted keys, numpy scalars as
+    floats and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
 
+def write_field_csv(path, field):
+    """One row per (component, xi indices, node index) in C order with re/im
+    columns; the grids go to the JSON sidecar path + ".json"."""
+    grid = field.grid
+    bulk = isinstance(field, SpectralField)
+    header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
+              + (["node"] if bulk else []) + ["re", "im"])
+    shape = field.data.shape
+    values = field.data.reshape(-1)
+    index = np.indices(shape, dtype=np.int32).reshape(len(shape), -1)
+    write_csv(path, header, [*index, values.real, values.imag])
+    meta = {"dim_h": grid.dim_h, "box_len": grid.box_len, "modes": grid.modes,
+            "comps": field.comps, "real_flag": bool(field.real_flag),
+            "kind": "bulk" if bulk else "surface"}
+    if bulk:
+        meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
+    write_json(str(path) + ".json", meta)
+
+
 def write_ydata_csv(dirpath, data: YData):
-    import os
     os.makedirs(dirpath, exist_ok=True)
     for name in ("f", "g", "l", "k", "h", "m"):
         write_field_csv(os.path.join(dirpath, f"{name}.csv"), getattr(data, name))
 
 
 def read_ydata_csv(dirpath) -> YData:
-    import os
     parts = {name: read_field_csv(os.path.join(dirpath, f"{name}.csv"))
              for name in ("f", "g", "l", "k", "h", "m")}
     return YData(**parts)
 
 
-def read_field_csv(path, sidecar_path=None):
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".json"
-    with open(sidecar_path) as fh:
+def read_field_csv(path):
+    with open(str(path) + ".json") as fh:
         meta = json.load(fh)
     grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
     bulk = meta["kind"] == "bulk"

@@ -271,7 +271,8 @@ class LinearInverter:
         for i in np.flatnonzero(live).tolist():
             lu = self._transverse.get(i)
             if lu is None:
-                lu = self._transverse[i] = transverse_factor(xis[i], p, vgrid, -p.gamma)
+                lu = self._transverse[i] = transverse_factor(
+                    xis[i], p, vgrid, -p.gamma, self.solver.cond_limit)
             beta = transverse_solve(lu, f_perp[i], k_perp[i])
             at = (half[0][i], half[1][i])
             u[(0,) + at] += beta * perp[i, 0]

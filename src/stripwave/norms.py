@@ -95,7 +95,7 @@ class DivergenceTraceReport:
     residual: SurfaceSpectral
 
 
-def check_divergence_trace(data, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL) -> DivergenceTraceReport:
+def check_divergence_trace(data) -> DivergenceTraceReport:
     """Residual h - integral of g over the depth, per frequency.
 
     Reports the homogeneous order -1 size of the residual (zero mode
@@ -105,20 +105,17 @@ def check_divergence_trace(data, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL) -
     g_int = data.g.data @ vgrid.weights
     resid = SurfaceSpectral(data.grid, data.h.data - g_int, real_flag=data.h.real_flag)
     zero = (slice(None),) + (0,) * data.grid.dim_h
-    zero_mode = float(np.abs(resid.data[zero]).max())
-    trimmed = resid.copy()
-    trimmed.data[zero] = 0.0
     return DivergenceTraceReport(
-        residual_hneg1=hdot_neg1(trimmed, zero_mode_tol=np.inf),
-        zero_mode_abs=zero_mode,
+        residual_hneg1=hdot_neg1(resid, zero_mode_tol=np.inf),
+        zero_mode_abs=float(np.abs(resid.data[zero]).max()),
         residual=resid,
     )
 
 
-def ydata_norm(data, s: int = 0, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL) -> float:
+def ydata_norm(data, s: int = 0) -> float:
     """Graph norm of a data tuple: component Sobolev norms plus the
     divergence-trace seminorm (zero mode excluded)."""
-    report = check_divergence_trace(data, zero_mode_tol)
+    report = check_divergence_trace(data)
     pieces = [
         sobolev_norm(data.f, s),
         sobolev_norm(data.g, s + 1),

@@ -187,13 +187,16 @@ class QNormEstimate:
     method: str
 
 
-def _fiber_trace_norms(a: float, vgrid: VerticalGrid, dim: int):
+def _fiber_trace_norms(a: float, vgrid: VerticalGrid):
     """Trace-evaluation norms on the frequency-|xi| fiber, a = 2*pi*|xi|.
 
     Scalar fiber: full H^1 inner product with twisted gradient.  Vector
     fiber: half the squared Frobenius norm of the twisted symmetric
     gradient (the natural inner product for fields vanishing at the
-    bottom).  Both restricted to trace zero at x_n = 0.
+    bottom), on the longitudinal and vertical components.  Both restricted
+    to trace zero at x_n = 0.  In dim 3 the transverse component has zero
+    cross blocks with both and the longitudinal trace functional does not
+    reach it, so the same norms hold there.
     """
     D = vgrid.diff
     W = np.diag(vgrid.weights)
@@ -211,32 +214,22 @@ def _fiber_trace_norms(a: float, vgrid: VerticalGrid, dim: int):
     m_theta = float(np.sqrt(e @ cho_solve(ch, e)))
 
     cross = 1j * a * (D.T @ W)
-    if dim == 2:
-        blocks = [
-            [2 * a * a * W + DtWD, cross],
-            [cross.conj().T, a * a * W + 2 * DtWD],
-        ]
-        long_block = 0
-    else:
-        blocks = [
-            [2 * a * a * W + DtWD, np.zeros_like(W), cross],
-            [np.zeros_like(W), a * a * W + DtWD, np.zeros_like(W)],
-            [cross.conj().T, np.zeros_like(W), a * a * W + 2 * DtWD],
-        ]
-        long_block = 0
-    nb = len(blocks)
-    G_v = np.block([[blocks[i][j][keep, keep] for j in range(nb)] for i in range(nb)])
+    blocks = [
+        [2 * a * a * W + DtWD, cross],
+        [cross.conj().T, a * a * W + 2 * DtWD],
+    ]
+    G_v = np.block([[blk[keep, keep] for blk in row] for row in blocks])
     try:
         chv = cho_factor(G_v)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("degenerate vector fiber Gram matrix; refine the vertical grid") from exc
-    E = np.zeros(nb * m, dtype=complex)
-    E[long_block * m + m - 1] = 1.0
+    E = np.zeros(2 * m, dtype=complex)
+    E[m - 1] = 1.0                     # the longitudinal trace
     m_v = float(np.sqrt(np.real(E.conj() @ cho_solve(chv, E))))
     return m_theta, m_v
 
 
-def estimate_q_norms(vgrid: VerticalGrid, freq_samples, dim: int = 2) -> QNormEstimate:
+def estimate_q_norms(vgrid: VerticalGrid, freq_samples) -> QNormEstimate:
     """Supremum over sampled |xi| of the per-fiber boundary-pairing norm.
 
     For each |xi| the pairing factorizes through the two trace functionals,
@@ -254,7 +247,7 @@ def estimate_q_norms(vgrid: VerticalGrid, freq_samples, dim: int = 2) -> QNormEs
         if xi == 0.0:
             continue
         a = 2.0 * np.pi * xi
-        m_theta, m_v = _fiber_trace_norms(a, vgrid, dim)
+        m_theta, m_v = _fiber_trace_norms(a, vgrid)
         best = max(best, a * m_theta * m_v)
     method = f"fiber-trace sup over {freq_samples.size} samples, Nz={vgrid.count}"
     return QNormEstimate(q1=best, method=method)

@@ -292,6 +292,30 @@ def test_criterion_10_determinism(tmp_path):
                        for name in ("u.csv", "psi.csv", "pres.csv", "eta.csv",
                                     "linear_report.json")])
     same_linear = linear[0] == linear[1]
-    _report("10 determinism", same_symbols and same_reports and same_linear,
+
+    # nonlinear-solve and asym-check: every data artifact and report
+    reruns = {"nonlinear-solve": [], "asym-check": []}
+    for tag in ("g", "h"):
+        for mode, grid, names in (
+                ("nonlinear-solve", {"modes": 32, "nz": 24},
+                 ("eulerian.csv", "solve_trace.json", "u.csv", "psi.csv", "pres.csv",
+                  "eta.csv", "u.csv.json", "eta.csv.json")),
+                ("asym-check", {"box_len": 2 * np.pi * 5, "modes": 64, "nz": 32},
+                 ("asym_report.json",))):
+            out = str(tmp_path / f"det_{tag}_{mode}")
+            cfg = RunConfig.from_dict({
+                "mode": mode, "out": out, "grid": grid,
+                "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 2},
+                "fit": {"refine": False},
+            })
+            assert run(cfg) == 0
+            reruns[mode].append([open(os.path.join(out, name), "rb").read()
+                                 for name in names])
+    same_nonlinear = reruns["nonlinear-solve"][0] == reruns["nonlinear-solve"][1]
+    same_asym = reruns["asym-check"][0] == reruns["asym-check"][1]
+    ok = same_symbols and same_reports and same_linear and same_nonlinear and same_asym
+    _report("10 determinism", ok,
             f"symbols byte-identical {same_symbols}, reports byte-identical "
-            f"{same_reports}, linear-solve artifacts byte-identical {same_linear}")
+            f"{same_reports}, linear-solve artifacts byte-identical {same_linear}, "
+            f"nonlinear-solve artifacts byte-identical {same_nonlinear}, "
+            f"asym-check report byte-identical {same_asym}")

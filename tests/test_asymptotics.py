@@ -6,6 +6,7 @@ from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    predicted_coefficient, richardson_limit,
                                    theorem_fit_rows)
 from stripwave.errors import NonConvergent
+from stripwave.fields import write_json
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.odesystem import SymbolTable
 from stripwave.params import PhysicalParams
@@ -109,13 +110,30 @@ def test_decay_empty_regime_flagged():
     assert all("note" in r.detail for r in rows)
 
 
-def test_full_report_json():
+def test_full_report_json(tmp_path):
     grid = FrequencyGrid(1, 2 * np.pi * 5, 64)
     vg = VerticalGrid(1.0, 36)
     report = full_report(P1, grid, vg, refine=False)
-    payload = report.to_json()
+    write_json(tmp_path / "asym_report.json", report.to_jsonable())
+    payload = (tmp_path / "asym_report.json").read_text()
     assert "lf-coefficient" in payload
     assert len(report.rows) >= 11
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+def test_fit_rows_equal_single_fits(p):
+    # theorem_fit_rows solves xi_seq once for all nine fits; each fitted
+    # value is bit for bit the standalone fit_lf_coefficient
+    vg = VerticalGrid(p.depth, 32)
+    rows = theorem_fit_rows(p, vg)
+    assert len(rows) == 9
+    b = p.depth
+    jobs = [("vn_surf", None), ("temp_surf", None)]
+    jobs += [("q_minus_1_at", x) for x in (b / 4, b / 2, b)]
+    jobs += [("long_sq_at", x) for x in (b / 4, b / 2)]
+    jobs += [("vn_at", b / 2), ("temp_at", b / 2)]
+    for row, (selector, x) in zip(rows, jobs):
+        assert row.fitted == fit_lf_coefficient(selector, p, vg, x=x).value
 
 
 def test_continuity_across_unit_circle(tables):

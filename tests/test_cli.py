@@ -102,14 +102,14 @@ def test_linear_solve_mode(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
-                                  "roundtrip-test"])
+                                  "roundtrip-test", "asym-check", "symbols"])
 def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
     # this grid has a collocation band (2 pi |xi| b up to 12.8), and every
     # collocation system there has a condition estimate far above 1e3
     box = 2.5 * np.pi
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": 32, "nz": 32},
-           "backend": {"cond_limit": 1e3}}
+           "backend": {"cond_limit": 1e3}, "fit": {"refine": False}}
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         grid, vg = FrequencyGrid(1, box, 32), VerticalGrid(1.0, 32)
@@ -207,9 +207,9 @@ def test_parameter_gate_samples_up_to_xi_max(tmp_path, monkeypatch, grid):
     samples = []
     real = cli.estimate_q_norms
 
-    def recording(vgrid, freq_samples, dim=2):
+    def recording(vgrid, freq_samples):
         samples.extend(freq_samples)
-        return real(vgrid, freq_samples, dim=dim)
+        return real(vgrid, freq_samples)
 
     monkeypatch.setattr(cli, "estimate_q_norms", recording)
     monkeypatch.setattr(cli, "check_parameter_gate", lambda p, est: (False, -1.0))

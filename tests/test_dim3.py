@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stripwave.errors import IllConditionedCollocation
 from stripwave.fields import transform_forward
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter,
@@ -167,3 +168,17 @@ def test_grid_samples_build_phases_once(monkeypatch):
     for name in ("eta", "velocity", "temperature", "pressure"):
         assert np.abs(out[name] - direct[name]).max() \
             <= 1e-12 * np.abs(direct[name]).max()
+
+
+def test_inverter_cond_limit_reaches_transverse_systems():
+    # at cond_limit 1e5 every stack member of this grid passes (matexp, with
+    # cond(B) below 20), while the transverse system at xi = (0.1, 0.1) has
+    # a condition estimate near 1.2e6: the inversion must stop there
+    grid, vg = FrequencyGrid(2, 20 * np.pi, 16), VerticalGrid(1.0, 24)
+    inv = LinearInverter(SymbolTable.build(grid, vg, P3, cond_limit=1e5),
+                         cond_limit=1e5)
+    data = apply_linear_operator(make_random_state(grid, vg, seed=1), P3)
+    with pytest.raises(IllConditionedCollocation, match="transverse system"):
+        inv.invert(data)
+    assert set(inv.backend.ravel()) == {"matexp"}
+    assert inv.cond.max() < 20.0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from stripwave.fields import (SpectralField, SurfaceSpectral, YData,
                               read_field_csv, read_ydata_csv,
-                              transform_forward, transform_inverse,
-                              write_field_csv, write_ydata_csv)
+                              transform_forward, transform_inverse, write_csv,
+                              write_field_csv, write_json, write_ydata_csv)
 from stripwave.grids import FrequencyGrid, VerticalGrid
 
 
@@ -260,3 +260,36 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
     assert np.array_equal(back.data, f.data)
     ref = _read_field_csv_rows(tmp_path / "new.csv", f.data.shape)
     assert np.array_equal(back.data.view(np.uint64), ref.view(np.uint64))
+
+
+def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
+    # the artifact byte format: %d indices, %.17g values (-0 kept), CRLF
+    # rows, and a sorted 2-space-indented sidecar with a trailing newline
+    grid = FrequencyGrid(1, 2.0, 4)
+    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 5e-324), 0.0]
+    write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data, real_flag=False))
+    assert (tmp_path / "tiny.csv").read_bytes() == (
+        b"comp,k1,re,im\r\n"
+        b"0,0,0.10000000000000001,-0\r\n"
+        b"0,1,-0,0.33333333333333331\r\n"
+        b"0,2,-25000000000,4.9406564584124654e-324\r\n"
+        b"0,3,0,0\r\n")
+    assert (tmp_path / "tiny.csv.json").read_bytes() == (
+        b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
+        b'  "modes": 4,\n  "real_flag": false\n}\n')
+
+
+def test_write_json_and_write_csv_bytes(tmp_path):
+    write_json(tmp_path / "p.json", {"zeta": np.float64(0.1),
+                                     "alpha": [1, np.float32(0.1), None],
+                                     "mid": {"b": True, "a": "x"}})
+    assert (tmp_path / "p.json").read_bytes() == (
+        b'{\n  "alpha": [\n    1,\n    0.10000000149011612,\n    null\n  ],\n'
+        b'  "mid": {\n    "a": "x",\n    "b": true\n  },\n  "zeta": 0.1\n}\n')
+    write_csv(tmp_path / "c.csv", ["n", "x", "tag"],
+              [np.array([3, -1], dtype=np.int32), np.array([0.1, -0.0]),
+               np.array(["matexp", "collocation"], dtype=object)])
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"n,x,tag\r\n3,0.10000000000000001,matexp\r\n-1,-0,collocation\r\n")
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])

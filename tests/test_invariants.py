@@ -101,8 +101,8 @@ def test_picard_retry_halves_amplitude_once():
 
 def test_qnorm_sup_monotone_in_sample_set():
     vg = VerticalGrid(1.0, 48)
-    small = estimate_q_norms(vg, [0.5, 1.0], dim=2)
-    large = estimate_q_norms(vg, [0.25, 0.5, 1.0, 2.0, 4.0], dim=2)
+    small = estimate_q_norms(vg, [0.5, 1.0])
+    large = estimate_q_norms(vg, [0.25, 0.5, 1.0, 2.0, 4.0])
     assert large.q1 >= small.q1
 
 

@@ -128,6 +128,48 @@ def test_forcing_validation():
     make_forcing_preset("heat-only", 1e-3, GRID, 1.0).validate(GRID)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_depth_free_bulk_forcing_matches_flat(dim):
+    # a bulk source that ignores the vertical coordinate is the flat source
+    # of the same horizontal function: f_flat against f_bulk, t_bulk against
+    # t_flat and h_bulk against h_flat, at a state with a nonzero surface
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid = FrequencyGrid(dim - 1, 2 * np.pi * 3, 32 if dim == 2 else 16)
+    vg = VerticalGrid(1.0, 12)
+    c = make_constitutive(p, visc="tempdep", heat="tempdep", sigma="smooth")
+    st = _scaled(make_random_state(grid, vg, seed=7, jmax=2), 1e-2)
+    assert np.abs(st.eta.data).max() > 0
+    n = dim
+    phase = 2 * np.pi / grid.box_len
+
+    def angle(h):
+        return phase * (h[..., 0] + (h[..., 1] if dim == 3 else 0.0))
+
+    def vec(h):
+        return np.stack([np.cos(angle(h) + i) for i in range(n)])
+
+    def mat(h):
+        return np.stack([np.stack([np.sin(angle(h) + i + 2 * j) for j in range(n)])
+                         for i in range(n)])
+
+    def scal(h):
+        return np.cos(angle(h) - 0.5)
+
+    def bulk(fn):
+        return lambda pts: fn(pts[..., :-1])
+
+    unforced = nonlinear_residual(st, ForcingData(), p, c)
+    for flat, other in ((ForcingData(f_flat=vec), ForcingData(f_bulk=bulk(vec))),
+                        (ForcingData(t_flat=mat), ForcingData(t_bulk=bulk(mat))),
+                        (ForcingData(h_flat=scal), ForcingData(h_bulk=bulk(scal)))):
+        flat.amplitude = other.amplitude = 1e-3
+        ref = nonlinear_residual(st, flat, p, c)
+        got = nonlinear_residual(st, other, p, c)
+        assert ydata_norm(ref.copy().axpy(-1.0, unforced)) > 0
+        for a, b in zip(got.parts(), ref.parts()):
+            assert np.abs(a.data - b.data).max() <= 1e-14 * np.abs(b.data).max()
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         make_forcing_preset("volcano", 1e-3, GRID, 1.0)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from stripwave.grids import VerticalGrid
 from stripwave.params import (PhysicalParams, check_parameter_gate,
@@ -51,7 +52,7 @@ def test_gate_violated():
 
 def test_gate_default_params_pass():
     vg = VerticalGrid(P1.depth, 64)
-    est = estimate_q_norms(vg, [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0], dim=2)
+    est = estimate_q_norms(vg, [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0])
     ok, margin = check_parameter_gate(P1, est)
     assert ok and margin > 0
 
@@ -68,13 +69,13 @@ def test_gate_monotone_in_sigma1():
 
 def test_qnorm_zero_frequency():
     vg = VerticalGrid(1.0, 32)
-    est = estimate_q_norms(vg, [0.0], dim=2)
+    est = estimate_q_norms(vg, [0.0])
     assert est.q1 == 0.0
 
 
 def test_qnorm_grid_refinement():
-    est64 = estimate_q_norms(VerticalGrid(1.0, 64), [1.0], dim=2)
-    est128 = estimate_q_norms(VerticalGrid(1.0, 128), [1.0], dim=2)
+    est64 = estimate_q_norms(VerticalGrid(1.0, 64), [1.0])
+    est128 = estimate_q_norms(VerticalGrid(1.0, 128), [1.0])
     assert abs(est64.q1 - est128.q1) <= 1e-3 * est128.q1
 
 
@@ -83,16 +84,36 @@ def test_qnorm_sweep_saturates():
     # large xi, which is the boundedness evidence for the pairing constant
     vg = VerticalGrid(1.0, 64)
     samples = np.geomspace(0.1, 10.0, 21)
-    vals = np.array([estimate_q_norms(vg, [x], dim=2).q1 for x in samples])
+    vals = np.array([estimate_q_norms(vg, [x]).q1 for x in samples])
     assert vals[0] < 0.6 * vals[-1]
     assert (vals[-1] - vals[-2]) / vals[-1] < 1e-3
     assert vals[-1] < 10.0
 
 
 def test_qnorm_dim3():
-    vg = VerticalGrid(1.0, 48)
-    est = estimate_q_norms(vg, [0.5, 1.0, 2.0], dim=3)
-    assert est.q1 > 0
+    # dim 3 adds the transverse component to the vector fiber.  Its cross
+    # blocks are zero and the longitudinal trace never reaches it, so the
+    # 3-block Gram matrix gives the estimate the gate makes for every dim
+    for nz in (16, 48, 80):
+        vg = VerticalGrid(1.0, nz)
+        D, W = vg.diff, np.diag(vg.weights)
+        DtWD = D.T @ W @ D
+        keep, m = slice(1, nz), nz - 1
+        for xi in np.array([0.05, 0.5, 2.0, 20.0]) / (2.0 * np.pi):
+            a = 2.0 * np.pi * xi
+            cross, Z = 1j * a * (D.T @ W), np.zeros_like(W)
+            G_v = np.block([[blk[keep, keep] for blk in row] for row in (
+                [2 * a * a * W + DtWD, Z, cross],
+                [Z, a * a * W + DtWD, Z],
+                [cross.conj().T, Z, a * a * W + 2 * DtWD])])
+            E = np.zeros(3 * m)
+            E[m - 1] = 1.0
+            m_v = np.sqrt(np.real(E @ cho_solve(cho_factor(G_v), E)))
+            e = np.eye(m)[-1]
+            G_th = ((1.0 + a * a) * W + DtWD)[keep, keep]
+            m_theta = np.sqrt(e @ cho_solve(cho_factor(G_th), e))
+            est = estimate_q_norms(vg, [xi])
+            assert est.q1 == pytest.approx(a * m_theta * m_v, rel=1e-12, abs=0)
 
 
 def test_linearization_newtonian_exact():
