@@ -19,13 +19,16 @@ Two backends solve the system and validate each other:
   y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
   B = M + N exp(bA), evaluated by forward marching with per-interval
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
-  the same integrals).  A FrequencyStack prepares and solves many
-  frequencies at once: the boundary matrices, the step and quadrature
-  exponentials are stacks across frequencies, and the marches run over the
-  intervals with every frequency at once.  The panels' nodes, weights and
-  interpolation rows are built once per solver.  It degrades once
-  exp(2 pi |xi| b) eats the floating point headroom, so it is gated by a
-  configurable split.
+  the same integrals).  The exponentials are closed-form: A(xi) splits into
+  a Stokes and a heat block with known eigenvalues, so exp(tA) is a few
+  cosh/sinh divided differences times fixed matrices per frequency; the
+  Pade ``matrix_exponential`` is the tests' oracle.  A FrequencyStack
+  prepares and solves many frequencies at once: the boundary matrices, the
+  step and quadrature exponentials are stacks across frequencies, and the
+  marches run over the intervals with every frequency at once.  The panels'
+  nodes, weights and interpolation rows are built once per solver.  It
+  degrades once exp(2 pi |xi| b) eats the floating point headroom, so it is
+  gated by a configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   valid at all frequencies.  Its interior rows never couple the Stokes
@@ -44,6 +47,7 @@ surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,9 +63,9 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# matrices per stacked exponential call when a FrequencyStack is prepared:
-# bounds the Pade temporaries whatever the number of frequencies
-_EXP_CHUNK = 256
+# matrices per propagator call of a FrequencyStack: bounds its temporaries
+_EXP_CHUNK = 2048
+_STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +123,6 @@ def assemble_boundary(xi, p: PhysicalParams, alpha1: float, alpha2: float):
     Nmat[..., 5, 0] = alpha2 * m
     Nmat[..., 5, 5] = kappa
     return Mmat, Nmat
-
-
-def _boundary_stack(A, Mmat, Nmat, depth: float, cond_limit: float):
-    """B = M + N exp(bA) for a stack (k, 6, 6), with cond(B) and B^{-1}.
-
-    ``ok`` marks the members whose B is finite with cond(B) <= cond_limit;
-    cond is inf and B^{-1} zero at the others.
-    """
-    expb, finite = _member_exponentials(A, depth)
-    B = Mmat + Nmat @ expb
-    finite &= np.isfinite(B).all(axis=(-2, -1))
-    cond = np.full(len(B), np.inf)
-    Binv = np.zeros_like(B)
-    if finite.any():
-        cond[finite] = np.linalg.cond(B[finite])
-    ok = cond <= cond_limit
-    if ok.any():
-        Binv[ok] = np.linalg.inv(B[ok])
-    return B, Binv, cond, ok
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +208,75 @@ def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray
     return X.reshape(A.shape)
 
 
-def _member_exponentials(A: np.ndarray, t):
-    """matrix_exponential(A[i], t) for every member of a stack A (k, n, n)
-    in one call, shape (k,) + t.shape + (n, n), with a mask of the members
-    whose exponential is finite.  When the stacked call fails, the members
-    are redone one by one and a failed member's entries are NaN."""
-    t = np.asarray(t)
-    A = A.reshape(A.shape[:1] + (1,) * t.ndim + A.shape[1:])
-    try:
-        return matrix_exponential(A, t), np.ones(len(A), dtype=bool)
-    except NumericallySingular:
-        X = np.full(A.shape[:1] + t.shape + A.shape[-2:], np.nan, dtype=complex)
-        ok = np.zeros(len(A), dtype=bool)
-        for i in range(len(A)):
-            try:
-                X[i] = matrix_exponential(A[i], t)
-                ok[i] = True
-            except NumericallySingular:
-                pass
-        return X, ok
+# ---------------------------------------------------------------------------
+# Closed-form block propagator exp(tA)
+# ---------------------------------------------------------------------------
+
+def _shc(z):
+    """sinh(z)/z, by its Taylor series near 0."""
+    return np.where(np.abs(z) < 1e-4, 1.0 + z * z / 6.0, np.sinh(z) / z)
+
+
+def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
+    """Per frequency of ``xis`` (k, dim_h), the row (52,) from which
+    ``_member_exponentials`` builds exp(tA): m = 2 pi |xi|, l, l_h, tau/mu,
+    then P, A_s and A_s P (16 entries each).  The Stokes block A_s (phi,
+    psi, q, dn phi) has the eigenvalues +-m and +-l, l^2 = m^2 + tau/mu with
+    tau = 2 pi i gamma_tilde xi_1, and the heat block A_h (delta, dn delta)
+    +-l_h, l_h^2 = m^2 + tau/kappa.  Both are even in A, so
+    exp(tA_s) = c0 I + c1 P + s0 A_s + s1 A_s P with P = A_s^2 - m^2 I, and
+    exp(tA_h) = cosh(t l_h) I + t shc(t l_h) A_h.
+    """
+    A = assemble_bulk_matrix(xis, p, gamma_tilde)
+    m = 2.0 * np.pi * np.linalg.norm(xis, axis=-1)
+    r = 2j * np.pi * gamma_tilde * xis[:, 0] / p.mu
+    As = A[:, _STOKES][:, :, _STOKES]
+    P = As @ As - (m * m)[:, None, None] * np.eye(4)
+    scalars = np.stack([m, np.sqrt(m * m + r), np.sqrt(A[:, 5, 2]), r], axis=-1)
+    return np.concatenate([scalars] + [B.reshape(-1, 16) for B in (P, As, As @ P)], axis=-1)
+
+
+@np.errstate(all="ignore")      # overflow, and 0/0 in the branches not taken
+def _member_exponentials(prop: np.ndarray, t):
+    """exp(tA) for every member of a stack with ``_propagator`` rows
+    ``prop`` and every time of ``t``, shape (k,) + t.shape + (6, 6), with a
+    mask of the members whose exponential is finite.
+
+    c0 = cosh(tm), s0 = t shc(tm), c1 = (t^2/2) shc(u) shc(v) with
+    u = t (l + m)/2, v = t (l - m)/2 and l - m = (tau/mu)/(l + m).  s1 is
+    the divided difference G[m^2, l^2] of G(s) = sinh(t sqrt s)/sqrt s
+    (Moler & Van Loan, SIAM Rev. 45, 2003): its Taylor series when
+    t max(|l|, m) <= 1, t (cosh(u) shc(v) - shc(u) cosh(v)) / (2 l m) when
+    |v| <= 1/2, else the quotient of differences.  l = m (tau = 0) is the
+    confluent limit of the same formulas, and xi = 0 gives I + tA.
+    """
+    tf = np.ravel(t)
+    m, l, lh, r = (prop[:, i, None] for i in range(4))
+    tm, tl, tlh = tf * m, tf * l, tf * lh
+    u = 0.5 * (tl + tm)
+    v = 0.5 * tf * r / np.where(l + m == 0, 1.0, l + m)
+    # t^3 sum_{k>=1} h_{k-1}((tm)^2, (tl)^2) / (2k+1)!, with the complete
+    # homogeneous polynomials h_j(a, b) = b h_{j-1}(a, b) + a^j
+    a, b = tm * tm, tl * tl
+    h, ak, series = 1.0, 1.0, 0.0
+    for k in range(1, 11):
+        series, ak = series + h / factorial(2 * k + 1), ak * a
+        h = b * h + ak
+    shc_u, shc_v, shc_tm = _shc(u), _shc(v), _shc(tm)
+    s1 = np.where(tf * np.maximum(np.abs(l), m.real) <= 1.0, tf ** 3 * series,
+                  np.where(np.abs(v) <= 0.5,
+                           tf * (np.cosh(u) * shc_v - shc_u * np.cosh(v)) / (2.0 * l * m),
+                           tf * (_shc(tl) - shc_tm) / r))
+    coef = np.stack([np.cosh(tm), 0.5 * tf * tf * shc_u * shc_v, tf * shc_tm, s1,
+                     np.cosh(tlh), tf * _shc(tlh)], axis=-1)
+    # the basis I, P, A_s, A_s P, I, A_h of the blocks as 6x6 matrices
+    basis = np.zeros((len(prop), 6, 6, 6), dtype=complex)
+    stokes = np.array(_STOKES)
+    basis[:, 0, stokes, stokes] = basis[:, 4, [2, 5], [2, 5]] = basis[:, 5, 2, 5] = 1.0
+    basis[:, 1:4, stokes[:, None], stokes] = prop[:, 4:].reshape(-1, 3, 4, 4)
+    basis[:, 5, 5, 2] = prop[:, 2] ** 2
+    X = (coef @ basis.reshape(-1, 6, 36)).reshape(prop.shape[:1] + np.shape(t) + (6, 6))
+    return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +323,7 @@ def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
 # and the entry (row, column) of N by which the other block reaches each,
 # held in the top row of q (tangential stress, -alpha1 m delta(b)) and of
 # dn delta (heat flux, alpha2 m phi(b)).
-_BLOCKS = (((0, 1, 3, 4), (3, 2)), ((2, 5), (5, 0)))
+_BLOCKS = ((_STOKES, (3, 2)), ((2, 5), (5, 0)))
 
 
 def _boundary_rows(comps, nz: int) -> list:
@@ -418,19 +453,19 @@ class FrequencySolver:
 class FrequencyStack:
     """One FrequencySolver prepared at K frequencies.
 
-    The matexp members are prepared together as stacks: ``A``, ``Binv``
-    and ``Nmat`` are (k, 6, 6).  The step exponentials exp(h_j A) of a
-    member are computed at its first solve with nonzero data, and ``step``
-    keeps them as one (members with data, 6, 6) array per interval j; a
-    member that never has data gets Y = 0 and no exponentials.  The weighted
-    Gauss-Legendre exponentials w_q exp((c_j - t_q) A) are computed at a
-    member's first nonzero bulk forcing, and ``quad`` keeps them as one
-    (members with forcing, 6, 8*6) array per interval, so that the
-    quadrature of an interval is one matrix-vector product per member.  The
-    exponentials are computed in calls of at most _EXP_CHUNK matrices (one
-    member's exponentials stay in one call), and the arrays kept are per
-    interval, so no allocation grows with the product of frequencies and
-    intervals.
+    The matexp members are prepared together as stacks: ``prop`` holds their
+    ``_propagator`` rows, ``Binv`` and ``Nmat`` are (k, 6, 6).  The step
+    exponentials exp(h_j A) of a member are computed at its first solve with
+    nonzero data, and ``step`` keeps them as one (members with data, 6, 6)
+    array per interval j; a member that never has data gets Y = 0 and no
+    exponentials.  The weighted Gauss-Legendre exponentials
+    w_q exp((c_j - t_q) A) are computed at a member's first nonzero bulk
+    forcing, and ``quad`` keeps them as one (members with forcing, 6, 8*6)
+    array per interval, so that the quadrature of an interval is one
+    matrix-vector product per member.  The exponentials are computed in
+    calls of at most _EXP_CHUNK matrices (one member's exponentials stay in
+    one call), and the arrays kept are per interval, so no allocation grows
+    with the product of frequencies and intervals.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead (or raises
@@ -476,15 +511,20 @@ class FrequencyStack:
     def _prepare_matexp(self):
         s = self.solver
         xis = self.xis[self.members]
-        A = assemble_bulk_matrix(xis, s.p, s.gamma_tilde)
+        prop = _propagator(xis, s.p, s.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
-        _, Binv, cond, ok = _boundary_stack(A, Mmat, Nmat, s.vgrid.depth,
-                                            s.cond_limit)
+        # B = M + N exp(bA); cond(B) is inf where B is not finite
+        expb, ok = _member_exponentials(prop, s.vgrid.depth)
+        B = Mmat + Nmat @ expb
+        ok &= np.isfinite(B).all(axis=(-2, -1))
+        cond = np.full(len(B), np.inf)
+        cond[ok] = np.linalg.cond(B[ok])
+        ok &= cond <= s.cond_limit
         self.cond[self.members] = cond
         for i in self.members[~ok]:
             self._matexp_failed(i)
         self.members = self.members[ok]
-        self.A, self.Binv, self.Nmat = A[ok], Binv[ok], Nmat[ok]
+        self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
         intervals = range(s.vgrid.count - 1)
         # rows of a member's step and quadrature exponentials, made at its
         # first solve with nonzero data and first nonzero bulk forcing
@@ -503,13 +543,13 @@ class FrequencyStack:
         fails gets zero rows, which the march carries, and is solved by
         collocation instead."""
         t = np.asarray(t)
-        A = self.A[new]
+        prop = self.prop[new]
         finite = np.ones(len(new), dtype=bool)
         blocks = [np.empty((len(new),) + a.shape[1:], dtype=complex) for a in arrays]
         width = max(1, _EXP_CHUNK // t.size)
         for lo in range(0, len(new), width):
             blk = slice(lo, lo + width)
-            X, finite[blk] = _member_exponentials(A[blk], t)
+            X, finite[blk] = _member_exponentials(prop[blk], t)
             for j, block in enumerate(blocks):
                 block[blk] = rows_of(j, X[:, j])
         for pos in new[~finite]:

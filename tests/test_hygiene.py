@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every private name the package defines is read somewhere in it."""
+"""Source hygiene: every name a module of the package imports is used, every
+private name the package defines is read somewhere in it, and the package
+depends on nothing beyond the standard library, numpy and scipy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +101,46 @@ def test_private_detector_flags_unread_and_keeps_read():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+# the dependencies pyproject.toml declares, beside the standard library
+ALLOWED_PACKAGES = frozenset(sys.stdlib_module_names) | {"numpy", "scipy"}
+
+
+def foreign_imports(source: str) -> list:
+    """(line, module) of each import of a top-level package outside
+    ALLOWED_PACKAGES: import statements, and ``importlib.import_module`` or
+    ``__import__`` of a literal name.  Relative imports (the package's own
+    modules) are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and (getattr(node.func, "id", None) == "__import__"
+                   or getattr(node.func, "attr", None) == "import_module")):
+            names = [node.args[0].value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in ALLOWED_PACKAGES]
+    return sorted(found)
+
+
+def test_dependency_detector_flags_foreign_packages():
+    source = ("import os, mpmath\nimport numpy.linalg as la\n"
+              "from scipy.linalg import expm\nfrom . import grids\n"
+              "from .fields import write_csv\nfrom sympy.core import Symbol\n"
+              "import importlib\nmp = importlib.import_module('mpmath.libmp')\n"
+              "np = __import__('numpy')\nsp = __import__('sympy')\n")
+    assert foreign_imports(source) == [(1, "mpmath"), (6, "sympy.core"),
+                                       (8, "mpmath.libmp"), (10, "sympy")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_scipy(path):
+    assert foreign_imports(path.read_text()) == []

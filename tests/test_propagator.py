@@ -1,0 +1,292 @@
+"""The closed-form block propagator exp(tA) of the matexp backend against the
+Pade ``matrix_exponential``, scipy's ``expm`` and 50-digit references, and the
+matexp profiles against a 6x6 reference built from the public assembly."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+import stripwave.odesystem as ode
+from stripwave.errors import NumericallySingular
+from stripwave.grids import FrequencyGrid, VerticalGrid
+from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
+from stripwave.odesystem import (FrequencySolver, SymbolTable, assemble_boundary,
+                                 assemble_bulk_matrix, matrix_exponential)
+from stripwave.params import PhysicalParams
+
+SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def parameter_sets(draw):
+    """mu and kappa in [0.5, 2], gamma and sigma1 of either sign, dim 2 or 3."""
+    return PhysicalParams(mu=draw(st.floats(0.5, 2.0)), kappa=draw(st.floats(0.5, 2.0)),
+                          grav=draw(st.floats(0.5, 10.0)), depth=draw(st.floats(0.6, 1.4)),
+                          gamma=draw(SIGNS) * draw(st.floats(0.2, 2.0)),
+                          sigma0=draw(st.floats(0.2, 2.0)),
+                          sigma1=draw(SIGNS) * draw(st.floats(0.05, 0.5)),
+                          dim=draw(st.sampled_from([2, 3])))
+
+
+@st.composite
+def frequencies(draw, p, count):
+    """``count`` frequencies (count, dim_h) with 2 pi |xi| b in [0, 30]."""
+    scale = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=count,
+                                   max_size=count)))
+    angle = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=count,
+                                   max_size=count)))
+    direction = (np.stack([np.cos(angle), np.sin(angle)], axis=-1) if p.dim_h == 2
+                 else np.sign(np.cos(angle))[:, None])
+    return direction * (scale / (2 * np.pi * p.depth))[:, None]
+
+
+def _exponentials(xi, p, gamma_tilde, t):
+    """The propagator at one frequency, with its finite mask."""
+    return ode._member_exponentials(ode._propagator(np.atleast_2d(xi), p, gamma_tilde), t)
+
+
+def _assert_matches_references(X, xi, p, gamma_tilde, ts):
+    """exp(tA) within 1e-12 of each matrix's largest entry of scipy's expm, and
+    within 1e-11 of the Pade ``matrix_exponential``, whose own error reaches
+    3.4e-12 of the largest entry at 2 pi |xi| b near 30 (against 50-digit
+    exponentials; the propagator stays within 5e-15 there)."""
+    A = assemble_bulk_matrix(xi, p, gamma_tilde)
+    for Xt, t in zip(X.reshape(-1, 6, 6), np.ravel(ts)):
+        for ref, tol in ((expm(t * A), 1e-12), (matrix_exponential(A, t), 1e-11)):
+            assert np.abs(Xt - ref).max() <= tol * np.abs(ref).max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_propagator_matches_pade_and_expm(data):
+    p = data.draw(parameter_sets())
+    xi = data.draw(frequencies(p, 1))[0]
+    gamma_tilde = data.draw(SIGNS) * p.gamma
+    # times in [0, b], so that 2 pi |xi| t is in [0, 30]
+    ts = p.depth * np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=6,
+                                               max_size=6))).reshape(3, 2)
+    X, ok = _exponentials(xi, p, gamma_tilde, ts)
+    assert X.shape == (1, 3, 2, 6, 6) and ok.all()
+    _assert_matches_references(X, xi, p, gamma_tilde, ts)
+
+
+def _check_regime_thresholds(xi, p, gamma_tilde) -> int:
+    """Check exp(tA) on both sides of each regime threshold of s1 in (0, b]:
+    its Taylor series ends at t max(|l|, m) = 1, and the cosh/shc form gives
+    way to the quotient of differences at |t (l - m)/2| = 1/2.  Returns the
+    number of thresholds checked."""
+    m, l, _, r = ode._propagator(xi[None], p, gamma_tilde)[0, :4]
+    with np.errstate(divide="ignore", invalid="ignore"):    # xi = 0, tau = 0
+        thresholds = [1.0 / max(abs(l), m.real), abs(l + m) / abs(r)]
+    checked = 0
+    for theta in thresholds:
+        if theta <= p.depth:
+            ts = theta * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+            _assert_matches_references(_exponentials(xi, p, gamma_tilde, ts)[0],
+                                       xi, p, gamma_tilde, ts)
+            checked += 1
+    return checked
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_propagator_continuous_across_regime_thresholds(data):
+    p = data.draw(parameter_sets())
+    _check_regime_thresholds(data.draw(frequencies(p, 1))[0], p,
+                             data.draw(SIGNS) * p.gamma)
+
+
+@pytest.mark.parametrize("mu,gamma,direction,scale", [
+    (0.5, 2.0, [1.0], 1.0), (0.5, 2.0, [1.0], 30.0),
+    (0.5, -1.8, [0.8, 0.6], 2.0), (0.6, 2.0, [-1.0], 16.0)])
+def test_propagator_continuous_across_both_thresholds(mu, gamma, direction, scale):
+    # transport fast against viscosity: both thresholds fall in (0, b]
+    p = PhysicalParams(mu, 1.0, 1.0, 1.0, gamma, 1.0, 0.1, len(direction) + 1)
+    xi = np.array(direction) * scale / (2 * np.pi * p.depth)
+    assert _check_regime_thresholds(xi, p, gamma) == 2
+
+
+P2D = PhysicalParams(mu=0.8, kappa=1.7, grav=1, depth=1.1, gamma=1.3, sigma0=1,
+                     sigma1=0.2, dim=2)
+P3D = PhysicalParams(mu=1.6, kappa=0.6, grav=1, depth=0.9, gamma=-0.7, sigma0=1,
+                     sigma1=-0.3, dim=3)
+TIMES = np.array([0.0, 1e-3, 0.05, 0.3, 0.7, 1.0])
+
+
+@pytest.mark.parametrize("p", [P2D, P3D], ids=["dim2", "dim3"])
+def test_propagator_at_xi_zero_is_I_plus_tA(p):
+    xi = np.zeros(p.dim_h)
+    A = assemble_bulk_matrix(xi, p, p.gamma)
+    X, ok = _exponentials(xi, p, p.gamma, p.depth * TIMES)
+    assert ok.all()
+    for Xt, t in zip(X[0], p.depth * TIMES):
+        assert np.array_equal(Xt, np.eye(6) + t * A)
+
+
+@pytest.mark.parametrize("p,gamma_tilde,direction", [
+    (P3D, P3D.gamma, [0.0, 1.0]),           # xi_1 = 0 in 3D
+    (P2D, 0.0, [1.0]),                      # gamma_tilde = 0
+    (P3D, 0.0, [0.6, -0.8])])
+def test_propagator_confluent_spectrum(p, gamma_tilde, direction):
+    # tau = 0: l = m, and the Stokes block has a Jordan block at +-m
+    for scale in (0.0, 0.3, 2.0, 9.0, 30.0):
+        xi = np.array(direction) * scale / (2 * np.pi * p.depth)
+        ts = p.depth * TIMES
+        X, ok = _exponentials(xi, p, gamma_tilde, ts)
+        assert ok.all()
+        _assert_matches_references(X, xi, p, gamma_tilde, ts)
+
+
+# exp(tA) from 50-digit exponentials of the same double-precision A, rounded
+# to double: (params, gamma_tilde, xi, t, the 16 entries of the Stokes block
+# (phi, psi, q, dn phi) row by row, then the 4 of the heat block)
+REFERENCE_EXPONENTIALS = [
+    # t m = 0.50
+    (PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2), 1.0, [0.08], 1.0, [
+        1.1182189816036503+0.26186580912131774j, 0.020622658836795947+0.04371268741339664j,
+        -0.26186580912131774-0.010794375659381647j, 1.0836729833376293+0.0869636284709119j,
+        -0.5230133015087457-0.043171080363520395j, 0.9973852449171312-0.005425845003456299j,
+        0.043171080363520395+0.001077492990015291j, -0.26186580912131774-0.010794375659381647j,
+        5.0699186270469345e-58+1.1473657235394109e-57j, -0.2634367663698153-0.524090794498761j,
+        1.1290133572630319-2.7975226710416925e-59j, -0.524090794498761+2.8225289393846177e-58j,
+        0.21972407895641863+0.5447134533355569j, 0.060737660716827443+0.13435543951428067j,
+        -0.5447134533355569-0.04371268741339664j, 1.249847093949551+0.26729165412477407j,
+        1.1182189816036503+0.26186580912131774j, 1.040501902974109+0.0858861354808966j,
+        0.21972407895641863+0.5447134533355569j, 1.1182189816036503+0.26186580912131774j,
+    ]),
+    # t m = 9.68
+    (PhysicalParams(2.0, 0.5, 9.8, 0.7, -1.0, 0.5, -0.2, 2), 1.0, [2.2], 0.7, [
+        7856.950331807584+1388.9447432798797j, 34366.73577430577+3678.1372638418734j,
+        -1388.9447432798797-109.21243669996544j, 3062.4954765940893+266.0880576867877j,
+        -7878.198622296778-1246.2808625247058j, -30432.624926718494-3019.2887015918154j,
+        1246.2808625247058+87.96408344529436j, -2777.8894865597595-218.42487339993087j,
+        -1.7620649760932297e-54-1.888132387582475e-55j, -220232.65645621053-7966.162705742072j,
+        7966.162768507549+9.800167027765617e-57j, -15932.325411484144-2.5784207681149304e-56j,
+        108277.25959618433+21166.44924002392j, 529277.0927015397+60935.044745158084j,
+        -21166.44924002392-1839.0686319209367j, 46255.73802703363+4408.233444871696j,
+        6257.61734651908+5251.3310017983595j, 476.3245652989524+344.6324062877933j,
+        81486.26130888877+79019.29979284693j, 6257.61734651908+5251.3310017983595j,
+    ]),
+    # t m = 27.2, the member of the linear-deep grid (box 2.5 pi) at index 34
+    (PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2), -1.0, [34 / (2.5 * np.pi)], 1.0, [
+        286472489550.2542-156469231218.76575j, 4074971318055.505-1122748299785.8677j,
+        -156469231218.7658+38450104722.39657j, 161760805600.29984-41277511021.53925j,
+        -289201274640.7193+151128405797.33215j, -3931040494877.7783+1045842848449.1866j,
+        151128405797.3322-35721319631.93145j, -156469231218.7658+38450104722.39657j,
+        -1.7333851541348804e-46+4.775864254554965e-47j, -8837894564216.107+324922594272.651j,
+        324922594272.651-7.721076412291976e-48j, -324922594272.651+8.568443226221708e-48j,
+        7715146264430.232-4399893912328.154j, 114716353176442.48-32702888566968.305j,
+        -4399893912328.155+1122748299785.8677j, 4542435578700.684-1202312079667.9524j,
+        286472489550.2542-156469231218.76575j, 10632399802.967623-5556191389.6078005j,
+        7715146264430.232-4399893912328.154j, 286472489550.2542-156469231218.76575j,
+    ]),
+    # confluent: xi_1 = 0 in 3D, t m = 8.29
+    (PhysicalParams(0.7, 1.3, 1, 1.2, 1.5, 1, 0.3, 3), 1.5, [0.0, 1.1], 1.2, [
+        1999.510115817751+0.0j, 7292.018170755367+0.0j,
+        -1713.8655992198437+0.0j, 1344.3569235343577+0.0j,
+        -1999.509865756485+0.0j, -6292.261950836218+0.0j,
+        1507.2217363527755+0.0j, -1199.7059194538906+0.0j,
+        -1.4323674513609411e-12+0.0j, -9673.734077762963+0.0j,
+        1999.5101158177508+0.0j, -1399.6569060295392+0.0j,
+        13819.620111089953+0.0j, 57308.61446165056+0.0j,
+        -13273.611480731217+0.0j, 10291.28218247172+0.0j,
+        1999.5101158177506+0.0j, 289.301708087415+0.0j,
+        13819.62011108995+0.0j, 1999.5101158177506+0.0j,
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", REFERENCE_EXPONENTIALS,
+                         ids=["tm0.5", "tm9.7", "tm27", "confluent"])
+def test_propagator_matches_50_digit_references(case):
+    p, gamma_tilde, xi, t, entries = case
+    ref = np.zeros((6, 6), dtype=complex)
+    stokes = np.array([0, 1, 3, 4])
+    ref[stokes[:, None], stokes] = np.reshape(entries[:16], (4, 4))
+    ref[np.ix_([2, 5], [2, 5])] = np.reshape(entries[16:], (2, 2))
+    X = _exponentials(np.array(xi), p, gamma_tilde, t)[0][0]
+    assert np.linalg.norm(X - ref, 2) <= 1e-15 * np.linalg.norm(ref, 2)
+
+
+def _reference_profiles(solver, xi, d, v, lam):
+    """Y (6, Nz) of dn y = A y + v exp(lam x), M y(0) + N y(b) = d from
+    the public assembly and ``matrix_exponential``: exp(x Aug) of the
+    augmented 7x7 system (y, exp(lam x)) carries exp(xA) and the particular
+    solution int_0^x exp((x-s)A) v exp(lam s) ds."""
+    p = solver.p
+    aug = np.zeros((7, 7), dtype=complex)
+    aug[:6, :6] = assemble_bulk_matrix(xi, p, solver.gamma_tilde)
+    aug[:6, 6] = v
+    aug[6, 6] = lam
+    Mmat, Nmat = assemble_boundary(xi, p, solver.alpha1, solver.alpha2)
+    Eb = matrix_exponential(aug, p.depth)
+    y0 = np.linalg.solve(Mmat + Nmat @ Eb[:6, :6], d - Nmat @ Eb[:6, 6])
+    E = matrix_exponential(aug, solver.vgrid.nodes)
+    return (E[:, :6, :6] @ y0 + E[:, :6, 6]).T
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_matexp_profiles_match_6x6_reference(data):
+    # Within 1e-12 of each profile's largest value while cond(B) <= 1e3.
+    # The forward march loses digits like cond(B) eps beyond that, on this
+    # path as on the Pade one (ROADMAP item 2), hence 1e-15 cond(B).
+    p = data.draw(parameter_sets())
+    k = 4
+    xis = data.draw(frequencies(p, k))
+    adjoint = data.draw(st.booleans())
+    solver = FrequencySolver(p, VerticalGrid(p.depth, data.draw(st.sampled_from([16, 24]))),
+                             *((p.gamma, 0.0, p.sigma1) if adjoint
+                               else (-p.gamma, p.sigma1, 0.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = rng.standard_normal((k, 6)) + 1j * rng.standard_normal((k, 6))
+    v = np.zeros((k, 6), dtype=complex)
+    if data.draw(st.booleans()):
+        v[:, [1, 3, 4, 5]] = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+    lam = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+    z = v[:, :, None] * np.exp(lam[:, None] * solver.vgrid.nodes)[:, None]
+    stack = solver.prepare(xis)
+    Y = stack.solve(z if v.any() else None, d)
+    for i in np.flatnonzero(stack.backend == "matexp"):
+        ref = _reference_profiles(solver, xis[i], d[i], v[i], lam[i])
+        tol = 1e-12 * max(1.0, stack.cond[i] / 1e3)
+        assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
+
+
+def test_nonfinite_member_fails_alone():
+    # NaN input, and 2 pi |xi| b = 2765, where cosh overflows
+    xis = np.array([[np.nan], [1.0], [400.0]])
+    X, ok = ode._member_exponentials(ode._propagator(xis, P2D, P2D.gamma),
+                                     P2D.depth * TIMES)
+    assert list(ok) == [False, True, False] and np.isfinite(X[1]).all()
+    solver = FrequencySolver(P2D, VerticalGrid(P2D.depth, 16), P2D.gamma, 0.0, P2D.sigma1)
+    for xi in xis[[0, 2]]:
+        with pytest.raises(NumericallySingular):
+            solver.solve(xi, None, np.ones(6), backend="matexp")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_production_makes_no_pade_calls(dim, monkeypatch):
+    calls = []
+    real = ode.matrix_exponential
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "matrix_exponential", spy)
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid = FrequencyGrid(dim - 1, 2 * np.pi * 2, 8)
+    vg = VerticalGrid(p.depth, 16)
+    table = SymbolTable.build(grid, vg, p)
+    inverter = LinearInverter(table)
+    inverter.invert(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
+    z = np.zeros((6, vg.count), dtype=complex)
+    z[4] = np.cos(vg.nodes)
+    Y, backend, _ = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).solve(
+        np.full(dim - 1, 0.4), z, np.ones(6), backend="matexp")
+    assert calls == []
+    assert backend == "matexp" and np.abs(Y).max() > 0
+    assert (table.backend == "matexp").all() and (inverter.backend == "matexp").all()
