@@ -49,12 +49,11 @@ def run(config: RunConfig) -> int:
     r = config.raw
     outdir = r["out"]
     os.makedirs(outdir, exist_ok=True)
-    p = config.params()
-    bad = validate_params(p)
-    if bad:
-        raise ConfigError("; ".join(bad))
     summary = {"mode": r["mode"], "ok": True}
     try:
+        bad = validate_params(config.params())
+        if bad:
+            raise ConfigError("; ".join(bad))
         return _dispatch(config, summary)
     except Exception as exc:
         summary["ok"] = False

@@ -21,14 +21,14 @@ Two backends solve the system and validate each other:
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
   the same integrals).  The exponentials are closed-form: A(xi) splits into
   a Stokes and a heat block with known eigenvalues, so exp(tA) is a few
-  cosh/sinh divided differences times fixed matrices per frequency; the
-  Pade ``matrix_exponential`` is the tests' oracle.  A FrequencyStack
-  prepares and solves many frequencies at once: the boundary matrices, the
-  step and quadrature exponentials are stacks across frequencies, and the
-  marches run over the intervals with every frequency at once.  The panels'
-  nodes, weights and interpolation rows are built once per solver.  It
-  degrades once exp(2 pi |xi| b) eats the floating point headroom, so it is
-  gated by a configurable split.
+  cosh/sinh divided differences times fixed matrices per frequency;
+  ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is the
+  tests' oracle.  A FrequencyStack prepares and solves many frequencies at
+  once: the boundary matrices, the step and quadrature exponentials are
+  stacks across frequencies, and the marches run over the intervals with
+  every frequency at once.  The panels' nodes, weights and interpolation
+  rows are built once per solver.  It degrades once exp(2 pi |xi| b) eats
+  the floating point headroom, so it is gated by a configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   valid at all frequencies.  Its interior rows never couple the Stokes
@@ -51,7 +51,7 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.linalg import lapack as _lapack
 
 from .errors import IllConditionedCollocation, NumericallySingular
@@ -126,86 +126,25 @@ def assemble_boundary(xi, p: PhysicalParams, alpha1: float, alpha2: float):
 
 
 # ---------------------------------------------------------------------------
-# Matrix exponential (scaling and squaring with diagonal Pade approximants)
+# Matrix exponential (the tests' oracle for the closed-form propagator)
 # ---------------------------------------------------------------------------
 
-_PADE_B = {
-    3: [120.0, 60.0, 12.0, 1.0],
-    5: [30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0],
-    7: [17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0],
-    9: [17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0],
-    13: [64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0],
-}
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-               13: 5.371920351148152e0}
-
-
-def _pade_uv(A, order):
-    """Odd and even parts (U, V) of the degree-``order`` diagonal Pade
-    approximant of exp at a stack A of shape (k, n, n)."""
-    b = _PADE_B[order]
-    I = np.eye(A.shape[-1], dtype=A.dtype)
-    A2 = A @ A
-    if order == 13:
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-        return U, V
-    powers = {0: I, 2: A2}
-    top = order - 1
-    k = 4
-    while k <= top:
-        powers[k] = powers[k - 2] @ A2
-        k += 2
-    U = np.zeros_like(A)
-    V = np.zeros_like(A)
-    for k in range(0, order + 1, 2):
-        V = V + b[k] * powers[k]
-    for k in range(1, order + 1, 2):
-        U = U + b[k] * powers[k - 1]
-    U = A @ U
-    return U, V
-
-
 def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
-    """exp(t M) by scaling and squaring with diagonal Pade approximants.
+    """exp(t M) by scipy's ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 2009).
 
     ``M`` is one matrix (n, n) or a stack (..., n, n); ``t`` is a scalar or an
-    array broadcast against the stack shape.  Each member picks its own Pade
-    order from its 1-norm and, at order 13, its own number of squarings s
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005); members sharing
-    (order, s) are evaluated together.
+    array broadcast against the stack shape.  ``expm`` treats each member on
+    its own, so a stack equals one-at-a-time calls bit for bit.  A non-finite
+    input or an overflowed result raises NumericallySingular.
     """
     A = np.asarray(t)[..., None, None] * np.asarray(M, dtype=complex)
-    stack = A.reshape(-1, *A.shape[-2:])
-    nrm = np.linalg.norm(stack, 1, axis=(-2, -1))
-    if not np.all(np.isfinite(nrm)):
+    if not np.all(np.isfinite(A)):
         raise NumericallySingular("non-finite matrix handed to the exponential")
-    order = np.full(nrm.shape, 13)
-    for o in (9, 7, 5, 3):
-        order[nrm <= _PADE_THETA[o]] = o
-    theta = _PADE_THETA[13]
-    squarings = np.where(order == 13,
-                         np.ceil(np.log2(np.maximum(nrm, theta) / theta)), 0)
-    X = np.empty_like(stack)
-    for o, s in sorted(set(zip(order.tolist(), squarings.astype(int).tolist()))):
-        members = np.flatnonzero((order == o) & (squarings == s))
-        U, V = _pade_uv(stack[members] / 2.0 ** s, o)
-        Y = np.linalg.solve(V - U, V + U)
-        for _ in range(s):
-            Y = Y @ Y
-        X[members] = Y
+    X = expm(A)
     if not np.all(np.isfinite(X)):
         raise NumericallySingular("matrix exponential overflowed")
-    return X.reshape(A.shape)
+    return X
 
 
 # ---------------------------------------------------------------------------

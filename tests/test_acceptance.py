@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+import stripwave.odesystem as ode
 from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    fit_lf_coefficient, predicted_coefficient)
 from stripwave.cli import run
@@ -41,11 +42,15 @@ def _report(name, ok, detail=""):
 # -- criterion 1 -------------------------------------------------------------
 
 def test_criterion_1_nilpotent_exponential():
+    # the oracle and the production propagator
     worst = 0.0
     for p in (PSET1, PSET2):
-        A0 = assemble_bulk_matrix([0.0] * p.dim_h, p, p.gamma)
-        E = matrix_exponential(A0, p.depth)
-        worst = max(worst, np.abs(E - (np.eye(6) + p.depth * A0)).max())
+        xi0 = np.zeros(p.dim_h)
+        A0 = assemble_bulk_matrix(xi0, p, p.gamma)
+        E, ok = ode._member_exponentials(ode._propagator(xi0[None], p, p.gamma), p.depth)
+        assert ok.all()
+        for X in (matrix_exponential(A0, p.depth), E[0]):
+            worst = max(worst, np.abs(X - (np.eye(6) + p.depth * A0)).max())
     _report("1 nilpotent exponential", worst < 1e-13, f"defect {worst:.2e}")
 
 

@@ -57,6 +57,16 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["--config", path]) == 2
 
 
+def test_bad_params_write_failed_manifest(tmp_path):
+    # a run rejected for its physical parameters still explains itself
+    out = tmp_path / "bad"
+    path = _write_cfg(tmp_path, {"params": {"mu": -1}, "out": str(out)})
+    assert main(["--config", path]) == 2
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["ok"] is False
+    assert summary["error"] == "ConfigError: mu must be positive"
+
+
 def test_symbols_mode(tmp_path):
     out = str(tmp_path / "sym")
     cfg = RunConfig.from_dict({"mode": "symbols",

@@ -118,17 +118,8 @@ def test_exp_conjugation_commutes():
     assert np.abs(matrix_exponential(np.conj(A)) - np.conj(matrix_exponential(A))).max() < 1e-12
 
 
-def test_exp_large_scaling():
-    # compare squaring levels against scipy for a stiff case
-    from scipy.linalg import expm
-    A = assemble_bulk_matrix([2.5], P1, P1.gamma)
-    ours = matrix_exponential(A, 1.0)
-    ref = expm(A)
-    assert np.abs(ours - ref).max() / np.abs(ref).max() < 1e-12
-
-
 def test_exp_stack_matches_single_calls():
-    # t spans Pade orders 3, 5, 7, 9 and 13 with 0 to 6 squarings
+    # t spans expm's Pade orders 3, 5, 7, 9 and 13 with 0 to 6 squarings
     rng = np.random.default_rng(4)
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     M /= np.linalg.norm(M, 1)

@@ -1,12 +1,11 @@
-"""The closed-form block propagator exp(tA) of the matexp backend against the
-Pade ``matrix_exponential``, scipy's ``expm`` and 50-digit references, and the
-matexp profiles against a 6x6 reference built from the public assembly."""
+"""The closed-form block propagator exp(tA) of the matexp backend against
+scipy's ``expm`` and 50-digit references, and the matexp profiles against a
+6x6 reference built from the public assembly and against collocation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 import stripwave.odesystem as ode
 from stripwave.errors import NumericallySingular
@@ -31,9 +30,9 @@ def parameter_sets(draw):
 
 
 @st.composite
-def frequencies(draw, p, count):
-    """``count`` frequencies (count, dim_h) with 2 pi |xi| b in [0, 30]."""
-    scale = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=count,
+def frequencies(draw, p, count, top=30.0):
+    """``count`` frequencies (count, dim_h) with 2 pi |xi| b in [0, top]."""
+    scale = np.array(draw(st.lists(st.floats(0.0, top), min_size=count,
                                    max_size=count)))
     angle = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=count,
                                    max_size=count)))
@@ -48,19 +47,17 @@ def _exponentials(xi, p, gamma_tilde, t):
 
 
 def _assert_matches_references(X, xi, p, gamma_tilde, ts):
-    """exp(tA) within 1e-12 of each matrix's largest entry of scipy's expm, and
-    within 1e-11 of the Pade ``matrix_exponential``, whose own error reaches
-    3.4e-12 of the largest entry at 2 pi |xi| b near 30 (against 50-digit
-    exponentials; the propagator stays within 5e-15 there)."""
+    """exp(tA) within 1e-12 of each matrix's largest entry of
+    ``matrix_exponential``, scipy's expm."""
     A = assemble_bulk_matrix(xi, p, gamma_tilde)
-    for Xt, t in zip(X.reshape(-1, 6, 6), np.ravel(ts)):
-        for ref, tol in ((expm(t * A), 1e-12), (matrix_exponential(A, t), 1e-11)):
-            assert np.abs(Xt - ref).max() <= tol * np.abs(ref).max()
+    ref = matrix_exponential(A, np.ravel(ts))
+    err = np.abs(X.reshape(-1, 6, 6) - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
-def test_propagator_matches_pade_and_expm(data):
+def test_propagator_matches_expm(data):
     p = data.draw(parameter_sets())
     xi = data.draw(frequencies(p, 1))[0]
     gamma_tilde = data.draw(SIGNS) * p.gamma
@@ -231,8 +228,8 @@ def _reference_profiles(solver, xi, d, v, lam):
 @given(st.data())
 def test_matexp_profiles_match_6x6_reference(data):
     # Within 1e-12 of each profile's largest value while cond(B) <= 1e3.
-    # The forward march loses digits like cond(B) eps beyond that, on this
-    # path as on the Pade one (ROADMAP item 2), hence 1e-15 cond(B).
+    # The forward march loses digits like cond(B) eps beyond that, whatever
+    # its exponentials (ROADMAP item 2), hence 1e-15 cond(B).
     p = data.draw(parameter_sets())
     k = 4
     xis = data.draw(frequencies(p, k))
@@ -253,6 +250,29 @@ def test_matexp_profiles_match_6x6_reference(data):
         ref = _reference_profiles(solver, xis[i], d[i], v[i], lam[i])
         tol = 1e-12 * max(1.0, stack.cond[i] / 1e3)
         assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_matexp_matches_collocation(data):
+    # criterion 5's dual-backend check over random parameters: smooth random
+    # forcing of the forced components and boundary data, 2 pi |xi| b <= 10
+    p = data.draw(parameter_sets())
+    xi = data.draw(frequencies(p, 1, top=10.0))[0]
+    adjoint = data.draw(st.booleans())
+    vg = VerticalGrid(p.depth, 48)
+    solver = FrequencySolver(p, vg, *((p.gamma, 0.0, p.sigma1) if adjoint
+                                      else (-p.gamma, p.sigma1, 0.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k = np.arange(6)[:, None]
+    modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
+    z = np.zeros((6, vg.count), dtype=complex)
+    z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
+    d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    Y1, backend1, _ = solver.solve(xi, z, d, backend="matexp")
+    Y2, backend2, _ = solver.solve(xi, z, d, backend="collocation")
+    assert (backend1, backend2) == ("matexp", "collocation")
+    assert np.abs(Y1 - Y2).max() <= 1e-8 * np.abs(Y1).max()
 
 
 def test_nonfinite_member_fails_alone():
