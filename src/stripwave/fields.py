@@ -1,9 +1,10 @@
-"""Spectral field containers and transforms.
+"""Spectral field containers and the artifact file formats.
 
 ``SpectralField`` holds Fourier coefficients indexed (component, xi..., node);
 ``SurfaceSpectral`` drops the vertical index.  Coefficients follow the series
-convention f(x) = sum_xi fhat(xi, x_n) exp(2 pi i xi . x'), so a forward
-transform of samples on the collocation grid is fftn/modes^dim_h.  Real
+convention f(x) = sum_xi fhat(xi, x_n) exp(2 pi i xi . x'), so the forward
+transform of samples on the collocation grid, ``ops.to_coeff``, is
+fftn/modes^dim_h, and ``ops.to_phys`` is its inverse.  Real
 fields carry conjugate symmetry fhat(-xi) = conj(fhat(xi)); the Nyquist
 column is forced to zero for real fields so the symmetry is exact on the
 lattice.  ``FrequencyGrid.half_mask`` is the half lattice that carries the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FrequencyGrid, VerticalGrid
-from .ops import on_lattice, synthesize, to_coeff, to_phys
+from .ops import on_lattice
 
 HERMITIAN_TOL = 1e-12
 
@@ -124,34 +125,6 @@ class SurfaceSpectral(_LatticeField):
         zero = (0,) * self.grid.dim_h
         self.data[(slice(None),) + zero] = 0.0
         return self
-
-
-def transform_forward(phys: np.ndarray, grid: FrequencyGrid, vgrid: VerticalGrid | None = None,
-                      real_flag: bool = True):
-    """Collocation samples -> spectral coefficients.
-
-    ``phys`` has shape (comps,) + phys_shape (+ (Nz,) for bulk fields).
-    """
-    phys = np.asarray(phys)
-    if vgrid is not None:
-        expect = grid.phys_shape + (vgrid.count,)
-    else:
-        expect = grid.phys_shape
-    if phys.ndim == len(expect):
-        phys = phys[None]
-    if phys.shape[1:] != expect:
-        raise ValueError(f"physical shape {phys.shape} does not match grids {expect}")
-    coeff = to_coeff(phys, grid)
-    if vgrid is not None:
-        return SpectralField(grid, vgrid, coeff, real_flag)
-    return SurfaceSpectral(grid, coeff, real_flag)
-
-
-def transform_inverse(field) -> np.ndarray:
-    """Spectral coefficients -> collocation samples (real array for real fields)."""
-    if field.real_flag:
-        return to_phys(field.data, field.grid)
-    return synthesize(field.data, field.grid)
 
 
 @dataclass

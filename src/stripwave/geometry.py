@@ -90,18 +90,6 @@ def mean_curvature(eta: SurfaceSpectral) -> SurfaceSpectral:
     return result
 
 
-def surface_normal(eta: SurfaceSpectral) -> SurfaceSpectral:
-    """Unnormalized upward normal (-grad'eta, 1) in spectral form."""
-    grid = eta.grid
-    n = grid.dim_h + 1
-    data = np.zeros((n,) + grid.freq_shape, dtype=complex)
-    for ax in range(grid.dim_h):
-        data[ax] = -horiz_deriv(eta.data, grid, ax)[0]
-    zero = (0,) * grid.dim_h
-    data[(n - 1,) + zero] = 1.0
-    return SurfaceSpectral(grid, data, real_flag=True)
-
-
 def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
     """exp(2 pi i xi . x') per horizontal point (rows) and lattice frequency
     (columns, freq_shape flattened in C order).
@@ -118,13 +106,9 @@ def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
     return phases
 
 
-def eval_surface(eta: SurfaceSpectral, points: np.ndarray) -> np.ndarray:
-    """Evaluate a surface field at arbitrary horizontal points (slow direct sum)."""
-    return surface_at(eta, lattice_phases(eta.grid, points))
-
-
 def surface_at(eta: SurfaceSpectral, phases: np.ndarray) -> np.ndarray:
-    """eval_surface at the points whose lattice_phases are given."""
+    """A surface field at arbitrary horizontal points, given their
+    lattice_phases (a direct sum over the lattice)."""
     coeffs = eta.data.reshape(eta.comps, -1)
     vals = phases @ coeffs.T
     if eta.real_flag:

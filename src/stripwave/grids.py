@@ -72,13 +72,16 @@ class VerticalGrid:
 
     depth: float
     count: int
-    nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    diff: np.ndarray = field(init=False, repr=False)
+    # derived from depth and count, so equality and hashing leave them out
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    diff: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth <= 0:
             raise ValueError("depth must be positive")
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 4:
             raise ValueError("need at least four vertical nodes")
         n = self.count - 1
@@ -131,6 +134,8 @@ class FrequencyGrid:
             raise ValueError("dim_h must be 1 or 2")
         if self.box_len <= 0:
             raise ValueError("box_len must be positive")
+        if not isinstance(self.modes, (int, np.integer)):
+            raise ValueError(f"modes must be an integer, got {self.modes!r}")
         if self.modes < 4 or self.modes % 2:
             raise ValueError("modes must be even and at least 4")
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResidualTooLarge, RhoVanishing
+from .errors import RhoVanishing
 from .fields import SpectralField, SurfaceSpectral, YData, conjugate_mirror
 from .grids import FrequencyGrid, VerticalGrid
-from .norms import sobolev_norm, x_norm, ydata_norm
+from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
                         SymbolTable, forcing_rows, transverse_factor,
                         transverse_solve)
@@ -309,10 +309,13 @@ class LinearInverter:
         out.psi.data[(0,) + half] = Y[:, 2]
         out.pres.data[(0,) + half] = Y[:, 3]
 
-    def invert(self, data: YData, residual_tol: float | None = None) -> LinearState:
+    def invert(self, data: YData) -> LinearState:
         table = self.table
         p = table.params
         grid, vgrid = data.grid, data.vgrid
+        if (grid, vgrid) != (table.grid, table.vgrid):
+            raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
+                             f"is built for {table.grid}, {table.vgrid}")
         n = grid.dim_h + 1
 
         pairing = compatibility_functional(data, table)
@@ -332,25 +335,7 @@ class LinearInverter:
         self._solve_half(data, fd, kd, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
-
-        if residual_tol is not None:
-            back = apply_linear_operator(out, p)
-            back.axpy(-1.0, data)
-            denom = ydata_norm(data)
-            misfit = ydata_norm(back) / denom if denom > 0 else ydata_norm(back)
-            if misfit > residual_tol:
-                raise ResidualTooLarge(
-                    f"round-trip misfit {misfit:.3e} > {residual_tol:.3e}")
         return out
-
-
-def invert_linear_operator(data: YData, p: PhysicalParams, table: SymbolTable,
-                   inverter: LinearInverter | None = None,
-                   residual_tol: float | None = None) -> LinearState:
-    """Solve the linearized problem for the given data tuple."""
-    if inverter is None:
-        inverter = LinearInverter(table)
-    return inverter.invert(data, residual_tol=residual_tol)
 
 
 def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,

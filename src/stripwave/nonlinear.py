@@ -297,21 +297,20 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
                  grid: FrequencyGrid, vgrid: VerticalGrid,
                  tol: float = 1e-9, maxiter: int = 50,
                  table: SymbolTable | None = None,
-                 inverter: LinearInverter | None = None,
-                 retry_on_divergence: bool = True,
-                 _trace: SolveTrace | None = None) -> SolveTrace:
+                 inverter: LinearInverter | None = None) -> SolveTrace:
     """Iterate X <- X - Upsilon^{-1} residual(X) from rest until the data-norm
     of the residual drops below ``tol``.
 
-    On divergence (contraction factor >= 1 three times in a row) the forcing
-    amplitude is halved and the solve restarted once before failing.
+    The forcing is solved at the amplitude given, or not at all: a contraction
+    factor >= 1 three times in a row raises Diverged, an exhausted budget
+    NotConverged, each carrying the trace so far.
     """
     bad = validate_params(p)
     if bad:
         raise ConfigError("; ".join(bad))
     forcing.validate(grid)
     cap = suggested_amplitude_cap(p)
-    trace = _trace or SolveTrace(amplitude_used=forcing.amplitude)
+    trace = SolveTrace(amplitude_used=forcing.amplitude)
     if forcing.amplitude > cap:
         trace.diagnostics["amplitude_above_heuristic"] = cap
     if inverter is None:
@@ -336,19 +335,6 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
             trace.state = state
             return trace
         if rising >= 3:
-            if retry_on_divergence:
-                halved = ForcingData(forcing.f_bulk, forcing.f_flat,
-                                     forcing.t_bulk, forcing.t_flat,
-                                     forcing.h_bulk, forcing.h_flat,
-                                     amplitude=forcing.amplitude / 2.0)
-                retry_trace = SolveTrace(amplitude_used=halved.amplitude)
-                retry_trace.diagnostics["retried_after_divergence"] = True
-                retry_trace.diagnostics["first_attempt_residuals"] = trace.residuals
-                return picard_solve(halved, p, c, grid, vgrid, tol=tol,
-                                    maxiter=maxiter, table=table,
-                                    inverter=inverter,
-                                    retry_on_divergence=False,
-                                    _trace=retry_trace)
             trace.state = state
             raise Diverged("contraction factor >= 1 for three consecutive steps",
                            trace=trace)

@@ -584,8 +584,12 @@ class FrequencyStack:
 
 def transverse_factor(xi, p: PhysicalParams, vgrid: VerticalGrid,
                       gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
-    """LU factors of the transverse system at one frequency (see
-    ``solve_transverse``), checked against cond_limit."""
+    """LU factors of the scalar transverse velocity problem at one frequency
+    (horizontal dimension two only), checked against cond_limit:
+
+    gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
+    beta(0) = 0, -mu dn beta(b) = k.
+    """
     xi = _xi_array(xi)
     if xi.size != 2:
         raise ValueError("transverse problems only arise for dim_h = 2")
@@ -612,18 +616,6 @@ def transverse_solve(lu, f_transverse=None, k_transverse=0.0) -> np.ndarray:
     return lu_solve(lu, rhs)
 
 
-def solve_transverse(xi, p: PhysicalParams, vgrid: VerticalGrid,
-                     gamma_tilde: float, f_transverse=None, k_transverse=0.0,
-                     cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Scalar transverse velocity problem (horizontal dimension two only).
-
-    gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
-    beta(0) = 0, -mu dn beta(b) = k.
-    """
-    return transverse_solve(transverse_factor(xi, p, vgrid, gamma_tilde, cond_limit),
-                            f_transverse, k_transverse)
-
-
 # ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
@@ -638,32 +630,10 @@ class SymbolEntry:
     """Response profiles to a unit normal stress at one frequency."""
 
     xi: np.ndarray
-    y: np.ndarray                  # (6, Nz)
+    y: np.ndarray                  # (6, Nz); y[1, -1] is psi(b), y[2, -1] delta(b)
     rho: complex
     backend: str
     cond: float
-
-    @property
-    def om_vn_surf(self) -> complex:
-        return complex(self.y[1, -1])
-
-    @property
-    def om_temp_surf(self) -> complex:
-        return complex(self.y[2, -1])
-
-    @property
-    def om_long_surf(self) -> complex:
-        return complex(self.y[0, -1])
-
-    def om_v_surf(self) -> np.ndarray:
-        """n-component velocity trace (longitudinal direction restored)."""
-        xi = self.xi
-        mag = np.linalg.norm(xi)
-        out = np.zeros(xi.size + 1, dtype=complex)
-        if mag > 0:
-            out[:-1] = -1j * self.y[0, -1] * xi / mag
-        out[-1] = self.y[1, -1]
-        return out
 
 
 def rho_of(p: PhysicalParams, xi, om_vn_surf):

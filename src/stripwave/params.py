@@ -162,21 +162,6 @@ def verify_constitutive_linearization(c: ConstitutiveSet, p: PhysicalParams,
     return worst
 
 
-def constitutive_violations(c: ConstitutiveSet, p: PhysicalParams,
-                            r_samples=(-1.0, -0.3, 0.0, 0.4, 1.2)) -> dict:
-    """Hard check gamma_visc(r, 0) = 0; flux-at-zero-gradient is a soft check."""
-    n = p.dim
-    hard, soft = [], []
-    for r in r_samples:
-        g0 = np.asarray(c.gamma_visc(r, np.zeros((n, n))))
-        if np.abs(g0).max() > 1e-12:
-            hard.append(f"gamma_visc({r}, 0) != 0")
-        p0 = np.asarray(c.phi_heat(r, np.zeros(n)))
-        if np.abs(p0).max() > 1e-12:
-            soft.append(f"phi_heat({r}, 0) != 0")
-    return {"hard": hard, "soft": soft}
-
-
 # ---------------------------------------------------------------------------
 # Boundary-pairing norm estimation and the parameter gate
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_criterion_8_heat_driven_wave(picard_setup):
     trace = picard_solve(forcing, PSET1, c, grid, vg, tol=1e-9,
                          table=table, inverter=inv)
     e = table.entry((j0,))
-    floor = 0.1 * amp * abs(np.conj(e.om_temp_surf) / e.rho)
+    floor = 0.1 * amp * abs(np.conj(e.y[2, -1]) / e.rho)
     eta_norm = x_norm(trace.state.eta, 2.5)
     ok = (trace.converged and trace.residuals[-1] <= 1e-9
           and max(trace.contraction) <= 0.5 and eta_norm >= floor)

@@ -206,7 +206,7 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
     for seed in (1, 2):
         st = make_random_state(grid, vg, seed=seed, jmax=2)
         data = apply_linear_operator(st, p)
-        out = inv.invert(data, residual_tol=1e-6)
+        out = inv.invert(data)
         assert np.abs(out.u.data[0]).max() > 0
     assert factored and len(factored) == len(set(factored))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -185,29 +184,47 @@ def test_nonlinear_solve_mode(tmp_path):
     assert summary["amplitude_requested"] == summary["amplitude_used"] == 1e-3
 
 
-def test_nonlinear_solve_fails_on_halved_amplitude(tmp_path, monkeypatch):
-    # a divergence retry converges at half the forcing: the CLI must not
-    # report that as a solve of the requested problem
-    real = cli.picard_solve
-
-    def retried(forcing, *args, **kwargs):
-        trace = real(dataclasses.replace(forcing, amplitude=forcing.amplitude / 2.0),
-                     *args, **kwargs)
-        trace.diagnostics["retried_after_divergence"] = True
-        return trace
-
-    monkeypatch.setattr(cli, "picard_solve", retried)
+def _failed_solve(tmp_path, cfg):
+    """Run a nonlinear-solve that must fail; its summary and trace."""
     out = tmp_path / "nl"
-    path = _write_cfg(tmp_path, {
-        "mode": "nonlinear-solve", "out": str(out),
-        "grid": {"modes": 48, "nz": 32},
-        "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
-    })
+    path = _write_cfg(tmp_path, dict(cfg, mode="nonlinear-solve", out=str(out)))
     assert main(["--config", path]) == 1
     summary = json.load(open(out / "manifest.json"))["summary"]
     assert summary["ok"] is False
-    assert summary["amplitude_requested"] == 1e-3
-    assert summary["amplitude_used"] == 5e-4
+    trace = json.load(open(out / "solve_trace.json"))
+    assert trace["converged"] is False
+    return summary, trace
+
+
+def test_stalled_solve_writes_trace(tmp_path):
+    # the mixed preset stalls at nz 16 (the vertical floor); the trace of the
+    # failed solve is kept, at the amplitude asked and with no retry
+    summary, trace = _failed_solve(tmp_path, {
+        "grid": {"modes": 16, "nz": 16},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 2}})
+    assert trace["amplitude_used"] == 1e-3 / 3
+    assert "retried_after_divergence" not in trace["diagnostics"]
+    assert summary["error"].startswith(("Diverged", "NotConverged"))
+
+
+def test_exhausted_budget_writes_trace(tmp_path):
+    _, trace = _failed_solve(tmp_path, {
+        "grid": {"modes": 16, "nz": 24}, "maxiter": 0,
+        "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2}})
+    assert len(trace["residuals"]) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "roundtrip-test", "roundtrip": {"count": 0}},
+    {"mode": "nonlinear-solve", "maxiter": -1},
+    {"grid": {"box_len": -1}},
+    {"grid": {"modes": 16.0}},
+], ids=["count-0", "maxiter-negative", "box-negative", "modes-float"])
+def test_out_of_range_config_exits_2(tmp_path, capsys, cfg):
+    path = _write_cfg(tmp_path, dict(cfg, out=str(tmp_path / "out")))
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid", [{"modes": 48}, {"box_len": 2.0, "modes": 64}])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stripwave.errors import IllConditionedCollocation
-from stripwave.fields import transform_forward
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter,
                               apply_linear_operator, make_random_state,

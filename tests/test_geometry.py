@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from stripwave.errors import SurfaceTooLarge
-from stripwave.fields import SurfaceSpectral, transform_forward
-from stripwave.geometry import (build_flattening, eval_surface,
-                                flattening_points, mean_curvature,
-                                surface_normal)
+from stripwave.fields import SurfaceSpectral
+from stripwave.geometry import (build_flattening, flattening_points,
+                                lattice_phases, mean_curvature, surface_at)
 from stripwave.grids import FrequencyGrid, VerticalGrid
+from stripwave.ops import to_coeff
 
 GRID = FrequencyGrid(1, 2 * np.pi, 64)
 VG = VerticalGrid(1.0, 24)
 
 
 def _eta_from_phys(vals, grid=GRID):
-    return transform_forward(vals[None], grid)
+    return SurfaceSpectral(grid, to_coeff(vals[None], grid))
 
 
 def test_flat_surface_identity():
@@ -56,7 +56,7 @@ def test_jacobian_matches_finite_difference():
     rng = np.random.default_rng(0)
 
     def Fmap(x1, xn):
-        e = eval_surface(eta, np.array([[x1]]))[0]
+        e = surface_at(eta, lattice_phases(GRID, np.array([[x1]])))[0]
         return np.array([x1, xn * (1 + e / b)])
 
     h = 1e-6
@@ -67,7 +67,7 @@ def test_jacobian_matches_finite_difference():
         J_fd[:, 0] = (Fmap(x1 + h, xn) - Fmap(x1 - h, xn)) / (2 * h)
         J_fd[:, 1] = (Fmap(x1, xn + h) - Fmap(x1, xn - h)) / (2 * h)
         det = np.linalg.det(J_fd)
-        expect = 1 + eval_surface(eta, np.array([[x1]]))[0] / b
+        expect = 1 + surface_at(eta, lattice_phases(GRID, np.array([[x1]])))[0] / b
         assert det == pytest.approx(expect, rel=1e-7)
 
 
@@ -147,27 +147,12 @@ def test_curvature_mean_zero():
     assert abs(curv.data[0, 0]) < 1e-10
 
 
-def test_surface_normal():
-    eta = SurfaceSpectral.zeros(GRID)
-    nrm = surface_normal(eta)
-    assert np.abs(nrm.data[0]).max() == 0.0
-    assert nrm.data[1, 0] == pytest.approx(1.0)
-
-    x = GRID.nodes_1d()
-    eta = _eta_from_phys(0.2 * np.cos(x))
-    nrm = surface_normal(eta)
-    xi = GRID.xi_axis()
-    expect = -2j * np.pi * xi * eta.data[0]
-    assert np.abs(nrm.data[0] - expect).max() < 1e-13
-    assert nrm.hermitian_defect() < 1e-12
-
-
 def test_geometry_dim3():
     grid = FrequencyGrid(2, 2 * np.pi, 16)
     vg = VerticalGrid(1.0, 10)
     pts = grid.phys_points()
     eta_phys = 0.1 * np.cos(pts[..., 0]) * np.cos(pts[..., 1])
-    eta = transform_forward(eta_phys[None], grid)
+    eta = _eta_from_phys(eta_phys, grid)
     ff = build_flattening(eta, grid, vg)
     assert ff.a_field.shape[:2] == (3, 3)
     det_a = ff.a_field[2, 2]  # triangular structure

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripwave.fields import (SpectralField, SurfaceSpectral, YData,
-                              read_field_csv, read_ydata_csv,
-                              transform_forward, transform_inverse, write_csv,
+                              read_field_csv, read_ydata_csv, write_csv,
                               write_field_csv, write_json, write_ydata_csv)
 from stripwave.grids import FrequencyGrid, VerticalGrid
+from stripwave.ops import to_coeff, to_phys
 
 
 def test_vertical_grid_invariants():
@@ -40,6 +40,22 @@ def test_vertical_interpolation():
     assert np.abs(rows @ f - np.cos(3.0 * z)).max() < 1e-12
 
 
+def test_vertical_grid_compares_by_its_parameters():
+    # the derived node, weight and matrix arrays take no part in == or hash
+    assert VerticalGrid(1.0, 16) == VerticalGrid(1.0, 16)
+    assert VerticalGrid(1.0, 16) != VerticalGrid(1.0, 20)
+    assert VerticalGrid(1.0, 16) != VerticalGrid(2.0, 16)
+    assert len({VerticalGrid(1.0, 16), VerticalGrid(1.0, 16)}) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: FrequencyGrid(1, 5.0, 16.0),
+                                  lambda: VerticalGrid(1.0, 16.0)],
+                         ids=["modes", "count"])
+def test_grids_reject_non_integer_sizes(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def test_frequency_grid_lattice():
     grid = FrequencyGrid(1, 5.0, 16)
     xi = grid.xi_axis()
@@ -58,7 +74,7 @@ def test_plane_wave_delta():
     vg = VerticalGrid(1.0, 8)
     x = grid.nodes_1d()
     phys = np.cos(2 * np.pi * (3 / 4.0) * x)[None, :, None] * np.ones((1, 1, 8))
-    f = transform_forward(phys, grid, vg)
+    f = SpectralField(grid, vg, to_coeff(phys, grid))
     expect = np.zeros((16,), dtype=complex)
     expect[3] = 0.5
     expect[-3] = 0.5
@@ -77,10 +93,10 @@ def test_roundtrip_vs_direct_dft():
     rng = np.random.default_rng(0)
     grid = FrequencyGrid(1, 3.0, 16)
     phys = rng.standard_normal((1, 16))
-    f = transform_forward(phys, grid)
+    f = SurfaceSpectral(grid, to_coeff(phys, grid))
     oracle = _direct_dft(phys[0], 16)
     assert np.abs(f.data[0] - oracle).max() < 1e-12
-    back = transform_inverse(f)
+    back = to_phys(f.data, grid)
     assert np.abs(back - phys).max() < 1e-12
 
 
@@ -91,7 +107,7 @@ def test_parseval_random(seed):
     grid = FrequencyGrid(1, 7.0, 32)
     vg = VerticalGrid(1.3, 12)
     phys = rng.standard_normal((2, 32, 12))
-    f = transform_forward(phys, grid, vg)
+    f = SpectralField(grid, vg, to_coeff(phys, grid))
     phys_l2 = (grid.box_len / grid.modes) * (np.abs(phys) ** 2 @ vg.weights).sum()
     spec_l2 = grid.box_volume() * (np.abs(f.data) ** 2 @ vg.weights).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
@@ -101,7 +117,7 @@ def test_parseval_2d():
     rng = np.random.default_rng(4)
     grid = FrequencyGrid(2, 5.0, 16)
     phys = rng.standard_normal((1, 16, 16))
-    f = transform_forward(phys, grid)
+    f = SurfaceSpectral(grid, to_coeff(phys, grid))
     phys_l2 = grid.cell_volume() * (np.abs(phys) ** 2).sum()
     spec_l2 = grid.box_volume() * (np.abs(f.data) ** 2).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
@@ -112,7 +128,7 @@ def test_hermitian_symmetry_of_real_transforms():
     for dim_h in (1, 2):
         grid = FrequencyGrid(dim_h, 2.0, 8)
         phys = rng.standard_normal((1,) + grid.phys_shape)
-        f = transform_forward(phys, grid)
+        f = SurfaceSpectral(grid, to_coeff(phys, grid))
         assert f.hermitian_defect() < 1e-12
         f.check_real()
 
@@ -131,7 +147,7 @@ def test_size_mismatch_rejected():
     grid = FrequencyGrid(1, 2.0, 8)
     vg = VerticalGrid(1.0, 6)
     with pytest.raises(ValueError):
-        transform_forward(np.zeros((1, 9, 6)), grid, vg)
+        SpectralField(grid, vg, to_coeff(np.zeros((1, 9, 6)), grid))
     with pytest.raises(ValueError):
         SpectralField(grid, vg, np.zeros((1, 8, 7), dtype=complex))
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used, every
-private name the package defines is read somewhere in it, and the package
-depends on nothing beyond the standard library, numpy and scipy."""
+private name and every public function or class the package defines is read
+somewhere in it or re-exported, and the package depends on nothing beyond
+the standard library, numpy and scipy."""
 
 import ast
 import sys
@@ -55,29 +56,35 @@ def _bound_names(target) -> list:
     return []
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of each leading-underscore module-level function,
-    class or constant, and each such method, that no module of ``sources``
-    ({module: source}) reads as a name or an attribute."""
+def unread_names(sources: dict) -> list:
+    """(module, line, name) of each name that no module of ``sources``
+    ({module: source}) reads as a name or an attribute, and that
+    ``__init__`` does not import: leading-underscore module-level functions,
+    classes and constants, leading-underscore methods, and public
+    module-level functions and classes."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, node.lineno, node.name))
+                defined.append((module, node.lineno, node.name, True))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(module, n.lineno, n.id)
+                defined += [(module, n.lineno, n.id, False)
                             for t in targets for n in _bound_names(t)]
             if isinstance(node, ast.ClassDef):
-                defined += [(module, f.lineno, f.name) for f in node.body
+                defined += [(module, f.lineno, f.name, False) for f in node.body
                             if isinstance(f, ast.FunctionDef)]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
-    return sorted(d for d in defined if _private(d[2]) and d[2] not in read)
+            elif isinstance(n, ast.ImportFrom) and module == "__init__":
+                read.update(alias.asname or alias.name for alias in n.names)
+    return sorted((module, line, name) for module, line, name, top in defined
+                  if (_private(name) or (top and not name.startswith("_")))
+                  and name not in read)
 
 
 def test_private_detector_flags_unread_and_keeps_read():
@@ -89,18 +96,24 @@ def test_private_detector_flags_unread_and_keeps_read():
               "class Public:\n"
               "    def __init__(self):\n        self._x = _helper()\n"
               "    def _used(self):\n        return self._x\n"
-              "    def _orphan(self):\n        return self._used()\n"),
+              "    def _orphan(self):\n        return self._used()\n"
+              "    def method(self):\n        return 0\n"
+              "CONSTANT = 1\n"
+              "def exported():\n    return Public()\n"
+              "def orphan():\n    return 0\n"
+              "class Orphan:\n    pass\n"),
         "b": "from c import _Cross\nprint(_Cross)\n",
         "c": "class _Cross:\n    pass\n",
+        "__init__": "from .a import exported\n",
     }
-    assert unread_private_names(sources) == [
+    assert unread_names(sources) == [
         ("a", 2, "_B"), ("a", 5, "_dead"), ("a", 7, "_Unused"),
-        ("a", 14, "_orphan")]
+        ("a", 14, "_orphan"), ("a", 21, "orphan"), ("a", 23, "Orphan")]
 
 
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources) == []
 
 
 # the dependencies pyproject.toml declares, beside the standard library

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stripwave.errors import ResidualTooLarge, RhoVanishing
+from stripwave.errors import RhoVanishing
 from stripwave.fields import SurfaceSpectral, YData
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
-                              compatibility_functional, invert_linear_operator, make_random_state,
+                              compatibility_functional, make_random_state,
                               solve_surface, state_norm)
 from stripwave.norms import check_divergence_trace, sobolev_norm, ydata_norm
 from stripwave.odesystem import SymbolTable
@@ -148,13 +148,13 @@ def test_roundtrip_both_ways(inverter):
 
 
 def test_invert_heat_only_formula(table, inverter):
-    # single-mode heat data: the surface is conj(om_temp_surf) m / rho there
+    # single-mode heat data: the surface is conj(delta(b)) m / rho there
     data = YData.zeros(GRID, VG)
     data.m.data[0, 4] = 0.7
     data.m.data[0, -4] = 0.7
     st = inverter.invert(data)
     e = table.entry((4,))
-    expect = np.conj(e.om_temp_surf) * 0.7 / e.rho
+    expect = np.conj(e.y[2, -1]) * 0.7 / e.rho
     assert st.eta.data[0, 4] == pytest.approx(expect, rel=1e-12)
     assert np.abs(st.eta.data[0, 4]) > 0
     # the recovered state reproduces the data, h included (never imposed)
@@ -192,25 +192,35 @@ def test_invert_realness(inverter):
     assert out.eta.hermitian_defect() < 1e-10
 
 
-def test_invert_residual_tol(inverter):
-    data = apply_linear_operator(make_random_state(GRID, VG, seed=3), P1)
-    inverter.invert(data, residual_tol=1e-6)
-    with pytest.raises(ResidualTooLarge):
-        inverter.invert(data, residual_tol=1e-18)
-
-
 def test_bottom_traces_of_inverse(inverter):
     data = apply_linear_operator(make_random_state(GRID, VG, seed=12), P1)
     st = inverter.invert(data)
     assert st.bottom_trace_defect() < 1e-10
 
 
-def test_invert_linear_operator_wrapper(table):
-    data = apply_linear_operator(make_random_state(GRID, VG, seed=8), P1)
-    st = invert_linear_operator(data, P1, table)
+@pytest.mark.parametrize("seed,fresh", [(3, False), (8, True)],
+                         ids=["cached", "fresh"])
+def test_invert_data_misfit(table, inverter, seed, fresh):
+    # a cached inverter and one built on the spot reproduce the data
+    data = apply_linear_operator(make_random_state(GRID, VG, seed=seed), P1)
+    st = (LinearInverter(table) if fresh else inverter).invert(data)
     back = apply_linear_operator(st, P1)
     back.axpy(-1.0, data)
     assert ydata_norm(back) / ydata_norm(data) < 1e-6
+
+
+@pytest.mark.parametrize("grid,vgrid", [
+    (FrequencyGrid(1, 2 * np.pi * 5, 16), VerticalGrid(1.0, 16)),
+    (FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 20)),
+], ids=["box", "nz"])
+def test_invert_rejects_data_on_another_grid(grid, vgrid):
+    # a 20 pi table used to invert data on a 10 pi box without complaint, to a
+    # data misfit of 0.16 (0.012 for the same state on its own grid)
+    inv = LinearInverter(SymbolTable.build(FrequencyGrid(1, 2 * np.pi * 10, 16),
+                                           VerticalGrid(1.0, 16), P1))
+    data = apply_linear_operator(make_random_state(grid, vgrid, seed=1), P1)
+    with pytest.raises(ValueError, match="symbol table"):
+        inv.invert(data)
 
 
 def test_roundtrip_dim3():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stripwave.errors import AliasingWarning, ConfigError, PointOutsideDomain
-from stripwave.fields import transform_forward
+from stripwave.fields import SurfaceSpectral
+from stripwave.geometry import lattice_phases, surface_at
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
                               make_random_state, state_norm)
@@ -193,7 +194,7 @@ def test_picard_heat_driven(table, inverter):
     assert max(tr.contraction) <= 0.5
     # the wave is real and its surface amplitude matches the linear response
     e = table.entry((3,))
-    linear_amp = abs(np.conj(e.om_temp_surf) * (amp / 2) / e.rho)
+    linear_amp = abs(np.conj(e.y[2, -1]) * (amp / 2) / e.rho)
     got = abs(tr.state.eta.data[0, 3])
     assert got == pytest.approx(linear_amp, rel=1e-3)
     assert got > 0
@@ -269,13 +270,11 @@ def test_pushforward_flat_identity(table, inverter):
                     np.full(9, 0.375)], axis=-1)
     out = pushforward_eulerian(st, pts)
     # with a flat surface this is plain evaluation of the flattened fields
-    from stripwave.geometry import eval_surface
-    from stripwave.fields import SurfaceSpectral
     prof = SurfaceSpectral(GRID, st.psi.data[..., 0] * 0 +
                            np.array([VG.interpolate(st.psi.data[0, k, :], 0.375)
                                      for k in range(GRID.modes)])[None],
                            real_flag=True)
-    expect = eval_surface(prof, pts[:, :1])
+    expect = surface_at(prof, lattice_phases(GRID, pts[:, :1]))
     assert np.abs(out["temperature"] - expect).max() < 1e-10
 
 
@@ -304,17 +303,16 @@ def test_pushforward_pullback_roundtrip(table, inverter):
     tr = picard_solve(forcing, P1, C_SMOOTH, GRID, VG,
                       table=table, inverter=inverter)
     st = tr.state
-    from stripwave.geometry import eval_surface
     xs = np.linspace(0, GRID.box_len, 11, endpoint=False)
-    eta_at = eval_surface(st.eta, xs[:, None])
+    phases = lattice_phases(GRID, xs[:, None])
+    eta_at = surface_at(st.eta, phases)
     frac = 0.6
     pts = np.stack([xs, frac * (1.0 + eta_at)], axis=-1)
     out = pushforward_eulerian(st, pts)
     # pullback: the flattened temperature at x_n = frac * b
     prof = np.array([VG.interpolate(st.psi.data[0, k, :], frac * VG.depth)
                      for k in range(GRID.modes)])
-    from stripwave.fields import SurfaceSpectral
-    expect = eval_surface(SurfaceSpectral(GRID, prof[None], True), xs[:, None])
+    expect = surface_at(SurfaceSpectral(GRID, prof[None], True), phases)
     assert np.abs(out["temperature"] - expect).max() < 1e-8
 
 

@@ -6,7 +6,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from stripwave.grids import VerticalGrid
 from stripwave.params import (PhysicalParams, check_parameter_gate,
-                              constitutive_violations, estimate_q_norms,
+                              estimate_q_norms,
                               make_constitutive, validate_params,
                               verify_constitutive_linearization, QNormEstimate)
 
@@ -155,9 +155,3 @@ def test_linearization_checks_sigma_prime():
     dev = verify_constitutive_linearization(wrong, P1, h=1e-3)
     assert dev == pytest.approx(0.1 * P1.sigma1 / max(P1.sigma1, P1.sigma0, 1.0))
 
-
-def test_constitutive_soft_checks():
-    c = make_constitutive(P1, visc="tempdep", heat="tempdep", sigma="smooth")
-    report = constitutive_violations(c, P1)
-    assert report["hard"] == []
-    assert report["soft"] == []
