@@ -73,8 +73,7 @@ class _NullInverter:
         return LinearState.zeros(data.grid, data.vgrid)
 
 
-def test_picard_divergence_detector():
-    # a stalled solve fails once, at the forcing asked: no retry at a smaller one
+def _stalled_solve_trace():
     from stripwave.errors import Diverged
     grid = FrequencyGrid(1, 2 * np.pi * 10, 48)
     vg = VerticalGrid(1.0, 32)
@@ -82,10 +81,19 @@ def test_picard_divergence_detector():
     forcing = make_forcing_preset("heat-only", 1e-3, grid, 1.0, mode_index=2)
     with pytest.raises(Diverged) as err:
         picard_solve(forcing, P1, c, grid, vg, inverter=_NullInverter())
-    trace = err.value.trace
+    return err.value.trace
+
+
+def test_picard_divergence_detector():
+    trace = _stalled_solve_trace()
     # three non-contracting steps after the first residual, then the raise
     assert len(trace.residuals) == 4
     assert trace.contraction == [1.0, 1.0, 1.0]
+
+
+def test_picard_stall_fails_at_requested_amplitude():
+    # a stalled solve fails once, at the forcing asked: no retry at a smaller one
+    trace = _stalled_solve_trace()
     assert trace.amplitude_used == 1e-3
     assert "retried_after_divergence" not in trace.diagnostics
 
