@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .grids import FrequencyGrid, VerticalGrid
-from .params import PhysicalParams, make_constitutive
+from .params import PhysicalParams, make_constitutive, validate_params
 
 MODES = ("symbols", "asym-check", "linear-solve", "nonlinear-solve",
          "roundtrip-test", "norms")
@@ -75,11 +75,14 @@ class RunConfig:
         r = self.raw
         if r["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {r['mode']!r}")
-        try:
-            self.frequency_grid()
-            self.vertical_grid()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        # bad physical parameters are left to run(), which records them in a
+        # failed manifest; the grids read depth and dim, so wait for those
+        if not validate_params(self.params()):
+            try:
+                self.frequency_grid()
+                self.vertical_grid()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"grid: {exc}") from exc
         for key, val, low in (("maxiter", r["maxiter"], 0),
                               ("roundtrip.count", r["roundtrip"]["count"], 1)):
             if type(val) is not int or val < low:

@@ -10,6 +10,7 @@ from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
 from stripwave.odesystem import (FrequencySolver, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix)
+from stripwave.norms import ydata_norm
 from stripwave.params import PhysicalParams
 
 
@@ -208,6 +209,9 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
         data = apply_linear_operator(st, p)
         out = inv.invert(data)
         assert np.abs(out.u.data[0]).max() > 0
+        back = apply_linear_operator(out, p)
+        back.axpy(-1.0, data)
+        assert ydata_norm(back) / ydata_norm(data) <= 1e-6
     assert factored and len(factored) == len(set(factored))
 
 

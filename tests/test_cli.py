@@ -66,6 +66,20 @@ def test_bad_params_write_failed_manifest(tmp_path):
     assert summary["error"] == "ConfigError: mu must be positive"
 
 
+@pytest.mark.parametrize("params, error", [
+    ({"depth": -1.0}, "depth must be positive"),
+    ({"dim": 4}, "dim must be 2 or 3"),
+], ids=["depth", "dim"])
+def test_bad_grid_params_write_failed_manifest(tmp_path, params, error):
+    # depth and dim also shape the grids, but are reported as parameters
+    out = tmp_path / "bad"
+    path = _write_cfg(tmp_path, {"params": params, "out": str(out)})
+    assert main(["--config", path]) == 2
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["ok"] is False
+    assert summary["error"] == f"ConfigError: {error}"
+
+
 def test_symbols_mode(tmp_path):
     out = str(tmp_path / "sym")
     cfg = RunConfig.from_dict({"mode": "symbols",
