@@ -98,12 +98,22 @@ def predicted_coefficient(selector: str, p: PhysicalParams, x: float | None = No
     raise KeyError(selector)
 
 
+def checked_xi_seq(xi_seq) -> np.ndarray:
+    """``xi_seq`` as an array after checking that it fits a Richardson
+    table: at least two positive values, decreasing geometrically."""
+    xi_seq = np.asarray(xi_seq, dtype=float)
+    if xi_seq.ndim != 1 or len(xi_seq) < 2 or not np.all(xi_seq > 0):
+        raise ValueError("need at least two positive values")
+    ratios = xi_seq[:-1] / xi_seq[1:]
+    if not (np.all(ratios > 1) and np.allclose(ratios, ratios[0], rtol=1e-9)):
+        raise ValueError("values must decrease geometrically")
+    return xi_seq
+
+
 def _lf_fits(solver: FrequencySolver, vgrid: VerticalGrid, xi_seq, jobs) -> list:
     """``fit_lf_coefficient`` of each (selector, x) in jobs, from one stack
     solve of the symbols along xi_seq."""
-    xi_seq = np.asarray(xi_seq, dtype=float)
-    if np.any(np.diff(xi_seq) >= 0):
-        raise ValueError("xi_seq must decrease")
+    xi_seq = checked_xi_seq(xi_seq)
     xis = np.zeros((len(xi_seq), solver.p.dim_h))
     xis[:, 0] = xi_seq
     Y = solver.prepare(xis).solve(

@@ -19,7 +19,7 @@ from .errors import ConfigError, SolverFailure, StripwaveError
 from .fields import read_ydata_csv, write_csv, write_field_csv, write_json
 from .linear import (LinearInverter, apply_linear_operator, make_random_state,
                      state_norm)
-from .nonlinear import eulerian_grid_samples, make_forcing_preset, picard_solve
+from .nonlinear import eulerian_grid_samples, picard_solve
 from .norms import check_divergence_trace, ydata_norm
 from .odesystem import SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
@@ -129,9 +129,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         ok_gate, margin = check_parameter_gate(p, est)
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
-        forcing = make_forcing_preset(r["forcing"]["preset"],
-                                      r["forcing"]["amplitude"], grid,
-                                      p.depth, r["forcing"]["mode_index"])
+        forcing = config.forcing()
         inv = _inverter(config, grid, vgrid)
         trace_path = os.path.join(outdir, "solve_trace.json")
         try:

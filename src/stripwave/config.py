@@ -6,8 +6,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .asymptotics import checked_xi_seq
 from .errors import ConfigError
 from .grids import FrequencyGrid, VerticalGrid
+from .nonlinear import ForcingData, make_forcing_preset
 from .params import PhysicalParams, make_constitutive, validate_params
 
 MODES = ("symbols", "asym-check", "linear-solve", "nonlinear-solve",
@@ -32,6 +34,13 @@ _DEFAULTS = {
 }
 
 
+# per type of default: the types a value given in its place may have
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list"),
+               type(None): ((str, type(None)), "a string or null")}
+
+
 def _merge_strict(defaults, given, path=""):
     if not isinstance(given, dict):
         raise ConfigError(f"section {path or 'top level'} must be an object")
@@ -42,6 +51,9 @@ def _merge_strict(defaults, given, path=""):
             if isinstance(base, dict) and base:
                 out[key] = _merge_strict(base, val, f"{path}{key}.")
             else:
+                kinds, name = _JSON_TYPES[type(base)]
+                if type(val) not in kinds:      # a bool is no int in JSON
+                    raise ConfigError(f"{path}{key} must be {name}, got {val!r}")
                 out[key] = val
         else:
             out[key] = json.loads(json.dumps(base)) if isinstance(base, dict) else base
@@ -75,21 +87,29 @@ class RunConfig:
         r = self.raw
         if r["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {r['mode']!r}")
-        # bad physical parameters are left to run(), which records them in a
-        # failed manifest; the grids read depth and dim, so wait for those
-        if not validate_params(self.params()):
-            try:
-                self.frequency_grid()
-                self.vertical_grid()
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"grid: {exc}") from exc
         for key, val, low in (("maxiter", r["maxiter"], 0),
                               ("roundtrip.count", r["roundtrip"]["count"], 1)):
-            if type(val) is not int or val < low:
+            if val < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
-        if r["forcing"]["preset"] not in ("heat-only", "stress-only",
-                                          "bulk-force", "mixed"):
-            raise ConfigError(f"unknown forcing preset {r['forcing']['preset']!r}")
+        if not r["backend"]["cond_limit"] > 0:
+            raise ConfigError("backend.cond_limit must be positive, got "
+                              f"{r['backend']['cond_limit']!r}")
+        try:
+            checked_xi_seq(r["fit"]["xi_seq"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fit.xi_seq: {exc}") from exc
+        # bad physical parameters are left to run(), which records them in a
+        # failed manifest; the grids, closures and forcing read them, so
+        # wait for those
+        if not validate_params(self.params()):
+            for section, build in (("grid", self.frequency_grid),
+                                   ("grid", self.vertical_grid),
+                                   ("closure", self.constitutive)):
+                try:
+                    build()
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{section}: {exc}") from exc
+            self.forcing()
 
     # -- constructors for the working objects ---------------------------------
 
@@ -100,6 +120,11 @@ class RunConfig:
         cl = self.raw["closure"]
         return make_constitutive(self.params(), visc=cl["visc"],
                                  heat=cl["heat"], sigma=cl["sigma"])
+
+    def forcing(self) -> ForcingData:
+        f = self.raw["forcing"]
+        return make_forcing_preset(f["preset"], f["amplitude"], self.frequency_grid(),
+                                   self.raw["params"]["depth"], f["mode_index"])
 
     def frequency_grid(self) -> FrequencyGrid:
         p = self.params()

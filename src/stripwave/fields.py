@@ -4,11 +4,12 @@
 ``SurfaceSpectral`` drops the vertical index.  Coefficients follow the series
 convention f(x) = sum_xi fhat(xi, x_n) exp(2 pi i xi . x'), so the forward
 transform of samples on the collocation grid, ``ops.to_coeff``, is
-fftn/modes^dim_h, and ``ops.to_phys`` is its inverse.  Real
-fields carry conjugate symmetry fhat(-xi) = conj(fhat(xi)); the Nyquist
-column is forced to zero for real fields so the symmetry is exact on the
+fftn/modes^dim_h, and ``ops.to_phys`` is its inverse.  The solver's fields
+are real, so their coefficients are Hermitian, fhat(-xi) = conj(fhat(xi));
+``enforce_real`` also zeroes the Nyquist column so this holds exactly on the
 lattice.  ``FrequencyGrid.half_mask`` is the half lattice that carries the
-information of a real field; ``conjugate_mirror`` completes it.
+information of a real field; ``conjugate_mirror`` completes it.  The norms
+never transform a field and accept non-Hermitian coefficients too.
 
 Every artifact file is written by ``write_csv`` or ``write_json``, the one
 CSV and the one JSON format of the package.
@@ -19,14 +20,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .grids import FrequencyGrid, VerticalGrid
 from .ops import on_lattice
-
-HERMITIAN_TOL = 1e-12
 
 
 def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
@@ -49,26 +48,32 @@ def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> n
 
 class _LatticeField:
     """Methods shared by bulk and surface fields, whose ``data`` carries the
-    lattice on axes 1 .. dim_h."""
+    lattice on axes 1 .. dim_h after a leading component axis."""
+
+    def __post_init__(self):
+        expect = self._lattice_shape()
+        self.data = np.asarray(self.data, dtype=complex)
+        if self.data.ndim == len(expect):
+            self.data = self.data[None]
+        if self.data.shape[1:] != expect:
+            raise ValueError(f"data shape {self.data.shape} does not match grids {expect}")
 
     @property
     def comps(self) -> int:
         return self.data.shape[0]
 
+    def copy(self):
+        return replace(self, data=self.data.copy())
+
     def hermitian_defect(self) -> float:
         """max |fhat(-xi) - conj(fhat(xi))| over the lattice."""
         return float(np.abs(reflect(self.data, self.grid) - np.conj(self.data)).max())
-
-    def check_real(self, tol: float = HERMITIAN_TOL):
-        if self.real_flag and self.hermitian_defect() > tol:
-            raise ValueError("real_flag set but coefficients are not Hermitian-symmetric")
 
     def enforce_real(self):
         """Project onto Hermitian symmetry and zero the Nyquist column."""
         self.data = 0.5 * (self.data + np.conj(reflect(self.data, self.grid)))
         for ax in range(1, 1 + self.grid.dim_h):
             self.data[(slice(None),) * ax + (self.grid.modes // 2,)] = 0.0
-        self.real_flag = True
         return self
 
 
@@ -79,23 +84,14 @@ class SpectralField(_LatticeField):
     grid: FrequencyGrid
     vgrid: VerticalGrid
     data: np.ndarray
-    real_flag: bool = True
 
-    def __post_init__(self):
-        expect = self.grid.freq_shape + (self.vgrid.count,)
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim == len(expect):
-            self.data = self.data[None]
-        if self.data.shape[1:] != expect:
-            raise ValueError(f"data shape {self.data.shape} does not match grids {expect}")
+    def _lattice_shape(self) -> tuple:
+        return self.grid.freq_shape + (self.vgrid.count,)
 
     @classmethod
-    def zeros(cls, grid, vgrid, comps=1, real_flag=True):
+    def zeros(cls, grid, vgrid, comps=1):
         shape = (comps,) + grid.freq_shape + (vgrid.count,)
-        return cls(grid, vgrid, np.zeros(shape, dtype=complex), real_flag)
-
-    def copy(self):
-        return SpectralField(self.grid, self.vgrid, self.data.copy(), self.real_flag)
+        return cls(grid, vgrid, np.zeros(shape, dtype=complex))
 
 
 @dataclass
@@ -104,35 +100,51 @@ class SurfaceSpectral(_LatticeField):
 
     grid: FrequencyGrid
     data: np.ndarray
-    real_flag: bool = True
 
-    def __post_init__(self):
-        expect = self.grid.freq_shape
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.ndim == len(expect):
-            self.data = self.data[None]
-        if self.data.shape[1:] != expect:
-            raise ValueError(f"data shape {self.data.shape} does not match grid {expect}")
+    def _lattice_shape(self) -> tuple:
+        return self.grid.freq_shape
 
     @classmethod
-    def zeros(cls, grid, comps=1, real_flag=True):
-        return cls(grid, np.zeros((comps,) + grid.freq_shape, dtype=complex), real_flag)
+    def zeros(cls, grid, comps=1):
+        return cls(grid, np.zeros((comps,) + grid.freq_shape, dtype=complex))
+
+
+class FieldTuple:
+    """A dataclass whose fields are the lattice fields of one problem on one
+    pair of grids: the state (u, psi, pres, eta) or the data (f, g, l, k, h,
+    m).  Arithmetic acts on every part in place."""
+
+    def parts(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def grid(self) -> FrequencyGrid:
+        return self.parts()[0].grid
+
+    @property
+    def vgrid(self) -> VerticalGrid:
+        return self.parts()[0].vgrid
 
     def copy(self):
-        return SurfaceSpectral(self.grid, self.data.copy(), self.real_flag)
+        return type(self)(*(part.copy() for part in self.parts()))
 
-    def zero_mean(self):
-        zero = (0,) * self.grid.dim_h
-        self.data[(slice(None),) + zero] = 0.0
+    def axpy(self, a: float, other):
+        for mine, theirs in zip(self.parts(), other.parts()):
+            mine.data += a * theirs.data
+        return self
+
+    def scale(self, a: float):
+        for part in self.parts():
+            part.data *= a
         return self
 
 
 @dataclass
-class YData:
+class YData(FieldTuple):
     """Right-hand-side tuple (f, g, l, k, h, m) in spectral form.
 
     f: bulk n-vector, g and l bulk scalars, k surface n-vector, h and m
-    surface scalars.  All carry real_flag.
+    surface scalars.
     """
 
     f: SpectralField
@@ -150,14 +162,6 @@ class YData:
             if part.comps != 1:
                 raise ValueError("g, l, h, m must be scalar")
 
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.f.grid
-
-    @property
-    def vgrid(self) -> VerticalGrid:
-        return self.f.vgrid
-
     @classmethod
     def zeros(cls, grid, vgrid):
         n = grid.dim_h + 1
@@ -169,23 +173,6 @@ class YData:
             h=SurfaceSpectral.zeros(grid, 1),
             m=SurfaceSpectral.zeros(grid, 1),
         )
-
-    def copy(self):
-        return YData(self.f.copy(), self.g.copy(), self.l.copy(),
-                     self.k.copy(), self.h.copy(), self.m.copy())
-
-    def axpy(self, a: float, other: "YData"):
-        for mine, theirs in zip(self.parts(), other.parts()):
-            mine.data += a * theirs.data
-        return self
-
-    def scale(self, a: float):
-        for part in self.parts():
-            part.data *= a
-        return self
-
-    def parts(self):
-        return (self.f, self.g, self.l, self.k, self.h, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +211,8 @@ def write_json(path, payload):
 
 def write_field_csv(path, field):
     """One row per (component, xi indices, node index) in C order with re/im
-    columns; the grids go to the JSON sidecar path + ".json"."""
+    columns; the grids go to the JSON sidecar path + ".json", whose
+    ``real_flag`` is always true (every field is real)."""
     grid = field.grid
     bulk = isinstance(field, SpectralField)
     header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
@@ -234,7 +222,7 @@ def write_field_csv(path, field):
     index = np.indices(shape, dtype=np.int32).reshape(len(shape), -1)
     write_csv(path, header, [*index, values.real, values.imag])
     meta = {"dim_h": grid.dim_h, "box_len": grid.box_len, "modes": grid.modes,
-            "comps": field.comps, "real_flag": bool(field.real_flag),
+            "comps": field.comps, "real_flag": True,
             "kind": "bulk" if bulk else "surface"}
     if bulk:
         meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
@@ -243,14 +231,13 @@ def write_field_csv(path, field):
 
 def write_ydata_csv(dirpath, data: YData):
     os.makedirs(dirpath, exist_ok=True)
-    for name in ("f", "g", "l", "k", "h", "m"):
-        write_field_csv(os.path.join(dirpath, f"{name}.csv"), getattr(data, name))
+    for f, part in zip(fields(data), data.parts()):
+        write_field_csv(os.path.join(dirpath, f"{f.name}.csv"), part)
 
 
 def read_ydata_csv(dirpath) -> YData:
-    parts = {name: read_field_csv(os.path.join(dirpath, f"{name}.csv"))
-             for name in ("f", "g", "l", "k", "h", "m")}
-    return YData(**parts)
+    return YData(*(read_field_csv(os.path.join(dirpath, f"{f.name}.csv"))
+                   for f in fields(YData)))
 
 
 def read_field_csv(path):
@@ -265,6 +252,4 @@ def read_field_csv(path):
     if table.size:
         index = tuple(table[:, :len(shape)].astype(int).T)
         data[index] = table[:, -2] + 1j * table[:, -1]
-    if bulk:
-        return SpectralField(grid, vgrid, data, meta["real_flag"])
-    return SurfaceSpectral(grid, data, meta["real_flag"])
+    return SpectralField(grid, vgrid, data) if bulk else SurfaceSpectral(grid, data)

@@ -85,9 +85,7 @@ def mean_curvature(eta: SurfaceSpectral) -> SurfaceSpectral:
     for ax, g in enumerate(grad):
         flux = to_coeff((g * scale)[None], grid)
         out += dealias(horiz_deriv(flux, grid, ax), grid)[0]
-    result = SurfaceSpectral(grid, out[None], real_flag=True)
-    result.enforce_real()
-    return result
+    return SurfaceSpectral(grid, out).enforce_real()
 
 
 def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
@@ -107,10 +105,8 @@ def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
 
 
 def surface_at(eta: SurfaceSpectral, phases: np.ndarray) -> np.ndarray:
-    """A surface field at arbitrary horizontal points, given their
-    lattice_phases (a direct sum over the lattice)."""
+    """A real surface field at arbitrary horizontal points, given their
+    lattice_phases (the real part of a direct sum over the lattice)."""
     coeffs = eta.data.reshape(eta.comps, -1)
-    vals = phases @ coeffs.T
-    if eta.real_flag:
-        vals = np.real(vals)
+    vals = np.real(phases @ coeffs.T)
     return np.moveaxis(vals, -1, 0) if eta.comps > 1 else vals[..., 0]

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RhoVanishing
-from .fields import SpectralField, SurfaceSpectral, YData, conjugate_mirror
+from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
+                     conjugate_mirror)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
@@ -43,21 +44,13 @@ from .params import PhysicalParams
 
 
 @dataclass
-class LinearState:
+class LinearState(FieldTuple):
     """Solution tuple (u, psi, p, eta) in spectral representation."""
 
     u: SpectralField
     psi: SpectralField
     pres: SpectralField
     eta: SurfaceSpectral
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.u.grid
-
-    @property
-    def vgrid(self) -> VerticalGrid:
-        return self.u.vgrid
 
     @classmethod
     def zeros(cls, grid, vgrid):
@@ -67,36 +60,24 @@ class LinearState:
                    SpectralField.zeros(grid, vgrid, 1),
                    SurfaceSpectral.zeros(grid, 1))
 
-    def copy(self):
-        return LinearState(self.u.copy(), self.psi.copy(), self.pres.copy(),
-                           self.eta.copy())
-
-    def axpy(self, a: float, other: "LinearState"):
-        self.u.data += a * other.u.data
-        self.psi.data += a * other.psi.data
-        self.pres.data += a * other.pres.data
-        self.eta.data += a * other.eta.data
-        return self
-
     def bottom_trace_defect(self) -> float:
         return float(max(np.abs(self.u.data[..., 0]).max(),
                          np.abs(self.psi.data[..., 0]).max()))
 
     def enforce_real(self):
-        for f in (self.u, self.psi, self.pres):
-            f.enforce_real()
-        self.eta.enforce_real()
-        self.eta.zero_mean()
+        for part in self.parts():
+            part.enforce_real()
+        self.eta.data[(slice(None),) + (0,) * self.grid.dim_h] = 0.0
         return self
 
 
-def state_norm(state: LinearState, s: int = 0) -> float:
-    """Graph norm: bulk orders s+2, s+2, s+1 and the anisotropic surface norm."""
+def state_norm(state: LinearState) -> float:
+    """Graph norm: bulk orders 2, 2, 1 and the anisotropic surface norm."""
     pieces = [
-        sobolev_norm(state.u, s + 2),
-        sobolev_norm(state.psi, s + 2),
-        sobolev_norm(state.pres, s + 1),
-        x_norm(state.eta, s + 2.5),
+        sobolev_norm(state.u, 2),
+        sobolev_norm(state.psi, 2),
+        sobolev_norm(state.pres, 1),
+        x_norm(state.eta, 2.5),
     ]
     return float(np.sqrt(sum(p * p for p in pieces)))
 
@@ -163,12 +144,12 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
     m = p.kappa * dpsi_n[0:1, ..., -1]
 
     return YData(
-        f=SpectralField(grid, vgrid, f, True),
-        g=SpectralField(grid, vgrid, g, True),
-        l=SpectralField(grid, vgrid, l, True),
-        k=SurfaceSpectral(grid, k, True),
-        h=SurfaceSpectral(grid, h, True),
-        m=SurfaceSpectral(grid, np.asarray(m), True),
+        f=SpectralField(grid, vgrid, f),
+        g=SpectralField(grid, vgrid, g),
+        l=SpectralField(grid, vgrid, l),
+        k=SurfaceSpectral(grid, k),
+        h=SurfaceSpectral(grid, h),
+        m=SurfaceSpectral(grid, m),
     )
 
 
@@ -202,16 +183,15 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     xi_val -= k_long * y_long[..., -1] + data.k.data[n - 1] * y_vn[..., -1]
     xi_val += data.m.data[0] * y_temp[..., -1]
     xi_val += data.h.data[0]
-    return SurfaceSpectral(grid, xi_val[None], real_flag=data.f.real_flag)
+    return SurfaceSpectral(grid, xi_val)
 
 
-def solve_surface(pairing: SurfaceSpectral, table: SymbolTable,
-              rho_floor: float = 1e-13) -> SurfaceSpectral:
+def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectral:
     """etahat = pairing/rho off the zero mode; the zero mode stays zero.
 
     The zero-mode magnitude of the pairing is an incompatibility diagnostic
     available directly from its coefficients.  Raises RhoVanishing when |rho|
-    is smaller than rho_floor times its certified lower-bound scale, which
+    is at most 1e-13 times its certified lower-bound scale, which
     signals mis-assembled symbols.
     """
     grid = pairing.grid
@@ -221,15 +201,14 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable,
     mag2 = (vecs ** 2).sum(axis=-1)
     scale = p.grav + p.sigma0 * 4.0 * np.pi ** 2 * mag2 \
         + 2.0 * np.pi * np.abs(p.gamma * vecs[..., 0])
-    bad = (np.abs(rho) <= rho_floor * scale) & (mag2 > 0)
+    bad = (np.abs(rho) <= 1e-13 * scale) & (mag2 > 0)
     if np.any(bad):
         worst = np.argwhere(bad)[0]
         raise RhoVanishing(f"|rho| ~ 0 at lattice index {tuple(worst)}")
     eta = np.zeros(grid.freq_shape, dtype=complex)
     nz = mag2 > 0
     eta[nz] = pairing.data[0][nz] / rho[nz]
-    out = SurfaceSpectral(grid, eta[None], real_flag=pairing.real_flag)
-    return out
+    return SurfaceSpectral(grid, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ class ForcingData:
             f is None for f in (self.f_bulk, self.f_flat, self.t_bulk,
                                 self.t_flat, self.h_bulk, self.h_flat))
 
-    def validate(self, grid: FrequencyGrid, tail_tol: float = 1e-10):
-        """Flat parts must be spectrally resolved (tail below the 2/3 cutoff)."""
+    def validate(self, grid: FrequencyGrid):
+        """Flat parts must be spectrally resolved: at most 1e-10 of their
+        energy beyond the 2/3 cutoff."""
         pts = grid.phys_points()
         n = grid.dim_h + 1
         checks = []
@@ -77,22 +78,26 @@ class ForcingData:
             checks.append(np.asarray(self.h_flat(pts), dtype=float)[None])
         for arr in checks:
             tail = dealias_tail_fraction(to_coeff(arr, grid), grid)
-            if tail > tail_tol:
+            if tail > 1e-10:
                 raise ConfigError(f"flat forcing has spectral tail {tail:.2e} "
-                                  f"beyond the 2/3 cutoff (limit {tail_tol:.1e})")
+                                  "beyond the 2/3 cutoff (limit 1.0e-10)")
 
 
 def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
                         depth: float, mode_index: int = 3) -> ForcingData:
-    """Built-in forcing families used by the command line and the tests."""
+    """Built-in forcing families used by the command line and the tests.
+
+    The forced lattice mode must survive the 2/3 rule: |mode_index| <=
+    modes // 3.
+    """
+    if abs(mode_index) > grid.modes // 3:
+        raise ConfigError(f"forcing mode_index {mode_index} beyond the 2/3 "
+                          f"cutoff {grid.modes // 3} of {grid.modes} modes")
     xi0 = mode_index / grid.box_len
     n = grid.dim_h + 1
 
     def cosine(xp):
         return np.cos(2.0 * np.pi * xi0 * xp[..., 0])
-
-    def heat_flat(xp):
-        return cosine(xp)
 
     def stress_flat(xp):
         out = np.zeros((n, n) + xp.shape[:-1])
@@ -106,14 +111,14 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
         return out
 
     if name == "heat-only":
-        return ForcingData(h_flat=heat_flat, amplitude=amplitude)
+        return ForcingData(h_flat=cosine, amplitude=amplitude)
     if name == "stress-only":
         return ForcingData(t_flat=stress_flat, amplitude=amplitude)
     if name == "bulk-force":
         return ForcingData(f_bulk=bulk_force, amplitude=amplitude)
     if name == "mixed":
         return ForcingData(f_bulk=bulk_force, t_flat=stress_flat,
-                           h_flat=heat_flat, amplitude=amplitude / 3.0)
+                           h_flat=cosine, amplitude=amplitude / 3.0)
     raise ConfigError(f"unknown forcing preset {name!r}")
 
 
@@ -122,8 +127,7 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
 # ---------------------------------------------------------------------------
 
 def nonlinear_residual(state: LinearState, forcing: ForcingData,
-                       p: PhysicalParams, c: ConstitutiveSet,
-                       tail_warn: float = 1e-6) -> YData:
+                       p: PhysicalParams, c: ConstitutiveSet) -> YData:
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
     dim_h = grid.dim_h
@@ -228,30 +232,24 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
         if forcing.h_bulk is not None or forcing.h_flat is not None:
             m_term -= amp * hsum
 
-    def tail_check(coeff):
+    def pack(arr, ndim):
+        """Dealiased coefficients of a slot with ``ndim`` axes counting its
+        component axis; AliasingWarning when over 1e-6 of the energy is cut."""
+        coeff = to_coeff(arr if arr.ndim == ndim else arr[None], grid)
         frac = dealias_tail_fraction(coeff, grid)
-        scale = float(np.abs(coeff).max())
         # ignore roundoff-dominated slots: their spectra are white but tiny
-        if frac > tail_warn and scale * np.sqrt(frac) > 1e-12:
+        if frac > 1e-6 and float(np.abs(coeff).max()) * np.sqrt(frac) > 1e-12:
             warnings.warn(f"dealiased tail fraction {frac:.2e}", AliasingWarning)
-
-    def pack_bulk(arr):
-        coeff = to_coeff(arr if arr.ndim == dim_h + 2 else arr[None], grid)
-        tail_check(coeff)
         return dealias(coeff, grid)
 
-    def pack_surf(arr):
-        coeff = to_coeff(arr if arr.ndim == dim_h + 1 else arr[None], grid)
-        tail_check(coeff)
-        return dealias(coeff, grid)
-
+    bulk, surf = dim_h + 2, dim_h + 1
     return YData(
-        f=SpectralField(grid, vgrid, pack_bulk(f_term), True),
-        g=SpectralField(grid, vgrid, pack_bulk(g_term), True),
-        l=SpectralField(grid, vgrid, pack_bulk(l_term), True),
-        k=SurfaceSpectral(grid, pack_surf(k_term), True),
-        h=SurfaceSpectral(grid, pack_surf(h_term), True),
-        m=SurfaceSpectral(grid, pack_surf(m_term), True),
+        f=SpectralField(grid, vgrid, pack(f_term, bulk)),
+        g=SpectralField(grid, vgrid, pack(g_term, bulk)),
+        l=SpectralField(grid, vgrid, pack(l_term, bulk)),
+        k=SurfaceSpectral(grid, pack(k_term, surf)),
+        h=SurfaceSpectral(grid, pack(h_term, surf)),
+        m=SurfaceSpectral(grid, pack(m_term, surf)),
     )
 
 
@@ -284,26 +282,18 @@ def suggested_amplitude_cap(p: PhysicalParams) -> float:
     return 1e-3 * min(1.0, p.depth, p.mu, p.kappa)
 
 
-def _dealias_state(state: LinearState, grid: FrequencyGrid):
-    state.u.data = dealias(state.u.data, grid)
-    state.psi.data = dealias(state.psi.data, grid)
-    state.pres.data = dealias(state.pres.data, grid)
-    state.eta.data = dealias(state.eta.data, grid)
-    state.enforce_real()
-    return state
-
-
 def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
                  grid: FrequencyGrid, vgrid: VerticalGrid,
                  tol: float = 1e-9, maxiter: int = 50,
-                 table: SymbolTable | None = None,
                  inverter: LinearInverter | None = None) -> SolveTrace:
     """Iterate X <- X - Upsilon^{-1} residual(X) from rest until the data-norm
-    of the residual drops below ``tol``.
+    of the residual drops below ``tol``, with at most ``maxiter`` inversions
+    by ``inverter`` (by default one on a fresh SymbolTable).
 
     The forcing is solved at the amplitude given, or not at all: a contraction
     factor >= 1 three times in a row raises Diverged, an exhausted budget
-    NotConverged, each carrying the trace so far.
+    NotConverged, each carrying the trace so far; ``trace.state`` is always
+    the state whose residual is ``trace.residuals[-1]``.
     """
     bad = validate_params(p)
     if bad:
@@ -314,11 +304,9 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
     if forcing.amplitude > cap:
         trace.diagnostics["amplitude_above_heuristic"] = cap
     if inverter is None:
-        if table is None:
-            table = SymbolTable.build(grid, vgrid, p)
-        inverter = LinearInverter(table)
+        inverter = LinearInverter(SymbolTable.build(grid, vgrid, p))
 
-    state = LinearState.zeros(grid, vgrid)
+    state = trace.state = LinearState.zeros(grid, vgrid)
     rising = 0
     for it in range(maxiter + 1):
         resid = nonlinear_residual(state, forcing, p, c)
@@ -332,16 +320,15 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
             rising = rising + 1 if factor >= 1.0 else 0
         if rn < tol:
             trace.converged = True
-            trace.state = state
             return trace
         if rising >= 3:
-            trace.state = state
             raise Diverged("contraction factor >= 1 for three consecutive steps",
                            trace=trace)
-        update = inverter.invert(resid)
-        state.axpy(-1.0, update)
-        _dealias_state(state, grid)
-    trace.state = state
+        if it < maxiter:
+            state.axpy(-1.0, inverter.invert(resid))
+            for part in state.parts():
+                part.data = dealias(part.data, grid)
+            state.enforce_real()
     raise NotConverged(f"residual {trace.residuals[-1]:.3e} after {maxiter} "
                        f"iterations (tol {tol:.1e})", trace=trace)
 

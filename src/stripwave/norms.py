@@ -103,7 +103,7 @@ def check_divergence_trace(data) -> DivergenceTraceReport:
     """
     vgrid = data.vgrid
     g_int = data.g.data @ vgrid.weights
-    resid = SurfaceSpectral(data.grid, data.h.data - g_int, real_flag=data.h.real_flag)
+    resid = SurfaceSpectral(data.grid, data.h.data - g_int)
     zero = (slice(None),) + (0,) * data.grid.dim_h
     return DivergenceTraceReport(
         residual_hneg1=hdot_neg1(resid, zero_mode_tol=np.inf),
@@ -112,17 +112,17 @@ def check_divergence_trace(data) -> DivergenceTraceReport:
     )
 
 
-def ydata_norm(data, s: int = 0) -> float:
+def ydata_norm(data) -> float:
     """Graph norm of a data tuple: component Sobolev norms plus the
     divergence-trace seminorm (zero mode excluded)."""
     report = check_divergence_trace(data)
     pieces = [
-        sobolev_norm(data.f, s),
-        sobolev_norm(data.g, s + 1),
-        sobolev_norm(data.l, s),
-        surface_sobolev_norm(data.k, s + 0.5),
-        surface_sobolev_norm(data.h, s + 1.5),
-        surface_sobolev_norm(data.m, s + 0.5),
+        sobolev_norm(data.f, 0),
+        sobolev_norm(data.g, 1),
+        sobolev_norm(data.l, 0),
+        surface_sobolev_norm(data.k, 0.5),
+        surface_sobolev_norm(data.h, 1.5),
+        surface_sobolev_norm(data.m, 0.5),
         report.residual_hneg1,
     ]
     return float(np.sqrt(sum(p * p for p in pieces)))

@@ -645,19 +645,14 @@ def rho_of(p: PhysicalParams, xi, om_vn_surf):
 
 
 def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
-                 solver: FrequencySolver | None = None,
-                 backend: str | None = None,
-                 split: float = SYMBOL_SPLIT,
-                 cond_limit: float = DEFAULT_COND_LIMIT) -> SymbolEntry:
+                 backend: str | None = None) -> SymbolEntry:
     """Homogeneous adjoint solve with unit normal stress; populates a table row.
 
     xi = 0 is no special case: A(0) is nilpotent, the pressure symbol comes
     out identically one and every other response zero, so rho(0) = 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if solver is None:
-        solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                                 split=split, cond_limit=cond_limit)
+    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=SYMBOL_SPLIT)
     Y, used, cond = solver.solve(xi, None, UNIT_NORMAL_STRESS, backend=backend)
     return SymbolEntry(xi, Y, rho_of(p, xi, Y[1, -1]), used, cond)
 

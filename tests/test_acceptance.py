@@ -220,7 +220,7 @@ def test_criterion_8_heat_driven_wave(picard_setup):
     forcing = make_forcing_preset("heat-only", amp, grid, PSET1.depth,
                                   mode_index=j0)
     trace = picard_solve(forcing, PSET1, c, grid, vg, tol=1e-9,
-                         table=table, inverter=inv)
+                         inverter=inv)
     e = table.entry((j0,))
     floor = 0.1 * amp * abs(np.conj(e.y[2, -1]) / e.rho)
     eta_norm = x_norm(trace.state.eta, 2.5)
@@ -233,14 +233,14 @@ def test_criterion_8_heat_driven_wave(picard_setup):
 
 
 def test_criterion_9_lipschitz_dependence(picard_setup):
-    grid, vg, table, inv, c = picard_setup
+    grid, vg, _, inv, c = picard_setup
     j0 = 3
     states = {}
     for amp in (1e-3, 5e-4, 2.5e-4):
         forcing = make_forcing_preset("heat-only", amp, grid, PSET1.depth,
                                       mode_index=j0)
         tr = picard_solve(forcing, PSET1, c, grid, vg, tol=1e-11,
-                          table=table, inverter=inv)
+                          inverter=inv)
         states[amp] = tr.state
     cs = []
     for eps in (1e-3, 5e-4):

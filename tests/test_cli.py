@@ -228,16 +228,42 @@ def test_exhausted_budget_writes_trace(tmp_path):
     assert len(trace["residuals"]) == 1
 
 
-@pytest.mark.parametrize("cfg", [
-    {"mode": "roundtrip-test", "roundtrip": {"count": 0}},
-    {"mode": "nonlinear-solve", "maxiter": -1},
-    {"grid": {"box_len": -1}},
-    {"grid": {"modes": 16.0}},
-], ids=["count-0", "maxiter-negative", "box-negative", "modes-float"])
-def test_out_of_range_config_exits_2(tmp_path, capsys, cfg):
-    path = _write_cfg(tmp_path, dict(cfg, out=str(tmp_path / "out")))
+SMALL = {"grid": {"modes": 16, "nz": 24}}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"mode": "roundtrip-test", "roundtrip": {"count": 0}}, "roundtrip.count"),
+    ({"mode": "nonlinear-solve", "maxiter": -1}, "maxiter"),
+    ({"grid": {"box_len": -1}}, "grid.box_len"),
+    ({"grid": {"modes": 16.0}}, "grid.modes"),
+    ({"mode": "nonlinear-solve", "closure": {"visc": "foo"}, **SMALL}, "closure.visc"),
+    ({"mode": "nonlinear-solve", "tol": {"picard": "x"}, **SMALL}, "tol.picard"),
+    ({"mode": "roundtrip-test", "tol": {"roundtrip": "x"}, **SMALL}, "tol.roundtrip"),
+    ({"mode": "nonlinear-solve", "backend": {"split": "x"}, **SMALL}, "backend.split"),
+    ({"backend": {"cond_limit": -1}, **SMALL}, "backend.cond_limit"),
+    ({"mode": "roundtrip-test", "seed": "x", **SMALL}, "seed"),
+    ({"out": 5, **SMALL}, "out"),
+    ({"params": {"mu": "x"}, **SMALL}, "params.mu"),
+    ({"params": {"dim": 2.0}, **SMALL}, "params.dim"),
+    ({"mode": "nonlinear-solve", "forcing": {"amplitude": "x"}, **SMALL},
+     "forcing.amplitude"),
+    ({"mode": "asym-check", "fit": {"xi_seq": [], "refine": False}, **SMALL},
+     "fit.xi_seq"),
+    ({"mode": "asym-check", "fit": {"xi_seq": [1e-3, 2e-3], "refine": False}, **SMALL},
+     "fit.xi_seq"),
+    ({"mode": "nonlinear-solve", "forcing": {"mode_index": 100}, **SMALL},
+     "forcing.mode_index"),
+], ids=["count-0", "maxiter-negative", "box-negative", "modes-float", "visc-unknown",
+        "picard-tol-string", "roundtrip-tol-string", "split-string",
+        "cond-limit-negative", "seed-string", "out-number", "mu-string", "dim-float",
+        "amplitude-string", "xi-seq-empty", "xi-seq-increasing", "mode-index-aliased"])
+def test_out_of_range_config_exits_2(tmp_path, capsys, cfg, key):
+    # rejected at load, before any output, by a message naming the key
+    path = _write_cfg(tmp_path, {"out": str(tmp_path / "out"), **cfg})
     assert main(["--config", path]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(part in err for part in key.split("."))
     assert not (tmp_path / "out").exists()
 
 

@@ -52,10 +52,10 @@ def test_derivative_matches_linear_operator_3d():
 
 
 def test_heat_driven_wave_3d(setup3):
-    table, inv = setup3
+    _, inv = setup3
     forcing = make_forcing_preset("heat-only", 1e-3, GRID, P3.depth,
                                   mode_index=2)
-    trace = picard_solve(forcing, P3, C3, GRID, VG, table=table, inverter=inv)
+    trace = picard_solve(forcing, P3, C3, GRID, VG, inverter=inv)
     assert trace.converged
     assert trace.residuals[-1] <= 1e-9
     st = trace.state
@@ -69,14 +69,14 @@ def test_heat_driven_wave_3d(setup3):
 def test_oblique_forcing_3d(setup3):
     # forcing with diagonal wavevector exercises the longitudinal/transverse
     # split off the coordinate axes
-    table, inv = setup3
+    _, inv = setup3
     xi0 = 2 / GRID.box_len
 
     def h_flat(xp):
         return np.cos(2 * np.pi * xi0 * (xp[..., 0] + xp[..., 1]))
 
     forcing = ForcingData(h_flat=h_flat, amplitude=1e-3)
-    trace = picard_solve(forcing, P3, C3, GRID, VG, table=table, inverter=inv)
+    trace = picard_solve(forcing, P3, C3, GRID, VG, inverter=inv)
     assert trace.converged
     assert abs(trace.state.eta.data[0, 2, 2]) > 0
     back = nonlinear_residual(trace.state, forcing, P3, C3)

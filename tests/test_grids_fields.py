@@ -130,14 +130,12 @@ def test_hermitian_symmetry_of_real_transforms():
         phys = rng.standard_normal((1,) + grid.phys_shape)
         f = SurfaceSpectral(grid, to_coeff(phys, grid))
         assert f.hermitian_defect() < 1e-12
-        f.check_real()
 
 
 def test_enforce_real_projects():
     grid = FrequencyGrid(1, 2.0, 8)
     rng = np.random.default_rng(2)
-    f = SurfaceSpectral(grid, rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)),
-                        real_flag=False)
+    f = SurfaceSpectral(grid, rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
     f.enforce_real()
     assert f.hermitian_defect() < 1e-14
     assert np.abs(f.data[0, 4]) == 0.0  # Nyquist zeroed
@@ -157,7 +155,7 @@ def test_csv_roundtrip_bulk(tmp_path):
     vg = VerticalGrid(0.9, 6)
     rng = np.random.default_rng(3)
     f = SpectralField(grid, vg, rng.standard_normal((2, 8, 6))
-                      + 1j * rng.standard_normal((2, 8, 6)), real_flag=False)
+                      + 1j * rng.standard_normal((2, 8, 6)))
     path = tmp_path / "field.csv"
     write_field_csv(path, f)
     g = read_field_csv(path)
@@ -253,7 +251,7 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
     vg = VerticalGrid(0.8, 5)
     if kind == "bulk-complex":
         grid = FrequencyGrid(1, 2.5, 8)
-        f = SpectralField(grid, vg, _awkward_values(rng, (3, 8, 5)), real_flag=False)
+        f = SpectralField(grid, vg, _awkward_values(rng, (3, 8, 5)))
     elif kind == "bulk-large":             # more rows than one formatting block
         grid = FrequencyGrid(1, 2.5, 64)
         vg = VerticalGrid(0.8, 41)
@@ -266,13 +264,13 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
         f = SurfaceSpectral(grid, _awkward_values(rng, (2, 16)))
     else:
         grid = FrequencyGrid(2, 2.5, 6)
-        f = SurfaceSpectral(grid, _awkward_values(rng, (1, 6, 6)), real_flag=False)
+        f = SurfaceSpectral(grid, _awkward_values(rng, (1, 6, 6)))
     write_field_csv(tmp_path / "new.csv", f)
     _write_field_csv_rows(tmp_path / "old.csv", f)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert b"-0," in (tmp_path / "new.csv").read_bytes()
     back = read_field_csv(tmp_path / "new.csv")
-    assert type(back) is type(f) and back.real_flag == f.real_flag
+    assert type(back) is type(f)
     assert np.array_equal(back.data, f.data)
     ref = _read_field_csv_rows(tmp_path / "new.csv", f.data.shape)
     assert np.array_equal(back.data.view(np.uint64), ref.view(np.uint64))
@@ -283,7 +281,7 @@ def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
     # rows, and a sorted 2-space-indented sidecar with a trailing newline
     grid = FrequencyGrid(1, 2.0, 4)
     data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 5e-324), 0.0]
-    write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data, real_flag=False))
+    write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data))
     assert (tmp_path / "tiny.csv").read_bytes() == (
         b"comp,k1,re,im\r\n"
         b"0,0,0.10000000000000001,-0\r\n"
@@ -292,7 +290,12 @@ def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
         b"0,3,0,0\r\n")
     assert (tmp_path / "tiny.csv.json").read_bytes() == (
         b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
-        b'  "modes": 4,\n  "real_flag": false\n}\n')
+        b'  "modes": 4,\n  "real_flag": true\n}\n')
+    # every field is real, so the key is constant; a file that says false
+    # loads all the same
+    sidecar = tmp_path / "tiny.csv.json"
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"true", b"false"))
+    assert np.array_equal(read_field_csv(tmp_path / "tiny.csv").data[0], data)
 
 
 def test_write_json_and_write_csv_bytes(tmp_path):

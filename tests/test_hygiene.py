@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used, every
 private name and every public function or class the package defines is read
-somewhere in it or re-exported, and the package depends on nothing beyond
-the standard library, numpy and scipy."""
+somewhere in it or re-exported, every defaulted parameter is passed by some
+call, and the package depends on nothing beyond the standard library, numpy
+and scipy."""
 
 import ast
 import sys
@@ -114,6 +115,89 @@ def test_private_detector_flags_unread_and_keeps_read():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_names(sources) == []
+
+
+def _calls_by_name(sources) -> dict:
+    """{callee name: [(positional count, keyword names), ...]} over every call
+    in ``sources``; a ``*args`` call counts as reaching every position and a
+    ``**kwargs`` call as passing every keyword (None in the names)."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 {k.arg for k in node.keywords}))
+    return calls
+
+
+def unpassed_defaults(defs: dict, callers) -> list:
+    """(module, line, function, parameter) of each defaulted parameter of a
+    function or method in ``defs`` ({module: source}) that no call in
+    ``callers`` (sources) passes, by keyword or by enough positional
+    arguments to reach it.  Calls are matched by callee name; a class's name
+    and the names of its subclasses in ``defs`` count as calls to its
+    ``__init__``."""
+    calls = _calls_by_name(callers)
+    trees = {module: ast.parse(source) for module, source in defs.items()}
+    bases = {node.name: {getattr(b, "id", None) for b in node.bases}
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def subclasses(name):
+        return {name}.union(*(subclasses(c) for c, b in bases.items() if name in b))
+
+    found = []
+    for module, tree in trees.items():
+        methods = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = methods.get(id(fn))
+            names = (subclasses(cls.name) if cls and fn.name == "__init__"
+                     else {fn.name})
+            seen = [c for name in names for c in calls.get(name, [])]
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in fn.decorator_list)
+            args = fn.args.posonlyargs + fn.args.args
+            args = args[1:] if cls and not static else args
+            defaulted = [(i, a.arg) for i, a in enumerate(args)
+                         if i >= len(args) - len(fn.args.defaults)]
+            defaulted += [(float("inf"), a.arg) for a, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            found += [(module, fn.lineno, fn.name, arg) for i, arg in defaulted
+                      if not any(npos > i or arg in kw or None in kw
+                                 for npos, kw in seen)]
+    return sorted(found)
+
+
+def test_default_detector_flags_unpassed_and_keeps_passed():
+    defs = {"a": ("def f(x, y=1, z=2, *, w=3, v=4):\n    return x\n"
+                  "class Failure(Exception):\n"
+                  "    def __init__(self, msg, trace=None, code=0):\n"
+                  "        super().__init__(msg)\n"
+                  "    def method(self, a, b=1, c=2):\n        return a\n"
+                  "    @staticmethod\n    def static(a, b=1):\n        return a\n"
+                  "class Diverged(Failure):\n    pass\n"
+                  "def g(x, flag=False):\n    return x\n"
+                  "def h(x, flag=False):\n    return x\n")}
+    callers = ["f(1, 2)\nf(1, w=4)\nDiverged('m', trace=1)\nobj.method(1, 2)\n"
+               "Failure.static(1, 2)\ng(*xs)\nh(1, **kw)\n"]
+    assert unpassed_defaults(defs, callers) == [
+        ("a", 1, "f", "v"), ("a", 1, "f", "z"), ("a", 4, "__init__", "code"),
+        ("a", 6, "method", "c")]
+
+
+def test_every_default_is_passed():
+    root = SRC.parent.parent
+    callers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    defs = {p.stem: p.read_text() for p in MODULES}
+    assert unpassed_defaults(defs, callers) == []
 
 
 # the dependencies pyproject.toml declares, beside the standard library

@@ -6,8 +6,10 @@ import pytest
 from stripwave.errors import NotConverged, SurfaceTooLarge
 from stripwave.fields import SurfaceSpectral
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.linear import LinearState
-from stripwave.nonlinear import ForcingData, make_forcing_preset, picard_solve
+from stripwave.linear import LinearInverter, LinearState
+from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_residual,
+                                 picard_solve)
+from stripwave.norms import ydata_norm
 from stripwave.odesystem import FrequencySolver, solve_symbol
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
@@ -54,15 +56,24 @@ def test_picard_propagates_surface_too_large():
         picard_solve(forcing, P1, c, grid, vg)
 
 
-def test_picard_not_converged_budget():
-    grid = FrequencyGrid(1, 2 * np.pi * 10, 48)
-    vg = VerticalGrid(1.0, 32)
+def test_picard_not_converged_budget(monkeypatch):
+    # an exhausted budget stops before inverting: the trace's state is the
+    # one whose residual the trace records last
+    grid = FrequencyGrid(1, 2 * np.pi * 10, 16)
+    vg = VerticalGrid(1.0, 24)
     c = make_constitutive(P1)
     forcing = make_forcing_preset("heat-only", 1e-3, grid, 1.0, mode_index=2)
+    inverts = []
+    real = LinearInverter.invert
+    monkeypatch.setattr(LinearInverter, "invert",
+                        lambda self, data: inverts.append(1) or real(self, data))
     with pytest.raises(NotConverged) as err:
         picard_solve(forcing, P1, c, grid, vg, maxiter=0)
-    assert err.value.trace is not None
-    assert len(err.value.trace.residuals) >= 1
+    trace = err.value.trace
+    assert trace is not None
+    assert len(trace.residuals) >= 1
+    assert inverts == []
+    assert ydata_norm(nonlinear_residual(trace.state, forcing, P1, c)) == trace.residuals[-1]
 
 
 class _NullInverter:

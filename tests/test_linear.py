@@ -102,7 +102,7 @@ def test_solve_surface_trivial_and_unit(table):
     eta = solve_surface(Xi, table)
     assert np.abs(eta.data).max() == 0.0
 
-    Xi = SurfaceSpectral(GRID, table.rho[None].copy(), real_flag=True)
+    Xi = SurfaceSpectral(GRID, table.rho[None].copy())
     zero = (0,) * GRID.dim_h
     eta = solve_surface(Xi, table)
     expect = np.ones(GRID.freq_shape, dtype=complex)

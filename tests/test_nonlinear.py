@@ -176,9 +176,9 @@ def test_unknown_preset():
         make_forcing_preset("volcano", 1e-3, GRID, 1.0)
 
 
-def test_picard_zero_forcing(table, inverter):
+def test_picard_zero_forcing(inverter):
     tr = picard_solve(ForcingData(), P1, C_SMOOTH, GRID, VG,
-                      table=table, inverter=inverter)
+                      inverter=inverter)
     assert tr.converged
     assert tr.iterations == 0
     assert state_norm(tr.state) == 0.0
@@ -188,7 +188,7 @@ def test_picard_heat_driven(table, inverter):
     amp = 1e-3
     forcing = make_forcing_preset("heat-only", amp, GRID, 1.0, mode_index=3)
     tr = picard_solve(forcing, P1, C_SMOOTH, GRID, VG,
-                      table=table, inverter=inverter)
+                      inverter=inverter)
     assert tr.converged
     assert tr.residuals[-1] <= 1e-9
     assert max(tr.contraction) <= 0.5
@@ -200,19 +200,19 @@ def test_picard_heat_driven(table, inverter):
     assert got > 0
 
 
-def test_picard_amplitude_scaling(table, inverter):
+def test_picard_amplitude_scaling(inverter):
     # final state norm halves to within O(amplitude^2) when forcing halves
     forcing_a = make_forcing_preset("heat-only", 1e-3, GRID, 1.0)
     forcing_b = make_forcing_preset("heat-only", 5e-4, GRID, 1.0)
     tr_a = picard_solve(forcing_a, P1, C_SMOOTH, GRID, VG,
-                        table=table, inverter=inverter)
+                        inverter=inverter)
     tr_b = picard_solve(forcing_b, P1, C_SMOOTH, GRID, VG,
-                        table=table, inverter=inverter)
+                        inverter=inverter)
     na, nb = state_norm(tr_a.state), state_norm(tr_b.state)
     assert abs(na - 2 * nb) <= 50.0 * na * na
 
 
-def test_picard_translation_symmetry(table, inverter):
+def test_picard_translation_symmetry(inverter):
     # shifting the forcing shifts the solution by the same phase
     amp, j0 = 1e-3, 3
     xi0 = j0 / GRID.box_len
@@ -223,9 +223,9 @@ def test_picard_translation_symmetry(table, inverter):
         h_flat=lambda xp: np.cos(2 * np.pi * xi0 * (xp[..., 0] - shift)),
         amplitude=amp)
     tr = picard_solve(forcing, P1, C_SMOOTH, GRID, VG,
-                      table=table, inverter=inverter)
+                      inverter=inverter)
     tr_s = picard_solve(shifted, P1, C_SMOOTH, GRID, VG,
-                        table=table, inverter=inverter)
+                        inverter=inverter)
     xi = GRID.xi_axis()
     phase = np.exp(-2j * np.pi * xi * shift)
     moved = tr.state.copy()
@@ -272,8 +272,7 @@ def test_pushforward_flat_identity(table, inverter):
     # with a flat surface this is plain evaluation of the flattened fields
     prof = SurfaceSpectral(GRID, st.psi.data[..., 0] * 0 +
                            np.array([VG.interpolate(st.psi.data[0, k, :], 0.375)
-                                     for k in range(GRID.modes)])[None],
-                           real_flag=True)
+                                     for k in range(GRID.modes)])[None])
     expect = surface_at(prof, lattice_phases(GRID, pts[:, :1]))
     assert np.abs(out["temperature"] - expect).max() < 1e-10
 
@@ -296,12 +295,12 @@ def test_pushforward_rejects_outside():
         pushforward_eulerian(st, np.array([[0.0, 1.5]]))
 
 
-def test_pushforward_pullback_roundtrip(table, inverter):
+def test_pushforward_pullback_roundtrip(inverter):
     # push forward, then pull values back through the flattening map
     amp = 1e-3
     forcing = make_forcing_preset("heat-only", amp, GRID, 1.0)
     tr = picard_solve(forcing, P1, C_SMOOTH, GRID, VG,
-                      table=table, inverter=inverter)
+                      inverter=inverter)
     st = tr.state
     xs = np.linspace(0, GRID.box_len, 11, endpoint=False)
     phases = lattice_phases(GRID, xs[:, None])
@@ -312,7 +311,7 @@ def test_pushforward_pullback_roundtrip(table, inverter):
     # pullback: the flattened temperature at x_n = frac * b
     prof = np.array([VG.interpolate(st.psi.data[0, k, :], frac * VG.depth)
                      for k in range(GRID.modes)])
-    expect = surface_at(SurfaceSpectral(GRID, prof[None], True), phases)
+    expect = surface_at(SurfaceSpectral(GRID, prof[None]), phases)
     assert np.abs(out["temperature"] - expect).max() < 1e-8
 
 

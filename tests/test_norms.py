@@ -20,7 +20,7 @@ def test_sobolev_zero():
 def test_sobolev_single_mode_l2():
     # f(x, z) = exp(2 pi i xi0 x) sin(lam z): ||f||_L2^2 = L * int sin^2
     lam = 2.0
-    f = SpectralField.zeros(GRID, VG, real_flag=False)
+    f = SpectralField.zeros(GRID, VG)
     f.data[0, 3, :] = np.sin(lam * VG.nodes)
     exact = GRID.box_len * (VG.depth / 2 - np.sin(2 * lam * VG.depth) / (4 * lam))
     assert sobolev_norm(f, 0) == pytest.approx(np.sqrt(exact), rel=1e-12)
@@ -29,7 +29,7 @@ def test_sobolev_single_mode_l2():
 def test_sobolev_monotone_in_order():
     rng = np.random.default_rng(0)
     f = SpectralField(GRID, VG, rng.standard_normal((1, 32, 32))
-                      + 0j, real_flag=False)
+                      + 0j)
     n0, n1, n2 = (sobolev_norm(f, s) for s in (0, 1, 2))
     assert n0 <= n1 <= n2
 
@@ -43,7 +43,7 @@ def test_sobolev_rejects_fractional():
 def test_xnorm_single_high_mode():
     # mode with |xi| = 2 and weight (1+4)^t
     grid = FrequencyGrid(1, 4.0, 32)
-    eta = SurfaceSpectral.zeros(grid, real_flag=False)
+    eta = SurfaceSpectral.zeros(grid)
     eta.data[0, 8] = 0.7  # xi = 8/4 = 2
     for t in (0.5, 2.5):
         expect = np.sqrt(grid.box_len * 5.0 ** t * 0.49)
@@ -53,7 +53,7 @@ def test_xnorm_single_high_mode():
 def test_xnorm_low_mode_weight():
     # xi = 0.5: weight (xi1^2 + |xi|^4)/|xi|^2 = 1.25 regardless of t
     grid = FrequencyGrid(1, 8.0, 32)
-    eta = SurfaceSpectral.zeros(grid, real_flag=False)
+    eta = SurfaceSpectral.zeros(grid)
     eta.data[0, 4] = 1.0  # xi = 4/8 = 0.5
     expect = np.sqrt(grid.box_len * 1.25)
     assert x_norm(eta, 2.5) == pytest.approx(expect, rel=1e-12)
@@ -61,7 +61,7 @@ def test_xnorm_low_mode_weight():
 
 
 def test_xnorm_zero_mode_dropped():
-    eta = SurfaceSpectral.zeros(GRID, real_flag=False)
+    eta = SurfaceSpectral.zeros(GRID)
     eta.data[0, 0] = 123.0
     assert x_norm(eta, 2.5) == 0.0
 
@@ -83,21 +83,21 @@ def test_weight_discontinuity_at_one():
 
 def test_xnorm_monotone_above_one():
     grid = FrequencyGrid(1, 4.0, 32)
-    eta = SurfaceSpectral.zeros(grid, real_flag=False)
+    eta = SurfaceSpectral.zeros(grid)
     eta.data[0, 6] = 1.0  # xi = 1.5 > 1
     eta.data[0, 10] = 0.5
     assert x_norm(eta, 1.0) <= x_norm(eta, 2.0) <= x_norm(eta, 3.0)
 
 
 def test_hdot_single_mode():
-    f = SurfaceSpectral.zeros(GRID, real_flag=False)
+    f = SurfaceSpectral.zeros(GRID)
     f.data[0, 2] = 3.0  # xi = 0.25
     expect = np.sqrt(GRID.box_len) * 3.0 / 0.25
     assert hdot_neg1(f) == pytest.approx(expect, rel=1e-12)
 
 
 def test_hdot_zero_mode_obstruction():
-    f = SurfaceSpectral.zeros(GRID, real_flag=False)
+    f = SurfaceSpectral.zeros(GRID)
     f.data[0, 0] = 1.0
     assert hdot_neg1(f) == float("inf")
 
@@ -109,7 +109,7 @@ def test_hdot_of_derivative_finite():
         eta.data[0, j] = rng.standard_normal() + 1j * rng.standard_normal()
     eta.enforce_real()
     xi = GRID.xi_axis()
-    deta = SurfaceSpectral(GRID, eta.data * (2j * np.pi * xi), real_flag=True)
+    deta = SurfaceSpectral(GRID, eta.data * (2j * np.pi * xi))
     val = hdot_neg1(deta)
     direct = GRID.box_len * sum(
         np.abs(eta.data[0, j]) ** 2 * (2 * np.pi * xi[j]) ** 2 / xi[j] ** 2
@@ -133,7 +133,7 @@ def _random_bottom_vanishing_velocity(rng, grid, vg, jmax=5, kmax=5):
             for k in range(kmax):
                 amp = (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(-j - 0.4 * k)
                 u[c, j] += amp * np.sin((k + 0.5) * np.pi * z)
-    f = SpectralField(grid, vg, u, real_flag=False)
+    f = SpectralField(grid, vg, u)
     f.enforce_real()
     return f
 
@@ -146,8 +146,8 @@ def test_divergence_trace_bound():
         u = _random_bottom_vanishing_velocity(rng, GRID, VG)
         div = u.data[1:2] @ VG.diff.T + 2j * np.pi * xi[None, :, None] * u.data[0:1]
         data = YData.zeros(GRID, VG)
-        data.g = SpectralField(GRID, VG, div, real_flag=True)
-        data.h = SurfaceSpectral(GRID, u.data[1:2, :, -1].copy(), real_flag=True)
+        data.g = SpectralField(GRID, VG, div)
+        data.h = SurfaceSpectral(GRID, u.data[1:2, :, -1].copy())
         rep = check_divergence_trace(data)
         l2 = sobolev_norm(u, 0)
         assert rep.residual_hneg1 <= 2 * np.pi * np.sqrt(VG.depth) * l2 * (1 + 1e-10)
@@ -171,7 +171,7 @@ def test_ydata_norm_positive():
 
 
 def test_surface_sobolev_fractional():
-    f = SurfaceSpectral.zeros(GRID, real_flag=False)
+    f = SurfaceSpectral.zeros(GRID)
     f.data[0, 4] = 2.0  # xi = 0.5
     expect = 2.0 * np.sqrt(GRID.box_len) * (1.25) ** 0.25
     assert surface_sobolev_norm(f, 0.5) == pytest.approx(expect, rel=1e-12)

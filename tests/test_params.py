@@ -42,10 +42,10 @@ def test_gate_vanishing_coupling():
 
 
 def test_gate_violated():
-    # max{1/4, 1/4} * 100 = 25 > 2 (no safety factor, plain arithmetic)
-    est = QNormEstimate(q1=1.0, method="stub")
+    # q1 = 1/2 inflated by the safety factor 2: max{1/4, 1/4} * 100 = 25 > 2
+    est = QNormEstimate(q1=0.5, method="stub")
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 10.0, 2)
-    ok, margin = check_parameter_gate(p, est, safety=1.0)
+    ok, margin = check_parameter_gate(p, est)
     assert not ok
     assert margin == pytest.approx(2.0 - 25.0)
 

@@ -2,9 +2,10 @@
 scipy's ``expm`` and 50-digit references, and the matexp profiles against a
 6x6 reference built from the public assembly and against collocation."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stripwave.odesystem as ode
@@ -103,6 +104,41 @@ def test_propagator_continuous_across_both_thresholds(mu, gamma, direction, scal
     p = PhysicalParams(mu, 1.0, 1.0, 1.0, gamma, 1.0, 0.1, len(direction) + 1)
     xi = np.array(direction) * scale / (2 * np.pi * p.depth)
     assert _check_regime_thresholds(xi, p, gamma) == 2
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(mu=_log_uniform(0.01, 10.0), gamma=_log_uniform(0.1, 50.0), sign=SIGNS,
+       depth=st.floats(0.6, 1.4), tl=_log_uniform(1.001, 40.0),
+       angle=st.floats(0.0, 2 * np.pi), tfrac=st.floats(0.05, 1.0),
+       dim=st.sampled_from([2, 3]))
+# t m = 1.5e-4 at t |l| = 1.01: there the cosh/shc form of s1 loses 1.3e-12
+# to cancellation, and the quotient of differences keeps 2e-16
+@example(mu=0.01, gamma=50.0, sign=1.0, depth=1.4, tl=1.01, angle=0.0, tfrac=1.0,
+         dim=2)
+def test_propagator_matches_mpmath_beyond_series(mu, gamma, sign, depth, tl, angle,
+                                                 tfrac, dim):
+    # where s1 leaves its Taylor series (t |l| > 1) and |v| > 1/2, against
+    # exp(tA) at 50 digits of the same double-precision A, to 1e-12 of its
+    # largest entry.  |xi| is set by t |l| = tl: with g = gamma_tilde
+    # xi_1/(mu |xi|), (2 pi |xi|)^2 solves S^2 + g^2 S = (tl/t)^4.
+    p = PhysicalParams(mu, 1.0, 1.0, depth, sign * gamma, 1.0, 0.1, dim)
+    direction = np.array([np.cos(angle), np.sin(angle)] if dim == 3
+                         else [np.sign(np.cos(angle))])
+    t = tfrac * depth
+    g2 = (p.gamma * direction[0] / mu) ** 2
+    S = 2.0 * (tl / t) ** 4 / (np.sqrt(g2 * g2 + 4.0 * (tl / t) ** 4) + g2)
+    xi = np.sqrt(S) / (2 * np.pi) * direction
+    m, l, _, r = ode._propagator(xi[None], p, p.gamma)[0, :4]
+    assume(t * max(abs(l), m.real) > 1.0 and abs(0.5 * t * r / (l + m)) > 0.5)
+    with mpmath.workdps(50):
+        exact = mpmath.expm(mpmath.matrix(assemble_bulk_matrix(xi, p, p.gamma).tolist()) * t)
+    ref = np.array(exact.tolist(), dtype=complex)
+    X = _exponentials(xi, p, p.gamma, t)[0][0]
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 P2D = PhysicalParams(mu=0.8, kappa=1.7, grav=1, depth=1.1, gamma=1.3, sigma0=1,
