@@ -45,6 +45,19 @@ def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
                           cond_limit=b["cond_limit"])
 
 
+def _record_inverter(summary: dict, inv: LinearInverter, grid):
+    """Into the summary: the half-lattice frequencies the inverter's last
+    inversion solved per backend, and its largest condition estimate with
+    the lattice index where it occurs."""
+    if inv.backend is None:
+        return
+    solved = list(inv.backend[grid.half_mask()])
+    worst = np.unravel_index(np.argmax(inv.cond), inv.cond.shape)
+    summary["inverter_solved"] = {b: solved.count(b) for b in ("matexp", "collocation")}
+    summary["inverter_max_cond"] = float(inv.cond[worst])
+    summary["inverter_max_cond_at"] = [int(i) for i in worst]
+
+
 def run(config: RunConfig) -> int:
     r = config.raw
     outdir = r["out"]
@@ -107,6 +120,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         data = read_ydata_csv(r["input"])
         inv = _inverter(config, data.grid, data.vgrid)
         state = inv.invert(data)
+        _record_inverter(summary, inv, data.grid)
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
         misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
@@ -139,6 +153,8 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             # the trace is the only record of a failed solve
             write_json(trace_path, exc.trace.to_jsonable())
             raise
+        finally:
+            _record_inverter(summary, inv, grid)
         write_json(trace_path, trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
@@ -166,6 +182,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             worst_data = max(worst_data, ydata_norm(back) / ydata_norm(data))
             st2.axpy(-1.0, st)
             worst_state = max(worst_state, state_norm(st2) / state_norm(st))
+        _record_inverter(summary, inv, grid)
         write_json(os.path.join(outdir, "roundtrip_report.json"), {
             "count": r["roundtrip"]["count"],
             "max_data_misfit": worst_data,

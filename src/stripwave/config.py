@@ -56,7 +56,7 @@ def _merge_strict(defaults, given, path=""):
                     raise ConfigError(f"{path}{key} must be {name}, got {val!r}")
                 out[key] = val
         else:
-            out[key] = json.loads(json.dumps(base)) if isinstance(base, dict) else base
+            out[key] = json.loads(json.dumps(base))     # a copy: callers may mutate it
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
@@ -87,13 +87,15 @@ class RunConfig:
         r = self.raw
         if r["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {r['mode']!r}")
-        for key, val, low in (("maxiter", r["maxiter"], 0),
+        for key, val, low in (("maxiter", r["maxiter"], 0), ("seed", r["seed"], 0),
                               ("roundtrip.count", r["roundtrip"]["count"], 1)):
             if val < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
-        if not r["backend"]["cond_limit"] > 0:
-            raise ConfigError("backend.cond_limit must be positive, got "
-                              f"{r['backend']['cond_limit']!r}")
+        # "not > 0" also rejects the NaN that json reads
+        for key, val in [("backend.cond_limit", r["backend"]["cond_limit"])] + [
+                (f"tol.{k}", v) for k, v in r["tol"].items()]:
+            if not val > 0:
+                raise ConfigError(f"{key} must be positive, got {val!r}")
         try:
             checked_xi_seq(r["fit"]["xi_seq"])
         except (TypeError, ValueError) as exc:

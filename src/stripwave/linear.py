@@ -37,8 +37,8 @@ from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
-                        SymbolTable, forcing_rows, transverse_factor,
-                        transverse_solve)
+                        SymbolTable, forcing_rows, lattice_record,
+                        transverse_factor, transverse_solve)
 from .ops import horiz_deriv, xi_multipliers
 from .params import PhysicalParams
 
@@ -218,13 +218,16 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
 class LinearInverter:
     """Caches the per-frequency machinery for repeated inversions.
 
-    The first inversion prepares one FrequencyStack over the half lattice,
-    xi = 0 included: there the longitudinal direction is the first
+    An inversion solves only the half-lattice frequencies where its data,
+    less the surface terms, is nonzero (in dim_h = 2 the transverse forcing
+    counts too) and writes zero at the others.  It prepares one
+    FrequencyStack and, in dim_h = 2, the transverse factors at exactly
+    those frequencies, or again at the union when its data reaches outside
+    the ones prepared.  At xi = 0 the longitudinal direction is the first
     horizontal axis and, in dim_h = 2, the transverse one the second.  Each
     inversion fills ``backend`` and ``cond``, lattice arrays shaped like
-    SymbolTable's: the backend each frequency is solved with and its
-    condition estimate.  In dim_h = 2 each transverse system is factored
-    once, at its first use.
+    SymbolTable's: the backend of each solved frequency and its condition
+    estimate, None and 0 where no solve was made.
     """
 
     def __init__(self, table: SymbolTable, split: float = DEFAULT_SPLIT,
@@ -235,31 +238,13 @@ class LinearInverter:
                                       split=split, cond_limit=cond_limit)
         self.backend = None
         self.cond = None
-        self._stack = None
-        self._transverse = {}
-
-    def _add_transverse(self, u, fd, kd, half, unit, xis):
-        """Add the transverse velocity beta perp at every half-lattice
-        frequency with transverse forcing (dim_h = 2)."""
-        p = self.table.params
-        vgrid = self.table.vgrid
-        perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-        f_perp = perp[:, 0, None] * fd[0][half] + perp[:, 1, None] * fd[1][half]
-        k_perp = perp[:, 0] * kd[0][half] + perp[:, 1] * kd[1][half]
-        live = (np.abs(f_perp).max(axis=1) > 0) | (np.abs(k_perp) > 0)
-        for i in np.flatnonzero(live).tolist():
-            lu = self._transverse.get(i)
-            if lu is None:
-                lu = self._transverse[i] = transverse_factor(
-                    xis[i], p, vgrid, -p.gamma, self.solver.cond_limit)
-            beta = transverse_solve(lu, f_perp[i], k_perp[i])
-            at = (half[0][i], half[1][i])
-            u[(0,) + at] += beta * perp[i, 0]
-            u[(1,) + at] += beta * perp[i, 1]
+        # the half-lattice frequencies of the stack and transverse factors
+        self._prepared = np.zeros(int(table.grid.half_mask().sum()), dtype=bool)
+        self._stack = self._factors = None
 
     def _solve_half(self, data: YData, fd, kd, out: LinearState):
-        """The forced problems at every half-lattice frequency as one
-        FrequencyStack solve; writes u, psi and pres there into out."""
+        """The forced problems at the half-lattice frequencies with data as
+        one FrequencyStack solve; writes u, psi and pres there into out."""
         p = self.table.params
         grid, vgrid = data.grid, data.vgrid
         n = grid.dim_h + 1
@@ -269,22 +254,44 @@ class LinearInverter:
 
         half = np.nonzero(grid.half_mask())
         xis = grid.xi_vectors()[half]
-        if self._stack is None:
-            self._stack = self.solver.prepare(xis)
         unit = unit[half]                                 # (K, dim_h)
         z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag[half], f_long[half],
                             fd[n - 1][half], data.g.data[0][half],
                             data.l.data[0][half], k_long[half], kd[n - 1][half],
                             data.m.data[0][half])
-        Y = self._stack.solve(z, d)
-        self.backend, self.cond = self._stack.lattice_record(grid)
+        live = z.reshape(len(z), -1).any(axis=1) | d.any(axis=1)
+        if grid.dim_h == 2:
+            perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
+            f_perp = perp[:, 0, None] * fd[0][half] + perp[:, 1, None] * fd[1][half]
+            k_perp = perp[:, 0] * kd[0][half] + perp[:, 1] * kd[1][half]
+            transverse = f_perp.any(axis=1) | (k_perp != 0)
+            live |= transverse
+        if (live & ~self._prepared).any():
+            prepared = self._prepared | live
+            stack = self.solver.prepare(xis[prepared])
+            if grid.dim_h == 2:
+                self._factors = transverse_factor(xis[prepared], p, vgrid,
+                                                  -p.gamma, self.solver.cond_limit)
+            self._stack, self._prepared = stack, prepared
+        at = self._prepared
+        z, d = z[at], d[at]                 # the full arrays are freed here
+        Y = np.zeros((len(xis), 6, vgrid.count), dtype=complex)
+        backend, cond = np.full(len(xis), None, dtype=object), np.zeros(len(xis))
+        if live.any():
+            Y[at] = self._stack.solve(z, d)
+            backend[at], cond[at] = self._stack.backend, self._stack.cond
+            Y[~live], backend[~live], cond[~live] = 0.0, None, 0.0
+        self.backend, self.cond = lattice_record(grid, backend, cond)
 
         u = out.u.data
         for j in range(grid.dim_h):
             u[(j,) + half] = -1j * Y[:, 0] * unit[:, j, None]
         u[(n - 1,) + half] = Y[:, 1]
-        if grid.dim_h == 2:
-            self._add_transverse(u, fd, kd, half, unit, xis)
+        if grid.dim_h == 2 and transverse.any():
+            # beta perp is added only where the transverse forcing is nonzero
+            beta = transverse_solve(self._factors, f_perp[at], k_perp[at])
+            rows = tuple(h[transverse] for h in half)
+            u[(slice(0, 2),) + rows] += beta[transverse[at]] * perp[transverse].T[..., None]
         out.psi.data[(0,) + half] = Y[:, 2]
         out.pres.data[(0,) + half] = Y[:, 3]
 

@@ -393,18 +393,17 @@ class FrequencyStack:
     """One FrequencySolver prepared at K frequencies.
 
     The matexp members are prepared together as stacks: ``prop`` holds their
-    ``_propagator`` rows, ``Binv`` and ``Nmat`` are (k, 6, 6).  The step
-    exponentials exp(h_j A) of a member are computed at its first solve with
-    nonzero data, and ``step`` keeps them as one (members with data, 6, 6)
-    array per interval j; a member that never has data gets Y = 0 and no
-    exponentials.  The weighted Gauss-Legendre exponentials
-    w_q exp((c_j - t_q) A) are computed at a member's first nonzero bulk
-    forcing, and ``quad`` keeps them as one (members with forcing, 6, 8*6)
-    array per interval, so that the quadrature of an interval is one
-    matrix-vector product per member.  The exponentials are computed in
-    calls of at most _EXP_CHUNK matrices (one member's exponentials stay in
-    one call), and the arrays kept are per interval, so no allocation grows
-    with the product of frequencies and intervals.
+    ``_propagator`` rows, ``Binv`` and ``Nmat`` are (k, 6, 6).  ``step``
+    keeps the step exponentials exp(h_j A) of every member as one (k, 6, 6)
+    array per interval j, made when the stack is built.  ``quad`` keeps the
+    weighted Gauss-Legendre exponentials w_q exp((c_j - t_q) A) as one
+    (k, 6, 8*6) array per interval, made at the first solve with bulk
+    forcing, so that the quadrature of an interval is one matrix-vector
+    product per member.  The exponentials are computed in calls of at most
+    _EXP_CHUNK matrices (one member's exponentials stay in one call) and
+    written in place into the arrays per interval, so no allocation grows
+    with the product of frequencies and intervals.  Every solve solves every
+    member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead (or raises
@@ -464,156 +463,125 @@ class FrequencyStack:
             self._matexp_failed(i)
         self.members = self.members[ok]
         self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
-        intervals = range(s.vgrid.count - 1)
-        # rows of a member's step and quadrature exponentials, made at its
-        # first solve with nonzero data and first nonzero bulk forcing
-        self.step = [np.empty((0, 6, 6), dtype=complex) for _ in intervals]
-        self.quad = [np.empty((0, 6, 48), dtype=complex) for _ in intervals]
-        self.step_of = np.full(len(self.members), -1)   # row of step per member
-        self.quad_of = np.full(len(self.members), -1)   # row of quad per member
-        self.ready = np.empty(0, dtype=int)             # members with step rows
-        self.forced = np.empty(0, dtype=int)            # members with quad rows
+        self.step = self._exponential_rows(np.diff(s.vgrid.nodes), (6, 6),
+                                           lambda j, X: X)
+        self.quad = None
 
-    def _append_rows(self, arrays, new, t, rows_of):
-        """Append to ``arrays`` (one per interval j) the rows rows_of(j,
-        exp(t_j A)) of the members ``new`` (positions in ``members``).  A
-        call holds all times of its members and at most _EXP_CHUNK matrices
-        when it holds more than one member.  A member whose exponential
-        fails gets zero rows, which the march carries, and is solved by
-        collocation instead."""
+    def _exponential_rows(self, t, shape, rows_of) -> list:
+        """Per interval j, the rows rows_of(j, exp(t_j A)) of every member as
+        one array (k,) + ``shape``.  A call holds all times of its members
+        and at most _EXP_CHUNK matrices when it holds more than one member.
+        A member whose exponential fails gets zero rows, which the march
+        carries, and is solved by collocation instead."""
         t = np.asarray(t)
-        prop = self.prop[new]
-        finite = np.ones(len(new), dtype=bool)
-        blocks = [np.empty((len(new),) + a.shape[1:], dtype=complex) for a in arrays]
+        finite = np.ones(len(self.members), dtype=bool)
+        arrays = [np.empty((len(finite),) + shape, dtype=complex) for _ in range(len(t))]
         width = max(1, _EXP_CHUNK // t.size)
-        for lo in range(0, len(new), width):
+        for lo in range(0, len(finite), width):
             blk = slice(lo, lo + width)
-            X, finite[blk] = _member_exponentials(prop[blk], t)
-            for j, block in enumerate(blocks):
-                block[blk] = rows_of(j, X[:, j])
-        for pos in new[~finite]:
-            self._matexp_failed(self.members[pos])
-        for j, block in enumerate(blocks):
-            block[~finite] = 0.0
-            arrays[j] = np.concatenate([arrays[j], block]) if len(arrays[j]) else block
-
-    def _ensure_rows(self, z, d):
-        """Step rows for the members with nonzero data, quadrature rows for
-        the members with nonzero bulk forcing."""
-        data = d.any(axis=1)
-        if z is not None:
-            forcing = z.reshape(len(z), -1).any(axis=1)
-            data |= forcing
-            new = np.flatnonzero(forcing & (self.quad_of < 0))
-            if new.size:
-                offsets, weights, _ = self.solver._quadrature()
-                self._append_rows(self.quad, new, offsets, lambda j, X: (
-                    weights[j, :, None, None] * X).transpose(0, 2, 1, 3).reshape(-1, 6, 48))
-                self.quad_of[new] = len(self.forced) + np.arange(len(new))
-                self.forced = np.concatenate([self.forced, new])
-        new = np.flatnonzero((data | (self.quad_of >= 0)) & (self.step_of < 0))
-        if new.size:
-            self._append_rows(self.step, new, np.diff(self.solver.vgrid.nodes),
-                              lambda j, X: X)
-            self.step_of[new] = len(self.ready) + np.arange(len(new))
-            self.ready = np.concatenate([self.ready, new])
+            X, finite[blk] = _member_exponentials(self.prop[blk], t)
+            X[~finite[blk]] = 0.0
+            for j, rows in enumerate(arrays):
+                rows[blk] = rows_of(j, X[:, j])
+        for i in self.members[~finite]:
+            self._matexp_failed(i)
+        return arrays
 
     def _local_integrals(self, z) -> list:
-        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt for
-        the members with quad rows, (len(forced), 6, 1) each."""
-        nz = z.shape[-1]
-        rows = self.solver._quadrature()[2].reshape(nz - 1, 8, nz)
-        zt = z[self.forced].transpose(0, 2, 1)
+        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
+        for every member, (k, 6, 1) each."""
+        offsets, weights, rows = self.solver._quadrature()
+        if self.quad is None:
+            self.quad = self._exponential_rows(offsets, (6, 48), lambda j, X: (
+                weights[j, :, None, None] * X).transpose(0, 2, 1, 3).reshape(-1, 6, 48))
+        zt = z.transpose(0, 2, 1)
         # samples (member, node, component): the column order of quad
-        return [q @ (r @ zt).reshape(-1, 48, 1) for q, r in zip(self.quad, rows)]
+        return [q @ (r @ zt).reshape(-1, 48, 1)
+                for q, r in zip(self.quad, rows.reshape(len(self.quad), 8, -1))]
 
     def _march(self, z, d) -> np.ndarray:
         """Variation of constants for the matexp members, marched over the
-        intervals with every member that has step rows at once; the others
-        have zero data and get Y = 0."""
-        self._ensure_rows(z, d)
-        step, ready = self.step, self.ready
+        intervals with every member at once; the local integrals are added
+        to the members with bulk forcing."""
+        step = self.step
         nz = len(step) + 1
-        local = None if z is None or not self.forced.size else self._local_integrals(z)
-        forced = self.step_of[self.forced]        # their rows in the march
-        integral = np.zeros((len(ready), 6, 1), dtype=complex)
+        forced = None if z is None else z.reshape(len(z), -1).any(axis=1)
+        local = self._local_integrals(z) if forced is not None and forced.any() else None
+        integral = np.zeros((len(self.members), 6, 1), dtype=complex)
         if local is not None:
             for j in range(nz - 1):
                 integral = step[j] @ integral
-                integral[forced] += local[j]
-        y = self.Binv[ready] @ (d[ready, :, None] - self.Nmat[ready] @ integral)
-        Y = np.zeros((len(self.members), 6, nz), dtype=complex)
-        Yr = np.empty((len(ready), 6, nz), dtype=complex)
-        Yr[..., 0] = y[..., 0]
+                integral[forced] += local[j][forced]
+        y = self.Binv @ (d[:, :, None] - self.Nmat @ integral)
+        Y = np.empty((len(self.members), 6, nz), dtype=complex)
+        Y[..., 0] = y[..., 0]
         for j in range(nz - 1):
             y = step[j] @ y
             if local is not None:
-                y[forced] += local[j]
-            Yr[..., j + 1] = y[..., 0]
-        Y[ready] = Yr
+                y[forced] += local[j][forced]
+            Y[..., j + 1] = y[..., 0]
         return Y
 
     def solve(self, z, d) -> np.ndarray:
         """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
         for none, and boundary data ``d`` (K, 6)."""
         d = np.asarray(d, dtype=complex)
-        if len(self.members) == len(self.backend):
-            Y = self._march(z, d)       # all on matexp: no gather and scatter
-        else:
-            Y = np.empty((len(self.backend), 6, self.solver.vgrid.count),
-                         dtype=complex)
-            if self.members.size:
-                Y[self.members] = self._march(
-                    None if z is None else z[self.members], d[self.members])
+        Y = np.empty((len(self.backend), 6, self.solver.vgrid.count), dtype=complex)
+        if self.members.size:
+            Y[self.members] = self._march(
+                None if z is None else z[self.members], d[self.members])
         for i in self.colloc:
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])
         return Y
 
-    def lattice_record(self, grid):
-        """``backend`` and ``cond`` as lattice arrays, for a stack prepared at
-        the half lattice, grid.xi_vectors()[grid.half_mask()]: the mirror on
-        the other half."""
-        half = grid.half_mask()
-        backend = np.empty(grid.freq_shape, dtype=object)
-        cond = np.zeros(grid.freq_shape)
-        backend[half], cond[half] = self.backend, self.cond
-        return (np.where(half, backend, reflect(backend, grid, 0)),
-                conjugate_mirror(cond, grid, 0))
+
+def lattice_record(grid, backend, cond):
+    """``backend`` and ``cond`` of the half lattice, in the order of
+    grid.xi_vectors()[grid.half_mask()], as lattice arrays: the mirror on
+    the other half."""
+    half = grid.half_mask()
+    full_backend = np.empty(grid.freq_shape, dtype=object)
+    full_cond = np.zeros(grid.freq_shape)
+    full_backend[half], full_cond[half] = backend, cond
+    return (np.where(half, full_backend, reflect(full_backend, grid, 0)),
+            conjugate_mirror(full_cond, grid, 0))
 
 
-def transverse_factor(xi, p: PhysicalParams, vgrid: VerticalGrid,
+def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
                       gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
-    """LU factors of the scalar transverse velocity problem at one frequency
-    (horizontal dimension two only), checked against cond_limit:
+    """LU factors of the scalar transverse velocity problems at the
+    frequencies ``xis`` (K, 2) (horizontal dimension two only), each checked
+    against cond_limit, stacked as (K, Nz, Nz) and (K, Nz):
 
     gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
     beta(0) = 0, -mu dn beta(b) = k.
     """
-    xi = _xi_array(xi)
-    if xi.size != 2:
+    xis = np.asarray(xis, dtype=float)
+    if xis.shape[-1] != 2:
         raise ValueError("transverse problems only arise for dim_h = 2")
     nz = vgrid.count
-    m = 2.0 * np.pi * float(np.linalg.norm(xi))
-    t = 2j * np.pi * gamma_tilde * xi[0]
+    m = 2.0 * np.pi * np.sqrt(np.vecdot(xis, xis))
+    t = 2j * np.pi * gamma_tilde * xis[:, 0]
     D = vgrid.diff
-    L = t * np.eye(nz) - p.mu * (D @ D - m * m * np.eye(nz))
-    L = L.astype(complex)
-    L[0] = 0.0
-    L[0, 0] = 1.0
-    L[-1] = -p.mu * D[-1]
-    lu, _ = _factor_checked(L, cond_limit, "transverse system")
-    return lu
+    eye = np.eye(nz)
+    L = t[:, None, None] * eye - p.mu * (D @ D - (m * m)[:, None, None] * eye)
+    L[:, 0] = 0.0
+    L[:, 0, 0] = 1.0
+    L[:, -1] = -p.mu * D[-1]
+    piv = np.empty((len(L), nz), dtype=np.int32)
+    for i in range(len(L)):
+        (L[i], piv[i]), _ = _factor_checked(L[i], cond_limit, "transverse system")
+    return L, piv
 
 
-def transverse_solve(lu, f_transverse=None, k_transverse=0.0) -> np.ndarray:
-    """beta from the factors of ``transverse_factor`` and the forcing."""
-    nz = lu[0].shape[0]
-    rhs = np.zeros(nz, dtype=complex) if f_transverse is None \
-        else np.asarray(f_transverse, dtype=complex).copy()
-    rhs[0] = 0.0
-    rhs[-1] = k_transverse
-    return lu_solve(lu, rhs)
+def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
+    """beta (K, Nz) from the factors of ``transverse_factor``, the forcing
+    f (K, Nz) and the top data k (K,), as one batched solve."""
+    rhs = np.array(f_transverse, dtype=complex)
+    rhs[:, 0] = 0.0
+    rhs[:, -1] = k_transverse
+    return lu_solve(factors, rhs[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +654,7 @@ class SymbolTable:
         xis = grid.xi_vectors()[half]
         stack = solver.prepare(xis)
         Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
-        backend, cond = stack.lattice_record(grid)
+        backend, cond = lattice_record(grid, stack.backend, stack.cond)
         del stack                       # its exponentials, before the mirror
         y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
         y[half] = Y

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
+from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
+                              make_random_state)
 from stripwave.odesystem import (FrequencySolver, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix)
 from stripwave.norms import ydata_norm
@@ -75,27 +76,39 @@ def test_stack_matches_single_solves(dim, seed, forced):
     assert list(stack.backend[-4:]) == ["collocation"] * 4
 
 
-def test_stack_reuses_preparation_across_solves():
+def test_stack_reuses_preparation_across_solves(monkeypatch):
+    # the step exponentials are made with the stack and the quadrature ones
+    # at its first solve with bulk forcing, for every member at once
+    import stripwave.odesystem as ode
+    calls = []
+    real = ode._member_exponentials
+
+    def counting(prop, t):
+        calls.append(len(prop))
+        return real(prop, t)
+
+    monkeypatch.setattr(ode, "_member_exponentials", counting)
     rng = np.random.default_rng(7)
     p = _random_params(rng, 2)
     vg = VerticalGrid(p.depth, 20)
     solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-3.0, 3.0, (12, 1))
     stack = solver.prepare(xis)
+    assert calls == [12, 12]            # B, then the step exponentials
     for trial in range(4):
         z, d = _forcing(rng, 12, vg.count, vg, p.depth)
         if trial < 2:
-            z[::4] = 0.0                # no data at all: Y = 0, nothing made
+            z[::4] = 0.0                # no data at all: Y = 0
             d[::4] = 0.0
         if trial == 2:
             z[::3] = z[1]               # bulk forcing at new frequencies
         Y = stack.solve(z, d)
+        assert calls == [12, 12, 12]    # the quadrature ones, at trial 0
         singles = [solver.solve(xi, z[i], d[i]) for i, xi in enumerate(xis)]
+        del calls[3:]
         _assert_rows_agree(Y, singles)
         if trial < 2:
             assert np.abs(Y[::4]).max() == 0.0
-            assert sorted(stack.ready) == [i for i in range(12) if i % 4]
-    assert sorted(stack.ready) == list(range(12))
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)
@@ -124,16 +137,119 @@ def test_table_backend_at_bench_grids(name):
     assert counts == BENCH_BACKENDS[name]
 
 
+def _counting(monkeypatch, name):
+    """Record the calls of ``odesystem.<name>`` from now on."""
+    import stripwave.odesystem as ode
+    calls = []
+    real = getattr(ode, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ode, name, counting)
+    return calls
+
+
+def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
+    # linear-deep's job: its data reaches 2 pi |xi| b = 16, inside the
+    # matexp band, so the 42 collocation members above split 30, which had
+    # no data, are no longer factored (84 LUs)
+    dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
+    data = apply_linear_operator(make_random_state(grid, vg, seed=3, jmax=20), p)
+    lus = _counting(monkeypatch, "lu_factor")
+    inv = LinearInverter(SymbolTable.build(grid, vg, p))
+    assert len(lus) == 104
+    inv.invert(data)
+    assert len(lus) == 104
+    solved = list(inv.backend[grid.half_mask()])
+    assert solved.count("matexp") == 20 and solved.count(None) == 45
+
+
+def _without_low_modes(state, jmin):
+    """``state`` with every lattice mode of index magnitude below ``jmin``
+    set to zero."""
+    grid = state.grid
+    low = np.ones(grid.freq_shape, dtype=bool)
+    for ax in range(grid.dim_h):
+        j = np.fft.fftfreq(grid.modes, 1.0 / grid.modes)
+        low &= np.abs(j.reshape((-1,) + (1,) * (grid.dim_h - 1 - ax))) < jmin
+    for part in state.parts():
+        part.data[:, low] = 0.0
+    return state
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
+    # data on S1 (indices up to 2), then on S2 (2 to 4): the second inversion
+    # prepares at the union and returns, bit for bit, what a fresh inverter
+    # returns for S2, with exact zeros where S2 has no data
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
+    table = SymbolTable.build(grid, vg, p)
+    data1 = apply_linear_operator(make_random_state(grid, vg, seed=1, jmax=2), p)
+    data2 = apply_linear_operator(
+        _without_low_modes(make_random_state(grid, vg, seed=2, jmax=4), 2), p)
+    support = [np.any([np.abs(part.data).reshape(len(part.data), *grid.freq_shape, -1)
+                       .max(axis=(0, -1)) > 0 for part in data.parts()], axis=0)
+               for data in (data1, data2)]
+    assert (support[0] & support[1]).any() and (support[1] & ~support[0]).any()
+    inv = LinearInverter(table)
+    prepared = []
+    prepare = inv.solver.prepare
+
+    def counting(xis, *args, **kwargs):
+        prepared.append(len(xis))
+        return prepare(xis, *args, **kwargs)
+
+    inv.solver.prepare = counting
+    inv.invert(data1)
+    out = inv.invert(data2)
+    half = grid.half_mask()
+    assert prepared == [(support[0] & half).sum(), ((support[0] | support[1]) & half).sum()]
+    fresh = LinearInverter(table)
+    expect = fresh.invert(data2)
+    for part, ref in zip(out.parts(), expect.parts()):
+        assert part.data.tobytes() == ref.data.tobytes()
+        assert (part.data[(slice(None),) + np.nonzero(~support[1])] == 0).all()
+    assert np.array_equal(inv.backend, fresh.backend)
+    assert inv.cond.tobytes() == fresh.cond.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_invert_zero_data_makes_no_solve(dim, monkeypatch):
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, 2.5 * math.pi, 16), VerticalGrid(1.0, 16)
+    inv = LinearInverter(SymbolTable.build(grid, vg, p))
+    data = apply_linear_operator(LinearState.zeros(grid, vg), p)
+    exps = _counting(monkeypatch, "_member_exponentials")
+    lus = _counting(monkeypatch, "lu_factor")
+    out = inv.invert(data)
+    assert exps == [] and lus == []
+    assert all(np.abs(part.data).max() == 0.0 for part in out.parts())
+    assert set(inv.backend.ravel()) == {None} and inv.cond.max() == 0.0
+
+
+def _data_everywhere(data):
+    """``data`` with a constant temperature forcing added at every lattice
+    point, so that the inverter solves every frequency."""
+    data.l.data[0] += 1.0
+    return data
+
+
 def test_inverter_backend_and_cond_match_single_solves():
-    # the linear-deep lattice on a coarser vertical grid: matexp below
-    # 2 pi |xi| b = 30, 15 fallbacks inside that band, collocation above
+    # the linear-deep lattice on a coarser vertical grid, with data at every
+    # frequency: matexp below 2 pi |xi| b = 30, 15 fallbacks inside that
+    # band, collocation above
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid = FrequencyGrid(1, 2.5 * math.pi, 128)
     vg = VerticalGrid(1.0, 24)
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
     assert inv.backend is None
     st = make_random_state(grid, vg, seed=3, jmax=20)
-    inv.invert(apply_linear_operator(st, p))
+    inv.invert(_data_everywhere(apply_linear_operator(st, p)))
     assert inv.backend.shape == inv.cond.shape == grid.freq_shape
     z = np.ones((6, vg.count), dtype=complex)
     z[[0, 2]] = 0.0
@@ -157,9 +273,10 @@ LIFETIME_COND = [1.0, 7.917543e3, 3.376874e6, 6.376916e8, 8.408163e10,
 
 
 def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
-    # 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16, three fallbacks inside
-    # the inverter's band (20, 24, 28) and collocation above 30, so twelve
-    # collocation members; the table (split 10) has fourteen
+    # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16,
+    # three fallbacks inside the inverter's band (20, 24, 28) and collocation
+    # above 30, so twelve collocation members; the table (split 10) has
+    # fourteen
     import stripwave.odesystem as ode
     sizes = []
     real = ode.lu_factor
@@ -175,7 +292,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     table = SymbolTable.build(grid, vg, p)
     assert len(sizes) == 28
     inv = LinearInverter(table)
-    data = apply_linear_operator(make_random_state(grid, vg, seed=1), p)
+    data = _data_everywhere(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
     records = []
     for _ in ("cold", "warm"):
         sizes.clear()
@@ -199,9 +316,9 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
     factored = []
     real = linear.transverse_factor
 
-    def counting(xi, *args, **kwargs):
-        factored.append(tuple(np.round(xi, 12)))
-        return real(xi, *args, **kwargs)
+    def counting(xis, *args, **kwargs):
+        factored.extend(tuple(np.round(xi, 12)) for xi in xis)
+        return real(xis, *args, **kwargs)
 
     monkeypatch.setattr(linear, "transverse_factor", counting)
     for seed in (1, 2):

@@ -11,6 +11,7 @@ from stripwave.errors import ConfigError
 from stripwave.fields import write_ydata_csv
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import apply_linear_operator, make_random_state
+from stripwave.odesystem import SymbolTable
 from stripwave.params import PhysicalParams
 
 
@@ -42,6 +43,16 @@ def test_config_rejects_bad_mode():
 def test_config_rejects_odd_modes():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"grid": {"modes": 33}})
+
+
+def test_config_defaults_are_copied():
+    # a fit section without xi_seq gets a copy of the default list
+    from stripwave import config
+    cfg = RunConfig.from_dict({"fit": {"refine": False}})
+    cfg.raw["fit"]["xi_seq"].append(1e-4)
+    assert config._DEFAULTS["fit"]["xi_seq"] == [1e-2, 5e-3, 2.5e-3]
+    later = RunConfig.from_dict({"fit": {"refine": False}})
+    assert later.raw["fit"]["xi_seq"] == [1e-2, 5e-3, 2.5e-3]
 
 
 def test_config_bad_file(tmp_path):
@@ -122,6 +133,28 @@ def test_linear_solve_mode(tmp_path):
     rep = json.load(open(os.path.join(out, "linear_report.json")))
     assert rep["roundtrip_misfit"] < 1e-6
     assert os.path.exists(os.path.join(out, "eta.csv"))
+
+
+def test_linear_solve_records_inverter_work(tmp_path):
+    # linear-deep's lattice and input state: its data reaches 2 pi |xi| b = 16,
+    # so the 20 frequencies with data are solved by matexp and none by
+    # collocation, though 42 frequencies lie above split 30
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    grid, vg = FrequencyGrid(1, 2.5 * np.pi, 128), VerticalGrid(1.0, 32)
+    indir = str(tmp_path / "ydata")
+    data = apply_linear_operator(make_random_state(grid, vg, seed=3, jmax=20), p)
+    write_ydata_csv(indir, data)
+    out = tmp_path / "lin"
+    path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": indir, "out": str(out),
+                                 "grid": {"box_len": 2.5 * np.pi, "modes": 128, "nz": 32}})
+    assert main(["--config", path]) == 0
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["inverter_solved"] == {"matexp": 20, "collocation": 0}
+    inv = cli.LinearInverter(SymbolTable.build(grid, vg, p))
+    inv.invert(data)
+    at = tuple(summary["inverter_max_cond_at"])
+    assert summary["inverter_max_cond"] == inv.cond[at] == inv.cond.max()
+    assert inv.backend[at] == "matexp"
 
 
 @pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
@@ -218,6 +251,7 @@ def test_stalled_solve_writes_trace(tmp_path):
         "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 2}})
     assert trace["amplitude_used"] == 1e-3 / 3
     assert "retried_after_divergence" not in trace["diagnostics"]
+    assert summary["inverter_solved"]["matexp"] > 0
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 
@@ -253,10 +287,18 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
      "fit.xi_seq"),
     ({"mode": "nonlinear-solve", "forcing": {"mode_index": 100}, **SMALL},
      "forcing.mode_index"),
+    ({"mode": "roundtrip-test", "tol": {"roundtrip": -1}, **SMALL}, "tol.roundtrip"),
+    ({"mode": "nonlinear-solve", "tol": {"picard": -1}, **SMALL}, "tol.picard"),
+    ({"mode": "asym-check", "tol": {"fit_rel": 0}, "fit": {"refine": False}, **SMALL},
+     "tol.fit_rel"),
+    ({"tol": {"stability": float("nan")}, **SMALL}, "tol.stability"),
+    ({"mode": "roundtrip-test", "seed": -1, **SMALL}, "seed"),
 ], ids=["count-0", "maxiter-negative", "box-negative", "modes-float", "visc-unknown",
         "picard-tol-string", "roundtrip-tol-string", "split-string",
         "cond-limit-negative", "seed-string", "out-number", "mu-string", "dim-float",
-        "amplitude-string", "xi-seq-empty", "xi-seq-increasing", "mode-index-aliased"])
+        "amplitude-string", "xi-seq-empty", "xi-seq-increasing", "mode-index-aliased",
+        "roundtrip-tol-negative", "picard-tol-negative", "fit-rel-zero",
+        "stability-nan", "seed-negative"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, cfg, key):
     # rejected at load, before any output, by a message naming the key
     path = _write_cfg(tmp_path, {"out": str(tmp_path / "out"), **cfg})

@@ -127,11 +127,11 @@ def test_invert_one_solve_per_pair_3d():
     grid = FrequencyGrid(2, 2 * np.pi, 8)
     vg = VerticalGrid(1.0, 16)
     inv = LinearInverter(SymbolTable.build(grid, vg, P3))
-    solved = []
+    prepared = []
     prepare = inv.solver.prepare
 
     def counting(xis, *args, **kwargs):
-        solved.extend(tuple(np.round(xi, 12)) for xi in xis)
+        prepared.append([tuple(np.round(xi, 12)) for xi in xis])
         return prepare(xis, *args, **kwargs)
 
     inv.solver.prepare = counting
@@ -139,10 +139,15 @@ def test_invert_one_solve_per_pair_3d():
     data = apply_linear_operator(st, P3)
     out = inv.invert(data)
     inv.invert(data)                # warm: reuses the prepared frequencies
-    assert len(solved) == len(set(solved)) == 34
+    # the 12 half-lattice frequencies that carry this state's data
+    assert len(prepared) == 1 and len(prepared[0]) == len(set(prepared[0])) == 12
     back = apply_linear_operator(out, P3)
     back.axpy(-1.0, data)
     assert ydata_norm(back) / ydata_norm(data) < 1e-6
+    # temperature forcing at every lattice point: prepared again, at all 34
+    data.l.data[0] += 1.0
+    inv.invert(data)
+    assert len(prepared) == 2 and len(prepared[1]) == len(set(prepared[1])) == 34
 
 
 def test_grid_samples_build_phases_once(monkeypatch):
@@ -171,13 +176,16 @@ def test_grid_samples_build_phases_once(monkeypatch):
 
 def test_inverter_cond_limit_reaches_transverse_systems():
     # at cond_limit 1e5 every stack member of this grid passes (matexp, with
-    # cond(B) below 20), while the transverse system at xi = (0.1, 0.1) has
-    # a condition estimate near 1.2e6: the inversion must stop there
+    # cond(B) below 20), while every transverse system has a condition
+    # estimate near 1.4e6: the inversion must stop there, and stop again when
+    # retried, since the failed preparation is not kept
     grid, vg = FrequencyGrid(2, 20 * np.pi, 16), VerticalGrid(1.0, 24)
     inv = LinearInverter(SymbolTable.build(grid, vg, P3, cond_limit=1e5),
                          cond_limit=1e5)
     data = apply_linear_operator(make_random_state(grid, vg, seed=1), P3)
-    with pytest.raises(IllConditionedCollocation, match="transverse system"):
-        inv.invert(data)
-    assert set(inv.backend.ravel()) == {"matexp"}
-    assert inv.cond.max() < 20.0
+    for _ in range(2):
+        with pytest.raises(IllConditionedCollocation, match="transverse system"):
+            inv.invert(data)
+    stack = inv.solver.prepare(grid.xi_vectors()[grid.half_mask()])
+    assert set(stack.backend) == {"matexp"}
+    assert stack.cond.max() < 20.0

@@ -2,6 +2,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
 from stripwave.errors import NumericallySingular
 from stripwave.grids import VerticalGrid
@@ -385,7 +386,8 @@ P3 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1, sigma0=1,
 
 
 def test_transverse_zero():
-    beta = transverse_solve(transverse_factor([0.4, -0.3], P3, VG, P3.gamma))
+    lu = transverse_factor([[0.4, -0.3]], P3, VG, P3.gamma)
+    beta = transverse_solve(lu, np.zeros((1, VG.count)), np.zeros(1))
     assert np.abs(beta).max() == 0.0
 
 
@@ -397,26 +399,42 @@ def test_transverse_manufactured():
     t = 2j * np.pi * P3.gamma * xi[0]
     f = t * bstar - P3.mu * (vg.differentiate(vg.differentiate(bstar)) - m * m * bstar)
     k = -P3.mu * vg.differentiate(bstar)[-1]
-    beta = transverse_solve(transverse_factor(xi, P3, vg, P3.gamma), f, k)
-    assert np.abs(beta - bstar).max() < 1e-9
+    beta = transverse_solve(transverse_factor([xi], P3, vg, P3.gamma), [f], [k])
+    assert np.abs(beta[0] - bstar).max() < 1e-9
 
 
 def test_transverse_nonsingular_scan():
     # homogeneous problem has only the trivial solution across frequencies
     rng = np.random.default_rng(2)
-    for ximag in (0.05, 0.3, 1.1, 3.0):
-        xi = np.array([ximag, 0.5 * ximag])
-        k = rng.standard_normal() + 1j * rng.standard_normal()
-        lu = transverse_factor(xi, P3, VG, P3.gamma)
-        beta = transverse_solve(lu, k_transverse=k)
-        assert np.isfinite(np.abs(beta).max())
-        beta0 = transverse_solve(lu)
-        assert np.abs(beta0).max() == 0.0
+    ximag = np.array([0.05, 0.3, 1.1, 3.0])
+    lu = transverse_factor(np.stack([ximag, 0.5 * ximag], axis=1), P3, VG, P3.gamma)
+    k = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    beta = transverse_solve(lu, np.zeros((4, VG.count)), k)
+    assert np.isfinite(np.abs(beta).max())
+    beta0 = transverse_solve(lu, np.zeros((4, VG.count)), np.zeros(4))
+    assert np.abs(beta0).max() == 0.0
+
+
+def test_transverse_batch_matches_single_systems():
+    # the stacked factors and the batched solve agree bit for bit with a
+    # factorisation and a solve per frequency
+    rng = np.random.default_rng(5)
+    xis = rng.uniform(-2.0, 2.0, (12, 2))
+    lu, piv = transverse_factor(xis, P3, VG, P3.gamma)
+    f = rng.standard_normal((12, VG.count)) + 1j * rng.standard_normal((12, VG.count))
+    k = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    beta = transverse_solve((lu, piv), f, k)
+    for i, xi in enumerate(xis):
+        lu1, piv1 = transverse_factor(xi[None], P3, VG, P3.gamma)
+        assert np.array_equal(lu1[0], lu[i]) and np.array_equal(piv1[0], piv[i])
+        rhs = f[i].copy()
+        rhs[0], rhs[-1] = 0.0, k[i]
+        assert np.array_equal(lu_solve((lu1[0], piv1[0]), rhs), beta[i])
 
 
 def test_transverse_requires_dim3():
     with pytest.raises(ValueError):
-        transverse_factor([0.4], P1, VG, P1.gamma)
+        transverse_factor([[0.4]], P1, VG, P1.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -345,4 +345,5 @@ def test_production_makes_no_pade_calls(dim, monkeypatch):
         np.full(dim - 1, 0.4), z, np.ones(6), backend="matexp")
     assert calls == []
     assert backend == "matexp" and np.abs(Y).max() > 0
-    assert (table.backend == "matexp").all() and (inverter.backend == "matexp").all()
+    solved = [b for b in inverter.backend.ravel() if b is not None]
+    assert (table.backend == "matexp").all() and solved and set(solved) == {"matexp"}
