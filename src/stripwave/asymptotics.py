@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import NonConvergent
 from .grids import FrequencyGrid, VerticalGrid
-from .odesystem import (DEFAULT_COND_LIMIT, SYMBOL_SPLIT, UNIT_NORMAL_STRESS,
-                        FrequencySolver, SymbolTable)
+from .odesystem import (DEFAULT_COND_LIMIT, SYMBOL_SPLIT, SymbolTable,
+                        symbol_profiles)
 from .params import PhysicalParams
 
 
@@ -35,8 +35,6 @@ from .params import PhysicalParams
 class FitResult:
     value: float
     error_bar: float
-    samples: list
-    table_tail: list
 
 
 def richardson_limit(values, ratios) -> FitResult:
@@ -66,36 +64,28 @@ def richardson_limit(values, ratios) -> FitResult:
     if len(meaningful) >= 2 and meaningful[-1] > 2.0 * meaningful[-2] \
             and meaningful[-1] > floor:
         raise NonConvergent("Richardson level spreads are growing")
-    return FitResult(value=float(np.real(col[0])), error_bar=float(err),
-                     samples=[complex(v) for v in values], table_tail=col)
+    return FitResult(value=float(np.real(col[0])), error_bar=float(err))
 
 
-SELECTORS = {
-    "vn_surf": lambda y, vg, x: y[1, -1],
-    "temp_surf": lambda y, vg, x: y[2, -1],
-    "q_minus_1_at": lambda y, vg, x: vg.interpolate(y[3], x) - 1.0,
-    "vn_at": lambda y, vg, x: vg.interpolate(y[1], x),
-    "temp_at": lambda y, vg, x: vg.interpolate(y[2], x),
-    "long_sq_at": lambda y, vg, x: abs(vg.interpolate(y[0], x)) ** 2,
+_PI2 = np.pi ** 2
+
+# per selector: the sample it takes of the profiles y at height x, and the
+# closed form of that sample's |xi|^2 coefficient
+LF_COEFFICIENTS = {
+    "vn_surf": (lambda y, vg, x: y[1, -1],
+                lambda p, x: -4.0 * _PI2 * p.depth ** 3 / (3.0 * p.mu)),
+    "temp_surf": (lambda y, vg, x: y[2, -1],
+                  lambda p, x: -2.0 * p.sigma1 * _PI2 * p.depth ** 3 / (p.mu * p.kappa)),
+    "q_minus_1_at": (lambda y, vg, x: vg.interpolate(y[3], x) - 1.0,
+                     lambda p, x: (-2.0 * p.depth * p.depth * _PI2
+                                   - 4.0 * p.depth * _PI2 * x + 2.0 * _PI2 * x * x)),
+    "vn_at": (lambda y, vg, x: vg.interpolate(y[1], x),
+              lambda p, x: -2.0 * (-x + 3.0 * p.depth) * x * x * _PI2 / (3.0 * p.mu)),
+    "temp_at": (lambda y, vg, x: vg.interpolate(y[2], x),
+                lambda p, x: -2.0 * _PI2 * p.depth * p.depth * p.sigma1 * x / (p.kappa * p.mu)),
+    "long_sq_at": (lambda y, vg, x: abs(vg.interpolate(y[0], x)) ** 2,
+                   lambda p, x: 4.0 * _PI2 * (p.depth - x / 2.0) ** 2 * x * x / p.mu ** 2),
 }
-
-
-def predicted_coefficient(selector: str, p: PhysicalParams, x: float | None = None) -> float:
-    b, mu, kappa, s1 = p.depth, p.mu, p.kappa, p.sigma1
-    pi2 = np.pi ** 2
-    if selector == "vn_surf":
-        return -4.0 * pi2 * b ** 3 / (3.0 * mu)
-    if selector == "temp_surf":
-        return -2.0 * s1 * pi2 * b ** 3 / (mu * kappa)
-    if selector == "q_minus_1_at":
-        return -2.0 * b * b * pi2 - 4.0 * b * pi2 * x + 2.0 * pi2 * x * x
-    if selector == "vn_at":
-        return -2.0 * (-x + 3.0 * b) * x * x * pi2 / (3.0 * mu)
-    if selector == "temp_at":
-        return -2.0 * pi2 * b * b * s1 * x / (kappa * mu)
-    if selector == "long_sq_at":
-        return 4.0 * pi2 * (b - x / 2.0) ** 2 * x * x / mu ** 2
-    raise KeyError(selector)
 
 
 def checked_xi_seq(xi_seq) -> np.ndarray:
@@ -110,28 +100,25 @@ def checked_xi_seq(xi_seq) -> np.ndarray:
     return xi_seq
 
 
-def _lf_fits(solver: FrequencySolver, vgrid: VerticalGrid, xi_seq, jobs) -> list:
-    """``fit_lf_coefficient`` of each (selector, x) in jobs, from one stack
-    solve of the symbols along xi_seq."""
+def _lf_fits(p: PhysicalParams, vgrid: VerticalGrid, xi_seq, jobs,
+             split: float = SYMBOL_SPLIT,
+             cond_limit: float = DEFAULT_COND_LIMIT) -> list:
+    """``fit_lf_coefficient`` of each (selector, x) in jobs, from one
+    ``symbol_profiles`` solve along xi_seq."""
     xi_seq = checked_xi_seq(xi_seq)
-    xis = np.zeros((len(xi_seq), solver.p.dim_h))
+    xis = np.zeros((len(xi_seq), p.dim_h))
     xis[:, 0] = xi_seq
-    Y = solver.prepare(xis).solve(
-        None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
-    return [richardson_limit([SELECTORS[sel](y, vgrid, x) / ximag ** 2
+    Y, _, _ = symbol_profiles(xis, p, vgrid, split, cond_limit)
+    return [richardson_limit([LF_COEFFICIENTS[sel][0](y, vgrid, x) / ximag ** 2
                               for y, ximag in zip(Y, xi_seq)],
                              xi_seq[:-1] / xi_seq[1:]) for sel, x in jobs]
 
 
 def fit_lf_coefficient(selector: str, p: PhysicalParams, vgrid: VerticalGrid,
-                       xi_seq=(1e-2, 5e-3, 2.5e-3), x: float | None = None,
-                       solver: FrequencySolver | None = None) -> FitResult:
+                       xi_seq=(1e-2, 5e-3, 2.5e-3), x: float | None = None) -> FitResult:
     """Richardson-extrapolated limit of selector(xi)/|xi|^2 along xi_seq,
     whose symbols are solved as one stack."""
-    if solver is None:
-        solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                                 split=SYMBOL_SPLIT)
-    return _lf_fits(solver, vgrid, xi_seq, [(selector, x)])[0]
+    return _lf_fits(p, vgrid, xi_seq, [(selector, x)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +152,15 @@ def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
                      cond_limit: float = DEFAULT_COND_LIMIT) -> list:
     """Fit every closed-form low-frequency coefficient and compare; the
     symbols along xi_seq are solved once for all fits."""
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split,
-                             cond_limit=cond_limit)
     b = p.depth
     jobs = [("vn_surf", None), ("temp_surf", None)]
     jobs += [("q_minus_1_at", x) for x in (b / 4, b / 2, b)]
     jobs += [("long_sq_at", x) for x in (b / 4, b / 2)]
     jobs += [("vn_at", b / 2), ("temp_at", b / 2)]
     rows = []
-    for (selector, x), fit in zip(jobs, _lf_fits(solver, vgrid, xi_seq, jobs)):
-        pred = predicted_coefficient(selector, p, x)
+    for (selector, x), fit in zip(jobs, _lf_fits(p, vgrid, xi_seq, jobs, split,
+                                                 cond_limit)):
+        pred = LF_COEFFICIENTS[selector][1](p, x)
         scale = max(abs(pred), 1e-12)
         rel = abs(fit.value - pred) / scale
         name = selector if x is None else f"{selector[:-3]}_x={x:.4g}"
@@ -185,6 +171,29 @@ def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
             detail={"rel_tol": rel_tol, "error_bar": fit.error_bar,
                     "xi_seq": list(np.asarray(xi_seq, float))},
         ))
+    return rows
+
+
+def _claim_rows(names, measure, table: SymbolTable, refined: SymbolTable | None,
+                stability_tol: float, note: str) -> list:
+    """One row per claim of ``names``; measure(t) gives each claim's value on
+    table t and whether its regime has lattice points.  A row passes when
+    its regime has points and its value is finite and positive, and, with a
+    refined table, when the refined value is positive and drifts from it by
+    at most stability_tol relative."""
+    values, hits = measure(table)
+    fine = None if refined is None else measure(refined)[0]
+    rows = []
+    for i, name in enumerate(names):
+        val = float(values[i])
+        ok = bool(hits[i]) and np.isfinite(val) and val > 0
+        detail = {} if hits[i] else {"note": note}
+        if fine is not None:
+            refined_val = float(fine[i])
+            drift = abs(refined_val - val) / max(abs(val), 1e-300)
+            detail.update(refined=refined_val, drift=drift)
+            ok = ok and np.isfinite(drift) and drift <= stability_tol and refined_val > 0
+        rows.append(ClaimRow(name, None, val, val, "pass" if ok else "fail", detail))
     return rows
 
 
@@ -202,28 +211,11 @@ def check_rho_bounds(table: SymbolTable, refined: SymbolTable | None = None,
         env_high = 1.0 + mag2
         inf_low = float((rho2[low] / env_low[low]).min()) if low.any() else np.nan
         inf_high = float((rho2[high] / env_high[high]).min()) if high.any() else np.nan
-        return inf_low, inf_high
+        return (inf_low, inf_high), (low.any(), high.any())
 
-    inf_low, inf_high = infima(table)
-    rows = []
-    for name, val in (("rho lower bound |xi|<=1", inf_low),
-                      ("rho lower bound |xi|>1", inf_high)):
-        row = ClaimRow(claim=name, predicted=None, fitted=val,
-                       margin=val, verdict="pass" if val > 0 else "fail",
-                       detail={})
-        if np.isnan(val):
-            row.detail["note"] = "no lattice points in this regime; enlarge the grid"
-        rows.append(row)
-    if refined is not None:
-        r_low, r_high = infima(refined)
-        for row, coarse, fine in ((rows[0], inf_low, r_low),
-                                  (rows[1], inf_high, r_high)):
-            drift = abs(fine - coarse) / max(abs(coarse), 1e-300)
-            row.detail["refined"] = fine
-            row.detail["drift"] = drift
-            if not (np.isfinite(drift) and drift <= stability_tol and fine > 0):
-                row.verdict = "fail"
-    return rows
+    return _claim_rows(("rho lower bound |xi|<=1", "rho lower bound |xi|>1"),
+                       infima, table, refined, stability_tol,
+                       "no lattice points in this regime; enlarge the grid")
 
 
 _DECAY_CHECKS = (
@@ -249,29 +241,12 @@ def check_highfreq_decay(table: SymbolTable, refined: SymbolTable | None = None,
         m2 = (t.grid.xi_vectors() ** 2).sum(axis=-1)
         high = m2 > 1.0
         y, m2 = t.y[high], m2[high]
-        sups = np.array([float(np.max(fn(y, t.vgrid.weights, m2), initial=0.0))
-                         for _, fn in _DECAY_CHECKS])
-        return sups, int(high.sum())
+        sups = [np.max(fn(y, t.vgrid.weights, m2), initial=0.0) for _, fn in _DECAY_CHECKS]
+        return sups, [high.any()] * len(sups)
 
-    sups, hits = suprema(table)
-    rows = []
-    for i, (name, _) in enumerate(_DECAY_CHECKS):
-        row = ClaimRow(claim=f"hf-decay {name}", predicted=None,
-                       fitted=float(sups[i]), margin=float(sups[i]),
-                       verdict="pass" if hits and np.isfinite(sups[i]) and sups[i] > 0 else "fail",
-                       detail={})
-        if not hits:
-            row.detail["note"] = "no lattice points above |xi| = 1; enlarge the grid"
-        rows.append(row)
-    if refined is not None:
-        rsups, _ = suprema(refined)
-        for i, row in enumerate(rows):
-            drift = abs(rsups[i] - sups[i]) / max(abs(sups[i]), 1e-300)
-            row.detail["refined"] = float(rsups[i])
-            row.detail["drift"] = drift
-            if not (drift <= stability_tol):
-                row.verdict = "fail"
-    return rows
+    return _claim_rows([f"hf-decay {name}" for name, _ in _DECAY_CHECKS], suprema,
+                       table, refined, stability_tol,
+                       "no lattice points above |xi| = 1; enlarge the grid")
 
 
 def full_report(p: PhysicalParams, grid, vgrid, refine: bool = True,

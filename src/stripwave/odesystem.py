@@ -377,13 +377,13 @@ class FrequencySolver:
 
     # -- public entry ----------------------------------------------------------
 
-    def prepare(self, xis, backend: str | None = None) -> "FrequencyStack":
+    def prepare(self, xis) -> "FrequencyStack":
         """Prepared solves at the frequencies ``xis`` (K, dim_h)."""
-        return FrequencyStack(self, xis, backend)
+        return FrequencyStack(self, xis)
 
-    def solve(self, xi, z_profile, d_vec, backend: str | None = None):
+    def solve(self, xi, z_profile, d_vec):
         """Solve one forced problem; returns (Y, backend_used, cond_estimate)."""
-        stack = self.prepare(_xi_array(xi)[None], backend)
+        stack = self.prepare(_xi_array(xi)[None])
         z = None if z_profile is None else np.asarray(z_profile, dtype=complex)[None]
         Y = stack.solve(z, np.asarray(d_vec, dtype=complex)[None])
         return Y[0], stack.backend[0], float(stack.cond[0])
@@ -406,8 +406,7 @@ class FrequencyStack:
     member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
-    solver's limit is solved by collocation instead (or raises
-    NumericallySingular when matexp was requested); the other members are
+    solver's limit is solved by collocation instead; the other members are
     unaffected.  ``colloc`` lists the collocation members.  Their Stokes and
     heat blocks are factored at every solve and dropped after the member is
     solved, so one member's pair of factorisations is alive at a time.
@@ -416,14 +415,10 @@ class FrequencyStack:
     is set when it is solved.
     """
 
-    def __init__(self, solver: FrequencySolver, xis, backend: str | None = None):
+    def __init__(self, solver: FrequencySolver, xis):
         self.solver = solver
         self.xis = np.asarray(xis, dtype=float)
-        self.requested = backend
-        if backend is None:
-            matexp = solver._scale(self.xis) <= solver.split
-        else:
-            matexp = np.full(len(self.xis), backend == "matexp")
+        matexp = solver._scale(self.xis) <= solver.split
         self.backend = np.where(matexp, "matexp", "collocation").astype(object)
         self.cond = np.zeros(len(self.xis))
         self.members = np.flatnonzero(matexp)
@@ -436,15 +431,6 @@ class FrequencyStack:
     def _to_collocation(self, i: int):
         self.colloc.append(int(i))
         self.backend[i] = "collocation"
-
-    def _matexp_failed(self, i: int):
-        if self.requested == "matexp":
-            raise NumericallySingular(
-                f"matexp preparation failed at 2pi|xi|b = "
-                f"{self.solver._scale(self.xis[i]):.3g}: a non-finite "
-                f"exponential or cond(B) = {self.cond[i]:.3g} beyond "
-                f"{self.solver.cond_limit:.3g}")
-        self._to_collocation(i)
 
     def _prepare_matexp(self):
         s = self.solver
@@ -460,7 +446,7 @@ class FrequencyStack:
         ok &= cond <= s.cond_limit
         self.cond[self.members] = cond
         for i in self.members[~ok]:
-            self._matexp_failed(i)
+            self._to_collocation(i)
         self.members = self.members[ok]
         self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
         self.step = self._exponential_rows(np.diff(s.vgrid.nodes), (6, 6),
@@ -484,7 +470,7 @@ class FrequencyStack:
             for j, rows in enumerate(arrays):
                 rows[blk] = rows_of(j, X[:, j])
         for i in self.members[~finite]:
-            self._matexp_failed(i)
+            self._to_collocation(i)
         return arrays
 
     def _local_integrals(self, z) -> list:
@@ -612,17 +598,28 @@ def rho_of(p: PhysicalParams, xi, om_vn_surf):
             + 2j * np.pi * p.gamma * xi[..., 0])
 
 
-def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid,
-                 backend: str | None = None) -> SymbolEntry:
-    """Homogeneous adjoint solve with unit normal stress; populates a table row.
+def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
+                    split: float = SYMBOL_SPLIT,
+                    cond_limit: float = DEFAULT_COND_LIMIT):
+    """Response profiles Y (K, 6, Nz) to a unit normal stress on the top at
+    the frequencies ``xis`` (K, dim_h), with the backend and condition
+    estimate of each: the adjoint problem (gamma, 0, sigma1), solved as one
+    FrequencyStack, which is freed on return.
 
     xi = 0 is no special case: A(0) is nilpotent, the pressure symbol comes
     out identically one and every other response zero, so rho(0) = 0.
     """
+    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split,
+                            cond_limit=cond_limit).prepare(xis)
+    Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
+    return Y, stack.backend, stack.cond
+
+
+def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:
+    """``symbol_profiles`` at one frequency, as a table row."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=SYMBOL_SPLIT)
-    Y, used, cond = solver.solve(xi, None, UNIT_NORMAL_STRESS, backend=backend)
-    return SymbolEntry(xi, Y, rho_of(p, xi, Y[1, -1]), used, cond)
+    Y, backend, cond = symbol_profiles(xi[None], p, vgrid)
+    return SymbolEntry(xi, Y[0], rho_of(p, xi, Y[0, 1, -1]), backend[0], float(cond[0]))
 
 
 class SymbolTable:
@@ -630,7 +627,7 @@ class SymbolTable:
 
     ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend`` and ``cond``
     have shape freq_shape.  ``build`` solves the half lattice, xi = 0
-    included, as one FrequencyStack and fills the rest with the conjugate
+    included, with ``symbol_profiles`` and fills the rest with the conjugate
     mirror.
     """
 
@@ -648,14 +645,10 @@ class SymbolTable:
     def build(cls, grid, vgrid, p: PhysicalParams,
               split: float = SYMBOL_SPLIT,
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
-        solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1,
-                                 split=split, cond_limit=cond_limit)
         half = grid.half_mask()
         xis = grid.xi_vectors()[half]
-        stack = solver.prepare(xis)
-        Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
-        backend, cond = lattice_record(grid, stack.backend, stack.cond)
-        del stack                       # its exponentials, before the mirror
+        Y, backend, cond = symbol_profiles(xis, p, vgrid, split, cond_limit)
+        backend, cond = lattice_record(grid, backend, cond)
         y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
         y[half] = Y
         rho = np.zeros(grid.freq_shape, dtype=complex)

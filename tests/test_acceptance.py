@@ -12,7 +12,7 @@ import pytest
 
 import stripwave.odesystem as ode
 from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
-                                   fit_lf_coefficient, predicted_coefficient)
+                                   fit_lf_coefficient, LF_COEFFICIENTS)
 from stripwave.cli import run
 from stripwave.config import RunConfig
 from stripwave.fields import SurfaceSpectral, write_ydata_csv
@@ -61,14 +61,13 @@ def test_criterion_2_lowfreq_coefficients():
     rows = []
     for p in (PSET1, PSET2):
         vg = VerticalGrid(p.depth, 48)
-        solver = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=10.0)
         b = p.depth
         jobs = [("vn_surf", None), ("temp_surf", None)]
         jobs += [("q_minus_1_at", x) for x in (b / 4, b / 2, b)]
         jobs += [("long_sq_at", x) for x in (b / 4, b / 2)]
         for selector, x in jobs:
-            fit = fit_lf_coefficient(selector, p, vg, x=x, solver=solver)
-            pred = predicted_coefficient(selector, p, x)
+            fit = fit_lf_coefficient(selector, p, vg, x=x)
+            pred = LF_COEFFICIENTS[selector][1](p, x)
             rel = abs(fit.value - pred) / abs(pred)
             worst = max(worst, rel)
             rows.append((selector, rel))
@@ -116,7 +115,6 @@ def test_criterion_5_dual_backend():
             gt, a1, a2 = p.gamma, 0.0, p.sigma1
         else:
             gt, a1, a2 = -p.gamma, p.sigma1, 0.0
-        solver = FrequencySolver(p, vg, gt, a1, a2)
         ximag = rng.uniform(0.02, 10.0 / (2 * np.pi * p.depth))
         xi = [ximag * rng.choice([-1.0, 1.0])]
         z = np.zeros((6, vg.count), dtype=complex)
@@ -126,8 +124,8 @@ def test_criterion_5_dual_backend():
                 z[comp] += coefs[comp, k] * np.exp(-0.6 * k) * \
                     np.cos(k * np.pi * vg.nodes / p.depth)
         d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        Y1, _, _ = solver.solve(xi, z, d, backend="matexp")
-        Y2, _, _ = solver.solve(xi, z, d, backend="collocation")
+        Y1, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=np.inf).solve(xi, z, d)
+        Y2, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=-1.0).solve(xi, z, d)
         rel = np.abs(Y1 - Y2).max() / np.abs(Y1).max()
         worst_pair = max(worst_pair, rel)
 
@@ -145,9 +143,8 @@ def test_criterion_5_dual_backend():
                     for k in range(5))
         z = vg.differentiate(ystar) - A @ ystar
         d = Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
-        solver = FrequencySolver(p, vg, gt, a1, a2)
-        for backend in ("matexp", "collocation"):
-            Y, _, _ = solver.solve(xi, z, d, backend=backend)
+        for split in (np.inf, -1.0):
+            Y, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
             worst_manu = max(worst_manu,
                              np.abs(Y - ystar).max() / np.abs(ystar).max())
     ok = worst_pair <= 1e-8 and worst_manu <= 1e-9

@@ -372,13 +372,13 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
         vg = VerticalGrid(p.depth, nz)
         for gt, a1, a2 in ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0),
                            (p.gamma, p.sigma1, p.sigma1)):
-            solver = FrequencySolver(p, vg, gt, a1, a2)
+            solver = FrequencySolver(p, vg, gt, a1, a2, split=-1.0)
             direction = rng.standard_normal(dim - 1)
             for scale in (rng.uniform(0.05, 5.0), rng.uniform(5.0, 60.0)):
                 xi = direction / np.linalg.norm(direction) \
                     * scale / (2 * np.pi * p.depth)
                 z, d = _forcing(rng, 1, nz, vg, p.depth)
-                Y, used, cond = solver.solve(xi, z[0], d[0], backend="collocation")
+                Y, used, cond = solver.solve(xi, z[0], d[0])
                 full, Yd = _dense_collocation(solver, xi, z[0], d[0])
                 assert used == "collocation"
                 peak = np.abs(Yd).max(axis=1)

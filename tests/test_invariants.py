@@ -10,7 +10,7 @@ from stripwave.linear import LinearInverter, LinearState
 from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_residual,
                                  picard_solve)
 from stripwave.norms import ydata_norm
-from stripwave.odesystem import FrequencySolver, solve_symbol
+from stripwave.odesystem import FrequencySolver, symbol_profiles
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -21,15 +21,16 @@ def test_collocation_self_convergence_beyond_matexp():
     # fine reference drops much faster than any fixed algebraic order
     ximag = 150.0 / (2 * np.pi)
 
-    def entry(nz):
-        vg = VerticalGrid(1.0, nz)
-        return solve_symbol([ximag], P1, vg, backend="collocation")
+    def vn_surf(nz):
+        Y, backend, _ = symbol_profiles(np.array([[ximag]]), P1, VerticalGrid(1.0, nz),
+                                        split=-1.0)
+        assert list(backend) == ["collocation"]
+        return Y[0, 1, -1]
 
-    ref = entry(160)
+    ref = vn_surf(160)
     errs = []
     for nz in (24, 32, 40):
-        e = entry(nz)
-        errs.append(abs(e.y[1, -1] - ref.y[1, -1]) / abs(ref.y[1, -1]))
+        errs.append(abs(vn_surf(nz) - ref) / abs(ref))
     assert errs[0] > errs[1] > errs[2]
     # spectral: each +8 nodes gains far more than second-order would
     assert errs[0] / errs[1] > (32 / 24) ** 2
@@ -37,13 +38,18 @@ def test_collocation_self_convergence_beyond_matexp():
 
 
 def test_matexp_refuses_far_beyond_split():
-    solver = FrequencySolver(P1, VerticalGrid(1.0, 40), P1.gamma, 0.0,
-                             P1.sigma1)
-    from stripwave.errors import NumericallySingular
+    # at 2 pi |xi| b = 50 cond(B) is far beyond the limit: a member the
+    # split sends to matexp is solved by collocation instead
+    vg = VerticalGrid(1.0, 40)
+    coefs = (P1.gamma, 0.0, P1.sigma1)
+    stack = FrequencySolver(P1, vg, *coefs, split=np.inf).prepare(np.array([[8.0]]))
+    assert list(stack.backend) == ["collocation"]
+    assert stack.cond[0] > stack.solver.cond_limit
     d = np.zeros(6, dtype=complex)
     d[4] = 1.0
-    with pytest.raises(NumericallySingular):
-        solver.solve([8.0], None, d, backend="matexp")
+    Y = stack.solve(None, d[None])
+    Yc, backend, _ = FrequencySolver(P1, vg, *coefs, split=-1.0).solve([8.0], None, d)
+    assert backend == "collocation" and np.array_equal(Y[0], Yc)
 
 
 @pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")

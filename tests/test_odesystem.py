@@ -9,7 +9,7 @@ from stripwave.grids import VerticalGrid
 from stripwave.odesystem import (FrequencySolver, SymbolTable,
                                  assemble_boundary,
                                  assemble_bulk_matrix, forcing_rows,
-                                 matrix_exponential, solve_symbol,
+                                 matrix_exponential, solve_symbol, symbol_profiles,
                                  transverse_factor, transverse_solve)
 from stripwave.params import PhysicalParams
 from stripwave.grids import FrequencyGrid
@@ -168,8 +168,8 @@ def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
         vg = VerticalGrid(P1.depth, nz)
         z = np.zeros((6, nz), dtype=complex)
         z[4] = np.cos(vg.nodes)
-        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0)
-        solver.solve([0.4], z, np.zeros(6), backend="matexp")
+        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0, split=np.inf)
+        assert solver.solve([0.4], z, np.zeros(6))[1] == "matexp"
         counts[nz] = len(calls)
     assert counts[16] == counts[48] > 0
 
@@ -212,14 +212,17 @@ def test_B_inverse_contract_moderate_xi():
         assert np.abs(B @ Binv - np.eye(6)).max() < 1e-10
 
 
-def test_B_numerically_singular_raises():
-    # 2 pi |xi| b = 251: cond(B) is far beyond the limit, and a forced
-    # matexp solve must not fall back to collocation
-    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
-    d = np.zeros(6, dtype=complex)
-    d[4] = 1.0
-    with pytest.raises(NumericallySingular):
-        solver.solve([40.0], None, d, backend="matexp")
+def test_B_ill_conditioned_falls_back():
+    # 2 pi |xi| b = 251: cond(B) is far beyond the limit, so a member the
+    # split sends to matexp is solved by collocation instead
+    stack = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1,
+                            split=np.inf).prepare(np.array([[40.0]]))
+    assert list(stack.backend) == ["collocation"]
+    assert stack.cond[0] > stack.solver.cond_limit
+    d = np.zeros((1, 6), dtype=complex)
+    d[0, 4] = 1.0
+    Y, _, _ = symbol_profiles(np.array([[40.0]]), P1, VG, split=-1.0)
+    assert np.array_equal(stack.solve(None, d), Y)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +256,11 @@ def test_symbol_dual_backend_agreement():
     for p in (P1, P2):
         vg = VerticalGrid(p.depth, 48)
         for ximag in (0.2, 0.7, 10.0 / (2 * np.pi * p.depth)):
-            em = solve_symbol([ximag], p, vg, backend="matexp")
-            ec = solve_symbol([ximag], p, vg, backend="collocation")
-            scale = np.abs(em.y).max()
-            assert np.abs(em.y - ec.y).max() / scale < 1e-8
+            xis = np.array([[ximag]])
+            Ym, bm, _ = symbol_profiles(xis, p, vg, split=np.inf)
+            Yc, bc, _ = symbol_profiles(xis, p, vg, split=-1.0)
+            assert (bm[0], bc[0]) == ("matexp", "collocation")
+            assert np.abs(Ym - Yc).max() / np.abs(Ym).max() < 1e-8
 
 
 def test_symbol_conjugate_symmetry():
@@ -347,8 +351,8 @@ def test_manufactured_solution(backend):
         xi = [0.9]
         gt, a1, a2 = -p.gamma, p.sigma1, 0.0
         ystar, z, d = _manufactured(p, vg, xi, gt, a1, a2, seed)
-        solver = FrequencySolver(p, vg, gt, a1, a2)
-        Y, used, _ = solver.solve(xi, z, d, backend=backend)
+        split = {"matexp": np.inf, "collocation": -1.0}[backend]
+        Y, used, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
         assert used == backend
         assert np.abs(Y - ystar).max() / np.abs(ystar).max() < 1e-9
 

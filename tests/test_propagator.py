@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stripwave.odesystem as ode
-from stripwave.errors import NumericallySingular
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
 from stripwave.odesystem import (FrequencySolver, SymbolTable, assemble_boundary,
@@ -297,16 +296,15 @@ def test_matexp_matches_collocation(data):
     xi = data.draw(frequencies(p, 1, top=10.0))[0]
     adjoint = data.draw(st.booleans())
     vg = VerticalGrid(p.depth, 48)
-    solver = FrequencySolver(p, vg, *((p.gamma, 0.0, p.sigma1) if adjoint
-                                      else (-p.gamma, p.sigma1, 0.0)))
+    coefs = (p.gamma, 0.0, p.sigma1) if adjoint else (-p.gamma, p.sigma1, 0.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     k = np.arange(6)[:, None]
     modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
     z = np.zeros((6, vg.count), dtype=complex)
     z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    Y1, backend1, _ = solver.solve(xi, z, d, backend="matexp")
-    Y2, backend2, _ = solver.solve(xi, z, d, backend="collocation")
+    Y1, backend1, _ = FrequencySolver(p, vg, *coefs, split=np.inf).solve(xi, z, d)
+    Y2, backend2, _ = FrequencySolver(p, vg, *coefs, split=-1.0).solve(xi, z, d)
     assert (backend1, backend2) == ("matexp", "collocation")
     assert np.abs(Y1 - Y2).max() <= 1e-8 * np.abs(Y1).max()
 
@@ -317,10 +315,17 @@ def test_nonfinite_member_fails_alone():
     X, ok = ode._member_exponentials(ode._propagator(xis, P2D, P2D.gamma),
                                      P2D.depth * TIMES)
     assert list(ok) == [False, True, False] and np.isfinite(X[1]).all()
-    solver = FrequencySolver(P2D, VerticalGrid(P2D.depth, 16), P2D.gamma, 0.0, P2D.sigma1)
-    for xi in xis[[0, 2]]:
-        with pytest.raises(NumericallySingular):
-            solver.solve(xi, None, np.ones(6), backend="matexp")
+    # a matexp member whose exponential overflows falls back to collocation
+    # alone, and is solved as if the split had sent it there
+    vg = VerticalGrid(P2D.depth, 16)
+    coefs = (P2D.gamma, 0.0, P2D.sigma1)
+    stack = FrequencySolver(P2D, vg, *coefs, split=np.inf).prepare(xis[1:])
+    assert list(stack.backend) == ["matexp", "collocation"]
+    assert stack.cond[0] < stack.solver.cond_limit and stack.cond[1] == np.inf
+    Y = stack.solve(None, np.ones((2, 6)))
+    Yc, backend, _ = FrequencySolver(P2D, vg, *coefs, split=-1.0).solve(
+        xis[2], None, np.ones(6))
+    assert backend == "collocation" and np.array_equal(Y[1], Yc)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -342,7 +347,7 @@ def test_production_makes_no_pade_calls(dim, monkeypatch):
     z = np.zeros((6, vg.count), dtype=complex)
     z[4] = np.cos(vg.nodes)
     Y, backend, _ = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).solve(
-        np.full(dim - 1, 0.4), z, np.ones(6), backend="matexp")
+        np.full(dim - 1, 0.4), z, np.ones(6))
     assert calls == []
     assert backend == "matexp" and np.abs(Y).max() > 0
     solved = [b for b in inverter.backend.ravel() if b is not None]
