@@ -1,9 +1,9 @@
 """Spectral solver and verification suite for traveling free-surface viscous
 flow with heat transport in a periodic strip."""
 
-from .params import (PhysicalParams, ConstitutiveSet, QNormEstimate,
-                     make_constitutive, validate_params, check_parameter_gate,
-                     estimate_q_norms, verify_constitutive_linearization)
+from .params import (PhysicalParams, ConstitutiveSet, make_constitutive,
+                     validate_params, check_parameter_gate, estimate_q_norms,
+                     verify_constitutive_linearization)
 from .grids import FrequencyGrid, VerticalGrid
 from .fields import (SpectralField, SurfaceSpectral, YData, read_ydata_csv,
                      write_ydata_csv)

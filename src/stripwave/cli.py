@@ -31,31 +31,35 @@ def _write_state(outdir, state):
         write_field_csv(os.path.join(outdir, f"{name}.csv"), fieldval)
 
 
-def _table(config: RunConfig, grid, vgrid) -> SymbolTable:
-    """Symbol table with the config's backend section."""
+def _table(config: RunConfig, grid, vgrid, summary: dict) -> SymbolTable:
+    """Symbol table with the config's backend section, recorded in the
+    summary."""
     b = config.raw["backend"]
-    return SymbolTable.build(grid, vgrid, config.params(),
-                             split=b["symbol_split"], cond_limit=b["cond_limit"])
+    table = SymbolTable.build(grid, vgrid, config.params(),
+                              split=b["symbol_split"], cond_limit=b["cond_limit"])
+    _record_solves(summary, "table", table, grid)
+    return table
 
 
-def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
+def _inverter(config: RunConfig, grid, vgrid, summary: dict) -> LinearInverter:
     """Linear inverter and its symbol table, with the config's backend section."""
     b = config.raw["backend"]
-    return LinearInverter(_table(config, grid, vgrid), split=b["split"],
+    return LinearInverter(_table(config, grid, vgrid, summary), split=b["split"],
                           cond_limit=b["cond_limit"])
 
 
-def _record_inverter(summary: dict, inv: LinearInverter, grid):
-    """Into the summary: the half-lattice frequencies the inverter's last
-    inversion solved per backend, and its largest condition estimate with
-    the lattice index where it occurs."""
-    if inv.backend is None:
+def _record_solves(summary: dict, name: str, solved, grid):
+    """Into the summary under ``name``: the half-lattice frequencies that
+    ``solved`` (a symbol table, or an inverter after its last inversion)
+    solved per backend, and its largest condition estimate with the lattice
+    index where it occurs.  An inverter records nothing before it inverts."""
+    if solved.backend is None:
         return
-    solved = list(inv.backend[grid.half_mask()])
-    worst = np.unravel_index(np.argmax(inv.cond), inv.cond.shape)
-    summary["inverter_solved"] = {b: solved.count(b) for b in ("matexp", "collocation")}
-    summary["inverter_max_cond"] = float(inv.cond[worst])
-    summary["inverter_max_cond_at"] = [int(i) for i in worst]
+    half = list(solved.backend[grid.half_mask()])
+    worst = np.unravel_index(np.argmax(solved.cond), solved.cond.shape)
+    summary[f"{name}_solved"] = {b: half.count(b) for b in ("matexp", "collocation")}
+    summary[f"{name}_max_cond"] = float(solved.cond[worst])
+    summary[f"{name}_max_cond_at"] = [int(i) for i in worst]
 
 
 def run(config: RunConfig) -> int:
@@ -86,7 +90,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     mode = r["mode"]
 
     if mode == "symbols":
-        table = _table(config, grid, vgrid)
+        table = _table(config, grid, vgrid, summary)
         # one row per lattice point in C order: xi, the surface traces of
         # psi, delta and q, rho, the backend and its condition estimate
         header = [f"xi{i+1}" for i in range(grid.dim_h)]
@@ -118,9 +122,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not r["input"]:
             raise ConfigError("linear-solve requires input: directory of data CSVs")
         data = read_ydata_csv(r["input"])
-        inv = _inverter(config, data.grid, data.vgrid)
+        inv = _inverter(config, data.grid, data.vgrid, summary)
         state = inv.invert(data)
-        _record_inverter(summary, inv, data.grid)
+        _record_solves(summary, "inverter", inv, data.grid)
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
         misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
@@ -139,12 +143,12 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     elif mode == "nonlinear-solve":
         c = config.constitutive()
         # the pairing-norm sup over the grid's own frequency range
-        est = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5))
-        ok_gate, margin = check_parameter_gate(p, est)
+        q1 = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5))
+        ok_gate, margin = check_parameter_gate(p, q1)
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
         forcing = config.forcing()
-        inv = _inverter(config, grid, vgrid)
+        inv = _inverter(config, grid, vgrid, summary)
         trace_path = os.path.join(outdir, "solve_trace.json")
         try:
             trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
@@ -154,7 +158,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             write_json(trace_path, exc.trace.to_jsonable())
             raise
         finally:
-            _record_inverter(summary, inv, grid)
+            _record_solves(summary, "inverter", inv, grid)
         write_json(trace_path, trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
@@ -170,7 +174,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         summary["amplitude_used"] = trace.amplitude_used
 
     elif mode == "roundtrip-test":
-        inv = _inverter(config, grid, vgrid)
+        inv = _inverter(config, grid, vgrid, summary)
         rng_seed = r["seed"]
         worst_data, worst_state = 0.0, 0.0
         for trial in range(r["roundtrip"]["count"]):
@@ -182,7 +186,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             worst_data = max(worst_data, ydata_norm(back) / ydata_norm(data))
             st2.axpy(-1.0, st)
             worst_state = max(worst_state, state_norm(st2) / state_norm(st))
-        _record_inverter(summary, inv, grid)
+        _record_solves(summary, "inverter", inv, grid)
         write_json(os.path.join(outdir, "roundtrip_report.json"), {
             "count": r["roundtrip"]["count"],
             "max_data_misfit": worst_data,

@@ -96,6 +96,13 @@ class RunConfig:
                 (f"tol.{k}", v) for k, v in r["tol"].items()]:
             if not val > 0:
                 raise ConfigError(f"{key} must be positive, got {val!r}")
+        amplitude = r["forcing"]["amplitude"]
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"forcing.amplitude must be finite, got {amplitude!r}")
+        # an infinite split sends every frequency to one backend
+        for key in ("split", "symbol_split"):
+            if math.isnan(r["backend"][key]):
+                raise ConfigError(f"backend.{key} must not be NaN")
         try:
             checked_xi_seq(r["fit"]["xi_seq"])
         except (TypeError, ValueError) as exc:

@@ -14,7 +14,9 @@ class SurfaceTooLarge(StripwaveError):
 
 
 class NumericallySingular(StripwaveError):
-    """Boundary matrix too ill-conditioned for the matrix-exponential backend."""
+    """A non-finite input or an overflowed result of the tests' oracle
+    ``odesystem.matrix_exponential``; the solvers fall back to collocation
+    instead of raising it."""
 
 
 class IllConditionedCollocation(StripwaveError):

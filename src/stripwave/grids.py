@@ -78,8 +78,8 @@ class VerticalGrid:
     diff: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depth <= 0:
-            raise ValueError("depth must be positive")
+        if not 0 < self.depth < np.inf:
+            raise ValueError("depth must be positive and finite")
         if not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 4:
@@ -132,8 +132,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.dim_h not in (1, 2):
             raise ValueError("dim_h must be 1 or 2")
-        if self.box_len <= 0:
-            raise ValueError("box_len must be positive")
+        if not 0 < self.box_len < np.inf:
+            raise ValueError("box_len must be positive and finite")
         if not isinstance(self.modes, (int, np.integer)):
             raise ValueError(f"modes must be an integer, got {self.modes!r}")
         if self.modes < 4 or self.modes % 2:

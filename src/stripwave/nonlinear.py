@@ -203,7 +203,7 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
               + sigma_b * curv * Np + sg_tan * normN)
 
     h_term = np.einsum("i...,i...->...", u[..., -1], Np) \
-        + p.gamma * to_phys(horiz_deriv(state.eta.data, grid, 0), grid)[0]
+        + p.gamma * grad_eta[0]
 
     m_term = -np.einsum("i...,i...->...", phi_p[..., -1], Np) / normN
 

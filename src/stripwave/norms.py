@@ -92,7 +92,6 @@ def hdot_neg1(field: SurfaceSpectral, zero_mode_tol: float = DEFAULT_ZERO_MODE_T
 class DivergenceTraceReport:
     residual_hneg1: float
     zero_mode_abs: float
-    residual: SurfaceSpectral
 
 
 def check_divergence_trace(data) -> DivergenceTraceReport:
@@ -108,7 +107,6 @@ def check_divergence_trace(data) -> DivergenceTraceReport:
     return DivergenceTraceReport(
         residual_hneg1=hdot_neg1(resid, zero_mode_tol=np.inf),
         zero_mode_abs=float(np.abs(resid.data[zero]).max()),
-        residual=resid,
     )
 
 

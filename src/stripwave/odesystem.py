@@ -583,7 +583,6 @@ UNIT_NORMAL_STRESS.flags.writeable = False
 class SymbolEntry:
     """Response profiles to a unit normal stress at one frequency."""
 
-    xi: np.ndarray
     y: np.ndarray                  # (6, Nz); y[1, -1] is psi(b), y[2, -1] delta(b)
     rho: complex
     backend: str
@@ -619,7 +618,7 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:
     """``symbol_profiles`` at one frequency, as a table row."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     Y, backend, cond = symbol_profiles(xi[None], p, vgrid)
-    return SymbolEntry(xi, Y[0], rho_of(p, xi, Y[0, 1, -1]), backend[0], float(cond[0]))
+    return SymbolEntry(Y[0], rho_of(p, xi, Y[0, 1, -1]), backend[0], float(cond[0]))
 
 
 class SymbolTable:
@@ -659,6 +658,5 @@ class SymbolTable:
     def entry(self, idx) -> SymbolEntry:
         """View of one lattice point as a SymbolEntry."""
         idx = tuple(idx)
-        return SymbolEntry(self.grid.xi_axis()[list(idx)], self.y[idx],
-                           complex(self.rho[idx]), self.backend[idx],
+        return SymbolEntry(self.y[idx], complex(self.rho[idx]), self.backend[idx],
                            float(self.cond[idx]))

@@ -11,6 +11,7 @@ factor of 2 on the estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,19 +38,14 @@ class PhysicalParams:
 
 def validate_params(p: PhysicalParams) -> list:
     """Return the list of violated invariants; empty means admissible."""
-    violations = []
-    if not p.mu > 0:
-        violations.append("mu must be positive")
-    if not p.kappa > 0:
-        violations.append("kappa must be positive")
-    if not p.grav > 0:
-        violations.append("grav must be positive")
-    if not p.depth > 0:
-        violations.append("depth must be positive")
+    violations = [f"{name} must be finite" for name in
+                  ("mu", "kappa", "grav", "depth", "gamma", "sigma0", "sigma1")
+                  if not math.isfinite(getattr(p, name))]
+    for name in ("mu", "kappa", "grav", "depth", "sigma0"):
+        if getattr(p, name) <= 0:
+            violations.append(f"{name} must be positive")
     if p.gamma == 0:
         violations.append("gamma must be nonzero")
-    if not p.sigma0 > 0:
-        violations.append("sigma0 must be positive")
     if type(p.dim) is not int or p.dim not in (2, 3):
         violations.append("dim must be 2 or 3")
     return violations
@@ -165,12 +161,6 @@ def verify_constitutive_linearization(c: ConstitutiveSet, p: PhysicalParams,
 # Boundary-pairing norm estimation and the parameter gate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QNormEstimate:
-    q1: float            # the common norm of Q1 and Q2
-    method: str
-
-
 def _fiber_trace_norms(a: float, vgrid: VerticalGrid):
     """Trace-evaluation norms on the frequency-|xi| fiber, a = 2*pi*|xi|.
 
@@ -213,8 +203,9 @@ def _fiber_trace_norms(a: float, vgrid: VerticalGrid):
     return m_theta, m_v
 
 
-def estimate_q_norms(vgrid: VerticalGrid, freq_samples) -> QNormEstimate:
-    """Supremum over sampled |xi| of the per-fiber boundary-pairing norm.
+def estimate_q_norms(vgrid: VerticalGrid, freq_samples) -> float:
+    """Supremum over sampled |xi| of the per-fiber boundary-pairing norm q1,
+    the common norm of Q1 and Q2.
 
     For each |xi| the pairing factorizes through the two trace functionals,
     so its fiber norm is 2*pi*|xi| times the product of their representer
@@ -233,17 +224,16 @@ def estimate_q_norms(vgrid: VerticalGrid, freq_samples) -> QNormEstimate:
         a = 2.0 * np.pi * xi
         m_theta, m_v = _fiber_trace_norms(a, vgrid)
         best = max(best, a * m_theta * m_v)
-    method = f"fiber-trace sup over {freq_samples.size} samples, Nz={vgrid.count}"
-    return QNormEstimate(q1=best, method=method)
+    return best
 
 
-def check_parameter_gate(p: PhysicalParams, est: QNormEstimate):
+def check_parameter_gate(p: PhysicalParams, q1: float):
     """Gate q1^2/4 * sigma1^2 < 2*mu*kappa, with safety margin.
 
     Returns (ok, margin) where margin = 2*mu*kappa - lhs after inflating the
     norm estimate by the safety factor 2.
     """
-    q = 2.0 * est.q1
+    q = 2.0 * q1
     lhs = 0.25 * q * q * p.sigma1 ** 2
     rhs = 2.0 * p.mu * p.kappa
     return lhs < rhs, rhs - lhs

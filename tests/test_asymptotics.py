@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,37 @@ def test_decay_empty_regime_flagged():
     rows = check_highfreq_decay(table)
     assert all(r.verdict == "fail" for r in rows)
     assert all("note" in r.detail for r in rows)
+
+
+def _scaled(table, s):
+    """Stand-in for a refined table: ``table`` with s times its profiles and
+    its rho."""
+    return SimpleNamespace(grid=table.grid, vgrid=table.vgrid, y=s * table.y,
+                           rho=s * table.rho)
+
+
+@pytest.mark.parametrize("case", ["stable", "drift", "empty", "non-positive"])
+@pytest.mark.parametrize("check", [check_rho_bounds, check_highfreq_decay],
+                         ids=["rho", "decay"])
+def test_claim_rule(tables, check, case):
+    # one rule for both families: a row passes when its regime has points,
+    # its value is finite and positive, and the refined value is positive
+    # and within stability_tol of it
+    coarse, _ = tables
+    if case == "empty":
+        # xi_max ~ 0.25: nothing above |xi| = 1, even with a stable refinement
+        small = SymbolTable.build(FrequencyGrid(1, 2 * np.pi * 10, 32),
+                                  VerticalGrid(1.0, 32), P1)
+        noted = [r for r in check(small, small) if "note" in r.detail]
+        assert noted and all(r.verdict == "fail" for r in noted)
+        return
+    # a refined value of 0 drifts by 1, inside a stability_tol of 10
+    refined, tol = {"stable": (coarse, 0.10), "drift": (_scaled(coarse, 2.0), 0.10),
+                    "non-positive": (_scaled(coarse, 0.0), 10.0)}[case]
+    rows = check(coarse, refined, stability_tol=tol)
+    assert all(r.fitted > 0 for r in rows)
+    assert all((r.detail["drift"] > tol) == (case == "drift") for r in rows)
+    assert [r.verdict for r in rows] == ["pass" if case == "stable" else "fail"] * len(rows)
 
 
 def test_full_report_json(tmp_path):

@@ -77,12 +77,21 @@ def test_bad_params_write_failed_manifest(tmp_path):
     assert summary["error"] == "ConfigError: mu must be positive"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("params, error", [
     ({"depth": -1.0}, "depth must be positive"),
     ({"dim": 4}, "dim must be 2 or 3"),
-], ids=["depth", "dim"])
+    ({"depth": INF}, "depth must be finite"),
+    ({"gamma": NAN}, "gamma must be finite"),
+    ({"sigma1": NAN}, "sigma1 must be finite"),
+    ({"sigma1": INF}, "sigma1 must be finite"),
+    ({"mu": INF}, "mu must be finite"),
+], ids=["depth", "dim", "depth-inf", "gamma-nan", "sigma1-nan", "sigma1-inf", "mu-inf"])
 def test_bad_grid_params_write_failed_manifest(tmp_path, params, error):
-    # depth and dim also shape the grids, but are reported as parameters
+    # depth and dim also shape the grids, and every parameter reaches the
+    # solvers, but each is reported as a parameter
     out = tmp_path / "bad"
     path = _write_cfg(tmp_path, {"params": params, "out": str(out)})
     assert main(["--config", path]) == 2
@@ -206,6 +215,23 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     assert kwargs == {"split": 0.3, "cond_limit": 1e11}
     scale = 2 * np.pi * grid.xi_magnitude()
     assert np.array_equal(table.backend == "collocation", scale > 0.5)
+    # the manifest records the table's half lattice and its worst cond
+    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    half = table.backend[grid.half_mask()]
+    assert summary["table_solved"] == {b: int((half == b).sum())
+                                       for b in ("matexp", "collocation")}
+    assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \
+        == table.cond.max()
+
+
+def test_symbols_mode_records_table_solves(tmp_path):
+    # the default grid (box 20 pi, 256 modes, nz 48): 2 pi |xi| b reaches
+    # the symbol split 10 at |j| = 100
+    out = tmp_path / "sym"
+    assert run(RunConfig.from_dict({"mode": "symbols", "out": str(out)})) == 0
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["table_solved"] == {"matexp": 101, "collocation": 28}
+    assert summary["table_max_cond_at"] == [100]
 
 
 def test_linear_solve_requires_input(tmp_path):
@@ -252,6 +278,7 @@ def test_stalled_solve_writes_trace(tmp_path):
     assert trace["amplitude_used"] == 1e-3 / 3
     assert "retried_after_divergence" not in trace["diagnostics"]
     assert summary["inverter_solved"]["matexp"] > 0
+    assert summary["table_solved"] == {"matexp": 9, "collocation": 0}
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 
@@ -293,12 +320,19 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
      "tol.fit_rel"),
     ({"tol": {"stability": float("nan")}, **SMALL}, "tol.stability"),
     ({"mode": "roundtrip-test", "seed": -1, **SMALL}, "seed"),
+    ({"grid": {"box_len": NAN, "modes": 16, "nz": 24}}, "grid.box_len"),
+    ({"grid": {"box_len": INF, "modes": 16, "nz": 24}}, "grid.box_len"),
+    ({"mode": "nonlinear-solve", "forcing": {"amplitude": NAN}, **SMALL},
+     "forcing.amplitude"),
+    ({"backend": {"split": NAN}, **SMALL}, "backend.split"),
+    ({"backend": {"symbol_split": NAN}, **SMALL}, "backend.symbol_split"),
 ], ids=["count-0", "maxiter-negative", "box-negative", "modes-float", "visc-unknown",
         "picard-tol-string", "roundtrip-tol-string", "split-string",
         "cond-limit-negative", "seed-string", "out-number", "mu-string", "dim-float",
         "amplitude-string", "xi-seq-empty", "xi-seq-increasing", "mode-index-aliased",
         "roundtrip-tol-negative", "picard-tol-negative", "fit-rel-zero",
-        "stability-nan", "seed-negative"])
+        "stability-nan", "seed-negative", "box-nan", "box-inf", "amplitude-nan",
+        "split-nan", "symbol-split-nan"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, cfg, key):
     # rejected at load, before any output, by a message naming the key
     path = _write_cfg(tmp_path, {"out": str(tmp_path / "out"), **cfg})

@@ -56,6 +56,15 @@ def test_grids_reject_non_integer_sizes(make):
         make()
 
 
+@pytest.mark.parametrize("make", [lambda v: FrequencyGrid(1, v, 16),
+                                  lambda v: VerticalGrid(v, 16)],
+                         ids=["box_len", "depth"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grids_reject_nonfinite_lengths(make, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(value)
+
+
 def test_frequency_grid_lattice():
     grid = FrequencyGrid(1, 5.0, 16)
     xi = grid.xi_axis()

@@ -57,13 +57,20 @@ def _bound_names(target) -> list:
     return []
 
 
-def unread_names(sources: dict) -> list:
+def _is_dataclass(cls) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def unread_names(sources: dict, readers=()) -> list:
     """(module, line, name) of each name that no module of ``sources``
     ({module: source}) reads as a name or an attribute, and that
     ``__init__`` does not import: leading-underscore module-level functions,
     classes and constants, leading-underscore methods, and public
-    module-level functions and classes."""
-    defined, read = [], set()
+    module-level functions and classes.  Also each dataclass field and
+    public method of a class in ``sources`` that no attribute read in
+    ``sources`` or in ``readers`` (more sources) reaches."""
+    defined, members, read, attrs = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -76,6 +83,11 @@ def unread_names(sources: dict) -> list:
             if isinstance(node, ast.ClassDef):
                 defined += [(module, f.lineno, f.name, False) for f in node.body
                             if isinstance(f, ast.FunctionDef)]
+                members += [(module, f.lineno, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+                if _is_dataclass(node):
+                    members += [(module, f.lineno, f.target.id) for f in node.body
+                                if isinstance(f, ast.AnnAssign)]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
@@ -83,9 +95,13 @@ def unread_names(sources: dict) -> list:
                 read.add(n.attr)
             elif isinstance(n, ast.ImportFrom) and module == "__init__":
                 read.update(alias.asname or alias.name for alias in n.names)
-    return sorted((module, line, name) for module, line, name, top in defined
-                  if (_private(name) or (top and not name.startswith("_")))
-                  and name not in read)
+    for source in [*sources.values(), *readers]:
+        attrs.update(n.attr for n in ast.walk(ast.parse(source))
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return sorted([(module, line, name) for module, line, name, top in defined
+                   if (_private(name) or (top and not name.startswith("_")))
+                   and name not in read]
+                  + [m for m in members if m[2] not in attrs])
 
 
 def test_private_detector_flags_unread_and_keeps_read():
@@ -102,19 +118,29 @@ def test_private_detector_flags_unread_and_keeps_read():
               "CONSTANT = 1\n"
               "def exported():\n    return Public()\n"
               "def orphan():\n    return 0\n"
-              "class Orphan:\n    pass\n"),
-        "b": "from c import _Cross\nprint(_Cross)\n",
+              "class Orphan:\n    pass\n"
+              "@dataclass\nclass Record:\n    kept: int\n    dropped: int\n"
+              "    def unused(self):\n        return self.kept\n"
+              "@dataclass(frozen=True)\nclass Frozen:\n    never: int\n"
+              "class Plain:\n    annotated: int\n"),
+        "b": "from c import _Cross\nprint(_Cross, Record, Frozen(1), Plain)\n",
         "c": "class _Cross:\n    pass\n",
         "__init__": "from .a import exported\n",
     }
-    assert unread_names(sources) == [
+    # a reader outside the sources reaches a method, never a name
+    readers = ["exported().method()\n_dead()\n"]
+    assert unread_names(sources, readers) == [
         ("a", 2, "_B"), ("a", 5, "_dead"), ("a", 7, "_Unused"),
-        ("a", 14, "_orphan"), ("a", 21, "orphan"), ("a", 23, "Orphan")]
+        ("a", 14, "_orphan"), ("a", 21, "orphan"), ("a", 23, "Orphan"),
+        ("a", 28, "dropped"), ("a", 29, "unused"), ("a", 33, "never")]
 
 
 def test_no_unread_private_names():
+    root = SRC.parent.parent
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unread_names(sources) == []
+    readers = [p.read_text() for d in ("tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert unread_names(sources, readers) == []
 
 
 def _calls_by_name(sources) -> dict:

@@ -119,7 +119,7 @@ def test_qnorm_sup_monotone_in_sample_set():
     vg = VerticalGrid(1.0, 48)
     small = estimate_q_norms(vg, [0.5, 1.0])
     large = estimate_q_norms(vg, [0.25, 0.5, 1.0, 2.0, 4.0])
-    assert large.q1 >= small.q1
+    assert large >= small
 
 
 def test_flattening_accepts_just_below_threshold():

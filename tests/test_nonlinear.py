@@ -49,6 +49,29 @@ def test_residual_zero_state_zero_forcing():
     assert ydata_norm(r) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
+def test_residual_transforms_each_array_once(monkeypatch):
+    # every physical-space array of one residual is synthesized once: no
+    # two to_phys calls get equal coefficients.  The state reaches beyond
+    # the 2/3 cutoff, where the curvature's dealiased slopes differ from the
+    # flattening's.
+    import stripwave.geometry as geo
+    import stripwave.nonlinear as nl
+    real, inputs = nl.to_phys, []
+
+    def spy(coeffs, grid):
+        inputs.append(np.array(coeffs))
+        return real(coeffs, grid)
+
+    for module in (geo, nl):
+        monkeypatch.setattr(module, "to_phys", spy)
+    st = _scaled(make_random_state(GRID, VG, seed=5, jmax=40, eta_scale=0.5), 1e-2)
+    nonlinear_residual(st, make_forcing_preset("mixed", 1e-3, GRID, 1.0), P1, C_SMOOTH)
+    repeats = [i for i, a in enumerate(inputs)
+               if any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])]
+    assert len(inputs) > 10 and repeats == []
+
+
 def test_derivative_at_zero_is_linear_operator():
     st = make_random_state(GRID, VG, seed=5, jmax=5, eta_scale=0.5)
     lin = apply_linear_operator(st, P1)

@@ -8,7 +8,7 @@ from stripwave.grids import VerticalGrid
 from stripwave.params import (PhysicalParams, check_parameter_gate,
                               estimate_q_norms,
                               make_constitutive, validate_params,
-                              verify_constitutive_linearization, QNormEstimate)
+                              verify_constitutive_linearization)
 
 P1 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1, sigma0=1,
                     sigma1=0.1, dim=2)
@@ -34,7 +34,7 @@ def test_validate_dim():
 
 
 def test_gate_vanishing_coupling():
-    est = QNormEstimate(q1=123.0, method="stub")
+    est = 123.0
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.0, 2)
     ok, margin = check_parameter_gate(p, est)
     assert ok
@@ -43,7 +43,7 @@ def test_gate_vanishing_coupling():
 
 def test_gate_violated():
     # q1 = 1/2 inflated by the safety factor 2: max{1/4, 1/4} * 100 = 25 > 2
-    est = QNormEstimate(q1=0.5, method="stub")
+    est = 0.5
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 10.0, 2)
     ok, margin = check_parameter_gate(p, est)
     assert not ok
@@ -58,7 +58,7 @@ def test_gate_default_params_pass():
 
 
 def test_gate_monotone_in_sigma1():
-    est = QNormEstimate(q1=2.3, method="stub")
+    est = 2.3
     prev_ok = True
     for s1 in np.linspace(0.0, 5.0, 40):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, s1, 2)
@@ -70,13 +70,13 @@ def test_gate_monotone_in_sigma1():
 def test_qnorm_zero_frequency():
     vg = VerticalGrid(1.0, 32)
     est = estimate_q_norms(vg, [0.0])
-    assert est.q1 == 0.0
+    assert est == 0.0
 
 
 def test_qnorm_grid_refinement():
     est64 = estimate_q_norms(VerticalGrid(1.0, 64), [1.0])
     est128 = estimate_q_norms(VerticalGrid(1.0, 128), [1.0])
-    assert abs(est64.q1 - est128.q1) <= 1e-3 * est128.q1
+    assert abs(est64 - est128) <= 1e-3 * est128
 
 
 def test_qnorm_sweep_saturates():
@@ -84,7 +84,7 @@ def test_qnorm_sweep_saturates():
     # large xi, which is the boundedness evidence for the pairing constant
     vg = VerticalGrid(1.0, 64)
     samples = np.geomspace(0.1, 10.0, 21)
-    vals = np.array([estimate_q_norms(vg, [x]).q1 for x in samples])
+    vals = np.array([estimate_q_norms(vg, [x]) for x in samples])
     assert vals[0] < 0.6 * vals[-1]
     assert (vals[-1] - vals[-2]) / vals[-1] < 1e-3
     assert vals[-1] < 10.0
@@ -113,7 +113,7 @@ def test_qnorm_dim3():
             G_th = ((1.0 + a * a) * W + DtWD)[keep, keep]
             m_theta = np.sqrt(e @ cho_solve(cho_factor(G_th), e))
             est = estimate_q_norms(vg, [xi])
-            assert est.q1 == pytest.approx(a * m_theta * m_v, rel=1e-12, abs=0)
+            assert est == pytest.approx(a * m_theta * m_v, rel=1e-12, abs=0)
 
 
 def test_linearization_newtonian_exact():
