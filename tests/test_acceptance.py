@@ -124,8 +124,9 @@ def test_criterion_5_dual_backend():
                 z[comp] += coefs[comp, k] * np.exp(-0.6 * k) * \
                     np.cos(k * np.pi * vg.nodes / p.depth)
         d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        Y1, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=np.inf).solve(xi, z, d)
-        Y2, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=-1.0).solve(xi, z, d)
+        Y1, b1, _ = FrequencySolver(p, vg, gt, a1, a2, split=np.inf).solve(xi, z, d)
+        Y2, b2, _ = FrequencySolver(p, vg, gt, a1, a2, split=-1.0).solve(xi, z, d)
+        assert (b1, b2) == ("matexp", "collocation")
         rel = np.abs(Y1 - Y2).max() / np.abs(Y1).max()
         worst_pair = max(worst_pair, rel)
 
@@ -143,8 +144,9 @@ def test_criterion_5_dual_backend():
                     for k in range(5))
         z = vg.differentiate(ystar) - A @ ystar
         d = Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
-        for split in (np.inf, -1.0):
-            Y, _, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
+        for split, backend in ((np.inf, "matexp"), (-1.0, "collocation")):
+            Y, used, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
+            assert used == backend
             worst_manu = max(worst_manu,
                              np.abs(Y - ystar).max() / np.abs(ystar).max())
     ok = worst_pair <= 1e-8 and worst_manu <= 1e-9
