@@ -31,35 +31,34 @@ def _write_state(outdir, state):
         write_field_csv(os.path.join(outdir, f"{name}.csv"), fieldval)
 
 
-def _table(config: RunConfig, grid, vgrid, summary: dict) -> SymbolTable:
-    """Symbol table with the config's backend section, recorded in the
-    summary."""
+def _symbol_options(config: RunConfig) -> dict:
+    """The backend section's options of a symbol table."""
     b = config.raw["backend"]
-    table = SymbolTable.build(grid, vgrid, config.params(),
-                              split=b["symbol_split"], cond_limit=b["cond_limit"])
-    _record_solves(summary, "table", table, grid)
-    return table
+    return {"split": b["symbol_split"], "cond_limit": b["cond_limit"]}
 
 
-def _inverter(config: RunConfig, grid, vgrid, summary: dict) -> LinearInverter:
-    """Linear inverter and its symbol table, with the config's backend section."""
+def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
+    """Linear inverter on an empty symbol table, with the config's backend
+    section."""
     b = config.raw["backend"]
-    return LinearInverter(_table(config, grid, vgrid, summary), split=b["split"],
-                          cond_limit=b["cond_limit"])
+    table = SymbolTable(grid, vgrid, config.params(), **_symbol_options(config))
+    return LinearInverter(table, split=b["split"], cond_limit=b["cond_limit"])
 
 
-def _record_solves(summary: dict, name: str, solved, grid):
-    """Into the summary under ``name``: the half-lattice frequencies that
-    ``solved`` (a symbol table, or an inverter after its last inversion)
-    solved per backend, and its largest condition estimate with the lattice
-    index where it occurs.  An inverter records nothing before it inverts."""
-    if solved.backend is None:
-        return
-    half = list(solved.backend[grid.half_mask()])
-    worst = np.unravel_index(np.argmax(solved.cond), solved.cond.shape)
-    summary[f"{name}_solved"] = {b: half.count(b) for b in ("matexp", "collocation")}
-    summary[f"{name}_max_cond"] = float(solved.cond[worst])
-    summary[f"{name}_max_cond_at"] = [int(i) for i in worst]
+def _record_solves(summary: dict, grid, **solved_by):
+    """Into the summary under each name of ``solved_by``: the half-lattice
+    frequencies that its value (a symbol table so far, or an inverter in its
+    last inversion) solved per backend, and its largest condition estimate
+    with the lattice index where it occurs.  An inverter records nothing
+    before it inverts."""
+    for name, solved in solved_by.items():
+        if solved.backend is None:
+            continue
+        half = list(solved.backend[grid.half_mask()])
+        worst = np.unravel_index(np.argmax(solved.cond), solved.cond.shape)
+        summary[f"{name}_solved"] = {b: half.count(b) for b in ("matexp", "collocation")}
+        summary[f"{name}_max_cond"] = float(solved.cond[worst])
+        summary[f"{name}_max_cond_at"] = [int(i) for i in worst]
 
 
 def run(config: RunConfig) -> int:
@@ -90,7 +89,8 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     mode = r["mode"]
 
     if mode == "symbols":
-        table = _table(config, grid, vgrid, summary)
+        table = SymbolTable.build(grid, vgrid, p, **_symbol_options(config))
+        _record_solves(summary, grid, table=table)
         # one row per lattice point in C order: xi, the surface traces of
         # psi, delta and q, rho, the backend and its condition estimate
         header = [f"xi{i+1}" for i in range(grid.dim_h)]
@@ -112,8 +112,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
                              xi_seq=tuple(r["fit"]["xi_seq"]),
                              rel_tol=r["tol"]["fit_rel"],
                              stability_tol=r["tol"]["stability"],
-                             split=r["backend"]["symbol_split"],
-                             cond_limit=r["backend"]["cond_limit"])
+                             **_symbol_options(config))
         write_json(os.path.join(outdir, "asym_report.json"), report.to_jsonable())
         summary["claims"] = len(report.rows)
         summary["ok"] = report.passed()
@@ -122,9 +121,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not r["input"]:
             raise ConfigError("linear-solve requires input: directory of data CSVs")
         data = read_ydata_csv(r["input"])
-        inv = _inverter(config, data.grid, data.vgrid, summary)
+        inv = _inverter(config, data.grid, data.vgrid)
         state = inv.invert(data)
-        _record_solves(summary, "inverter", inv, data.grid)
+        _record_solves(summary, data.grid, table=inv.table, inverter=inv)
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
         misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
@@ -148,7 +147,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
         forcing = config.forcing()
-        inv = _inverter(config, grid, vgrid, summary)
+        inv = _inverter(config, grid, vgrid)
         trace_path = os.path.join(outdir, "solve_trace.json")
         try:
             trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
@@ -158,7 +157,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             write_json(trace_path, exc.trace.to_jsonable())
             raise
         finally:
-            _record_solves(summary, "inverter", inv, grid)
+            _record_solves(summary, grid, table=inv.table, inverter=inv)
         write_json(trace_path, trace.to_jsonable())
         _write_state(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
@@ -174,7 +173,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         summary["amplitude_used"] = trace.amplitude_used
 
     elif mode == "roundtrip-test":
-        inv = _inverter(config, grid, vgrid, summary)
+        inv = _inverter(config, grid, vgrid)
         rng_seed = r["seed"]
         worst_data, worst_state = 0.0, 0.0
         for trial in range(r["roundtrip"]["count"]):
@@ -186,7 +185,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             worst_data = max(worst_data, ydata_norm(back) / ydata_norm(data))
             st2.axpy(-1.0, st)
             worst_state = max(worst_state, state_norm(st2) / state_norm(st))
-        _record_solves(summary, "inverter", inv, grid)
+        _record_solves(summary, grid, table=inv.table, inverter=inv)
         write_json(os.path.join(outdir, "roundtrip_report.json"), {
             "count": r["roundtrip"]["count"],
             "max_data_misfit": worst_data,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import RhoVanishing
 from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
-                     conjugate_mirror)
+                     conjugate_mirror, reflect)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
@@ -187,12 +187,14 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
 
 
 def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectral:
-    """etahat = pairing/rho off the zero mode; the zero mode stays zero.
+    """etahat = pairing/rho at the table's solved frequencies off the zero
+    mode; everywhere else etahat is zero.
 
     The zero-mode magnitude of the pairing is an incompatibility diagnostic
-    available directly from its coefficients.  Raises RhoVanishing when |rho|
-    is at most 1e-13 times its certified lower-bound scale, which
-    signals mis-assembled symbols.
+    available directly from its coefficients.  Raises RhoVanishing when a
+    solved |rho| is at most 1e-13 times its certified lower-bound scale,
+    which signals mis-assembled symbols, and ValueError when the pairing is
+    nonzero off the zero mode where the table has no symbol.
     """
     grid = pairing.grid
     p = table.params
@@ -201,12 +203,15 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
     mag2 = (vecs ** 2).sum(axis=-1)
     scale = p.grav + p.sigma0 * 4.0 * np.pi ** 2 * mag2 \
         + 2.0 * np.pi * np.abs(p.gamma * vecs[..., 0])
-    bad = (np.abs(rho) <= 1e-13 * scale) & (mag2 > 0)
-    if np.any(bad):
-        worst = np.argwhere(bad)[0]
-        raise RhoVanishing(f"|rho| ~ 0 at lattice index {tuple(worst)}")
+    nz = (mag2 > 0) & table.solved
+    for error, what, at in (
+            (RhoVanishing, "|rho| ~ 0", (np.abs(rho) <= 1e-13 * scale) & nz),
+            (ValueError, "no symbol for a nonzero pairing",
+             (pairing.data[0] != 0) & (mag2 > 0) & ~table.solved)):
+        if at.any():
+            index = tuple(int(i) for i in np.argwhere(at)[0])
+            raise error(f"{what} at lattice index {index}")
     eta = np.zeros(grid.freq_shape, dtype=complex)
-    nz = mag2 > 0
     eta[nz] = pairing.data[0][nz] / rho[nz]
     return SurfaceSpectral(grid, eta)
 
@@ -218,7 +223,10 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
 class LinearInverter:
     """Caches the per-frequency machinery for repeated inversions.
 
-    An inversion solves only the half-lattice frequencies where its data,
+    An inversion first extends its symbol table to the half-lattice
+    frequencies where some part of its data is nonzero at xi or -xi; the
+    pairing is zero, and no symbol is needed, at every other one.  It then
+    solves only the half-lattice frequencies where its data,
     less the surface terms, is nonzero (in dim_h = 2 the transverse forcing
     counts too) and writes zero at the others.  It prepares one
     FrequencyStack and, in dim_h = 2, the transverse factors at exactly
@@ -304,6 +312,10 @@ class LinearInverter:
                              f"is built for {table.grid}, {table.vgrid}")
         n = grid.dim_h + 1
 
+        # the symbols where some part of the data is nonzero at xi or -xi
+        live = np.any([(part.data != 0).any(axis=0).reshape(grid.freq_shape + (-1,))
+                       .any(axis=-1) for part in data.parts()], axis=0)
+        table.solve(live | reflect(live, grid, 0))
         pairing = compatibility_functional(data, table)
         eta = solve_surface(pairing, table)
 

@@ -288,7 +288,7 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
                  inverter: LinearInverter | None = None) -> SolveTrace:
     """Iterate X <- X - Upsilon^{-1} residual(X) from rest until the data-norm
     of the residual drops below ``tol``, with at most ``maxiter`` inversions
-    by ``inverter`` (by default one on a fresh SymbolTable).
+    by ``inverter`` (by default one on an empty SymbolTable).
 
     The forcing is solved at the amplitude given, or not at all: a contraction
     factor >= 1 three times in a row raises Diverged, an exhausted budget
@@ -304,7 +304,7 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
     if forcing.amplitude > cap:
         trace.diagnostics["amplitude_above_heuristic"] = cap
     if inverter is None:
-        inverter = LinearInverter(SymbolTable.build(grid, vgrid, p))
+        inverter = LinearInverter(SymbolTable(grid, vgrid, p))
 
     state = trace.state = LinearState.zeros(grid, vgrid)
     rising = 0

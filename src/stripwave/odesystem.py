@@ -622,38 +622,45 @@ def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:
 
 
 class SymbolTable:
-    """Response symbols over a frequency lattice, stored as lattice arrays.
+    """Response symbols over a frequency lattice, stored as lattice arrays
+    and solved on demand.
 
-    ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend`` and ``cond``
-    have shape freq_shape.  ``build`` solves the half lattice, xi = 0
-    included, with ``symbol_profiles`` and fills the rest with the conjugate
-    mirror.
+    ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend``, ``cond`` and
+    the mask ``solved`` have shape freq_shape.  ``solve`` adds half-lattice
+    frequencies and their mirrors; where none is solved, ``y`` and ``rho``
+    are 0, ``backend`` None and ``cond`` 0.  ``build`` solves them all.
     """
 
-    def __init__(self, grid, vgrid, p: PhysicalParams, y: np.ndarray,
-                 rho: np.ndarray, backend: np.ndarray, cond: np.ndarray):
-        self.grid = grid
-        self.vgrid = vgrid
-        self.params = p
-        self.y = y
-        self.rho = rho
-        self.backend = backend
-        self.cond = cond
+    def __init__(self, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
+                 cond_limit: float = DEFAULT_COND_LIMIT):
+        self.grid, self.vgrid, self.params = grid, vgrid, p
+        self.split, self.cond_limit = split, cond_limit
+        self.y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
+        self.rho = np.zeros(grid.freq_shape, dtype=complex)
+        self.backend = np.full(grid.freq_shape, None, dtype=object)
+        self.cond = np.zeros(grid.freq_shape)
+        self.solved = np.zeros(grid.freq_shape, dtype=bool)
 
     @classmethod
-    def build(cls, grid, vgrid, p: PhysicalParams,
-              split: float = SYMBOL_SPLIT,
+    def build(cls, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
-        half = grid.half_mask()
-        xis = grid.xi_vectors()[half]
-        Y, backend, cond = symbol_profiles(xis, p, vgrid, split, cond_limit)
-        backend, cond = lattice_record(grid, backend, cond)
-        y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
-        y[half] = Y
-        rho = np.zeros(grid.freq_shape, dtype=complex)
-        rho[half] = rho_of(p, xis, Y[:, 1, -1])
-        return cls(grid, vgrid, p, conjugate_mirror(y, grid, 0),
-                   conjugate_mirror(rho, grid, 0), backend, cond)
+        return cls(grid, vgrid, p, split, cond_limit).solve(grid.half_mask())
+
+    def solve(self, mask: np.ndarray) -> "SymbolTable":
+        """Solve the half-lattice frequencies of the lattice mask ``mask``
+        not solved yet, as one ``symbol_profiles`` call, and mirror them."""
+        grid, p, half = self.grid, self.params, self.grid.half_mask()
+        new = mask & half & ~self.solved
+        if new.any():
+            xis = grid.xi_vectors()[new]
+            Y, self.backend[new], self.cond[new] = symbol_profiles(
+                xis, p, self.vgrid, self.split, self.cond_limit)
+            self.y[new], self.rho[new] = Y, rho_of(p, xis, Y[:, 1, -1])
+            self.y, self.rho = (conjugate_mirror(a, grid, 0) for a in (self.y, self.rho))
+            self.backend, self.cond = lattice_record(grid, self.backend[half],
+                                                     self.cond[half])
+            self.solved = np.not_equal(self.backend, None)
+        return self
 
     def entry(self, idx) -> SymbolEntry:
         """View of one lattice point as a SymbolEntry."""

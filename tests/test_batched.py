@@ -168,6 +168,31 @@ def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
     assert solved.count("matexp") == 20 and solved.count(None) == 45
 
 
+def test_linear_solve_makes_16_lus_at_linear_deep(tmp_path, monkeypatch):
+    # linear-deep's job through the CLI: its data stops at |j| = 20
+    # (2 pi |xi| b = 16), so its symbol table solves j = 1 .. 20 only, and
+    # j = 13 .. 20, above the symbol split 10, are its 8 collocation members
+    # at two LUs (Stokes and heat block) each; the full table made 104
+    import json
+    from stripwave.cli import run
+    from stripwave.config import RunConfig
+    from stripwave.fields import write_ydata_csv
+    dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
+    cfg = RunConfig.from_dict({
+        "mode": "linear-solve", "out": str(tmp_path / "out"),
+        "input": str(tmp_path / "ydata"), "params": {"dim": dim},
+        "grid": {"box_len": box, "modes": modes, "nz": nz}})
+    state = make_random_state(cfg.frequency_grid(), cfg.vertical_grid(),
+                              seed=3, jmax=20)
+    write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(state, cfg.params()))
+    lus = _counting(monkeypatch, "lu_factor")
+    assert run(cfg) == 0
+    assert len(lus) == 16
+    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    assert summary["table_solved"] == {"matexp": 12, "collocation": 8}
+    assert summary["inverter_solved"] == {"matexp": 20, "collocation": 0}
+
+
 def _without_low_modes(state, jmin):
     """``state`` with every lattice mode of index magnitude below ``jmin``
     set to zero."""

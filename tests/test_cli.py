@@ -191,20 +191,27 @@ def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
                                   "roundtrip-test"])
 def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode):
     seen = []
+    box, modes, nz = 2 * np.pi * 10, 48, 32
+    grid = FrequencyGrid(1, box, modes)
+    live = np.zeros(grid.freq_shape, dtype=bool)
 
     class Recording(cli.LinearInverter):
         def __init__(self, table, **kwargs):
             super().__init__(table, **kwargs)
             seen.append((table, kwargs))
 
+        def invert(self, data):
+            # every lattice point where some part of some inverted data is nonzero
+            for part in data.parts():
+                live[...] |= (part.data != 0).any(axis=0).reshape(modes, -1).any(axis=1)
+            return super().invert(data)
+
     monkeypatch.setattr(cli, "LinearInverter", Recording)
-    box, modes, nz = 2 * np.pi * 10, 48, 32
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": modes, "nz": nz},
            "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
            "roundtrip": {"count": 1},
            "backend": {"split": 0.3, "symbol_split": 0.5, "cond_limit": 1e11}}
-    grid = FrequencyGrid(1, box, modes)
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         cfg["input"] = str(tmp_path / "ydata")
@@ -213,8 +220,14 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 0
     [(table, kwargs)] = seen
     assert kwargs == {"split": 0.3, "cond_limit": 1e11}
+    # the table solved exactly the frequencies whose data, at xi or -xi,
+    # is nonzero, each on the backend of the symbol split
+    solved, half = table.solved, grid.half_mask()
+    assert np.array_equal(solved[half], (live | live[-np.arange(modes)])[half])
+    assert solved.any() and not solved.all()
     scale = 2 * np.pi * grid.xi_magnitude()
-    assert np.array_equal(table.backend == "collocation", scale > 0.5)
+    assert np.array_equal((table.backend == "collocation")[solved], (scale > 0.5)[solved])
+    assert (table.backend[~solved] == None).all()  # noqa: E711
     # the manifest records the table's half lattice and its worst cond
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     half = table.backend[grid.half_mask()]
@@ -278,7 +291,9 @@ def test_stalled_solve_writes_trace(tmp_path):
     assert trace["amplitude_used"] == 1e-3 / 3
     assert "retried_after_divergence" not in trace["diagnostics"]
     assert summary["inverter_solved"]["matexp"] > 0
-    assert summary["table_solved"] == {"matexp": 9, "collocation": 0}
+    # the table solved xi = 0 and the 5 modes inside the 2/3 cutoff of 16,
+    # where the residuals live, not all 9 of the half lattice
+    assert summary["table_solved"] == {"matexp": 6, "collocation": 0}
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 

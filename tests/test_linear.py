@@ -128,6 +128,19 @@ def test_solve_surface_rho_floor(table):
         solve_surface(Xi, broken)
 
 
+def test_solve_surface_refuses_unsolved_pairing():
+    # the table knows |j| <= 2 only: a pairing there divides, at |j| = 3 it
+    # would divide by a placeholder rho of 0
+    partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axis()) < 2.5 / GRID.box_len)
+    pairing = SurfaceSpectral.zeros(GRID)
+    pairing.data[0, [2, -2]] = 1.0
+    eta = solve_surface(pairing, partial)
+    assert eta.data[0, 2] == 1.0 / partial.rho[2] and (eta.data[0, 3:-2] == 0).all()
+    pairing.data[0, -3] = 1e-30
+    with pytest.raises(ValueError, match=r"lattice index \(61,\)"):
+        solve_surface(pairing, partial)
+
+
 def test_invert_zero(inverter):
     data = YData.zeros(GRID, VG)
     st = inverter.invert(data)

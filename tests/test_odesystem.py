@@ -471,6 +471,48 @@ def test_table_2d_small():
     assert abs(e.rho.imag) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_table_solved_on_demand_matches_build(dim, monkeypatch):
+    # 2 pi |xi| b = 0.8 |j| on this lattice: the symbol split 10 lies
+    # between |j| = 12 and 13, so both masks hold xi = 0 and the first
+    # holds matexp and collocation members
+    import stripwave.odesystem as ode
+    from stripwave.fields import reflect
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, 2.5 * np.pi, 32), VerticalGrid(1.0, 12)
+    full = SymbolTable.build(grid, vg, p)
+    scale, half = 2 * np.pi * grid.xi_magnitude(), grid.half_mask()
+    first = half & ((scale < 3) | ((scale > 9) & (scale < 12)))
+    second = half & ((scale == 0) | ((scale > 2) & (scale < 5)) | (scale > 11))
+    assert (first & second).any() and (second & ~first).any()
+    calls = []
+    real = ode.symbol_profiles
+
+    def spy(xis, *args):
+        calls.append(xis)
+        return real(xis, *args)
+
+    monkeypatch.setattr(ode, "symbol_profiles", spy)
+    table = SymbolTable(grid, vg, p)
+    assert table.solve(first) is table
+    table.solve(second)
+    vecs = grid.xi_vectors()
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], vecs[second & ~first])
+    union = first | second
+    solved = union | reflect(union, grid, 0)
+    assert np.array_equal(table.solved, solved)
+    assert set(table.backend[first]) == {"matexp", "collocation"}
+    for name in ("y", "rho", "cond"):
+        got, expect = getattr(table, name), getattr(full, name)
+        assert got[solved].tobytes() == expect[solved].tobytes()
+        assert (got[~solved] == 0).all()
+    assert np.array_equal(table.backend[solved], full.backend[solved])
+    assert (table.backend[~solved] == None).all()  # noqa: E711
+    table.solve(first)
+    assert len(calls) == 2
+
+
 def test_rho_gamma_flip_invariance_at_zero_xi1():
     # dim_h = 2, xi = (0, xi2): |rho| does not see the sign of gamma
     vg = VerticalGrid(1.0, 24)
