@@ -36,9 +36,11 @@ class FlatteningFields:
 
 
 def _eta_physical(eta: SurfaceSpectral):
-    grad = np.stack([to_phys(horiz_deriv(eta.data, eta.grid, ax), eta.grid)[0]
-                     for ax in range(eta.grid.dim_h)])
-    return to_phys(eta.data, eta.grid)[0], grad
+    """eta and its dealiased slopes grad'eta on the collocation grid."""
+    grid = eta.grid
+    grad = np.stack([to_phys(dealias(horiz_deriv(eta.data, grid, ax), grid), grid)[0]
+                     for ax in range(grid.dim_h)])
+    return to_phys(eta.data, grid)[0], grad
 
 
 def build_flattening(eta: SurfaceSpectral, grid: FrequencyGrid,
@@ -76,9 +78,11 @@ def flattening_points(ff: FlatteningFields, grid: FrequencyGrid,
 
 def mean_curvature(eta: SurfaceSpectral) -> SurfaceSpectral:
     """div'( grad'eta / sqrt(1+|grad'eta|^2) ), dealiased pseudospectral."""
-    grid = eta.grid
-    grad = [to_phys(dealias(horiz_deriv(eta.data, grid, ax), grid), grid)[0]
-            for ax in range(grid.dim_h)]
+    return slope_curvature(_eta_physical(eta)[1], eta.grid)
+
+
+def slope_curvature(grad: np.ndarray, grid: FrequencyGrid) -> SurfaceSpectral:
+    """mean_curvature from the physical slopes of _eta_physical."""
     norm2 = sum(g * g for g in grad)
     scale = 1.0 / np.sqrt(1.0 + norm2)
     out = np.zeros(grid.freq_shape, dtype=complex)

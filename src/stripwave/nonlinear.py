@@ -12,11 +12,6 @@ a contraction for small forcing.  Slot signs are normalized so that the
 derivative identity holds in every component (the stress and heat-flux rows
 are stated with the opposite orientation in some formulations; flipping them
 changes neither the zero set nor the solution).
-
-All nonlinear terms are evaluated pseudospectrally: derivatives act in
-coefficient space, products on the collocation grid, with 2/3-rule
-truncation after products.  The composed forcing is evaluated at the images
-of the strip nodes under the flattening map each time the surface moves.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import numpy as np
 from .errors import AliasingWarning, ConfigError, Diverged, NotConverged, PointOutsideDomain
 from .fields import SpectralField, SurfaceSpectral, YData
 from .geometry import (build_flattening, flattening_points, lattice_phases,
-                       mean_curvature, surface_at)
+                       slope_curvature, surface_at)
 from .grids import FrequencyGrid, VerticalGrid
 from .linear import LinearState, LinearInverter
 from .norms import ydata_norm
@@ -128,68 +123,66 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
 
 def nonlinear_residual(state: LinearState, forcing: ForcingData,
                        p: PhysicalParams, c: ConstitutiveSet) -> YData:
+    """Residual slots at ``state``: bulk momentum ``f``, J div_A u ``g`` and
+    heat ``l``; at the top node stress ``k`` (pressure, Gamma, curvature,
+    Marangoni), kinematic ``h`` and heat flux ``m``.  The composed forcing
+    is evaluated at the images of the strip nodes under the flattening map.
+
+    Pseudospectral: derivatives act on dealiased coefficients, products on
+    the collocation grid, and each slot is truncated by the 2/3 rule, with
+    an AliasingWarning when over 1e-6 of its energy is cut.  Every
+    derivative streams one real scalar field through ``grad_A`` and is
+    summed into its slot at once.  Gamma must be symmetric (ConstitutiveSet),
+    so each of its n(n+1)/2 distinct entries is differentiated once for both
+    rows of div_A Gamma; a ``gamma_visc`` breaking this raises ConfigError.
+    """
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
-    dim_h = grid.dim_h
     ff = build_flattening(state.eta, grid, vgrid)
-    A = ff.a_field
-    J = ff.j_field
-
     u = to_phys(state.u.data, grid)
     psi = to_phys(state.psi.data, grid)[0]
     pres = to_phys(state.pres.data, grid)[0]
 
-    def partials(arr):
-        """All n partial derivatives of a (comps,) + phys + (Nz,) stack."""
-        coeff = dealias(to_coeff(arr, grid), grid)
-        outs = [to_phys(horiz_deriv(coeff, grid, ax), grid) for ax in range(dim_h)]
-        outs.append(vgrid.differentiate(arr))
-        return np.stack(outs)
+    def grad_A(f):
+        """d_i^A f = A[i, j] d_j f of one phys + (Nz,) field."""
+        coeff = dealias(to_coeff(f[None], grid), grid)
+        d = [to_phys(horiz_deriv(coeff, grid, ax), grid)[0] for ax in range(n - 1)]
+        d.append(vgrid.differentiate(f))
+        return np.einsum("ij...,j...->i...", ff.a_field, np.stack(d))
 
-    du = partials(u)                     # (n, n, phys, Nz): direction, component
-    dpsi = partials(psi[None])[:, 0]     # (n, phys, Nz)
-    dpres = partials(pres[None])[:, 0]
-
-    def twist(d_stack):
-        """grad_A: contract direction j of partials with A[i, j]."""
-        return np.einsum("ij...,j...->i...", A, d_stack)
-
-    grad_A_psi = twist(dpsi)
-    grad_A_pres = twist(dpres)
-    du_A = np.stack([twist(du[:, comp]) for comp in range(n)], axis=1)
-    # du_A[i, comp] = d_i^A u_comp
-    DAu = du_A + np.swapaxes(du_A, 0, 1)   # symmetrized twisted gradient
-
-    gamma_p = np.asarray(c.gamma_visc(psi, DAu))
+    grad_A_psi = grad_A(psi)
+    du_A = np.stack([grad_A(u[comp]) for comp in range(n)], axis=1)
+    # du_A[i, comp] = d_i^A u_comp; Gamma of the symmetrized twisted gradient
+    gamma_p = np.asarray(c.gamma_visc(psi, du_A + np.swapaxes(du_A, 0, 1)))
     phi_p = np.asarray(c.phi_heat(psi, grad_A_psi))
+    if not all(np.array_equal(gamma_p[i, j], gamma_p[j, i], equal_nan=True)
+               for i in range(n) for j in range(i)):
+        raise ConfigError("constitutive gamma_visc returned a non-symmetric Gamma")
 
-    dgamma = partials(gamma_p.reshape((n * n,) + gamma_p.shape[2:]))
-    dgamma = dgamma.reshape((n, n, n) + gamma_p.shape[2:])   # (k, j, i, ...)
-    # div_A Gamma_i = A[j, k] d_k Gamma[j, i]
-    div_A_gamma = np.einsum("jk...,kji...->i...", A, dgamma)
-
-    dphi = partials(phi_p)                                    # (k, j, ...)
-    div_A_phi = np.einsum("jk...,kj...->...", A, dphi)
+    # div_A Gamma_j = d_i^A Gamma[i, j], div_A phi = d_j^A phi_j
+    div_A_gamma = np.zeros((n,) + psi.shape)
+    for i, j in zip(*np.triu_indices(n)):
+        d = grad_A(gamma_p[i, j])
+        div_A_gamma[j] += d[i]
+        if i < j:
+            div_A_gamma[i] += d[j]
+    div_A_phi = sum(grad_A(phi_p[j])[j] for j in range(n))
 
     conv_u = np.einsum("j...,ji...->i...", u, du_A)           # u . grad_A u
     conv_psi = np.einsum("j...,j...->...", u, grad_A_psi)
 
-    f_term = (-p.gamma * du_A[0] + conv_u + grad_A_pres - div_A_gamma)
-    for i in range(dim_h):
-        f_term[i] += p.grav * ff.grad_eta_phys[i][..., None]
+    f_term = (-p.gamma * du_A[0] + conv_u + grad_A(pres) - div_A_gamma)
+    grad_eta = ff.grad_eta_phys
+    f_term[:n - 1] += p.grav * grad_eta[..., None]
 
-    g_term = J[..., None] * np.einsum("ii...->...", du_A)
+    g_term = ff.j_field[..., None] * np.einsum("ii...->...", du_A)
 
     l_term = -p.gamma * grad_A_psi[0] + conv_psi + div_A_phi
 
     # surface rows (top node)
-    grad_eta = ff.grad_eta_phys
-    Np = np.zeros((n,) + grid.phys_shape)
-    for i in range(dim_h):
-        Np[i] = -grad_eta[i]
-    Np[n - 1] = 1.0
+    Np = np.concatenate([-grad_eta, np.ones((1,) + grid.phys_shape)])
     normN = np.sqrt(1.0 + sum(g * g for g in grad_eta))
-    curv = to_phys(mean_curvature(state.eta).data, grid)[0]
+    curv = to_phys(slope_curvature(grad_eta, grid).data, grid)[0]
     psi_b = psi[..., -1]
     sigma_b = np.asarray(c.sigma_fn(psi_b))
     sigp_b = np.asarray(c.sigma_prime(psi_b))
@@ -242,7 +235,7 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
             warnings.warn(f"dealiased tail fraction {frac:.2e}", AliasingWarning)
         return dealias(coeff, grid)
 
-    bulk, surf = dim_h + 2, dim_h + 1
+    bulk, surf = n + 1, n
     return YData(
         f=SpectralField(grid, vgrid, pack(f_term, bulk)),
         g=SpectralField(grid, vgrid, pack(g_term, bulk)),

@@ -20,6 +20,7 @@ P3 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1, sigma0=1,
 GRID = FrequencyGrid(2, 2 * np.pi * 3, 24)
 VG = VerticalGrid(1.0, 28)
 C3 = make_constitutive(P3, visc="tempdep", heat="tempdep", sigma="smooth")
+C3_LINEAR = make_constitutive(P3, visc="newtonian", heat="fourier", sigma="linear")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,8 @@ def test_residual_zero_3d():
     assert ydata_norm(r) == 0.0
 
 
-def test_derivative_matches_linear_operator_3d():
+@pytest.mark.parametrize("c", [C3, C3_LINEAR], ids=["tempdep", "linear"])
+def test_derivative_matches_linear_operator_3d(c):
     st = make_random_state(GRID, VG, seed=1, jmax=3, eta_scale=0.4)
     lin = apply_linear_operator(st, P3)
     denom = ydata_norm(lin)
@@ -44,7 +46,7 @@ def test_derivative_matches_linear_operator_3d():
         for f in (scaled.u, scaled.psi, scaled.pres):
             f.data *= eps
         scaled.eta.data *= eps
-        r = nonlinear_residual(scaled, ForcingData(), P3, C3)
+        r = nonlinear_residual(scaled, ForcingData(), P3, c)
         r.scale(1.0 / eps)
         r.axpy(-1.0, lin)
         errs.append(ydata_norm(r) / denom)

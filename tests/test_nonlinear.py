@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from stripwave.nonlinear import (ForcingData, eulerian_grid_samples,
                                  suggested_amplitude_cap)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import SymbolTable
-from stripwave.params import PhysicalParams, make_constitutive
+from stripwave.params import ConstitutiveSet, PhysicalParams, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
 GRID = FrequencyGrid(1, 2 * np.pi * 10, 96)
@@ -50,11 +51,13 @@ def test_residual_zero_state_zero_forcing():
 
 
 @pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
-def test_residual_transforms_each_array_once(monkeypatch):
+@pytest.mark.parametrize("jmax", [40, 5])
+def test_residual_transforms_each_array_once(monkeypatch, jmax):
     # every physical-space array of one residual is synthesized once: no
-    # two to_phys calls get equal coefficients.  The state reaches beyond
-    # the 2/3 cutoff, where the curvature's dealiased slopes differ from the
-    # flattening's.
+    # two to_phys calls get equal coefficients.  At jmax 40 the state
+    # reaches beyond the 2/3 cutoff; at jmax 5 it stays inside, as every
+    # Picard iterate does, so dealiasing the surface slopes changes nothing
+    # and a curvature that made them again would repeat a call.
     import stripwave.geometry as geo
     import stripwave.nonlinear as nl
     real, inputs = nl.to_phys, []
@@ -65,11 +68,48 @@ def test_residual_transforms_each_array_once(monkeypatch):
 
     for module in (geo, nl):
         monkeypatch.setattr(module, "to_phys", spy)
-    st = _scaled(make_random_state(GRID, VG, seed=5, jmax=40, eta_scale=0.5), 1e-2)
+    st = _scaled(make_random_state(GRID, VG, seed=5, jmax=jmax, eta_scale=0.5), 1e-2)
     nonlinear_residual(st, make_forcing_preset("mixed", 1e-3, GRID, 1.0), P1, C_SMOOTH)
     repeats = [i for i, a in enumerate(inputs)
                if any(a.shape == b.shape and np.array_equal(a, b) for b in inputs[:i])]
     assert len(inputs) > 10 and repeats == []
+
+
+def test_residual_rejects_nonsymmetric_gamma():
+    # each distinct entry of Gamma is differentiated once for both rows of
+    # div_A Gamma, which holds only for the symmetric stress that
+    # ConstitutiveSet promises
+    def skewed(r, M):
+        out = C_SMOOTH.gamma_visc(r, M)
+        out[0, 1] += 0.5 * r
+        return out
+
+    c = ConstitutiveSet(skewed, C_SMOOTH.phi_heat, C_SMOOTH.sigma_fn, C_SMOOTH.sigma_prime)
+    st = _scaled(make_random_state(GRID, VG, seed=5, jmax=5), 1e-2)
+    with pytest.raises(ConfigError, match="gamma_visc"):
+        nonlinear_residual(st, ForcingData(), P1, c)
+
+
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
+@pytest.mark.parametrize("grid, vg, guard", [
+    (GRID, VG, 60),
+    (FrequencyGrid(2, 2 * np.pi * 3, 24), VerticalGrid(1.0, 28), 100),
+], ids=["2d", "3d"])
+def test_residual_peak_memory(grid, vg, guard):
+    # the residual differentiates one scalar field at a time: its traced
+    # peak, in real fields of phys_shape + (Nz,), is 46.9 in 2D and 71.4 in
+    # 3D, where stacking every partial at once took 71.0 and 146.2
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, grid.dim_h + 1)
+    c = make_constitutive(p, visc="tempdep", heat="tempdep", sigma="smooth")
+    st = _scaled(make_random_state(grid, vg, seed=5, jmax=5, eta_scale=0.5), 1e-2)
+    forcing = make_forcing_preset("mixed", 1e-3, grid, 1.0)
+    tracemalloc.start()
+    try:
+        nonlinear_residual(st, forcing, p, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (np.prod(grid.phys_shape) * vg.count * 8) <= guard
 
 
 def test_derivative_at_zero_is_linear_operator():
