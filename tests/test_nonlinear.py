@@ -98,7 +98,7 @@ def test_residual_rejects_nonsymmetric_gamma():
 def test_residual_peak_memory(grid, vg, guard):
     # the residual differentiates one scalar field at a time: its traced
     # peak, in real fields of phys_shape + (Nz,), is 46.9 in 2D and 71.4 in
-    # 3D, where stacking every partial at once took 71.0 and 146.2
+    # 3D; holding every partial of every component at once breaks the guard
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, grid.dim_h + 1)
     c = make_constitutive(p, visc="tempdep", heat="tempdep", sigma="smooth")
     st = _scaled(make_random_state(grid, vg, seed=5, jmax=5, eta_scale=0.5), 1e-2)
