@@ -144,6 +144,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         # the pairing-norm sup over the grid's own frequency range
         q1 = estimate_q_norms(vgrid, grid.xi_max * np.geomspace(1 / 16, 1, 5))
         ok_gate, margin = check_parameter_gate(p, q1)
+        summary["gate_q1"], summary["gate_margin"] = q1, margin
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
         forcing = config.forcing()
@@ -171,6 +172,8 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         summary["final_residual"] = trace.residuals[-1]
         summary["amplitude_requested"] = forcing.amplitude
         summary["amplitude_used"] = trace.amplitude_used
+        if trace.contraction:       # empty when the rest state solves
+            summary["contraction_per_amplitude"] = trace.contraction[0] / trace.amplitude_used
 
     elif mode == "roundtrip-test":
         inv = _inverter(config, grid, vgrid)

@@ -51,8 +51,6 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.linalg import lapack as _lapack
 
 from .errors import IllConditionedCollocation, NumericallySingular
 from .fields import conjugate_mirror, reflect
@@ -141,6 +139,7 @@ def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray
     A = np.asarray(t)[..., None, None] * np.asarray(M, dtype=complex)
     if not np.all(np.isfinite(A)):
         raise NumericallySingular("non-finite matrix handed to the exponential")
+    from scipy.linalg import expm
     X = expm(A)
     if not np.all(np.isfinite(X)):
         raise NumericallySingular("matrix exponential overflowed")
@@ -241,6 +240,13 @@ def forcing_rows(p: PhysicalParams, vgrid: VerticalGrid, m, f_long, f_n, G, L,
     return z, d
 
 
+def lu_factor(a: np.ndarray, **options):
+    """scipy's ``lu_factor``.  scipy.linalg is imported at the first LU (or
+    ``expm``), so a run that makes neither never loads it."""
+    from scipy.linalg import lu_factor as factor
+    return factor(a, **options)
+
+
 def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
     """LU factors of ``sys`` (overwritten when Fortran-ordered) and its 1-norm
     condition estimate; raises IllConditionedCollocation beyond cond_limit."""
@@ -248,7 +254,8 @@ def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
     # does on a C-ordered system
     anorm = float(np.abs(sys, order="C").sum(axis=0).max())
     lu = lu_factor(sys, overwrite_a=True)
-    gecon = _lapack.zgecon if sys.dtype == np.complex128 else _lapack.cgecon
+    from scipy.linalg import lapack
+    gecon = lapack.zgecon if sys.dtype == np.complex128 else lapack.cgecon
     rcond, _ = gecon(lu[0], anorm)
     cond_estimate = 1.0 / max(rcond, np.finfo(float).tiny)
     if cond_estimate > cond_limit:
@@ -328,6 +335,7 @@ class FrequencySolver:
         phi(b) and delta(b), which lead their blocks (index nz-1), joins
         them; it is unit triangular for the forward and the adjoint problem.
         """
+        from scipy.linalg import lu_solve
         nz = self.vgrid.count
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
@@ -567,6 +575,7 @@ def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
     rhs = np.array(f_transverse, dtype=complex)
     rhs[:, 0] = 0.0
     rhs[:, -1] = k_transverse
+    from scipy.linalg import lu_solve
     return lu_solve(factors, rhs[..., None])[..., 0]
 
 

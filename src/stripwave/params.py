@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .grids import VerticalGrid
 
@@ -178,14 +177,13 @@ def _fiber_trace_norms(a: float, vgrid: VerticalGrid):
     keep = slice(1, vgrid.count)       # drop the bottom node
     m = vgrid.count - 1
 
+    # each trace functional is a unit vector e on the last index, so
+    # e^T G^{-1} e = 1 / L[-1, -1]^2 for the Cholesky factor G = L L^H
     G_th = ((1.0 + a * a) * W + DtWD)[keep, keep]
     try:
-        ch = cho_factor(G_th)
+        m_theta = float(1.0 / np.linalg.cholesky(G_th)[-1, -1])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("degenerate scalar fiber Gram matrix; refine the vertical grid") from exc
-    e = np.zeros(m)
-    e[-1] = 1.0
-    m_theta = float(np.sqrt(e @ cho_solve(ch, e)))
 
     cross = 1j * a * (D.T @ W)
     blocks = [
@@ -193,13 +191,12 @@ def _fiber_trace_norms(a: float, vgrid: VerticalGrid):
         [cross.conj().T, a * a * W + 2 * DtWD],
     ]
     G_v = np.block([[blk[keep, keep] for blk in row] for row in blocks])
+    # the longitudinal trace, index m - 1, moved last
+    order = np.r_[0:m - 1, m:2 * m, m - 1]
     try:
-        chv = cho_factor(G_v)
+        m_v = float(1.0 / np.linalg.cholesky(G_v[np.ix_(order, order)])[-1, -1].real)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("degenerate vector fiber Gram matrix; refine the vertical grid") from exc
-    E = np.zeros(2 * m, dtype=complex)
-    E[m - 1] = 1.0                     # the longitudinal trace
-    m_v = float(np.sqrt(np.real(E.conj() @ cho_solve(chv, E))))
     return m_theta, m_v
 
 

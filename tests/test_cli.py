@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +271,25 @@ def test_nonlinear_solve_mode(tmp_path):
     assert os.path.exists(os.path.join(out, "eulerian.csv"))
     summary = json.load(open(os.path.join(out, "manifest.json")))["summary"]
     assert summary["amplitude_requested"] == summary["amplitude_used"] == 1e-3
+    assert summary["contraction_per_amplitude"] == trace["contraction"][0] / 1e-3
+    assert summary["gate_q1"] > 0 and summary["gate_margin"] > 0
+
+
+def test_failed_gate_records_q1_and_margin(tmp_path, capsys):
+    # sigma1 = 10 breaks the coupling condition: the run exits 2 before any
+    # solve, and its manifest keeps the estimate and the (negative) margin
+    out = tmp_path / "gate"
+    path = _write_cfg(tmp_path, {"mode": "nonlinear-solve", "out": str(out),
+                                 "params": {"sigma1": 10.0}, **SMALL})
+    assert main(["--config", path]) == 2
+    assert "parameter gate failed" in capsys.readouterr().err
+    summary = json.load(open(out / "manifest.json"))["summary"]
+    assert summary["ok"] is False
+    q1 = summary["gate_q1"]
+    assert q1 > 0
+    assert summary["gate_margin"] == pytest.approx(2.0 - 100.0 * q1 * q1, rel=1e-12)
+    assert summary["gate_margin"] < 0
+    assert not (out / "solve_trace.json").exists()
 
 
 def _failed_solve(tmp_path, cfg):
@@ -416,3 +438,53 @@ def test_cli_overrides(tmp_path):
     assert rc == 0
     manifest = json.load(open(tmp_path / "b" / "manifest.json"))
     assert manifest["config"]["seed"] == 3
+
+
+SCIPY_PROBE = """
+import json, sys
+loaded = lambda: "scipy.linalg" in sys.modules
+steps = {}
+import stripwave
+steps["import stripwave"] = loaded()
+import stripwave.cli
+from stripwave.config import RunConfig
+RunConfig.from_file(sys.argv[1])
+steps["cli and wave-2d config"] = loaded()
+assert stripwave.cli.main(["--config", sys.argv[2]]) == 0
+steps["nonlinear-solve"] = loaded()
+assert stripwave.cli.main(["--config", sys.argv[3]]) == 0
+steps["linear-solve"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
+    # a fresh interpreter: importing the package, loading the wave-2d config
+    # and a small 2D nonlinear-solve (no LU, no expm) leave scipy.linalg
+    # unloaded; a linear-solve whose table has two collocation members
+    # (j = 13, 14) loads it at their LUs
+    wave = _write_cfg(tmp_path, {
+        "mode": "nonlinear-solve", "params": {"dim": 2},
+        "grid": {"box_len": 2 * np.pi * 10, "modes": 256, "nz": 48},
+        "closure": {"visc": "tempdep", "heat": "tempdep", "sigma": "smooth"},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3}}, "wave.json")
+    small = _write_cfg(tmp_path, {
+        "mode": "nonlinear-solve", "out": str(tmp_path / "nl"), **SMALL,
+        "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2}}, "nl.json")
+    grid, vg = FrequencyGrid(1, 2.5 * np.pi, 32), VerticalGrid(1.0, 24)
+    write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(
+        make_random_state(grid, vg, seed=3, jmax=14), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    linear = _write_cfg(tmp_path, {
+        "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": str(tmp_path / "ydata"),
+        "grid": {"box_len": 2.5 * np.pi, "modes": 32, "nz": 24}}, "lin.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, linear],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import stripwave": False, "cli and wave-2d config": False,
+        "nonlinear-solve": False, "linear-solve": True}
+    summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
+    assert summary["table_solved"] == {"matexp": 12, "collocation": 2}

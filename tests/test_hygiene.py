@@ -2,7 +2,7 @@
 private name and every public function or class the package defines is read
 somewhere in it or re-exported, every defaulted parameter is passed by some
 call, and the package depends on nothing beyond the standard library, numpy
-and scipy."""
+and scipy, importing scipy only inside the functions that use it."""
 
 import ast
 import sys
@@ -267,3 +267,40 @@ def test_dependency_detector_flags_foreign_packages():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_scipy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def module_scope_scipy_imports(source: str) -> list:
+    """(line, module) of each scipy import that runs when the module is
+    imported, i.e. outside every function body.  Importing scipy.linalg costs
+    more than a small job, so the package defers it to its first use."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found.append((node.lineno, node.module))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scipy_import_detector_flags_module_scope_only():
+    source = ("import os, scipy.linalg\nfrom scipy import linalg\n"
+              "import numpy as np\ntry:\n    from scipy.linalg import expm\n"
+              "except ImportError:\n    pass\nclass C:\n"
+              "    from scipy import special\n    def f(self):\n"
+              "        from scipy.linalg import lu_factor\n        return lu_factor\n"
+              "def g():\n    import scipy.linalg\n    return scipy\n"
+              "h = lambda: __import__('scipy')\nfrom . import grids\n")
+    assert module_scope_scipy_imports(source) == [
+        (1, "scipy.linalg"), (2, "scipy"), (5, "scipy.linalg"), (9, "scipy")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import_at_module_scope(path):
+    assert module_scope_scipy_imports(path.read_text()) == []

@@ -275,6 +275,21 @@ def test_picard_amplitude_scaling(inverter):
     assert abs(na - 2 * nb) <= 50.0 * na * na
 
 
+def test_picard_contraction_scales_with_amplitude():
+    # the small-data fixed-point argument: the first contraction factor is
+    # O(amplitude), with an O(1) ratio (0.168 and 0.170 here) across two
+    # decades of amplitude
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 10, 64), VerticalGrid(1.0, 32)
+    inv = LinearInverter(SymbolTable(grid, vg, P1))
+    ratios = []
+    for amp in (1e-3, 1e-1):
+        forcing = make_forcing_preset("mixed", amp, grid, 1.0, mode_index=3)
+        tr = picard_solve(forcing, P1, C_SMOOTH, grid, vg, inverter=inv)
+        assert tr.converged
+        ratios.append(tr.contraction[0] / tr.amplitude_used)
+    assert max(ratios) <= 1.5 * min(ratios)
+
+
 def test_picard_translation_symmetry(inverter):
     # shifting the forcing shifts the solution by the same phase
     amp, j0 = 1e-3, 3

@@ -1,12 +1,13 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from stripwave.grids import VerticalGrid
-from stripwave.params import (PhysicalParams, check_parameter_gate,
-                              estimate_q_norms,
+from stripwave.params import (PhysicalParams, _fiber_trace_norms,
+                              check_parameter_gate, estimate_q_norms,
                               make_constitutive, validate_params,
                               verify_constitutive_linearization)
 
@@ -114,6 +115,18 @@ def test_qnorm_dim3():
             m_theta = np.sqrt(e @ cho_solve(cho_factor(G_th), e))
             est = estimate_q_norms(vg, [xi])
             assert est == pytest.approx(a * m_theta * m_v, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("weights, diff, a, fiber", [
+    (0.0, 1.0, 1.0, "scalar"),      # G_th = 0
+    (1.0, 0.0, 0.0, "vector"),      # G_th = W, G_v = 0
+], ids=["scalar", "vector"])
+def test_degenerate_fiber_gram_raises(weights, diff, a, fiber):
+    # a Gram matrix that is not positive definite names its fiber
+    vg = VerticalGrid(1.0, 8)
+    grid = SimpleNamespace(count=8, weights=weights * vg.weights, diff=diff * vg.diff)
+    with pytest.raises(np.linalg.LinAlgError, match=f"degenerate {fiber} fiber"):
+        _fiber_trace_norms(a, grid)
 
 
 def test_linearization_newtonian_exact():
