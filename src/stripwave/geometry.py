@@ -91,26 +91,3 @@ def slope_curvature(grad: np.ndarray, grid: FrequencyGrid) -> SurfaceSpectral:
         out += dealias(horiz_deriv(flux, grid, ax), grid)[0]
     return SurfaceSpectral(grid, out).enforce_real()
 
-
-def lattice_phases(grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
-    """exp(2 pi i xi . x') per horizontal point (rows) and lattice frequency
-    (columns, freq_shape flattened in C order).
-
-    The lattice is a product of one axis per direction, so the phases are
-    products of one table exp(2 pi i x_d xi_d) per direction: dim_h * modes
-    exponentials per point instead of modes^dim_h.
-    """
-    points = np.asarray(points, dtype=float)
-    tables = np.exp(2j * np.pi * (points[:, :, None] * grid.xi_axis()))
-    phases = tables[:, 0]
-    for d in range(1, grid.dim_h):
-        phases = (phases[:, :, None] * tables[:, d, None, :]).reshape(len(points), -1)
-    return phases
-
-
-def surface_at(eta: SurfaceSpectral, phases: np.ndarray) -> np.ndarray:
-    """A real surface field at arbitrary horizontal points, given their
-    lattice_phases (the real part of a direct sum over the lattice)."""
-    coeffs = eta.data.reshape(eta.comps, -1)
-    vals = np.real(phases @ coeffs.T)
-    return np.moveaxis(vals, -1, 0) if eta.comps > 1 else vals[..., 0]

@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import AliasingWarning, ConfigError, Diverged, NotConverged, PointOutsideDomain
 from .fields import SpectralField, SurfaceSpectral, YData
-from .geometry import (build_flattening, flattening_points, lattice_phases,
-                       slope_curvature, surface_at)
+from .geometry import build_flattening, flattening_points, slope_curvature
 from .grids import FrequencyGrid, VerticalGrid
 from .linear import LinearState, LinearInverter
 from .norms import ydata_norm
 from .odesystem import SymbolTable
-from .ops import dealias, dealias_tail_fraction, horiz_deriv, to_coeff, to_phys
+from .ops import (dealias, dealias_tail_fraction, horiz_deriv, lattice_sum,
+                  to_coeff, to_phys)
 from .params import ConstitutiveSet, PhysicalParams, validate_params
 
 
@@ -336,61 +336,57 @@ def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     ``points`` has shape (npts, n).  Raises PointOutsideDomain for samples
     above the free surface or below the bottom.
     """
-    n = state.grid.dim_h + 1
+    grid, vgrid = state.grid, state.vgrid
+    n = grid.dim_h + 1
     points = np.asarray(points, dtype=float)
-    # phases once per distinct horizontal point; ``where`` maps points to them
-    xp, where = np.unique(points[:, :n - 1], axis=0, return_inverse=True)
-    return _sample_at(state, points, lattice_phases(state.grid, xp), where)
-
-
-def _sample_at(state: LinearState, points: np.ndarray, phases: np.ndarray,
-               where: np.ndarray) -> dict:
-    """pushforward_eulerian at ``points`` whose horizontal positions have the
-    lattice_phases rows ``phases[where]``."""
-    vgrid = state.vgrid
-    eta_at = surface_at(state.eta, phases)[where]
+    if points.ndim != 2 or points.shape[1] != n or not np.isfinite(points).all():
+        raise ValueError(f"points must be a finite array of shape (npts, {n}), "
+                         f"got shape {points.shape}")
+    # one lattice sum per distinct horizontal point; ``where`` maps points to them
+    xp, where = np.unique(points[:, :-1], axis=0, return_inverse=True)
+    eta_at = lattice_sum(state.eta.data[0], grid, xp)[where]
     top = vgrid.depth + eta_at
     yn = points[:, -1]
     pad = 1e-12 * max(1.0, vgrid.depth)
     if np.any(yn > top + pad) or np.any(yn < -pad):
         raise PointOutsideDomain("sample point outside the fluid domain")
-    xn = yn * vgrid.depth / top
-    wvec = vgrid.interp_weights(xn)
+    rows = vgrid.interp_weights(yn * vgrid.depth / top)
 
-    def sample_bulk(fieldarr):
-        # sum over the lattice first: (comps, distinct, Nz) profiles
-        coeffs = fieldarr.reshape(fieldarr.shape[0], -1, vgrid.count)
-        prof = phases @ coeffs
-        return np.real(np.einsum("cpz,pz->cp", prof[:, where], wvec))
+    def sample(field):
+        # one component at a time: its (distinct, Nz) profiles, then each
+        # point's height
+        return np.stack([np.einsum("pz,pz->p", lattice_sum(c, grid, xp)[where], rows)
+                         for c in field.data])
 
-    return {
-        "points": points,
-        "eta": eta_at,
-        "velocity": sample_bulk(state.u.data),
-        "temperature": sample_bulk(state.psi.data)[0],
-        "pressure": sample_bulk(state.pres.data)[0],
-    }
+    return {"points": points, "eta": eta_at, "velocity": sample(state.u),
+            "temperature": sample(state.psi)[0], "pressure": sample(state.pres)[0]}
 
 
 def eulerian_grid_samples(state: LinearState, nx: int = 32, nlevel: int = 8) -> dict:
     """Convenience sampler: uniform horizontal points, proportional levels.
 
-    The lattice phases of the horizontal points are built once and serve
-    both the surface heights that place the levels and the samples.
+    The level at fraction f of the local depth, f (b + eta(x')), pulls back
+    to the strip height f b at every x', so each field component is
+    interpolated to the nlevel strip heights first and then summed over the
+    lattice once.
+    Points are ordered level by level.
     """
     grid, vgrid = state.grid, state.vgrid
     xs = grid.box_len * np.arange(nx) / nx
     fracs = (np.arange(nlevel) + 0.5) / nlevel
-    if grid.dim_h == 1:
-        xp = xs[:, None]
-    else:
-        X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-        xp = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    phases = lattice_phases(grid, xp)
-    eta_at = surface_at(state.eta, phases)
-    pts = []
-    for frac in fracs:
-        yn = frac * (vgrid.depth + eta_at)
-        pts.append(np.concatenate([xp, yn[:, None]], axis=1))
-    where = np.tile(np.arange(len(xp)), nlevel)
-    return _sample_at(state, np.concatenate(pts, axis=0), phases, where)
+    axes = np.meshgrid(*[xs] * grid.dim_h, indexing="ij")
+    xp = np.stack(axes, axis=-1).reshape(-1, grid.dim_h)
+    eta_at = lattice_sum(state.eta.data[0], grid, xp)
+    top = vgrid.depth + eta_at
+    if np.any(top < 0):
+        raise PointOutsideDomain("sample point outside the fluid domain")
+    rows = vgrid.interp_weights(fracs * vgrid.depth)
+
+    def sample(field):
+        # one component at a time, at the strip heights: (npts, nlevel)
+        return np.stack([lattice_sum(c @ rows.T, grid, xp).T.ravel() for c in field.data])
+
+    yn = (fracs[:, None] * top).reshape(-1, 1)
+    return {"points": np.concatenate([np.tile(xp, (nlevel, 1)), yn], axis=1),
+            "eta": np.tile(eta_at, nlevel), "velocity": sample(state.u),
+            "temperature": sample(state.psi)[0], "pressure": sample(state.pres)[0]}

@@ -28,21 +28,34 @@ def horiz_deriv(coeffs: np.ndarray, grid: FrequencyGrid, axis: int) -> np.ndarra
     return coeffs * on_lattice(xi_multipliers(grid)[axis], coeffs.ndim)
 
 
-def synthesize(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Fourier series summed on the collocation grid (complex samples)."""
-    axes = tuple(range(1, 1 + grid.dim_h))
-    return np.fft.ifftn(coeffs, axes=axes) * grid.modes ** grid.dim_h
-
-
 def to_phys(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Fourier series summed on the collocation grid (real samples)."""
+    axes = tuple(range(1, 1 + grid.dim_h))
+    samples = np.fft.ifftn(coeffs, axes=axes) * grid.modes ** grid.dim_h
     # copied out of the complex samples: a strided real view would slow
     # every pointwise product that follows
-    return np.ascontiguousarray(np.real(synthesize(coeffs, grid)))
+    return np.ascontiguousarray(np.real(samples))
 
 
 def to_coeff(phys: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     axes = tuple(range(1, 1 + grid.dim_h))
     return np.fft.fftn(phys, axes=axes) / grid.modes ** grid.dim_h
+
+
+def lattice_sum(coeffs: np.ndarray, grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
+    """Fourier series summed at arbitrary horizontal points (real part).
+
+    ``coeffs`` carries the lattice on its leading dim_h axes and any
+    trailing axes; ``points`` has shape (npts, dim_h).  Returns shape
+    (npts,) + the trailing axes.  The phases exp(2 pi i xi . x') are a
+    product of one table per lattice axis, so the sum runs one axis at a
+    time and never forms the (npts, modes^dim_h) table of their product.
+    """
+    tables = np.exp(2j * np.pi * (points[:, :, None] * grid.xi_axis()))
+    out = np.tensordot(tables[:, -1], coeffs, axes=(1, grid.dim_h - 1))
+    if grid.dim_h == 2:
+        out = np.einsum("pj,pj...->p...", tables[:, 0], out)
+    return np.real(out)
 
 
 def dealias(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:

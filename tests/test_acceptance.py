@@ -297,25 +297,33 @@ def test_criterion_10_determinism(tmp_path):
                                     "linear_report.json")])
     same_linear = linear[0] == linear[1]
 
-    # nonlinear-solve and asym-check: every data artifact and report
-    reruns = {"nonlinear-solve": [], "asym-check": []}
+    # nonlinear-solve, in 2D and in 3D (where the Eulerian lattice sums run
+    # over two axes), and asym-check: every data artifact and report.  The
+    # 3D forcing sits at mode 1: at mode 2 its products alias on 16 modes.
+    solve_names = ("eulerian.csv", "solve_trace.json", "u.csv", "psi.csv", "pres.csv",
+                   "eta.csv", "u.csv.json", "eta.csv.json")
+    reruns = {"nonlinear-solve": [], "nonlinear-solve-3d": [], "asym-check": []}
     for tag in ("g", "h"):
-        for mode, grid, names in (
-                ("nonlinear-solve", {"modes": 32, "nz": 24},
-                 ("eulerian.csv", "solve_trace.json", "u.csv", "psi.csv", "pres.csv",
-                  "eta.csv", "u.csv.json", "eta.csv.json")),
-                ("asym-check", {"box_len": 2 * np.pi * 5, "modes": 64, "nz": 32},
+        for key, mode, dim, mode_index, grid, names in (
+                ("nonlinear-solve", "nonlinear-solve", 2, 2, {"modes": 32, "nz": 24},
+                 solve_names),
+                ("nonlinear-solve-3d", "nonlinear-solve", 3, 1, {"modes": 16, "nz": 24},
+                 solve_names),
+                ("asym-check", "asym-check", 2, 2,
+                 {"box_len": 2 * np.pi * 5, "modes": 64, "nz": 32},
                  ("asym_report.json",))):
-            out = str(tmp_path / f"det_{tag}_{mode}")
+            out = str(tmp_path / f"det_{tag}_{key}")
             cfg = RunConfig.from_dict({
-                "mode": mode, "out": out, "grid": grid,
-                "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 2},
+                "mode": mode, "out": out, "grid": grid, "params": {"dim": dim},
+                "forcing": {"preset": "mixed", "amplitude": 1e-3,
+                            "mode_index": mode_index},
                 "fit": {"refine": False},
             })
             assert run(cfg) == 0
-            reruns[mode].append([open(os.path.join(out, name), "rb").read()
-                                 for name in names])
-    same_nonlinear = reruns["nonlinear-solve"][0] == reruns["nonlinear-solve"][1]
+            reruns[key].append([open(os.path.join(out, name), "rb").read()
+                                for name in names])
+    same_nonlinear = all(reruns[key][0] == reruns[key][1]
+                         for key in ("nonlinear-solve", "nonlinear-solve-3d"))
     same_asym = reruns["asym-check"][0] == reruns["asym-check"][1]
     ok = same_symbols and same_reports and same_linear and same_nonlinear and same_asym
     _report("10 determinism", ok,

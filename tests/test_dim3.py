@@ -1,5 +1,7 @@
 """Three-dimensional (two horizontal directions) end-to-end coverage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,28 +154,40 @@ def test_invert_one_solve_per_pair_3d():
     assert len(prepared) == 2 and len(prepared[1]) == len(set(prepared[1])) == 34
 
 
-def test_grid_samples_build_phases_once(monkeypatch):
-    import stripwave.geometry as geometry
-    import stripwave.nonlinear as nonlinear
+def test_grid_samples_match_pushforward():
+    # nx = 5 does not divide modes, so the horizontal points are off the grid
     grid = FrequencyGrid(2, 2 * np.pi * 3, 8)
     vg = VerticalGrid(1.0, 12)
     st = make_random_state(grid, vg, seed=4, jmax=2, eta_scale=0.05)
-    built = []
-    real = geometry.lattice_phases
-
-    def counting(g, points):
-        built.append(len(points))
-        return real(g, points)
-
-    for module in (geometry, nonlinear):
-        monkeypatch.setattr(module, "lattice_phases", counting)
     out = eulerian_grid_samples(st, nx=5, nlevel=3)
-    assert built == [25]
-    monkeypatch.undo()
     direct = pushforward_eulerian(st, out["points"])
     for name in ("eta", "velocity", "temperature", "pressure"):
         assert np.abs(out[name] - direct[name]).max() \
             <= 1e-12 * np.abs(direct[name]).max()
+
+
+def test_grid_samples_peak_memory():
+    # the lattice is summed one axis at a time: the 1024 x 4096 complex
+    # table of all phases (64 MiB) would break the guard on its own
+    grid = FrequencyGrid(2, 20 * np.pi, 64)
+    vg = VerticalGrid(1.0, 16)
+    st = make_random_state(grid, vg, seed=3, jmax=4, eta_scale=0.05)
+    tracemalloc.start()
+    try:
+        eulerian_grid_samples(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 2)), np.zeros((3, 4)), np.zeros(3),
+                                    np.array([[1.0, 1.0, np.nan]])],
+                         ids=["no-height", "extra-column", "1d", "nan"])
+def test_pushforward_rejects_malformed_points_3d(points):
+    st = LinearState.zeros(GRID, VG)
+    with pytest.raises(ValueError, match=r"\(npts, 3\)"):
+        pushforward_eulerian(st, points)
 
 
 def test_inverter_cond_limit_reaches_transverse_systems():

@@ -9,7 +9,7 @@ from stripwave.fields import (SpectralField, SurfaceSpectral, YData,
                               read_field_csv, read_ydata_csv, write_csv,
                               write_field_csv, write_json, write_ydata_csv)
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.ops import to_coeff, to_phys
+from stripwave.ops import lattice_sum, to_coeff, to_phys
 
 
 def test_vertical_grid_invariants():
@@ -107,6 +107,23 @@ def test_roundtrip_vs_direct_dft():
     assert np.abs(f.data[0] - oracle).max() < 1e-12
     back = to_phys(f.data, grid)
     assert np.abs(back - phys).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim_h", [1, 2])
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+def test_lattice_sum_vs_direct_sum(dim_h, trailing):
+    rng = np.random.default_rng(7)
+    grid = FrequencyGrid(dim_h, 4.5, 10)
+    shape = grid.freq_shape + trailing
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    points = rng.uniform(-grid.box_len, 2 * grid.box_len, size=(7, dim_h))
+    xi = grid.xi_vectors().reshape(-1, dim_h)
+    flat = coeffs.reshape((len(xi),) + trailing)
+    expect = np.array([np.real(sum(c * np.exp(2j * np.pi * (k @ x))
+                                   for k, c in zip(xi, flat))) for x in points])
+    out = lattice_sum(coeffs, grid, points)
+    assert out.shape == (len(points),) + trailing
+    assert np.abs(out - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 @settings(max_examples=20, deadline=None)

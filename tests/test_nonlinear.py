@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from stripwave.errors import AliasingWarning, ConfigError, PointOutsideDomain
-from stripwave.fields import SurfaceSpectral
-from stripwave.geometry import lattice_phases, surface_at
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
                               make_random_state, state_norm)
@@ -16,6 +14,7 @@ from stripwave.nonlinear import (ForcingData, eulerian_grid_samples,
                                  suggested_amplitude_cap)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import SymbolTable
+from stripwave.ops import lattice_sum
 from stripwave.params import ConstitutiveSet, PhysicalParams, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -348,10 +347,9 @@ def test_pushforward_flat_identity(table, inverter):
                     np.full(9, 0.375)], axis=-1)
     out = pushforward_eulerian(st, pts)
     # with a flat surface this is plain evaluation of the flattened fields
-    prof = SurfaceSpectral(GRID, st.psi.data[..., 0] * 0 +
-                           np.array([VG.interpolate(st.psi.data[0, k, :], 0.375)
-                                     for k in range(GRID.modes)])[None])
-    expect = surface_at(prof, lattice_phases(GRID, pts[:, :1]))
+    prof = np.array([VG.interpolate(st.psi.data[0, k, :], 0.375)
+                     for k in range(GRID.modes)])
+    expect = lattice_sum(prof, GRID, pts[:, :1])
     assert np.abs(out["temperature"] - expect).max() < 1e-10
 
 
@@ -371,6 +369,18 @@ def test_pushforward_rejects_outside():
     st = LinearState.zeros(GRID, VG)
     with pytest.raises(PointOutsideDomain):
         pushforward_eulerian(st, np.array([[0.0, 1.5]]))
+    st.eta.data[0, 0] = -1.5        # b + eta < 0: no fluid to sample
+    with pytest.raises(PointOutsideDomain):
+        eulerian_grid_samples(st, nx=4, nlevel=2)
+
+
+@pytest.mark.parametrize("points", [np.array([[0.5], [0.7]]), np.zeros((2, 3)),
+                                    np.array([0.5, 0.7]), np.array([[np.inf, 0.5]])],
+                         ids=["no-height", "extra-column", "1d", "inf"])
+def test_pushforward_rejects_malformed_points(points):
+    st = LinearState.zeros(GRID, VG)
+    with pytest.raises(ValueError, match=r"\(npts, 2\)"):
+        pushforward_eulerian(st, points)
 
 
 def test_pushforward_pullback_roundtrip(inverter):
@@ -381,15 +391,14 @@ def test_pushforward_pullback_roundtrip(inverter):
                       inverter=inverter)
     st = tr.state
     xs = np.linspace(0, GRID.box_len, 11, endpoint=False)
-    phases = lattice_phases(GRID, xs[:, None])
-    eta_at = surface_at(st.eta, phases)
+    eta_at = lattice_sum(st.eta.data[0], GRID, xs[:, None])
     frac = 0.6
     pts = np.stack([xs, frac * (1.0 + eta_at)], axis=-1)
     out = pushforward_eulerian(st, pts)
     # pullback: the flattened temperature at x_n = frac * b
     prof = np.array([VG.interpolate(st.psi.data[0, k, :], frac * VG.depth)
                      for k in range(GRID.modes)])
-    expect = surface_at(SurfaceSpectral(GRID, prof[None]), phases)
+    expect = lattice_sum(prof, GRID, xs[:, None])
     assert np.abs(out["temperature"] - expect).max() < 1e-8
 
 
