@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .grids import FrequencyGrid, VerticalGrid
 from .ops import on_lattice
 
@@ -210,22 +211,32 @@ def write_json(path, payload):
 
 
 def write_field_csv(path, field):
-    """One row per (component, xi indices, node index) in C order with re/im
-    columns; the grids go to the JSON sidecar path + ".json", whose
-    ``real_flag`` is always true (every field is real)."""
+    """Write a lattice field as CSV rows of (component, xi indices, node
+    index) in C order with re/im columns, and its grids to the JSON sidecar
+    path + ".json", whose ``real_flag`` is always true (every field is real).
+
+    A Hermitian field, one that ``conjugate_mirror`` leaves unchanged, is
+    written on the half lattice only, the rows whose lattice index lies on
+    grid.half_mask(), and its sidecar says ``"layout": "half"``; any other
+    field is written in full with no ``layout`` key.
+    """
     grid = field.grid
     bulk = isinstance(field, SpectralField)
     header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
               + (["node"] if bulk else []) + ["re", "im"])
     shape = field.data.shape
-    values = field.data.reshape(-1)
-    index = np.indices(shape, dtype=np.int32).reshape(len(shape), -1)
-    write_csv(path, header, [*index, values.real, values.imag])
     meta = {"dim_h": grid.dim_h, "box_len": grid.box_len, "modes": grid.modes,
             "comps": field.comps, "real_flag": True,
             "kind": "bulk" if bulk else "surface"}
     if bulk:
         meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
+    rows = True
+    if np.array_equal(field.data, conjugate_mirror(field.data, grid)):
+        meta["layout"] = "half"
+        rows = on_lattice(grid.half_mask(), len(shape))
+    index = np.nonzero(np.broadcast_to(rows, shape))
+    values = field.data[index]
+    write_csv(path, header, [*index, values.real, values.imag])
     write_json(str(path) + ".json", meta)
 
 
@@ -241,8 +252,14 @@ def read_ydata_csv(dirpath) -> YData:
 
 
 def read_field_csv(path):
+    """The field that ``write_field_csv`` wrote to ``path``.  A sidecar with
+    no ``layout`` key reads as the full layout; a ``half`` file is completed
+    by ``conjugate_mirror``.  A bad row or layout raises ConfigError."""
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    layout = meta.get("layout", "full")
+    if layout not in ("full", "half"):
+        raise ConfigError(f"{path}: unknown layout {layout!r}")
     grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
     bulk = meta["kind"] == "bulk"
     vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
@@ -250,6 +267,33 @@ def read_field_csv(path):
     data = np.zeros(shape, dtype=complex)
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if table.size:
-        index = tuple(table[:, :len(shape)].astype(int).T)
+        if table.shape[1] != len(shape) + 2:
+            raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "
+                              f"expected {len(shape) + 2}")
+        rows = on_lattice(grid.half_mask(), len(shape)) if layout == "half" else True
+        index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
         data[index] = table[:, -2] + 1j * table[:, -1]
+    if layout == "half":
+        data = conjugate_mirror(data, grid)
     return SpectralField(grid, vgrid, data) if bulk else SurfaceSpectral(grid, data)
+
+
+def _row_index(path, raw, rows):
+    """The lattice index of every row of a field CSV, from its float index
+    columns ``raw``.  ConfigError names the first row whose index is not an
+    integer, lies off the lattice, repeats an earlier row's or lies off the
+    entries that ``rows``, a boolean array of the field's shape, allows."""
+    whole = np.all(raw == np.floor(raw), axis=1)
+    inside = np.all((raw >= 0) & (raw < rows.shape), axis=1)
+    index = tuple(np.where((whole & inside)[:, None], raw, 0).astype(np.intp).T)
+    repeated = np.ones(len(raw), dtype=bool)
+    repeated[np.unique(np.ravel_multi_index(index, rows.shape), return_index=True)[1]] = False
+    problems = (("a non-integer index", ~whole), ("an index off the lattice", ~inside),
+                ("a repeated index", repeated), ("an index off the half lattice", ~rows[index]))
+    bad = np.logical_or.reduce([flags for _, flags in problems])
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = next(name for name, flags in problems if flags[row])
+        shown = ", ".join(f"{v:g}" for v in raw[row])
+        raise ConfigError(f"{path}: data row {row + 1} ({shown}) has {what}")
+    return index

@@ -11,7 +11,7 @@ from stripwave import cli
 from stripwave.cli import main, run
 from stripwave.config import RunConfig
 from stripwave.errors import ConfigError
-from stripwave.fields import write_ydata_csv
+from stripwave.fields import read_field_csv, write_field_csv, write_ydata_csv
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import apply_linear_operator, make_random_state
 from stripwave.odesystem import SymbolTable
@@ -145,6 +145,58 @@ def test_linear_solve_mode(tmp_path):
     rep = json.load(open(os.path.join(out, "linear_report.json")))
     assert rep["roundtrip_misfit"] < 1e-6
     assert os.path.exists(os.path.join(out, "eta.csv"))
+
+
+def test_linear_solve_rejects_bad_input_rows(tmp_path, capsys):
+    # the input CSVs come from outside the program: a repeated lattice index
+    # is refused with the file and row named, and the run exits 2
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 24)
+    indir = tmp_path / "ydata"
+    write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
+                                                      PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    rows = (indir / "h.csv").read_bytes().split(b"\r\n")
+    (indir / "h.csv").write_bytes(b"\r\n".join(rows[:3] + rows[2:]))
+    path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": str(indir),
+                                 "out": str(tmp_path / "lin"),
+                                 "grid": {"modes": 16, "nz": 24}})
+    assert main(["--config", path]) == 2
+    assert "h.csv: data row 3 (0, 1) has a repeated index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, mode_index, grid", [(2, 2, {"modes": 32, "nz": 24}),
+                                                   (3, 1, {"modes": 16, "nz": 24})])
+def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, dim,
+                                                       mode_index, grid):
+    # every field CSV that nonlinear-solve and linear-solve write is exactly
+    # Hermitian, so it takes the half layout and reads back bit for bit
+    written = []
+
+    def record(path, field):
+        written.append((path, field.copy()))
+        return write_field_csv(path, field)
+
+    monkeypatch.setattr(cli, "write_field_csv", record)
+    nl = str(tmp_path / "nl")
+    assert run(RunConfig.from_dict({
+        "mode": "nonlinear-solve", "out": nl, "grid": grid, "params": {"dim": dim},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": mode_index}})) == 0
+    fgrid = FrequencyGrid(dim - 1, 2 * np.pi * 10, grid["modes"])
+    vg = VerticalGrid(1.0, grid["nz"])
+    indir = str(tmp_path / "ydata")
+    write_ydata_csv(indir, apply_linear_operator(
+        make_random_state(fgrid, vg, seed=4, jmax=3), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)))
+    assert run(RunConfig.from_dict({
+        "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": indir,
+        "grid": grid, "params": {"dim": dim}})) == 0
+    assert len(written) == 8
+    half = fgrid.half_mask().sum()
+    for path, field in written:
+        meta = json.load(open(path + ".json"))
+        assert meta["layout"] == "half"
+        rows = len(open(path, "rb").read().split(b"\r\n")) - 2
+        nz = grid["nz"] if meta["kind"] == "bulk" else 1
+        assert rows == field.comps * half * nz
+        assert np.array_equal(read_field_csv(path).data, field.data)
 
 
 def test_linear_solve_records_inverter_work(tmp_path):

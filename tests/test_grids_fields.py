@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripwave.fields import (SpectralField, SurfaceSpectral, YData,
+from stripwave.errors import ConfigError
+from stripwave.fields import (SpectralField, SurfaceSpectral, YData, conjugate_mirror,
                               read_field_csv, read_ydata_csv, write_csv,
                               write_field_csv, write_json, write_ydata_csv)
 from stripwave.grids import FrequencyGrid, VerticalGrid
@@ -260,6 +262,40 @@ def _read_field_csv_rows(path, shape):
     return data
 
 
+def test_full_layout_directory_reads_as_before(tmp_path):
+    # a data directory in the full layout with sidecars that have no layout
+    # key, as files were written before the half layout, gives linear-solve
+    # the same report as the half-layout directory write_ydata_csv writes
+    from stripwave.cli import run
+    from stripwave.config import RunConfig
+    from stripwave.linear import apply_linear_operator, make_random_state
+    from stripwave.params import PhysicalParams
+    grid, vg = FrequencyGrid(1, 2.5 * np.pi, 16), VerticalGrid(1.0, 24)
+    data = apply_linear_operator(make_random_state(grid, vg, seed=2, jmax=5),
+                                 PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2))
+    write_ydata_csv(tmp_path / "half", data)
+    os.makedirs(tmp_path / "full")
+    for name, part in zip("fglkhm", data.parts()):
+        _write_field_csv_rows(tmp_path / "full" / f"{name}.csv", part)
+        meta = {"dim_h": 1, "box_len": grid.box_len, "modes": 16, "comps": part.comps,
+                "real_flag": True}
+        if isinstance(part, SpectralField):
+            meta.update(kind="bulk", depth=1.0, nz=24)
+        else:
+            meta.update(kind="surface")
+        write_json(tmp_path / "full" / f"{name}.csv.json", meta)
+        half_meta = json.loads((tmp_path / "half" / f"{name}.csv.json").read_text())
+        assert half_meta == dict(meta, layout="half")
+    reports = []
+    for src in ("half", "full"):
+        out = tmp_path / f"lin_{src}"
+        assert run(RunConfig.from_dict({
+            "mode": "linear-solve", "input": str(tmp_path / src), "out": str(out),
+            "grid": {"box_len": 2.5 * np.pi, "modes": 16, "nz": 24}})) == 0
+        reports.append((out / "linear_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def _awkward_values(rng, shape):
     """Magnitudes across the double range plus -0, zeros and a subnormal."""
     vals = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
@@ -322,6 +358,84 @@ def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
     sidecar = tmp_path / "tiny.csv.json"
     sidecar.write_bytes(sidecar.read_bytes().replace(b"true", b"false"))
     assert np.array_equal(read_field_csv(tmp_path / "tiny.csv").data[0], data)
+
+
+def test_hermitian_surface_csv_bytes_pinned(tmp_path):
+    # a Hermitian field keeps its half lattice, xi indices 0, 1 and the
+    # Nyquist 2 (with -0 kept), and its sidecar says so; the read mirrors it
+    grid = FrequencyGrid(1, 2.0, 4)
+    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 0.0),
+            complex(-0.0, -1 / 3)]
+    write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data))
+    assert (tmp_path / "tiny.csv").read_bytes() == (
+        b"comp,k1,re,im\r\n"
+        b"0,0,0.10000000000000001,-0\r\n"
+        b"0,1,-0,0.33333333333333331\r\n"
+        b"0,2,-25000000000,0\r\n")
+    assert (tmp_path / "tiny.csv.json").read_bytes() == (
+        b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
+        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true\n}\n')
+    back = read_field_csv(tmp_path / "tiny.csv")
+    assert np.array_equal(back.data[0], data)
+
+
+def test_hermitian_bulk_csv_bytes_pinned(tmp_path):
+    # dim_h 2, modes 4: the half lattice is k1 = 1 whole plus k2 <= 2 on the
+    # self-paired rows k1 = 0 and 2, ten of the 16 indices, each with 4 nodes
+    grid, vg = FrequencyGrid(2, 2.0, 4), VerticalGrid(1.5, 4)
+    k1, k2, node = np.indices((4, 4, 4))
+    data = conjugate_mirror((4 * k1 + k2 + 0.5 + 0.25j * node)[None], grid)
+    write_field_csv(tmp_path / "tiny.csv", SpectralField(grid, vg, data))
+    half = [(b"0,0", b"0.5"), (b"0,1", b"1.5"), (b"0,2", b"2.5"),
+            (b"1,0", b"4.5"), (b"1,1", b"5.5"), (b"1,2", b"6.5"), (b"1,3", b"7.5"),
+            (b"2,0", b"8.5"), (b"2,1", b"9.5"), (b"2,2", b"10.5")]
+    assert (tmp_path / "tiny.csv").read_bytes() == b"comp,k1,k2,node,re,im\r\n" + b"".join(
+        b"0,%s,%d,%s,%s\r\n" % (k, node, re, im)
+        for k, re in half for node, im in enumerate([b"0", b"0.25", b"0.5", b"0.75"]))
+    assert (tmp_path / "tiny.csv.json").read_bytes() == (
+        b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "depth": 1.5,\n  "dim_h": 2,\n'
+        b'  "kind": "bulk",\n  "layout": "half",\n  "modes": 4,\n  "nz": 4,\n'
+        b'  "real_flag": true\n}\n')
+    assert np.array_equal(read_field_csv(tmp_path / "tiny.csv").data, data)
+
+
+def _surface_file(tmp_path, rows, layout=None):
+    """A modes-4 surface field CSV with the given data rows."""
+    meta = {"box_len": 2.0, "comps": 1, "dim_h": 1, "kind": "surface", "modes": 4,
+            "real_flag": True}
+    if layout is not None:
+        meta["layout"] = layout
+    write_json(tmp_path / "s.csv.json", meta)
+    (tmp_path / "s.csv").write_text("comp,k1,re,im\n" + "".join(r + "\n" for r in rows))
+    return tmp_path / "s.csv"
+
+
+@pytest.mark.parametrize("rows, layout, message", [
+    (["0,0,1,0", "0,-1,1,0"], None, "data row 2 (0, -1) has an index off the lattice"),
+    (["0,1.7,1,0"], None, "data row 1 (0, 1.7) has a non-integer index"),
+    (["0,1,1,0", "0,2,1,0", "0,1,2,0"], None, "data row 3 (0, 1) has a repeated index"),
+    (["0,9,1,0"], None, "data row 1 (0, 9) has an index off the lattice"),
+    (["1,0,1,0"], None, "data row 1 (1, 0) has an index off the lattice"),
+    (["0,nan,1,0"], None, "data row 1 (0, nan) has a non-integer index"),
+    (["0,1,1,0", "0,3,1,0"], "half", "data row 2 (0, 3) has an index off the half lattice"),
+    (["0,1,1"], None, "rows have 3 columns, expected 4"),
+    (["0,1,1,0"], "quarter", "unknown layout 'quarter'"),
+])
+def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
+    path = _surface_file(tmp_path, rows, layout)
+    with pytest.raises(ConfigError, match=r"s\.csv: ") as err:
+        read_field_csv(path)
+    assert message in str(err.value)
+
+
+def test_field_csv_layouts_read_the_same(tmp_path):
+    # a full file may list its rows in any order; a half file with the same
+    # half-lattice rows mirrors to the same Hermitian field
+    full = _surface_file(tmp_path, ["0,3,0.5,0.25", "0,0,1,0", "0,2,-2,0", "0,1,0.5,-0.25"])
+    want = [1.0, 0.5 - 0.25j, -2.0, 0.5 + 0.25j]
+    assert np.array_equal(read_field_csv(full).data[0], want)
+    half = _surface_file(tmp_path, ["0,1,0.5,-0.25", "0,0,1,0"], "half")
+    assert np.array_equal(read_field_csv(half).data[0], [1.0, 0.5 - 0.25j, 0.0, 0.5 + 0.25j])
 
 
 def test_write_json_and_write_csv_bytes(tmp_path):
