@@ -254,9 +254,14 @@ def read_ydata_csv(dirpath) -> YData:
 def read_field_csv(path):
     """The field that ``write_field_csv`` wrote to ``path``.  A sidecar with
     no ``layout`` key reads as the full layout; a ``half`` file is completed
-    by ``conjugate_mirror``.  A bad row or layout raises ConfigError."""
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
+    by ``conjugate_mirror``.  A missing or unreadable file, a non-numeric
+    cell, a bad row or a bad layout raises ConfigError naming the file."""
+    try:
+        with open(str(path) + ".json") as fh:
+            meta = json.load(fh)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:      # missing, not JSON, not numbers
+        raise ConfigError(f"{path}: {exc}") from exc
     layout = meta.get("layout", "full")
     if layout not in ("full", "half"):
         raise ConfigError(f"{path}: unknown layout {layout!r}")
@@ -265,7 +270,6 @@ def read_field_csv(path):
     vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
     shape = (meta["comps"],) + grid.freq_shape + ((vgrid.count,) if bulk else ())
     data = np.zeros(shape, dtype=complex)
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if table.size:
         if table.shape[1] != len(shape) + 2:
             raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "

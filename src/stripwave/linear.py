@@ -364,12 +364,14 @@ def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,
         return rng.standard_normal(2 * count).view(complex)
 
     def fill(arr, comps, basis):
-        # amplitudes in the order of the loops comps > modes > k
+        # amplitudes in the order of the loops comps > modes > k; the terms
+        # are summed in the order k = 0, 1, ... from +0, as into arr
         amp = draw(comps * len(jm) * kmax).reshape(comps, len(jm), kmax)
         amp = amp * np.exp(-mode_decay * jm[:, None] - 0.5 * np.arange(kmax))
-        at = (np.arange(comps)[:, None],) + idx
+        total = np.zeros(amp.shape[:2] + basis.shape[1:], dtype=complex)
         for k in range(kmax):
-            np.add.at(arr, at, amp[..., k, None] * basis[k])
+            total += amp[..., k, None] * basis[k]
+        np.add.at(arr, (np.arange(comps)[:, None],) + idx, total)
 
     fill(st.u.data, grid.dim_h + 1, basis0)
     fill(st.psi.data, 1, basis0)

@@ -24,11 +24,12 @@ Two backends solve the system and validate each other:
   cosh/sinh divided differences times fixed matrices per frequency;
   ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is the
   tests' oracle.  A FrequencyStack prepares and solves many frequencies at
-  once: the boundary matrices, the step and quadrature exponentials are
-  stacks across frequencies, and the marches run over the intervals with
-  every frequency at once.  The panels' nodes, weights and interpolation
-  rows are built once per solver.  It degrades once exp(2 pi |xi| b) eats
-  the floating point headroom, so it is gated by a configurable split.
+  once: the boundary matrices and the step exponentials are stacks across
+  frequencies, the quadrature stays in the propagator's coefficient basis,
+  and the marches run over the intervals with every frequency at once.
+  The panels' nodes, weights and interpolation rows are built once per
+  solver.  It degrades once exp(2 pi |xi| b) eats the floating point
+  headroom, so it is gated by a configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   valid at all frequencies.  Its interior rows never couple the Stokes
@@ -61,7 +62,7 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# matrices per propagator call of a FrequencyStack: bounds its temporaries
+# member-times per coefficient call of a FrequencyStack: bounds its temporaries
 _EXP_CHUNK = 2048
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
@@ -157,13 +158,13 @@ def _shc(z):
 
 def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
     """Per frequency of ``xis`` (k, dim_h), the row (52,) from which
-    ``_member_exponentials`` builds exp(tA): m = 2 pi |xi|, l, l_h, tau/mu,
-    then P, A_s and A_s P (16 entries each).  The Stokes block A_s (phi,
-    psi, q, dn phi) has the eigenvalues +-m and +-l, l^2 = m^2 + tau/mu with
-    tau = 2 pi i gamma_tilde xi_1, and the heat block A_h (delta, dn delta)
-    +-l_h, l_h^2 = m^2 + tau/kappa.  Both are even in A, so
-    exp(tA_s) = c0 I + c1 P + s0 A_s + s1 A_s P with P = A_s^2 - m^2 I, and
-    exp(tA_h) = cosh(t l_h) I + t shc(t l_h) A_h.
+    ``_member_coefficients`` and ``_member_basis`` build exp(tA):
+    m = 2 pi |xi|, l, l_h, tau/mu, then P, A_s and A_s P (16 entries each).
+    The Stokes block A_s (phi, psi, q, dn phi) has the eigenvalues +-m and
+    +-l, l^2 = m^2 + tau/mu with tau = 2 pi i gamma_tilde xi_1, and the heat
+    block A_h (delta, dn delta) +-l_h, l_h^2 = m^2 + tau/kappa.  Both are
+    even in A, so exp(tA_s) = c0 I + c1 P + s0 A_s + s1 A_s P with
+    P = A_s^2 - m^2 I, and exp(tA_h) = cosh(t l_h) I + t shc(t l_h) A_h.
     """
     A = assemble_bulk_matrix(xis, p, gamma_tilde)
     m = 2.0 * np.pi * np.linalg.norm(xis, axis=-1)
@@ -175,10 +176,10 @@ def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
 
 
 @np.errstate(all="ignore")      # overflow, and 0/0 in the branches not taken
-def _member_exponentials(prop: np.ndarray, t):
-    """exp(tA) for every member of a stack with ``_propagator`` rows
-    ``prop`` and every time of ``t``, shape (k,) + t.shape + (6, 6), with a
-    mask of the members whose exponential is finite.
+def _member_coefficients(prop: np.ndarray, t):
+    """The coefficients of exp(tA) in the basis of ``_member_basis`` for
+    every member of a stack with ``_propagator`` rows ``prop`` and every
+    time of ``t``, shape (k,) + t.shape + (6,).
 
     c0 = cosh(tm), s0 = t shc(tm), c1 = (t^2/2) shc(u) shc(v) with
     u = t (l + m)/2, v = t (l - m)/2 and l - m = (tau/mu)/(l + m).  s1 is
@@ -186,7 +187,8 @@ def _member_exponentials(prop: np.ndarray, t):
     (Moler & Van Loan, SIAM Rev. 45, 2003): its Taylor series when
     t max(|l|, m) <= 1, t (cosh(u) shc(v) - shc(u) cosh(v)) / (2 l m) when
     |v| <= 1/2, else the quotient of differences.  l = m (tau = 0) is the
-    confluent limit of the same formulas, and xi = 0 gives I + tA.
+    confluent limit of the same formulas, and xi = 0 gives I + tA.  The
+    heat block takes cosh(t l_h) and t shc(t l_h).
     """
     tf = np.ravel(t)
     m, l, lh, r = (prop[:, i, None] for i in range(4))
@@ -207,13 +209,27 @@ def _member_exponentials(prop: np.ndarray, t):
                            tf * (_shc(tl) - shc_tm) / r))
     coef = np.stack([np.cosh(tm), 0.5 * tf * tf * shc_u * shc_v, tf * shc_tm, s1,
                      np.cosh(tlh), tf * _shc(tlh)], axis=-1)
-    # the basis I, P, A_s, A_s P, I, A_h of the blocks as 6x6 matrices
+    return coef.reshape(prop.shape[:1] + np.shape(t) + (6,))
+
+
+def _member_basis(prop: np.ndarray) -> np.ndarray:
+    """The basis I_s, P, A_s, A_s P, I_h, A_h of exp(tA) for every member
+    of a stack with ``_propagator`` rows ``prop``, as 6x6 matrices
+    flattened row-major, shape (k, 6, 36)."""
     basis = np.zeros((len(prop), 6, 6, 6), dtype=complex)
     stokes = np.array(_STOKES)
     basis[:, 0, stokes, stokes] = basis[:, 4, [2, 5], [2, 5]] = basis[:, 5, 2, 5] = 1.0
     basis[:, 1:4, stokes[:, None], stokes] = prop[:, 4:].reshape(-1, 3, 4, 4)
     basis[:, 5, 5, 2] = prop[:, 2] ** 2
-    X = (coef @ basis.reshape(-1, 6, 36)).reshape(prop.shape[:1] + np.shape(t) + (6, 6))
+    return basis.reshape(-1, 6, 36)
+
+
+@np.errstate(all="ignore")
+def _member_exponentials(prop: np.ndarray, t):
+    """exp(tA), shape (k,) + t.shape + (6, 6), with a mask of the members
+    whose exponential is finite: ``_member_coefficients`` times the basis."""
+    coef = _member_coefficients(prop, t)
+    X = (coef.reshape(len(prop), -1, 6) @ _member_basis(prop)).reshape(coef.shape[:-1] + (6, 6))
     return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
 
 
@@ -313,15 +329,15 @@ class FrequencySolver:
     def _quadrature(self):
         """Composite Gauss-Legendre panels of the vertical grid, shared by every
         frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q
-        and the weights, both (Nz-1, 8), and the interpolation rows at the
-        t_q, (8 (Nz-1), Nz) interval-major."""
+        and the weights, both (Nz-1, 8), and the real interpolation rows at
+        the t_q, (8 (Nz-1), Nz) interval-major."""
         if self._quad is None:
             nodes = self.vgrid.nodes
             a, c = nodes[:-1, None], nodes[1:, None]
             h = c - a
             tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
             rows = self.vgrid.interp_weights(tq).reshape(-1, nodes.size)
-            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS, rows.astype(complex))
+            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS, rows)
         return self._quad
 
     # -- collocation backend ---------------------------------------------------
@@ -402,15 +418,15 @@ class FrequencyStack:
 
     The matexp members are prepared together as stacks: ``prop`` holds their
     ``_propagator`` rows, ``Binv`` and ``Nmat`` are (k, 6, 6).  ``step``
-    keeps the step exponentials exp(h_j A) of every member as one (k, 6, 6)
-    array per interval j, made when the stack is built.  ``quad`` keeps the
-    weighted Gauss-Legendre exponentials w_q exp((c_j - t_q) A) as one
-    (k, 6, 8*6) array per interval, made at the first solve with bulk
-    forcing, so that the quadrature of an interval is one matrix-vector
-    product per member.  The exponentials are computed in calls of at most
-    _EXP_CHUNK matrices (one member's exponentials stay in one call) and
-    written in place into the arrays per interval, so no allocation grows
-    with the product of frequencies and intervals.  Every solve solves every
+    keeps the step exponentials exp(h_j A), (Nz-1, k, 6, 6), made when the
+    stack is built.  ``quad`` keeps the Gauss-Legendre quadrature in the
+    propagator's basis B_b (I_s, P, A_s, A_s P, I_h, A_h), made at the first
+    solve with bulk forcing: the weighted coefficients w_q coef_b(c_j - t_q),
+    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6), k (48 (Nz-1) + 216)
+    complex numbers.  The local integral sum_q w_q exp((c_j - t_q) A) z(t_q)
+    is then sum_b B_b (sum_q w_q coef_b z(t_q)).  The coefficients are made
+    in calls of at most _EXP_CHUNK member-times, so no temporary grows with
+    the product of frequencies and intervals.  Every solve solves every
     member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
@@ -457,41 +473,43 @@ class FrequencyStack:
             self._to_collocation(i)
         self.members = self.members[ok]
         self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
-        self.step = self._exponential_rows(np.diff(s.vgrid.nodes), (6, 6),
-                                           lambda j, X: X)
+        coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(1, 0, 2)
+        self.step = (coef[:, :, None] @ _member_basis(self.prop)).reshape(coef.shape + (6,))
         self.quad = None
 
-    def _exponential_rows(self, t, shape, rows_of) -> list:
-        """Per interval j, the rows rows_of(j, exp(t_j A)) of every member as
-        one array (k,) + ``shape``.  A call holds all times of its members
-        and at most _EXP_CHUNK matrices when it holds more than one member.
-        A member whose exponential fails gets zero rows, which the march
-        carries, and is solved by collocation instead."""
+    def _exponential_rows(self, t) -> np.ndarray:
+        """The coefficients of exp(tA) of every member at every time of
+        ``t``, (k,) + t.shape + (6,), in calls that hold all times of a
+        member.  A member whose coefficients fail gets zero rows, which the
+        march carries, and is solved by collocation instead."""
         t = np.asarray(t)
-        finite = np.ones(len(self.members), dtype=bool)
-        arrays = [np.empty((len(finite),) + shape, dtype=complex) for _ in range(len(t))]
+        rows = np.empty((len(self.members),) + t.shape + (6,), dtype=complex)
         width = max(1, _EXP_CHUNK // t.size)
-        for lo in range(0, len(finite), width):
-            blk = slice(lo, lo + width)
-            X, finite[blk] = _member_exponentials(self.prop[blk], t)
-            X[~finite[blk]] = 0.0
-            for j, rows in enumerate(arrays):
-                rows[blk] = rows_of(j, X[:, j])
+        for lo in range(0, len(rows), width):
+            rows[lo:lo + width] = _member_coefficients(self.prop[lo:lo + width], t)
+        finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+        rows[~finite] = 0.0
         for i in self.members[~finite]:
             self._to_collocation(i)
-        return arrays
+        return rows
 
-    def _local_integrals(self, z) -> list:
+    def _local_integrals(self, z) -> np.ndarray:
         """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
-        for every member, (k, 6, 1) each."""
+        for every member, (k, Nz-1, 6), from ``quad``."""
         offsets, weights, rows = self.solver._quadrature()
+        k, nz = len(z), z.shape[-1]
         if self.quad is None:
-            self.quad = self._exponential_rows(offsets, (6, 48), lambda j, X: (
-                weights[j, :, None, None] * X).transpose(0, 2, 1, 3).reshape(-1, 6, 48))
-        zt = z.transpose(0, 2, 1)
-        # samples (member, node, component): the column order of quad
-        return [q @ (r @ zt).reshape(-1, 48, 1)
-                for q, r in zip(self.quad, rows.reshape(len(self.quad), 8, -1))]
+            coef = self._exponential_rows(offsets)
+            coef *= weights[..., None]
+            # basis rows (b, c) by output component i: B_b[i, c]
+            basis = _member_basis(self.prop).reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
+            self.quad = (np.ascontiguousarray(coef.transpose(0, 1, 3, 2)), basis.reshape(k, 36, 6))
+        coef, basis = self.quad
+        # samples z(t_q) (member, interval, node, component): real rows times
+        # the (re, im) columns, one product per member as in a lone solve
+        zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
+        samples = (rows @ zt).view(complex).reshape(k, nz - 1, 8, 6)
+        return (coef @ samples).reshape(k, nz - 1, 36) @ basis
 
     def _march(self, z, d) -> np.ndarray:
         """Variation of constants for the matexp members, marched over the
@@ -500,19 +518,19 @@ class FrequencyStack:
         step = self.step
         nz = len(step) + 1
         forced = None if z is None else z.reshape(len(z), -1).any(axis=1)
-        local = self._local_integrals(z) if forced is not None and forced.any() else None
+        local = self._local_integrals(z)[..., None] if forced is not None and forced.any() else None
         integral = np.zeros((len(self.members), 6, 1), dtype=complex)
         if local is not None:
             for j in range(nz - 1):
                 integral = step[j] @ integral
-                integral[forced] += local[j][forced]
+                integral[forced] += local[forced, j]
         y = self.Binv @ (d[:, :, None] - self.Nmat @ integral)
         Y = np.empty((len(self.members), 6, nz), dtype=complex)
         Y[..., 0] = y[..., 0]
         for j in range(nz - 1):
             y = step[j] @ y
             if local is not None:
-                y[forced] += local[j][forced]
+                y[forced] += local[forced, j]
             Y[..., j + 1] = y[..., 0]
         return Y
 
@@ -571,12 +589,14 @@ def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
 
 def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
     """beta (K, Nz) from the factors of ``transverse_factor``, the forcing
-    f (K, Nz) and the top data k (K,), as one batched solve."""
+    f (K, Nz) and the top data k (K,), one LAPACK getrs per frequency."""
     rhs = np.array(f_transverse, dtype=complex)
     rhs[:, 0] = 0.0
     rhs[:, -1] = k_transverse
-    from scipy.linalg import lu_solve
-    return lu_solve(factors, rhs[..., None])[..., 0]
+    from scipy.linalg.lapack import zgetrs
+    for lu, piv, b in zip(*factors, rhs):
+        b[:], _ = zgetrs(lu, piv, b)
+    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,18 @@ def test_stack_matches_single_solves(dim, seed, forced):
 
 
 def test_stack_reuses_preparation_across_solves(monkeypatch):
-    # the step exponentials are made with the stack and the quadrature ones
-    # at its first solve with bulk forcing, for every member at once
+    # the coefficients of the step exponentials are made with the stack and
+    # those of the quadrature ones at its first solve with bulk forcing, for
+    # every member at once
     import stripwave.odesystem as ode
     calls = []
-    real = ode._member_exponentials
+    real = ode._member_coefficients
 
     def counting(prop, t):
         calls.append(len(prop))
         return real(prop, t)
 
-    monkeypatch.setattr(ode, "_member_exponentials", counting)
+    monkeypatch.setattr(ode, "_member_coefficients", counting)
     rng = np.random.default_rng(7)
     p = _random_params(rng, 2)
     vg = VerticalGrid(p.depth, 20)
@@ -109,6 +110,26 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
         _assert_rows_agree(Y, singles)
         if trial < 2:
             assert np.abs(Y[::4]).max() == 0.0
+
+
+@pytest.mark.parametrize("dim, nz", [(2, 48), (3, 24)])
+def test_stack_quadrature_cache_is_bounded(dim, nz):
+    # the cached quadrature is the weighted coefficients (k, Nz-1, 6, 8) and
+    # each member's basis (k, 36, 6): at most k (48 (Nz-1) + 216) complex
+    # numbers, against k (Nz-1) 288 for 6x6 exponentials per node
+    rng = np.random.default_rng(dim)
+    p = _random_params(rng, dim)
+    vg = VerticalGrid(p.depth, nz)
+    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    xis = rng.uniform(-1.0, 1.0, (20, dim - 1))
+    stack = solver.prepare(xis)
+    assert stack.quad is None
+    z, d = _forcing(rng, len(xis), nz, vg, p.depth)
+    stack.solve(z, d)
+    k = len(stack.members)
+    assert k == len(xis)
+    assert all(a.dtype == complex for a in stack.quad)
+    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)
@@ -249,7 +270,7 @@ def test_invert_zero_data_makes_no_solve(dim, monkeypatch):
     grid, vg = FrequencyGrid(dim - 1, 2.5 * math.pi, 16), VerticalGrid(1.0, 16)
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
     data = apply_linear_operator(LinearState.zeros(grid, vg), p)
-    exps = _counting(monkeypatch, "_member_exponentials")
+    exps = _counting(monkeypatch, "_member_coefficients")
     lus = _counting(monkeypatch, "lu_factor")
     out = inv.invert(data)
     assert exps == [] and lus == []

@@ -163,6 +163,34 @@ def test_linear_solve_rejects_bad_input_rows(tmp_path, capsys):
     assert "h.csv: data row 3 (0, 1) has a repeated index" in capsys.readouterr().err
 
 
+def _non_numeric_cell(indir):
+    rows = (indir / "h.csv").read_bytes().split(b"\r\n")
+    rows[1] = b",".join(rows[1].split(b",")[:-2] + [b"abc", b"0"])
+    (indir / "h.csv").write_bytes(b"\r\n".join(rows))
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_non_numeric_cell, "h.csv: could not convert string 'abc'"),
+    (lambda indir: (indir / "h.csv.json").unlink(), "h.csv.json'"),
+    (lambda indir: (indir / "h.csv").unlink(), "h.csv not found"),
+], ids=["non-numeric cell", "missing sidecar", "missing csv"])
+def test_linear_solve_rejects_malformed_input_files(tmp_path, capsys, defect, message):
+    # a malformed or missing input file is a config error naming the file:
+    # exit 2, not a traceback with exit 1
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 24)
+    indir = tmp_path / "ydata"
+    write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
+                                                      PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    defect(indir)
+    path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": str(indir),
+                                 "out": str(tmp_path / "lin"),
+                                 "grid": {"modes": 16, "nz": 24}})
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {indir / 'h.csv'}: ") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dim, mode_index, grid", [(2, 2, {"modes": 32, "nz": 24}),
                                                    (3, 1, {"modes": 16, "nz": 24})])
 def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, dim,

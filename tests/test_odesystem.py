@@ -152,10 +152,10 @@ def test_exp_stack_nan_member_raises():
 
 
 def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
-    # counts the calls of the closed-form propagator, which makes every
-    # exponential of a matexp solve
+    # counts the calls of the closed-form propagator's coefficients, which
+    # make every exponential of a matexp solve
     import stripwave.odesystem as ode
-    real = ode._member_exponentials
+    real = ode._member_coefficients
     counts = {}
     for nz in (16, 48):
         calls = []
@@ -164,7 +164,7 @@ def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ode, "_member_exponentials", counting)
+        monkeypatch.setattr(ode, "_member_coefficients", counting)
         vg = VerticalGrid(P1.depth, nz)
         z = np.zeros((6, nz), dtype=complex)
         z[4] = np.cos(vg.nodes)

@@ -2,6 +2,8 @@
 scipy's ``expm`` and 50-digit references, and the matexp profiles against a
 6x6 reference built from the public assembly and against collocation."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -307,6 +309,33 @@ def test_matexp_matches_collocation(data):
     Y2, backend2, _ = FrequencySolver(p, vg, *coefs, split=-1.0).solve(xi, z, d)
     assert (backend1, backend2) == ("matexp", "collocation")
     assert np.abs(Y1 - Y2).max() <= 1e-8 * np.abs(Y1).max()
+
+
+@pytest.mark.parametrize("nz", [24, 80])
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
+    # the local integrals from the cached coefficients and basis against the
+    # 6x6 form sum_q w_q exp((c_j - t_q) A) z(t_q), with the exponentials of
+    # _member_exponentials, within 1e-10 of each member's largest integral
+    p = replace(data.draw(parameter_sets()), dim=dim)
+    k = 5
+    xis = data.draw(frequencies(p, k, top=10.0))
+    coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
+    solver = FrequencySolver(p, VerticalGrid(p.depth, nz), *coefs)
+    stack = solver.prepare(xis)
+    assert (stack.backend == "matexp").all()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
+    got = stack._local_integrals(z)
+    offsets, weights, rows = solver._quadrature()
+    X, ok = ode._member_exponentials(stack.prop, offsets)
+    assert ok.all()
+    samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)
+    want = np.einsum("kjqic,jq,kcjq->kji", X, weights, samples)
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
 
 
 def test_nonfinite_member_fails_alone():
