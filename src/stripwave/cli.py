@@ -91,19 +91,20 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     if mode == "symbols":
         table = SymbolTable.build(grid, vgrid, p, **_symbol_options(config))
         _record_solves(summary, grid, table=table)
-        # one row per lattice point in C order: xi, the surface traces of
+        # the half-lattice rows of the field CSVs: xi, the surface traces of
         # psi, delta and q, rho, the backend and its condition estimate
+        half = grid.half_mask()
         header = [f"xi{i+1}" for i in range(grid.dim_h)]
-        columns = list(grid.xi_vectors().reshape(-1, grid.dim_h).T)
-        surf = table.y[..., -1].reshape(-1, 6)
+        columns = list(grid.xi_vectors()[half].T)
+        surf = table.y[half][..., -1]
         for name, val in (("om_vn_surf", surf[:, 1]), ("om_temp_surf", surf[:, 2]),
-                          ("om_q_surf", surf[:, 3]), ("rho", table.rho.reshape(-1))):
+                          ("om_q_surf", surf[:, 3]), ("rho", table.rho[half])):
             header += [f"re_{name}", f"im_{name}"]
             columns += [val.real, val.imag]
         write_csv(os.path.join(outdir, "symbols.csv"), header + ["backend", "cond"],
-                  columns + [table.backend.reshape(-1), table.cond.reshape(-1)])
+                  columns + [table.backend[half], table.cond[half]])
         neg = (grid.xi_magnitude() > 0) & (table.y[..., 1, -1].real >= 0)
-        summary["rows"] = int(table.rho.size)
+        summary["rows"] = int(half.sum())
         summary["re_om_vn_negative"] = not neg.any()
         summary["ok"] = not neg.any()
 

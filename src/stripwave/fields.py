@@ -4,15 +4,15 @@
 ``SurfaceSpectral`` drops the vertical index.  Coefficients follow the series
 convention f(x) = sum_xi fhat(xi, x_n) exp(2 pi i xi . x'), so the forward
 transform of samples on the collocation grid, ``ops.to_coeff``, is
-fftn/modes^dim_h, and ``ops.to_phys`` is its inverse.  The solver's fields
-are real, so their coefficients are Hermitian, fhat(-xi) = conj(fhat(xi));
-``enforce_real`` also zeroes the Nyquist column so this holds exactly on the
-lattice.  ``FrequencyGrid.half_mask`` is the half lattice that carries the
-information of a real field; ``conjugate_mirror`` completes it.  The norms
-never transform a field and accept non-Hermitian coefficients too.
+rfftn/modes^dim_h, and ``ops.to_phys`` is its inverse.  The solver's fields
+are real, so fhat(-xi) = conj(fhat(xi)) and a field stores the half lattice
+k1 = 0 .. modes/2 of ``FrequencyGrid.freq_shape``.  Only its self-paired
+planes k1 = 0 and modes/2 hold both xi and -xi: ``conjugate_mirror``
+completes them, ``enforce_real`` makes them Hermitian and zeroes Nyquist.
 
 Every artifact file is written by ``write_csv`` or ``write_json``, the one
-CSV and the one JSON format of the package.
+CSV and the one JSON format of the package; a field CSV holds the rows of
+the half lattice.
 """
 
 from __future__ import annotations
@@ -30,21 +30,19 @@ from .ops import on_lattice
 
 
 def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
-    """The lattice reflected through xi = 0: the value at -xi on the
-    horizontal axes first .. first + dim_h - 1."""
-    for ax in range(first, first + grid.dim_h):
+    """``data`` reflected through xi = 0 on the horizontal axes after
+    ``first``: the value at -xi on the planes k1 = 0 and modes/2."""
+    for ax in range(first + 1, first + grid.dim_h):
         data = np.flip(np.roll(data, -1, axis=ax), axis=ax)
     return data
 
 
 def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
-    """Complete a lattice array from its half-lattice values.
-
-    Keeps ``data`` on grid.half_mask() and puts conj(data(-xi)) at every
-    other xi, so the result is Hermitian off the self-paired indices.
-    """
+    """Keep ``data`` on grid.half_mask() and put conj(data(-xi)) (data(-xi)
+    for an object array) at the other indices of the self-paired planes."""
     half = on_lattice(grid.half_mask(), data.ndim, first)
-    return np.where(half, data, np.conj(reflect(data, grid, first)))
+    mirror = reflect(data, grid, first)
+    return np.where(half, data, mirror if data.dtype == object else np.conj(mirror))
 
 
 class _LatticeField:
@@ -67,12 +65,15 @@ class _LatticeField:
         return replace(self, data=self.data.copy())
 
     def hermitian_defect(self) -> float:
-        """max |fhat(-xi) - conj(fhat(xi))| over the lattice."""
-        return float(np.abs(reflect(self.data, self.grid) - np.conj(self.data)).max())
+        """max |fhat(-xi) - conj(fhat(xi))| over the self-paired planes."""
+        planes = self.data[:, [0, -1]]
+        return float(np.abs(reflect(planes, self.grid) - np.conj(planes)).max())
 
     def enforce_real(self):
-        """Project onto Hermitian symmetry and zero the Nyquist column."""
-        self.data = 0.5 * (self.data + np.conj(reflect(self.data, self.grid)))
+        """Project the plane k1 = 0 onto Hermitian symmetry and zero the
+        Nyquist indices, the plane k1 = modes/2 among them."""
+        plane = self.data[:, :1]
+        self.data[:, :1] = 0.5 * (plane + np.conj(reflect(plane, self.grid)))
         for ax in range(1, 1 + self.grid.dim_h):
             self.data[(slice(None),) * ax + (self.grid.modes // 2,)] = 0.0
         return self
@@ -212,29 +213,21 @@ def write_json(path, payload):
 
 def write_field_csv(path, field):
     """Write a lattice field as CSV rows of (component, xi indices, node
-    index) in C order with re/im columns, and its grids to the JSON sidecar
-    path + ".json", whose ``real_flag`` is always true (every field is real).
-
-    A Hermitian field, one that ``conjugate_mirror`` leaves unchanged, is
-    written on the half lattice only, the rows whose lattice index lies on
-    grid.half_mask(), and its sidecar says ``"layout": "half"``; any other
-    field is written in full with no ``layout`` key.
-    """
+    index) with re/im columns, one per index of the half lattice
+    grid.half_mask() in C order, and its grids to the JSON sidecar
+    path + ".json", which says ``"layout": "half"``; its ``real_flag`` is
+    always true (every field is real)."""
     grid = field.grid
     bulk = isinstance(field, SpectralField)
     header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
               + (["node"] if bulk else []) + ["re", "im"])
-    shape = field.data.shape
     meta = {"dim_h": grid.dim_h, "box_len": grid.box_len, "modes": grid.modes,
-            "comps": field.comps, "real_flag": True,
+            "comps": field.comps, "real_flag": True, "layout": "half",
             "kind": "bulk" if bulk else "surface"}
     if bulk:
         meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
-    rows = True
-    if np.array_equal(field.data, conjugate_mirror(field.data, grid)):
-        meta["layout"] = "half"
-        rows = on_lattice(grid.half_mask(), len(shape))
-    index = np.nonzero(np.broadcast_to(rows, shape))
+    half = on_lattice(grid.half_mask(), field.data.ndim)
+    index = np.nonzero(np.broadcast_to(half, field.data.shape))
     values = field.data[index]
     write_csv(path, header, [*index, values.real, values.imag])
     write_json(str(path) + ".json", meta)
@@ -252,10 +245,12 @@ def read_ydata_csv(dirpath) -> YData:
 
 
 def read_field_csv(path):
-    """The field that ``write_field_csv`` wrote to ``path``.  A sidecar with
-    no ``layout`` key reads as the full layout; a ``half`` file is completed
-    by ``conjugate_mirror``.  A missing or unreadable file, a non-numeric
-    cell, a bad row or a bad layout raises ConfigError naming the file."""
+    """The field that ``write_field_csv`` wrote to ``path``: its half-lattice
+    rows, completed by ``conjugate_mirror``.  A sidecar with no ``layout``
+    key reads as the full layout, whose rows must be Hermitian to rounding.
+    A missing or unreadable file, a non-numeric cell, a bad row or layout,
+    or a full file that is not Hermitian raises ConfigError naming the
+    file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
@@ -268,17 +263,24 @@ def read_field_csv(path):
     grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
     bulk = meta["kind"] == "bulk"
     vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
-    shape = (meta["comps"],) + grid.freq_shape + ((vgrid.count,) if bulk else ())
+    # rows index the whole lattice; a half file's lie on its half
+    shape = (meta["comps"],) + grid.phys_shape + ((vgrid.count,) if bulk else ())
     data = np.zeros(shape, dtype=complex)
     if table.size:
         if table.shape[1] != len(shape) + 2:
             raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "
                               f"expected {len(shape) + 2}")
-        rows = on_lattice(grid.half_mask(), len(shape)) if layout == "half" else True
+        half = np.zeros(grid.phys_shape, dtype=bool)
+        half[:grid.modes // 2 + 1] = grid.half_mask()
+        rows = on_lattice(half, len(shape)) if layout == "half" else True
         index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
         data[index] = table[:, -2] + 1j * table[:, -1]
-    if layout == "half":
-        data = conjugate_mirror(data, grid)
+    if layout == "full":        # the lattice reflected through xi = 0 is its conjugate
+        defect = np.abs(reflect(np.flip(np.roll(data, -1, axis=1), axis=1), grid)
+                        - np.conj(data)).max(initial=0.0)
+        if defect > 1e-12 * np.abs(data).max(initial=0.0):
+            raise ConfigError(f"{path}: the field is not Hermitian (defect {defect:.3g})")
+    data = conjugate_mirror(data[:, :grid.modes // 2 + 1], grid)
     return SpectralField(grid, vgrid, data) if bulk else SurfaceSpectral(grid, data)
 
 

@@ -123,7 +123,10 @@ class VerticalGrid:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Periodic lattice {j/L} per horizontal direction, FFT ordering."""
+    """Periodic lattice {j/L} per horizontal direction, stored on its half:
+    the fields are real, so, as in real-data FFTs, the first axis holds
+    k1 = 0 .. modes/2 and every other axis all modes in FFT order.  Every
+    per-lattice array of the package has shape ``freq_shape``."""
 
     dim_h: int
     box_len: float
@@ -141,7 +144,7 @@ class FrequencyGrid:
 
     @property
     def freq_shape(self) -> tuple:
-        return (self.modes,) * self.dim_h
+        return (self.modes // 2 + 1,) + (self.modes,) * (self.dim_h - 1)
 
     @property
     def phys_shape(self) -> tuple:
@@ -155,23 +158,22 @@ class FrequencyGrid:
     def xi_max(self) -> float:
         return self.modes / (2.0 * self.box_len)
 
-    def xi_axis(self) -> np.ndarray:
-        """1-D lattice values in FFT order (Nyquist at +modes/(2L))."""
-        j = np.fft.fftfreq(self.modes, d=1.0 / self.modes)
-        j[self.modes // 2] = self.modes // 2
-        return j / self.box_len
+    def _indices(self) -> tuple:
+        """Signed lattice index j per stored axis (Nyquist at +modes/2)."""
+        j = np.arange(self.modes)
+        full = np.where(j > self.modes // 2, j - self.modes, j)
+        return (j[:self.modes // 2 + 1],) + (full,) * (self.dim_h - 1)
+
+    def xi_axes(self) -> tuple:
+        """The lattice values j/L along each stored axis."""
+        return tuple(j / self.box_len for j in self._indices())
 
     def xi_vectors(self) -> np.ndarray:
         """Array of shape freq_shape + (dim_h,) with the lattice vectors."""
-        ax = self.xi_axis()
-        if self.dim_h == 1:
-            return ax[:, None]
-        X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X1, X2], axis=-1)
+        return np.stack(np.meshgrid(*self.xi_axes(), indexing="ij"), axis=-1)
 
     def xi_magnitude(self) -> np.ndarray:
-        v = self.xi_vectors()
-        return np.sqrt((v ** 2).sum(axis=-1))
+        return np.sqrt((self.xi_vectors() ** 2).sum(axis=-1))
 
     def nodes_1d(self) -> np.ndarray:
         return self.box_len * np.arange(self.modes) / self.modes
@@ -179,37 +181,33 @@ class FrequencyGrid:
     def phys_points(self) -> np.ndarray:
         """Collocation points, shape phys_shape + (dim_h,)."""
         x = self.nodes_1d()
-        if self.dim_h == 1:
-            return x[:, None]
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        return np.stack([X1, X2], axis=-1)
-
-    def negate_index(self, idx: tuple) -> tuple:
-        """Lattice index of -xi (Nyquist is its own negative, mod aliasing)."""
-        return tuple((-i) % self.modes for i in idx)
+        return np.stack(np.meshgrid(*[x] * self.dim_h, indexing="ij"), axis=-1)
 
     def half_mask(self) -> np.ndarray:
-        """The half lattice: True at idx iff idx <= negate_index(idx) in
+        """The half lattice: True at idx iff idx <= -idx (mod modes) in
         lexicographic order.
 
         This picks one index of every +-xi pair, plus the self-paired ones
-        (xi = 0 and the Nyquist indices).  For real fields the values on the
-        other half are the complex conjugates of these.  The per-frequency
-        solves visit these frequencies, in the order of np.nonzero.
+        (xi = 0 and the Nyquist indices): every stored index off the planes
+        k1 = 0 and modes/2, and half of each plane, whose other half holds
+        the conjugates.  The per-frequency solves visit these frequencies,
+        in the order of np.nonzero.
         """
-        j = np.arange(self.modes)
-        neg = (-j) % self.modes
         if self.dim_h == 1:
-            return j <= neg
-        return (j < neg)[:, None] | ((j == neg)[:, None] & (j <= neg)[None, :])
+            return np.ones(self.modes // 2 + 1, dtype=bool)
+        return (self.pair_weight() == 2) | (np.arange(self.modes) <= self.modes // 2)
+
+    def pair_weight(self) -> np.ndarray:
+        """The lattice points each stored index stands for, 1 on the planes
+        k1 = 0 and modes/2 and 2 elsewhere, broadcasting over freq_shape."""
+        w = np.full(self.modes // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return w.reshape((-1,) + (1,) * (self.dim_h - 1))
 
     def dealias_mask(self) -> np.ndarray:
         """True on modes kept by the 2/3 rule (per axis |j| <= modes//3)."""
-        j = np.rint(np.fft.fftfreq(self.modes, d=1.0 / self.modes)).astype(int)
-        keep = np.abs(j) <= self.modes // 3
-        if self.dim_h == 1:
-            return keep
-        return np.logical_and.outer(keep, keep)
+        keep = [np.abs(j) <= self.modes // 3 for j in self._indices()]
+        return np.logical_and.outer(*keep) if self.dim_h == 2 else keep[0]
 
     def cell_volume(self) -> float:
         return (self.box_len / self.modes) ** self.dim_h

@@ -37,8 +37,8 @@ from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
-                        SymbolTable, forcing_rows, lattice_record,
-                        transverse_factor, transverse_solve)
+                        SymbolTable, forcing_rows, transverse_factor,
+                        transverse_solve)
 from .ops import horiz_deriv, xi_multipliers
 from .params import PhysicalParams
 
@@ -90,11 +90,8 @@ def _unit_xi(grid: FrequencyGrid):
     """xi/|xi| per lattice point; at xi = 0 the first horizontal axis."""
     vecs = grid.xi_vectors()
     mag = np.sqrt((vecs ** 2).sum(axis=-1))
-    unit = np.zeros_like(vecs)
+    unit = vecs / np.where(mag > 0, mag, 1.0)[..., None]
     unit[(0,) * (grid.dim_h + 1)] = 1.0
-    nz = mag > 0
-    for j in range(grid.dim_h):
-        unit[..., j][nz] = vecs[..., j][nz] / mag[nz]
     return unit, mag
 
 
@@ -226,16 +223,16 @@ class LinearInverter:
     An inversion first extends its symbol table to the half-lattice
     frequencies where some part of its data is nonzero at xi or -xi; the
     pairing is zero, and no symbol is needed, at every other one.  It then
-    solves only the half-lattice frequencies where its data,
-    less the surface terms, is nonzero (in dim_h = 2 the transverse forcing
-    counts too) and writes zero at the others.  It prepares one
-    FrequencyStack and, in dim_h = 2, the transverse factors at exactly
-    those frequencies, or again at the union when its data reaches outside
-    the ones prepared.  At xi = 0 the longitudinal direction is the first
-    horizontal axis and, in dim_h = 2, the transverse one the second.  Each
-    inversion fills ``backend`` and ``cond``, lattice arrays shaped like
-    SymbolTable's: the backend of each solved frequency and its condition
-    estimate, None and 0 where no solve was made.
+    solves only the half-lattice frequencies where its data, less the
+    surface terms, is nonzero (in dim_h = 2 the transverse forcing counts
+    too) and writes zero at the others.  It prepares one FrequencyStack at
+    exactly those frequencies and, in dim_h = 2, the transverse factors
+    where the transverse forcing is nonzero, each again at the union when
+    its data reaches outside them.  At xi = 0 the longitudinal direction is
+    the first horizontal axis and, in dim_h = 2, the transverse one the
+    second.  Each inversion fills ``backend`` and ``cond``, lattice arrays
+    shaped like SymbolTable's: the backend of each solved frequency and its
+    condition estimate, None and 0 where no solve was made.
     """
 
     def __init__(self, table: SymbolTable, split: float = DEFAULT_SPLIT,
@@ -246,8 +243,9 @@ class LinearInverter:
                                       split=split, cond_limit=cond_limit)
         self.backend = None
         self.cond = None
-        # the half-lattice frequencies of the stack and transverse factors
+        # the half-lattice frequencies of the stack and of the transverse factors
         self._prepared = np.zeros(int(table.grid.half_mask().sum()), dtype=bool)
+        self._factored = self._prepared.copy()
         self._stack = self._factors = None
 
     def _solve_half(self, data: YData, fd, kd, out: LinearState):
@@ -274,22 +272,24 @@ class LinearInverter:
             k_perp = perp[:, 0] * kd[0][half] + perp[:, 1] * kd[1][half]
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
+            if (transverse & ~self._factored).any():
+                factored = self._factored | transverse
+                self._factors = transverse_factor(xis[factored], p, vgrid,
+                                                  -p.gamma, self.solver.cond_limit)
+                self._factored = factored
         if (live & ~self._prepared).any():
             prepared = self._prepared | live
-            stack = self.solver.prepare(xis[prepared])
-            if grid.dim_h == 2:
-                self._factors = transverse_factor(xis[prepared], p, vgrid,
-                                                  -p.gamma, self.solver.cond_limit)
-            self._stack, self._prepared = stack, prepared
+            self._stack = self.solver.prepare(xis[prepared])
+            self._prepared = prepared
         at = self._prepared
         z, d = z[at], d[at]                 # the full arrays are freed here
         Y = np.zeros((len(xis), 6, vgrid.count), dtype=complex)
-        backend, cond = np.full(len(xis), None, dtype=object), np.zeros(len(xis))
+        backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
-            Y[at] = self._stack.solve(z, d)
-            backend[at], cond[at] = self._stack.backend, self._stack.cond
-            Y[~live], backend[~live], cond[~live] = 0.0, None, 0.0
-        self.backend, self.cond = lattice_record(grid, backend, cond)
+            Y[at], Y[~live] = self._stack.solve(z, d), 0.0
+            solved, kept = tuple(h[live] for h in half), live[at]
+            backend[solved], cond[solved] = self._stack.backend[kept], self._stack.cond[kept]
+        self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
         u = out.u.data
         for j in range(grid.dim_h):
@@ -297,9 +297,10 @@ class LinearInverter:
         u[(n - 1,) + half] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
-            beta = transverse_solve(self._factors, f_perp[at], k_perp[at])
-            rows = tuple(h[transverse] for h in half)
-            u[(slice(0, 2),) + rows] += beta[transverse[at]] * perp[transverse].T[..., None]
+            at = self._factored
+            beta = transverse_solve(self._factors, f_perp[at], k_perp[at])[transverse[at]]
+            u[(slice(0, 2),) + tuple(h[transverse] for h in half)] += \
+                beta * perp[transverse].T[..., None]
         out.psi.data[(0,) + half] = Y[:, 2]
         out.pres.data[(0,) + half] = Y[:, 3]
 
@@ -312,10 +313,12 @@ class LinearInverter:
                              f"is built for {table.grid}, {table.vgrid}")
         n = grid.dim_h + 1
 
-        # the symbols where some part of the data is nonzero at xi or -xi
+        # the symbols where some part of the data is nonzero at xi or -xi,
+        # which differs from xi only on the self-paired planes
         live = np.any([(part.data != 0).any(axis=0).reshape(grid.freq_shape + (-1,))
                        .any(axis=-1) for part in data.parts()], axis=0)
-        table.solve(live | reflect(live, grid, 0))
+        live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
+        table.solve(live)
         pairing = compatibility_functional(data, table)
         eta = solve_surface(pairing, table)
 
@@ -377,5 +380,9 @@ def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,
     fill(st.psi.data, 1, basis0)
     fill(st.pres.data, 1, basisf)
     st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * draw(len(jm))
+    # half of each draw at xi and its conjugate at -xi: enforce_real halves
+    # the plane k1 = 0, and the other rows are halved here
+    for part in st.parts():
+        part.data[:, 1:] *= 0.5
     st.enforce_real()
     return st

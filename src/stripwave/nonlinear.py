@@ -330,36 +330,43 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
 # Eulerian sampling
 # ---------------------------------------------------------------------------
 
+def _lattice_samples(state: LinearState, xp: np.ndarray, rows=None):
+    """One lattice sum at the points ``xp`` (npts, dim_h) of eta (npts,) and
+    of each field component's profile (npts, n + 2, levels), at the nodes
+    or, with interpolation ``rows`` (levels, Nz), at their heights."""
+    comps = np.concatenate([state.u.data, state.psi.data, state.pres.data])
+    if rows is not None:
+        comps = comps @ rows.T
+    stacked = np.concatenate([state.eta.data[0, ..., None], np.moveaxis(comps, 0, -2)
+                              .reshape(comps.shape[1:-1] + (-1,))], axis=-1)
+    sums = lattice_sum(stacked, state.grid, xp)
+    return sums[:, 0], sums[:, 1:].reshape(len(xp), len(comps), -1)
+
+
 def pushforward_eulerian(state: LinearState, points: np.ndarray) -> dict:
     """Sample the solution fields at points of the physical wavy domain.
 
     ``points`` has shape (npts, n).  Raises PointOutsideDomain for samples
     above the free surface or below the bottom.
     """
-    grid, vgrid = state.grid, state.vgrid
-    n = grid.dim_h + 1
+    vgrid = state.vgrid
+    n = state.grid.dim_h + 1
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != n or not np.isfinite(points).all():
         raise ValueError(f"points must be a finite array of shape (npts, {n}), "
                          f"got shape {points.shape}")
     # one lattice sum per distinct horizontal point; ``where`` maps points to them
     xp, where = np.unique(points[:, :-1], axis=0, return_inverse=True)
-    eta_at = lattice_sum(state.eta.data[0], grid, xp)[where]
+    eta_at, profiles = (a[where] for a in _lattice_samples(state, xp))
     top = vgrid.depth + eta_at
     yn = points[:, -1]
     pad = 1e-12 * max(1.0, vgrid.depth)
     if np.any(yn > top + pad) or np.any(yn < -pad):
         raise PointOutsideDomain("sample point outside the fluid domain")
     rows = vgrid.interp_weights(yn * vgrid.depth / top)
-
-    def sample(field):
-        # one component at a time: its (distinct, Nz) profiles, then each
-        # point's height
-        return np.stack([np.einsum("pz,pz->p", lattice_sum(c, grid, xp)[where], rows)
-                         for c in field.data])
-
-    return {"points": points, "eta": eta_at, "velocity": sample(state.u),
-            "temperature": sample(state.psi)[0], "pressure": sample(state.pres)[0]}
+    values = np.einsum("pcz,pz->cp", profiles, rows)
+    return {"points": points, "eta": eta_at, "velocity": values[:n],
+            "temperature": values[n], "pressure": values[n + 1]}
 
 
 def eulerian_grid_samples(state: LinearState, nx: int = 32, nlevel: int = 8) -> dict:
@@ -368,25 +375,21 @@ def eulerian_grid_samples(state: LinearState, nx: int = 32, nlevel: int = 8) -> 
     The level at fraction f of the local depth, f (b + eta(x')), pulls back
     to the strip height f b at every x', so each field component is
     interpolated to the nlevel strip heights first and then summed over the
-    lattice once.
+    lattice, in one lattice sum with eta.
     Points are ordered level by level.
     """
     grid, vgrid = state.grid, state.vgrid
+    n = grid.dim_h + 1
     xs = grid.box_len * np.arange(nx) / nx
     fracs = (np.arange(nlevel) + 0.5) / nlevel
-    axes = np.meshgrid(*[xs] * grid.dim_h, indexing="ij")
-    xp = np.stack(axes, axis=-1).reshape(-1, grid.dim_h)
-    eta_at = lattice_sum(state.eta.data[0], grid, xp)
+    xp = np.stack(np.meshgrid(*[xs] * grid.dim_h, indexing="ij"),
+                  axis=-1).reshape(-1, grid.dim_h)
+    eta_at, profiles = _lattice_samples(state, xp, vgrid.interp_weights(fracs * vgrid.depth))
     top = vgrid.depth + eta_at
     if np.any(top < 0):
         raise PointOutsideDomain("sample point outside the fluid domain")
-    rows = vgrid.interp_weights(fracs * vgrid.depth)
-
-    def sample(field):
-        # one component at a time, at the strip heights: (npts, nlevel)
-        return np.stack([lattice_sum(c @ rows.T, grid, xp).T.ravel() for c in field.data])
-
     yn = (fracs[:, None] * top).reshape(-1, 1)
+    values = profiles.transpose(1, 2, 0).reshape(n + 2, -1)     # level by level
     return {"points": np.concatenate([np.tile(xp, (nlevel, 1)), yn], axis=1),
-            "eta": np.tile(eta_at, nlevel), "velocity": sample(state.u),
-            "temperature": sample(state.psi)[0], "pressure": sample(state.pres)[0]}
+            "eta": np.tile(eta_at, nlevel), "velocity": values[:n],
+            "temperature": values[n], "pressure": values[n + 1]}

@@ -2,7 +2,9 @@
 
 All horizontal sums carry the box volume factor L^dim_h so that the order-zero
 norm reproduces the physical L^2 integral over the periodic box; lattice sums
-then approximate the corresponding whole-plane frequency integrals.  Bulk
+then approximate the corresponding whole-plane frequency integrals.  A field
+stores half the lattice, so each sum weights a stored index by the number
+of lattice points it stands for, ``FrequencyGrid.pair_weight``.  Bulk
 Sobolev norms take integer order and mix vertical derivatives (spectral
 differentiation matrix) with the horizontal weight (1+|xi|^2)^(s-j).  Surface
 norms accept any real order.  The anisotropic surface weight is
@@ -24,6 +26,12 @@ from .fields import SpectralField, SurfaceSpectral
 DEFAULT_ZERO_MODE_TOL = 1e-10
 
 
+def _lattice_norm(grid, power) -> float:
+    """sqrt(L^dim_h sum of ``power``, shape (comps,) + freq_shape), each
+    stored index counted for the pair_weight lattice points it stands for."""
+    return float(np.sqrt(grid.box_volume() * float((grid.pair_weight() * power).sum())))
+
+
 def sobolev_norm(field: SpectralField, s: int) -> float:
     """H^s norm on the strip; s must be a nonnegative integer."""
     if s < 0 or int(s) != s:
@@ -31,43 +39,32 @@ def sobolev_norm(field: SpectralField, s: int) -> float:
     s = int(s)
     grid, vgrid = field.grid, field.vgrid
     xi2 = grid.xi_magnitude() ** 2
-    total = 0.0
-    dz = field.data
+    power, dz = 0.0, field.data
     for j in range(s + 1):
-        weight = (1.0 + xi2) ** (s - j)
-        prof = (np.abs(dz) ** 2) @ vgrid.weights
-        total += float((weight[None] * prof).sum())
+        power = power + (1.0 + xi2) ** (s - j) * ((np.abs(dz) ** 2) @ vgrid.weights)
         if j < s:
             dz = vgrid.differentiate(dz)
-    return float(np.sqrt(grid.box_volume() * total))
+    return _lattice_norm(grid, power)
 
 
 def surface_sobolev_norm(field: SurfaceSpectral, t: float) -> float:
     """H^t norm on the flat surface, any real t."""
-    grid = field.grid
-    weight = (1.0 + grid.xi_magnitude() ** 2) ** t
-    total = float((weight[None] * np.abs(field.data) ** 2).sum())
-    return float(np.sqrt(grid.box_volume() * total))
+    weight = (1.0 + field.grid.xi_magnitude() ** 2) ** t
+    return _lattice_norm(field.grid, weight * np.abs(field.data) ** 2)
 
 
 def anisotropic_weight(grid, t: float) -> np.ndarray:
     """The piecewise weight w_t on the lattice (0 at xi = 0)."""
     vecs = grid.xi_vectors()
-    xi1 = vecs[..., 0]
     mag2 = (vecs ** 2).sum(axis=-1)
-    w = np.zeros(grid.freq_shape)
     inner = (mag2 > 0) & (mag2 < 1.0)
-    outer = mag2 >= 1.0
-    w[inner] = (xi1[inner] ** 2 + mag2[inner] ** 2) / mag2[inner]
-    w[outer] = (1.0 + mag2[outer]) ** t
-    return w
+    return np.where(inner, (vecs[..., 0] ** 2 + mag2 ** 2) / np.where(inner, mag2, 1.0),
+                    np.where(mag2 >= 1.0, (1.0 + mag2) ** t, 0.0))
 
 
 def x_norm(eta: SurfaceSpectral, t: float) -> float:
     """Anisotropically weighted surface norm housing the free surface."""
-    w = anisotropic_weight(eta.grid, t)
-    total = float((w[None] * np.abs(eta.data) ** 2).sum())
-    return float(np.sqrt(eta.grid.box_volume() * total))
+    return _lattice_norm(eta.grid, anisotropic_weight(eta.grid, t) * np.abs(eta.data) ** 2)
 
 
 def hdot_neg1(field: SurfaceSpectral, zero_mode_tol: float = DEFAULT_ZERO_MODE_TOL) -> float:
@@ -81,11 +78,8 @@ def hdot_neg1(field: SurfaceSpectral, zero_mode_tol: float = DEFAULT_ZERO_MODE_T
     if np.abs(field.data[zero]).max() > zero_mode_tol:
         return float("inf")
     mag2 = grid.xi_magnitude() ** 2
-    inv = np.zeros(grid.freq_shape)
-    nz = mag2 > 0
-    inv[nz] = 1.0 / mag2[nz]
-    total = float((inv[None] * np.abs(field.data) ** 2).sum())
-    return float(np.sqrt(grid.box_volume() * total))
+    inv = np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0)
+    return _lattice_norm(grid, inv * np.abs(field.data) ** 2)
 
 
 @dataclass

@@ -54,7 +54,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import IllConditionedCollocation, NumericallySingular
-from .fields import conjugate_mirror, reflect
+from .fields import conjugate_mirror
 from .grids import VerticalGrid
 from .params import PhysicalParams
 
@@ -308,13 +308,9 @@ class FrequencySolver:
                  gamma_tilde: float, alpha1: float, alpha2: float,
                  split: float = DEFAULT_SPLIT,
                  cond_limit: float = DEFAULT_COND_LIMIT):
-        self.p = p
-        self.vgrid = vgrid
-        self.gamma_tilde = gamma_tilde
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
-        self.split = split
-        self.cond_limit = cond_limit
+        self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
+        self.alpha1, self.alpha2 = alpha1, alpha2
+        self.split, self.cond_limit = split, cond_limit
         self._quad = None
 
     # -- backend selection ---------------------------------------------------
@@ -548,18 +544,6 @@ class FrequencyStack:
         return Y
 
 
-def lattice_record(grid, backend, cond):
-    """``backend`` and ``cond`` of the half lattice, in the order of
-    grid.xi_vectors()[grid.half_mask()], as lattice arrays: the mirror on
-    the other half."""
-    half = grid.half_mask()
-    full_backend = np.empty(grid.freq_shape, dtype=object)
-    full_cond = np.zeros(grid.freq_shape)
-    full_backend[half], full_cond[half] = backend, cond
-    return (np.where(half, full_backend, reflect(full_backend, grid, 0)),
-            conjugate_mirror(full_cond, grid, 0))
-
-
 def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
                       gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
     """LU factors of the scalar transverse velocity problems at the
@@ -656,8 +640,9 @@ class SymbolTable:
 
     ``y`` has shape freq_shape + (6, Nz); ``rho``, ``backend``, ``cond`` and
     the mask ``solved`` have shape freq_shape.  ``solve`` adds half-lattice
-    frequencies and their mirrors; where none is solved, ``y`` and ``rho``
-    are 0, ``backend`` None and ``cond`` 0.  ``build`` solves them all.
+    frequencies and their mirrors on the self-paired planes; where none is
+    solved, ``y`` and ``rho`` are 0, ``backend`` None and ``cond`` 0.
+    ``build`` solves them all.
     """
 
     def __init__(self, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
@@ -678,16 +663,15 @@ class SymbolTable:
     def solve(self, mask: np.ndarray) -> "SymbolTable":
         """Solve the half-lattice frequencies of the lattice mask ``mask``
         not solved yet, as one ``symbol_profiles`` call, and mirror them."""
-        grid, p, half = self.grid, self.params, self.grid.half_mask()
-        new = mask & half & ~self.solved
+        grid, p = self.grid, self.params
+        new = mask & grid.half_mask() & ~self.solved
         if new.any():
             xis = grid.xi_vectors()[new]
             Y, self.backend[new], self.cond[new] = symbol_profiles(
                 xis, p, self.vgrid, self.split, self.cond_limit)
             self.y[new], self.rho[new] = Y, rho_of(p, xis, Y[:, 1, -1])
-            self.y, self.rho = (conjugate_mirror(a, grid, 0) for a in (self.y, self.rho))
-            self.backend, self.cond = lattice_record(grid, self.backend[half],
-                                                     self.cond[half])
+            self.y, self.rho, self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (
+                self.y, self.rho, self.backend, self.cond))
             self.solved = np.not_equal(self.backend, None)
         return self
 

@@ -6,6 +6,9 @@ import numpy as np
 
 from .grids import FrequencyGrid
 
+# complex partial sums of lattice_sum alive at a time (8 MiB)
+_SUM_BLOCK = 2 ** 19
+
 
 def on_lattice(arr: np.ndarray, ndim: int, first: int = 1) -> np.ndarray:
     """Reshape a lattice array (or a per-axis factor of one) to broadcast
@@ -17,10 +20,8 @@ def on_lattice(arr: np.ndarray, ndim: int, first: int = 1) -> np.ndarray:
 
 def xi_multipliers(grid: FrequencyGrid):
     """2*pi*i*xi factors per horizontal axis, broadcastable over freq_shape."""
-    ax = grid.xi_axis()
-    if grid.dim_h == 1:
-        return (2j * np.pi * ax,)
-    return (2j * np.pi * ax[:, None], 2j * np.pi * ax[None, :])
+    return tuple(on_lattice(2j * np.pi * xi, grid.dim_h, ax)
+                 for ax, xi in enumerate(grid.xi_axes()))
 
 
 def horiz_deriv(coeffs: np.ndarray, grid: FrequencyGrid, axis: int) -> np.ndarray:
@@ -30,31 +31,43 @@ def horiz_deriv(coeffs: np.ndarray, grid: FrequencyGrid, axis: int) -> np.ndarra
 
 def to_phys(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Fourier series summed on the collocation grid (real samples)."""
-    axes = tuple(range(1, 1 + grid.dim_h))
-    samples = np.fft.ifftn(coeffs, axes=axes) * grid.modes ** grid.dim_h
-    # copied out of the complex samples: a strided real view would slow
-    # every pointwise product that follows
-    return np.ascontiguousarray(np.real(samples))
+    axes = tuple(range(grid.dim_h, 0, -1))      # numpy halves the last axis listed
+    return np.fft.irfftn(coeffs, s=grid.phys_shape, axes=axes) * grid.modes ** grid.dim_h
 
 
 def to_coeff(phys: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    axes = tuple(range(1, 1 + grid.dim_h))
-    return np.fft.fftn(phys, axes=axes) / grid.modes ** grid.dim_h
+    """Stored-half coefficients of real samples on the collocation grid."""
+    if phys.shape[1:1 + grid.dim_h] != grid.phys_shape:
+        raise ValueError(f"samples of shape {phys.shape} are not on the "
+                         f"{grid.phys_shape} collocation grid")
+    return np.fft.rfftn(phys, axes=tuple(range(grid.dim_h, 0, -1))) / grid.modes ** grid.dim_h
 
 
 def lattice_sum(coeffs: np.ndarray, grid: FrequencyGrid, points: np.ndarray) -> np.ndarray:
-    """Fourier series summed at arbitrary horizontal points (real part).
+    """Fourier series of a real field summed at arbitrary horizontal points.
 
-    ``coeffs`` carries the lattice on its leading dim_h axes and any
-    trailing axes; ``points`` has shape (npts, dim_h).  Returns shape
-    (npts,) + the trailing axes.  The phases exp(2 pi i xi . x') are a
-    product of one table per lattice axis, so the sum runs one axis at a
-    time and never forms the (npts, modes^dim_h) table of their product.
+    ``coeffs`` carries the stored half lattice on its leading dim_h axes and
+    any trailing axes; ``points`` has shape (npts, dim_h).  Returns shape
+    (npts,) + the trailing axes: the real part of the pair-weighted sum of
+    coeffs exp(2 pi i xi . x'), which is the sum over the whole lattice.
+    The phases are a product of one table per lattice axis, so the sum runs
+    one axis at a time, on at most _SUM_BLOCK partial sums.
     """
-    tables = np.exp(2j * np.pi * (points[:, :, None] * grid.xi_axis()))
-    out = np.tensordot(tables[:, -1], coeffs, axes=(1, grid.dim_h - 1))
+    block = max(1, _SUM_BLOCK * grid.modes // coeffs.size)
+    if len(points) > block:
+        return np.concatenate([lattice_sum(coeffs, grid, points[lo:lo + block])
+                               for lo in range(0, len(points), block)])
+    tables = [np.exp(2j * np.pi * points[:, ax, None] * xi)
+              for ax, xi in enumerate(grid.xi_axes())]
+    tables[0] *= grid.pair_weight().ravel()
+    out = np.tensordot(tables[-1], coeffs, axes=(1, grid.dim_h - 1))
     if grid.dim_h == 2:
-        out = np.einsum("pj,pj...->p...", tables[:, 0], out)
+        out = np.einsum("pj,pj...->p...", tables[0], out)
+        # off the self-paired planes xi and its mirror share the Nyquist
+        # phase of the second axis, so the pair sums to its cosine there
+        nyq = grid.modes // 2
+        sine = tables[1][:, nyq].imag.reshape((-1,) + (1,) * (coeffs.ndim - 2))
+        out -= 1j * sine * np.tensordot(tables[0][:, 1:-1], coeffs[1:-1, nyq], axes=1)
     return np.real(out)
 
 
@@ -65,10 +78,7 @@ def dealias(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 def dealias_tail_fraction(coeffs: np.ndarray, grid: FrequencyGrid) -> float:
     """Fraction of spectral energy sitting beyond the 2/3 cutoff."""
-    mask = on_lattice(grid.dealias_mask(), coeffs.ndim)
-    power = np.abs(coeffs) ** 2
+    power = np.abs(coeffs) ** 2 * on_lattice(grid.pair_weight(), coeffs.ndim)
     total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    tail = float((power * ~mask).sum())
-    return tail / total
+    tail = float((power * ~on_lattice(grid.dealias_mask(), coeffs.ndim)).sum())
+    return tail / total if total else 0.0

@@ -10,7 +10,7 @@ from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
 from stripwave.errors import NonConvergent
 from stripwave.fields import write_json
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.odesystem import SymbolTable
+from stripwave.odesystem import SymbolTable, solve_symbol
 from stripwave.params import PhysicalParams
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -88,10 +88,12 @@ def test_rho_bounds(tables):
 
 
 def test_rho_conjugate_symmetry(tables):
+    # the table stores xi >= 0; rho at -xi, solved directly, is its conjugate
     coarse, _ = tables
-    rho = coarse.rho
+    rho, xi = coarse.rho, coarse.grid.xi_axes()[0]
     for j in (1, 7, 40):
-        assert rho[-j] == pytest.approx(np.conj(rho[j]), rel=1e-12)
+        minus = solve_symbol([-xi[j]], P1, coarse.vgrid).rho
+        assert minus == pytest.approx(np.conj(rho[j]), rel=1e-12)
 
 
 def test_highfreq_decay(tables):
@@ -173,7 +175,7 @@ def test_continuity_across_unit_circle(tables):
     # rho is continuous through |xi| = 1: neighboring lattice values agree
     coarse, _ = tables
     grid = coarse.grid
-    xi = grid.xi_axis()
+    xi = grid.xi_axes()[0]
     below = np.argmin(np.abs(xi - (1.0 - grid.spacing)))
     above = np.argmin(np.abs(xi - (1.0 + grid.spacing)))
     r1 = coarse.rho[below]

@@ -153,7 +153,8 @@ def test_table_backend_at_bench_grids(name):
     scale = 2 * np.pi * grid.xi_magnitude()
     expect = np.where(scale <= 10.0, "matexp", "collocation").astype(object)
     assert np.array_equal(table.backend, expect)
-    counts = tuple(int((table.backend == b).sum())
+    # over the whole lattice: a stored index stands for pair_weight points
+    counts = tuple(int(((table.backend == b) * grid.pair_weight()).sum())
                    for b in ("matexp", "collocation"))
     assert counts == BENCH_BACKENDS[name]
 
@@ -219,8 +220,8 @@ def _without_low_modes(state, jmin):
     set to zero."""
     grid = state.grid
     low = np.ones(grid.freq_shape, dtype=bool)
-    for ax in range(grid.dim_h):
-        j = np.fft.fftfreq(grid.modes, 1.0 / grid.modes)
+    for ax, xi in enumerate(grid.xi_axes()):
+        j = np.rint(xi * grid.box_len)
         low &= np.abs(j.reshape((-1,) + (1,) * (grid.dim_h - 1 - ax))) < jmin
     for part in state.parts():
         part.data[:, low] = 0.0
@@ -433,3 +434,22 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
     # every collocation solve factors the Stokes (4 Nz) and heat (2 Nz) blocks
     assert sizes and set(sizes) == {4 * nz, 2 * nz}
     assert sizes.count(4 * nz) == sizes.count(2 * nz)
+
+
+@pytest.mark.parametrize("mode, lus", [("nonlinear-solve", 0), ("roundtrip-test", 144)])
+def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mode, lus):
+    # box 20 pi, modes 32, nz 24: every symbol and stack member is matexp, so
+    # each LU is a transverse system.  Every forcing preset depends on x_1
+    # alone, so the 3D nonlinear solve is x_2-invariant, has no transverse
+    # forcing and factors no transverse system; roundtrip-3d keeps one
+    # factor at each of the 144 half-lattice frequencies of its states
+    from stripwave.cli import run
+    from stripwave.config import RunConfig
+    counted = _counting(monkeypatch, "lu_factor")
+    assert run(RunConfig.from_dict({
+        "mode": mode, "out": str(tmp_path / "out"), "params": {"dim": 3},
+        "grid": {"box_len": 2 * math.pi * 10, "modes": 32, "nz": 24},
+        "closure": {"visc": "tempdep", "heat": "tempdep", "sigma": "smooth"},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3},
+        "roundtrip": {"count": 12}, "seed": 3})) == 0
+    assert len(counted) == lus

@@ -109,7 +109,7 @@ def test_symbols_mode(tmp_path):
                                "grid": {"modes": 16, "nz": 24}, "out": out})
     assert run(cfg) == 0
     rows = open(os.path.join(out, "symbols.csv")).read().strip().splitlines()
-    assert len(rows) == 17  # header + one per lattice point
+    assert len(rows) == 10  # header + one per half-lattice point
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["summary"]["ok"] is True
     # manifest echoes every tolerance and threshold
@@ -286,7 +286,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
         def invert(self, data):
             # every lattice point where some part of some inverted data is nonzero
             for part in data.parts():
-                live[...] |= (part.data != 0).any(axis=0).reshape(modes, -1).any(axis=1)
+                live[...] |= (part.data != 0).any(axis=0).reshape(len(live), -1).any(axis=1)
             return super().invert(data)
 
     monkeypatch.setattr(cli, "LinearInverter", Recording)
@@ -304,9 +304,10 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     [(table, kwargs)] = seen
     assert kwargs == {"split": 0.3, "cond_limit": 1e11}
     # the table solved exactly the frequencies whose data, at xi or -xi,
-    # is nonzero, each on the backend of the symbol split
+    # is nonzero, each on the backend of the symbol split; in dim_h 1 the
+    # lattice stores xi >= 0, and the data at -xi is the conjugate
     solved, half = table.solved, grid.half_mask()
-    assert np.array_equal(solved[half], (live | live[-np.arange(modes)])[half])
+    assert np.array_equal(solved[half], live[half])
     assert solved.any() and not solved.all()
     scale = 2 * np.pi * grid.xi_magnitude()
     assert np.array_equal((table.backend == "collocation")[solved], (scale > 0.5)[solved])

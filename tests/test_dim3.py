@@ -15,6 +15,7 @@ from stripwave.nonlinear import (ForcingData, eulerian_grid_samples,
                                  picard_solve, pushforward_eulerian)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import SymbolTable
+from stripwave.ops import to_phys
 from stripwave.params import PhysicalParams, make_constitutive
 
 P3 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1, sigma0=1,
@@ -100,21 +101,28 @@ def test_pushforward_matches_direct_sum_3d():
     grid = FrequencyGrid(2, 2 * np.pi * 3, 8)
     vg = VerticalGrid(1.0, 12)
     st = make_random_state(grid, vg, seed=5, jmax=2, eta_scale=0.05)
-    xi = grid.xi_vectors().reshape(-1, 2)
+    # the whole lattice, Nyquist at +modes/2, and the coefficients on it of
+    # the real fields the stored halves stand for
+    j = np.fft.fftfreq(grid.modes, 1.0 / grid.modes)
+    j[grid.modes // 2] = grid.modes // 2
+    xi = np.stack(np.meshgrid(j, j, indexing="ij"), axis=-1).reshape(-1, 2) / grid.box_len
+
+    def whole(data):
+        return np.fft.fftn(to_phys(data, grid), axes=(1, 2)) / grid.modes ** 2
     xp = np.random.default_rng(0).uniform(0, grid.box_len, size=(4, 2))
     xp = np.concatenate([xp, xp[:2]])       # repeated horizontal points
     points, expect = [], {"eta": [], "velocity": [], "temperature": [],
                           "pressure": []}
     for x, frac in zip(xp, (0.1, 0.5, 0.9, 0.3, 0.6, 0.95)):
         e = np.array([np.exp(2j * np.pi * (x[0] * k[0] + x[1] * k[1])) for k in xi])
-        eta = np.real(np.sum(st.eta.data[0].ravel() * e))
+        eta = np.real(np.sum(whole(st.eta.data)[0].ravel() * e))
         yn = frac * (vg.depth + eta)
         w = vg.interp_weights(yn * vg.depth / (vg.depth + eta))
         points.append([x[0], x[1], yn])
         expect["eta"].append(eta)
         for name, data in (("velocity", st.u.data), ("temperature", st.psi.data),
                            ("pressure", st.pres.data)):
-            coeffs = data.reshape(data.shape[0], -1, vg.count)
+            coeffs = whole(data).reshape(data.shape[0], -1, vg.count)
             expect[name].append([np.real(np.sum(coeffs[c] * e[:, None] * w[None, :]))
                                  for c in range(coeffs.shape[0])])
     out = pushforward_eulerian(st, np.array(points))

@@ -69,13 +69,17 @@ def test_grids_reject_nonfinite_lengths(make, value):
 
 def test_frequency_grid_lattice():
     grid = FrequencyGrid(1, 5.0, 16)
-    xi = grid.xi_axis()
+    xi = grid.xi_axes()[0]
     assert 0.0 in xi
     assert grid.xi_max == pytest.approx(16 / (2 * 5.0))
     assert np.abs(xi).max() == pytest.approx(grid.xi_max)
-    # closed under negation (Nyquist is self-paired mod aliasing)
+    # the stored half of the axis: k1 = 0 .. 8
+    assert np.array_equal(xi, np.arange(9) / 5.0)
+    # a whole axis, the second of dim_h 2, is closed under negation
+    # (Nyquist is self-paired mod aliasing)
+    xi = FrequencyGrid(2, 5.0, 16).xi_axes()[1]
     for j in range(16):
-        neg = grid.negate_index((j,))[0]
+        neg = (-j) % 16
         if j != 8:
             assert xi[neg] == pytest.approx(-xi[j])
 
@@ -86,9 +90,8 @@ def test_plane_wave_delta():
     x = grid.nodes_1d()
     phys = np.cos(2 * np.pi * (3 / 4.0) * x)[None, :, None] * np.ones((1, 1, 8))
     f = SpectralField(grid, vg, to_coeff(phys, grid))
-    expect = np.zeros((16,), dtype=complex)
-    expect[3] = 0.5
-    expect[-3] = 0.5
+    expect = np.zeros((9,), dtype=complex)
+    expect[3] = 0.5                 # and 0.5 at -3, its mirror
     assert np.abs(f.data[0, :, 0] - expect).max() < 1e-12
 
 
@@ -105,7 +108,7 @@ def test_roundtrip_vs_direct_dft():
     grid = FrequencyGrid(1, 3.0, 16)
     phys = rng.standard_normal((1, 16))
     f = SurfaceSpectral(grid, to_coeff(phys, grid))
-    oracle = _direct_dft(phys[0], 16)
+    oracle = _direct_dft(phys[0], 16)[:9]       # the stored half
     assert np.abs(f.data[0] - oracle).max() < 1e-12
     back = to_phys(f.data, grid)
     assert np.abs(back - phys).max() < 1e-12
@@ -114,13 +117,18 @@ def test_roundtrip_vs_direct_dft():
 @pytest.mark.parametrize("dim_h", [1, 2])
 @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
 def test_lattice_sum_vs_direct_sum(dim_h, trailing):
+    # the coefficients of real samples: the stored half for lattice_sum, the
+    # whole lattice (Nyquist at +modes/2) for the direct sum
     rng = np.random.default_rng(7)
     grid = FrequencyGrid(dim_h, 4.5, 10)
-    shape = grid.freq_shape + trailing
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phys = rng.standard_normal(grid.phys_shape + trailing)
+    coeffs = to_coeff(phys[None], grid)[0]
     points = rng.uniform(-grid.box_len, 2 * grid.box_len, size=(7, dim_h))
-    xi = grid.xi_vectors().reshape(-1, dim_h)
-    flat = coeffs.reshape((len(xi),) + trailing)
+    j = np.fft.fftfreq(10, 1 / 10)
+    j[5] = 5
+    xi = np.stack(np.meshgrid(*[j / 4.5] * dim_h, indexing="ij"), axis=-1).reshape(-1, dim_h)
+    flat = (np.fft.fftn(phys, axes=tuple(range(dim_h))) / 10 ** dim_h).reshape(
+        (len(xi),) + trailing)
     expect = np.array([np.real(sum(c * np.exp(2j * np.pi * (k @ x))
                                    for k, c in zip(xi, flat))) for x in points])
     out = lattice_sum(coeffs, grid, points)
@@ -137,7 +145,7 @@ def test_parseval_random(seed):
     phys = rng.standard_normal((2, 32, 12))
     f = SpectralField(grid, vg, to_coeff(phys, grid))
     phys_l2 = (grid.box_len / grid.modes) * (np.abs(phys) ** 2 @ vg.weights).sum()
-    spec_l2 = grid.box_volume() * (np.abs(f.data) ** 2 @ vg.weights).sum()
+    spec_l2 = grid.box_volume() * (grid.pair_weight() * (np.abs(f.data) ** 2 @ vg.weights)).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
 
 
@@ -147,7 +155,7 @@ def test_parseval_2d():
     phys = rng.standard_normal((1, 16, 16))
     f = SurfaceSpectral(grid, to_coeff(phys, grid))
     phys_l2 = grid.cell_volume() * (np.abs(phys) ** 2).sum()
-    spec_l2 = grid.box_volume() * (np.abs(f.data) ** 2).sum()
+    spec_l2 = grid.box_volume() * (grid.pair_weight() * np.abs(f.data) ** 2).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
 
 
@@ -163,7 +171,7 @@ def test_hermitian_symmetry_of_real_transforms():
 def test_enforce_real_projects():
     grid = FrequencyGrid(1, 2.0, 8)
     rng = np.random.default_rng(2)
-    f = SurfaceSpectral(grid, rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
+    f = SurfaceSpectral(grid, rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5)))
     f.enforce_real()
     assert f.hermitian_defect() < 1e-14
     assert np.abs(f.data[0, 4]) == 0.0  # Nyquist zeroed
@@ -182,8 +190,8 @@ def test_csv_roundtrip_bulk(tmp_path):
     grid = FrequencyGrid(1, 2.5, 8)
     vg = VerticalGrid(0.9, 6)
     rng = np.random.default_rng(3)
-    f = SpectralField(grid, vg, rng.standard_normal((2, 8, 6))
-                      + 1j * rng.standard_normal((2, 8, 6)))
+    f = SpectralField(grid, vg, rng.standard_normal((2, 5, 6))
+                      + 1j * rng.standard_normal((2, 5, 6)))
     path = tmp_path / "field.csv"
     write_field_csv(path, f)
     g = read_field_csv(path)
@@ -222,9 +230,13 @@ def test_half_mask_rule(dim_h, modes):
     grid = FrequencyGrid(dim_h, 3.0, modes)
     half = grid.half_mask()
     for idx in np.ndindex(grid.freq_shape):
-        neg = grid.negate_index(idx)
+        neg = tuple((-i) % modes for i in idx)      # the index of -xi
         assert half[idx] == (idx <= neg)
-        # exactly one representative per +-xi pair
+        # exactly one representative per +-xi pair; -xi is stored only on
+        # the self-paired planes k1 = 0 and k1 = modes/2
+        if neg[0] > modes // 2:
+            assert half[idx]
+            continue
         assert half[idx] or half[neg]
         assert not (half[idx] and half[neg]) or idx == neg
     # one index per pair plus the 2^dim_h self-paired ones, xi = 0 among them
@@ -232,17 +244,31 @@ def test_half_mask_rule(dim_h, modes):
     assert half[(0,) * dim_h]
 
 
-def _write_field_csv_rows(path, field):
-    """write_field_csv as one csv row per entry (the reference)."""
+def _whole_lattice(field):
+    """The coefficients of a real field on the whole lattice: its stored
+    half, then at k1 = modes/2 + 1 .. modes - 1 the conjugates at -xi."""
+    data, modes = field.data, field.grid.modes
+    rest = np.conj(data[:, modes // 2 - 1:0:-1])
+    for ax in range(2, 1 + field.grid.dim_h):
+        rest = np.flip(np.roll(rest, -1, axis=ax), axis=ax)
+    return np.concatenate([data, rest], axis=1)
+
+
+def _write_field_csv_rows(path, field, whole=False):
+    """write_field_csv as one csv row per half-lattice entry (the
+    reference), or per entry of the whole lattice."""
     import csv
     grid = field.grid
     bulk = isinstance(field, SpectralField)
+    data = _whole_lattice(field) if whole else field.data
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
         w.writerow(["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"])
-        for idx in np.ndindex(field.data.shape):
-            val = field.data[idx]
+        for idx in np.ndindex(data.shape):
+            if not (whole or grid.half_mask()[idx[1:1 + grid.dim_h]]):
+                continue
+            val = data[idx]
             row = [idx[0]] + list(idx[1:1 + grid.dim_h])
             if bulk:
                 row.append(idx[-1])
@@ -276,7 +302,7 @@ def test_full_layout_directory_reads_as_before(tmp_path):
     write_ydata_csv(tmp_path / "half", data)
     os.makedirs(tmp_path / "full")
     for name, part in zip("fglkhm", data.parts()):
-        _write_field_csv_rows(tmp_path / "full" / f"{name}.csv", part)
+        _write_field_csv_rows(tmp_path / "full" / f"{name}.csv", part, whole=True)
         meta = {"dim_h": 1, "box_len": grid.box_len, "modes": 16, "comps": part.comps,
                 "real_flag": True}
         if isinstance(part, SpectralField):
@@ -313,20 +339,22 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
     vg = VerticalGrid(0.8, 5)
     if kind == "bulk-complex":
         grid = FrequencyGrid(1, 2.5, 8)
-        f = SpectralField(grid, vg, _awkward_values(rng, (3, 8, 5)))
+        f = SpectralField(grid, vg, _awkward_values(rng, (3, 5, 5)))
     elif kind == "bulk-large":             # more rows than one formatting block
         grid = FrequencyGrid(1, 2.5, 64)
         vg = VerticalGrid(0.8, 41)
-        f = SpectralField(grid, vg, _awkward_values(rng, (2, 64, 41)))
+        f = SpectralField(grid, vg, _awkward_values(rng, (2, 33, 41)))
     elif kind == "bulk-3d":
         grid = FrequencyGrid(2, 2.5, 4)
-        f = SpectralField(grid, vg, _awkward_values(rng, (2, 4, 4, 5)))
+        f = SpectralField(grid, vg, _awkward_values(rng, (2, 3, 4, 5)))
     elif kind == "surface":
         grid = FrequencyGrid(1, 2.5, 16)
-        f = SurfaceSpectral(grid, _awkward_values(rng, (2, 16)))
+        f = SurfaceSpectral(grid, _awkward_values(rng, (2, 9)))
     else:
         grid = FrequencyGrid(2, 2.5, 6)
-        f = SurfaceSpectral(grid, _awkward_values(rng, (1, 6, 6)))
+        f = SurfaceSpectral(grid, _awkward_values(rng, (1, 4, 6)))
+    # the field a half file stands for: its self-paired planes are Hermitian
+    f.data = conjugate_mirror(f.data, grid)
     write_field_csv(tmp_path / "new.csv", f)
     _write_field_csv_rows(tmp_path / "old.csv", f)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -334,7 +362,7 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
     back = read_field_csv(tmp_path / "new.csv")
     assert type(back) is type(f)
     assert np.array_equal(back.data, f.data)
-    ref = _read_field_csv_rows(tmp_path / "new.csv", f.data.shape)
+    ref = conjugate_mirror(_read_field_csv_rows(tmp_path / "new.csv", f.data.shape), grid)
     assert np.array_equal(back.data.view(np.uint64), ref.view(np.uint64))
 
 
@@ -342,17 +370,16 @@ def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
     # the artifact byte format: %d indices, %.17g values (-0 kept), CRLF
     # rows, and a sorted 2-space-indented sidecar with a trailing newline
     grid = FrequencyGrid(1, 2.0, 4)
-    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 5e-324), 0.0]
+    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 5e-324)]
     write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data))
     assert (tmp_path / "tiny.csv").read_bytes() == (
         b"comp,k1,re,im\r\n"
         b"0,0,0.10000000000000001,-0\r\n"
         b"0,1,-0,0.33333333333333331\r\n"
-        b"0,2,-25000000000,4.9406564584124654e-324\r\n"
-        b"0,3,0,0\r\n")
+        b"0,2,-25000000000,4.9406564584124654e-324\r\n")
     assert (tmp_path / "tiny.csv.json").read_bytes() == (
         b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
-        b'  "modes": 4,\n  "real_flag": true\n}\n')
+        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true\n}\n')
     # every field is real, so the key is constant; a file that says false
     # loads all the same
     sidecar = tmp_path / "tiny.csv.json"
@@ -364,8 +391,7 @@ def test_hermitian_surface_csv_bytes_pinned(tmp_path):
     # a Hermitian field keeps its half lattice, xi indices 0, 1 and the
     # Nyquist 2 (with -0 kept), and its sidecar says so; the read mirrors it
     grid = FrequencyGrid(1, 2.0, 4)
-    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 0.0),
-            complex(-0.0, -1 / 3)]
+    data = [complex(0.1, -0.0), complex(-0.0, 1 / 3), complex(-2.5e10, 0.0)]
     write_field_csv(tmp_path / "tiny.csv", SurfaceSpectral(grid, data))
     assert (tmp_path / "tiny.csv").read_bytes() == (
         b"comp,k1,re,im\r\n"
@@ -383,7 +409,7 @@ def test_hermitian_bulk_csv_bytes_pinned(tmp_path):
     # dim_h 2, modes 4: the half lattice is k1 = 1 whole plus k2 <= 2 on the
     # self-paired rows k1 = 0 and 2, ten of the 16 indices, each with 4 nodes
     grid, vg = FrequencyGrid(2, 2.0, 4), VerticalGrid(1.5, 4)
-    k1, k2, node = np.indices((4, 4, 4))
+    k1, k2, node = np.indices((3, 4, 4))
     data = conjugate_mirror((4 * k1 + k2 + 0.5 + 0.25j * node)[None], grid)
     write_field_csv(tmp_path / "tiny.csv", SpectralField(grid, vg, data))
     half = [(b"0,0", b"0.5"), (b"0,1", b"1.5"), (b"0,2", b"2.5"),
@@ -430,12 +456,30 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
 
 def test_field_csv_layouts_read_the_same(tmp_path):
     # a full file may list its rows in any order; a half file with the same
-    # half-lattice rows mirrors to the same Hermitian field
+    # half-lattice rows reads to the same stored half of the Hermitian field
     full = _surface_file(tmp_path, ["0,3,0.5,0.25", "0,0,1,0", "0,2,-2,0", "0,1,0.5,-0.25"])
-    want = [1.0, 0.5 - 0.25j, -2.0, 0.5 + 0.25j]
+    want = [1.0, 0.5 - 0.25j, -2.0]
     assert np.array_equal(read_field_csv(full).data[0], want)
     half = _surface_file(tmp_path, ["0,1,0.5,-0.25", "0,0,1,0"], "half")
-    assert np.array_equal(read_field_csv(half).data[0], [1.0, 0.5 - 0.25j, 0.0, 0.5 + 0.25j])
+    assert np.array_equal(read_field_csv(half).data[0], [1.0, 0.5 - 0.25j, 0.0])
+
+
+def test_full_file_must_be_hermitian(tmp_path):
+    # a full file keeps its stored half only if the rest mirrors it
+    path = _surface_file(tmp_path, ["0,0,1,0", "0,1,0.5,-0.25", "0,2,-2,0", "0,3,0.5,0.5"])
+    with pytest.raises(ConfigError, match=r"s\.csv: the field is not Hermitian"):
+        read_field_csv(path)
+
+
+def test_half_file_rejects_rows_off_the_half_lattice(tmp_path):
+    # dim_h 2, modes 4: on the plane k1 = 0, k2 = 3 is the mirror of k2 = 1
+    write_json(tmp_path / "s.csv.json", {"box_len": 2.0, "comps": 1, "dim_h": 2,
+                                         "kind": "surface", "layout": "half",
+                                         "modes": 4, "real_flag": True})
+    (tmp_path / "s.csv").write_text("comp,k1,k2,re,im\n0,1,3,1,0\n0,0,3,1,0\n")
+    with pytest.raises(ConfigError, match=r"data row 2 \(0, 0, 3\) has an index "
+                                          r"off the half lattice"):
+        read_field_csv(tmp_path / "s.csv")
 
 
 def test_write_json_and_write_csv_bytes(tmp_path):

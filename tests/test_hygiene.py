@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used, every
 private name and every public function or class the package defines is read
 somewhere in it or re-exported, every defaulted parameter is passed by some
-call, and the package depends on nothing beyond the standard library, numpy
-and scipy, importing scipy only inside the functions that use it."""
+call, the package depends on nothing beyond the standard library, numpy
+and scipy, importing scipy only inside the functions that use it, and one
+real transform pair in ``ops`` is its only FFT."""
 
 import ast
 import sys
@@ -304,3 +305,37 @@ def test_scipy_import_detector_flags_module_scope_only():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_import_at_module_scope(path):
     assert module_scope_scipy_imports(path.read_text()) == []
+
+
+_FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
+
+
+def fft_uses(source: str) -> list:
+    """(line, name) of each ``np.fft.<name>`` (or ``numpy.fft.<name>``) the
+    source reads, and of each import of an FFT module, named by the module."""
+    tree = ast.parse(source)
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            uses.append((node.lineno, node.attr))
+        names = ([node.module] if isinstance(node, ast.ImportFrom)
+                 else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+        uses += [(node.lineno, name) for name in names
+                 if name and name.startswith(_FFT_MODULES)]
+    return sorted(uses)
+
+
+def test_fft_detector_flags_calls_and_imports():
+    source = ("import numpy as np\nfrom scipy.fft import fft\nimport numpy.fft\n"
+              "a = np.fft.rfftn(x)\nb = np.fft.ifftn(a)\nc = np.linalg.norm(b)\n")
+    assert fft_uses(source) == [(2, "scipy.fft"), (3, "numpy.fft"), (4, "rfftn"),
+                                (5, "ifftn")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_real_transform_pair(path):
+    # real fields, one layout: rfftn/irfftn in ops and no other transform
+    uses = {name for _, name in fft_uses(path.read_text())}
+    assert uses == ({"rfftn", "irfftn"} if path.name == "ops.py" else set())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stripwave.errors import RhoVanishing
-from stripwave.fields import SurfaceSpectral, YData
+from stripwave.fields import SpectralField, SurfaceSpectral, YData
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
                               compatibility_functional, make_random_state,
@@ -34,10 +34,9 @@ def test_apply_zero():
 
 def test_apply_eta_only_closed_form():
     st = LinearState.zeros(GRID, VG)
-    st.eta.data[0, 2] = 0.4
-    st.eta.data[0, -2] = 0.4
+    st.eta.data[0, 2] = 0.4         # and 0.4 at -2, its mirror
     data = apply_linear_operator(st, P1)
-    xi = GRID.xi_axis()[2]
+    xi = GRID.xi_axes()[0][2]
     tw = 2j * np.pi * xi
     # f = grav (grad' eta, 0), vertically constant
     assert np.abs(data.f.data[0, 2] - P1.grav * tw * 0.4).max() < 1e-13
@@ -131,13 +130,13 @@ def test_solve_surface_rho_floor(table):
 def test_solve_surface_refuses_unsolved_pairing():
     # the table knows |j| <= 2 only: a pairing there divides, at |j| = 3 it
     # would divide by a placeholder rho of 0
-    partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axis()) < 2.5 / GRID.box_len)
+    partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axes()[0]) < 2.5 / GRID.box_len)
     pairing = SurfaceSpectral.zeros(GRID)
-    pairing.data[0, [2, -2]] = 1.0
+    pairing.data[0, 2] = 1.0        # and at -2, its mirror
     eta = solve_surface(pairing, partial)
-    assert eta.data[0, 2] == 1.0 / partial.rho[2] and (eta.data[0, 3:-2] == 0).all()
-    pairing.data[0, -3] = 1e-30
-    with pytest.raises(ValueError, match=r"lattice index \(61,\)"):
+    assert eta.data[0, 2] == 1.0 / partial.rho[2] and (eta.data[0, 3:] == 0).all()
+    pairing.data[0, 3] = 1e-30      # and at -3, its mirror
+    with pytest.raises(ValueError, match=r"lattice index \(3,\)"):
         solve_surface(pairing, partial)
 
 
@@ -163,8 +162,7 @@ def test_roundtrip_both_ways(inverter):
 def test_invert_heat_only_formula(table, inverter):
     # single-mode heat data: the surface is conj(delta(b)) m / rho there
     data = YData.zeros(GRID, VG)
-    data.m.data[0, 4] = 0.7
-    data.m.data[0, -4] = 0.7
+    data.m.data[0, 4] = 0.7         # and 0.7 at -4, its mirror
     st = inverter.invert(data)
     e = table.entry((4,))
     expect = np.conj(e.y[2, -1]) * 0.7 / e.rho
@@ -285,11 +283,18 @@ def test_roundtrip_zero_mode(dim, nz, gamma, sigma1, mu, kappa):
 
 def _random_state_loop(grid, vgrid, seed, mode_decay=0.7, kmax=6, jmax=None,
                        eta_scale=1.0):
-    """make_random_state as one scalar draw per amplitude (the reference)."""
+    """make_random_state as one scalar draw per amplitude (the reference),
+    drawn onto the whole lattice and projected as a whole lattice:
+    averaged with the conjugate at -xi, the Nyquist indices and the zero
+    mode of eta zeroed, then cut to the stored half."""
     rng = np.random.default_rng(seed)
     if jmax is None:
         jmax = min(grid.modes // 4, 8)
-    st = LinearState.zeros(grid, vgrid)
+    n = grid.dim_h + 1
+    whole = (grid.modes,) * grid.dim_h
+    u, psi, pres = (np.zeros((c,) + whole + (vgrid.count,), dtype=complex)
+                    for c in (n, 1, 1))
+    eta = np.zeros((1,) + whole, dtype=complex)
     z = vgrid.nodes / vgrid.depth
     basis0 = np.stack([np.sin((k + 0.5) * np.pi * z) for k in range(kmax)])
     basisf = np.stack([np.cos(k * np.pi * z) for k in range(kmax)])
@@ -313,14 +318,24 @@ def _random_state_loop(grid, vgrid, seed, mode_decay=0.7, kmax=6, jmax=None,
                     amp *= np.exp(-mode_decay * jm - 0.5 * k)
                     arr[(c,) + idx] += amp * basis[k]
 
-    fill(st.u.data, grid.dim_h + 1, basis0)
-    fill(st.psi.data, 1, basis0)
-    fill(st.pres.data, 1, basisf)
+    fill(u, n, basis0)
+    fill(psi, 1, basis0)
+    fill(pres, 1, basisf)
     for idx, jm in modes_iter():
-        st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * (
+        eta[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * (
             rng.standard_normal() + 1j * rng.standard_normal())
-    st.enforce_real()
-    return st
+    parts = []
+    for arr in (u, psi, pres, eta):
+        mirror = arr
+        for ax in range(1, 1 + grid.dim_h):
+            mirror = np.flip(np.roll(mirror, -1, axis=ax), axis=ax)
+        arr = 0.5 * (arr + np.conj(mirror))
+        for ax in range(1, 1 + grid.dim_h):
+            arr[(slice(None),) * ax + (grid.modes // 2,)] = 0.0
+        parts.append(arr[:, :grid.modes // 2 + 1])
+    parts[3][(0,) * (1 + grid.dim_h)] = 0.0
+    return LinearState(SpectralField(grid, vgrid, parts[0]), SpectralField(grid, vgrid, parts[1]),
+                       SpectralField(grid, vgrid, parts[2]), SurfaceSpectral(grid, parts[3]))
 
 
 @pytest.mark.parametrize("dim_h,modes,nz,kwargs", [
@@ -335,3 +350,24 @@ def test_random_state_bit_identical_to_loop(dim_h, modes, nz, kwargs, seed):
     for a, b in ((got.u, want.u), (got.psi, want.psi), (got.pres, want.pres),
                  (got.eta, want.eta)):
         assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+# state_norm of make_random_state as the whole-lattice code drew it, before
+# the fields were stored on the half lattice: linear-deep's grid (dim 2, box
+# 2.5 pi, modes 128, nz 80, jmax 20) at seeds 0-3, and a dim-3 grid
+RANDOM_STATE_NORMS = [
+    ((1, 2.5 * np.pi, 128, 80, 20), 0, 99.29418752619728),
+    ((1, 2.5 * np.pi, 128, 80, 20), 1, 96.27968907204139),
+    ((1, 2.5 * np.pi, 128, 80, 20), 2, 91.91984262653217),
+    ((1, 2.5 * np.pi, 128, 80, 20), 3, 108.59717860867832),
+    ((2, 6 * np.pi, 24, 28, None), 0, 1608.867426641998),
+    ((2, 6 * np.pi, 24, 28, None), 5, 1535.7366345429234),
+]
+
+
+@pytest.mark.parametrize("grids, seed, expect", RANDOM_STATE_NORMS)
+def test_random_state_norm_pinned(grids, seed, expect):
+    dim_h, box, modes, nz, jmax = grids
+    st = make_random_state(FrequencyGrid(dim_h, box, modes), VerticalGrid(1.0, nz),
+                           seed=seed, jmax=jmax)
+    assert state_norm(st) == pytest.approx(expect, rel=1e-12)

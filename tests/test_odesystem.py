@@ -446,26 +446,29 @@ def test_transverse_requires_dim3():
 # ---------------------------------------------------------------------------
 
 def test_table_mirror_consistency():
+    # the table stores xi >= 0; the symbols at -xi are their conjugates
     grid = FrequencyGrid(1, 10.0, 16)
     table = SymbolTable.build(grid, VG, P1)
-    assert table.rho.shape == (16,) and table.y.shape == (16, 6, VG.count)
+    assert table.rho.shape == (9,) and table.y.shape == (9, 6, VG.count)
     for j in (1, 5):
-        direct = solve_symbol([grid.xi_axis()[-j]], P1, VG)
-        stored = table.entry((16 - j,))
-        assert np.abs(stored.y - direct.y).max() < 1e-12
-        assert stored.rho == pytest.approx(direct.rho)
+        direct = solve_symbol([-grid.xi_axes()[0][j]], P1, VG)
+        stored = table.entry((j,))
+        assert np.abs(np.conj(stored.y) - direct.y).max() < 1e-12
+        assert np.conj(stored.rho) == pytest.approx(direct.rho)
 
 
 def test_table_2d_small():
     grid = FrequencyGrid(2, 6.0, 8)
     vg = VerticalGrid(1.0, 24)
     table = SymbolTable.build(grid, vg, P3)
-    assert table.rho.shape == (8, 8) and table.y.shape == (8, 8, 6, 24)
-    rho = table.rho
-    # conjugate symmetry of the lattice (skip Nyquist row/col)
-    for i in range(1, 4):
+    assert table.rho.shape == (5, 8) and table.y.shape == (5, 8, 6, 24)
+    rho, vecs = table.rho, grid.xi_vectors()
+    # conjugate symmetry of the lattice (skip Nyquist row/col): the plane
+    # k1 = 0 stores both xi and -xi, the other rows xi alone
+    for i in range(0, 4):
         for j in range(1, 4):
-            assert rho[-i, -j] == pytest.approx(np.conj(rho[i, j]))
+            minus = rho[0, -j] if i == 0 else solve_symbol(-vecs[i, j], P3, vg).rho
+            assert minus == pytest.approx(np.conj(rho[i, j]))
     # at xi_1 = 0 the symbols are real and rho is gamma-independent
     e = table.entry((0, 2))
     assert abs(e.rho.imag) < 1e-12
