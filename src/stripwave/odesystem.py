@@ -62,8 +62,8 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# member-times per coefficient call of a FrequencyStack: bounds its temporaries
-_EXP_CHUNK = 2048
+# member-times per coefficient call of a FrequencyStack: 2 MiB of temporaries
+_EXP_CHUNK = 6144
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
 
@@ -151,9 +151,13 @@ def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray
 # Closed-form block propagator exp(tA)
 # ---------------------------------------------------------------------------
 
-def _shc(z):
-    """sinh(z)/z, by its Taylor series near 0."""
-    return np.where(np.abs(z) < 1e-4, 1.0 + z * z / 6.0, np.sinh(z) / z)
+def _shc(z, sinh=None):
+    """sinh(z)/z, by its Taylor series where |z| < 1e-4, else from ``sinh``
+    (sinh(z), by default np.sinh): each branch only where it is taken."""
+    out, small = np.empty_like(z), np.abs(z) < 1e-4
+    large = np.sinh(z[~small]) if sinh is None else sinh[~small]
+    out[small], out[~small] = 1.0 + z[small] ** 2 / 6.0, large / z[~small]
+    return out
 
 
 def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
@@ -175,40 +179,51 @@ def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
     return np.concatenate([scalars] + [B.reshape(-1, 16) for B in (P, As, As @ P)], axis=-1)
 
 
-@np.errstate(all="ignore")      # overflow, and 0/0 in the branches not taken
+@np.errstate(all="ignore")      # overflow: the member falls back to collocation
 def _member_coefficients(prop: np.ndarray, t):
     """The coefficients of exp(tA) in the basis of ``_member_basis`` for
     every member of a stack with ``_propagator`` rows ``prop`` and every
     time of ``t``, shape (k,) + t.shape + (6,).
 
-    c0 = cosh(tm), s0 = t shc(tm), c1 = (t^2/2) shc(u) shc(v) with
-    u = t (l + m)/2, v = t (l - m)/2 and l - m = (tau/mu)/(l + m).  s1 is
-    the divided difference G[m^2, l^2] of G(s) = sinh(t sqrt s)/sqrt s
-    (Moler & Van Loan, SIAM Rev. 45, 2003): its Taylor series when
-    t max(|l|, m) <= 1, t (cosh(u) shc(v) - shc(u) cosh(v)) / (2 l m) when
-    |v| <= 1/2, else the quotient of differences.  l = m (tau = 0) is the
-    confluent limit of the same formulas, and xi = 0 gives I + tA.  The
-    heat block takes cosh(t l_h) and t shc(t l_h).
+    c0 = cosh(tm) and s0 = t shc(tm), real.  c1 and s1 are the divided
+    differences G[m^2, l^2] of G(s) = cosh(t sqrt s) and sinh(t sqrt s)/sqrt s
+    (Moler & Van Loan, SIAM Rev. 45, 2003), each formula evaluated only on
+    the member-times that select it: one Taylor series for both when
+    t max(|l|, m) <= 1; else c1 = (t^2/2) shc(u) shc(v) with u = t (l + m)/2,
+    v = t (l - m)/2 = t (tau/mu)/(2 (l + m)), and s1 = t (cosh(u) shc(v) -
+    shc(u) cosh(v)) / (2 l m) when |v| <= 1/2, else the quotient of
+    differences.  l = m (tau = 0) is their confluent limit, xi = 0 gives
+    I + tA.  The heat block takes cosh(t l_h) and t shc(t l_h).
     """
-    tf = np.ravel(t)
-    m, l, lh, r = (prop[:, i, None] for i in range(4))
+    tf = np.ravel(np.asarray(t, dtype=float))
+    m, l, lh, r = prop[:, 0].real[:, None], prop[:, 1, None], prop[:, 2, None], prop[:, 3, None]
     tm, tl, tlh = tf * m, tf * l, tf * lh
-    u = 0.5 * (tl + tm)
-    v = 0.5 * tf * r / np.where(l + m == 0, 1.0, l + m)
-    # t^3 sum_{k>=1} h_{k-1}((tm)^2, (tl)^2) / (2k+1)!, with the complete
-    # homogeneous polynomials h_j(a, b) = b h_{j-1}(a, b) + a^j
-    a, b = tm * tm, tl * tl
-    h, ak, series = 1.0, 1.0, 0.0
-    for k in range(1, 11):
-        series, ak = series + h / factorial(2 * k + 1), ak * a
+    coef = np.empty(tm.shape + (6,), dtype=complex)
+    # c1 = t^2 sum_{k=1}^9 h_{k-1}/(2k)!, s1 = t^3 sum_{k=1}^9 h_{k-1}/(2k+1)!
+    # (the tail is below 1e-17 of each sum while |a|, |b| <= 1) in the complete
+    # homogeneous polynomials h_j = b h_{j-1} + a^j of a = (tm)^2 and b = (tl)^2
+    series = tf * np.maximum(np.abs(l), m) <= 1.0
+    ts, tms, tls = (np.broadcast_to(x, tm.shape)[series] for x in (tf, tm, tl))
+    a, b = (tms * tms).astype(complex), tls * tls
+    h, ak, even, odd = 1.0, 1.0, 0.0, 0.0
+    for ce, co in ((1.0 / factorial(2 * k), 1.0 / factorial(2 * k + 1)) for k in range(1, 10)):
+        even, odd, ak = even + h * ce, odd + h * co, ak * a
         h = b * h + ak
-    shc_u, shc_v, shc_tm = _shc(u), _shc(v), _shc(tm)
-    s1 = np.where(tf * np.maximum(np.abs(l), m.real) <= 1.0, tf ** 3 * series,
-                  np.where(np.abs(v) <= 0.5,
-                           tf * (np.cosh(u) * shc_v - shc_u * np.cosh(v)) / (2.0 * l * m),
-                           tf * (_shc(tl) - shc_tm) / r))
-    coef = np.stack([np.cosh(tm), 0.5 * tf * tf * shc_u * shc_v, tf * shc_tm, s1,
-                     np.cosh(tlh), tf * _shc(tlh)], axis=-1)
+    coef[series, 1], coef[series, 3] = ts * ts * even, ts ** 3 * odd
+    # the rest, where l + m != 0 (it vanishes only at xi = 0, in the series)
+    rest = ~series
+    tr, tmr, tlr, lr, mr, rr = (np.broadcast_to(x, tm.shape)[rest] for x in (tf, tm, tl, l, m, r))
+    u, v = 0.5 * (tlr + tmr), 0.5 * tr * rr / (lr + mr)
+    coef[rest, 1] = 0.5 * tr * tr * _shc(u) * _shc(v)
+    near, s1 = np.abs(v) <= 0.5, np.empty_like(u)
+    s1[near] = tr[near] * (np.cosh(u[near]) * _shc(v[near]) - _shc(u[near]) * np.cosh(v[near])) \
+        / (2.0 * lr[near] * mr[near])
+    s1[~near] = tr[~near] * (_shc(tlr[~near]) - _shc(tmr[~near])) / rr[~near]
+    coef[rest, 3] = s1
+    # cosh and sinh of t l_h from the real cosh, sinh, cos and sin of its parts
+    cx, sx, cy, sy = np.cosh(tlh.real), np.sinh(tlh.real), np.cos(tlh.imag), np.sin(tlh.imag)
+    coef[..., 0], coef[..., 2], coef[..., 4] = np.cosh(tm), tf * _shc(tm), cx * cy + 1j * (sx * sy)
+    coef[..., 5] = tf * _shc(tlh, sx * cy + 1j * (cx * sy))
     return coef.reshape(prop.shape[:1] + np.shape(t) + (6,))
 
 
@@ -420,10 +435,10 @@ class FrequencyStack:
     solve with bulk forcing: the weighted coefficients w_q coef_b(c_j - t_q),
     (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6), k (48 (Nz-1) + 216)
     complex numbers.  The local integral sum_q w_q exp((c_j - t_q) A) z(t_q)
-    is then sum_b B_b (sum_q w_q coef_b z(t_q)).  The coefficients are made
-    in calls of at most _EXP_CHUNK member-times, so no temporary grows with
-    the product of frequencies and intervals.  Every solve solves every
-    member: a caller leaves a frequency without data out of the stack.
+    is then sum_b B_b (sum_q w_q coef_b z(t_q)).  ``_member_coefficients``
+    makes them branch by branch in calls of at most _EXP_CHUNK member-times,
+    so no temporary grows with members times intervals.  Every solve solves
+    every member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead; the other members are

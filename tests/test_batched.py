@@ -2,6 +2,7 @@
 stacks and must agree with K single-frequency solves of the same solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     assert k == len(xis)
     assert all(a.dtype == complex for a in stack.quad)
     assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
+
+
+def test_cold_forced_solve_peak_memory():
+    # a cold preparation and first forced solve at wave-2d's forced stack
+    # (86 members, nz 48) keeps the steps and the quadrature cache, 5.4 MB
+    # together; the coefficient calls, at most _EXP_CHUNK member-times each,
+    # must not add a temporary that grows with members times intervals
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    vg = VerticalGrid(p.depth, 48)
+    xis = (np.arange(86) / (20 * np.pi))[:, None]
+    rng = np.random.default_rng(0)
+    z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
+    tracemalloc.start()
+    try:
+        FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis).solve(z, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 2 ** 20
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)

@@ -1,11 +1,14 @@
 """Three-dimensional (two horizontal directions) end-to-end coverage."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from stripwave.cli import main
 from stripwave.errors import IllConditionedCollocation
+from stripwave.fields import read_field_csv
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter,
                               apply_linear_operator, make_random_state,
@@ -213,3 +216,61 @@ def test_inverter_cond_limit_reaches_transverse_systems():
     stack = inv.solver.prepare(grid.xi_vectors()[grid.half_mask()])
     assert set(stack.backend) == {"matexp"}
     assert stack.cond.max() < 20.0
+
+
+# the wave-2d preset on a small lattice: x_2-free forcing, so the dim-3 solve
+# is the dim-2 solve on the plane k2 = 0
+WAVE = {"grid": {"box_len": 20 * np.pi, "modes": 16, "nz": 24},
+        "closure": {"visc": "tempdep", "heat": "tempdep", "sigma": "smooth"},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3}}
+
+
+def _assert_dim3_reduces_to_dim2(fields2, fields3, residuals2, residuals3):
+    """Every field of the dim-3 solve equals the dim-2 one at k2 = 0 to 1e-13
+    of that field's largest value and is 0 at k2 != 0, u_2 is 0, and the
+    residual norms are in the ratio sqrt(box_len) of the L^2 norms over one
+    more horizontal period."""
+    for name, f2 in fields2.items():
+        f3 = fields3[name]
+        # u is (u_1, u_3) in dim 2 and (u_1, u_2, u_3) in dim 3
+        on_plane = f3[[0, 2], :, 0] if name == "u" else f3[:, :, 0]
+        assert np.abs(on_plane - f2).max() <= 1e-13 * np.abs(f2).max(), name
+        assert not f3[:, :, 1:].any(), name
+    assert not fields3["u"][1].any()
+    ratio = np.array(residuals3) / np.array(residuals2)
+    assert len(residuals3) == len(residuals2)
+    assert np.allclose(ratio, np.sqrt(20 * np.pi), rtol=1e-12, atol=0)
+
+
+# 16 modes resolve the preset coarsely, so the residual warns of its tail
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
+def test_x2_free_solve_reduces_to_dim2_cli(tmp_path):
+    fields, residuals = {}, {}
+    for dim in (2, 3):
+        out = tmp_path / f"dim{dim}"
+        cfg = tmp_path / f"dim{dim}.json"
+        cfg.write_text(json.dumps({"mode": "nonlinear-solve", "out": str(out),
+                                   "params": {"dim": dim}, **WAVE}))
+        assert main(["--config", str(cfg)]) == 0
+        fields[dim] = {name: read_field_csv(str(out / f"{name}.csv")).data
+                       for name in ("u", "psi", "pres", "eta")}
+        residuals[dim] = json.loads((out / "solve_trace.json").read_text())["residuals"]
+    _assert_dim3_reduces_to_dim2(fields[2], fields[3], residuals[2], residuals[3])
+
+
+# 16 modes resolve the preset coarsely, so the residual warns of its tail
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
+def test_x2_free_solve_reduces_to_dim2_library():
+    fields, residuals = {}, {}
+    for dim in (2, 3):
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+        grid = FrequencyGrid(dim - 1, WAVE["grid"]["box_len"], WAVE["grid"]["modes"])
+        vg = VerticalGrid(p.depth, WAVE["grid"]["nz"])
+        forcing = make_forcing_preset("mixed", 1e-3, grid, p.depth, mode_index=3)
+        trace = picard_solve(forcing, p, make_constitutive(p, **WAVE["closure"]), grid, vg)
+        assert trace.converged
+        st = trace.state
+        fields[dim] = {"u": st.u.data, "psi": st.psi.data, "pres": st.pres.data,
+                       "eta": st.eta.data}
+        residuals[dim] = trace.residuals
+    _assert_dim3_reduces_to_dim2(fields[2], fields[3], residuals[2], residuals[3])

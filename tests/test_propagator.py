@@ -142,6 +142,83 @@ def test_propagator_matches_mpmath_beyond_series(mu, gamma, sign, depth, tl, ang
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _reference_coefficients(row, t):
+    """c0, c1, s0, s1, cosh(t l_h) and t shc(t l_h) at 50 digits from the
+    scalars of one ``_propagator`` row: m, tau/mu and l_h as stored.  With
+    F(c, s) = 0F1(; c; t^2 s/4), cosh(t sqrt s) = F(1/2, s) and
+    sinh(t sqrt s)/sqrt s = t F(3/2, s); c1 and s1 are their divided
+    differences at m^2 and l^2 = m^2 + tau/mu, carried with the digits their
+    cancellation costs, and their derivatives at m^2 when tau = 0."""
+    m, l, lh, r = row[:4]
+    a = m.real ** 2
+    # F(c, a + tau/mu) - F(c, a) is about t^2 tau/mu against F's size
+    extra = 0 if r == 0 or t == 0 else max(0, int(
+        np.log10(max(1.0, a, abs(a + r))) - np.log10(abs(r)) - 2 * min(0.0, np.log10(t))))
+    with mpmath.workdps(50 + extra):
+        m, r, lh, t = mpmath.mpf(m.real), mpmath.mpc(r), mpmath.mpc(lh), mpmath.mpf(t)
+        a = m * m
+
+        def F(c, s):
+            return mpmath.hyp0f1(c, t * t * s / 4)
+
+        if r == 0:
+            c1 = t * t / 2 * F(1.5, a)
+            s1 = t ** 3 / 6 * F(2.5, a)
+        else:
+            c1 = (F(0.5, a + r) - F(0.5, a)) / r
+            s1 = t * (F(1.5, a + r) - F(1.5, a)) / r
+        coef = [F(0.5, a), c1, t * F(1.5, a), s1, F(0.5, lh * lh), t * F(1.5, lh * lh)]
+        return np.array([complex(c) for c in coef])
+
+
+def _switch_times(row, depth):
+    """Times in (0, b] just below and above each switch of the coefficient
+    formulas: t max(|l|, m) = 1 (the series of c1 and s1), |v| = 1/2 (the
+    cosh/shc form against the quotient of differences of s1) and the
+    argument 1e-4 of ``_shc`` at tm, tl and u = t (l + m)/2."""
+    m, l, _, r = row[:4]
+    with np.errstate(divide="ignore", invalid="ignore"):    # xi = 0, tau = 0
+        switches = [1.0 / max(abs(l), m.real), abs(l + m) / abs(r), 1e-4 / m.real,
+                    1e-4 / abs(l), 2e-4 / abs(l + m)]
+    return [s * f for s in switches if s <= depth for f in (1.0 - 1e-9, 1.0 + 1e-9)]
+
+
+def _assert_coefficients_match(row, times):
+    """Each coefficient within 1e-13 of its own magnitude, or of the
+    smallest normal double where it underflows (t^2 at t = 1e-200)."""
+    got = ode._member_coefficients(row[None], np.array(times))[0]
+    for t, coef in zip(times, got):
+        ref = _reference_coefficients(row, t)
+        tol = np.maximum(1e-13 * np.abs(ref), np.finfo(float).tiny)
+        assert np.all(np.abs(coef - ref) <= tol), (t, coef, ref)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_each_coefficient_matches_mpmath(data):
+    # each of the six coefficients of exp(tA), from the double-precision
+    # propagator row, within 1e-13 of its own 50-digit value, on both sides
+    # of every switch of its formulas in (0, b], at a random time, at xi = 0
+    # and at tau = 0
+    p = data.draw(parameter_sets())
+    xi = data.draw(st.one_of(st.just(np.zeros(p.dim_h)), frequencies(p, 1).map(lambda x: x[0])))
+    row = ode._propagator(xi[None], p, data.draw(st.sampled_from([-1.0, 0.0, 1.0])) * p.gamma)[0]
+    _assert_coefficients_match(row, [0.0, data.draw(st.floats(0.0, 1.0)) * p.depth]
+                               + _switch_times(row, p.depth))
+
+
+@pytest.mark.parametrize("mu,gamma,direction,scale", [
+    (0.5, 2.0, [1.0], 16.0), (0.5, -1.8, [0.8, 0.6], 2.0)])
+def test_each_coefficient_matches_mpmath_at_every_switch(mu, gamma, direction, scale):
+    # transport fast against viscosity puts every switch in (0, b], the
+    # |v| = 1/2 one too, which the random parameter sets seldom reach
+    p = PhysicalParams(mu, 1.0, 1.0, 1.0, gamma, 1.0, 0.1, len(direction) + 1)
+    row = ode._propagator(np.array([direction]) * scale / (2 * np.pi * p.depth), p, gamma)[0]
+    times = _switch_times(row, p.depth)
+    assert len(times) == 10
+    _assert_coefficients_match(row, times + [p.depth])
+
+
 P2D = PhysicalParams(mu=0.8, kappa=1.7, grav=1, depth=1.1, gamma=1.3, sigma0=1,
                      sigma1=0.2, dim=2)
 P3D = PhysicalParams(mu=1.6, kappa=0.6, grav=1, depth=0.9, gamma=-0.7, sigma0=1,
