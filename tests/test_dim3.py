@@ -237,9 +237,9 @@ def _assert_dim3_reduces_to_dim2(fields2, fields3, residuals2, residuals3):
         assert np.abs(on_plane - f2).max() <= 1e-13 * np.abs(f2).max(), name
         assert not f3[:, :, 1:].any(), name
     assert not fields3["u"][1].any()
-    ratio = np.array(residuals3) / np.array(residuals2)
     assert len(residuals3) == len(residuals2)
-    assert np.allclose(ratio, np.sqrt(20 * np.pi), rtol=1e-12, atol=0)
+    ratio = np.array(residuals3) / np.array(residuals2)
+    assert np.allclose(ratio, np.sqrt(WAVE["grid"]["box_len"]), rtol=1e-12, atol=0)
 
 
 # 16 modes resolve the preset coarsely, so the residual warns of its tail

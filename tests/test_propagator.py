@@ -149,7 +149,7 @@ def _reference_coefficients(row, t):
     sinh(t sqrt s)/sqrt s = t F(3/2, s); c1 and s1 are their divided
     differences at m^2 and l^2 = m^2 + tau/mu, carried with the digits their
     cancellation costs, and their derivatives at m^2 when tau = 0."""
-    m, l, lh, r = row[:4]
+    m, _, lh, r = row[:4]
     a = m.real ** 2
     # F(c, a + tau/mu) - F(c, a) is about t^2 tau/mu against F's size
     extra = 0 if r == 0 or t == 0 else max(0, int(
