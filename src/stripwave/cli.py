@@ -16,19 +16,13 @@ import numpy as np
 from .asymptotics import full_report
 from .config import RunConfig
 from .errors import ConfigError, SolverFailure, StripwaveError
-from .fields import read_ydata_csv, write_csv, write_field_csv, write_json
+from .fields import read_ydata_csv, write_csv, write_json, write_ydata_csv
 from .linear import (LinearInverter, apply_linear_operator, make_random_state,
                      state_norm)
 from .nonlinear import eulerian_grid_samples, picard_solve
 from .norms import check_divergence_trace, ydata_norm
 from .odesystem import SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
-
-
-def _write_state(outdir, state):
-    for name, fieldval in (("u", state.u), ("psi", state.psi),
-                           ("pres", state.pres), ("eta", state.eta)):
-        write_field_csv(os.path.join(outdir, f"{name}.csv"), fieldval)
 
 
 def _symbol_options(config: RunConfig) -> dict:
@@ -128,7 +122,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
         misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
-        _write_state(outdir, state)
+        write_ydata_csv(outdir, state)
         dt = check_divergence_trace(data)
         write_json(os.path.join(outdir, "linear_report.json"), {
             "roundtrip_misfit": misfit,
@@ -161,7 +155,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         finally:
             _record_solves(summary, grid, table=inv.table, inverter=inv)
         write_json(trace_path, trace.to_jsonable())
-        _write_state(outdir, trace.state)
+        write_ydata_csv(outdir, trace.state)
         samples = eulerian_grid_samples(trace.state)
         n = grid.dim_h + 1
         write_csv(os.path.join(outdir, "eulerian.csv"),

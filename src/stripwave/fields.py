@@ -111,10 +111,30 @@ class SurfaceSpectral(_LatticeField):
         return cls(grid, np.zeros((comps,) + grid.freq_shape, dtype=complex))
 
 
+class PartMismatch(ValueError):
+    """A part of a FieldTuple, the field named ``part``, that does not fit."""
+
+    def __init__(self, part: str, message: str):
+        super().__init__(f"{part}: {message}")
+        self.part = part
+
+
 class FieldTuple:
     """A dataclass whose fields are the lattice fields of one problem on one
     pair of grids: the state (u, psi, pres, eta) or the data (f, g, l, k, h,
-    m).  Arithmetic acts on every part in place."""
+    m), with n components in its ``vector_parts`` and one in every other;
+    PartMismatch names the first part that breaks this.  Arithmetic acts on
+    every part in place."""
+
+    def __post_init__(self):
+        first = self.parts()[0]
+        for f, part in zip(fields(self), self.parts()):
+            grids = (part.grid, getattr(part, "vgrid", first.vgrid))
+            if grids != (first.grid, first.vgrid):
+                raise PartMismatch(f.name, f"grids {grids} differ from {(first.grid, first.vgrid)}")
+            want = first.grid.dim_h + 1 if f.name in self.vector_parts else 1
+            if part.comps != want:
+                raise PartMismatch(f.name, f"{part.comps} components, expected {want}")
 
     def parts(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -155,14 +175,7 @@ class YData(FieldTuple):
     k: SurfaceSpectral
     h: SurfaceSpectral
     m: SurfaceSpectral
-
-    def __post_init__(self):
-        n = self.grid.dim_h + 1
-        if self.f.comps != n or self.k.comps != n:
-            raise ValueError("f and k must have n components")
-        for part in (self.g, self.l, self.h, self.m):
-            if part.comps != 1:
-                raise ValueError("g, l, h, m must be scalar")
+    vector_parts = ("f", "k")
 
     @classmethod
     def zeros(cls, grid, vgrid):
@@ -233,39 +246,49 @@ def write_field_csv(path, field):
     write_json(str(path) + ".json", meta)
 
 
-def write_ydata_csv(dirpath, data: YData):
+def write_ydata_csv(dirpath, data: FieldTuple):
+    """Each part of a state or data tuple to dirpath/<field name>.csv."""
     os.makedirs(dirpath, exist_ok=True)
     for f, part in zip(fields(data), data.parts()):
         write_field_csv(os.path.join(dirpath, f"{f.name}.csv"), part)
 
 
 def read_ydata_csv(dirpath) -> YData:
-    return YData(*(read_field_csv(os.path.join(dirpath, f"{f.name}.csv"))
-                   for f in fields(YData)))
+    """The data tuple in ``dirpath``; ConfigError names a file that does not fit f.csv."""
+    try:
+        return YData(*(read_field_csv(os.path.join(dirpath, f"{f.name}.csv"))
+                       for f in fields(YData)))
+    except PartMismatch as exc:
+        raise ConfigError(f"{os.path.join(dirpath, exc.part)}.csv: {exc}") from exc
 
 
 def read_field_csv(path):
     """The field that ``write_field_csv`` wrote to ``path``: its half-lattice
     rows, completed by ``conjugate_mirror``.  A sidecar with no ``layout``
     key reads as the full layout, whose rows must be Hermitian to rounding.
-    A missing or unreadable file, a non-numeric cell, a bad row or layout,
-    or a full file that is not Hermitian raises ConfigError naming the
-    file."""
+    A missing or unreadable file, a bad sidecar, a non-numeric cell, a bad
+    row or layout, or a full file that is not Hermitian raises ConfigError
+    naming the file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:      # missing, not JSON, not numbers
         raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: the sidecar is not a JSON object")
     layout = meta.get("layout", "full")
     if layout not in ("full", "half"):
         raise ConfigError(f"{path}: unknown layout {layout!r}")
-    grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
-    bulk = meta["kind"] == "bulk"
-    vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
-    # rows index the whole lattice; a half file's lie on its half
-    shape = (meta["comps"],) + grid.phys_shape + ((vgrid.count,) if bulk else ())
-    data = np.zeros(shape, dtype=complex)
+    try:
+        grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
+        bulk = meta["kind"] == "bulk"
+        vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
+        # rows index the whole lattice; a half file's lie on its half
+        shape = (meta["comps"],) + grid.phys_shape + ((vgrid.count,) if bulk else ())
+        data = np.zeros(shape, dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:     # a key, grid or count missing or bad
+        raise ConfigError(f"{path}: bad sidecar ({type(exc).__name__}: {exc})") from exc
     if table.size:
         if table.shape[1] != len(shape) + 2:
             raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "

@@ -8,8 +8,9 @@ F_eta(x) = (x', x_n (1 + eta(x')/b)).  The derived fields are
     A   = [[ I , -x_n grad'eta/(b+eta) ],
            [ 0 ,  b/(b+eta)            ]]   (inverse-transpose Jacobian)
 
-stored pointwise on the collocation grid.  A twists every derivative of the
-flattened system: d_i^A = A_ij d_j.
+on the collocation grid, where F_eta fixes x': A is stored as its last column,
+its one part off the identity.  A twists every derivative of the flattened
+system: d_i^A = A_ij d_j.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .ops import dealias, horiz_deriv, to_coeff, to_phys
 class FlatteningFields:
     """Pointwise flattening data on the strip collocation grid."""
 
-    a_field: np.ndarray      # (n, n) + phys_shape + (Nz,)
+    a_last: np.ndarray       # A[:, n-1], (n,) + phys_shape + (Nz,)
     j_field: np.ndarray      # phys_shape (vertically constant)
     eta_bound: float
     eta_phys: np.ndarray     # phys_shape
@@ -52,27 +53,22 @@ def build_flattening(eta: SurfaceSpectral, grid: FrequencyGrid,
     if bound >= b / 2:
         raise SurfaceTooLarge(f"max|eta| = {bound:.3g} >= b/2 = {b / 2:.3g}")
 
-    phys = grid.phys_shape
-    nz = vgrid.count
-    A = np.zeros((n, n) + phys + (nz,))
-    for i in range(grid.dim_h):
-        A[i, i] = 1.0
-        A[i, n - 1] = -vgrid.nodes * (grad_p[i] / (b + eta_p))[..., None]
-    A[n - 1, n - 1] = (b / (b + eta_p))[..., None]
+    a_last = np.empty((n,) + grid.phys_shape + (vgrid.count,))
+    a_last[:-1] = -vgrid.nodes * (grad_p / (b + eta_p))[..., None]
+    a_last[-1] = (b / (b + eta_p))[..., None]
     J = 1.0 + eta_p / b
-    return FlatteningFields(a_field=A, j_field=J, eta_bound=bound,
+    return FlatteningFields(a_last=a_last, j_field=J, eta_bound=bound,
                             eta_phys=eta_p, grad_eta_phys=grad_p)
 
 
-def flattening_points(ff: FlatteningFields, grid: FrequencyGrid,
+def flattening_points(eta_phys: np.ndarray, grid: FrequencyGrid,
                       vgrid: VerticalGrid) -> np.ndarray:
-    """Images F_eta(x) of the strip collocation points, shape phys+(Nz, n)."""
-    pts_h = grid.phys_points()
-    nz = vgrid.count
-    out = np.zeros(grid.phys_shape + (nz, grid.dim_h + 1))
-    for i in range(grid.dim_h):
-        out[..., i] = pts_h[..., i][..., None]
-    out[..., -1] = vgrid.nodes[None] * (1.0 + ff.eta_phys / vgrid.depth)[..., None]
+    """Images F_eta(x) of the strip collocation points, shape phys+(Nz, n),
+    for the surface samples ``eta_phys`` (phys_shape); the top node's images
+    are the free-surface points (x', b + eta)."""
+    out = np.empty(grid.phys_shape + (vgrid.count, grid.dim_h + 1))
+    out[..., :-1] = grid.phys_points()[..., None, :]
+    out[..., -1] = vgrid.nodes[None] * (1.0 + eta_phys / vgrid.depth)[..., None]
     return out
 
 

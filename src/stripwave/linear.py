@@ -51,6 +51,7 @@ class LinearState(FieldTuple):
     psi: SpectralField
     pres: SpectralField
     eta: SurfaceSpectral
+    vector_parts = ("u",)
 
     @classmethod
     def zeros(cls, grid, vgrid):

@@ -41,40 +41,36 @@ from .params import ConstitutiveSet, PhysicalParams, validate_params
 class ForcingData:
     """Traveling-frame sources at unit scale; ``amplitude`` multiplies all.
 
-    Bulk callables take point arrays of shape S + (n,), flat callables take
-    S + (n-1,); vector-valued callables return (n,) + S, matrix-valued
-    (n, n) + S, scalars plain S.
+    Each is a callable of Eulerian points S + (n,): ``f``, returning (n,) + S, at
+    the images F_eta(x) of the strip nodes, ``t`` ((n, n) + S) and ``h`` (S) at the
+    free surface (x', b + eta).  F_eta fixes x': a source of pts[..., :-1] is flat.
     """
 
-    f_bulk: object = None
-    f_flat: object = None
-    t_bulk: object = None
-    t_flat: object = None
-    h_bulk: object = None
-    h_flat: object = None
+    f: object = None
+    t: object = None
+    h: object = None
     amplitude: float = 1.0
 
     def is_zero(self) -> bool:
-        return self.amplitude == 0.0 or all(
-            f is None for f in (self.f_bulk, self.f_flat, self.t_bulk,
-                                self.t_flat, self.h_bulk, self.h_flat))
+        return self.amplitude == 0.0 or all(s is None for s in (self.f, self.t, self.h))
 
-    def validate(self, grid: FrequencyGrid):
-        """Flat parts must be spectrally resolved: at most 1e-10 of their
-        energy beyond the 2/3 cutoff."""
-        pts = grid.phys_points()
+    def validate(self, grid: FrequencyGrid, vgrid: VerticalGrid):
+        """Check each source at rest (eta = 0), ``f`` at (x', x_n), ``t`` and ``h`` at
+        (x', b): ConfigError names the first whose values are not finite, not of its
+        shape, or keep over 1e-10 of their energy beyond the 2/3 cutoff."""
         n = grid.dim_h + 1
-        checks = []
-        if self.f_flat is not None:
-            checks.append(np.asarray(self.f_flat(pts), dtype=float).reshape(n, *grid.phys_shape))
-        if self.t_flat is not None:
-            checks.append(np.asarray(self.t_flat(pts), dtype=float).reshape(n * n, *grid.phys_shape))
-        if self.h_flat is not None:
-            checks.append(np.asarray(self.h_flat(pts), dtype=float)[None])
-        for arr in checks:
-            tail = dealias_tail_fraction(to_coeff(arr, grid), grid)
+        pts = flattening_points(np.zeros(grid.phys_shape), grid, vgrid)
+        for name, at, comps in (("f", pts, (n,)), ("t", pts[..., -1, :], (n, n)),
+                                ("h", pts[..., -1, :], ())):
+            if getattr(self, name) is None:
+                continue
+            arr = np.asarray(getattr(self, name)(at), dtype=float)
+            if arr.shape != comps + at.shape[:-1] or not np.isfinite(arr).all():
+                raise ConfigError(f"forcing source {name} must return finite values "
+                                  f"of shape {comps + at.shape[:-1]}, got {arr.shape}")
+            tail = dealias_tail_fraction(to_coeff(arr.reshape((-1,) + at.shape[:-1]), grid), grid)
             if tail > 1e-10:
-                raise ConfigError(f"flat forcing has spectral tail {tail:.2e} "
+                raise ConfigError(f"forcing source {name} has spectral tail {tail:.2e} "
                                   "beyond the 2/3 cutoff (limit 1.0e-10)")
 
 
@@ -91,12 +87,12 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
     xi0 = mode_index / grid.box_len
     n = grid.dim_h + 1
 
-    def cosine(xp):
-        return np.cos(2.0 * np.pi * xi0 * xp[..., 0])
+    def cosine(pts):
+        return np.cos(2.0 * np.pi * xi0 * pts[..., 0])
 
-    def stress_flat(xp):
-        out = np.zeros((n, n) + xp.shape[:-1])
-        out[n - 1, n - 1] = cosine(xp)
+    def normal_stress(pts):
+        out = np.zeros((n, n) + pts.shape[:-1])
+        out[n - 1, n - 1] = cosine(pts)
         return out
 
     def bulk_force(pts):
@@ -106,14 +102,14 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
         return out
 
     if name == "heat-only":
-        return ForcingData(h_flat=cosine, amplitude=amplitude)
+        return ForcingData(h=cosine, amplitude=amplitude)
     if name == "stress-only":
-        return ForcingData(t_flat=stress_flat, amplitude=amplitude)
+        return ForcingData(t=normal_stress, amplitude=amplitude)
     if name == "bulk-force":
-        return ForcingData(f_bulk=bulk_force, amplitude=amplitude)
+        return ForcingData(f=bulk_force, amplitude=amplitude)
     if name == "mixed":
-        return ForcingData(f_bulk=bulk_force, t_flat=stress_flat,
-                           h_flat=cosine, amplitude=amplitude / 3.0)
+        return ForcingData(f=bulk_force, t=normal_stress, h=cosine,
+                           amplitude=amplitude / 3.0)
     raise ConfigError(f"unknown forcing preset {name!r}")
 
 
@@ -125,8 +121,8 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
                        p: PhysicalParams, c: ConstitutiveSet) -> YData:
     """Residual slots at ``state``: bulk momentum ``f``, J div_A u ``g`` and
     heat ``l``; at the top node stress ``k`` (pressure, Gamma, curvature,
-    Marangoni), kinematic ``h`` and heat flux ``m``.  The composed forcing
-    is evaluated at the images of the strip nodes under the flattening map.
+    Marangoni), kinematic ``h`` and heat flux ``m``.  The forcing sources
+    are evaluated at the images of the strip nodes under the flattening map.
 
     Pseudospectral: derivatives act on dealiased coefficients, products on
     the collocation grid, and each slot is truncated by the 2/3 rule, with
@@ -144,11 +140,12 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
     pres = to_phys(state.pres.data, grid)[0]
 
     def grad_A(f):
-        """d_i^A f = A[i, j] d_j f of one phys + (Nz,) field."""
+        """d_i^A f = d_i f + A[i, n-1] d_n f, no d_i f at i = n-1, of a phys + (Nz,) field."""
+        out = ff.a_last * vgrid.differentiate(f)
         coeff = dealias(to_coeff(f[None], grid), grid)
-        d = [to_phys(horiz_deriv(coeff, grid, ax), grid)[0] for ax in range(n - 1)]
-        d.append(vgrid.differentiate(f))
-        return np.einsum("ij...,j...->i...", ff.a_field, np.stack(d))
+        for ax in range(n - 1):
+            out[ax] += to_phys(horiz_deriv(coeff, grid, ax), grid)[0]
+        return out
 
     grad_A_psi = grad_A(psi)
     du_A = np.stack([grad_A(u[comp]) for comp in range(n)], axis=1)
@@ -203,27 +200,14 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
     # composed forcing
     amp = forcing.amplitude
     if not forcing.is_zero():
-        pts = flattening_points(ff, grid, vgrid)
+        pts = flattening_points(ff.eta_phys, grid, vgrid)
         surf_pts = pts[..., -1, :]
-        xp = grid.phys_points()
-        if forcing.f_bulk is not None:
-            f_term -= amp * np.asarray(forcing.f_bulk(pts))
-        if forcing.f_flat is not None:
-            f_term -= amp * np.asarray(forcing.f_flat(xp))[..., None]
-        tmat = 0.0
-        if forcing.t_bulk is not None:
-            tmat = tmat + np.asarray(forcing.t_bulk(surf_pts))
-        if forcing.t_flat is not None:
-            tmat = tmat + np.asarray(forcing.t_flat(xp))
-        if forcing.t_bulk is not None or forcing.t_flat is not None:
-            k_term += amp * np.einsum("ij...,j...->i...", tmat, Np)
-        hsum = 0.0
-        if forcing.h_bulk is not None:
-            hsum = hsum + np.asarray(forcing.h_bulk(surf_pts))
-        if forcing.h_flat is not None:
-            hsum = hsum + np.asarray(forcing.h_flat(xp))
-        if forcing.h_bulk is not None or forcing.h_flat is not None:
-            m_term -= amp * hsum
+        if forcing.f is not None:
+            f_term -= amp * np.asarray(forcing.f(pts))
+        if forcing.t is not None:
+            k_term += amp * np.einsum("ij...,j...->i...", np.asarray(forcing.t(surf_pts)), Np)
+        if forcing.h is not None:
+            m_term -= amp * np.asarray(forcing.h(surf_pts))
 
     def pack(arr, ndim):
         """Dealiased coefficients of a slot with ``ndim`` axes counting its
@@ -291,7 +275,7 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
     bad = validate_params(p)
     if bad:
         raise ConfigError("; ".join(bad))
-    forcing.validate(grid)
+    forcing.validate(grid, vgrid)
     cap = suggested_amplitude_cap(p)
     trace = SolveTrace(amplitude_used=forcing.amplitude)
     if forcing.amplitude > cap:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripwave import cli
+from stripwave import cli, fields
 from stripwave.cli import main, run
 from stripwave.config import RunConfig
 from stripwave.errors import ConfigError
@@ -191,6 +191,51 @@ def test_linear_solve_rejects_malformed_input_files(tmp_path, capsys, defect, me
     assert "Traceback" not in err
 
 
+def _edit_sidecar(edit):
+    def defect(indir):
+        path = indir / "g.csv.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return defect
+
+
+def _foreign_h(box_len, modes):
+    # h.csv of data on another grid
+    def defect(indir):
+        grid, vg = FrequencyGrid(1, box_len, modes), VerticalGrid(1.0, 24)
+        write_field_csv(str(indir / "h.csv"), apply_linear_operator(
+            make_random_state(grid, vg, seed=2), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)).h)
+    return defect
+
+
+@pytest.mark.parametrize("mode, defect, name", [
+    ("linear-solve", _edit_sidecar(lambda m: {k: v for k, v in m.items() if k != "dim_h"}), "g"),
+    ("linear-solve", _edit_sidecar(lambda m: {k: v for k, v in m.items() if k != "depth"}), "g"),
+    ("linear-solve", _edit_sidecar(lambda m: {**m, "modes": 5}), "g"),
+    ("linear-solve", _edit_sidecar(lambda m: {**m, "nz": 2}), "g"),
+    ("linear-solve", _edit_sidecar(lambda m: list(m)), "g"),
+    ("linear-solve", _edit_sidecar(lambda m: {**m, "comps": 7}), "g"),
+    ("norms", _foreign_h(8 * np.pi, 16), "h"),
+    ("linear-solve", _foreign_h(8 * np.pi, 16), "h"),
+    ("linear-solve", _foreign_h(6 * np.pi, 32), "h"),
+], ids=["no-dim_h", "no-depth", "modes-5", "nz-2", "json-list", "comps-7",
+        "norms-box", "linear-box", "linear-modes"])
+def test_malformed_or_mixed_grid_input_exits_2(tmp_path, capsys, mode, defect, name):
+    # a sidecar that lacks a key, holds a rejected grid or count or is no
+    # object, and a data file from another grid are config errors naming
+    # the file: exit 2, not a traceback, a silent failure or a mixed report
+    grid, vg = FrequencyGrid(1, 6 * np.pi, 16), VerticalGrid(1.0, 24)
+    indir = tmp_path / "ydata"
+    write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
+                                                      PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    defect(indir)
+    path = _write_cfg(tmp_path, {"mode": mode, "input": str(indir), "out": str(tmp_path / "out"),
+                                 "grid": {"box_len": 6 * np.pi, "modes": 16, "nz": 24}})
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {indir / name}.csv: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dim, mode_index, grid", [(2, 2, {"modes": 32, "nz": 24}),
                                                    (3, 1, {"modes": 16, "nz": 24})])
 def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, dim,
@@ -203,16 +248,16 @@ def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, di
         written.append((path, field.copy()))
         return write_field_csv(path, field)
 
-    monkeypatch.setattr(cli, "write_field_csv", record)
-    nl = str(tmp_path / "nl")
-    assert run(RunConfig.from_dict({
-        "mode": "nonlinear-solve", "out": nl, "grid": grid, "params": {"dim": dim},
-        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": mode_index}})) == 0
     fgrid = FrequencyGrid(dim - 1, 2 * np.pi * 10, grid["modes"])
     vg = VerticalGrid(1.0, grid["nz"])
     indir = str(tmp_path / "ydata")
     write_ydata_csv(indir, apply_linear_operator(
         make_random_state(fgrid, vg, seed=4, jmax=3), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)))
+    monkeypatch.setattr(fields, "write_field_csv", record)
+    nl = str(tmp_path / "nl")
+    assert run(RunConfig.from_dict({
+        "mode": "nonlinear-solve", "out": nl, "grid": grid, "params": {"dim": dim},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": mode_index}})) == 0
     assert run(RunConfig.from_dict({
         "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": indir,
         "grid": grid, "params": {"dim": dim}})) == 0

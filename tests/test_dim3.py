@@ -80,15 +80,59 @@ def test_oblique_forcing_3d(setup3):
     _, inv = setup3
     xi0 = 2 / GRID.box_len
 
-    def h_flat(xp):
-        return np.cos(2 * np.pi * xi0 * (xp[..., 0] + xp[..., 1]))
+    def heat(pts):
+        return np.cos(2 * np.pi * xi0 * (pts[..., 0] + pts[..., 1]))
 
-    forcing = ForcingData(h_flat=h_flat, amplitude=1e-3)
+    forcing = ForcingData(h=heat, amplitude=1e-3)
     trace = picard_solve(forcing, P3, C3, GRID, VG, inverter=inv)
     assert trace.converged
     assert abs(trace.state.eta.data[0, 2, 2]) > 0
     back = nonlinear_residual(trace.state, forcing, P3, C3)
     assert ydata_norm(back) <= 1e-9
+
+
+def _oblique_forcing(j, box_len, amplitude):
+    # f along x_1 with a Gaussian depth profile, a normal-normal stress and
+    # a sine heat flux, all at the wavevector j
+    def phase(pts):
+        return 2 * np.pi * (j[0] * pts[..., 0] + j[1] * pts[..., 1]) / box_len
+
+    def force(pts):
+        out = np.zeros((3,) + pts.shape[:-1])
+        out[0] = np.cos(phase(pts)) * np.exp(-((pts[..., -1] - 0.5) / 0.25) ** 2)
+        return out
+
+    def stress(pts):
+        out = np.zeros((3, 3) + pts.shape[:-1])
+        out[2, 2] = np.cos(phase(pts))
+        return out
+
+    return ForcingData(f=force, t=stress, h=lambda pts: np.sin(phase(pts)),
+                       amplitude=amplitude)
+
+
+# the converged residuals at modes 16 are roundoff, whose spectra are white
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
+def test_mirror_in_x2_3d():
+    # the forcings at (2, 1) and (2, -1) are mirrors under x_2 -> -x_2, and
+    # the transport acts along x_1 alone, so their solutions are mirrors
+    # (k2 -> -k2) with u_2 negated; u_2 is nonzero, so the transverse solve
+    # runs inside the Picard iteration
+    grid, vg = FrequencyGrid(2, 6 * np.pi, 16), VerticalGrid(1.0, 24)
+    states = []
+    for j in ((2, 1), (2, -1)):
+        inv = LinearInverter(SymbolTable(grid, vg, P3))
+        trace = picard_solve(_oblique_forcing(j, grid.box_len, 1e-3), P3, C3, grid, vg,
+                             inverter=inv)
+        assert trace.converged
+        states.append(trace.state)
+    plus, minus = states
+    assert np.abs(plus.u.data[1]).max() > 0
+    for a, b in zip(plus.parts(), minus.parts()):
+        mirror = np.roll(np.flip(a.data, axis=2), 1, axis=2)
+        if a is plus.u:
+            mirror[1] *= -1
+        assert np.abs(mirror - b.data).max() <= 1e-13 * np.abs(b.data).max()
 
 
 def test_eulerian_sampler_3d(setup3):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stripwave.errors import ConfigError
-from stripwave.fields import (SpectralField, SurfaceSpectral, YData, conjugate_mirror,
-                              read_field_csv, read_ydata_csv, write_csv,
+from stripwave.fields import (PartMismatch, SpectralField, SurfaceSpectral, YData,
+                              conjugate_mirror, read_field_csv, read_ydata_csv, write_csv,
                               write_field_csv, write_json, write_ydata_csv)
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.ops import lattice_sum, to_coeff, to_phys
@@ -223,6 +223,21 @@ def test_ydata_shape_contracts():
             h=SurfaceSpectral.zeros(grid, 1),
             m=SurfaceSpectral.zeros(grid, 1),
         )
+
+
+def test_field_tuple_parts_share_grids():
+    # every part on the first part's frequency grid, every bulk part on its
+    # vertical grid; the error names the first part that is not
+    from stripwave.linear import LinearState
+    grid, vg = FrequencyGrid(1, 2.5, 8), VerticalGrid(0.9, 6)
+    state = LinearState.zeros(grid, vg)
+    with pytest.raises(PartMismatch, match="^eta: grids") as err:
+        LinearState(state.u, state.psi, state.pres, SurfaceSpectral.zeros(FrequencyGrid(1, 3.0, 8)))
+    assert err.value.part == "eta"
+    with pytest.raises(PartMismatch, match="^psi: grids"):
+        LinearState(state.u, SpectralField.zeros(grid, VerticalGrid(0.9, 8)), state.pres, state.eta)
+    with pytest.raises(PartMismatch, match="^u: 1 components, expected 2"):
+        LinearState(SpectralField.zeros(grid, vg), state.psi, state.pres, state.eta)
 
 
 @pytest.mark.parametrize("dim_h,modes", [(1, 16), (1, 256), (2, 8), (2, 32)])

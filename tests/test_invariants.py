@@ -145,6 +145,6 @@ def test_linear_state_axpy_and_copy():
 
 def test_forcing_is_zero_logic():
     assert ForcingData().is_zero()
-    assert ForcingData(h_flat=lambda xp: 0 * xp[..., 0], amplitude=0.0).is_zero()
-    assert not ForcingData(h_flat=lambda xp: 0 * xp[..., 0],
+    assert ForcingData(h=lambda xp: 0 * xp[..., 0], amplitude=0.0).is_zero()
+    assert not ForcingData(h=lambda xp: 0 * xp[..., 0],
                            amplitude=1.0).is_zero()

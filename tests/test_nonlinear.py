@@ -14,7 +14,7 @@ from stripwave.nonlinear import (ForcingData, eulerian_grid_samples,
                                  suggested_amplitude_cap)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import SymbolTable
-from stripwave.ops import lattice_sum
+from stripwave.ops import dealias, lattice_sum, to_coeff, to_phys
 from stripwave.params import ConstitutiveSet, PhysicalParams, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -91,13 +91,15 @@ def test_residual_rejects_nonsymmetric_gamma():
 
 @pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
 @pytest.mark.parametrize("grid, vg, guard", [
-    (GRID, VG, 60),
-    (FrequencyGrid(2, 2 * np.pi * 3, 24), VerticalGrid(1.0, 28), 100),
+    (GRID, VG, 48),
+    (FrequencyGrid(2, 2 * np.pi * 3, 24), VerticalGrid(1.0, 28), 63),
 ], ids=["2d", "3d"])
 def test_residual_peak_memory(grid, vg, guard):
-    # the residual differentiates one scalar field at a time: its traced
-    # peak, in real fields of phys_shape + (Nz,), is 46.9 in 2D and 71.4 in
-    # 3D; holding every partial of every component at once breaks the guard
+    # the residual differentiates one scalar field at a time and twists it
+    # with the last column of A alone: its traced peak, in real fields of
+    # phys_shape + (Nz,), is 43.2 in 2D and 59.5 in 3D; holding every
+    # partial of every component at once, or all n x n entries of A, breaks
+    # the guard
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, grid.dim_h + 1)
     c = make_constitutive(p, visc="tempdep", heat="tempdep", sigma="smooth")
     st = _scaled(make_random_state(grid, vg, seed=5, jmax=5, eta_scale=0.5), 1e-2)
@@ -182,18 +184,40 @@ def test_aliasing_warning_on_rough_state():
 
 
 def test_forcing_validation():
-    sharp = ForcingData(h_flat=lambda xp: np.sign(np.cos(xp[..., 0])),
-                        amplitude=1e-3)
-    with pytest.raises(ConfigError):
-        sharp.validate(GRID)
-    make_forcing_preset("heat-only", 1e-3, GRID, 1.0).validate(GRID)
+    make_forcing_preset("mixed", 1e-3, GRID, 1.0).validate(GRID, VG)
+    # at rest f is checked at the strip points and t, h at the surface x_n = b
+    seen = {}
+
+    def heat(pts):
+        seen["h"] = pts[..., -1]
+        return np.cos(pts[..., 0])
+
+    ForcingData(f=lambda pts: np.stack([pts[..., -1]] * 2), h=heat).validate(GRID, VG)
+    assert seen["h"].shape == GRID.phys_shape and np.all(seen["h"] == VG.depth)
+
+
+def _sharp(pts):
+    return np.sign(np.cos(pts[..., 0]))
+
+
+@pytest.mark.parametrize("forcing, name", [
+    (ForcingData(h=_sharp), "h"),
+    (ForcingData(t=lambda pts: np.stack([np.stack([_sharp(pts)] * 2)] * 2)), "t"),
+    (ForcingData(f=lambda pts: np.stack([_sharp(pts)] * 2)), "f"),
+    (ForcingData(h=lambda pts: np.cos(pts[..., 0])[None]), "h"),
+    (ForcingData(t=lambda pts: np.stack([np.cos(pts[..., 0])] * 2)), "t"),
+    (ForcingData(f=lambda pts: np.cos(pts[..., 0])), "f"),
+    (ForcingData(h=lambda pts: np.cos(pts[..., 0]) / 0.0), "h"),
+], ids=["sharp-h", "sharp-t", "sharp-f", "shape-h", "shape-t", "shape-f", "inf-h"])
+def test_forcing_validation_names_the_source(forcing, name):
+    with np.errstate(divide="ignore"), pytest.raises(ConfigError, match=f"source {name} "):
+        forcing.validate(GRID, VG)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_depth_free_bulk_forcing_matches_flat(dim):
-    # a bulk source that ignores the vertical coordinate is the flat source
-    # of the same horizontal function: f_flat against f_bulk, t_bulk against
-    # t_flat and h_bulk against h_flat, at a state with a nonzero surface
+def test_each_source_changes_residual(dim):
+    # at a state with a nonzero surface each source moves the residual, and
+    # a heat flux that reads y_n is taken at the free surface y_n = b + eta
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid = FrequencyGrid(dim - 1, 2 * np.pi * 3, 32 if dim == 2 else 16)
     vg = VerticalGrid(1.0, 12)
@@ -203,32 +227,32 @@ def test_depth_free_bulk_forcing_matches_flat(dim):
     n = dim
     phase = 2 * np.pi / grid.box_len
 
-    def angle(h):
-        return phase * (h[..., 0] + (h[..., 1] if dim == 3 else 0.0))
+    def angle(pts):
+        return phase * (pts[..., 0] + (pts[..., 1] if dim == 3 else 0.0))
 
-    def vec(h):
-        return np.stack([np.cos(angle(h) + i) for i in range(n)])
+    def vec(pts):
+        return np.stack([np.cos(angle(pts) + i) for i in range(n)])
 
-    def mat(h):
-        return np.stack([np.stack([np.sin(angle(h) + i + 2 * j) for j in range(n)])
+    def mat(pts):
+        return np.stack([np.stack([np.sin(angle(pts) + i + 2 * j) for j in range(n)])
                          for i in range(n)])
 
-    def scal(h):
-        return np.cos(angle(h) - 0.5)
+    def heat(pts):
+        return np.cos(angle(pts) - 0.5) * pts[..., -1]
 
-    def bulk(fn):
-        return lambda pts: fn(pts[..., :-1])
-
+    amp = 1e-3
     unforced = nonlinear_residual(st, ForcingData(), p, c)
-    for flat, other in ((ForcingData(f_flat=vec), ForcingData(f_bulk=bulk(vec))),
-                        (ForcingData(t_flat=mat), ForcingData(t_bulk=bulk(mat))),
-                        (ForcingData(h_flat=scal), ForcingData(h_bulk=bulk(scal)))):
-        flat.amplitude = other.amplitude = 1e-3
-        ref = nonlinear_residual(st, flat, p, c)
-        got = nonlinear_residual(st, other, p, c)
-        assert ydata_norm(ref.copy().axpy(-1.0, unforced)) > 0
-        for a, b in zip(got.parts(), ref.parts()):
-            assert np.abs(a.data - b.data).max() <= 1e-14 * np.abs(b.data).max()
+    for forcing in (ForcingData(f=vec), ForcingData(t=mat), ForcingData(h=heat)):
+        forcing.amplitude = amp
+        moved = nonlinear_residual(st, forcing, p, c).axpy(-1.0, unforced)
+        assert ydata_norm(moved) > 0
+    # the heat flux moves the m slot alone, by its samples at b + eta
+    surf = np.concatenate([grid.phys_points(),
+                           (vg.depth + to_phys(st.eta.data, grid)[0])[..., None]], axis=-1)
+    expect = dealias(to_coeff(-amp * heat(surf)[None], grid), grid)
+    assert np.abs(moved.m.data - expect).max() <= 1e-14 * np.abs(unforced.m.data).max()
+    for part in moved.parts()[:-1]:
+        assert np.abs(part.data).max() == 0.0
 
 
 def test_unknown_preset():
@@ -295,7 +319,7 @@ def test_picard_translation_symmetry(inverter):
 
     forcing = make_forcing_preset("heat-only", amp, GRID, 1.0, mode_index=j0)
     shifted = ForcingData(
-        h_flat=lambda xp: np.cos(2 * np.pi * xi0 * (xp[..., 0] - shift)),
+        h=lambda pts: np.cos(2 * np.pi * xi0 * (pts[..., 0] - shift)),
         amplitude=amp)
     tr = picard_solve(forcing, P1, C_SMOOTH, GRID, VG,
                       inverter=inverter)
