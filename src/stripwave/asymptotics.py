@@ -129,8 +129,8 @@ def fit_lf_coefficient(selector: str, p: PhysicalParams, vgrid: VerticalGrid,
 class ClaimRow:
     claim: str
     predicted: float | None
-    fitted: float
-    margin: float
+    fitted: float | None
+    margin: float | None
     verdict: str
     detail: dict = field(default_factory=dict)
 
@@ -180,19 +180,22 @@ def _claim_rows(names, measure, table: SymbolTable, refined: SymbolTable | None,
     table t and whether its regime has lattice points.  A row passes when
     its regime has points and its value is finite and positive, and, with a
     refined table, when the refined value is positive and drifts from it by
-    at most stability_tol relative."""
+    at most stability_tol relative.  A value on a table with no lattice
+    points in its regime is None, null in the JSON report."""
     values, hits = measure(table)
-    fine = None if refined is None else measure(refined)[0]
+    fine = None if refined is None else measure(refined)
     rows = []
     for i, name in enumerate(names):
-        val = float(values[i])
-        ok = bool(hits[i]) and np.isfinite(val) and val > 0
+        val = float(values[i]) if hits[i] else None
+        ok = val is not None and np.isfinite(val) and val > 0
         detail = {} if hits[i] else {"note": note}
         if fine is not None:
-            refined_val = float(fine[i])
-            drift = abs(refined_val - val) / max(abs(val), 1e-300)
+            refined_val = float(fine[0][i]) if fine[1][i] else None
+            drift = None if None in (val, refined_val) \
+                else abs(refined_val - val) / max(abs(val), 1e-300)
             detail.update(refined=refined_val, drift=drift)
-            ok = ok and np.isfinite(drift) and drift <= stability_tol and refined_val > 0
+            ok = ok and drift is not None and np.isfinite(drift) \
+                and drift <= stability_tol and refined_val > 0
         rows.append(ClaimRow(name, None, val, val, "pass" if ok else "fail", detail))
     return rows
 
@@ -202,8 +205,7 @@ def check_rho_bounds(table: SymbolTable, refined: SymbolTable | None = None,
     """Infima of |rho|^2 over its two lower-bound envelopes."""
 
     def infima(t):
-        vecs = t.grid.xi_vectors()
-        mag2 = (vecs ** 2).sum(axis=-1)
+        vecs, mag2 = t.grid.xi_vectors, t.grid.xi2
         rho2 = np.abs(t.rho) ** 2
         low = (mag2 > 0) & (mag2 <= 1.0)
         high = mag2 > 1.0
@@ -238,9 +240,8 @@ def check_highfreq_decay(table: SymbolTable, refined: SymbolTable | None = None,
     """Suprema of the five decay ratios over 1 < |xi| <= xi_max."""
 
     def suprema(t):
-        m2 = (t.grid.xi_vectors() ** 2).sum(axis=-1)
-        high = m2 > 1.0
-        y, m2 = t.y[high], m2[high]
+        high = t.grid.xi2 > 1.0
+        y, m2 = t.y[high], t.grid.xi2[high]
         sups = [np.max(fn(y, t.vgrid.weights, m2), initial=0.0) for _, fn in _DECAY_CHECKS]
         return sups, [high.any()] * len(sups)
 

@@ -48,7 +48,7 @@ def _record_solves(summary: dict, grid, **solved_by):
     for name, solved in solved_by.items():
         if solved.backend is None:
             continue
-        half = list(solved.backend[grid.half_mask()])
+        half = list(solved.backend[grid.half_mask])
         worst = np.unravel_index(np.argmax(solved.cond), solved.cond.shape)
         summary[f"{name}_solved"] = {b: half.count(b) for b in ("matexp", "collocation")}
         summary[f"{name}_max_cond"] = float(solved.cond[worst])
@@ -87,9 +87,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         _record_solves(summary, grid, table=table)
         # the half-lattice rows of the field CSVs: xi, the surface traces of
         # psi, delta and q, rho, the backend and its condition estimate
-        half = grid.half_mask()
+        half = grid.half_mask
         header = [f"xi{i+1}" for i in range(grid.dim_h)]
-        columns = list(grid.xi_vectors()[half].T)
+        columns = list(grid.xi_vectors[half].T)
         surf = table.y[half][..., -1]
         for name, val in (("om_vn_surf", surf[:, 1]), ("om_temp_surf", surf[:, 2]),
                           ("om_q_surf", surf[:, 3]), ("rho", table.rho[half])):
@@ -97,7 +97,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             columns += [val.real, val.imag]
         write_csv(os.path.join(outdir, "symbols.csv"), header + ["backend", "cond"],
                   columns + [table.backend[half], table.cond[half]])
-        neg = (grid.xi_magnitude() > 0) & (table.y[..., 1, -1].real >= 0)
+        neg = (grid.xi2 > 0) & (table.y[..., 1, -1].real >= 0)
         summary["rows"] = int(half.sum())
         summary["re_om_vn_negative"] = not neg.any()
         summary["ok"] = not neg.any()

@@ -38,9 +38,9 @@ def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray
 
 
 def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
-    """Keep ``data`` on grid.half_mask() and put conj(data(-xi)) (data(-xi)
+    """Keep ``data`` on grid.half_mask and put conj(data(-xi)) (data(-xi)
     for an object array) at the other indices of the self-paired planes."""
-    half = on_lattice(grid.half_mask(), data.ndim, first)
+    half = on_lattice(grid.half_mask, data.ndim, first)
     mirror = reflect(data, grid, first)
     return np.where(half, data, mirror if data.dtype == object else np.conj(mirror))
 
@@ -227,7 +227,7 @@ def write_json(path, payload):
 def write_field_csv(path, field):
     """Write a lattice field as CSV rows of (component, xi indices, node
     index) with re/im columns, one per index of the half lattice
-    grid.half_mask() in C order, and its grids to the JSON sidecar
+    grid.half_mask in C order, and its grids to the JSON sidecar
     path + ".json", which says ``"layout": "half"``; its ``real_flag`` is
     always true (every field is real)."""
     grid = field.grid
@@ -239,7 +239,7 @@ def write_field_csv(path, field):
             "kind": "bulk" if bulk else "surface"}
     if bulk:
         meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
-    half = on_lattice(grid.half_mask(), field.data.ndim)
+    half = on_lattice(grid.half_mask, field.data.ndim)
     index = np.nonzero(np.broadcast_to(half, field.data.shape))
     values = field.data[index]
     write_csv(path, header, [*index, values.real, values.imag])
@@ -282,6 +282,8 @@ def read_field_csv(path):
         raise ConfigError(f"{path}: unknown layout {layout!r}")
     try:
         grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
+        if meta["kind"] not in ("bulk", "surface"):
+            raise ValueError(f"kind must be 'bulk' or 'surface', got {meta['kind']!r}")
         bulk = meta["kind"] == "bulk"
         vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
         # rows index the whole lattice; a half file's lie on its half
@@ -294,7 +296,7 @@ def read_field_csv(path):
             raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "
                               f"expected {len(shape) + 2}")
         half = np.zeros(grid.phys_shape, dtype=bool)
-        half[:grid.modes // 2 + 1] = grid.half_mask()
+        half[:grid.modes // 2 + 1] = grid.half_mask
         rows = on_lattice(half, len(shape)) if layout == "half" else True
         index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
         data[index] = table[:, -2] + 1j * table[:, -1]

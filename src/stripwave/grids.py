@@ -59,6 +59,15 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
     return w
 
 
+def _is_integer(value) -> bool:
+    """An integer and no bool, as a JSON true is no number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def barycentric_weights_lobatto(n: int) -> np.ndarray:
     w = (-1.0) ** np.arange(n + 1)
     w[0] *= 0.5
@@ -78,9 +87,9 @@ class VerticalGrid:
     diff: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.depth < np.inf:
-            raise ValueError("depth must be positive and finite")
-        if not isinstance(self.count, (int, np.integer)):
+        if not _is_real(self.depth) or not 0 < self.depth < np.inf:
+            raise ValueError(f"depth must be a positive and finite number, got {self.depth!r}")
+        if not _is_integer(self.count):
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 4:
             raise ValueError("need at least four vertical nodes")
@@ -126,21 +135,57 @@ class FrequencyGrid:
     """Periodic lattice {j/L} per horizontal direction, stored on its half:
     the fields are real, so, as in real-data FFTs, the first axis holds
     k1 = 0 .. modes/2 and every other axis all modes in FFT order.  Every
-    per-lattice array of the package has shape ``freq_shape``."""
+    per-lattice array of the package has shape ``freq_shape``.
+
+    Its tables are built once and are read-only: ``xi_axes``, j/L per
+    stored axis (Nyquist at +modes/2); ``xi_vectors``, shape freq_shape +
+    (dim_h,); ``xi2``, |xi|^2 as their sum of squares; ``pair_weight``, the
+    lattice points each stored index stands for (1 on the planes k1 = 0 and
+    modes/2, 2 elsewhere, broadcasting over freq_shape); ``dealias_mask``,
+    the modes the 2/3 rule keeps (|j| <= modes//3 per axis); ``half_mask``,
+    the half lattice, True at idx iff idx <= -idx (mod modes) in
+    lexicographic order.  It holds one index of every +-xi pair and the
+    self-paired ones (xi = 0 and the Nyquist indices): every stored index
+    off the planes k1 = 0 and modes/2, and half of each plane, whose other
+    half holds the conjugates.  The per-frequency solves visit these
+    frequencies, in the order of np.nonzero."""
 
     dim_h: int
     box_len: float
     modes: int
+    # derived from the three parameters, so equality and hashing leave them out
+    xi_axes: tuple = field(init=False, repr=False, compare=False)
+    xi_vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    xi2: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    half_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim_h not in (1, 2):
-            raise ValueError("dim_h must be 1 or 2")
-        if not 0 < self.box_len < np.inf:
-            raise ValueError("box_len must be positive and finite")
-        if not isinstance(self.modes, (int, np.integer)):
+        if not _is_integer(self.dim_h) or self.dim_h not in (1, 2):
+            raise ValueError(f"dim_h must be the integer 1 or 2, got {self.dim_h!r}")
+        if not _is_real(self.box_len) or not 0 < self.box_len < np.inf:
+            raise ValueError(f"box_len must be a positive and finite number, got {self.box_len!r}")
+        if not _is_integer(self.modes):
             raise ValueError(f"modes must be an integer, got {self.modes!r}")
         if self.modes < 4 or self.modes % 2:
             raise ValueError("modes must be even and at least 4")
+        half, j = self.modes // 2, np.arange(self.modes)
+        # the signed lattice index j per stored axis
+        index = (j[:half + 1],) + (np.where(j > half, j - self.modes, j),) * (self.dim_h - 1)
+        keep = [np.abs(k) <= self.modes // 3 for k in index]
+        xi_axes = tuple(k / self.box_len for k in index)
+        xi_vectors = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1)
+        pair = np.where(index[0] % half, 2.0, 1.0).reshape((-1,) + (1,) * (self.dim_h - 1))
+        tables = dict(xi_axes=xi_axes, xi_vectors=xi_vectors,
+                      xi2=(xi_vectors ** 2).sum(axis=-1), pair_weight=pair,
+                      dealias_mask=np.logical_and.outer(*keep) if self.dim_h == 2 else keep[0],
+                      # off the planes all, on them k2 = 0 .. modes/2 (all in dim_h 1)
+                      half_mask=(pair == 2) | (index[-1] >= 0))
+        for name, table in tables.items():
+            for arr in table if isinstance(table, tuple) else (table,):
+                arr.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def freq_shape(self) -> tuple:
@@ -158,23 +203,6 @@ class FrequencyGrid:
     def xi_max(self) -> float:
         return self.modes / (2.0 * self.box_len)
 
-    def _indices(self) -> tuple:
-        """Signed lattice index j per stored axis (Nyquist at +modes/2)."""
-        j = np.arange(self.modes)
-        full = np.where(j > self.modes // 2, j - self.modes, j)
-        return (j[:self.modes // 2 + 1],) + (full,) * (self.dim_h - 1)
-
-    def xi_axes(self) -> tuple:
-        """The lattice values j/L along each stored axis."""
-        return tuple(j / self.box_len for j in self._indices())
-
-    def xi_vectors(self) -> np.ndarray:
-        """Array of shape freq_shape + (dim_h,) with the lattice vectors."""
-        return np.stack(np.meshgrid(*self.xi_axes(), indexing="ij"), axis=-1)
-
-    def xi_magnitude(self) -> np.ndarray:
-        return np.sqrt((self.xi_vectors() ** 2).sum(axis=-1))
-
     def nodes_1d(self) -> np.ndarray:
         return self.box_len * np.arange(self.modes) / self.modes
 
@@ -182,32 +210,6 @@ class FrequencyGrid:
         """Collocation points, shape phys_shape + (dim_h,)."""
         x = self.nodes_1d()
         return np.stack(np.meshgrid(*[x] * self.dim_h, indexing="ij"), axis=-1)
-
-    def half_mask(self) -> np.ndarray:
-        """The half lattice: True at idx iff idx <= -idx (mod modes) in
-        lexicographic order.
-
-        This picks one index of every +-xi pair, plus the self-paired ones
-        (xi = 0 and the Nyquist indices): every stored index off the planes
-        k1 = 0 and modes/2, and half of each plane, whose other half holds
-        the conjugates.  The per-frequency solves visit these frequencies,
-        in the order of np.nonzero.
-        """
-        if self.dim_h == 1:
-            return np.ones(self.modes // 2 + 1, dtype=bool)
-        return (self.pair_weight() == 2) | (np.arange(self.modes) <= self.modes // 2)
-
-    def pair_weight(self) -> np.ndarray:
-        """The lattice points each stored index stands for, 1 on the planes
-        k1 = 0 and modes/2 and 2 elsewhere, broadcasting over freq_shape."""
-        w = np.full(self.modes // 2 + 1, 2.0)
-        w[[0, -1]] = 1.0
-        return w.reshape((-1,) + (1,) * (self.dim_h - 1))
-
-    def dealias_mask(self) -> np.ndarray:
-        """True on modes kept by the 2/3 rule (per axis |j| <= modes//3)."""
-        keep = [np.abs(j) <= self.modes // 3 for j in self._indices()]
-        return np.logical_and.outer(*keep) if self.dim_h == 2 else keep[0]
 
     def cell_volume(self) -> float:
         return (self.box_len / self.modes) ** self.dim_h

@@ -39,7 +39,7 @@ from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
                         SymbolTable, forcing_rows, transverse_factor,
                         transverse_solve)
-from .ops import horiz_deriv, xi_multipliers
+from .ops import horiz_deriv, on_lattice
 from .params import PhysicalParams
 
 
@@ -89,9 +89,8 @@ def state_norm(state: LinearState) -> float:
 
 def _unit_xi(grid: FrequencyGrid):
     """xi/|xi| per lattice point; at xi = 0 the first horizontal axis."""
-    vecs = grid.xi_vectors()
-    mag = np.sqrt((vecs ** 2).sum(axis=-1))
-    unit = vecs / np.where(mag > 0, mag, 1.0)[..., None]
+    mag = np.sqrt(grid.xi2)
+    unit = grid.xi_vectors / np.where(mag > 0, mag, 1.0)[..., None]
     unit[(0,) * (grid.dim_h + 1)] = 1.0
     return unit, mag
 
@@ -100,7 +99,6 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
     u, psi, pres, eta = state.u.data, state.psi.data, state.pres.data, state.eta.data
-    mults = xi_multipliers(grid)
 
     def dh(arr, ax):
         return horiz_deriv(arr, grid, ax)
@@ -111,8 +109,9 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
         g = g + dh(u[ax:ax + 1], ax)
 
     lap_u = vgrid.differentiate(du_n)
-    xi2 = sum(np.abs(m.reshape(m.shape + (1,) * (u.ndim - 1 - m.ndim))) ** 2
-              for m in mults)
+    # |2 pi xi|^2 as the squares of horiz_deriv's factors
+    xi2 = sum(on_lattice((2.0 * np.pi * xi) ** 2, u.ndim, 1 + ax)
+              for ax, xi in enumerate(grid.xi_axes))
     lap_u = lap_u - xi2 * u
 
     grad_g = np.concatenate([dh(g, ax) for ax in range(grid.dim_h)]
@@ -197,10 +196,9 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
     grid = pairing.grid
     p = table.params
     rho = table.rho
-    vecs = grid.xi_vectors()
-    mag2 = (vecs ** 2).sum(axis=-1)
+    mag2 = grid.xi2
     scale = p.grav + p.sigma0 * 4.0 * np.pi ** 2 * mag2 \
-        + 2.0 * np.pi * np.abs(p.gamma * vecs[..., 0])
+        + 2.0 * np.pi * np.abs(p.gamma * grid.xi_vectors[..., 0])
     nz = (mag2 > 0) & table.solved
     for error, what, at in (
             (RhoVanishing, "|rho| ~ 0", (np.abs(rho) <= 1e-13 * scale) & nz),
@@ -245,7 +243,7 @@ class LinearInverter:
         self.backend = None
         self.cond = None
         # the half-lattice frequencies of the stack and of the transverse factors
-        self._prepared = np.zeros(int(table.grid.half_mask().sum()), dtype=bool)
+        self._prepared = np.zeros(int(table.grid.half_mask.sum()), dtype=bool)
         self._factored = self._prepared.copy()
         self._stack = self._factors = None
 
@@ -259,8 +257,8 @@ class LinearInverter:
         f_long = _long_amplitude(fd, grid)
         k_long = _long_amplitude(kd, grid)
 
-        half = np.nonzero(grid.half_mask())
-        xis = grid.xi_vectors()[half]
+        half = np.nonzero(grid.half_mask)
+        xis = grid.xi_vectors[half]
         unit = unit[half]                                 # (K, dim_h)
         z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag[half], f_long[half],
                             fd[n - 1][half], data.g.data[0][half],

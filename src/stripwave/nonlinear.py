@@ -158,7 +158,7 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
 
     # div_A Gamma_j = d_i^A Gamma[i, j], div_A phi = d_j^A phi_j
     div_A_gamma = np.zeros((n,) + psi.shape)
-    for i, j in zip(*np.triu_indices(n)):
+    for i, j in ((i, j) for i in range(n) for j in range(i, n)):
         d = grad_A(gamma_p[i, j])
         div_A_gamma[j] += d[i]
         if i < j:

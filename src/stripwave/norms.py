@@ -29,7 +29,7 @@ DEFAULT_ZERO_MODE_TOL = 1e-10
 def _lattice_norm(grid, power) -> float:
     """sqrt(L^dim_h sum of ``power``, shape (comps,) + freq_shape), each
     stored index counted for the pair_weight lattice points it stands for."""
-    return float(np.sqrt(grid.box_volume() * float((grid.pair_weight() * power).sum())))
+    return float(np.sqrt(grid.box_volume() * float((grid.pair_weight * power).sum())))
 
 
 def sobolev_norm(field: SpectralField, s: int) -> float:
@@ -38,10 +38,9 @@ def sobolev_norm(field: SpectralField, s: int) -> float:
         raise ValueError("bulk Sobolev order must be a nonnegative integer")
     s = int(s)
     grid, vgrid = field.grid, field.vgrid
-    xi2 = grid.xi_magnitude() ** 2
     power, dz = 0.0, field.data
     for j in range(s + 1):
-        power = power + (1.0 + xi2) ** (s - j) * ((np.abs(dz) ** 2) @ vgrid.weights)
+        power = power + (1.0 + grid.xi2) ** (s - j) * ((np.abs(dz) ** 2) @ vgrid.weights)
         if j < s:
             dz = vgrid.differentiate(dz)
     return _lattice_norm(grid, power)
@@ -49,16 +48,15 @@ def sobolev_norm(field: SpectralField, s: int) -> float:
 
 def surface_sobolev_norm(field: SurfaceSpectral, t: float) -> float:
     """H^t norm on the flat surface, any real t."""
-    weight = (1.0 + field.grid.xi_magnitude() ** 2) ** t
+    weight = (1.0 + field.grid.xi2) ** t
     return _lattice_norm(field.grid, weight * np.abs(field.data) ** 2)
 
 
 def anisotropic_weight(grid, t: float) -> np.ndarray:
     """The piecewise weight w_t on the lattice (0 at xi = 0)."""
-    vecs = grid.xi_vectors()
-    mag2 = (vecs ** 2).sum(axis=-1)
+    mag2 = grid.xi2
     inner = (mag2 > 0) & (mag2 < 1.0)
-    return np.where(inner, (vecs[..., 0] ** 2 + mag2 ** 2) / np.where(inner, mag2, 1.0),
+    return np.where(inner, (grid.xi_vectors[..., 0] ** 2 + mag2 ** 2) / np.where(inner, mag2, 1.0),
                     np.where(mag2 >= 1.0, (1.0 + mag2) ** t, 0.0))
 
 
@@ -77,7 +75,7 @@ def hdot_neg1(field: SurfaceSpectral, zero_mode_tol: float = DEFAULT_ZERO_MODE_T
     zero = (slice(None),) + (0,) * grid.dim_h
     if np.abs(field.data[zero]).max() > zero_mode_tol:
         return float("inf")
-    mag2 = grid.xi_magnitude() ** 2
+    mag2 = grid.xi2
     inv = np.where(mag2 > 0, 1.0 / np.where(mag2 > 0, mag2, 1.0), 0.0)
     return _lattice_norm(grid, inv * np.abs(field.data) ** 2)
 

@@ -673,15 +673,15 @@ class SymbolTable:
     @classmethod
     def build(cls, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
-        return cls(grid, vgrid, p, split, cond_limit).solve(grid.half_mask())
+        return cls(grid, vgrid, p, split, cond_limit).solve(grid.half_mask)
 
     def solve(self, mask: np.ndarray) -> "SymbolTable":
         """Solve the half-lattice frequencies of the lattice mask ``mask``
         not solved yet, as one ``symbol_profiles`` call, and mirror them."""
         grid, p = self.grid, self.params
-        new = mask & grid.half_mask() & ~self.solved
+        new = mask & grid.half_mask & ~self.solved
         if new.any():
-            xis = grid.xi_vectors()[new]
+            xis = grid.xi_vectors[new]
             Y, self.backend[new], self.cond[new] = symbol_profiles(
                 xis, p, self.vgrid, self.split, self.cond_limit)
             self.y[new], self.rho[new] = Y, rho_of(p, xis, Y[:, 1, -1])

@@ -18,15 +18,9 @@ def on_lattice(arr: np.ndarray, ndim: int, first: int = 1) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def xi_multipliers(grid: FrequencyGrid):
-    """2*pi*i*xi factors per horizontal axis, broadcastable over freq_shape."""
-    return tuple(on_lattice(2j * np.pi * xi, grid.dim_h, ax)
-                 for ax, xi in enumerate(grid.xi_axes()))
-
-
 def horiz_deriv(coeffs: np.ndarray, grid: FrequencyGrid, axis: int) -> np.ndarray:
     """Spectral d/dx'_axis on coefficient arrays with leading component axis."""
-    return coeffs * on_lattice(xi_multipliers(grid)[axis], coeffs.ndim)
+    return coeffs * on_lattice(2j * np.pi * grid.xi_axes[axis], coeffs.ndim, 1 + axis)
 
 
 def to_phys(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -58,8 +52,8 @@ def lattice_sum(coeffs: np.ndarray, grid: FrequencyGrid, points: np.ndarray) -> 
         return np.concatenate([lattice_sum(coeffs, grid, points[lo:lo + block])
                                for lo in range(0, len(points), block)])
     tables = [np.exp(2j * np.pi * points[:, ax, None] * xi)
-              for ax, xi in enumerate(grid.xi_axes())]
-    tables[0] *= grid.pair_weight().ravel()
+              for ax, xi in enumerate(grid.xi_axes)]
+    tables[0] *= grid.pair_weight.ravel()
     out = np.tensordot(tables[-1], coeffs, axes=(1, grid.dim_h - 1))
     if grid.dim_h == 2:
         out = np.einsum("pj,pj...->p...", tables[0], out)
@@ -73,12 +67,12 @@ def lattice_sum(coeffs: np.ndarray, grid: FrequencyGrid, points: np.ndarray) -> 
 
 def dealias(coeffs: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """Zero coefficients beyond the 2/3 cutoff (per horizontal axis)."""
-    return coeffs * on_lattice(grid.dealias_mask(), coeffs.ndim)
+    return coeffs * on_lattice(grid.dealias_mask, coeffs.ndim)
 
 
 def dealias_tail_fraction(coeffs: np.ndarray, grid: FrequencyGrid) -> float:
     """Fraction of spectral energy sitting beyond the 2/3 cutoff."""
-    power = np.abs(coeffs) ** 2 * on_lattice(grid.pair_weight(), coeffs.ndim)
+    power = np.abs(coeffs) ** 2 * on_lattice(grid.pair_weight, coeffs.ndim)
     total = float(power.sum())
-    tail = float((power * ~on_lattice(grid.dealias_mask(), coeffs.ndim)).sum())
+    tail = float((power * ~on_lattice(grid.dealias_mask, coeffs.ndim)).sum())
     return tail / total if total else 0.0

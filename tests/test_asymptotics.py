@@ -90,7 +90,7 @@ def test_rho_bounds(tables):
 def test_rho_conjugate_symmetry(tables):
     # the table stores xi >= 0; rho at -xi, solved directly, is its conjugate
     coarse, _ = tables
-    rho, xi = coarse.rho, coarse.grid.xi_axes()[0]
+    rho, xi = coarse.rho, coarse.grid.xi_axes[0]
     for j in (1, 7, 40):
         minus = solve_symbol([-xi[j]], P1, coarse.vgrid).rho
         assert minus == pytest.approx(np.conj(rho[j]), rel=1e-12)
@@ -112,6 +112,7 @@ def test_decay_empty_regime_flagged():
     rows = check_highfreq_decay(table)
     assert all(r.verdict == "fail" for r in rows)
     assert all("note" in r.detail for r in rows)
+    assert all(r.fitted is None and r.margin is None for r in rows)
 
 
 def _scaled(table, s):
@@ -175,7 +176,7 @@ def test_continuity_across_unit_circle(tables):
     # rho is continuous through |xi| = 1: neighboring lattice values agree
     coarse, _ = tables
     grid = coarse.grid
-    xi = grid.xi_axes()[0]
+    xi = grid.xi_axes[0]
     below = np.argmin(np.abs(xi - (1.0 - grid.spacing)))
     above = np.argmin(np.abs(xi - (1.0 + grid.spacing)))
     r1 = coarse.rho[below]

@@ -170,11 +170,11 @@ def test_table_backend_at_bench_grids(name):
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid = FrequencyGrid(dim - 1, box, modes)
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
-    scale = 2 * np.pi * grid.xi_magnitude()
+    scale = 2 * np.pi * np.sqrt(grid.xi2)
     expect = np.where(scale <= 10.0, "matexp", "collocation").astype(object)
     assert np.array_equal(table.backend, expect)
     # over the whole lattice: a stored index stands for pair_weight points
-    counts = tuple(int(((table.backend == b) * grid.pair_weight()).sum())
+    counts = tuple(int(((table.backend == b) * grid.pair_weight).sum())
                    for b in ("matexp", "collocation"))
     assert counts == BENCH_BACKENDS[name]
 
@@ -206,7 +206,7 @@ def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
     assert len(lus) == 104
     inv.invert(data)
     assert len(lus) == 104
-    solved = list(inv.backend[grid.half_mask()])
+    solved = list(inv.backend[grid.half_mask])
     assert solved.count("matexp") == 20 and solved.count(None) == 45
 
 
@@ -240,7 +240,7 @@ def _without_low_modes(state, jmin):
     set to zero."""
     grid = state.grid
     low = np.ones(grid.freq_shape, dtype=bool)
-    for ax, xi in enumerate(grid.xi_axes()):
+    for ax, xi in enumerate(grid.xi_axes):
         j = np.rint(xi * grid.box_len)
         low &= np.abs(j.reshape((-1,) + (1,) * (grid.dim_h - 1 - ax))) < jmin
     for part in state.parts():
@@ -274,7 +274,7 @@ def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
     inv.solver.prepare = counting
     inv.invert(data1)
     out = inv.invert(data2)
-    half = grid.half_mask()
+    half = grid.half_mask
     assert prepared == [(support[0] & half).sum(), ((support[0] | support[1]) & half).sum()]
     fresh = LinearInverter(table)
     expect = fresh.invert(data2)
@@ -320,14 +320,14 @@ def test_inverter_backend_and_cond_match_single_solves():
     assert inv.backend.shape == inv.cond.shape == grid.freq_shape
     z = np.ones((6, vg.count), dtype=complex)
     z[[0, 2]] = 0.0
-    vecs = grid.xi_vectors()
+    vecs = grid.xi_vectors
     for idx in np.ndindex(grid.freq_shape):
         _, used, cond = inv.solver.solve(vecs[idx], z, np.ones(6))
         assert inv.backend[idx] == used
         assert inv.cond[idx] == pytest.approx(cond, rel=1e-12)
-    scale = 2 * np.pi * grid.xi_magnitude()
+    scale = 2 * np.pi * np.sqrt(grid.xi2)
     fallbacks = (inv.backend == "collocation") & (scale <= inv.solver.split)
-    assert int(fallbacks[grid.half_mask()].sum()) == 15
+    assert int(fallbacks[grid.half_mask].sum()) == 15
 
 
 # LinearInverter.cond on the half lattice of the grid below (index order),
@@ -369,7 +369,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
         records.append((inv.backend.copy(), inv.cond.copy()))
     (b_cold, c_cold), (b_warm, c_warm) = records
     assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
-    half = grid.half_mask()
+    half = grid.half_mask
     assert list(inv.backend[half]) == ["matexp"] * 5 + ["collocation"] * 12
     assert np.allclose(inv.cond[half], LIFETIME_COND, rtol=1e-6, atol=0.0)
 

@@ -130,6 +130,23 @@ def test_asym_check_mode(tmp_path):
     assert all(row["verdict"] == "pass" for row in rep)
 
 
+def test_asym_report_is_standard_json_without_high_frequencies(tmp_path):
+    # at modes 32 on the default box no lattice point lies above |xi| = 1:
+    # that regime's values are null, not NaN, and its rows fail with a note
+    out = str(tmp_path / "asym")
+    cfg = RunConfig.from_dict({"mode": "asym-check", "out": out,
+                               "grid": {"modes": 32, "nz": 24}})
+    assert run(cfg) == 1
+
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+    rep = json.loads(open(os.path.join(out, "asym_report.json")).read(), parse_constant=refuse)
+    row = next(r for r in rep if r["claim"] == "rho lower bound |xi|>1")
+    assert row["verdict"] == "fail" and "no lattice points" in row["detail"]["note"]
+    assert [row["fitted"], row["margin"], row["detail"]["refined"],
+            row["detail"]["drift"]] == [None] * 4
+
+
 def test_linear_solve_mode(tmp_path):
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid = FrequencyGrid(1, 2 * np.pi * 10, 32)
@@ -262,7 +279,7 @@ def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, di
         "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": indir,
         "grid": grid, "params": {"dim": dim}})) == 0
     assert len(written) == 8
-    half = fgrid.half_mask().sum()
+    half = fgrid.half_mask.sum()
     for path, field in written:
         meta = json.load(open(path + ".json"))
         assert meta["layout"] == "half"
@@ -351,15 +368,15 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     # the table solved exactly the frequencies whose data, at xi or -xi,
     # is nonzero, each on the backend of the symbol split; in dim_h 1 the
     # lattice stores xi >= 0, and the data at -xi is the conjugate
-    solved, half = table.solved, grid.half_mask()
+    solved, half = table.solved, grid.half_mask
     assert np.array_equal(solved[half], live[half])
     assert solved.any() and not solved.all()
-    scale = 2 * np.pi * grid.xi_magnitude()
+    scale = 2 * np.pi * np.sqrt(grid.xi2)
     assert np.array_equal((table.backend == "collocation")[solved], (scale > 0.5)[solved])
     assert (table.backend[~solved] == None).all()  # noqa: E711
     # the manifest records the table's half lattice and its worst cond
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
-    half = table.backend[grid.half_mask()]
+    half = table.backend[grid.half_mask]
     assert summary["table_solved"] == {b: int((half == b).sum())
                                        for b in ("matexp", "collocation")}
     assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \

@@ -50,6 +50,28 @@ def test_vertical_grid_compares_by_its_parameters():
     assert len({VerticalGrid(1.0, 16), VerticalGrid(1.0, 16)}) == 1
 
 
+@pytest.mark.parametrize("dim_h", [1, 2])
+def test_frequency_grid_tables_are_read_only(dim_h):
+    grid = FrequencyGrid(dim_h, 5.0, 8)
+    tables = (*grid.xi_axes, grid.xi_vectors, grid.xi2, grid.half_mask,
+              grid.pair_weight, grid.dealias_mask)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    # |xi|^2 is the sum of the squares of the lattice vectors, bit for bit
+    assert np.array_equal(grid.xi2, (grid.xi_vectors ** 2).sum(-1))
+
+
+def test_frequency_grid_compares_by_its_parameters():
+    # the derived lattice tables take no part in == or hash
+    assert FrequencyGrid(2, 5.0, 16) == FrequencyGrid(2, 5.0, 16)
+    assert FrequencyGrid(2, 5.0, 16) != FrequencyGrid(1, 5.0, 16)
+    assert FrequencyGrid(2, 5.0, 16) != FrequencyGrid(2, 6.0, 16)
+    assert FrequencyGrid(2, 5.0, 16) != FrequencyGrid(2, 5.0, 18)
+    assert len({FrequencyGrid(2, 5.0, 16), FrequencyGrid(2, 5.0, 16)}) == 1
+    assert repr(FrequencyGrid(2, 5.0, 16)) == "FrequencyGrid(dim_h=2, box_len=5.0, modes=16)"
+
+
 @pytest.mark.parametrize("make", [lambda: FrequencyGrid(1, 5.0, 16.0),
                                   lambda: VerticalGrid(1.0, 16.0)],
                          ids=["modes", "count"])
@@ -69,7 +91,7 @@ def test_grids_reject_nonfinite_lengths(make, value):
 
 def test_frequency_grid_lattice():
     grid = FrequencyGrid(1, 5.0, 16)
-    xi = grid.xi_axes()[0]
+    xi = grid.xi_axes[0]
     assert 0.0 in xi
     assert grid.xi_max == pytest.approx(16 / (2 * 5.0))
     assert np.abs(xi).max() == pytest.approx(grid.xi_max)
@@ -77,7 +99,7 @@ def test_frequency_grid_lattice():
     assert np.array_equal(xi, np.arange(9) / 5.0)
     # a whole axis, the second of dim_h 2, is closed under negation
     # (Nyquist is self-paired mod aliasing)
-    xi = FrequencyGrid(2, 5.0, 16).xi_axes()[1]
+    xi = FrequencyGrid(2, 5.0, 16).xi_axes[1]
     for j in range(16):
         neg = (-j) % 16
         if j != 8:
@@ -145,7 +167,7 @@ def test_parseval_random(seed):
     phys = rng.standard_normal((2, 32, 12))
     f = SpectralField(grid, vg, to_coeff(phys, grid))
     phys_l2 = (grid.box_len / grid.modes) * (np.abs(phys) ** 2 @ vg.weights).sum()
-    spec_l2 = grid.box_volume() * (grid.pair_weight() * (np.abs(f.data) ** 2 @ vg.weights)).sum()
+    spec_l2 = grid.box_volume() * (grid.pair_weight * (np.abs(f.data) ** 2 @ vg.weights)).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
 
 
@@ -155,7 +177,7 @@ def test_parseval_2d():
     phys = rng.standard_normal((1, 16, 16))
     f = SurfaceSpectral(grid, to_coeff(phys, grid))
     phys_l2 = grid.cell_volume() * (np.abs(phys) ** 2).sum()
-    spec_l2 = grid.box_volume() * (grid.pair_weight() * np.abs(f.data) ** 2).sum()
+    spec_l2 = grid.box_volume() * (grid.pair_weight * np.abs(f.data) ** 2).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
 
 
@@ -243,7 +265,7 @@ def test_field_tuple_parts_share_grids():
 @pytest.mark.parametrize("dim_h,modes", [(1, 16), (1, 256), (2, 8), (2, 32)])
 def test_half_mask_rule(dim_h, modes):
     grid = FrequencyGrid(dim_h, 3.0, modes)
-    half = grid.half_mask()
+    half = grid.half_mask
     for idx in np.ndindex(grid.freq_shape):
         neg = tuple((-i) % modes for i in idx)      # the index of -xi
         assert half[idx] == (idx <= neg)
@@ -281,7 +303,7 @@ def _write_field_csv_rows(path, field, whole=False):
         idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
         w.writerow(["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"])
         for idx in np.ndindex(data.shape):
-            if not (whole or grid.half_mask()[idx[1:1 + grid.dim_h]]):
+            if not (whole or grid.half_mask[idx[1:1 + grid.dim_h]]):
                 continue
             val = data[idx]
             row = [idx[0]] + list(idx[1:1 + grid.dim_h])
@@ -467,6 +489,25 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
     with pytest.raises(ConfigError, match=r"s\.csv: ") as err:
         read_field_csv(path)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("bulk, key, value", [
+    (False, "dim_h", True), (False, "box_len", True), (True, "depth", True),
+    (False, "dim_h", 1.0), (False, "box_len", "5"), (True, "kind", "Bulk"),
+], ids=["dim_h-true", "box_len-true", "depth-true", "dim_h-float", "box_len-string",
+        "kind-capitalised"])
+def test_field_csv_refuses_sidecar_values_of_the_wrong_type(tmp_path, bulk, key, value):
+    # JSON's true is no number, 1.0 no dimension, "5" no length and "Bulk" no
+    # kind: each is a ConfigError naming the file and the key
+    grid, vg = FrequencyGrid(1, 2.0, 8), VerticalGrid(1.0, 6)
+    field = SpectralField(grid, vg, np.ones((1, 5, 6))) if bulk \
+        else SurfaceSpectral(grid, np.ones((1, 5)))
+    path = tmp_path / "f.csv"
+    write_field_csv(path, field)
+    sidecar = tmp_path / "f.csv.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    with pytest.raises(ConfigError, match=r"f\.csv: .*\b" + key + r"\b"):
+        read_field_csv(path)
 
 
 def test_field_csv_layouts_read_the_same(tmp_path):

@@ -36,7 +36,7 @@ def test_apply_eta_only_closed_form():
     st = LinearState.zeros(GRID, VG)
     st.eta.data[0, 2] = 0.4         # and 0.4 at -2, its mirror
     data = apply_linear_operator(st, P1)
-    xi = GRID.xi_axes()[0][2]
+    xi = GRID.xi_axes[0][2]
     tw = 2j * np.pi * xi
     # f = grav (grad' eta, 0), vertically constant
     assert np.abs(data.f.data[0, 2] - P1.grav * tw * 0.4).max() < 1e-13
@@ -130,7 +130,7 @@ def test_solve_surface_rho_floor(table):
 def test_solve_surface_refuses_unsolved_pairing():
     # the table knows |j| <= 2 only: a pairing there divides, at |j| = 3 it
     # would divide by a placeholder rho of 0
-    partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axes()[0]) < 2.5 / GRID.box_len)
+    partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axes[0]) < 2.5 / GRID.box_len)
     pairing = SurfaceSpectral.zeros(GRID)
     pairing.data[0, 2] = 1.0        # and at -2, its mirror
     eta = solve_surface(pairing, partial)
@@ -350,6 +350,25 @@ def test_random_state_bit_identical_to_loop(dim_h, modes, nz, kwargs, seed):
     for a, b in ((got.u, want.u), (got.psi, want.psi), (got.pres, want.pres),
                  (got.eta, want.eta)):
         assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_warm_path_builds_no_lattice_table(monkeypatch, dim):
+    # the grid builds its xi and mask tables once: after a first inversion
+    # the forward operator, a second inversion and both norms build none
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, 2 * np.pi * 3, 16), VerticalGrid(1.0, 24)
+    inv = LinearInverter(SymbolTable(grid, vg, p))
+    state = make_random_state(grid, vg, seed=4, jmax=3)
+    data = apply_linear_operator(state, p)
+    inv.invert(data)
+    calls = []
+    meshgrid = np.meshgrid
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: calls.append(1) or meshgrid(*a, **k))
+    data = apply_linear_operator(state, p)
+    back = inv.invert(data)
+    state_norm(back), ydata_norm(data)
+    assert len(calls) == 0
 
 
 # state_norm of make_random_state as the whole-lattice code drew it, before

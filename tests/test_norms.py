@@ -72,7 +72,7 @@ def test_weight_discontinuity_at_one():
     # the two weight branches genuinely disagree at |xi| = 1 (not smoothed)
     grid = FrequencyGrid(1, 16.0, 64)
     w = anisotropic_weight(grid, 2.5)
-    xi = grid.xi_axes()[0]
+    xi = grid.xi_axes[0]
     below = np.nonzero((xi > 0) & (xi < 1.0))[0]
     inner = xi[below] ** 2 + xi[below] ** 4
     inner /= xi[below] ** 2
@@ -110,7 +110,7 @@ def test_hdot_of_derivative_finite():
     for j in range(1, 6):
         eta.data[0, j] = rng.standard_normal() + 1j * rng.standard_normal()
     eta.enforce_real()
-    xi = GRID.xi_axes()[0]
+    xi = GRID.xi_axes[0]
     deta = SurfaceSpectral(GRID, eta.data * (2j * np.pi * xi))
     val = hdot_neg1(deta)
     # over the whole lattice: j = 1 .. 16 and the mirrors j = -1 .. -15
@@ -145,7 +145,7 @@ def _random_bottom_vanishing_velocity(rng, grid, vg, jmax=5, kmax=5):
 def test_divergence_trace_bound():
     # residual of (div u, u_n|top) obeys the 2 pi sqrt(b) L2 bound
     rng = np.random.default_rng(7)
-    xi = GRID.xi_axes()[0]
+    xi = GRID.xi_axes[0]
     for trial in range(100):
         u = _random_bottom_vanishing_velocity(rng, GRID, VG)
         div = u.data[1:2] @ VG.diff.T + 2j * np.pi * xi[None, :, None] * u.data[0:1]

@@ -451,7 +451,7 @@ def test_table_mirror_consistency():
     table = SymbolTable.build(grid, VG, P1)
     assert table.rho.shape == (9,) and table.y.shape == (9, 6, VG.count)
     for j in (1, 5):
-        direct = solve_symbol([-grid.xi_axes()[0][j]], P1, VG)
+        direct = solve_symbol([-grid.xi_axes[0][j]], P1, VG)
         stored = table.entry((j,))
         assert np.abs(np.conj(stored.y) - direct.y).max() < 1e-12
         assert np.conj(stored.rho) == pytest.approx(direct.rho)
@@ -462,7 +462,7 @@ def test_table_2d_small():
     vg = VerticalGrid(1.0, 24)
     table = SymbolTable.build(grid, vg, P3)
     assert table.rho.shape == (5, 8) and table.y.shape == (5, 8, 6, 24)
-    rho, vecs = table.rho, grid.xi_vectors()
+    rho, vecs = table.rho, grid.xi_vectors
     # conjugate symmetry of the lattice (skip Nyquist row/col): the plane
     # k1 = 0 stores both xi and -xi, the other rows xi alone
     for i in range(0, 4):
@@ -484,7 +484,7 @@ def test_table_solved_on_demand_matches_build(dim, monkeypatch):
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, 2.5 * np.pi, 32), VerticalGrid(1.0, 12)
     full = SymbolTable.build(grid, vg, p)
-    scale, half = 2 * np.pi * grid.xi_magnitude(), grid.half_mask()
+    scale, half = 2 * np.pi * np.sqrt(grid.xi2), grid.half_mask
     first = half & ((scale < 3) | ((scale > 9) & (scale < 12)))
     second = half & ((scale == 0) | ((scale > 2) & (scale < 5)) | (scale > 11))
     assert (first & second).any() and (second & ~first).any()
@@ -499,7 +499,7 @@ def test_table_solved_on_demand_matches_build(dim, monkeypatch):
     table = SymbolTable(grid, vg, p)
     assert table.solve(first) is table
     table.solve(second)
-    vecs = grid.xi_vectors()
+    vecs = grid.xi_vectors
     assert len(calls) == 2
     assert np.array_equal(calls[1], vecs[second & ~first])
     union = first | second
