@@ -19,17 +19,19 @@ Two backends solve the system and validate each other:
   y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
   B = M + N exp(bA), evaluated by forward marching with per-interval
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
-  the same integrals).  The exponentials are closed-form: A(xi) splits into
-  a Stokes and a heat block with known eigenvalues, so exp(tA) is a few
-  cosh/sinh divided differences times fixed matrices per frequency;
-  ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is the
-  tests' oracle.  A FrequencyStack prepares and solves many frequencies at
-  once: the boundary matrices and the step exponentials are stacks across
-  frequencies, the quadrature stays in the propagator's coefficient basis,
-  and the marches run over the intervals with every frequency at once.
-  The panels' nodes, weights and interpolation rows are built once per
-  solver.  It degrades once exp(2 pi |xi| b) eats the floating point
-  headroom, so it is gated by a configurable split.
+  the same integrals).  A(xi) splits into a Stokes and a heat block with
+  known eigenvalues, so exp(tA) is six scalar coefficients times fixed
+  matrices per frequency: one Taylor product over every member and time
+  where t times a block's largest eigenvalue is at most 1, the cosh/sinh
+  divided differences beyond; ``matrix_exponential``, a checked wrapper of
+  scipy's ``expm``, is the tests' oracle.  A FrequencyStack prepares and
+  solves many frequencies at once: the boundary matrices and the step
+  exponentials are stacks across frequencies, the quadrature stays in the
+  propagator's coefficient basis, and the marches run over the intervals
+  with every frequency at once, each step a product into its node.  The
+  panels' nodes and weighted interpolation rows are built once per solver.
+  It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
+  it is gated by a configurable split.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   valid at all frequencies.  Its interior rows never couple the Stokes
@@ -62,7 +64,7 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# member-times per coefficient call of a FrequencyStack: 2 MiB of temporaries
+# member-times per call of the closed forms: 2 MiB of temporaries
 _EXP_CHUNK = 6144
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
@@ -151,12 +153,10 @@ def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray
 # Closed-form block propagator exp(tA)
 # ---------------------------------------------------------------------------
 
-def _shc(z, sinh=None):
-    """sinh(z)/z, by its Taylor series where |z| < 1e-4, else from ``sinh``
-    (sinh(z), by default np.sinh): each branch only where it is taken."""
+def _shc(z):
+    """sinh(z)/z, by its Taylor series only where |z| < 1e-4."""
     out, small = np.empty_like(z), np.abs(z) < 1e-4
-    large = np.sinh(z[~small]) if sinh is None else sinh[~small]
-    out[small], out[~small] = 1.0 + z[small] ** 2 / 6.0, large / z[~small]
+    out[small], out[~small] = 1.0 + z[small] ** 2 / 6.0, np.sinh(z[~small]) / z[~small]
     return out
 
 
@@ -179,52 +179,71 @@ def _propagator(xis, p: PhysicalParams, gamma_tilde: float) -> np.ndarray:
     return np.concatenate([scalars] + [B.reshape(-1, 16) for B in (P, As, As @ P)], axis=-1)
 
 
-@np.errstate(all="ignore")      # overflow: the member falls back to collocation
-def _member_coefficients(prop: np.ndarray, t):
-    """The coefficients of exp(tA) in the basis of ``_member_basis`` for
-    every member of a stack with ``_propagator`` rows ``prop`` and every
-    time of ``t``, shape (k,) + t.shape + (6,).
-
-    c0 = cosh(tm) and s0 = t shc(tm), real.  c1 and s1 are the divided
-    differences G[m^2, l^2] of G(s) = cosh(t sqrt s) and sinh(t sqrt s)/sqrt s
-    (Moler & Van Loan, SIAM Rev. 45, 2003), each formula evaluated only on
-    the member-times that select it: one Taylor series for both when
-    t max(|l|, m) <= 1; else c1 = (t^2/2) shc(u) shc(v) with u = t (l + m)/2,
-    v = t (l - m)/2 = t (tau/mu)/(2 (l + m)), and s1 = t (cosh(u) shc(v) -
-    shc(u) cosh(v)) / (2 l m) when |v| <= 1/2, else the quotient of
-    differences.  l = m (tau = 0) is their confluent limit, xi = 0 gives
-    I + tA.  The heat block takes cosh(t l_h) and t shc(t l_h).
-    """
-    tf = np.ravel(np.asarray(t, dtype=float))
-    m, l, lh, r = prop[:, 0].real[:, None], prop[:, 1, None], prop[:, 2, None], prop[:, 3, None]
-    tm, tl, tlh = tf * m, tf * l, tf * lh
-    coef = np.empty(tm.shape + (6,), dtype=complex)
-    # c1 = t^2 sum_{k=1}^9 h_{k-1}/(2k)!, s1 = t^3 sum_{k=1}^9 h_{k-1}/(2k+1)!
-    # (the tail is below 1e-17 of each sum while |a|, |b| <= 1) in the complete
-    # homogeneous polynomials h_j = b h_{j-1} + a^j of a = (tm)^2 and b = (tl)^2
-    series = tf * np.maximum(np.abs(l), m) <= 1.0
-    ts, tms, tls = (np.broadcast_to(x, tm.shape)[series] for x in (tf, tm, tl))
-    a, b = (tms * tms).astype(complex), tls * tls
-    h, ak, even, odd = 1.0, 1.0, 0.0, 0.0
-    for ce, co in ((1.0 / factorial(2 * k), 1.0 / factorial(2 * k + 1)) for k in range(1, 10)):
-        even, odd, ak = even + h * ce, odd + h * co, ak * a
-        h = b * h + ak
-    coef[series, 1], coef[series, 3] = ts * ts * even, ts ** 3 * odd
-    # the rest, where l + m != 0 (it vanishes only at xi = 0, in the series)
-    rest = ~series
-    tr, tmr, tlr, lr, mr, rr = (np.broadcast_to(x, tm.shape)[rest] for x in (tf, tm, tl, l, m, r))
-    u, v = 0.5 * (tlr + tmr), 0.5 * tr * rr / (lr + mr)
-    coef[rest, 1] = 0.5 * tr * tr * _shc(u) * _shc(v)
+def _stokes_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """c0 = cosh(tm), c1 = (t^2/2) shc(u) shc(v), s0 = t shc(tm) and s1,
+    (N, 4), where t max(|l|, m) > 1, from ``_propagator``'s m, l, l_h, tau/mu
+    (N, 4); u = t (l + m)/2, v = t (l - m)/2 = t (tau/mu)/(2 (l + m)), and
+    s1 = t (cosh(u) shc(v) - shc(u) cosh(v)) / (2 l m) when |v| <= 1/2, else
+    the quotient of differences.  tau = 0 (l = m) is their confluent limit."""
+    m, l, r = scalars[:, 0].real, scalars[:, 1], scalars[:, 3]
+    tm, tl = t * m, t * l
+    u, v = 0.5 * (tl + tm), 0.5 * t * r / (l + m)
     near, s1 = np.abs(v) <= 0.5, np.empty_like(u)
-    s1[near] = tr[near] * (np.cosh(u[near]) * _shc(v[near]) - _shc(u[near]) * np.cosh(v[near])) \
-        / (2.0 * lr[near] * mr[near])
-    s1[~near] = tr[~near] * (_shc(tlr[~near]) - _shc(tmr[~near])) / rr[~near]
-    coef[rest, 3] = s1
-    # cosh and sinh of t l_h from the real cosh, sinh, cos and sin of its parts
+    s1[near] = t[near] * (np.cosh(u[near]) * _shc(v[near]) - _shc(u[near]) * np.cosh(v[near])) \
+        / (2.0 * l[near] * m[near])
+    s1[~near] = t[~near] * (_shc(tl[~near]) - _shc(tm[~near])) / r[~near]
+    return np.stack([np.cosh(tm), 0.5 * t * t * _shc(u) * _shc(v), t * _shc(tm), s1], axis=-1)
+
+
+def _heat_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cosh(t l_h) and t shc(t l_h), (N, 2), where t |l_h| > 1, from the
+    real cosh, sinh, cos and sin of the parts of t l_h."""
+    tlh = t * scalars[:, 2]
     cx, sx, cy, sy = np.cosh(tlh.real), np.sinh(tlh.real), np.cos(tlh.imag), np.sin(tlh.imag)
-    coef[..., 0], coef[..., 2], coef[..., 4] = np.cosh(tm), tf * _shc(tm), cx * cy + 1j * (sx * sy)
-    coef[..., 5] = tf * _shc(tlh, sx * cy + 1j * (cx * sy))
-    return coef.reshape(prop.shape[:1] + np.shape(t) + (6,))
+    return np.stack([cx * cy + 1j * (sx * sy), t * ((sx * cy + 1j * (cx * sy)) / tlh)], axis=-1)
+
+
+@np.errstate(all="ignore")      # overflow: the member falls back to collocation
+def _member_coefficients(prop: np.ndarray, t) -> np.ndarray:
+    """The coefficients of exp(tA) in the basis of ``_member_basis`` for
+    every member of a stack with ``_propagator`` rows ``prop`` at every time
+    of ``t`` (..., n), shape (k,) + t.shape[:-1] + (6, n): the layout of the
+    quadrature cache.
+
+    Where t max(|l|, m) <= 1 and t |l_h| <= 1 they are the Taylor method of
+    Moler & Van Loan (SIAM Rev. 45, 2003), cut after t^19 (the first term
+    left out is below 1e-17 of each; Higham, Functions of Matrices, SIAM
+    2008, ch. 10): a Taylor row (6, 20) per member times the powers of t,
+    two real products into the real and imaginary parts of the output.  c0
+    and s0 take m^2j over (2j)! and (2j+1)!, the heat block l_h^2j, and c1
+    and s1, the divided differences G[m^2, l^2] of cosh(t sqrt s) and
+    sinh(t sqrt s)/sqrt s, the complete homogeneous h_{j-1}(m^2, l^2).
+    Elsewhere ``_stokes_forms`` and ``_heat_forms`` replace the product, in
+    calls of at most _EXP_CHUNK member-times.  xi = 0 gives I + tA.
+    """
+    t = np.asarray(t, dtype=float)
+    m, l, lh = prop[:, 0].real, prop[:, 1], prop[:, 2]
+    # per j: m^2j, h_{j-1}(m^2, l^2) with h_{-1} = 0, and l_h^2j
+    terms = np.zeros((len(prop), 3, 10), dtype=complex)
+    terms[:, 0::2, 0], squares, h = 1.0, np.stack([m * m, lh * lh], axis=-1), 1.0
+    for j in range(1, 10):
+        terms[:, 1, j], terms[:, 0::2, j] = h, terms[:, 0::2, j - 1] * squares
+        h = l * l * h + terms[:, 0, j]
+    taylor = np.zeros((len(prop), 6, 20), dtype=complex)
+    taylor[:, [0, 1, 4], 0::2] = taylor[:, [2, 3, 5], 1::2] = terms
+    taylor = np.expand_dims(taylor / [factorial(p) for p in range(20)], tuple(range(1, t.ndim)))
+    powers = t[..., None, :] ** np.arange(20)[:, None]
+    coef = np.empty((len(prop),) + t.shape[:-1] + (6, t.shape[-1]), dtype=complex)
+    for part, out in ((taylor.real, coef.real), (taylor.imag, coef.imag)):
+        np.matmul(np.ascontiguousarray(part), powers, out=out)
+    for cols, scale, forms in ((slice(0, 4), np.maximum(np.abs(l), m), _stokes_forms),
+                               (slice(4, 6), np.abs(lh), _heat_forms)):
+        outside = np.multiply.outer(scale, t) > 1.0
+        flat = np.flatnonzero(outside)
+        for lo in range(0, flat.size, _EXP_CHUNK):
+            at = np.unravel_index(flat[lo:lo + _EXP_CHUNK], outside.shape)
+            coef[at[:-1] + (cols, at[-1])] = forms(prop[at[0], :4], t[at[1:]])
+    return coef
 
 
 def _member_basis(prop: np.ndarray) -> np.ndarray:
@@ -243,8 +262,8 @@ def _member_basis(prop: np.ndarray) -> np.ndarray:
 def _member_exponentials(prop: np.ndarray, t):
     """exp(tA), shape (k,) + t.shape + (6, 6), with a mask of the members
     whose exponential is finite: ``_member_coefficients`` times the basis."""
-    coef = _member_coefficients(prop, t)
-    X = (coef.reshape(len(prop), -1, 6) @ _member_basis(prop)).reshape(coef.shape[:-1] + (6, 6))
+    coef = _member_coefficients(prop, np.ravel(t)).transpose(0, 2, 1)
+    X = (coef @ _member_basis(prop)).reshape((len(prop),) + np.shape(t) + (6, 6))
     return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
 
 
@@ -339,16 +358,16 @@ class FrequencySolver:
 
     def _quadrature(self):
         """Composite Gauss-Legendre panels of the vertical grid, shared by every
-        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q
-        and the weights, both (Nz-1, 8), and the real interpolation rows at
-        the t_q, (8 (Nz-1), Nz) interval-major."""
+        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q,
+        (Nz-1, 8), and the real interpolation rows at the t_q times their
+        weights, (8 (Nz-1), Nz) interval-major."""
         if self._quad is None:
             nodes = self.vgrid.nodes
             a, c = nodes[:-1, None], nodes[1:, None]
             h = c - a
             tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
-            rows = self.vgrid.interp_weights(tq).reshape(-1, nodes.size)
-            self._quad = (c - tq, 0.5 * h * _GL_WEIGHTS, rows)
+            rows = (0.5 * h * _GL_WEIGHTS)[..., None] * self.vgrid.interp_weights(tq)
+            self._quad = (c - tq, rows.reshape(-1, nodes.size))
         return self._quad
 
     # -- collocation backend ---------------------------------------------------
@@ -432,12 +451,11 @@ class FrequencyStack:
     keeps the step exponentials exp(h_j A), (Nz-1, k, 6, 6), made when the
     stack is built.  ``quad`` keeps the Gauss-Legendre quadrature in the
     propagator's basis B_b (I_s, P, A_s, A_s P, I_h, A_h), made at the first
-    solve with bulk forcing: the weighted coefficients w_q coef_b(c_j - t_q),
-    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6), k (48 (Nz-1) + 216)
-    complex numbers.  The local integral sum_q w_q exp((c_j - t_q) A) z(t_q)
-    is then sum_b B_b (sum_q w_q coef_b z(t_q)).  ``_member_coefficients``
-    makes them branch by branch in calls of at most _EXP_CHUNK member-times,
-    so no temporary grows with members times intervals.  Every solve solves
+    solve with bulk forcing: the coefficients coef_b(c_j - t_q), written once
+    and C-contiguous as (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
+    k (48 (Nz-1) + 216) complex numbers.  The local integral
+    sum_q w_q exp((c_j - t_q) A) z(t_q) is then sum_b B_b (sum_q coef_b
+    w_q z(t_q)), the weights in the interpolation rows.  Every solve solves
     every member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
@@ -484,20 +502,14 @@ class FrequencyStack:
             self._to_collocation(i)
         self.members = self.members[ok]
         self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
-        coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(1, 0, 2)
+        coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(2, 0, 1)
         self.step = (coef[:, :, None] @ _member_basis(self.prop)).reshape(coef.shape + (6,))
         self.quad = None
 
     def _exponential_rows(self, t) -> np.ndarray:
-        """The coefficients of exp(tA) of every member at every time of
-        ``t``, (k,) + t.shape + (6,), in calls that hold all times of a
-        member.  A member whose coefficients fail gets zero rows, which the
-        march carries, and is solved by collocation instead."""
-        t = np.asarray(t)
-        rows = np.empty((len(self.members),) + t.shape + (6,), dtype=complex)
-        width = max(1, _EXP_CHUNK // t.size)
-        for lo in range(0, len(rows), width):
-            rows[lo:lo + width] = _member_coefficients(self.prop[lo:lo + width], t)
+        """``_member_coefficients`` of every member at ``t``; a member whose
+        ones are not finite gets zero rows and is solved by collocation."""
+        rows = _member_coefficients(self.prop, t)
         finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
         rows[~finite] = 0.0
         for i in self.members[~finite]:
@@ -507,16 +519,14 @@ class FrequencyStack:
     def _local_integrals(self, z) -> np.ndarray:
         """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
         for every member, (k, Nz-1, 6), from ``quad``."""
-        offsets, weights, rows = self.solver._quadrature()
+        offsets, rows = self.solver._quadrature()
         k, nz = len(z), z.shape[-1]
         if self.quad is None:
-            coef = self._exponential_rows(offsets)
-            coef *= weights[..., None]
             # basis rows (b, c) by output component i: B_b[i, c]
             basis = _member_basis(self.prop).reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
-            self.quad = (np.ascontiguousarray(coef.transpose(0, 1, 3, 2)), basis.reshape(k, 36, 6))
+            self.quad = (self._exponential_rows(offsets), basis.reshape(k, 36, 6))
         coef, basis = self.quad
-        # samples z(t_q) (member, interval, node, component): real rows times
+        # w_q z(t_q) (member, interval, node, component): the real rows times
         # the (re, im) columns, one product per member as in a lone solve
         zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
         samples = (rows @ zt).view(complex).reshape(k, nz - 1, 8, 6)
@@ -524,26 +534,26 @@ class FrequencyStack:
 
     def _march(self, z, d) -> np.ndarray:
         """Variation of constants for the matexp members, marched over the
-        intervals with every member at once; the local integrals are added
-        to the members with bulk forcing."""
-        step = self.step
-        nz = len(step) + 1
-        forced = None if z is None else z.reshape(len(z), -1).any(axis=1)
-        local = self._local_integrals(z)[..., None] if forced is not None and forced.any() else None
-        integral = np.zeros((len(self.members), 6, 1), dtype=complex)
+        intervals with every member at once, as a view (k, 6, Nz) of the
+        node-major profiles.  A first pass marches the particular solution
+        from y(0) = 0, whose value at b gives y(0).  Each step is one product
+        into its node plus the local integrals, zero without bulk forcing."""
+        local = None
+        if z is not None and z.any():
+            local = np.ascontiguousarray(self._local_integrals(z).transpose(1, 0, 2))[..., None]
+        Y = np.zeros((len(self.step) + 1, len(self.members), 6, 1), dtype=complex)
+
+        def sweep():
+            for j, step in enumerate(self.step):
+                np.matmul(step, Y[j], out=Y[j + 1])
+                if local is not None:
+                    Y[j + 1] += local[j]
+
         if local is not None:
-            for j in range(nz - 1):
-                integral = step[j] @ integral
-                integral[forced] += local[forced, j]
-        y = self.Binv @ (d[:, :, None] - self.Nmat @ integral)
-        Y = np.empty((len(self.members), 6, nz), dtype=complex)
-        Y[..., 0] = y[..., 0]
-        for j in range(nz - 1):
-            y = step[j] @ y
-            if local is not None:
-                y[forced] += local[forced, j]
-            Y[..., j + 1] = y[..., 0]
-        return Y
+            sweep()
+        Y[0] = self.Binv @ (d[:, :, None] - self.Nmat @ Y[-1])
+        sweep()
+        return Y[..., 0].transpose(1, 2, 0)
 
     def solve(self, z, d) -> np.ndarray:
         """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None

@@ -129,27 +129,41 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     stack.solve(z, d)
     k = len(stack.members)
     assert k == len(xis)
-    assert all(a.dtype == complex for a in stack.quad)
+    assert all(a.dtype == complex and a.flags.c_contiguous for a in stack.quad)
     assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
 
 
-def test_cold_forced_solve_peak_memory():
-    # a cold preparation and first forced solve at wave-2d's forced stack
-    # (86 members, nz 48) keeps the steps and the quadrature cache, 5.4 MB
-    # together; the coefficient calls, at most _EXP_CHUNK member-times each,
-    # must not add a temporary that grows with members times intervals
+def test_cold_forced_solve_peak_memory(monkeypatch):
+    # a cold preparation and first forced solve keeps the steps and the
+    # quadrature cache (5.4 MB together at wave-2d's forced stack, 86
+    # members at nz 48); the Taylor product writes the cache itself, and
+    # the closed forms, at most _EXP_CHUNK member-times per call, must not
+    # add a temporary that grows with members times intervals.  The second
+    # stack (nz 12, 2 pi |xi| b in [10, 18]) sends 65% of its step and 26%
+    # of its quadrature member-times to the closed forms, more than one call
+    import stripwave.odesystem as ode
+    calls = []
+    for name in ("_stokes_forms", "_heat_forms"):
+        def counting(scalars, t, real=getattr(ode, name)):
+            calls.append(len(t))
+            return real(scalars, t)
+        monkeypatch.setattr(ode, name, counting)
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
-    vg = VerticalGrid(p.depth, 48)
-    xis = (np.arange(86) / (20 * np.pi))[:, None]
-    rng = np.random.default_rng(0)
-    z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
-    tracemalloc.start()
-    try:
-        FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis).solve(z, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14 * 2 ** 20
+    for nz, xis in ((48, np.arange(86) / (20 * np.pi)),
+                    (12, np.linspace(10.0, 18.0, 300) / (2 * np.pi))):
+        vg = VerticalGrid(p.depth, nz)
+        rng = np.random.default_rng(0)
+        z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
+        tracemalloc.start()
+        try:
+            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis[:, None])
+            stack.solve(z, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stack.members) == len(xis)
+        assert peak <= 14 * 2 ** 20
+    assert max(calls) == ode._EXP_CHUNK        # a full call, and none larger
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)

@@ -173,13 +173,14 @@ def _reference_coefficients(row, t):
 
 def _switch_times(row, depth):
     """Times in (0, b] just below and above each switch of the coefficient
-    formulas: t max(|l|, m) = 1 (the series of c1 and s1), |v| = 1/2 (the
-    cosh/shc form against the quotient of differences of s1) and the
-    argument 1e-4 of ``_shc`` at tm, tl and u = t (l + m)/2."""
-    m, l, _, r = row[:4]
+    formulas: t max(|l|, m) = 1 and t |l_h| = 1 (the Taylor product of the
+    Stokes and of the heat coefficients against their closed forms),
+    |v| = 1/2 (the cosh/shc form against the quotient of differences of s1)
+    and the argument 1e-4 of ``_shc`` at tm, tl and u = t (l + m)/2."""
+    m, l, lh, r = row[:4]
     with np.errstate(divide="ignore", invalid="ignore"):    # xi = 0, tau = 0
-        switches = [1.0 / max(abs(l), m.real), abs(l + m) / abs(r), 1e-4 / m.real,
-                    1e-4 / abs(l), 2e-4 / abs(l + m)]
+        switches = [1.0 / max(abs(l), m.real), 1.0 / abs(lh), abs(l + m) / abs(r),
+                    1e-4 / m.real, 1e-4 / abs(l), 2e-4 / abs(l + m)]
     return [s * f for s in switches if s <= depth for f in (1.0 - 1e-9, 1.0 + 1e-9)]
 
 
@@ -187,7 +188,7 @@ def _assert_coefficients_match(row, times):
     """Each coefficient within 1e-13 of its own magnitude, or of the
     smallest normal double where it underflows (t^2 at t = 1e-200)."""
     got = ode._member_coefficients(row[None], np.array(times))[0]
-    for t, coef in zip(times, got):
+    for t, coef in zip(times, got.T):
         ref = _reference_coefficients(row, t)
         tol = np.maximum(1e-13 * np.abs(ref), np.finfo(float).tiny)
         assert np.all(np.abs(coef - ref) <= tol), (t, coef, ref)
@@ -215,7 +216,7 @@ def test_each_coefficient_matches_mpmath_at_every_switch(mu, gamma, direction, s
     p = PhysicalParams(mu, 1.0, 1.0, 1.0, gamma, 1.0, 0.1, len(direction) + 1)
     row = ode._propagator(np.array([direction]) * scale / (2 * np.pi * p.depth), p, gamma)[0]
     times = _switch_times(row, p.depth)
-    assert len(times) == 10
+    assert len(times) == 12
     _assert_coefficients_match(row, times + [p.depth])
 
 
@@ -406,11 +407,11 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
     got = stack._local_integrals(z)
-    offsets, weights, rows = solver._quadrature()
+    offsets, rows = solver._quadrature()
     X, ok = ode._member_exponentials(stack.prop, offsets)
     assert ok.all()
-    samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)
-    want = np.einsum("kjqic,jq,kcjq->kji", X, weights, samples)
+    samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)     # w_q z(t_q)
+    want = np.einsum("kjqic,kcjq->kji", X, samples)
     err = np.abs(got - want).max(axis=(1, 2))
     assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
 
