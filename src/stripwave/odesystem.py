@@ -64,7 +64,7 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# member-times per call of the closed forms: 2 MiB of temporaries
+# member-times per call of the closed forms: about 1 MiB of temporaries
 _EXP_CHUNK = 6144
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
