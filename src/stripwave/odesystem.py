@@ -21,14 +21,13 @@ Two backends solve the system and validate each other:
   exponentials and composite Gauss-Legendre panels (an exact regrouping of
   the same integrals).  A(xi) splits into a Stokes and a heat block with
   known eigenvalues, so exp(tA) is six scalar coefficients times fixed
-  matrices per frequency: one Taylor product over every member and time
-  where t times a block's largest eigenvalue is at most 1, the cosh/sinh
-  divided differences beyond; ``matrix_exponential``, a checked wrapper of
-  scipy's ``expm``, is the tests' oracle.  A FrequencyStack prepares and
-  solves many frequencies at once: the boundary matrices and the step
-  exponentials are stacks across frequencies, the quadrature stays in the
-  propagator's coefficient basis, and the marches run over the intervals
-  with every frequency at once, each step a product into its node.  The
+  matrices per frequency, a Taylor product where t times a block's largest
+  eigenvalue is at most 1 and cosh/sinh divided differences beyond;
+  ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is the
+  tests' oracle.  A FrequencyStack prepares and solves many frequencies at
+  once: the boundary matrices and the step exponentials are stacks across
+  frequencies, the quadrature stays in the propagator's coefficient basis,
+  and the marches step every frequency at once, one product per node.  The
   panels' nodes and weighted interpolation rows are built once per solver.
   It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
   it is gated by a configurable split.
@@ -64,7 +63,8 @@ DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# member-times per call of the closed forms: about 1 MiB of temporaries
+# member-times per call of the closed forms and per block of the
+# quadrature contraction: about 1 MiB of temporaries
 _EXP_CHUNK = 6144
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
@@ -196,8 +196,7 @@ def _stokes_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _heat_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """cosh(t l_h) and t shc(t l_h), (N, 2), where t |l_h| > 1, from the
-    real cosh, sinh, cos and sin of the parts of t l_h."""
+    """cosh(t l_h) and t shc(t l_h), (N, 2), where t |l_h| > 1, from the parts of t l_h."""
     tlh = t * scalars[:, 2]
     cx, sx, cy, sy = np.cosh(tlh.real), np.sinh(tlh.real), np.cos(tlh.imag), np.sin(tlh.imag)
     return np.stack([cx * cy + 1j * (sx * sy), t * ((sx * cy + 1j * (cx * sy)) / tlh)], axis=-1)
@@ -238,10 +237,9 @@ def _member_coefficients(prop: np.ndarray, t) -> np.ndarray:
         np.matmul(np.ascontiguousarray(part), powers, out=out)
     for cols, scale, forms in ((slice(0, 4), np.maximum(np.abs(l), m), _stokes_forms),
                                (slice(4, 6), np.abs(lh), _heat_forms)):
-        outside = np.multiply.outer(scale, t) > 1.0
-        flat = np.flatnonzero(outside)
+        flat = np.flatnonzero(np.multiply.outer(scale, t) > 1.0)
         for lo in range(0, flat.size, _EXP_CHUNK):
-            at = np.unravel_index(flat[lo:lo + _EXP_CHUNK], outside.shape)
+            at = np.unravel_index(flat[lo:lo + _EXP_CHUNK], (len(prop),) + t.shape)
             coef[at[:-1] + (cols, at[-1])] = forms(prop[at[0], :4], t[at[1:]])
     return coef
 
@@ -507,8 +505,7 @@ class FrequencyStack:
         self.quad = None
 
     def _exponential_rows(self, t) -> np.ndarray:
-        """``_member_coefficients`` of every member at ``t``; a member whose
-        ones are not finite gets zero rows and is solved by collocation."""
+        """``_member_coefficients`` at ``t``; a non-finite member gets zero rows and collocation."""
         rows = _member_coefficients(self.prop, t)
         finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
         rows[~finite] = 0.0
@@ -526,18 +523,21 @@ class FrequencyStack:
             basis = _member_basis(self.prop).reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
             self.quad = (self._exponential_rows(offsets), basis.reshape(k, 36, 6))
         coef, basis = self.quad
-        # w_q z(t_q) (member, interval, node, component): the real rows times
-        # the (re, im) columns, one product per member as in a lone solve
+        # w_q z(t_q) (member, interval, node, component): the real rows times the
+        # (re, im) columns, per member as in a lone solve, in blocks of about
+        # _EXP_CHUNK member-times whose temporaries are reused, not fresh pages
         zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
-        samples = (rows @ zt).view(complex).reshape(k, nz - 1, 8, 6)
-        return (coef @ samples).reshape(k, nz - 1, 36) @ basis
+        local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
+        for b in (slice(lo, lo + width) for lo in range(0, k, width)):
+            samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, 6)
+            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]
+        return local
 
     def _march(self, z, d) -> np.ndarray:
-        """Variation of constants for the matexp members, marched over the
-        intervals with every member at once, as a view (k, 6, Nz) of the
-        node-major profiles.  A first pass marches the particular solution
-        from y(0) = 0, whose value at b gives y(0).  Each step is one product
-        into its node plus the local integrals, zero without bulk forcing."""
+        """Variation of constants for the matexp members, all marched at once,
+        as a view (k, 6, Nz) of node-major profiles: a first pass marches the
+        particular solution from y(0) = 0, whose value at b gives y(0); each
+        step is one product into its node plus the local integrals (0 unforced)."""
         local = None
         if z is not None and z.any():
             local = np.ascontiguousarray(self._local_integrals(z).transpose(1, 0, 2))[..., None]

@@ -137,10 +137,11 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
     # quadrature cache (5.4 MB together at wave-2d's forced stack, 86
     # members at nz 48); the Taylor product writes the cache itself, and
-    # the closed forms, at most _EXP_CHUNK member-times per call, must not
-    # add a temporary that grows with members times intervals.  The second
-    # stack (nz 12, 2 pi |xi| b in [10, 18]) sends 65% of its step and 26%
-    # of its quadrature member-times to the closed forms, more than one call
+    # neither the closed forms nor the contraction, in calls and blocks of
+    # at most _EXP_CHUNK member-times, may add a temporary that grows with
+    # members times intervals.  The second stack (nz 12, 2 pi |xi| b in
+    # [10, 18]) sends 65% of its step and 26% of its quadrature member-times
+    # to the closed forms, more than one call
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):

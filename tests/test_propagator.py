@@ -408,6 +408,11 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
     got = stack._local_integrals(z)
     offsets, rows = solver._quadrature()
+    # the rows carry the Gauss-Legendre weights: they integrate x^3 over each interval
+    nodes = solver.vgrid.nodes
+    cubes = np.diff(nodes ** 4) / 4
+    assert np.abs((rows @ nodes ** 3).reshape(nz - 1, 8).sum(axis=1) - cubes).max() \
+        <= 1e-13 * cubes.max()
     X, ok = ode._member_exponentials(stack.prop, offsets)
     assert ok.all()
     samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)     # w_q z(t_q)
