@@ -15,8 +15,9 @@ class SurfaceTooLarge(StripwaveError):
 
 class NumericallySingular(StripwaveError):
     """A non-finite input or an overflowed result of the tests' oracle
-    ``odesystem.matrix_exponential``; the solvers fall back to collocation
-    instead of raising it."""
+    ``odesystem.matrix_exponential`` (the solvers fall back to collocation
+    instead of raising it), or a transverse operator whose eigenvalues are
+    not all real and positive."""
 
 
 class IllConditionedCollocation(StripwaveError):

@@ -227,9 +227,9 @@ def write_json(path, payload):
 def write_field_csv(path, field):
     """Write a lattice field as CSV rows of (component, xi indices, node
     index) with re/im columns, one per index of the half lattice
-    grid.half_mask in C order, and its grids to the JSON sidecar
-    path + ".json", which says ``"layout": "half"``; its ``real_flag`` is
-    always true (every field is real)."""
+    grid.half_mask in C order, and its grids and row count ``rows`` to the
+    JSON sidecar path + ".json", which says ``"layout": "half"``; its
+    ``real_flag`` is always true (every field is real)."""
     grid = field.grid
     bulk = isinstance(field, SpectralField)
     header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
@@ -243,7 +243,7 @@ def write_field_csv(path, field):
     index = np.nonzero(np.broadcast_to(half, field.data.shape))
     values = field.data[index]
     write_csv(path, header, [*index, values.real, values.imag])
-    write_json(str(path) + ".json", meta)
+    write_json(str(path) + ".json", {**meta, "rows": len(values)})
 
 
 def write_ydata_csv(dirpath, data: FieldTuple):
@@ -267,8 +267,9 @@ def read_field_csv(path):
     rows, completed by ``conjugate_mirror``.  A sidecar with no ``layout``
     key reads as the full layout, whose rows must be Hermitian to rounding.
     A missing or unreadable file, a bad sidecar, a non-numeric cell, a bad
-    row or layout, or a full file that is not Hermitian raises ConfigError
-    naming the file."""
+    row or layout, a row count other than the sidecar's ``rows`` (a sidecar
+    without it is not checked), or a full file that is not Hermitian raises
+    ConfigError naming the file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
@@ -300,6 +301,8 @@ def read_field_csv(path):
         rows = on_lattice(half, len(shape)) if layout == "half" else True
         index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
         data[index] = table[:, -2] + 1j * table[:, -1]
+    if meta.get("rows", len(table)) != len(table):
+        raise ConfigError(f"{path}: {len(table)} data rows, the sidecar says {meta['rows']!r}")
     if layout == "full":        # the lattice reflected through xi = 0 is its conjugate
         defect = np.abs(reflect(np.flip(np.roll(data, -1, axis=1), axis=1), grid)
                         - np.conj(data)).max(initial=0.0)

@@ -140,14 +140,8 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
     h = u[n - 1:n, ..., -1] + p.gamma * dh(eta, 0)
     m = p.kappa * dpsi_n[0:1, ..., -1]
 
-    return YData(
-        f=SpectralField(grid, vgrid, f),
-        g=SpectralField(grid, vgrid, g),
-        l=SpectralField(grid, vgrid, l),
-        k=SurfaceSpectral(grid, k),
-        h=SurfaceSpectral(grid, h),
-        m=SurfaceSpectral(grid, m),
-    )
+    return YData(*(SpectralField(grid, vgrid, a) for a in (f, g, l)),
+                 *(SurfaceSpectral(grid, a) for a in (k, h, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +219,14 @@ class LinearInverter:
     solves only the half-lattice frequencies where its data, less the
     surface terms, is nonzero (in dim_h = 2 the transverse forcing counts
     too) and writes zero at the others.  It prepares one FrequencyStack at
-    exactly those frequencies and, in dim_h = 2, the transverse factors
-    where the transverse forcing is nonzero, each again at the union when
-    its data reaches outside them.  At xi = 0 the longitudinal direction is
-    the first horizontal axis and, in dim_h = 2, the transverse one the
-    second.  Each inversion fills ``backend`` and ``cond``, lattice arrays
-    shaped like SymbolTable's: the backend of each solved frequency and its
-    condition estimate, None and 0 where no solve was made.
+    exactly those frequencies and, in dim_h = 2, the transverse factors (a
+    diagonal scaling each, no LU) where the transverse forcing is nonzero,
+    each again at the union when its data reaches outside them.  At xi = 0
+    the longitudinal direction is the first horizontal axis and, in
+    dim_h = 2, the transverse one the second.  Each inversion fills
+    ``backend`` and ``cond``, lattice arrays shaped like SymbolTable's: the
+    backend of each solved frequency and its condition estimate, None and
+    0 where no solve was made; a transverse bound beyond the limit raises.
     """
 
     def __init__(self, table: SymbolTable, split: float = DEFAULT_SPLIT,

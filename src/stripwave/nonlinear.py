@@ -17,7 +17,7 @@ changes neither the zero set nor the solution).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -219,15 +219,8 @@ def nonlinear_residual(state: LinearState, forcing: ForcingData,
             warnings.warn(f"dealiased tail fraction {frac:.2e}", AliasingWarning)
         return dealias(coeff, grid)
 
-    bulk, surf = n + 1, n
-    return YData(
-        f=SpectralField(grid, vgrid, pack(f_term, bulk)),
-        g=SpectralField(grid, vgrid, pack(g_term, bulk)),
-        l=SpectralField(grid, vgrid, pack(l_term, bulk)),
-        k=SurfaceSpectral(grid, pack(k_term, surf)),
-        h=SurfaceSpectral(grid, pack(h_term, surf)),
-        m=SurfaceSpectral(grid, pack(m_term, surf)),
-    )
+    return YData(*(SpectralField(grid, vgrid, pack(t, n + 1)) for t in (f_term, g_term, l_term)),
+                 *(SurfaceSpectral(grid, pack(t, n)) for t in (k_term, h_term, m_term)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +238,7 @@ class SolveTrace:
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "residuals": self.residuals,
-            "contraction": self.contraction,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "amplitude_used": self.amplitude_used,
-            "diagnostics": self.diagnostics,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
 
 
 def suggested_amplitude_cap(p: PhysicalParams) -> float:

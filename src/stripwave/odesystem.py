@@ -40,6 +40,10 @@ Two backends solve the system and validate each other:
   block and a 2Nz heat block, and a solve joins them through a 2x2 system
   for (phi(b), delta(b)).
 
+In 3D the transverse velocity solves a scalar problem whose boundary rows
+do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
+grid and viscosity, and each frequency is a diagonal scaling, with no LU.
+
 The homogeneous solve with d = (0,0,0,0,1,0) yields the response symbols to
 a unit normal stress on the top boundary; their top traces assemble the
 surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
@@ -49,6 +53,7 @@ surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -295,24 +300,6 @@ def lu_factor(a: np.ndarray, **options):
     return factor(a, **options)
 
 
-def _factor_checked(sys: np.ndarray, cond_limit: float, what: str):
-    """LU factors of ``sys`` (overwritten when Fortran-ordered) and its 1-norm
-    condition estimate; raises IllConditionedCollocation beyond cond_limit."""
-    # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
-    # does on a C-ordered system
-    anorm = float(np.abs(sys, order="C").sum(axis=0).max())
-    lu = lu_factor(sys, overwrite_a=True)
-    from scipy.linalg import lapack
-    gecon = lapack.zgecon if sys.dtype == np.complex128 else lapack.cgecon
-    rcond, _ = gecon(lu[0], anorm)
-    cond_estimate = 1.0 / max(rcond, np.finfo(float).tiny)
-    if cond_estimate > cond_limit:
-        raise IllConditionedCollocation(
-            f"{what} condition estimate {cond_estimate:.3g} beyond "
-            f"{cond_limit:.3g}", cond_estimate=cond_estimate)
-    return lu, cond_estimate
-
-
 # The Stokes and heat blocks of the collocation system: their components,
 # and the entry (row, column) of N by which the other block reaches each,
 # held in the top row of q (tangential stress, -alpha1 m delta(b)) and of
@@ -379,7 +366,7 @@ class FrequencySolver:
         phi(b) and delta(b), which lead their blocks (index nz-1), joins
         them; it is unit triangular for the forward and the adjoint problem.
         """
-        from scipy.linalg import lu_solve
+        from scipy.linalg import lapack, lu_solve
         nz = self.vgrid.count
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
@@ -408,7 +395,15 @@ class FrequencySolver:
                 # the bottom row of a component meets every component's
                 # bottom node, the top row every top node
                 sys[br, br % nz::nz] = (Mmat if cr < 3 else Nmat)[cr, list(comps)]
-            lu, cond = _factor_checked(sys, self.cond_limit, "collocation")
+            # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
+            # does on a C-ordered system
+            anorm = float(np.abs(sys, order="C").sum(axis=0).max())
+            lu = lu_factor(sys, overwrite_a=True)
+            cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
+            if cond > self.cond_limit:
+                raise IllConditionedCollocation(
+                    f"collocation condition estimate {cond:.3g} beyond "
+                    f"{self.cond_limit:.3g}", cond_estimate=cond)
             e = np.zeros(n, dtype=complex)
             e[rows[comps.index(row)]] = Nmat[row, col]
             coupling.append(lu_solve(lu, e))
@@ -458,9 +453,9 @@ class FrequencyStack:
 
     A member whose exponentials are not finite or whose cond(B) exceeds the
     solver's limit is solved by collocation instead; the other members are
-    unaffected.  ``colloc`` lists the collocation members.  Their Stokes and
-    heat blocks are factored at every solve and dropped after the member is
-    solved, so one member's pair of factorisations is alive at a time.
+    unaffected.  A collocation member's Stokes and heat blocks are factored
+    at every solve and dropped after the member is solved, so one member's
+    pair of factorisations is alive at a time.
     ``backend`` and ``cond`` (K,) record what each member is solved with;
     the cond of a collocation member, the larger of its blocks' estimates,
     is set when it is solved.
@@ -473,15 +468,8 @@ class FrequencyStack:
         self.backend = np.where(matexp, "matexp", "collocation").astype(object)
         self.cond = np.zeros(len(self.xis))
         self.members = np.flatnonzero(matexp)
-        self.colloc = []                # collocation members
         if self.members.size:
             self._prepare_matexp()
-        for i in np.flatnonzero(~matexp):
-            self._to_collocation(i)
-
-    def _to_collocation(self, i: int):
-        self.colloc.append(int(i))
-        self.backend[i] = "collocation"
 
     def _prepare_matexp(self):
         s = self.solver
@@ -496,8 +484,7 @@ class FrequencyStack:
         cond[ok] = np.linalg.cond(B[ok])
         ok &= cond <= s.cond_limit
         self.cond[self.members] = cond
-        for i in self.members[~ok]:
-            self._to_collocation(i)
+        self.backend[self.members[~ok]] = "collocation"
         self.members = self.members[ok]
         self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
         coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(2, 0, 1)
@@ -509,8 +496,7 @@ class FrequencyStack:
         rows = _member_coefficients(self.prop, t)
         finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
         rows[~finite] = 0.0
-        for i in self.members[~finite]:
-            self._to_collocation(i)
+        self.backend[self.members[~finite]] = "collocation"
         return rows
 
     def _local_integrals(self, z) -> np.ndarray:
@@ -563,49 +549,78 @@ class FrequencyStack:
         if self.members.size:
             Y[self.members] = self._march(
                 None if z is None else z[self.members], d[self.members])
-        for i in self.colloc:
+        for i in np.flatnonzero(self.backend == "collocation"):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])
         return Y
 
 
+@lru_cache(maxsize=8)
+def _transverse_basis(vgrid: VerticalGrid, mu: float):
+    """The transverse operator with its boundary rows eliminated, diagonalized
+    once per vertical grid and viscosity (fast diagonalization: Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964).  beta(0) = 0 and the top row gives beta_T
+    (T = Nz-1), so the interior solves (sigma I + Abar) beta_I = g = f_I -
+    D2[I,T] k / D[T,T], D2 = D D, Abar = -mu (D2[I,I] - D2[I,T] D[T,I] / D[T,T])
+    = V Lambda V^-1.  Returns Lambda, the real rows from (f_I, k) to V^-1 g,
+    those from (sigma + Lambda)^-1 V^-1 g to beta_I and beta_T + k / (mu D[T,T]),
+    mu D[T,T] and cond2(V)^2; an eigenvalue not real and positive raises."""
+    D, T, inner = vgrid.diff, vgrid.count - 1, slice(1, -1)
+    D2, top = D @ D, D[T, inner] / D[T, T]
+    lam, V = np.linalg.eig(-mu * (D2[inner, inner] - np.outer(D2[inner, T], top)))
+    if np.iscomplexobj(lam) or lam.min() <= 0.0:
+        raise NumericallySingular("a transverse eigenvalue lies off the positive axis")
+    Vinv = np.linalg.inv(V)
+    basis = (lam, np.hstack([Vinv, -(Vinv @ D2[inner, T:]) / D[T, T]]), np.vstack([V, -top @ V]))
+    for a in basis:
+        a.flags.writeable = False
+    return basis + (mu * D[T, T], np.linalg.cond(V) ** 2)
+
+
 def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
                       gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
-    """LU factors of the scalar transverse velocity problems at the
-    frequencies ``xis`` (K, 2) (horizontal dimension two only), each checked
-    against cond_limit, stacked as (K, Nz, Nz) and (K, Nz):
+    """The scalar transverse velocity problems at the frequencies ``xis``
+    (K, 2) (horizontal dimension two only),
 
     gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
-    beta(0) = 0, -mu dn beta(b) = k.
+    beta(0) = 0, -mu dn beta(b) = k,
+
+    readied for ``transverse_solve`` with no LU: ``_transverse_basis``,
+    1 / (sigma + Lambda) (K, Nz-2) with sigma = gamma_tilde 2 pi i xi_1 +
+    mu 4 pi^2 |xi|^2, and the bound cond2(V)^2 max|sigma + lambda| /
+    min|sigma + lambda| on cond2(sigma I + Abar), (K,).  A bound beyond
+    cond_limit raises IllConditionedCollocation naming the worst frequency.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.shape[-1] != 2:
         raise ValueError("transverse problems only arise for dim_h = 2")
-    nz = vgrid.count
+    basis = _transverse_basis(vgrid, float(p.mu))
     m = 2.0 * np.pi * np.sqrt(np.vecdot(xis, xis))
-    t = 2j * np.pi * gamma_tilde * xis[:, 0]
-    D = vgrid.diff
-    eye = np.eye(nz)
-    L = t[:, None, None] * eye - p.mu * (D @ D - (m * m)[:, None, None] * eye)
-    L[:, 0] = 0.0
-    L[:, 0, 0] = 1.0
-    L[:, -1] = -p.mu * D[-1]
-    piv = np.empty((len(L), nz), dtype=np.int32)
-    for i in range(len(L)):
-        (L[i], piv[i]), _ = _factor_checked(L[i], cond_limit, "transverse system")
-    return L, piv
+    shift = (2j * np.pi * gamma_tilde * xis[:, 0] + p.mu * m * m)[:, None] + basis[0]
+    size = np.abs(shift)
+    cond = basis[-1] * size.max(axis=1) / size.min(axis=1)
+    if cond.size and cond.max() > cond_limit:
+        worst = int(np.argmax(cond))
+        raise IllConditionedCollocation(
+            f"transverse system condition bound {cond[worst]:.3g} beyond {cond_limit:.3g} "
+            f"at xi = {tuple(xis[worst].tolist())}", cond_estimate=float(cond[worst]))
+    return basis, 1.0 / shift, cond
 
 
 def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
     """beta (K, Nz) from the factors of ``transverse_factor``, the forcing
-    f (K, Nz) and the top data k (K,), one LAPACK getrs per frequency."""
-    rhs = np.array(f_transverse, dtype=complex)
-    rhs[:, 0] = 0.0
-    rhs[:, -1] = k_transverse
-    from scipy.linalg.lapack import zgetrs
-    for lu, piv, b in zip(*factors, rhs):
-        b[:], _ = zgetrs(lu, piv, b)
-    return rhs
+    f (K, Nz) and the top data k (K,).  The shared real rows act on each
+    frequency's (re, im) columns, one product per frequency, so a
+    frequency's beta does not depend on the batch around it."""
+    (_, left, right, top, _), scale, _ = factors
+    rhs = np.concatenate([np.asarray(f_transverse)[:, 1:-1],
+                          np.asarray(k_transverse)[:, None]], axis=1, dtype=complex)
+    k, n = rhs.shape[0], rhs.shape[1] - 1
+    y = (left @ rhs.view(float).reshape(k, n + 1, 2)).view(complex)[..., 0] * scale
+    beta = np.zeros((k, n + 2), dtype=complex)
+    beta[:, 1:] = (right @ y.view(float).reshape(k, n, 2)).view(complex)[..., 0]
+    beta[:, -1] -= rhs[:, -1] / top
+    return beta
 
 
 # ---------------------------------------------------------------------------

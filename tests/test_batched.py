@@ -471,20 +471,31 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
     assert sizes.count(4 * nz) == sizes.count(2 * nz)
 
 
-@pytest.mark.parametrize("mode, lus", [("nonlinear-solve", 0), ("roundtrip-test", 144)])
-def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mode, lus):
-    # box 20 pi, modes 32, nz 24: every symbol and stack member is matexp, so
-    # each LU is a transverse system.  Every forcing preset depends on x_1
-    # alone, so the 3D nonlinear solve is x_2-invariant, has no transverse
-    # forcing and factors no transverse system; roundtrip-3d keeps one
-    # factor at each of the 144 half-lattice frequencies of its states
+@pytest.mark.parametrize("mode, frequencies", [("nonlinear-solve", 0), ("roundtrip-test", 144)])
+def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mode, frequencies):
+    # box 20 pi, modes 32, nz 24: every symbol and stack member is matexp and
+    # the transverse solves are diagonalized, so neither mode makes an LU.
+    # Every forcing preset depends on x_1 alone, so the 3D nonlinear solve is
+    # x_2-invariant, has no transverse forcing and hands no frequency to
+    # transverse_factor; roundtrip-3d hands it each of the 144 half-lattice
+    # frequencies of its states once
+    import stripwave.linear as linear
     from stripwave.cli import run
     from stripwave.config import RunConfig
     counted = _counting(monkeypatch, "lu_factor")
+    handed = []
+    real = linear.transverse_factor
+
+    def recording(xis, *args, **kwargs):
+        handed.append(len(xis))
+        return real(xis, *args, **kwargs)
+
+    monkeypatch.setattr(linear, "transverse_factor", recording)
     assert run(RunConfig.from_dict({
         "mode": mode, "out": str(tmp_path / "out"), "params": {"dim": 3},
         "grid": {"box_len": 2 * math.pi * 10, "modes": 32, "nz": 24},
         "closure": {"visc": "tempdep", "heat": "tempdep", "sigma": "smooth"},
         "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3},
         "roundtrip": {"count": 12}, "seed": 3})) == 0
-    assert len(counted) == lus
+    assert len(counted) == 0
+    assert sum(handed) == frequencies

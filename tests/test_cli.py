@@ -186,11 +186,18 @@ def _non_numeric_cell(indir):
     (indir / "h.csv").write_bytes(b"\r\n".join(rows))
 
 
+def _cut_at_a_line(indir):
+    # h.csv cut after its fifth data row, at a line boundary
+    rows = (indir / "h.csv").read_bytes().split(b"\r\n")
+    (indir / "h.csv").write_bytes(b"\r\n".join(rows[:6]) + b"\r\n")
+
+
 @pytest.mark.parametrize("defect, message", [
     (_non_numeric_cell, "h.csv: could not convert string 'abc'"),
     (lambda indir: (indir / "h.csv.json").unlink(), "h.csv.json'"),
     (lambda indir: (indir / "h.csv").unlink(), "h.csv not found"),
-], ids=["non-numeric cell", "missing sidecar", "missing csv"])
+    (_cut_at_a_line, "h.csv: 5 data rows, the sidecar says 9"),
+], ids=["non-numeric cell", "missing sidecar", "missing csv", "truncated csv"])
 def test_linear_solve_rejects_malformed_input_files(tmp_path, capsys, defect, message):
     # a malformed or missing input file is a config error naming the file:
     # exit 2, not a traceback with exit 1
@@ -596,14 +603,17 @@ steps["cli and wave-2d config"] = loaded()
 assert stripwave.cli.main(["--config", sys.argv[2]]) == 0
 steps["nonlinear-solve"] = loaded()
 assert stripwave.cli.main(["--config", sys.argv[3]]) == 0
+steps["3D roundtrip-test"] = loaded()
+assert stripwave.cli.main(["--config", sys.argv[4]]) == 0
 steps["linear-solve"] = loaded()
 print(json.dumps(steps))
 """
 
 
 def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
-    # a fresh interpreter: importing the package, loading the wave-2d config
-    # and a small 2D nonlinear-solve (no LU, no expm) leave scipy.linalg
+    # a fresh interpreter: importing the package, loading the wave-2d config,
+    # a small 2D nonlinear-solve (no LU, no expm) and a small 3D
+    # roundtrip-test (diagonalized transverse solves) leave scipy.linalg
     # unloaded; a linear-solve whose table has two collocation members
     # (j = 13, 14) loads it at their LUs
     wave = _write_cfg(tmp_path, {
@@ -614,6 +624,10 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     small = _write_cfg(tmp_path, {
         "mode": "nonlinear-solve", "out": str(tmp_path / "nl"), **SMALL,
         "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2}}, "nl.json")
+    roundtrip = _write_cfg(tmp_path, {
+        "mode": "roundtrip-test", "out": str(tmp_path / "rt"), "params": {"dim": 3},
+        "grid": {"box_len": 2 * np.pi * 10, "modes": 16, "nz": 24},
+        "roundtrip": {"count": 2}}, "rt.json")
     grid, vg = FrequencyGrid(1, 2.5 * np.pi, 32), VerticalGrid(1.0, 24)
     write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(
         make_random_state(grid, vg, seed=3, jmax=14), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
@@ -623,11 +637,11 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, linear],
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, roundtrip, linear],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "import stripwave": False, "cli and wave-2d config": False,
-        "nonlinear-solve": False, "linear-solve": True}
+        "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": True}
     summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
     assert summary["table_solved"] == {"matexp": 12, "collocation": 2}

@@ -249,8 +249,8 @@ def test_pushforward_rejects_malformed_points_3d(points):
 
 def test_inverter_cond_limit_reaches_transverse_systems():
     # at cond_limit 1e5 every stack member of this grid passes (matexp, with
-    # cond(B) below 20), while every transverse system has a condition
-    # estimate near 1.4e6: the inversion must stop there, and stop again when
+    # cond(B) below 20), while the transverse systems' condition bound
+    # reaches about 1.26e5: the inversion must stop there, and stop again when
     # retried, since the failed preparation is not kept
     grid, vg = FrequencyGrid(2, 20 * np.pi, 16), VerticalGrid(1.0, 24)
     inv = LinearInverter(SymbolTable.build(grid, vg, P3, cond_limit=1e5),

@@ -348,7 +348,8 @@ def test_full_layout_directory_reads_as_before(tmp_path):
             meta.update(kind="surface")
         write_json(tmp_path / "full" / f"{name}.csv.json", meta)
         half_meta = json.loads((tmp_path / "half" / f"{name}.csv.json").read_text())
-        assert half_meta == dict(meta, layout="half")
+        rows = part.comps * int(grid.half_mask.sum()) * (24 if "nz" in meta else 1)
+        assert half_meta == dict(meta, layout="half", rows=rows)
     reports = []
     for src in ("half", "full"):
         out = tmp_path / f"lin_{src}"
@@ -416,7 +417,7 @@ def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
         b"0,2,-25000000000,4.9406564584124654e-324\r\n")
     assert (tmp_path / "tiny.csv.json").read_bytes() == (
         b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
-        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true\n}\n')
+        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true,\n  "rows": 3\n}\n')
     # every field is real, so the key is constant; a file that says false
     # loads all the same
     sidecar = tmp_path / "tiny.csv.json"
@@ -437,7 +438,7 @@ def test_hermitian_surface_csv_bytes_pinned(tmp_path):
         b"0,2,-25000000000,0\r\n")
     assert (tmp_path / "tiny.csv.json").read_bytes() == (
         b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "dim_h": 1,\n  "kind": "surface",\n'
-        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true\n}\n')
+        b'  "layout": "half",\n  "modes": 4,\n  "real_flag": true,\n  "rows": 3\n}\n')
     back = read_field_csv(tmp_path / "tiny.csv")
     assert np.array_equal(back.data[0], data)
 
@@ -458,8 +459,29 @@ def test_hermitian_bulk_csv_bytes_pinned(tmp_path):
     assert (tmp_path / "tiny.csv.json").read_bytes() == (
         b'{\n  "box_len": 2.0,\n  "comps": 1,\n  "depth": 1.5,\n  "dim_h": 2,\n'
         b'  "kind": "bulk",\n  "layout": "half",\n  "modes": 4,\n  "nz": 4,\n'
-        b'  "real_flag": true\n}\n')
+        b'  "real_flag": true,\n  "rows": 40\n}\n')
     assert np.array_equal(read_field_csv(tmp_path / "tiny.csv").data, data)
+
+
+def test_truncated_field_csv_is_refused(tmp_path):
+    # a bulk field cut at a line boundary no longer reads as if whole, with
+    # its missing rows as zeros: the sidecar's row count names the cut.  A
+    # sidecar without the count, as written before it, is not checked
+    grid, vg = FrequencyGrid(1, 2.0, 8), VerticalGrid(1.0, 6)
+    field = SpectralField(grid, vg, np.arange(2 * 5 * 6).reshape(2, 5, 6) + 0.5j)
+    path = tmp_path / "u.csv"
+    write_field_csv(path, field)
+    whole = path.read_bytes()
+    path.write_bytes(b"".join(whole.splitlines(keepends=True)[:20]))
+    with pytest.raises(ConfigError, match=r"u\.csv: 19 data rows, the sidecar says 60"):
+        read_field_csv(path)
+    sidecar = tmp_path / "u.csv.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["rows"]
+    sidecar.write_text(json.dumps(meta))
+    assert np.array_equal(read_field_csv(path).data[0, :3], field.data[0, :3])
+    path.write_bytes(whole)
+    assert np.array_equal(read_field_csv(path).data, field.data)
 
 
 def _surface_file(tmp_path, rows, layout=None):

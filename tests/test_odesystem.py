@@ -2,9 +2,8 @@ from math import factorial
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
 
-from stripwave.errors import NumericallySingular
+from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.grids import VerticalGrid
 from stripwave.odesystem import (FrequencySolver, SymbolTable,
                                  assemble_boundary,
@@ -420,20 +419,100 @@ def test_transverse_nonsingular_scan():
 
 
 def test_transverse_batch_matches_single_systems():
-    # the stacked factors and the batched solve agree bit for bit with a
-    # factorisation and a solve per frequency
+    # the batched factors and solve agree bit for bit with a factorisation
+    # and a solve per frequency: every frequency shares the one basis and is
+    # solved by its own products
     rng = np.random.default_rng(5)
     xis = rng.uniform(-2.0, 2.0, (12, 2))
-    lu, piv = transverse_factor(xis, P3, VG, P3.gamma)
+    basis, scale, cond = transverse_factor(xis, P3, VG, P3.gamma)
     f = rng.standard_normal((12, VG.count)) + 1j * rng.standard_normal((12, VG.count))
     k = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    beta = transverse_solve((lu, piv), f, k)
+    beta = transverse_solve((basis, scale, cond), f, k)
     for i, xi in enumerate(xis):
-        lu1, piv1 = transverse_factor(xi[None], P3, VG, P3.gamma)
-        assert np.array_equal(lu1[0], lu[i]) and np.array_equal(piv1[0], piv[i])
-        rhs = f[i].copy()
-        rhs[0], rhs[-1] = 0.0, k[i]
-        assert np.array_equal(lu_solve((lu1[0], piv1[0]), rhs), beta[i])
+        basis1, scale1, cond1 = transverse_factor(xi[None], P3, VG, P3.gamma)
+        assert basis1 is basis
+        assert np.array_equal(scale1[0], scale[i]) and cond1[0] == cond[i]
+        assert np.array_equal(transverse_solve((basis1, scale1, cond1), f[i:i + 1],
+                                               k[i:i + 1])[0], beta[i])
+
+
+def _bordered_transverse(p, vg, gamma_tilde, xi):
+    """The dense transverse system at one frequency: the interior equation at
+    every node, its first row replaced by beta(0) = 0 and its last by
+    -mu dn beta(b) = k."""
+    D, nz = vg.diff, vg.count
+    m2 = 4 * np.pi ** 2 * (xi @ xi)
+    L = (2j * np.pi * gamma_tilde * xi[0] + p.mu * m2) * np.eye(nz) - p.mu * D @ D
+    L[0], L[0, 0], L[-1] = 0.0, 1.0, -p.mu * D[-1]
+    return L
+
+
+@pytest.mark.parametrize("nz", [16, 24, 48, 80])
+def test_transverse_solve_matches_manufactured_discrete_solution(nz):
+    # f = L beta* and k from the dense bordered system, four parameter sets,
+    # frequencies from 0 to 2 pi |xi| b = 80: the diagonalized solve returns
+    # beta* to 1e-11 of its largest value, and its condition bound is at
+    # least the 2-norm condition number of the eliminated system
+    # sigma I + Abar.  Its worst error at this nz is no larger than a dense
+    # solve's; at the rounding floor (errors near 1e-13, small sigma) a
+    # single parameter set can go either way
+    rng = np.random.default_rng(nz)
+    worst, worst_dense = 0.0, 0.0
+    for mu, depth, gamma in ((2.0, 0.7, -1.0), (1.0, 1.0, 1.0), (0.3, 3.0, 4.0),
+                             (5.0, 0.4, 0.5)):
+        p = PhysicalParams(mu=mu, kappa=1, grav=1, depth=depth, gamma=gamma, sigma0=1,
+                           sigma1=0.1, dim=3)
+        vg = VerticalGrid(depth, nz)
+        direction = rng.standard_normal((8, 2))
+        xis = direction / np.linalg.norm(direction, axis=1, keepdims=True) \
+            * np.array([0.0, 0.02, 0.3, 1.0, 3.0, 10.0, 30.0, 80.0])[:, None] \
+            / (2 * np.pi * depth)
+        z = vg.nodes
+        bstar = np.sin(1.7 * z / depth) * (1 + 0.5j) + z * z * np.exp(-z) * (0.3 - 1j)
+        systems = [_bordered_transverse(p, vg, gamma, xi) for xi in xis]
+        rhs = np.stack([L @ bstar for L in systems])
+        factors = transverse_factor(xis, p, vg, gamma)
+        beta = transverse_solve(factors, rhs, rhs[:, -1])
+        rhs[:, 0] = 0.0
+        dense = np.stack([np.linalg.solve(L, r) for L, r in zip(systems, rhs)])
+        peak = np.abs(bstar).max()
+        err = np.abs(beta - bstar).max() / peak
+        assert err <= 1e-11
+        worst = max(worst, err)
+        worst_dense = max(worst_dense, np.abs(dense - bstar).max() / peak)
+        D = vg.diff
+        D2, inner = D @ D, slice(1, -1)
+        Abar = -mu * (D2[inner, inner] - np.outer(D2[inner, -1], D[-1, inner]) / D[-1, -1])
+        for xi, cond in zip(xis, factors[2]):
+            sigma = 2j * np.pi * gamma * xi[0] + mu * 4 * np.pi ** 2 * (xi @ xi)
+            assert cond >= np.linalg.cond(sigma * np.eye(nz - 2) + Abar)
+    assert worst <= worst_dense
+
+
+def test_transverse_cond_limit_names_the_worst_frequency():
+    # a larger |sigma| lifts the smallest |sigma + lambda| most, so the
+    # lowest frequency has the largest bound; a limit just below it raises
+    # and names that frequency, a limit at it passes
+    xis = np.array([[3.0, -2.0], [0.1, 0.0], [0.5, 0.5]])
+    cond = transverse_factor(xis, P3, VG, P3.gamma)[2]
+    assert np.argmax(cond) == 1
+    with pytest.raises(IllConditionedCollocation,
+                       match=r"transverse system condition bound .* at xi = \(0\.1, 0\.0\)"):
+        transverse_factor(xis, P3, VG, P3.gamma, cond_limit=0.999 * cond[1])
+    assert np.array_equal(transverse_factor(xis, P3, VG, P3.gamma, cond_limit=cond[1])[2], cond)
+
+
+@pytest.mark.parametrize("lam", [[1.0, -2.0, 3.0], [1.0, 2.0 + 1e-3j, 2.0 - 1e-3j]],
+                         ids=["negative", "complex"])
+def test_transverse_eigenvalues_off_the_positive_axis_raise(monkeypatch, lam):
+    # the eliminated operator's eigenvalues are real and positive on every
+    # grid; a decomposition that says otherwise is refused, not solved
+    import stripwave.odesystem as ode
+    ode._transverse_basis.cache_clear()
+    vg = VerticalGrid(1.3, 5)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array(lam), np.eye(3, dtype=np.array(lam).dtype)))
+    with pytest.raises(NumericallySingular, match="off the positive axis"):
+        transverse_factor([[0.4, -0.3]], P3, vg, P3.gamma)
 
 
 def test_transverse_requires_dim3():
