@@ -85,8 +85,8 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     if mode == "symbols":
         table = SymbolTable.build(grid, vgrid, p, **_symbol_options(config))
         _record_solves(summary, grid, table=table)
-        # the half-lattice rows of the field CSVs: xi, the surface traces of
-        # psi, delta and q, rho, the backend and its condition estimate
+        # one row per half-lattice frequency in the field CSVs' order: xi,
+        # the surface traces of psi, delta and q, rho, `backend` and `cond`
         half = grid.half_mask
         header = [f"xi{i+1}" for i in range(grid.dim_h)]
         columns = list(grid.xi_vectors[half].T)

@@ -11,8 +11,8 @@ planes k1 = 0 and modes/2 hold both xi and -xi: ``conjugate_mirror``
 completes them, ``enforce_real`` makes them Hermitian and zeroes Nyquist.
 
 Every artifact file is written by ``write_csv`` or ``write_json``, the one
-CSV and the one JSON format of the package; a field CSV holds the rows of
-the half lattice.
+CSV and the one JSON format of the package; a field CSV holds the nonzero
+rows of the half lattice.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -226,10 +227,10 @@ def write_json(path, payload):
 
 def write_field_csv(path, field):
     """Write a lattice field as CSV rows of (component, xi indices, node
-    index) with re/im columns, one per index of the half lattice
-    grid.half_mask in C order, and its grids and row count ``rows`` to the
-    JSON sidecar path + ".json", which says ``"layout": "half"``; its
-    ``real_flag`` is always true (every field is real)."""
+    index) with re/im columns, one per nonzero index of the half lattice
+    grid.half_mask in C order (an entry equal to 0, -0 too, has no row), and
+    its grids and row count ``rows`` to the JSON sidecar path + ".json",
+    which says ``"layout": "half"``; ``real_flag`` is always true (fields are real)."""
     grid = field.grid
     bulk = isinstance(field, SpectralField)
     header = (["comp"] + [f"k{i+1}" for i in range(grid.dim_h)]
@@ -239,8 +240,7 @@ def write_field_csv(path, field):
             "kind": "bulk" if bulk else "surface"}
     if bulk:
         meta.update(depth=field.vgrid.depth, nz=field.vgrid.count)
-    half = on_lattice(grid.half_mask, field.data.ndim)
-    index = np.nonzero(np.broadcast_to(half, field.data.shape))
+    index = np.nonzero(on_lattice(grid.half_mask, field.data.ndim) & (field.data != 0))
     values = field.data[index]
     write_csv(path, header, [*index, values.real, values.imag])
     write_json(str(path) + ".json", {**meta, "rows": len(values)})
@@ -263,17 +263,19 @@ def read_ydata_csv(dirpath) -> YData:
 
 
 def read_field_csv(path):
-    """The field that ``write_field_csv`` wrote to ``path``: its half-lattice
-    rows, completed by ``conjugate_mirror``.  A sidecar with no ``layout``
-    key reads as the full layout, whose rows must be Hermitian to rounding.
-    A missing or unreadable file, a bad sidecar, a non-numeric cell, a bad
-    row or layout, a row count other than the sidecar's ``rows`` (a sidecar
-    without it is not checked), or a full file that is not Hermitian raises
-    ConfigError naming the file."""
+    """The field that ``write_field_csv`` wrote to ``path``: its rows' values
+    bit for bit, +0 where a row is absent, completed by ``conjugate_mirror``.
+    A sidecar with no ``layout`` key reads as the full layout, whose rows
+    must be Hermitian to rounding.  A missing or unreadable file, a bad
+    sidecar, a non-numeric cell, a bad row or layout, a row count other than
+    the sidecar's ``rows`` (a sidecar without it is not checked), or a full
+    file that is not Hermitian raises ConfigError naming the file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():     # a field of zeros has no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:      # missing, not JSON, not numbers
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(meta, dict):
@@ -300,7 +302,7 @@ def read_field_csv(path):
         half[:grid.modes // 2 + 1] = grid.half_mask
         rows = on_lattice(half, len(shape)) if layout == "half" else True
         index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
-        data[index] = table[:, -2] + 1j * table[:, -1]
+        data.real[index], data.imag[index] = table[:, -2], table[:, -1]
     if meta.get("rows", len(table)) != len(table):
         raise ConfigError(f"{path}: {len(table)} data rows, the sidecar says {meta['rows']!r}")
     if layout == "full":        # the lattice reflected through xi = 0 is its conjugate

@@ -15,6 +15,7 @@ from stripwave.fields import read_field_csv, write_field_csv, write_ydata_csv
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import apply_linear_operator, make_random_state
 from stripwave.odesystem import SymbolTable
+from stripwave.ops import on_lattice
 from stripwave.params import PhysicalParams
 
 
@@ -171,13 +172,15 @@ def test_linear_solve_rejects_bad_input_rows(tmp_path, capsys):
     indir = tmp_path / "ydata"
     write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
                                                       PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    # h.csv holds the data rows k1 = 1 .. 4, its nonzero entries; the
+    # second, k1 = 2, is repeated
     rows = (indir / "h.csv").read_bytes().split(b"\r\n")
     (indir / "h.csv").write_bytes(b"\r\n".join(rows[:3] + rows[2:]))
     path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": str(indir),
                                  "out": str(tmp_path / "lin"),
                                  "grid": {"modes": 16, "nz": 24}})
     assert main(["--config", path]) == 2
-    assert "h.csv: data row 3 (0, 1) has a repeated index" in capsys.readouterr().err
+    assert "h.csv: data row 3 (0, 2) has a repeated index" in capsys.readouterr().err
 
 
 def _non_numeric_cell(indir):
@@ -187,16 +190,17 @@ def _non_numeric_cell(indir):
 
 
 def _cut_at_a_line(indir):
-    # h.csv cut after its fifth data row, at a line boundary
+    # h.csv, whose 4 data rows are its nonzero entries, cut after its second
+    # data row, at a line boundary
     rows = (indir / "h.csv").read_bytes().split(b"\r\n")
-    (indir / "h.csv").write_bytes(b"\r\n".join(rows[:6]) + b"\r\n")
+    (indir / "h.csv").write_bytes(b"\r\n".join(rows[:3]) + b"\r\n")
 
 
 @pytest.mark.parametrize("defect, message", [
     (_non_numeric_cell, "h.csv: could not convert string 'abc'"),
     (lambda indir: (indir / "h.csv.json").unlink(), "h.csv.json'"),
     (lambda indir: (indir / "h.csv").unlink(), "h.csv not found"),
-    (_cut_at_a_line, "h.csv: 5 data rows, the sidecar says 9"),
+    (_cut_at_a_line, "h.csv: 2 data rows, the sidecar says 4"),
 ], ids=["non-numeric cell", "missing sidecar", "missing csv", "truncated csv"])
 def test_linear_solve_rejects_malformed_input_files(tmp_path, capsys, defect, message):
     # a malformed or missing input file is a config error naming the file:
@@ -265,7 +269,8 @@ def test_malformed_or_mixed_grid_input_exits_2(tmp_path, capsys, mode, defect, n
 def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, dim,
                                                        mode_index, grid):
     # every field CSV that nonlinear-solve and linear-solve write is exactly
-    # Hermitian, so it takes the half layout and reads back bit for bit
+    # Hermitian, so it takes the half layout, holds one row per nonzero
+    # half-lattice entry and reads back equal, each nonzero entry bit for bit
     written = []
 
     def record(path, field):
@@ -286,14 +291,67 @@ def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, di
         "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": indir,
         "grid": grid, "params": {"dim": dim}})) == 0
     assert len(written) == 8
-    half = fgrid.half_mask.sum()
     for path, field in written:
         meta = json.load(open(path + ".json"))
         assert meta["layout"] == "half"
         rows = len(open(path, "rb").read().split(b"\r\n")) - 2
-        nz = grid["nz"] if meta["kind"] == "bulk" else 1
-        assert rows == field.comps * half * nz
-        assert np.array_equal(read_field_csv(path).data, field.data)
+        half = _half_entries(field)
+        assert rows == meta["rows"] == np.count_nonzero(half & (field.data != 0))
+        back = read_field_csv(path).data
+        assert np.array_equal(back, field.data)
+        nonzero = field.data != 0
+        assert np.array_equal(back[nonzero].view(np.uint64), field.data[nonzero].view(np.uint64))
+
+
+def _half_entries(field):
+    """The entries of ``field`` on its grid's half lattice, as a mask."""
+    return np.broadcast_to(on_lattice(field.grid.half_mask, field.data.ndim), field.data.shape)
+
+
+def test_x2_invariant_3d_solve_writes_only_its_nonzero_rows(tmp_path, monkeypatch):
+    # forcing at (2, 0) leaves the state on the axis k2 = 0: u.csv holds
+    # exactly the state's nonzero half-lattice entries, a small part of the
+    # half lattice, and reads back to the state
+    written = {}
+
+    def record(path, field):
+        written[os.path.basename(path)] = field.copy()
+        return write_field_csv(path, field)
+
+    monkeypatch.setattr(fields, "write_field_csv", record)
+    out = tmp_path / "nl"
+    path = _write_cfg(tmp_path, {
+        "mode": "nonlinear-solve", "out": str(out), "params": {"dim": 3},
+        "grid": {"box_len": 2 * np.pi * 10, "modes": 16, "nz": 24},
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 2}})
+    assert main(["--config", path]) == 0
+    u = written["u.csv"]
+    half, nonzero = _half_entries(u), u.data != 0
+    assert not nonzero[:, :, 1:].any()
+    table = np.loadtxt(out / "u.csv", delimiter=",", skiprows=1, ndmin=2)
+    want = np.argwhere(half & nonzero)
+    assert np.array_equal(table[:, :-2], want)
+    assert 0 < len(want) < np.count_nonzero(half) // 10
+    assert json.loads((out / "u.csv.json").read_text())["rows"] == len(want)
+    assert np.array_equal(read_field_csv(out / "u.csv").data, u.data)
+
+
+def test_perfbench_wave_gate_finds_the_forced_row(tmp_path):
+    # the wave gate reads |eta hat| from eta.csv's row at the forced mode:
+    # eta is nonzero there, so its row is written and the gate passes
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = workloads._wave(2, 32, 24, 3)
+    cfg["out"] = str(tmp_path / "wave")
+    assert run(RunConfig.from_dict(cfg)) == 0
+    values = workloads.wave_values(cfg["out"], 3)
+    assert values["abs_eta_hat"] > 0
+    assert workloads._check_wave(cfg, cfg["out"], None) is None
+    eta = read_field_csv(tmp_path / "wave" / "eta.csv").data
+    assert values["abs_eta_hat"] == abs(eta[0, 3])
 
 
 def test_linear_solve_records_inverter_work(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -291,9 +292,11 @@ def _whole_lattice(field):
     return np.concatenate([data, rest], axis=1)
 
 
-def _write_field_csv_rows(path, field, whole=False):
-    """write_field_csv as one csv row per half-lattice entry (the
-    reference), or per entry of the whole lattice."""
+def _write_field_csv_rows(path, field, whole=False, dense=False):
+    """write_field_csv as one csv row per nonzero half-lattice entry (the
+    reference); with ``dense`` per half-lattice entry, zeros included (the
+    format before zero rows were left out); with ``whole`` per entry of the
+    whole lattice (the full layout)."""
     import csv
     grid = field.grid
     bulk = isinstance(field, SpectralField)
@@ -303,9 +306,9 @@ def _write_field_csv_rows(path, field, whole=False):
         idx_cols = [f"k{i+1}" for i in range(grid.dim_h)]
         w.writerow(["comp"] + idx_cols + (["node"] if bulk else []) + ["re", "im"])
         for idx in np.ndindex(data.shape):
-            if not (whole or grid.half_mask[idx[1:1 + grid.dim_h]]):
-                continue
             val = data[idx]
+            if not (whole or grid.half_mask[idx[1:1 + grid.dim_h]] and (dense or val != 0)):
+                continue
             row = [idx[0]] + list(idx[1:1 + grid.dim_h])
             if bulk:
                 row.append(idx[-1])
@@ -321,7 +324,7 @@ def _read_field_csv_rows(path, shape):
         next(rd)
         for row in rd:
             idx = tuple(int(v) for v in row[:len(shape)])
-            data[idx] = float(row[-2]) + 1j * float(row[-1])
+            data[idx] = complex(float(row[-2]), float(row[-1]))
     return data
 
 
@@ -348,8 +351,10 @@ def test_full_layout_directory_reads_as_before(tmp_path):
             meta.update(kind="surface")
         write_json(tmp_path / "full" / f"{name}.csv.json", meta)
         half_meta = json.loads((tmp_path / "half" / f"{name}.csv.json").read_text())
-        rows = part.comps * int(grid.half_mask.sum()) * (24 if "nz" in meta else 1)
+        # the half file holds the nonzero entries: f has 240 of its 432
+        rows = np.count_nonzero(part.data)
         assert half_meta == dict(meta, layout="half", rows=rows)
+        assert name != "f" or rows == 240
     reports = []
     for src in ("half", "full"):
         out = tmp_path / f"lin_{src}"
@@ -361,18 +366,23 @@ def test_full_layout_directory_reads_as_before(tmp_path):
 
 
 def _awkward_values(rng, shape):
-    """Magnitudes across the double range plus -0, zeros and a subnormal."""
+    """Magnitudes across the double range plus signed zeros, in zero entries
+    and in nonzero ones, zeros and a subnormal."""
     vals = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
             + 1j * rng.standard_normal(shape))
     flat = vals.reshape(-1)
     flat[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1e300j]
     flat[4:9] = 0.0
+    flat[9:11] = [complex(0.5, -0.0), complex(-0.0, 0.25)]
     return vals
 
 
-@pytest.mark.parametrize("kind", ["bulk-complex", "bulk-3d", "bulk-large", "surface",
-                                  "surface-3d"])
-def test_csv_bytes_match_row_writer(tmp_path, kind):
+_AWKWARD_KINDS = ["bulk-complex", "bulk-3d", "bulk-large", "surface", "surface-3d"]
+
+
+def _awkward_field(kind):
+    """A field of ``_awkward_values`` in 1D and 2D, bulk and surface, whose
+    self-paired planes are Hermitian, as the field a half file stands for."""
     rng = np.random.default_rng(11)
     vg = VerticalGrid(0.8, 5)
     if kind == "bulk-complex":
@@ -391,17 +401,53 @@ def test_csv_bytes_match_row_writer(tmp_path, kind):
     else:
         grid = FrequencyGrid(2, 2.5, 6)
         f = SurfaceSpectral(grid, _awkward_values(rng, (1, 4, 6)))
-    # the field a half file stands for: its self-paired planes are Hermitian
     f.data = conjugate_mirror(f.data, grid)
+    return f
+
+
+def _half_entries(field):
+    """The entries of ``field`` on its grid's half lattice, as a mask."""
+    mask = field.grid.half_mask[(None, ...) + (None,) * (field.data.ndim - 1 - field.grid.dim_h)]
+    return np.broadcast_to(mask, field.data.shape)
+
+
+@pytest.mark.parametrize("kind", _AWKWARD_KINDS)
+def test_csv_bytes_match_row_writer(tmp_path, kind):
+    # the file is the reference writer's rows of the nonzero half-lattice
+    # entries; a nonzero entry keeps the -0 of a zero part
+    f = _awkward_field(kind)
     write_field_csv(tmp_path / "new.csv", f)
     _write_field_csv_rows(tmp_path / "old.csv", f)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert b"-0," in (tmp_path / "new.csv").read_bytes()
+    half, nonzero = _half_entries(f), f.data != 0
+    meta = json.loads((tmp_path / "new.csv.json").read_text())
+    assert meta["rows"] == np.count_nonzero(half & nonzero) < np.count_nonzero(half)
     back = read_field_csv(tmp_path / "new.csv")
     assert type(back) is type(f)
     assert np.array_equal(back.data, f.data)
-    ref = conjugate_mirror(_read_field_csv_rows(tmp_path / "new.csv", f.data.shape), grid)
+    # every nonzero entry reads back bit for bit, signed zero parts kept,
+    # and every half-lattice entry equal to 0 reads as +0
+    assert np.array_equal(back.data[nonzero].view(np.uint64), f.data[nonzero].view(np.uint64))
+    assert not back.data[half & ~nonzero].view(np.uint64).any()
+    ref = conjugate_mirror(_read_field_csv_rows(tmp_path / "new.csv", f.data.shape), f.grid)
     assert np.array_equal(back.data.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", _AWKWARD_KINDS)
+def test_dense_half_file_reads_bit_for_bit(tmp_path, kind):
+    # a half file in the format that still wrote its zero rows, -0 ones
+    # among them, reads to the field it was written from bit for bit, and
+    # in value to the same field as the file of nonzero rows
+    f = _awkward_field(kind)
+    write_field_csv(tmp_path / "new.csv", f)
+    _write_field_csv_rows(tmp_path / "dense.csv", f, dense=True)
+    meta = json.loads((tmp_path / "new.csv.json").read_text())
+    write_json(tmp_path / "dense.csv.json", dict(meta, rows=np.count_nonzero(_half_entries(f))))
+    assert b"-0,-0\r\n" in (tmp_path / "dense.csv").read_bytes()
+    dense = read_field_csv(tmp_path / "dense.csv")
+    assert np.array_equal(dense.data.view(np.uint64), f.data.view(np.uint64))
+    assert np.array_equal(dense.data, read_field_csv(tmp_path / "new.csv").data)
 
 
 def test_field_csv_and_sidecar_bytes_pinned(tmp_path):
@@ -482,6 +528,38 @@ def test_truncated_field_csv_is_refused(tmp_path):
     assert np.array_equal(read_field_csv(path).data[0, :3], field.data[0, :3])
     path.write_bytes(whole)
     assert np.array_equal(read_field_csv(path).data, field.data)
+
+
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "surface"])
+def test_field_of_zeros_is_a_header_that_counts_its_rows(tmp_path, bulk):
+    # a field of zeros, -0 ones among them, writes no data rows and says
+    # "rows": 0; it reads back as +0 with no warning from the empty table,
+    # and the count still refuses a file that disagrees with it either way
+    grid, vg = FrequencyGrid(2, 2.0, 4), VerticalGrid(1.0, 4)
+    shape = (3,) + grid.freq_shape + ((4,) if bulk else ())
+    zeros = np.full(shape, complex(-0.0, -0.0))
+    field = SpectralField(grid, vg, zeros) if bulk else SurfaceSpectral(grid, zeros)
+    path, sidecar = tmp_path / "u.csv", tmp_path / "u.csv.json"
+    write_field_csv(path, field)
+    header = path.read_bytes()
+    assert header == (b"comp,k1,k2,node,re,im\r\n" if bulk else b"comp,k1,k2,re,im\r\n")
+    meta = json.loads(sidecar.read_text())
+    assert meta["rows"] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_field_csv(path)
+    assert type(back) is type(field) and back.data.shape == shape
+    assert not back.data[_half_entries(back)].view(np.uint64).any()
+    assert not np.abs(back.data).any()
+    write_json(sidecar, dict(meta, rows=3))
+    with pytest.raises(ConfigError, match=r"u\.csv: 0 data rows, the sidecar says 3"):
+        read_field_csv(path)
+    write_json(sidecar, dict(meta, rows=0))
+    field.data[0, 1, 2] = 0.5
+    write_field_csv(tmp_path / "one.csv", field)
+    path.write_bytes((tmp_path / "one.csv").read_bytes())
+    with pytest.raises(ConfigError, match=r"u\.csv: \d+ data rows, the sidecar says 0"):
+        read_field_csv(path)
 
 
 def _surface_file(tmp_path, rows, layout=None):
