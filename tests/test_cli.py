@@ -295,11 +295,10 @@ def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, di
         meta = json.load(open(path + ".json"))
         assert meta["layout"] == "half"
         rows = len(open(path, "rb").read().split(b"\r\n")) - 2
-        half = _half_entries(field)
-        assert rows == meta["rows"] == np.count_nonzero(half & (field.data != 0))
+        nonzero = field.data != 0
+        assert rows == meta["rows"] == np.count_nonzero(_half_entries(field) & nonzero)
         back = read_field_csv(path).data
         assert np.array_equal(back, field.data)
-        nonzero = field.data != 0
         assert np.array_equal(back[nonzero].view(np.uint64), field.data[nonzero].view(np.uint64))
 
 
