@@ -21,7 +21,7 @@ from .linear import (LinearInverter, apply_linear_operator, make_random_state,
                      state_norm)
 from .nonlinear import eulerian_grid_samples, picard_solve
 from .norms import check_divergence_trace, ydata_norm
-from .odesystem import SymbolTable
+from .odesystem import BACKENDS, SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
 
 
@@ -50,7 +50,7 @@ def _record_solves(summary: dict, grid, **solved_by):
             continue
         half = list(solved.backend[grid.half_mask])
         worst = np.unravel_index(np.argmax(solved.cond), solved.cond.shape)
-        summary[f"{name}_solved"] = {b: half.count(b) for b in ("matexp", "collocation")}
+        summary[f"{name}_solved"] = {b: half.count(b) for b in BACKENDS}
         summary[f"{name}_max_cond"] = float(solved.cond[worst])
         summary[f"{name}_max_cond_at"] = [int(i) for i in worst]
 

@@ -13,7 +13,7 @@ The general transport speed gamma_tilde and the coupling placement
 (alpha1, alpha2) select the forward problem (-gamma, alpha1, 0) or the
 adjoint/normal-stress problem (+gamma, 0, alpha2).
 
-Two backends solve the system and validate each other:
+Three backends solve the system and validate each other:
 
 * ``matexp``: the variation-of-constants representation
   y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
@@ -32,13 +32,16 @@ Two backends solve the system and validate each other:
   It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
   it is gated by a configurable split.
 
+* ``twosided``: the symbols beyond the symbol split, by two decaying closed
+  forms and a 6x6 system, the exponential dichotomy of ``_twosided_profiles``.
+
 * ``collocation``: direct Chebyshev collocation of the first-order system,
-  valid at all frequencies.  Its interior rows never couple the Stokes
-  unknowns (phi, psi, q, dn phi) with the heat unknowns (delta, dn delta);
-  only the tangential stress (alpha1 delta(b)) and the heat flux
-  (alpha2 phi(b)) reach across.  So each frequency factors a 4Nz Stokes
-  block and a 2Nz heat block, and a solve joins them through a 2x2 system
-  for (phi(b), delta(b)).
+  valid at all frequencies (forced solves beyond the split, and fallback).
+  Its interior rows never couple the Stokes unknowns (phi, psi, q, dn phi)
+  with the heat unknowns (delta, dn delta); only the tangential stress
+  (alpha1 delta(b)) and the heat flux (alpha2 phi(b)) reach across.  So
+  each frequency factors a 4Nz Stokes block and a 2Nz heat block, and a
+  solve joins them through a 2x2 system for (phi(b), delta(b)).
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
 do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
@@ -52,6 +55,7 @@ surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -67,6 +71,7 @@ from .params import PhysicalParams
 DEFAULT_SPLIT = 30.0
 SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
+BACKENDS = ("matexp", "twosided", "collocation")
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 # member-times per call of the closed forms and per block of the
 # quadrature contraction: about 1 MiB of temporaries
@@ -270,6 +275,20 @@ def _member_exponentials(prop: np.ndarray, t):
     return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
 
 
+def _inverse_and_cond(B: np.ndarray):
+    """B^-1 and cond_1(B) = ||B||_1 ||B^-1||_1 per member of (k, 6, 6), one LU
+    each; cond is inf where B is not finite or exactly singular."""
+    inv, ok = np.full_like(B, np.nan), np.isfinite(B).all(axis=(-2, -1))
+    try:
+        inv[ok] = np.linalg.inv(B[ok])
+    except np.linalg.LinAlgError:           # an exactly singular member: one at a time
+        for i in np.flatnonzero(ok):
+            with suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(B[i])
+    cond = np.linalg.norm(B, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    return inv, np.where(np.isnan(cond), np.inf, cond)
+
+
 # ---------------------------------------------------------------------------
 # Forced boundary value problems
 # ---------------------------------------------------------------------------
@@ -451,14 +470,13 @@ class FrequencyStack:
     w_q z(t_q)), the weights in the interpolation rows.  Every solve solves
     every member: a caller leaves a frequency without data out of the stack.
 
-    A member whose exponentials are not finite or whose cond(B) exceeds the
+    A member whose exponentials are not finite or whose cond_1(B) exceeds the
     solver's limit is solved by collocation instead; the other members are
     unaffected.  A collocation member's Stokes and heat blocks are factored
     at every solve and dropped after the member is solved, so one member's
-    pair of factorisations is alive at a time.
-    ``backend`` and ``cond`` (K,) record what each member is solved with;
-    the cond of a collocation member, the larger of its blocks' estimates,
-    is set when it is solved.
+    pair of factorisations is alive at a time.  ``backend`` and ``cond`` (K,)
+    record what each member is solved with: cond_1(B), or for collocation
+    the larger of its blocks' LAPACK estimates, set when it is solved.
     """
 
     def __init__(self, solver: FrequencySolver, xis):
@@ -476,17 +494,13 @@ class FrequencyStack:
         xis = self.xis[self.members]
         prop = _propagator(xis, s.p, s.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
-        # B = M + N exp(bA); cond(B) is inf where B is not finite
-        expb, ok = _member_exponentials(prop, s.vgrid.depth)
-        B = Mmat + Nmat @ expb
-        ok &= np.isfinite(B).all(axis=(-2, -1))
-        cond = np.full(len(B), np.inf)
-        cond[ok] = np.linalg.cond(B[ok])
-        ok &= cond <= s.cond_limit
+        # B = M + N exp(bA); cond_1(B) is inf where B is not finite
+        Binv, cond = _inverse_and_cond(Mmat + Nmat @ _member_exponentials(prop, s.vgrid.depth)[0])
+        ok = cond <= s.cond_limit
         self.cond[self.members] = cond
         self.backend[self.members[~ok]] = "collocation"
         self.members = self.members[ok]
-        self.prop, self.Binv, self.Nmat = prop[ok], np.linalg.inv(B[ok]), Nmat[ok]
+        self.prop, self.Binv, self.Nmat = prop[ok], Binv[ok], Nmat[ok]
         coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(2, 0, 1)
         self.step = (coef[:, :, None] @ _member_basis(self.prop)).reshape(coef.shape + (6,))
         self.quad = None
@@ -650,21 +664,63 @@ def rho_of(p: PhysicalParams, xi, om_vn_surf):
             + 2j * np.pi * p.gamma * xi[..., 0])
 
 
-def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
-                    split: float = SYMBOL_SPLIT,
+def _dichotomy(prop: np.ndarray, t: np.ndarray):
+    """E, O (k, 6, n) with exp(tA) P- = E + O, exp(-tA) P+ = E - O in the basis of
+    ``_member_basis`` (P+- = (I +- sign A)/2, xi != 0) at times t (n,) >= 0:
+    the even and odd parts of e^{-t|z|} over the eigenvalues +-m, +-l, +-l_h,
+    bounded as Re l, Re l_h >= m; delta = l - m = (tau/mu)/(l + m)."""
+    m, l, lh, r = (prop[:, i, None] for i in range(4))
+    z = t * (r / (l + m))           # t delta; psi(z) = (1 - e^{-z})/z, by its series near 0
+    small, zs = np.abs(z) < 1e-3, np.where(np.abs(z) < 1e-3, 1.0, z)
+    em, eh, zero = np.exp(-t * m.real), np.exp(-t * lh), np.zeros_like(z)
+    tp = em * t * np.where(small, 1 - z / 2 * (1 - z / 3 * (1 - z / 4 * (1 - z / 5))),
+                           -np.expm1(-zs) / zs)
+    return (np.stack([em / 2, -tp / (2 * (l + m)), zero, zero, eh / 2, zero], axis=1),
+            np.stack([zero, zero, -em / (2 * m), (em + m * tp) / (2 * l * m * (l + m)), zero,
+                      -eh / (2 * lh)], axis=1))
+
+
+@np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation
+def _twosided_profiles(solver: FrequencySolver, xis: np.ndarray):
+    """Unit normal stress profiles (k, 6, Nz) at ``xis`` (k, dim_h), xi != 0,
+    and cond_1(K) by the exponential dichotomy (Ascher, Mattheij & Russell 1995,
+    ch. 6): y(x) = C(x) v, C(x) = exp(xA) P- + exp((x-b)A) P+, K = M C(0) + N C(b)."""
+    s, nodes, n = solver, solver.vgrid.nodes, solver.vgrid.count
+    prop = _propagator(xis, s.p, s.gamma_tilde)
+    E, O = _dichotomy(prop, np.concatenate([nodes, nodes[-1] - nodes]))
+    coef = E[..., :n] + O[..., :n] + E[..., n:] - O[..., n:]
+    basis = _member_basis(prop)
+    ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
+    Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
+    Kinv, cond = _inverse_and_cond(Mmat @ ends[:, 0] + Nmat @ ends[:, 1])
+    # the basis matrices times v (k, 6, 6) weight the coefficient rows
+    w = basis.reshape(-1, 6, 6, 6) @ (Kinv @ UNIT_NORMAL_STRESS)[:, None, :, None]
+    return w[..., 0].transpose(0, 2, 1) @ coef, cond
+
+
+def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid, split: float = SYMBOL_SPLIT,
                     cond_limit: float = DEFAULT_COND_LIMIT):
     """Response profiles Y (K, 6, Nz) to a unit normal stress on the top at
     the frequencies ``xis`` (K, dim_h), with the backend and condition
-    estimate of each: the adjoint problem (gamma, 0, sigma1), solved as one
-    FrequencyStack, which is freed on return.
-
-    xi = 0 is no special case: A(0) is nilpotent, the pressure symbol comes
-    out identically one and every other response zero, so rho(0) = 0.
+    estimate of each: the adjoint problem (gamma, 0, sigma1).  xi = 0 (where
+    A is nilpotent, q = 1 and rho = 0) and 2 pi |xi| b <= split march as one
+    FrequencyStack (cond_1(B)), the others are two-sided (cond_1(K)); where
+    that fails, collocation (its LAPACK estimate).
     """
-    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, split=split,
-                            cond_limit=cond_limit).prepare(xis)
-    Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
-    return Y, stack.backend, stack.cond
+    xis = np.asarray(xis, dtype=float)
+    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, max(split, 0.0), cond_limit)
+    near = solver._scale(xis) <= solver.split
+    stack = solver.prepare(xis[near])
+    Y = np.empty((len(xis), 6, vgrid.count), dtype=complex)
+    backend, cond = np.full(len(xis), BACKENDS[1], dtype=object), np.empty(len(xis))
+    Y[near] = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(stack.xis), 6)))
+    backend[near], cond[near] = stack.backend, stack.cond
+    if not near.all():
+        Y[~near], cond[~near] = _twosided_profiles(solver, xis[~near])
+    for i in np.flatnonzero(cond > cond_limit):     # a failed K: the march's are solved
+        backend[i] = BACKENDS[2]
+        Y[i], cond[i] = solver._solve_collocation(xis[i], None, UNIT_NORMAL_STRESS)
+    return Y, backend, cond
 
 
 def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:

@@ -141,7 +141,8 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
     # at most _EXP_CHUNK member-times, may add a temporary that grows with
     # members times intervals.  The second stack (nz 12, 2 pi |xi| b in
     # [10, 18]) sends 65% of its step and 26% of its quadrature member-times
-    # to the closed forms, more than one call
+    # to the closed forms, more than one call.  Every member marches: its
+    # last 12 have cond_1(B) 1.0e12-1.4e12, so no cond_limit applies
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
@@ -157,7 +158,8 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
         tracemalloc.start()
         try:
-            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis[:, None])
+            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0,
+                                    cond_limit=np.inf).prepare(xis[:, None])
             stack.solve(z, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -173,10 +175,11 @@ BENCH_GRIDS = {
     "roundtrip-3d": (3, 2 * math.pi * 10, 32, 24),
     "linear-deep": (2, 2.5 * math.pi, 128, 80),
 }
-# SymbolTable.backend counts (matexp, collocation) measured with the
-# per-frequency loop that preceded FrequencyStack, plus xi = 0 as matexp
-BENCH_BACKENDS = {"wave-2d": (201, 55), "roundtrip-3d": (1024, 0),
-                  "linear-deep": (25, 103)}
+# SymbolTable.backend counts (matexp, twosided, collocation): the split
+# of the per-frequency loop that preceded FrequencyStack, plus xi = 0 as
+# matexp, with the symbols beyond the split two-sided
+BENCH_BACKENDS = {"wave-2d": (201, 55, 0), "roundtrip-3d": (1024, 0, 0),
+                  "linear-deep": (25, 103, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_GRIDS))
@@ -186,11 +189,11 @@ def test_table_backend_at_bench_grids(name):
     grid = FrequencyGrid(dim - 1, box, modes)
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
     scale = 2 * np.pi * np.sqrt(grid.xi2)
-    expect = np.where(scale <= 10.0, "matexp", "collocation").astype(object)
+    expect = np.where(scale <= 10.0, "matexp", "twosided").astype(object)
     assert np.array_equal(table.backend, expect)
     # over the whole lattice: a stored index stands for pair_weight points
     counts = tuple(int(((table.backend == b) * grid.pair_weight).sum())
-                   for b in ("matexp", "collocation"))
+                   for b in ("matexp", "twosided", "collocation"))
     assert counts == BENCH_BACKENDS[name]
 
 
@@ -211,25 +214,26 @@ def _counting(monkeypatch, name):
 def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
     # linear-deep's job: its data reaches 2 pi |xi| b = 16, inside the
     # matexp band, so the 42 collocation members above split 30, which had
-    # no data, are no longer factored (84 LUs)
+    # no data, are no longer factored (84 LUs); the table's 52 members
+    # beyond the symbol split are two-sided, with no LU either
     dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
     data = apply_linear_operator(make_random_state(grid, vg, seed=3, jmax=20), p)
     lus = _counting(monkeypatch, "lu_factor")
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
-    assert len(lus) == 104
+    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 52
     inv.invert(data)
-    assert len(lus) == 104
+    assert len(lus) == 0
     solved = list(inv.backend[grid.half_mask])
     assert solved.count("matexp") == 20 and solved.count(None) == 45
 
 
-def test_linear_solve_makes_16_lus_at_linear_deep(tmp_path, monkeypatch):
+def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     # linear-deep's job through the CLI: its data stops at |j| = 20
     # (2 pi |xi| b = 16), so its symbol table solves j = 1 .. 20 only, and
-    # j = 13 .. 20, above the symbol split 10, are its 8 collocation members
-    # at two LUs (Stokes and heat block) each; the full table made 104
+    # j = 13 .. 20, above the symbol split 10, are its 8 two-sided members;
+    # as collocation members they made two LUs (Stokes and heat block) each
     import json
     from stripwave.cli import run
     from stripwave.config import RunConfig
@@ -244,10 +248,10 @@ def test_linear_solve_makes_16_lus_at_linear_deep(tmp_path, monkeypatch):
     write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(state, cfg.params()))
     lus = _counting(monkeypatch, "lu_factor")
     assert run(cfg) == 0
-    assert len(lus) == 16
+    assert len(lus) == 0
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 12, "collocation": 8}
-    assert summary["inverter_solved"] == {"matexp": 20, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 12, "twosided": 8, "collocation": 0}
+    assert summary["inverter_solved"] == {"matexp": 20, "twosided": 0, "collocation": 0}
 
 
 def _without_low_modes(state, jmin):
@@ -346,9 +350,10 @@ def test_inverter_backend_and_cond_match_single_solves():
 
 
 # LinearInverter.cond on the half lattice of the grid below (index order),
-# measured when the inverter kept its collocation factorisations; at xi = 0,
-# cond(B) = 1 since mu = kappa = 1
-LIFETIME_COND = [1.0, 7.917543e3, 3.376874e6, 6.376916e8, 8.408163e10,
+# measured when the inverter kept its collocation factorisations, with the
+# matexp members' cond_1(B) (the first five); at xi = 0, cond_1(B) = 1
+# since mu = kappa = 1
+LIFETIME_COND = [1.0, 9.516480e3, 5.151365e6, 1.004727e9, 1.335769e11,
                  2.707794e5, 3.503076e5, 4.469473e5, 5.649699e5, 7.036378e5,
                  8.647102e5, 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6,
                  2.088663e6, 2.429065e6]
@@ -358,7 +363,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16,
     # three fallbacks inside the inverter's band (20, 24, 28) and collocation
     # above 30, so twelve collocation members; the table (split 10) has
-    # fourteen
+    # fourteen two-sided members, and no LU
     import stripwave.odesystem as ode
     sizes = []
     real = ode.lu_factor
@@ -372,7 +377,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     grid = FrequencyGrid(1, 0.5 * math.pi, 32)
     vg = VerticalGrid(1.0, 24)
     table = SymbolTable.build(grid, vg, p)
-    assert len(sizes) == 28
+    assert len(sizes) == 0 and list(table.backend[grid.half_mask]).count("twosided") == 14
     inv = LinearInverter(table)
     data = _data_everywhere(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
     records = []

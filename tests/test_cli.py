@@ -356,7 +356,8 @@ def test_perfbench_wave_gate_finds_the_forced_row(tmp_path):
 def test_linear_solve_records_inverter_work(tmp_path):
     # linear-deep's lattice and input state: its data reaches 2 pi |xi| b = 16,
     # so the 20 frequencies with data are solved by matexp and none by
-    # collocation, though 42 frequencies lie above split 30
+    # collocation, though 42 frequencies lie above split 30; a forced solve
+    # is never two-sided
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid, vg = FrequencyGrid(1, 2.5 * np.pi, 128), VerticalGrid(1.0, 32)
     indir = str(tmp_path / "ydata")
@@ -367,7 +368,7 @@ def test_linear_solve_records_inverter_work(tmp_path):
                                  "grid": {"box_len": 2.5 * np.pi, "modes": 128, "nz": 32}})
     assert main(["--config", path]) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["inverter_solved"] == {"matexp": 20, "collocation": 0}
+    assert summary["inverter_solved"] == {"matexp": 20, "twosided": 0, "collocation": 0}
     inv = cli.LinearInverter(SymbolTable.build(grid, vg, p))
     inv.invert(data)
     at = tuple(summary["inverter_max_cond_at"])
@@ -430,30 +431,32 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     [(table, kwargs)] = seen
     assert kwargs == {"split": 0.3, "cond_limit": 1e11}
     # the table solved exactly the frequencies whose data, at xi or -xi,
-    # is nonzero, each on the backend of the symbol split; in dim_h 1 the
-    # lattice stores xi >= 0, and the data at -xi is the conjugate
+    # is nonzero, each on the backend of the symbol split (two-sided beyond
+    # it); in dim_h 1 the lattice stores xi >= 0, and the data at -xi is the
+    # conjugate
     solved, half = table.solved, grid.half_mask
     assert np.array_equal(solved[half], live[half])
     assert solved.any() and not solved.all()
     scale = 2 * np.pi * np.sqrt(grid.xi2)
-    assert np.array_equal((table.backend == "collocation")[solved], (scale > 0.5)[solved])
+    assert np.array_equal((table.backend == "twosided")[solved], (scale > 0.5)[solved])
     assert (table.backend[~solved] == None).all()  # noqa: E711
     # the manifest records the table's half lattice and its worst cond
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     half = table.backend[grid.half_mask]
     assert summary["table_solved"] == {b: int((half == b).sum())
-                                       for b in ("matexp", "collocation")}
+                                       for b in ("matexp", "twosided", "collocation")}
     assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \
         == table.cond.max()
 
 
 def test_symbols_mode_records_table_solves(tmp_path):
     # the default grid (box 20 pi, 256 modes, nz 48): 2 pi |xi| b reaches
-    # the symbol split 10 at |j| = 100
+    # the symbol split 10 at |j| = 100, beyond which the symbols are
+    # two-sided
     out = tmp_path / "sym"
     assert run(RunConfig.from_dict({"mode": "symbols", "out": str(out)})) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 101, "collocation": 28}
+    assert summary["table_solved"] == {"matexp": 101, "twosided": 28, "collocation": 0}
     assert summary["table_max_cond_at"] == [100]
 
 
@@ -522,7 +525,7 @@ def test_stalled_solve_writes_trace(tmp_path):
     assert summary["inverter_solved"]["matexp"] > 0
     # the table solved xi = 0 and the 5 modes inside the 2/3 cutoff of 16,
     # where the residuals live, not all 9 of the half lattice
-    assert summary["table_solved"] == {"matexp": 6, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 6, "twosided": 0, "collocation": 0}
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 
@@ -663,6 +666,8 @@ assert stripwave.cli.main(["--config", sys.argv[3]]) == 0
 steps["3D roundtrip-test"] = loaded()
 assert stripwave.cli.main(["--config", sys.argv[4]]) == 0
 steps["linear-solve"] = loaded()
+assert stripwave.cli.main(["--config", sys.argv[5]]) == 0
+steps["linear-solve, split below its data"] = loaded()
 print(json.dumps(steps))
 """
 
@@ -670,9 +675,11 @@ print(json.dumps(steps))
 def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     # a fresh interpreter: importing the package, loading the wave-2d config,
     # a small 2D nonlinear-solve (no LU, no expm) and a small 3D
-    # roundtrip-test (diagonalized transverse solves) leave scipy.linalg
-    # unloaded; a linear-solve whose table has two collocation members
-    # (j = 13, 14) loads it at their LUs
+    # roundtrip-test (diagonalized transverse solves) and a linear-solve
+    # whose table has two members beyond the symbol split (j = 13, 14,
+    # two-sided) leave scipy.linalg unloaded; the same linear-solve with
+    # backend.split 1, below its data (2 pi |xi| b = 0.8 |j|), solves its
+    # forced problems by collocation and loads it at their LUs
     wave = _write_cfg(tmp_path, {
         "mode": "nonlinear-solve", "params": {"dim": 2},
         "grid": {"box_len": 2 * np.pi * 10, "modes": 256, "nz": 48},
@@ -691,14 +698,22 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     linear = _write_cfg(tmp_path, {
         "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": str(tmp_path / "ydata"),
         "grid": {"box_len": 2.5 * np.pi, "modes": 32, "nz": 24}}, "lin.json")
+    below = _write_cfg(tmp_path, {
+        "mode": "linear-solve", "out": str(tmp_path / "below"), "input": str(tmp_path / "ydata"),
+        "grid": {"box_len": 2.5 * np.pi, "modes": 32, "nz": 24},
+        "backend": {"split": 1.0}}, "below.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, roundtrip, linear],
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, roundtrip, linear,
+                           below],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "import stripwave": False, "cli and wave-2d config": False,
-        "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": True}
+        "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": False,
+        "linear-solve, split below its data": True}
     summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 12, "collocation": 2}
+    assert summary["table_solved"] == {"matexp": 12, "twosided": 2, "collocation": 0}
+    summary = json.load(open(tmp_path / "below" / "manifest.json"))["summary"]
+    assert summary["inverter_solved"] == {"matexp": 1, "twosided": 0, "collocation": 13}

@@ -10,7 +10,7 @@ from stripwave.linear import LinearInverter, LinearState
 from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_residual,
                                  picard_solve)
 from stripwave.norms import ydata_norm
-from stripwave.odesystem import FrequencySolver, symbol_profiles
+from stripwave.odesystem import UNIT_NORMAL_STRESS, FrequencySolver
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -22,10 +22,10 @@ def test_collocation_self_convergence_beyond_matexp():
     ximag = 150.0 / (2 * np.pi)
 
     def vn_surf(nz):
-        Y, backend, _ = symbol_profiles(np.array([[ximag]]), P1, VerticalGrid(1.0, nz),
-                                        split=-1.0)
-        assert list(backend) == ["collocation"]
-        return Y[0, 1, -1]
+        Y, backend, _ = FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1,
+                                        split=-1.0).solve([ximag], None, UNIT_NORMAL_STRESS)
+        assert backend == "collocation"
+        return Y[1, -1]
 
     ref = vn_surf(160)
     errs = []

@@ -5,7 +5,7 @@ import pytest
 
 from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.grids import VerticalGrid
-from stripwave.odesystem import (FrequencySolver, SymbolTable,
+from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, SymbolTable,
                                  assemble_boundary,
                                  assemble_bulk_matrix, forcing_rows,
                                  matrix_exponential, solve_symbol, symbol_profiles,
@@ -220,8 +220,76 @@ def test_B_ill_conditioned_falls_back():
     assert stack.cond[0] > stack.solver.cond_limit
     d = np.zeros((1, 6), dtype=complex)
     d[0, 4] = 1.0
-    Y, _, _ = symbol_profiles(np.array([[40.0]]), P1, VG, split=-1.0)
-    assert np.array_equal(stack.solve(None, d), Y)
+    Y, backend, _ = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=-1.0).solve(
+        [40.0], None, UNIT_NORMAL_STRESS)
+    assert backend == "collocation" and np.array_equal(stack.solve(None, d)[0], Y)
+
+
+def test_inverse_and_cond_singular_member_alone():
+    # one LU per member: an exactly singular and a NaN member get cond inf,
+    # and the others their inverse bit for bit and cond_1 = ||B||_1 ||B^-1||_1
+    import stripwave.odesystem as ode
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    B[1, 3] = 0.0
+    B[2, 0, 0] = np.nan
+    inv, cond = ode._inverse_and_cond(B)
+    assert np.isinf(cond[[1, 2]]).all()
+    for i in (0, 3):
+        assert np.array_equal(inv[i], np.linalg.inv(B[i]))
+        assert cond[i] == np.linalg.norm(B[i], 1) * np.linalg.norm(inv[i], 1)
+        assert np.linalg.cond(B[i], 1) == pytest.approx(cond[i], rel=1e-12)
+
+
+def test_singular_B_member_falls_back_alone(monkeypatch):
+    # a zero exponential makes B = M, exactly singular: that member alone is
+    # solved by collocation, and the others as in a stack without it
+    import stripwave.odesystem as ode
+    xis = np.array([[0.3], [0.9], [1.4]])
+    coefs = (P1.gamma, 0.0, P1.sigma1)
+    d = np.zeros((3, 6), dtype=complex)
+    d[:, 4] = 1.0
+    Y0 = FrequencySolver(P1, VG, *coefs).prepare(xis).solve(None, d)
+    real = ode._member_exponentials
+
+    def singular(prop, t):
+        X, ok = real(prop, t)
+        X[1] = 0.0
+        return X, ok
+
+    monkeypatch.setattr(ode, "_member_exponentials", singular)
+    stack = FrequencySolver(P1, VG, *coefs).prepare(xis)
+    assert list(stack.backend) == ["matexp", "collocation", "matexp"]
+    assert stack.cond[1] == np.inf
+    Y = stack.solve(None, d)
+    assert np.array_equal(Y[[0, 2]], Y0[[0, 2]])
+    Yc, _, _ = FrequencySolver(P1, VG, *coefs, split=-1.0).solve(xis[1], None, d[1])
+    assert np.array_equal(Y[1], Yc)
+
+
+def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
+    # 2 pi |xi| b = 2, 12 and 100: march, two-sided with cond_1(K) 1.3e3,
+    # and cond_1(K) 8.3e4, beyond a cond_limit of 2e4: that member alone is
+    # solved by collocation (here at the default limit, which its estimate
+    # of about 1e7 passes) and keeps that solve's estimate
+    xis = np.array([[2.0], [12.0], [100.0]]) / (2 * np.pi)
+    Y0, backend0, cond0 = symbol_profiles(xis, P1, VG)
+    assert list(backend0) == ["matexp", "twosided", "twosided"] and 2e4 < cond0[2] < 1e5
+    calls, real = [], FrequencySolver._solve_collocation
+
+    def default_limit(self, xi, z, d):
+        calls.append(xi)
+        return real(FrequencySolver(self.p, self.vgrid, self.gamma_tilde, self.alpha1,
+                                    self.alpha2), xi, z, d)
+
+    monkeypatch.setattr(FrequencySolver, "_solve_collocation", default_limit)
+    Y, backend, cond = symbol_profiles(xis, P1, VG, cond_limit=2e4)
+    assert list(backend) == ["matexp", "twosided", "collocation"]
+    assert len(calls) == 1 and np.array_equal(calls[0], xis[2])
+    assert np.array_equal(Y[:2], Y0[:2]) and np.array_equal(cond[:2], cond0[:2])
+    Yc, _, cc = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=-1.0).solve(
+        xis[2], None, UNIT_NORMAL_STRESS)
+    assert np.array_equal(Y[2], Yc) and cond[2] == cc > 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +320,18 @@ def test_symbol_richardson_leading_coefficient(p):
 
 
 def test_symbol_dual_backend_agreement():
+    # the march, the two-sided form and collocation, pairwise
     for p in (P1, P2):
         vg = VerticalGrid(p.depth, 48)
         for ximag in (0.2, 0.7, 10.0 / (2 * np.pi * p.depth)):
             xis = np.array([[ximag]])
             Ym, bm, _ = symbol_profiles(xis, p, vg, split=np.inf)
-            Yc, bc, _ = symbol_profiles(xis, p, vg, split=-1.0)
-            assert (bm[0], bc[0]) == ("matexp", "collocation")
-            assert np.abs(Ym - Yc).max() / np.abs(Ym).max() < 1e-8
+            Yt, bt, _ = symbol_profiles(xis, p, vg, split=-1.0)
+            Yc, bc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
+                xis[0], None, UNIT_NORMAL_STRESS)
+            assert (bm[0], bt[0], bc) == ("matexp", "twosided", "collocation")
+            for Y1, Y2 in ((Ym[0], Yt[0]), (Ym[0], Yc), (Yt[0], Yc)):
+                assert np.abs(Y1 - Y2).max() / np.abs(Y1).max() < 1e-8
 
 
 def test_symbol_conjugate_symmetry():
@@ -557,7 +629,7 @@ def test_table_2d_small():
 def test_table_solved_on_demand_matches_build(dim, monkeypatch):
     # 2 pi |xi| b = 0.8 |j| on this lattice: the symbol split 10 lies
     # between |j| = 12 and 13, so both masks hold xi = 0 and the first
-    # holds matexp and collocation members
+    # holds matexp and two-sided members
     import stripwave.odesystem as ode
     from stripwave.fields import reflect
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
@@ -584,7 +656,7 @@ def test_table_solved_on_demand_matches_build(dim, monkeypatch):
     union = first | second
     solved = union | reflect(union, grid, 0)
     assert np.array_equal(table.solved, solved)
-    assert set(table.backend[first]) == {"matexp", "collocation"}
+    assert set(table.backend[first]) == {"matexp", "twosided"}
     for name in ("y", "rho", "cond"):
         got, expect = getattr(table, name), getattr(full, name)
         assert got[solved].tobytes() == expect[solved].tobytes()

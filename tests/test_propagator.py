@@ -363,7 +363,10 @@ def test_matexp_profiles_match_6x6_reference(data):
     Y = stack.solve(z if v.any() else None, d)
     for i in np.flatnonzero(stack.backend == "matexp"):
         ref = _reference_profiles(solver, xis[i], d[i], v[i], lam[i])
-        tol = 1e-12 * max(1.0, stack.cond[i] / 1e3)
+        # the 2-norm cond(B) of the B the stack inverts (its cond is cond_1)
+        Mmat, Nmat = assemble_boundary(xis[i], p, solver.alpha1, solver.alpha2)
+        B = Mmat + Nmat @ _exponentials(xis[i], p, solver.gamma_tilde, p.depth)[0][0]
+        tol = 1e-12 * max(1.0, np.linalg.cond(B) / 1e3)
         assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
 
 
@@ -464,3 +467,89 @@ def test_production_makes_no_pade_calls(dim, monkeypatch):
     assert backend == "matexp" and np.abs(Y).max() > 0
     solved = [b for b in inverter.backend.ravel() if b is not None]
     assert (table.backend == "matexp").all() and solved and set(solved) == {"matexp"}
+
+
+# ---------------------------------------------------------------------------
+# the two-sided symbols: the decaying halves of exp(tA)
+# ---------------------------------------------------------------------------
+
+def _dichotomy_references(xi, p, times):
+    """exp(tA) P- and exp(-tA) P+ at 50 digits of the double-precision A,
+    P+- = (I +- sign A)/2 with sign A = sqrtm(A^2)^-1 A.  Each is e^{-tm}
+    expm(t (+-A + m) P-+) P-+, an exponent with no growing eigenvalue, so
+    the 50 digits are not spent on cancellation."""
+    A = assemble_bulk_matrix(xi, p, p.gamma)
+    m = float(2 * np.pi * np.linalg.norm(xi))
+    with mpmath.workdps(50):
+        A, eye = mpmath.matrix(A.tolist()), mpmath.eye(6)
+        sign = mpmath.inverse(mpmath.sqrtm(A * A)) * A
+        halves = []
+        for s in (1, -1):
+            P = (eye - s * sign) / 2
+            halves.append([np.array((mpmath.expm(float(t) * (s * A + m * eye) * P) * P
+                                     * mpmath.exp(-float(t) * m)).tolist(), dtype=complex)
+                           for t in times])
+    return halves
+
+
+def _assert_dichotomy_matches(xi, p, times):
+    """E + O and E - O of ``_dichotomy`` times the basis, finite and within
+    1e-12 of each matrix's largest entry of its 50-digit reference."""
+    prop = ode._propagator(np.atleast_2d(xi), p, p.gamma)
+    E, O = ode._dichotomy(prop, np.array(times))
+    basis = ode._member_basis(prop)[0]
+    for rows, refs in zip((E + O, E - O), _dichotomy_references(xi, p, times)):
+        got = (rows[0].T @ basis).reshape(-1, 6, 6)
+        assert np.isfinite(got).all()
+        for X, ref in zip(got, refs):
+            assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max(), (X, ref)
+
+
+def _psi_switch_times(xi, p):
+    """Times in [0, b] on both sides of psi's series threshold, |t delta| = 1e-3."""
+    m, l, _, r = ode._propagator(np.atleast_2d(xi), p, p.gamma)[0, :4]
+    delta = abs(r / (l + m))
+    return [] if delta == 0 else [
+        t for t in (1e-3 / delta * (1 - 1e-9), 1e-3 / delta * (1 + 1e-9)) if t <= p.depth]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_dichotomy_matches_mpmath(data):
+    # exp(tA) P- and exp(-tA) P+ at 2 pi |xi| b in [10, 500], at t = 0,
+    # interior nodes, b and both sides of psi's series threshold
+    p = data.draw(parameter_sets())
+    xi = data.draw(frequencies(p, 1, top=500.0))[0]
+    assume(2 * np.pi * np.linalg.norm(xi) * p.depth >= 10.0)
+    nodes = VerticalGrid(p.depth, 24).nodes
+    _assert_dichotomy_matches(xi, p, [0.0, nodes[1], nodes[7], nodes[16], p.depth]
+                              + _psi_switch_times(xi, p))
+
+
+@pytest.mark.parametrize("scale", [10.0, 120.0, 500.0])
+@pytest.mark.parametrize("p,direction", [(P2D, [1.0]), (P3D, [0.6, -0.8]), (P3D, [0.0, 1.0])],
+                         ids=["dim2", "dim3", "dim3-xi1-zero"])
+def test_dichotomy_matches_mpmath_at_fixed_frequencies(p, direction, scale):
+    # both dimensions, tau = 0 (xi_1 = 0, psi(0) = 1 at every t), and
+    # 2 pi |xi| b = 500, where exp(bA) overflows double precision
+    xi = np.array(direction) * scale / (2 * np.pi * p.depth)
+    times = [0.0, 1e-3 * p.depth, 0.5 * p.depth, p.depth] + _psi_switch_times(xi, p)
+    assert len(times) == (4 if direction[0] == 0.0 else 6)
+    _assert_dichotomy_matches(xi, p, times)
+
+
+@pytest.mark.parametrize("nz", [80, 120])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_twosided_symbols_match_collocation(nz, data):
+    # the two-sided symbols beyond the split against collocation, within
+    # 1e-10 of each profile's largest entry, at 2 pi |xi| b in (10, 100]
+    p = data.draw(parameter_sets())
+    xi = data.draw(frequencies(p, 1, top=100.0))[0]
+    assume(2 * np.pi * np.linalg.norm(xi) * p.depth > 10.0)
+    vg = VerticalGrid(p.depth, nz)
+    Y, backend, _ = ode.symbol_profiles(xi[None], p, vg)
+    Yc, used, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
+        xi, None, ode.UNIT_NORMAL_STRESS)
+    assert (backend[0], used) == ("twosided", "collocation")
+    assert np.abs(Y[0] - Yc).max() <= 1e-10 * np.abs(Yc).max()
