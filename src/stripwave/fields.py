@@ -39,11 +39,27 @@ def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray
 
 
 def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
-    """Keep ``data`` on grid.half_mask and put conj(data(-xi)) (data(-xi)
-    for an object array) at the other indices of the self-paired planes."""
-    half = on_lattice(grid.half_mask, data.ndim, first)
-    mirror = reflect(data, grid, first)
-    return np.where(half, data, mirror if data.dtype == object else np.conj(mirror))
+    """A copy of ``data`` with conj(data(-xi)) (data(-xi) for an object
+    array) off grid.half_mask: only the self-paired planes change."""
+    out, planes = data.copy(), (slice(None),) * first + ([0, -1],)
+    mirror = reflect(data[planes], grid, first)
+    out[planes] = np.where(on_lattice(grid.half_mask[[0, -1]], data.ndim, first),
+                           data[planes], mirror if data.dtype == object else np.conj(mirror))
+    return out
+
+
+def support(tup: "FieldTuple") -> np.ndarray:
+    """The freq_shape mask where some part of the field tuple is nonzero."""
+    shape = tup.grid.freq_shape
+    return np.logical_or.reduce([part.data.reshape((len(part.data),) + shape + (-1,))
+                                 .any(axis=(0, -1)) for part in tup.parts()])
+
+
+def gather_index(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask), and a second index when it has one alone: numpy
+    multiplies a single row by another BLAS kernel, which rounds otherwise."""
+    flat = np.flatnonzero(mask)
+    return np.union1d(flat, [flat[0] == 0]) if len(flat) == 1 else flat
 
 
 class _LatticeField:

@@ -33,13 +33,12 @@ import numpy as np
 
 from .errors import RhoVanishing
 from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
-                     conjugate_mirror, reflect)
+                     conjugate_mirror, gather_index, reflect, support)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
 from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
                         SymbolTable, forcing_rows, transverse_factor,
                         transverse_solve)
-from .ops import horiz_deriv, on_lattice
 from .params import PhysicalParams
 
 
@@ -87,94 +86,104 @@ def state_norm(state: LinearState) -> float:
 # Forward application
 # ---------------------------------------------------------------------------
 
-def _unit_xi(grid: FrequencyGrid):
-    """xi/|xi| per lattice point; at xi = 0 the first horizontal axis."""
-    mag = np.sqrt(grid.xi2)
-    unit = grid.xi_vectors / np.where(mag > 0, mag, 1.0)[..., None]
-    unit[(0,) * (grid.dim_h + 1)] = 1.0
+def _unit_xi(grid: FrequencyGrid, at):
+    """xi/|xi| (L, dim_h) and |xi| at the lattice indices ``at``; at 0 the first axis."""
+    mag = np.sqrt(grid.xi2[at])
+    unit = grid.xi_vectors[at] / np.where(mag > 0, mag, 1.0)[:, None]
+    unit[mag == 0, 0] = 1.0
     return unit, mag
 
 
 def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
+    """The data tuple L(state), computed only where some part of the state
+    is nonzero (``fields.support``) and exactly zero at every other frequency."""
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
-    u, psi, pres, eta = state.u.data, state.psi.data, state.pres.data, state.eta.data
+    at = np.unravel_index(gather_index(support(state)), grid.freq_shape)
+    u, psi, pres, eta = (part.data[(slice(None),) + at] for part in state.parts())
+    factors = [2j * np.pi * xi[k] for xi, k in zip(grid.xi_axes, at)]
 
     def dh(arr, ax):
-        return horiz_deriv(arr, grid, ax)
+        return arr * factors[ax].reshape((-1,) + (1,) * (arr.ndim - 2))
 
     du_n = vgrid.differentiate(u)
     g = du_n[n - 1:n].copy()
     for ax in range(grid.dim_h):
-        g = g + dh(u[ax:ax + 1], ax)
+        g += dh(u[ax:ax + 1], ax)
+    # |2 pi xi|^2 as the squares of the factors 2 pi i xi_ax of horiz_deriv
+    xi2 = sum((2.0 * np.pi * xi[k]) ** 2 for xi, k in zip(grid.xi_axes, at))[:, None]
 
-    lap_u = vgrid.differentiate(du_n)
-    # |2 pi xi|^2 as the squares of horiz_deriv's factors
-    xi2 = sum(on_lattice((2.0 * np.pi * xi) ** 2, u.ndim, 1 + ax)
-              for ax, xi in enumerate(grid.xi_axes))
-    lap_u = lap_u - xi2 * u
-
-    grad_g = np.concatenate([dh(g, ax) for ax in range(grid.dim_h)]
-                            + [vgrid.differentiate(g)], axis=0)
-
-    grad_p = np.concatenate([dh(pres, ax) for ax in range(grid.dim_h)]
-                            + [vgrid.differentiate(pres)], axis=0)
-
-    f = -p.gamma * dh(u, 0) + grad_p - p.mu * (lap_u + grad_g)
+    # surface rows (top node is the last one)
+    k = np.zeros((n, len(at[0])), dtype=complex)
     for ax in range(grid.dim_h):
-        f[ax] = f[ax] + p.grav * dh(eta, ax)[0][..., None]
+        k[ax] = (-p.mu * (du_n[ax, :, -1] + u[n - 1, :, -1] * factors[ax])
+                 + p.sigma1 * (psi[0, :, -1] * factors[ax]))
+    lap_eta = sum(dh(dh(eta, ax), ax) for ax in range(grid.dim_h))[0]
+    k[n - 1] = (pres[0, :, -1] - 2.0 * p.mu * du_n[n - 1, :, -1]
+                + p.sigma0 * lap_eta)
+    h = u[n - 1:n, :, -1] + p.gamma * dh(eta, 0)
+
+    # f = -gamma d1 u + grad p - mu (lap u + grad g) + grav grad' eta, summed
+    # in place in that order, a gradient one component at a time
+    lap_u = vgrid.differentiate(du_n)
+    lap_u -= xi2 * u
+    f = dh(u, 0)
+    f *= -p.gamma
+    for ax in range(grid.dim_h):
+        f[ax] += dh(pres, ax)[0]
+        lap_u[ax] += dh(g, ax)[0]
+    f[n - 1] += vgrid.differentiate(pres[0])
+    lap_u[n - 1] += vgrid.differentiate(g[0])
+    lap_u *= p.mu
+    f -= lap_u
+    for ax in range(grid.dim_h):
+        f[ax] += p.grav * dh(eta, ax)[0][:, None]
 
     dpsi_n = vgrid.differentiate(psi)
     lap_psi = vgrid.differentiate(dpsi_n) - xi2 * psi
     l = -p.gamma * dh(psi, 0) - p.kappa * lap_psi
+    m = p.kappa * dpsi_n[0:1, :, -1]
 
-    # surface rows (top node is the last one)
-    k = np.zeros((n,) + grid.freq_shape, dtype=complex)
-    for ax in range(grid.dim_h):
-        k[ax] = (-p.mu * (du_n[ax, ..., -1] + dh(u[n - 1:n], ax)[0, ..., -1])
-                 + p.sigma1 * dh(psi, ax)[0, ..., -1])
-    lap_eta = sum(dh(dh(eta, ax), ax) for ax in range(grid.dim_h))[0]
-    k[n - 1] = (pres[0, ..., -1] - 2.0 * p.mu * du_n[n - 1, ..., -1]
-                + p.sigma0 * lap_eta)
-
-    h = u[n - 1:n, ..., -1] + p.gamma * dh(eta, 0)
-    m = p.kappa * dpsi_n[0:1, ..., -1]
-
-    return YData(*(SpectralField(grid, vgrid, a) for a in (f, g, l)),
-                 *(SurfaceSpectral(grid, a) for a in (k, h, m)))
+    out = YData.zeros(grid, vgrid)
+    for part, values in zip(out.parts(), (f, g, l, k, h, m)):
+        part.data[(slice(None),) + at] = values
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Compatibility functional and the multiplier solve
 # ---------------------------------------------------------------------------
 
-def _long_amplitude(vec: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Contract the horizontal part of an n-vector field with i xi/|xi|."""
-    unit, _ = _unit_xi(grid)
+def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Contract the horizontal part of gathered n-vectors, shape (n, L, ...),
+    with i xi/|xi|, given as ``unit`` (L, dim_h)."""
     out = np.zeros(vec.shape[1:], dtype=complex)
-    for j in range(grid.dim_h):
-        uj = unit[..., j]
-        out = out + 1j * uj.reshape(uj.shape + (1,) * (vec.ndim - 1 - uj.ndim)) * vec[j]
+    for j in range(unit.shape[1]):
+        out = out + 1j * unit[:, j].reshape((-1,) + (1,) * (vec.ndim - 2)) * vec[j]
     return out
 
 
 def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral:
-    """Per-frequency pairing of the data against the adjoint response symbols."""
+    """Per-frequency pairing of the data against the adjoint response symbols,
+    computed where some part of the data is nonzero and exactly zero elsewhere."""
     grid, vgrid = data.grid, data.vgrid
     n = grid.dim_h + 1
-    w = vgrid.weights
-    y_long, y_vn, y_temp, y_q = (np.conj(table.y[..., row, :]) for row in range(4))
+    at = np.unravel_index(gather_index(support(data)), grid.freq_shape)
+    f, g, l, k, h, m = (part.data[(slice(None),) + at] for part in data.parts())
+    y_long, y_vn, y_temp, y_q = (np.conj(table.y[at + (row,)]) for row in range(4))
+    unit, _ = _unit_xi(grid, at)
 
-    f_long = _long_amplitude(data.f.data, grid)
-    bulk = (f_long * y_long + data.f.data[n - 1] * y_vn
-            - data.g.data[0] * y_q + data.l.data[0] * y_temp)
-    xi_val = bulk @ w
+    f_long = _long_amplitude(f, unit)
+    bulk = f_long * y_long + f[n - 1] * y_vn - g[0] * y_q + l[0] * y_temp
+    xi_val = bulk @ vgrid.weights
 
-    k_long = _long_amplitude(data.k.data, grid)
-    xi_val -= k_long * y_long[..., -1] + data.k.data[n - 1] * y_vn[..., -1]
-    xi_val += data.m.data[0] * y_temp[..., -1]
-    xi_val += data.h.data[0]
-    return SurfaceSpectral(grid, xi_val)
+    k_long = _long_amplitude(k, unit)
+    xi_val -= k_long * y_long[..., -1] + k[n - 1] * y_vn[..., -1]
+    xi_val += m[0] * y_temp[..., -1]
+    xi_val += h[0]
+    pairing = SurfaceSpectral.zeros(grid)
+    pairing.data[(0,) + at] = xi_val
+    return pairing
 
 
 def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectral:
@@ -216,9 +225,10 @@ class LinearInverter:
     An inversion first extends its symbol table to the half-lattice
     frequencies where some part of its data is nonzero at xi or -xi; the
     pairing is zero, and no symbol is needed, at every other one.  It then
-    solves only the half-lattice frequencies where its data, less the
-    surface terms, is nonzero (in dim_h = 2 the transverse forcing counts
-    too) and writes zero at the others.  It prepares one FrequencyStack at
+    forms the data less the surface terms, and the forcing, only at the
+    half-lattice frequencies where the data is nonzero, solves those where
+    the forcing is nonzero (in dim_h = 2 the transverse forcing counts too)
+    and writes zero at the others.  It prepares one FrequencyStack at
     exactly those frequencies and, in dim_h = 2, the transverse factors (a
     diagonal scaling each, no LU) where the transverse forcing is nonzero,
     each again at the union when its data reaches outside them.  At xi = 0
@@ -242,92 +252,85 @@ class LinearInverter:
         self._factored = self._prepared.copy()
         self._stack = self._factors = None
 
-    def _solve_half(self, data: YData, fd, kd, out: LinearState):
-        """The forced problems at the half-lattice frequencies with data as
-        one FrequencyStack solve; writes u, psi and pres there into out."""
-        p = self.table.params
-        grid, vgrid = data.grid, data.vgrid
+    def _solve_half(self, data: YData, rows, out: LinearState):
+        """The forced problems, data less out.eta's surface terms, at the
+        half-lattice positions ``rows`` as one FrequencyStack solve; writes
+        u, psi and pres there into out."""
+        p, grid, vgrid = self.table.params, data.grid, data.vgrid
         n = grid.dim_h + 1
-        unit, mag = _unit_xi(grid)
-        f_long = _long_amplitude(fd, grid)
-        k_long = _long_amplitude(kd, grid)
-
         half = np.nonzero(grid.half_mask)
         xis = grid.xi_vectors[half]
-        unit = unit[half]                                 # (K, dim_h)
-        z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag[half], f_long[half],
-                            fd[n - 1][half], data.g.data[0][half],
-                            data.l.data[0][half], k_long[half], kd[n - 1][half],
-                            data.m.data[0][half])
-        live = z.reshape(len(z), -1).any(axis=1) | d.any(axis=1)
+        at = tuple(h[rows] for h in half)
+        unit, mag = _unit_xi(grid, at)
+        fd, kd, g, l, m = (part.data[(slice(None),) + at]
+                           for part in (data.f, data.k, data.g, data.l, data.m))
+        eta = out.eta.data[(0,) + at]
+        dh = [2j * np.pi * xi[k] for xi, k in zip(grid.xi_axes, at)]
+        for ax in range(grid.dim_h):
+            fd[ax] = fd[ax] - p.grav * (eta * dh[ax])[..., None]
+        kd[n - 1] = kd[n - 1] - p.sigma0 * sum(eta * d * d for d in dh)
+        z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag, _long_amplitude(fd, unit),
+                            fd[n - 1], g[0], l[0], _long_amplitude(kd, unit), kd[n - 1], m[0])
+        live = z.any(axis=(1, 2)) | d.any(axis=1)
         if grid.dim_h == 2:
             perp = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-            f_perp = perp[:, 0, None] * fd[0][half] + perp[:, 1, None] * fd[1][half]
-            k_perp = perp[:, 0] * kd[0][half] + perp[:, 1] * kd[1][half]
+            f_perp = perp[:, 0, None] * fd[0] + perp[:, 1, None] * fd[1]
+            k_perp = perp[:, 0] * kd[0] + perp[:, 1] * kd[1]
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
-            if (transverse & ~self._factored).any():
-                factored = self._factored | transverse
+            if not self._factored[rows[transverse]].all():
+                factored = self._factored.copy()
+                factored[rows[transverse]] = True
                 self._factors = transverse_factor(xis[factored], p, vgrid,
                                                   -p.gamma, self.solver.cond_limit)
                 self._factored = factored
-        if (live & ~self._prepared).any():
-            prepared = self._prepared | live
+        if not self._prepared[rows[live]].all():
+            prepared = self._prepared.copy()
+            prepared[rows[live]] = True
             self._stack = self.solver.prepare(xis[prepared])
             self._prepared = prepared
-        at = self._prepared
-        z, d = z[at], d[at]                 # the full arrays are freed here
-        Y = np.zeros((len(xis), 6, vgrid.count), dtype=complex)
+        Y = np.zeros((len(rows), 6, vgrid.count), dtype=complex)
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
-            Y[at], Y[~live] = self._stack.solve(z, d), 0.0
-            solved, kept = tuple(h[live] for h in half), live[at]
-            backend[solved], cond[solved] = self._stack.backend[kept], self._stack.cond[kept]
+            # the stack member of each live row; the other members get no data
+            member = (np.cumsum(self._prepared) - 1)[rows[live]]
+            zs, ds = (np.zeros((len(self._stack.xis),) + a.shape[1:], complex) for a in (z, d))
+            zs[member], ds[member] = z[live], d[live]
+            Y[live] = self._stack.solve(zs, ds)[member]
+            solved = tuple(a[live] for a in at)
+            backend[solved], cond[solved] = self._stack.backend[member], self._stack.cond[member]
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
         u = out.u.data
         for j in range(grid.dim_h):
-            u[(j,) + half] = -1j * Y[:, 0] * unit[:, j, None]
-        u[(n - 1,) + half] = Y[:, 1]
+            u[(j,) + at] = -1j * Y[:, 0] * unit[:, j, None]
+        u[(n - 1,) + at] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
-            at = self._factored
-            beta = transverse_solve(self._factors, f_perp[at], k_perp[at])[transverse[at]]
-            u[(slice(0, 2),) + tuple(h[transverse] for h in half)] += \
+            basis, scale, bound = self._factors
+            member = (np.cumsum(self._factored) - 1)[rows[transverse]]
+            beta = transverse_solve((basis, scale[member], bound),
+                                    f_perp[transverse], k_perp[transverse])
+            u[(slice(0, 2),) + tuple(a[transverse] for a in at)] += \
                 beta * perp[transverse].T[..., None]
-        out.psi.data[(0,) + half] = Y[:, 2]
-        out.pres.data[(0,) + half] = Y[:, 3]
+        out.psi.data[(0,) + at] = Y[:, 2]
+        out.pres.data[(0,) + at] = Y[:, 3]
 
     def invert(self, data: YData) -> LinearState:
         table = self.table
-        p = table.params
         grid, vgrid = data.grid, data.vgrid
         if (grid, vgrid) != (table.grid, table.vgrid):
             raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
                              f"is built for {table.grid}, {table.vgrid}")
-        n = grid.dim_h + 1
-
+        live = support(data)
+        rows = gather_index(live[grid.half_mask])
         # the symbols where some part of the data is nonzero at xi or -xi,
         # which differs from xi only on the self-paired planes
-        live = np.any([(part.data != 0).any(axis=0).reshape(grid.freq_shape + (-1,))
-                       .any(axis=-1) for part in data.parts()], axis=0)
         live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
         table.solve(live)
-        pairing = compatibility_functional(data, table)
-        eta = solve_surface(pairing, table)
-
-        # subtract the surface terms from the data
-        fd = data.f.data.copy()
-        for ax in range(grid.dim_h):
-            fd[ax] = fd[ax] - p.grav * horiz_deriv(eta.data, grid, ax)[0][..., None]
-        kd = data.k.data.copy()
-        lap_eta = sum(horiz_deriv(horiz_deriv(eta.data, grid, ax), grid, ax)
-                      for ax in range(grid.dim_h))[0]
-        kd[n - 1] = kd[n - 1] - p.sigma0 * lap_eta
-
         out = LinearState.zeros(grid, vgrid)
-        out.eta = eta
-        self._solve_half(data, fd, kd, out)
+        out.eta = solve_surface(compatibility_functional(data, table), table)
+        self._solve_half(data, rows, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
         return out
@@ -368,15 +371,14 @@ def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,
         total = np.zeros(amp.shape[:2] + basis.shape[1:], dtype=complex)
         for k in range(kmax):
             total += amp[..., k, None] * basis[k]
-        np.add.at(arr, (np.arange(comps)[:, None],) + idx, total)
+        arr[(slice(None),) + idx] = np.where((idx[0] > 0)[:, None], 0.5 * total, total)
 
+    # half of each draw at xi and its conjugate at -xi: enforce_real halves
+    # the plane k1 = 0, and the rows k1 > 0 are halved here
     fill(st.u.data, grid.dim_h + 1, basis0)
     fill(st.psi.data, 1, basis0)
     fill(st.pres.data, 1, basisf)
-    st.eta.data[(0,) + idx] = eta_scale * np.exp(-mode_decay * jm) * draw(len(jm))
-    # half of each draw at xi and its conjugate at -xi: enforce_real halves
-    # the plane k1 = 0, and the other rows are halved here
-    for part in st.parts():
-        part.data[:, 1:] *= 0.5
+    eta = eta_scale * np.exp(-mode_decay * jm) * draw(len(jm))
+    st.eta.data[(0,) + idx] = np.where(idx[0] > 0, 0.5 * eta, eta)
     st.enforce_real()
     return st

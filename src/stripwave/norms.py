@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, SurfaceSpectral
+from .fields import SpectralField, SurfaceSpectral, gather_index
 
 DEFAULT_ZERO_MODE_TOL = 1e-10
 
@@ -33,16 +33,23 @@ def _lattice_norm(grid, power) -> float:
 
 
 def sobolev_norm(field: SpectralField, s: int) -> float:
-    """H^s norm on the strip; s must be a nonnegative integer."""
+    """H^s norm on the strip; s must be a nonnegative integer.  Vertical
+    derivatives are taken only where the field is nonzero (zeros elsewhere)."""
     if s < 0 or int(s) != s:
         raise ValueError("bulk Sobolev order must be a nonnegative integer")
     s = int(s)
     grid, vgrid = field.grid, field.vgrid
-    power, dz = 0.0, field.data
-    for j in range(s + 1):
-        power = power + (1.0 + grid.xi2) ** (s - j) * ((np.abs(dz) ** 2) @ vgrid.weights)
-        if j < s:
+    size = np.abs(field.data)
+    rows = size.reshape(len(size), -1, vgrid.count)
+    # where some |value| is nonzero, as is then their sum
+    at = gather_index((rows @ np.ones(vgrid.count)).any(axis=0)) if s else None
+    power = (1.0 + grid.xi2) ** s * (np.square(size, out=size) @ vgrid.weights)
+    if s:
+        dz = field.data.reshape(rows.shape).take(at, axis=1)
+        for j in range(1, s + 1):
             dz = vgrid.differentiate(dz)
+            rows[:, at] = np.abs(dz) ** 2
+            power = power + (1.0 + grid.xi2) ** (s - j) * (size @ vgrid.weights)
     return _lattice_norm(grid, power)
 
 
