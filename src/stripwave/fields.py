@@ -56,8 +56,8 @@ def support(tup: "FieldTuple") -> np.ndarray:
 
 
 def gather_index(mask: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask), and a second index when it has one alone: numpy
-    multiplies a single row by another BLAS kernel, which rounds otherwise."""
+    """np.flatnonzero(mask), with a second index added to a lone one: numpy
+    multiplies a one-row matrix by another BLAS kernel, rounding otherwise."""
     flat = np.flatnonzero(mask)
     return np.union1d(flat, [flat[0] == 0]) if len(flat) == 1 else flat
 

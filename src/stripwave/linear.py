@@ -365,7 +365,7 @@ def make_random_state(grid: FrequencyGrid, vgrid: VerticalGrid, seed: int = 0,
 
     def fill(arr, comps, basis):
         # amplitudes in the order of the loops comps > modes > k; the terms
-        # are summed in the order k = 0, 1, ... from +0, as into arr
+        # are summed in the order k = 0, 1, ... from +0
         amp = draw(comps * len(jm) * kmax).reshape(comps, len(jm), kmax)
         amp = amp * np.exp(-mode_decay * jm[:, None] - 0.5 * np.arange(kmax))
         total = np.zeros(amp.shape[:2] + basis.shape[1:], dtype=complex)

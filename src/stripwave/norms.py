@@ -41,7 +41,7 @@ def sobolev_norm(field: SpectralField, s: int) -> float:
     grid, vgrid = field.grid, field.vgrid
     size = np.abs(field.data)
     rows = size.reshape(len(size), -1, vgrid.count)
-    # where some |value| is nonzero, as is then their sum
+    # where some |value| is nonzero: a sum of them is zero only if all are
     at = gather_index((rows @ np.ones(vgrid.count)).any(axis=0)) if s else None
     power = (1.0 + grid.xi2) ** s * (np.square(size, out=size) @ vgrid.weights)
     if s:
