@@ -55,11 +55,14 @@ def support(tup: "FieldTuple") -> np.ndarray:
                                  .any(axis=(0, -1)) for part in tup.parts()])
 
 
-def gather_index(mask: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask), with a second index added to a lone one: numpy
-    multiplies a one-row matrix by another BLAS kernel, rounding otherwise."""
+def gather_index(mask: np.ndarray):
+    """np.flatnonzero(mask), as a slice when it has no gap; a lone index gets
+    a second one, as numpy multiplies one row by another BLAS kernel."""
     flat = np.flatnonzero(mask)
-    return np.union1d(flat, [flat[0] == 0]) if len(flat) == 1 else flat
+    if len(flat) == 1:
+        flat = np.union1d(flat, [flat[0] == 0])
+    run = len(flat) and flat[-1] - flat[0] == len(flat) - 1
+    return slice(flat[0], flat[-1] + 1) if run else flat
 
 
 class _LatticeField:
@@ -77,6 +80,12 @@ class _LatticeField:
     @property
     def comps(self) -> int:
         return self.data.shape[0]
+
+    def rows(self, at=slice(None)) -> np.ndarray:
+        """``data`` as (comps, lattice size[, nodes]) at the gather_index ``at``:
+        a view for a slice, else a copy by np.take (faster than an index)."""
+        rows = self.data.reshape((self.comps, -1) + self.data.shape[1 + self.grid.dim_h:])
+        return rows[:, at] if isinstance(at, slice) else rows.take(at, axis=1)
 
     def copy(self):
         return replace(self, data=self.data.copy())

@@ -87,9 +87,9 @@ def state_norm(state: LinearState) -> float:
 # ---------------------------------------------------------------------------
 
 def _unit_xi(grid: FrequencyGrid, at):
-    """xi/|xi| (L, dim_h) and |xi| at the lattice indices ``at``; at 0 the first axis."""
-    mag = np.sqrt(grid.xi2[at])
-    unit = grid.xi_vectors[at] / np.where(mag > 0, mag, 1.0)[:, None]
+    """xi/|xi| (L, dim_h) and |xi| at the flat lattice indices ``at``; at 0 the first axis."""
+    mag = np.sqrt(grid.xi2.reshape(-1)[at])
+    unit = grid.xi_vectors.reshape(-1, grid.dim_h)[at] / np.where(mag > 0, mag, 1.0)[:, None]
     unit[mag == 0, 0] = 1.0
     return unit, mag
 
@@ -99,9 +99,10 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
     is nonzero (``fields.support``) and exactly zero at every other frequency."""
     grid, vgrid = state.grid, state.vgrid
     n = grid.dim_h + 1
-    at = np.unravel_index(gather_index(support(state)), grid.freq_shape)
-    u, psi, pres, eta = (part.data[(slice(None),) + at] for part in state.parts())
-    factors = [2j * np.pi * xi[k] for xi, k in zip(grid.xi_axes, at)]
+    at = gather_index(support(state))
+    u, psi, pres, eta = (part.rows(at) for part in state.parts())
+    xi = grid.xi_vectors.reshape(-1, grid.dim_h)[at].T
+    factors = [2j * np.pi * xi_ax for xi_ax in xi]
 
     def dh(arr, ax):
         return arr * factors[ax].reshape((-1,) + (1,) * (arr.ndim - 2))
@@ -111,10 +112,10 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
     for ax in range(grid.dim_h):
         g += dh(u[ax:ax + 1], ax)
     # |2 pi xi|^2 as the squares of the factors 2 pi i xi_ax of horiz_deriv
-    xi2 = sum((2.0 * np.pi * xi[k]) ** 2 for xi, k in zip(grid.xi_axes, at))[:, None]
+    xi2 = sum((2.0 * np.pi * xi_ax) ** 2 for xi_ax in xi)[:, None]
 
     # surface rows (top node is the last one)
-    k = np.zeros((n, len(at[0])), dtype=complex)
+    k = np.zeros((n, eta.shape[1]), dtype=complex)
     for ax in range(grid.dim_h):
         k[ax] = (-p.mu * (du_n[ax, :, -1] + u[n - 1, :, -1] * factors[ax])
                  + p.sigma1 * (psi[0, :, -1] * factors[ax]))
@@ -146,7 +147,7 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
 
     out = YData.zeros(grid, vgrid)
     for part, values in zip(out.parts(), (f, g, l, k, h, m)):
-        part.data[(slice(None),) + at] = values
+        part.rows()[:, at] = values
     return out
 
 
@@ -168,9 +169,10 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     computed where some part of the data is nonzero and exactly zero elsewhere."""
     grid, vgrid = data.grid, data.vgrid
     n = grid.dim_h + 1
-    at = np.unravel_index(gather_index(support(data)), grid.freq_shape)
-    f, g, l, k, h, m = (part.data[(slice(None),) + at] for part in data.parts())
-    y_long, y_vn, y_temp, y_q = (np.conj(table.y[at + (row,)]) for row in range(4))
+    at = gather_index(support(data))
+    f, g, l, k, h, m = (part.rows(at) for part in data.parts())
+    y = table.y.reshape((-1,) + table.y.shape[grid.dim_h:])
+    y_long, y_vn, y_temp, y_q = (np.conj(y[at, row]) for row in range(4))
     unit, _ = _unit_xi(grid, at)
 
     f_long = _long_amplitude(f, unit)
@@ -182,7 +184,7 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     xi_val += m[0] * y_temp[..., -1]
     xi_val += h[0]
     pairing = SurfaceSpectral.zeros(grid)
-    pairing.data[(0,) + at] = xi_val
+    pairing.rows()[0, at] = xi_val
     return pairing
 
 
@@ -252,20 +254,19 @@ class LinearInverter:
         self._factored = self._prepared.copy()
         self._stack = self._factors = None
 
-    def _solve_half(self, data: YData, rows, out: LinearState):
+    def _solve_half(self, data: YData, at, out: LinearState):
         """The forced problems, data less out.eta's surface terms, at the
-        half-lattice positions ``rows`` as one FrequencyStack solve; writes
+        flat half-lattice indices ``at`` as one FrequencyStack solve; writes
         u, psi and pres there into out."""
         p, grid, vgrid = self.table.params, data.grid, data.vgrid
         n = grid.dim_h + 1
-        half = np.nonzero(grid.half_mask)
-        xis = grid.xi_vectors[half]
-        at = tuple(h[rows] for h in half)
-        unit, mag = _unit_xi(grid, at)
-        fd, kd, g, l, m = (part.data[(slice(None),) + at]
-                           for part in (data.f, data.k, data.g, data.l, data.m))
-        eta = out.eta.data[(0,) + at]
-        dh = [2j * np.pi * xi[k] for xi, k in zip(grid.xi_axes, at)]
+        xis = grid.xi_vectors[grid.half_mask]
+        # half-lattice positions, and flat indices as an array: fd and kd are copies
+        rows, flat = (np.cumsum(grid.half_mask) - 1)[at], np.arange(grid.xi2.size)[at]
+        unit, mag = _unit_xi(grid, flat)
+        fd, kd, g, l, m = (part.rows(flat) for part in (data.f, data.k, data.g, data.l, data.m))
+        eta = out.eta.rows()[0, flat]
+        dh = [2j * np.pi * xi_ax for xi_ax in grid.xi_vectors.reshape(-1, grid.dim_h)[flat].T]
         for ax in range(grid.dim_h):
             fd[ax] = fd[ax] - p.grav * (eta * dh[ax])[..., None]
         kd[n - 1] = kd[n - 1] - p.sigma0 * sum(eta * d * d for d in dh)
@@ -297,24 +298,23 @@ class LinearInverter:
             zs, ds = (np.zeros((len(self._stack.xis),) + a.shape[1:], complex) for a in (z, d))
             zs[member], ds[member] = z[live], d[live]
             Y[live] = self._stack.solve(zs, ds)[member]
-            solved = tuple(a[live] for a in at)
-            backend[solved], cond[solved] = self._stack.backend[member], self._stack.cond[member]
+            np.put(backend, flat[live], self._stack.backend[member])
+            np.put(cond, flat[live], self._stack.cond[member])
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
-        u = out.u.data
+        u = out.u.rows()
         for j in range(grid.dim_h):
-            u[(j,) + at] = -1j * Y[:, 0] * unit[:, j, None]
-        u[(n - 1,) + at] = Y[:, 1]
+            u[j, at] = -1j * Y[:, 0] * unit[:, j, None]
+        u[n - 1, at] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
             basis, scale, bound = self._factors
             member = (np.cumsum(self._factored) - 1)[rows[transverse]]
             beta = transverse_solve((basis, scale[member], bound),
                                     f_perp[transverse], k_perp[transverse])
-            u[(slice(0, 2),) + tuple(a[transverse] for a in at)] += \
-                beta * perp[transverse].T[..., None]
-        out.psi.data[(0,) + at] = Y[:, 2]
-        out.pres.data[(0,) + at] = Y[:, 3]
+            u[:2, flat[transverse]] += beta * perp[transverse].T[..., None]
+        out.psi.rows()[0, at] = Y[:, 2]
+        out.pres.rows()[0, at] = Y[:, 3]
 
     def invert(self, data: YData) -> LinearState:
         table = self.table
@@ -323,14 +323,14 @@ class LinearInverter:
             raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
                              f"is built for {table.grid}, {table.vgrid}")
         live = support(data)
-        rows = gather_index(live[grid.half_mask])
+        at = gather_index(live & grid.half_mask)
         # the symbols where some part of the data is nonzero at xi or -xi,
         # which differs from xi only on the self-paired planes
         live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
         table.solve(live)
         out = LinearState.zeros(grid, vgrid)
         out.eta = solve_surface(compatibility_functional(data, table), table)
-        self._solve_half(data, rows, out)
+        self._solve_half(data, at, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
         return out

@@ -44,12 +44,12 @@ def sobolev_norm(field: SpectralField, s: int) -> float:
     # where some |value| is nonzero: a sum of them is zero only if all are
     at = gather_index((rows @ np.ones(vgrid.count)).any(axis=0)) if s else None
     power = (1.0 + grid.xi2) ** s * (np.square(size, out=size) @ vgrid.weights)
-    if s:
-        dz = field.data.reshape(rows.shape).take(at, axis=1)
-        for j in range(1, s + 1):
-            dz = vgrid.differentiate(dz)
-            rows[:, at] = np.abs(dz) ** 2
-            power = power + (1.0 + grid.xi2) ** (s - j) * (size @ vgrid.weights)
+    dz = field.rows(at) if s else None
+    for j in range(1, s + 1):
+        dz = vgrid.differentiate(dz)
+        square = np.abs(dz)
+        rows[:, at] = np.square(square, out=square)
+        power = power + (1.0 + grid.xi2) ** (s - j) * (size @ vgrid.weights)
     return _lattice_norm(grid, power)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import stripwave.linear as linear_mod
 import stripwave.norms as norms_mod
-from stripwave.fields import YData, conjugate_mirror, reflect, support
+from stripwave.fields import YData, conjugate_mirror, gather_index, reflect, support
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state, state_norm)
@@ -117,6 +117,32 @@ def test_invert_is_the_sum_over_disjoint_supports(dim_h):
     a, b = _split(data)
     assert support(a).any() and support(b).any()
     _assert_sum(*(LinearInverter(SymbolTable(grid, VG, p)).invert(d) for d in (data, a, b)))
+
+
+def test_gather_index_is_a_slice_only_for_a_run():
+    assert gather_index(np.array([0, 1, 1, 1, 0], dtype=bool)) == slice(1, 4)
+    assert gather_index(np.array([1, 0, 1, 1], dtype=bool)).tolist() == [0, 2, 3]
+    # a lone index gets a second one, 0 or 1 (both on every half lattice)
+    assert gather_index(np.array([0, 0, 1], dtype=bool)).tolist() == [0, 2]
+    assert gather_index(np.array([1, 0, 0], dtype=bool)) == slice(0, 2)
+    assert gather_index(np.zeros(3, dtype=bool)).tolist() == []
+
+
+@pytest.mark.parametrize("dim_h", [1, 2])
+@pytest.mark.parametrize("name", ["all", "random_state"])
+def test_gathers_leave_their_input_unchanged(dim_h, name):
+    """A support without a gap is gathered as a view of the input (the
+    whole lattice here), so no step may write into what it gathers."""
+    grid = GRIDS[dim_h]
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim_h + 1)
+    state = _filled(LinearState.zeros(grid, VG), _supports(grid)[name], seed=3)
+    data = apply_linear_operator(state, p)
+    inputs = list(state.parts()) + list(data.parts())
+    before = [part.data.copy() for part in inputs]
+    apply_linear_operator(state, p)
+    state_norm(state), ydata_norm(data)
+    LinearInverter(SymbolTable(grid, VG, p)).invert(data)
+    assert all(part.data.tobytes() == old.tobytes() for part, old in zip(inputs, before))
 
 
 @pytest.mark.parametrize("dim_h", [1, 2])
