@@ -59,8 +59,7 @@ def gather_index(mask: np.ndarray):
     """np.flatnonzero(mask), as a slice when it has no gap; a lone index gets
     a second one, as numpy multiplies one row by another BLAS kernel."""
     flat = np.flatnonzero(mask)
-    if len(flat) == 1:
-        flat = np.union1d(flat, [flat[0] == 0])
+    flat = np.union1d(flat, [flat[0] == 0]) if len(flat) == 1 else flat
     run = len(flat) and flat[-1] - flat[0] == len(flat) - 1
     return slice(flat[0], flat[-1] + 1) if run else flat
 
@@ -83,7 +82,7 @@ class _LatticeField:
 
     def rows(self, at=slice(None)) -> np.ndarray:
         """``data`` as (comps, lattice size[, nodes]) at the gather_index ``at``:
-        a view for a slice, else a copy by np.take (faster than an index)."""
+        for a slice a view of contiguous data, else an np.take copy (fast)."""
         rows = self.data.reshape((self.comps, -1) + self.data.shape[1 + self.grid.dim_h:])
         return rows[:, at] if isinstance(at, slice) else rows.take(at, axis=1)
 
