@@ -121,13 +121,14 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         _record_solves(summary, data.grid, table=inv.table, inverter=inv)
         back = apply_linear_operator(state, p)
         back.axpy(-1.0, data)
-        misfit = ydata_norm(back) / max(ydata_norm(data), 1e-300)
+        data_norm = ydata_norm(data)
+        misfit = ydata_norm(back) / max(data_norm, 1e-300)
         write_ydata_csv(outdir, state)
         dt = check_divergence_trace(data)
         write_json(os.path.join(outdir, "linear_report.json"), {
             "roundtrip_misfit": misfit,
             "state_norm": state_norm(state),
-            "data_norm": ydata_norm(data),
+            "data_norm": data_norm,
             "divergence_trace_residual": dt.residual_hneg1,
             "divergence_trace_zero_mode": dt.zero_mode_abs,
         })

@@ -6,11 +6,13 @@ convention f(x) = sum_xi fhat(xi) exp(2 pi i xi . x), so d/dx_1 acts as
 multiplication by 2 pi i xi_1.  The vertical interval [0, b] carries
 Chebyshev-Gauss-Lobatto nodes (both endpoints included), the associated
 spectral differentiation matrix, and Clenshaw-Curtis quadrature weights.
+A grid's tables are built once per parameter set, shared read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,16 +70,28 @@ def _is_real(value) -> bool:
     return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
-def barycentric_weights_lobatto(n: int) -> np.ndarray:
-    w = (-1.0) ** np.arange(n + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def read_only(*arrays) -> tuple:
+    """The arrays, each made read-only, as a cache shares them with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _vertical_tables(depth: float, count: int) -> tuple:
+    """VerticalGrid's tables, in the order of its fields."""
+    x = chebyshev_lobatto(count - 1)                 # descending on [-1, 1]
+    bary = (-1.0) ** np.arange(count)
+    bary[[0, -1]] *= 0.5
+    return read_only(depth * (1.0 - x) / 2.0,       # ascending on [0, depth]
+                     (depth / 2.0) * clenshaw_curtis_weights(count - 1),
+                     -(2.0 / depth) * chebyshev_diff_matrix(count - 1), bary)
 
 
 @dataclass(frozen=True)
 class VerticalGrid:
-    """Chebyshev-Gauss-Lobatto grid on [0, depth], nodes ascending."""
+    """Chebyshev-Gauss-Lobatto grid on [0, depth], nodes ascending; shared read-only
+    tables: ``nodes``, Clenshaw-Curtis ``weights``, ``diff``, ``bary_weights``."""
 
     depth: float
     count: int
@@ -85,6 +99,7 @@ class VerticalGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     diff: np.ndarray = field(init=False, repr=False, compare=False)
+    bary_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_real(self.depth) or not 0 < self.depth < np.inf:
@@ -93,14 +108,8 @@ class VerticalGrid:
             raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 4:
             raise ValueError("need at least four vertical nodes")
-        n = self.count - 1
-        x = chebyshev_lobatto(n)                     # descending on [-1, 1]
-        z = self.depth * (1.0 - x) / 2.0             # ascending on [0, depth]
-        D = -(2.0 / self.depth) * chebyshev_diff_matrix(n)
-        w = (self.depth / 2.0) * clenshaw_curtis_weights(n)
-        object.__setattr__(self, "nodes", z)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "diff", D)
+        for f, table in zip(fields(self)[2:], _vertical_tables(float(self.depth), int(self.count))):
+            object.__setattr__(self, f.name, table)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Integral over [0, depth]; values indexed by node on the last axis."""
@@ -119,7 +128,7 @@ class VerticalGrid:
         """
         diffs = np.asarray(z, dtype=float)[..., None] - self.nodes
         hit = np.abs(diffs) < 1e-14 * max(1.0, self.depth)
-        w = barycentric_weights_lobatto(self.count - 1) / np.where(hit, 1.0, diffs)
+        w = self.bary_weights / np.where(hit, 1.0, diffs)
         rows = w / w.sum(axis=-1, keepdims=True)
         on_node = hit.any(axis=-1)
         rows[on_node] = hit[on_node]
@@ -130,6 +139,22 @@ class VerticalGrid:
         return values @ self.interp_weights(z)
 
 
+@lru_cache(maxsize=16)
+def _lattice_tables(dim_h: int, box_len: float, modes: int) -> tuple:
+    """FrequencyGrid's tables, in the order of its fields."""
+    half, j = modes // 2, np.arange(modes)
+    # the signed lattice index j per stored axis
+    index = (j[:half + 1],) + (np.where(j > half, j - modes, j),) * (dim_h - 1)
+    keep = [np.abs(k) <= modes // 3 for k in index]
+    xi_axes = read_only(*(k / box_len for k in index))
+    xi_vectors = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1)
+    pair = np.where(index[0] % half, 2.0, 1.0).reshape((-1,) + (1,) * (dim_h - 1))
+    return (xi_axes,) + read_only(xi_vectors, (xi_vectors ** 2).sum(axis=-1), pair,
+                                  np.logical_and.outer(*keep) if dim_h == 2 else keep[0],
+                                  # off the planes all, on them k2 = 0 .. modes/2 (all in dim_h 1)
+                                  (pair == 2) | (index[-1] >= 0))
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Periodic lattice {j/L} per horizontal direction, stored on its half:
@@ -137,18 +162,18 @@ class FrequencyGrid:
     k1 = 0 .. modes/2 and every other axis all modes in FFT order.  Every
     per-lattice array of the package has shape ``freq_shape``.
 
-    Its tables are built once and are read-only: ``xi_axes``, j/L per
-    stored axis (Nyquist at +modes/2); ``xi_vectors``, shape freq_shape +
-    (dim_h,); ``xi2``, |xi|^2 as their sum of squares; ``pair_weight``, the
-    lattice points each stored index stands for (1 on the planes k1 = 0 and
-    modes/2, 2 elsewhere, broadcasting over freq_shape); ``dealias_mask``,
-    the modes the 2/3 rule keeps (|j| <= modes//3 per axis); ``half_mask``,
-    the half lattice, True at idx iff idx <= -idx (mod modes) in
-    lexicographic order.  It holds one index of every +-xi pair and the
-    self-paired ones (xi = 0 and the Nyquist indices): every stored index
-    off the planes k1 = 0 and modes/2, and half of each plane, whose other
-    half holds the conjugates.  The per-frequency solves visit these
-    frequencies, in the order of np.nonzero."""
+    Its tables, built once per (dim_h, box_len, modes) and shared read-only:
+    ``xi_axes``, j/L per stored axis (Nyquist at +modes/2); ``xi_vectors``,
+    shape freq_shape + (dim_h,); ``xi2``, |xi|^2 as their sum of squares;
+    ``pair_weight``, the lattice points each stored index stands for (1 on
+    the planes k1 = 0 and modes/2, 2 elsewhere, broadcasting over
+    freq_shape); ``dealias_mask``, the modes the 2/3 rule keeps (|j| <=
+    modes//3 per axis); ``half_mask``, the half lattice, True at idx iff
+    idx <= -idx (mod modes) in lexicographic order.  It holds one index of
+    every +-xi pair and the self-paired ones (xi = 0 and the Nyquist
+    indices): every stored index off the planes k1 = 0 and modes/2, and half
+    of each plane, whose other half holds the conjugates.  The per-frequency
+    solves visit these frequencies, in the order of np.nonzero."""
 
     dim_h: int
     box_len: float
@@ -170,22 +195,9 @@ class FrequencyGrid:
             raise ValueError(f"modes must be an integer, got {self.modes!r}")
         if self.modes < 4 or self.modes % 2:
             raise ValueError("modes must be even and at least 4")
-        half, j = self.modes // 2, np.arange(self.modes)
-        # the signed lattice index j per stored axis
-        index = (j[:half + 1],) + (np.where(j > half, j - self.modes, j),) * (self.dim_h - 1)
-        keep = [np.abs(k) <= self.modes // 3 for k in index]
-        xi_axes = tuple(k / self.box_len for k in index)
-        xi_vectors = np.stack(np.meshgrid(*xi_axes, indexing="ij"), axis=-1)
-        pair = np.where(index[0] % half, 2.0, 1.0).reshape((-1,) + (1,) * (self.dim_h - 1))
-        tables = dict(xi_axes=xi_axes, xi_vectors=xi_vectors,
-                      xi2=(xi_vectors ** 2).sum(axis=-1), pair_weight=pair,
-                      dealias_mask=np.logical_and.outer(*keep) if self.dim_h == 2 else keep[0],
-                      # off the planes all, on them k2 = 0 .. modes/2 (all in dim_h 1)
-                      half_mask=(pair == 2) | (index[-1] >= 0))
-        for name, table in tables.items():
-            for arr in table if isinstance(table, tuple) else (table,):
-                arr.flags.writeable = False
-            object.__setattr__(self, name, table)
+        tables = _lattice_tables(int(self.dim_h), float(self.box_len), int(self.modes))
+        for f, table in zip(fields(self)[3:], tables):
+            object.__setattr__(self, f.name, table)
 
     @property
     def freq_shape(self) -> tuple:

@@ -167,9 +167,12 @@ def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
 def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral:
     """Per-frequency pairing of the data against the adjoint response symbols,
     computed where some part of the data is nonzero and exactly zero elsewhere."""
+    return _pairing_at(data, table, gather_index(support(data)))
+
+
+def _pairing_at(data: YData, table: SymbolTable, at) -> SurfaceSpectral:
     grid, vgrid = data.grid, data.vgrid
     n = grid.dim_h + 1
-    at = gather_index(support(data))
     f, g, l, k, h, m = (part.rows(at) for part in data.parts())
     y = table.y.reshape((-1,) + table.y.shape[grid.dim_h:])
     y_long, y_vn, y_temp, y_q = (np.conj(y[at, row]) for row in range(4))
@@ -323,13 +326,13 @@ class LinearInverter:
             raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
                              f"is built for {table.grid}, {table.vgrid}")
         live = support(data)
-        at = gather_index(live & grid.half_mask)
+        at, pair_at = gather_index(live & grid.half_mask), gather_index(live)
         # the symbols where some part of the data is nonzero at xi or -xi,
         # which differs from xi only on the self-paired planes
         live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
         table.solve(live)
         out = LinearState.zeros(grid, vgrid)
-        out.eta = solve_surface(compatibility_functional(data, table), table)
+        out.eta = solve_surface(_pairing_at(data, table, pair_at), table)
         self._solve_half(data, at, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)

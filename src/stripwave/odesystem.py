@@ -28,7 +28,7 @@ Three backends solve the system and validate each other:
   once: the boundary matrices and the step exponentials are stacks across
   frequencies, the quadrature stays in the propagator's coefficient basis,
   and the marches step every frequency at once, one product per node.  The
-  panels' nodes and weighted interpolation rows are built once per solver.
+  panels are built once per vertical grid and shared read-only (``_gl_panels``).
   It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
   it is gated by a configurable split.
 
@@ -65,7 +65,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import IllConditionedCollocation, NumericallySingular
 from .fields import conjugate_mirror
-from .grids import VerticalGrid
+from .grids import VerticalGrid, read_only
 from .params import PhysicalParams
 
 DEFAULT_SPLIT = 30.0
@@ -332,6 +332,20 @@ def _boundary_rows(comps, nz: int) -> list:
     return [r * nz + (0 if c < 3 else nz - 1) for r, c in enumerate(comps)]
 
 
+@lru_cache(maxsize=8)
+def _gl_panels(vgrid: VerticalGrid):
+    """Composite Gauss-Legendre panels of the vertical grid, shared by every
+    solver and frequency on it: per interval [a_j, c_j] and node t_q the
+    offsets c_j - t_q, (Nz-1, 8), and the real interpolation rows at the t_q
+    times their weights, (8 (Nz-1), Nz) interval-major."""
+    nodes = vgrid.nodes
+    a, c = nodes[:-1, None], nodes[1:, None]
+    h = c - a
+    tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
+    rows = (0.5 * h * _GL_WEIGHTS)[..., None] * vgrid.interp_weights(tq)
+    return read_only(c - tq, rows.reshape(-1, nodes.size))
+
+
 class FrequencySolver:
     """Per-frequency solver for fixed coefficients.
 
@@ -349,7 +363,6 @@ class FrequencySolver:
         self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
         self.alpha1, self.alpha2 = alpha1, alpha2
         self.split, self.cond_limit = split, cond_limit
-        self._quad = None
 
     # -- backend selection ---------------------------------------------------
 
@@ -359,20 +372,6 @@ class FrequencySolver:
 
     def backend_for(self, xi) -> str:
         return "matexp" if self._scale(_xi_array(xi)) <= self.split else "collocation"
-
-    def _quadrature(self):
-        """Composite Gauss-Legendre panels of the vertical grid, shared by every
-        frequency: per interval [a_j, c_j] and node t_q the offsets c_j - t_q,
-        (Nz-1, 8), and the real interpolation rows at the t_q times their
-        weights, (8 (Nz-1), Nz) interval-major."""
-        if self._quad is None:
-            nodes = self.vgrid.nodes
-            a, c = nodes[:-1, None], nodes[1:, None]
-            h = c - a
-            tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
-            rows = (0.5 * h * _GL_WEIGHTS)[..., None] * self.vgrid.interp_weights(tq)
-            self._quad = (c - tq, rows.reshape(-1, nodes.size))
-        return self._quad
 
     # -- collocation backend ---------------------------------------------------
 
@@ -467,7 +466,7 @@ class FrequencyStack:
     and C-contiguous as (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
     k (48 (Nz-1) + 216) complex numbers.  The local integral
     sum_q w_q exp((c_j - t_q) A) z(t_q) is then sum_b B_b (sum_q coef_b
-    w_q z(t_q)), the weights in the interpolation rows.  Every solve solves
+    w_q z(t_q)), the weights in the rows of ``_gl_panels``.  Every solve solves
     every member: a caller leaves a frequency without data out of the stack.
 
     A member whose exponentials are not finite or whose cond_1(B) exceeds the
@@ -516,7 +515,7 @@ class FrequencyStack:
     def _local_integrals(self, z) -> np.ndarray:
         """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
         for every member, (k, Nz-1, 6), from ``quad``."""
-        offsets, rows = self.solver._quadrature()
+        offsets, rows = _gl_panels(self.solver.vgrid)
         k, nz = len(z), z.shape[-1]
         if self.quad is None:
             # basis rows (b, c) by output component i: B_b[i, c]
@@ -585,10 +584,8 @@ def _transverse_basis(vgrid: VerticalGrid, mu: float):
     if np.iscomplexobj(lam) or lam.min() <= 0.0:
         raise NumericallySingular("a transverse eigenvalue lies off the positive axis")
     Vinv = np.linalg.inv(V)
-    basis = (lam, np.hstack([Vinv, -(Vinv @ D2[inner, T:]) / D[T, T]]), np.vstack([V, -top @ V]))
-    for a in basis:
-        a.flags.writeable = False
-    return basis + (mu * D[T, T], np.linalg.cond(V) ** 2)
+    return read_only(lam, np.hstack([Vinv, -(Vinv @ D2[inner, T:]) / D[T, T]]),
+                     np.vstack([V, -top @ V])) + (mu * D[T, T], np.linalg.cond(V) ** 2)
 
 
 def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
@@ -642,8 +639,7 @@ def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # boundary data of the symbol solves: a unit normal stress on the top
-UNIT_NORMAL_STRESS = np.array([0, 0, 0, 0, 1, 0], dtype=complex)
-UNIT_NORMAL_STRESS.flags.writeable = False
+UNIT_NORMAL_STRESS, = read_only(np.array([0, 0, 0, 0, 1, 0], dtype=complex))
 
 
 @dataclass

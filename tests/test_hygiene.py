@@ -339,3 +339,49 @@ def test_one_real_transform_pair(path):
     # real fields, one layout: rfftn/irfftn in ops and no other transform
     uses = {name for _, name in fft_uses(path.read_text())}
     assert uses == ({"rfftn", "irfftn"} if path.name == "ops.py" else set())
+
+
+def unbounded_caches(source: str) -> list:
+    """(line, text) of each cache whose size is not bounded by an explicit
+    integer: a bare ``lru_cache`` decorator, an ``lru_cache`` call with no
+    ``maxsize``, ``maxsize=None`` or any other non-integer, and every use of
+    ``functools.cache``.  Memory stays bounded as grids grow."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cache") for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                and name(node.value) == "functools":
+            found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(d.lineno, ast.unparse(d)) for d in node.decorator_list
+                      if name(d) == "lru_cache"]
+    return sorted(found)
+
+
+def test_cache_detector_flags_unbounded_caches():
+    source = ("import functools\nfrom functools import lru_cache, cache\n"
+              "@lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+              "@lru_cache(16)\ndef b(x):\n    return x\n"
+              "@lru_cache\ndef c(x):\n    return x\n"
+              "@functools.lru_cache(maxsize=None)\ndef d(x):\n    return x\n"
+              "@functools.cache\ndef e(x):\n    return x\n"
+              "@lru_cache()\ndef f(x):\n    return x\n"
+              "g = lru_cache(maxsize=SIZE)(len)\n"
+              "@functools.lru_cache(maxsize=4, typed=True)\ndef h(x):\n    return x\n")
+    assert unbounded_caches(source) == [
+        (2, "cache"), (9, "lru_cache"), (12, "functools.lru_cache(maxsize=None)"),
+        (15, "functools.cache"), (18, "lru_cache()"), (21, "lru_cache(maxsize=SIZE)")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text()) == []

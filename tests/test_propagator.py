@@ -410,7 +410,7 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
     got = stack._local_integrals(z)
-    offsets, rows = solver._quadrature()
+    offsets, rows = ode._gl_panels(solver.vgrid)
     # the rows carry the Gauss-Legendre weights: they integrate x^3 over each interval
     nodes = solver.vgrid.nodes
     cubes = np.diff(nodes ** 4) / 4
