@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import NonConvergent
 from .grids import FrequencyGrid, VerticalGrid
-from .odesystem import (DEFAULT_COND_LIMIT, SYMBOL_SPLIT, SymbolTable,
-                        symbol_profiles)
+from .odesystem import DEFAULT_COND_LIMIT, SymbolTable, symbol_profiles
 from .params import PhysicalParams
 
 
@@ -101,14 +100,13 @@ def checked_xi_seq(xi_seq) -> np.ndarray:
 
 
 def _lf_fits(p: PhysicalParams, vgrid: VerticalGrid, xi_seq, jobs,
-             split: float = SYMBOL_SPLIT,
              cond_limit: float = DEFAULT_COND_LIMIT) -> list:
     """``fit_lf_coefficient`` of each (selector, x) in jobs, from one
     ``symbol_profiles`` solve along xi_seq."""
     xi_seq = checked_xi_seq(xi_seq)
     xis = np.zeros((len(xi_seq), p.dim_h))
     xis[:, 0] = xi_seq
-    Y, _, _ = symbol_profiles(xis, p, vgrid, split, cond_limit)
+    Y, _, _ = symbol_profiles(xis, p, vgrid, cond_limit)
     return [richardson_limit([LF_COEFFICIENTS[sel][0](y, vgrid, x) / ximag ** 2
                               for y, ximag in zip(Y, xi_seq)],
                              xi_seq[:-1] / xi_seq[1:]) for sel, x in jobs]
@@ -148,7 +146,6 @@ class AsymptoticReport:
 
 def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
                      xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
-                     split: float = SYMBOL_SPLIT,
                      cond_limit: float = DEFAULT_COND_LIMIT) -> list:
     """Fit every closed-form low-frequency coefficient and compare; the
     symbols along xi_seq are solved once for all fits."""
@@ -158,8 +155,7 @@ def theorem_fit_rows(p: PhysicalParams, vgrid: VerticalGrid,
     jobs += [("long_sq_at", x) for x in (b / 4, b / 2)]
     jobs += [("vn_at", b / 2), ("temp_at", b / 2)]
     rows = []
-    for (selector, x), fit in zip(jobs, _lf_fits(p, vgrid, xi_seq, jobs, split,
-                                                 cond_limit)):
+    for (selector, x), fit in zip(jobs, _lf_fits(p, vgrid, xi_seq, jobs, cond_limit)):
         pred = LF_COEFFICIENTS[selector][1](p, x)
         scale = max(abs(pred), 1e-12)
         rel = abs(fit.value - pred) / scale
@@ -252,17 +248,16 @@ def check_highfreq_decay(table: SymbolTable, refined: SymbolTable | None = None,
 
 def full_report(p: PhysicalParams, grid, vgrid, refine: bool = True,
                 xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
-                stability_tol: float = 0.10, split: float = SYMBOL_SPLIT,
+                stability_tol: float = 0.10,
                 cond_limit: float = DEFAULT_COND_LIMIT) -> AsymptoticReport:
-    """Every claim; the fits and both tables use ``split`` and ``cond_limit``."""
-    rows = theorem_fit_rows(p, vgrid, xi_seq=xi_seq, rel_tol=rel_tol,
-                            split=split, cond_limit=cond_limit)
-    table = SymbolTable.build(grid, vgrid, p, split=split, cond_limit=cond_limit)
+    """Every claim; the fits and both tables fall back to collocation beyond
+    ``cond_limit``."""
+    rows = theorem_fit_rows(p, vgrid, xi_seq=xi_seq, rel_tol=rel_tol, cond_limit=cond_limit)
+    table = SymbolTable.build(grid, vgrid, p, cond_limit=cond_limit)
     refined = None
     if refine:
         fine_grid = FrequencyGrid(grid.dim_h, 2.0 * grid.box_len, 2 * grid.modes)
-        refined = SymbolTable.build(fine_grid, vgrid, p, split=split,
-                                    cond_limit=cond_limit)
+        refined = SymbolTable.build(fine_grid, vgrid, p, cond_limit=cond_limit)
     rows += check_rho_bounds(table, refined, stability_tol)
     rows += check_highfreq_decay(table, refined, stability_tol)
     return AsymptoticReport(rows)

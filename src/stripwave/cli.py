@@ -25,17 +25,11 @@ from .odesystem import BACKENDS, SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
 
 
-def _symbol_options(config: RunConfig) -> dict:
-    """The backend section's options of a symbol table."""
-    b = config.raw["backend"]
-    return {"split": b["symbol_split"], "cond_limit": b["cond_limit"]}
-
-
 def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
     """Linear inverter on an empty symbol table, with the config's backend
     section."""
     b = config.raw["backend"]
-    table = SymbolTable(grid, vgrid, config.params(), **_symbol_options(config))
+    table = SymbolTable(grid, vgrid, config.params(), cond_limit=b["cond_limit"])
     return LinearInverter(table, split=b["split"], cond_limit=b["cond_limit"])
 
 
@@ -83,7 +77,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     mode = r["mode"]
 
     if mode == "symbols":
-        table = SymbolTable.build(grid, vgrid, p, **_symbol_options(config))
+        table = SymbolTable.build(grid, vgrid, p, cond_limit=r["backend"]["cond_limit"])
         _record_solves(summary, grid, table=table)
         # one row per half-lattice frequency in the field CSVs' order: xi,
         # the surface traces of psi, delta and q, rho, `backend` and `cond`
@@ -107,7 +101,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
                              xi_seq=tuple(r["fit"]["xi_seq"]),
                              rel_tol=r["tol"]["fit_rel"],
                              stability_tol=r["tol"]["stability"],
-                             **_symbol_options(config))
+                             cond_limit=r["backend"]["cond_limit"])
         write_json(os.path.join(outdir, "asym_report.json"), report.to_jsonable())
         summary["claims"] = len(report.rows)
         summary["ok"] = report.passed()

@@ -99,7 +99,8 @@ class RunConfig:
         amplitude = r["forcing"]["amplitude"]
         if not math.isfinite(amplitude):
             raise ConfigError(f"forcing.amplitude must be finite, got {amplitude!r}")
-        # an infinite split sends every frequency to one backend
+        # an infinite split sends every forced frequency to one backend;
+        # symbol_split reaches no solver and is kept so old configs load
         for key in ("split", "symbol_split"):
             if math.isnan(r["backend"][key]):
                 raise ConfigError(f"backend.{key} must not be NaN")

@@ -30,10 +30,11 @@ Three backends solve the system and validate each other:
   and the marches step every frequency at once, one product per node.  The
   panels are built once per vertical grid and shared read-only (``_gl_panels``).
   It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
-  it is gated by a configurable split.
+  it is gated by a configurable split.  The symbol at xi = 0, where A is
+  nilpotent, is exp(xA) B^{-1} d at the nodes, with no march.
 
-* ``twosided``: the symbols beyond the symbol split, by two decaying closed
-  forms and a 6x6 system, the exponential dichotomy of ``_twosided_profiles``.
+* ``twosided``: every symbol at xi != 0, by two decaying closed forms and a
+  6x6 system, the exponential dichotomy of ``_twosided_profiles``.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
   valid at all frequencies (forced solves beyond the split, and fallback).
@@ -69,7 +70,6 @@ from .grids import VerticalGrid, read_only
 from .params import PhysicalParams
 
 DEFAULT_SPLIT = 30.0
-SYMBOL_SPLIT = 10.0
 DEFAULT_COND_LIMIT = 1e12
 BACKENDS = ("matexp", "twosided", "collocation")
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
@@ -694,26 +694,30 @@ def _twosided_profiles(solver: FrequencySolver, xis: np.ndarray):
     return w[..., 0].transpose(0, 2, 1) @ coef, cond
 
 
-def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid, split: float = SYMBOL_SPLIT,
+def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
                     cond_limit: float = DEFAULT_COND_LIMIT):
     """Response profiles Y (K, 6, Nz) to a unit normal stress on the top at
     the frequencies ``xis`` (K, dim_h), with the backend and condition
-    estimate of each: the adjoint problem (gamma, 0, sigma1).  xi = 0 (where
-    A is nilpotent, q = 1 and rho = 0) and 2 pi |xi| b <= split march as one
-    FrequencyStack (cond_1(B)), the others are two-sided (cond_1(K)); where
-    that fails, collocation (its LAPACK estimate).
+    estimate of each: the adjoint problem (gamma, 0, sigma1), in closed form.
+    At xi = 0, A is nilpotent (q = 1 and rho = 0) and y(x) = exp(xA) B^-1 d,
+    B = M + N exp(bA) (matexp, cond_1(B)); every other xi is two-sided
+    (cond_1(K)).  Where the condition exceeds ``cond_limit``, collocation
+    (its LAPACK estimate).
     """
     xis = np.asarray(xis, dtype=float)
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, max(split, 0.0), cond_limit)
-    near = solver._scale(xis) <= solver.split
-    stack = solver.prepare(xis[near])
+    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, cond_limit=cond_limit)
+    zero = ~xis.any(axis=-1)
     Y = np.empty((len(xis), 6, vgrid.count), dtype=complex)
-    backend, cond = np.full(len(xis), BACKENDS[1], dtype=object), np.empty(len(xis))
-    Y[near] = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(stack.xis), 6)))
-    backend[near], cond[near] = stack.backend, stack.cond
-    if not near.all():
-        Y[~near], cond[~near] = _twosided_profiles(solver, xis[~near])
-    for i in np.flatnonzero(cond > cond_limit):     # a failed K: the march's are solved
+    backend = np.where(zero, BACKENDS[0], BACKENDS[1]).astype(object)
+    cond = np.empty(len(xis))
+    if zero.any():
+        X, _ = _member_exponentials(_propagator(xis[zero], p, p.gamma), vgrid.nodes)
+        Mmat, Nmat = assemble_boundary(xis[zero], p, 0.0, p.sigma1)
+        Binv, cond[zero] = _inverse_and_cond(Mmat + Nmat @ X[:, -1])
+        Y[zero] = (X @ (Binv @ UNIT_NORMAL_STRESS)[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    if not zero.all():
+        Y[~zero], cond[~zero] = _twosided_profiles(solver, xis[~zero])
+    for i in np.flatnonzero(cond > cond_limit):
         backend[i] = BACKENDS[2]
         Y[i], cond[i] = solver._solve_collocation(xis[i], None, UNIT_NORMAL_STRESS)
     return Y, backend, cond
@@ -737,10 +741,9 @@ class SymbolTable:
     ``build`` solves them all.
     """
 
-    def __init__(self, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
+    def __init__(self, grid, vgrid, p: PhysicalParams,
                  cond_limit: float = DEFAULT_COND_LIMIT):
-        self.grid, self.vgrid, self.params = grid, vgrid, p
-        self.split, self.cond_limit = split, cond_limit
+        self.grid, self.vgrid, self.params, self.cond_limit = grid, vgrid, p, cond_limit
         self.y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
         self.rho = np.zeros(grid.freq_shape, dtype=complex)
         self.backend = np.full(grid.freq_shape, None, dtype=object)
@@ -748,9 +751,9 @@ class SymbolTable:
         self.solved = np.zeros(grid.freq_shape, dtype=bool)
 
     @classmethod
-    def build(cls, grid, vgrid, p: PhysicalParams, split: float = SYMBOL_SPLIT,
+    def build(cls, grid, vgrid, p: PhysicalParams,
               cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
-        return cls(grid, vgrid, p, split, cond_limit).solve(grid.half_mask)
+        return cls(grid, vgrid, p, cond_limit).solve(grid.half_mask)
 
     def solve(self, mask: np.ndarray) -> "SymbolTable":
         """Solve the half-lattice frequencies of the lattice mask ``mask``
@@ -760,7 +763,7 @@ class SymbolTable:
         if new.any():
             xis = grid.xi_vectors[new]
             Y, self.backend[new], self.cond[new] = symbol_profiles(
-                xis, p, self.vgrid, self.split, self.cond_limit)
+                xis, p, self.vgrid, self.cond_limit)
             self.y[new], self.rho[new] = Y, rho_of(p, xis, Y[:, 1, -1])
             self.y, self.rho, self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (
                 self.y, self.rho, self.backend, self.cond))

@@ -10,7 +10,7 @@ import pytest
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state)
-from stripwave.odesystem import (FrequencySolver, SymbolTable,
+from stripwave.odesystem import (FrequencySolver, FrequencyStack, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix)
 from stripwave.norms import ydata_norm
 from stripwave.params import PhysicalParams
@@ -175,21 +175,28 @@ BENCH_GRIDS = {
     "roundtrip-3d": (3, 2 * math.pi * 10, 32, 24),
     "linear-deep": (2, 2.5 * math.pi, 128, 80),
 }
-# SymbolTable.backend counts (matexp, twosided, collocation): the split
-# of the per-frequency loop that preceded FrequencyStack, plus xi = 0 as
-# matexp, with the symbols beyond the split two-sided
-BENCH_BACKENDS = {"wave-2d": (201, 55, 0), "roundtrip-3d": (1024, 0, 0),
-                  "linear-deep": (25, 103, 0)}
+# SymbolTable.backend counts (matexp, twosided, collocation): xi = 0 in
+# closed form (matexp), every other symbol two-sided
+BENCH_BACKENDS = {"wave-2d": (1, 255, 0), "roundtrip-3d": (1, 1023, 0),
+                  "linear-deep": (1, 127, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_GRIDS))
-def test_table_backend_at_bench_grids(name):
+def test_table_backend_at_bench_grids(name, monkeypatch):
     dim, box, modes, nz = BENCH_GRIDS[name]
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid = FrequencyGrid(dim - 1, box, modes)
+    stacks = []
+    real = FrequencyStack.__init__
+
+    def spy(self, *args, **kwargs):
+        stacks.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrequencyStack, "__init__", spy)
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
-    scale = 2 * np.pi * np.sqrt(grid.xi2)
-    expect = np.where(scale <= 10.0, "matexp", "twosided").astype(object)
+    assert stacks == []             # no symbol marches
+    expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
     assert np.array_equal(table.backend, expect)
     # over the whole lattice: a stored index stands for pair_weight points
     counts = tuple(int(((table.backend == b) * grid.pair_weight).sum())
@@ -214,15 +221,15 @@ def _counting(monkeypatch, name):
 def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
     # linear-deep's job: its data reaches 2 pi |xi| b = 16, inside the
     # matexp band, so the 42 collocation members above split 30, which had
-    # no data, are no longer factored (84 LUs); the table's 52 members
-    # beyond the symbol split are two-sided, with no LU either
+    # no data, are no longer factored (84 LUs); the table's 64 members at
+    # xi != 0 are two-sided, with no LU either
     dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
     data = apply_linear_operator(make_random_state(grid, vg, seed=3, jmax=20), p)
     lus = _counting(monkeypatch, "lu_factor")
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
-    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 52
+    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 64
     inv.invert(data)
     assert len(lus) == 0
     solved = list(inv.backend[grid.half_mask])
@@ -231,9 +238,9 @@ def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
 
 def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     # linear-deep's job through the CLI: its data stops at |j| = 20
-    # (2 pi |xi| b = 16), so its symbol table solves j = 1 .. 20 only, and
-    # j = 13 .. 20, above the symbol split 10, are its 8 two-sided members;
-    # as collocation members they made two LUs (Stokes and heat block) each
+    # (2 pi |xi| b = 16) and has no mean, so its symbol table solves
+    # j = 1 .. 20 only, all two-sided; as collocation members they would
+    # make two LUs (Stokes and heat block) each
     import json
     from stripwave.cli import run
     from stripwave.config import RunConfig
@@ -250,7 +257,7 @@ def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     assert run(cfg) == 0
     assert len(lus) == 0
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 12, "twosided": 8, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
     assert summary["inverter_solved"] == {"matexp": 20, "twosided": 0, "collocation": 0}
 
 
@@ -362,8 +369,8 @@ LIFETIME_COND = [1.0, 9.516480e3, 5.151365e6, 1.004727e9, 1.335769e11,
 def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16,
     # three fallbacks inside the inverter's band (20, 24, 28) and collocation
-    # above 30, so twelve collocation members; the table (split 10) has
-    # fourteen two-sided members, and no LU
+    # above 30, so twelve collocation members; the table has sixteen
+    # two-sided members (every xi != 0), and no LU
     import stripwave.odesystem as ode
     sizes = []
     real = ode.lu_factor
@@ -377,7 +384,7 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     grid = FrequencyGrid(1, 0.5 * math.pi, 32)
     vg = VerticalGrid(1.0, 24)
     table = SymbolTable.build(grid, vg, p)
-    assert len(sizes) == 0 and list(table.backend[grid.half_mask]).count("twosided") == 14
+    assert len(sizes) == 0 and list(table.backend[grid.half_mask]).count("twosided") == 16
     inv = LinearInverter(table)
     data = _data_everywhere(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
     records = []

@@ -307,6 +307,7 @@ def _half_entries(field):
     return np.broadcast_to(on_lattice(field.grid.half_mask, field.data.ndim), field.data.shape)
 
 
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
 def test_x2_invariant_3d_solve_writes_only_its_nonzero_rows(tmp_path, monkeypatch):
     # forcing at (2, 0) leaves the state on the axis k2 = 0: u.csv holds
     # exactly the state's nonzero half-lattice entries, a small part of the
@@ -431,15 +432,19 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     [(table, kwargs)] = seen
     assert kwargs == {"split": 0.3, "cond_limit": 1e11}
     # the table solved exactly the frequencies whose data, at xi or -xi,
-    # is nonzero, each on the backend of the symbol split (two-sided beyond
-    # it); in dim_h 1 the lattice stores xi >= 0, and the data at -xi is the
-    # conjugate
+    # is nonzero, each two-sided but xi = 0; in dim_h 1 the lattice stores
+    # xi >= 0, and the data at -xi is the conjugate
     solved, half = table.solved, grid.half_mask
     assert np.array_equal(solved[half], live[half])
     assert solved.any() and not solved.all()
-    scale = 2 * np.pi * np.sqrt(grid.xi2)
-    assert np.array_equal((table.backend == "twosided")[solved], (scale > 0.5)[solved])
+    assert np.array_equal((table.backend == "twosided")[solved], (grid.xi2 > 0)[solved])
     assert (table.backend[~solved] == None).all()  # noqa: E711
+    # symbol_split 0.5 is accepted and changes nothing: the table equals
+    # one built with the cond_limit alone
+    plain = SymbolTable(grid, VerticalGrid(1.0, nz), table.params, cond_limit=1e11)
+    plain.solve(solved)
+    for name in ("y", "rho", "backend", "cond"):
+        assert np.array_equal(getattr(plain, name), getattr(table, name))
     # the manifest records the table's half lattice and its worst cond
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     half = table.backend[grid.half_mask]
@@ -450,14 +455,15 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
 
 
 def test_symbols_mode_records_table_solves(tmp_path):
-    # the default grid (box 20 pi, 256 modes, nz 48): 2 pi |xi| b reaches
-    # the symbol split 10 at |j| = 100, beyond which the symbols are
-    # two-sided
+    # the default grid (box 20 pi, 256 modes, nz 48): xi = 0 in closed form,
+    # every other symbol two-sided, with cond_1(K) ~ (2 pi |xi| b)^2 largest
+    # at the highest frequency
     out = tmp_path / "sym"
     assert run(RunConfig.from_dict({"mode": "symbols", "out": str(out)})) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 101, "twosided": 28, "collocation": 0}
-    assert summary["table_max_cond_at"] == [100]
+    assert summary["table_solved"] == {"matexp": 1, "twosided": 128, "collocation": 0}
+    assert summary["table_max_cond_at"] == [128]
+    assert summary["table_max_cond"] < 1e4
 
 
 def test_linear_solve_requires_input(tmp_path):
@@ -525,7 +531,7 @@ def test_stalled_solve_writes_trace(tmp_path):
     assert summary["inverter_solved"]["matexp"] > 0
     # the table solved xi = 0 and the 5 modes inside the 2/3 cutoff of 16,
     # where the residuals live, not all 9 of the half lattice
-    assert summary["table_solved"] == {"matexp": 6, "twosided": 0, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 1, "twosided": 5, "collocation": 0}
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 
@@ -676,10 +682,10 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     # a fresh interpreter: importing the package, loading the wave-2d config,
     # a small 2D nonlinear-solve (no LU, no expm) and a small 3D
     # roundtrip-test (diagonalized transverse solves) and a linear-solve
-    # whose table has two members beyond the symbol split (j = 13, 14,
-    # two-sided) leave scipy.linalg unloaded; the same linear-solve with
-    # backend.split 1, below its data (2 pi |xi| b = 0.8 |j|), solves its
-    # forced problems by collocation and loads it at their LUs
+    # whose table is two-sided (j = 1 .. 14) leave scipy.linalg unloaded;
+    # the same linear-solve with backend.split 1, below its data
+    # (2 pi |xi| b = 0.8 |j|), solves its forced problems by collocation
+    # and loads it at their LUs
     wave = _write_cfg(tmp_path, {
         "mode": "nonlinear-solve", "params": {"dim": 2},
         "grid": {"box_len": 2 * np.pi * 10, "modes": 256, "nz": 48},
@@ -714,6 +720,6 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
         "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": False,
         "linear-solve, split below its data": True}
     summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 12, "twosided": 2, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 0, "twosided": 14, "collocation": 0}
     summary = json.load(open(tmp_path / "below" / "manifest.json"))["summary"]
     assert summary["inverter_solved"] == {"matexp": 1, "twosided": 0, "collocation": 13}

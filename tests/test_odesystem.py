@@ -268,13 +268,13 @@ def test_singular_B_member_falls_back_alone(monkeypatch):
 
 
 def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
-    # 2 pi |xi| b = 2, 12 and 100: march, two-sided with cond_1(K) 1.3e3,
-    # and cond_1(K) 8.3e4, beyond a cond_limit of 2e4: that member alone is
-    # solved by collocation (here at the default limit, which its estimate
-    # of about 1e7 passes) and keeps that solve's estimate
+    # 2 pi |xi| b = 2, 12 and 100, all two-sided: cond_1(K) 38, 1.3e3, and
+    # 8.3e4, beyond a cond_limit of 2e4: that member alone is solved by
+    # collocation (here at the default limit, which its estimate of about
+    # 1e7 passes) and keeps that solve's estimate
     xis = np.array([[2.0], [12.0], [100.0]]) / (2 * np.pi)
     Y0, backend0, cond0 = symbol_profiles(xis, P1, VG)
-    assert list(backend0) == ["matexp", "twosided", "twosided"] and 2e4 < cond0[2] < 1e5
+    assert list(backend0) == ["twosided"] * 3 and 2e4 < cond0[2] < 1e5
     calls, real = [], FrequencySolver._solve_collocation
 
     def default_limit(self, xi, z, d):
@@ -284,7 +284,7 @@ def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
 
     monkeypatch.setattr(FrequencySolver, "_solve_collocation", default_limit)
     Y, backend, cond = symbol_profiles(xis, P1, VG, cond_limit=2e4)
-    assert list(backend) == ["matexp", "twosided", "collocation"]
+    assert list(backend) == ["twosided", "twosided", "collocation"]
     assert len(calls) == 1 and np.array_equal(calls[0], xis[2])
     assert np.array_equal(Y[:2], Y0[:2]) and np.array_equal(cond[:2], cond0[:2])
     Yc, _, cc = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=-1.0).solve(
@@ -297,7 +297,7 @@ def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_symbol_xi_zero_closed_form():
-    # the matexp solve at the nilpotent A(0) reproduces the closed form
+    # exp(xA) B^-1 d at the nilpotent A(0) reproduces the closed form
     # exactly: q = 1, every other response 0, rho(0) = 0
     e = solve_symbol([0.0], P1, VG)
     assert np.abs(e.y[3] - 1.0).max() == 0.0
@@ -320,18 +320,37 @@ def test_symbol_richardson_leading_coefficient(p):
 
 
 def test_symbol_dual_backend_agreement():
-    # the march, the two-sided form and collocation, pairwise
+    # the forced march, the two-sided symbols and collocation, pairwise
     for p in (P1, P2):
         vg = VerticalGrid(p.depth, 48)
         for ximag in (0.2, 0.7, 10.0 / (2 * np.pi * p.depth)):
             xis = np.array([[ximag]])
-            Ym, bm, _ = symbol_profiles(xis, p, vg, split=np.inf)
-            Yt, bt, _ = symbol_profiles(xis, p, vg, split=-1.0)
+            Ym, bm, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=np.inf).solve(
+                xis[0], None, UNIT_NORMAL_STRESS)
+            Yt, bt, _ = symbol_profiles(xis, p, vg)
             Yc, bc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
                 xis[0], None, UNIT_NORMAL_STRESS)
-            assert (bm[0], bt[0], bc) == ("matexp", "twosided", "collocation")
-            for Y1, Y2 in ((Ym[0], Yt[0]), (Ym[0], Yc), (Yt[0], Yc)):
+            assert (bm, bt[0], bc) == ("matexp", "twosided", "collocation")
+            for Y1, Y2 in ((Ym, Yt[0]), (Ym, Yc), (Yt[0], Yc)):
                 assert np.abs(Y1 - Y2).max() / np.abs(Y1).max() < 1e-8
+
+
+def test_stiff_symbols_match_collocation():
+    # mu 0.01, gamma 50 and depth 1.4 (the stiff example of the propagator
+    # tests): l^2 = m^2 + 2 pi i gamma xi_1 / mu makes exp(bA) grow like
+    # exp(b Re l) at small |xi|, so a forward march lost up to 2.6e-8 here
+    # and fell back to collocation at 5e-2; the two-sided symbols stay
+    # within 1e-12 of collocation
+    p = PhysicalParams(0.01, 1, 1, 1.4, 50, 1, 0.1, 2)
+    vg = VerticalGrid(p.depth, 80)
+    xis = np.array([[2.5e-3], [5e-3], [1e-2], [5e-2]])
+    Y, backend, _ = symbol_profiles(xis, p, vg)
+    assert "collocation" not in backend
+    for xi, y in zip(xis, Y):
+        Yc, used, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
+            xi, None, UNIT_NORMAL_STRESS)
+        assert used == "collocation"
+        assert np.abs(y - Yc).max() <= 1e-12 * np.abs(y).max()
 
 
 def test_symbol_conjugate_symmetry():
@@ -627,9 +646,8 @@ def test_table_2d_small():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_table_solved_on_demand_matches_build(dim, monkeypatch):
-    # 2 pi |xi| b = 0.8 |j| on this lattice: the symbol split 10 lies
-    # between |j| = 12 and 13, so both masks hold xi = 0 and the first
-    # holds matexp and two-sided members
+    # 2 pi |xi| b = 0.8 |j| on this lattice: both masks hold xi = 0 (in
+    # closed form) and two-sided members
     import stripwave.odesystem as ode
     from stripwave.fields import reflect
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
