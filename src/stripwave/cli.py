@@ -30,7 +30,7 @@ def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
     section."""
     b = config.raw["backend"]
     table = SymbolTable(grid, vgrid, config.params(), cond_limit=b["cond_limit"])
-    return LinearInverter(table, split=b["split"], cond_limit=b["cond_limit"])
+    return LinearInverter(table, cond_limit=b["cond_limit"])
 
 
 def _record_solves(summary: dict, grid, **solved_by):

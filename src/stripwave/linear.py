@@ -36,7 +36,7 @@ from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
                      conjugate_mirror, gather_index, reflect, support)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
-from .odesystem import (DEFAULT_COND_LIMIT, DEFAULT_SPLIT, FrequencySolver,
+from .odesystem import (DEFAULT_COND_LIMIT, FrequencySolver,
                         SymbolTable, forcing_rows, transverse_factor,
                         transverse_solve)
 from .params import PhysicalParams
@@ -244,12 +244,11 @@ class LinearInverter:
     0 where no solve was made; a transverse bound beyond the limit raises.
     """
 
-    def __init__(self, table: SymbolTable, split: float = DEFAULT_SPLIT,
-                 cond_limit: float = DEFAULT_COND_LIMIT):
+    def __init__(self, table: SymbolTable, cond_limit: float = DEFAULT_COND_LIMIT):
         self.table = table
         p = table.params
         self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0,
-                                      split=split, cond_limit=cond_limit)
+                                      cond_limit=cond_limit)
         self.backend = None
         self.cond = None
         # the half-lattice frequencies of the stack and of the transverse factors

@@ -13,36 +13,36 @@ The general transport speed gamma_tilde and the coupling placement
 (alpha1, alpha2) select the forward problem (-gamma, alpha1, 0) or the
 adjoint/normal-stress problem (+gamma, 0, alpha2).
 
-Three backends solve the system and validate each other:
+Every frequency is solved in closed form through the exponential dichotomy
+of A(xi) (Ascher, Mattheij & Russell, SIAM 1995, ch. 6): y = C v + y_p,
+C(x) = exp(xA) P- + exp((x-b)A) P+ with P+- = (I +- sign A)/2,
+K v = d - M y_p(0) - N y_p(b), K = M C(0) + N C(b), and
+y_p(x) = int_0^x exp((x-t)A) P- z dt - int_x^b exp((x-t)A) P+ z dt.  A(xi)
+splits into a Stokes and a heat block whose eigenvalues have real parts at
+least m = 2 pi |xi|, so both halves decay and each is six closed-form
+coefficients times fixed matrices (``_dichotomy``); y_p is one forward and
+one backward sweep of bounded steps over composite Gauss-Legendre panels,
+and cond_1(K) grows like (2 pi |xi| b)^2.  A FrequencyStack solves many
+frequencies at once.  The backends:
 
-* ``matexp``: the variation-of-constants representation
-  y(x) = exp(xA) B^{-1} (d - N int_0^b exp((b-t)A) z dt) + int_0^x exp((x-t)A) z dt,
-  B = M + N exp(bA), evaluated by forward marching with per-interval
-  exponentials and composite Gauss-Legendre panels (an exact regrouping of
-  the same integrals).  A(xi) splits into a Stokes and a heat block with
-  known eigenvalues, so exp(tA) is six scalar coefficients times fixed
-  matrices per frequency, a Taylor product where t times a block's largest
-  eigenvalue is at most 1 and cosh/sinh divided differences beyond;
-  ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is the
-  tests' oracle.  A FrequencyStack prepares and solves many frequencies at
-  once: the boundary matrices and the step exponentials are stacks across
-  frequencies, the quadrature stays in the propagator's coefficient basis,
-  and the marches step every frequency at once, one product per node.  The
-  panels are built once per vertical grid and shared read-only (``_gl_panels``).
-  It degrades once exp(2 pi |xi| b) eats the floating point headroom, so
-  it is gated by a configurable split.  The symbol at xi = 0, where A is
-  nilpotent, is exp(xA) B^{-1} d at the nodes, with no march.
+* ``matexp``: 2 pi |xi| b below _DICHOTOMY_FROM (on a lattice, xi = 0 alone),
+  where P- = I, C(x) = exp(xA) and K = B = M + N exp(bA).
 
-* ``twosided``: every symbol at xi != 0, by two decaying closed forms and a
-  6x6 system, the exponential dichotomy of ``_twosided_profiles``.
+* ``twosided``: every other frequency.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
-  valid at all frequencies (forced solves beyond the split, and fallback).
-  Its interior rows never couple the Stokes unknowns (phi, psi, q, dn phi)
-  with the heat unknowns (delta, dn delta); only the tangential stress
-  (alpha1 delta(b)) and the heat flux (alpha2 phi(b)) reach across.  So
-  each frequency factors a 4Nz Stokes block and a 2Nz heat block, and a
-  solve joins them through a 2x2 system for (phi(b), delta(b)).
+  the fallback where K is not finite or ill-conditioned, and for bulk
+  forcing beyond the panels' resolution; the tests' oracle.  Its interior
+  rows never couple the Stokes unknowns (phi, psi, q, dn phi) with the heat
+  unknowns (delta, dn delta); only the tangential stress (alpha1 delta(b))
+  and the heat flux (alpha2 phi(b)) reach across.  So each frequency
+  factors a 4Nz Stokes block and a 2Nz heat block, and a solve joins them
+  through a 2x2 system for (phi(b), delta(b)).
+
+exp(tA) (``_member_coefficients``) is a Taylor product where t times a
+block's largest eigenvalue is at most 1 and cosh/sinh divided differences
+beyond; ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is
+the tests' oracle.
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
 do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
@@ -69,9 +69,18 @@ from .fields import conjugate_mirror
 from .grids import VerticalGrid, read_only
 from .params import PhysicalParams
 
-DEFAULT_SPLIT = 30.0
 DEFAULT_COND_LIMIT = 1e12
 BACKENDS = ("matexp", "twosided", "collocation")
+# the widest panel times a member's largest rate max(m, |l|, |l_h|) up to
+# which the 8-point panels integrate exp((c_j - t) A) z to about 1e-12
+_PANEL_LIMIT = 3.0
+# D = diag(_MIRROR) has D A D = -A, so D exp(tA) P- D = exp(-tA) P+: its
+# rows are those of exp(tA) P- with the odd basis members' signs changed
+_MIRROR = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+_FLIP = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+# 2 pi |xi| b from which the dichotomy splits exp(tA): its 1/m terms cancel to
+# about eps / (2 pi |xi| b), while below it exp(bA) is bounded and P- = I
+_DICHOTOMY_FROM = 1e-3
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 # member-times per call of the closed forms and per block of the
 # quadrature contraction: about 1 MiB of temporaries
@@ -266,13 +275,32 @@ def _member_basis(prop: np.ndarray) -> np.ndarray:
     return basis.reshape(-1, 6, 36)
 
 
-@np.errstate(all="ignore")
-def _member_exponentials(prop: np.ndarray, t):
-    """exp(tA), shape (k,) + t.shape + (6, 6), with a mask of the members
-    whose exponential is finite: ``_member_coefficients`` times the basis."""
-    coef = _member_coefficients(prop, np.ravel(t)).transpose(0, 2, 1)
-    X = (coef @ _member_basis(prop)).reshape((len(prop),) + np.shape(t) + (6, 6))
-    return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
+def _dichotomy(prop: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(tA) P- (k, 6, n) in the basis of ``_member_basis`` (P+- = (I +- sign A)/2,
+    xi != 0) at times t (n,) >= 0; exp(-tA) P+ is _FLIP times it.  Its rows
+    are the even and odd parts of e^{-t|z|} over the eigenvalues +-m, +-l,
+    +-l_h, bounded as Re l, Re l_h >= m; delta = l - m = (tau/mu)/(l + m)."""
+    m, l, lh, r = (prop[:, i, None] for i in range(4))
+    z = t * (r / (l + m))           # t delta; psi(z) = (1 - e^{-z})/z, by its series near 0
+    small = np.abs(z) < 1e-3
+    zs, zk = np.where(small, 1.0, z), z[small]
+    psi = -np.expm1(-zs) / zs
+    psi[small] = 1 - zk / 2 * (1 - zk / 3 * (1 - zk / 4 * (1 - zk / 5)))
+    em, eh = np.exp(-t * m.real), np.exp(-t * lh)
+    tp = em * t * psi
+    return np.stack([0.5 * em, tp * (-0.5 / (l + m)), em * (-0.5 / m),
+                     (em + m * tp) * (0.5 / (l * m * (l + m))), 0.5 * eh, eh * (-0.5 / lh)], axis=1)
+
+
+def _minus_rows(prop: np.ndarray, t: np.ndarray, plain: np.ndarray) -> np.ndarray:
+    """exp(tA) P- (k, 6, n) per member at times t (n,): ``_dichotomy``, and
+    where ``plain`` (P- = I) exp(tA) itself from ``_member_coefficients``."""
+    if not plain.any():
+        return _dichotomy(prop, t)
+    rows = np.empty((len(prop), 6, len(t)), dtype=complex)
+    rows[plain] = _member_coefficients(prop[plain], t)
+    rows[~plain] = _dichotomy(prop[~plain], t)
+    return rows
 
 
 def _inverse_and_cond(B: np.ndarray):
@@ -347,31 +375,23 @@ def _gl_panels(vgrid: VerticalGrid):
 
 
 class FrequencySolver:
-    """Per-frequency solver for fixed coefficients.
-
-    Fixed coefficients (params, transport speed gamma_tilde, coupling
-    placement alpha1/alpha2, vertical grid); the backend is chosen per
-    frequency by the size of 2 pi |xi| b against ``split``.  ``prepare``
-    readies a set of frequencies as one FrequencyStack; ``solve`` is the
-    stack of a single frequency.
+    """Per-frequency solver for fixed coefficients (params, transport speed
+    gamma_tilde, coupling placement alpha1/alpha2, vertical grid).
+    ``prepare`` readies a set of frequencies as one FrequencyStack, which
+    chooses each member's backend; ``solve`` is the stack of a single
+    frequency.
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
                  gamma_tilde: float, alpha1: float, alpha2: float,
-                 split: float = DEFAULT_SPLIT,
                  cond_limit: float = DEFAULT_COND_LIMIT):
         self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
         self.alpha1, self.alpha2 = alpha1, alpha2
-        self.split, self.cond_limit = split, cond_limit
-
-    # -- backend selection ---------------------------------------------------
-
-    def _scale(self, xi) -> np.ndarray:
-        """2 pi |xi| b per frequency (last axis of ``xi`` = dim_h)."""
-        return 2.0 * np.pi * np.linalg.norm(xi, axis=-1) * self.vgrid.depth
+        self.cond_limit = cond_limit
 
     def backend_for(self, xi) -> str:
-        return "matexp" if self._scale(_xi_array(xi)) <= self.split else "collocation"
+        """The backend of a solve with bulk forcing at ``xi``."""
+        return self.prepare(_xi_array(xi)[None])._backends(np.ones(1, dtype=bool))[0]
 
     # -- collocation backend ---------------------------------------------------
 
@@ -455,114 +475,139 @@ class FrequencySolver:
 
 
 class FrequencyStack:
-    """One FrequencySolver prepared at K frequencies.
+    """One FrequencySolver prepared at K frequencies, in closed form.
 
-    The matexp members are prepared together as stacks: ``prop`` holds their
-    ``_propagator`` rows, ``Binv`` and ``Nmat`` are (k, 6, 6).  ``step``
-    keeps the step exponentials exp(h_j A), (Nz-1, k, 6, 6), made when the
-    stack is built.  ``quad`` keeps the Gauss-Legendre quadrature in the
-    propagator's basis B_b (I_s, P, A_s, A_s P, I_h, A_h), made at the first
-    solve with bulk forcing: the coefficients coef_b(c_j - t_q), written once
-    and C-contiguous as (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
-    k (48 (Nz-1) + 216) complex numbers.  The local integral
-    sum_q w_q exp((c_j - t_q) A) z(t_q) is then sum_b B_b (sum_q coef_b
-    w_q z(t_q)), the weights in the rows of ``_gl_panels``.  Every solve solves
-    every member: a caller leaves a frequency without data out of the stack.
+    Made with the stack, for the members whose K is finite and whose
+    cond_1(K) is within the solver's limit: ``prop``, their ``_propagator``
+    rows; ``coef``, C(x_j) at the nodes in the propagator's basis B_b (I_s,
+    P, A_s, A_s P, I_h, A_h), (k, 6, Nz); ``basis``, (k, 6, 36); ``Kinv`` and
+    the boundary matrices, (k, 6, 6).  An unforced solve is Y = C K^-1 d.
 
-    A member whose exponentials are not finite or whose cond_1(B) exceeds the
-    solver's limit is solved by collocation instead; the other members are
-    unaffected.  A collocation member's Stokes and heat blocks are factored
-    at every solve and dropped after the member is solved, so one member's
-    pair of factorisations is alive at a time.  ``backend`` and ``cond`` (K,)
-    record what each member is solved with: cond_1(B), or for collocation
-    the larger of its blocks' LAPACK estimates, set when it is solved.
+    Made at the first solve with bulk forcing: ``steps``, the bounded steps
+    S-_j = exp(h_j A) P-, (Nz-1, k, 6, 6); and ``quad``, the Gauss-Legendre
+    quadrature in the basis B_b: the coefficients coef_b(c_j - t_q), written
+    once and C-contiguous as (k, Nz-1, 6, 8), and each member's basis times
+    P-^T and (D P+)^T, (k, 36, 12), k (48 (Nz-1) + 432) complex numbers.
+    With D = diag(_MIRROR), D A D = -A, so S+_j = exp(-h_j A) P+ is
+    D S-_j D.  The local integral L_j = sum_q w_q exp((c_j - t_q) A) z(t_q)
+    is sum_b B_b (sum_q coef_b w_q z(t_q)), the weights in the rows of
+    ``_gl_panels``, and y_p = w- + w+ from w-_{j+1} = S-_j w-_j + P- L_j
+    forward from w-_0 = 0 and w+_j = S+_j (w+_{j+1} - L_j) backward from
+    w+_{Nz-1} = 0, swept as D w+_j = S-_j (D w+_{j+1} - D P+ L_j).  Every
+    solve solves every member: a caller leaves a frequency without data out
+    of the stack.
+
+    Collocation solves a member instead where K is not finite or cond_1(K)
+    exceeds the solver's limit, and, at a solve with bulk forcing at it,
+    where its widest panel times its largest rate max(m, |l|, |l_h|)
+    exceeds _PANEL_LIMIT.  A collocation member's Stokes and heat blocks are
+    factored at every solve and dropped after the member is solved, so one
+    member's pair of factorisations is alive at a time.  ``backend`` and
+    ``cond`` (K,) record what each member was solved with at the last
+    solve: cond_1(K), or for collocation the larger of its blocks' LAPACK
+    estimates.
     """
 
+    @np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation
     def __init__(self, solver: FrequencySolver, xis):
+        s, nodes = solver, solver.vgrid.nodes
         self.solver = solver
         self.xis = np.asarray(xis, dtype=float)
-        matexp = solver._scale(self.xis) <= solver.split
-        self.backend = np.where(matexp, "matexp", "collocation").astype(object)
-        self.cond = np.zeros(len(self.xis))
-        self.members = np.flatnonzero(matexp)
-        if self.members.size:
-            self._prepare_matexp()
+        prop = _propagator(self.xis, s.p, s.gamma_tilde)
+        n, plain = nodes.size, prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
+        rows = _minus_rows(prop, np.concatenate([nodes, nodes[-1] - nodes]), plain)
+        flip = np.where(plain[:, None], 0.0, _FLIP)
+        coef = rows[..., :n] + flip[..., None] * rows[..., n:]
+        basis = _member_basis(prop)
+        ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
+        Mmat, Nmat = assemble_boundary(self.xis, s.p, s.alpha1, s.alpha2)
+        Kinv, self._cond = _inverse_and_cond(Mmat @ ends[:, 0] + Nmat @ ends[:, 1])
+        self._closed = np.where(plain, BACKENDS[0], BACKENDS[1])
+        self._conditioned = ok = self._cond <= s.cond_limit
+        self._coarse = np.diff(nodes).max() * np.abs(prop[:, :3]).max(axis=1) > _PANEL_LIMIT
+        self.backend = self._backends(np.zeros(len(plain), dtype=bool))
+        self.cond = self._cond.copy()
+        self.members = np.flatnonzero(ok)
+        self.prop, self.plain, self.coef, self.basis = prop[ok], plain[ok], coef[ok], basis[ok]
+        self.Kinv, self.Mmat, self.Nmat = Kinv[ok], Mmat[ok], Nmat[ok]
+        self.steps = self.quad = None
 
-    def _prepare_matexp(self):
-        s = self.solver
-        xis = self.xis[self.members]
-        prop = _propagator(xis, s.p, s.gamma_tilde)
-        Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
-        # B = M + N exp(bA); cond_1(B) is inf where B is not finite
-        Binv, cond = _inverse_and_cond(Mmat + Nmat @ _member_exponentials(prop, s.vgrid.depth)[0])
-        ok = cond <= s.cond_limit
-        self.cond[self.members] = cond
-        self.backend[self.members[~ok]] = "collocation"
-        self.members = self.members[ok]
-        self.prop, self.Binv, self.Nmat = prop[ok], Binv[ok], Nmat[ok]
-        coef = self._exponential_rows(np.diff(s.vgrid.nodes)).transpose(2, 0, 1)
-        self.step = (coef[:, :, None] @ _member_basis(self.prop)).reshape(coef.shape + (6,))
-        self.quad = None
+    def _backends(self, forced) -> np.ndarray:
+        """Each member's backend at a solve with bulk forcing at ``forced`` (K,)."""
+        return np.where(self._conditioned & ~(forced & self._coarse),
+                        self._closed, BACKENDS[2]).astype(object)
 
-    def _exponential_rows(self, t) -> np.ndarray:
-        """``_member_coefficients`` at ``t``; a non-finite member gets zero rows and collocation."""
-        rows = _member_coefficients(self.prop, t)
-        finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
-        rows[~finite] = 0.0
-        self.backend[self.members[~finite]] = "collocation"
-        return rows
+    def _forced_tables(self):
+        """``steps`` and ``quad``, made at the first solve with bulk forcing."""
+        if self.quad is None:
+            vgrid, k = self.solver.vgrid, len(self.prop)
+            # exp(tA) P- at t = 0 and the widths h_j, node-major
+            rows = _minus_rows(self.prop, np.concatenate([[0.0], np.diff(vgrid.nodes)]),
+                               self.plain)
+            steps = (rows.transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
+            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0])
+            # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
+            # member is solved by collocation; an unforced one gets L = 0
+            coef[~np.isfinite(coef).all(axis=(1, 2, 3))] = 0.0
+            # basis rows (b, c) by output component i, B_b[i, c], times P-^T and
+            # (D P+)^T = D P-^T (0 where P+ = 0)
+            basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2).reshape(k, 36, 6)
+            proj = steps[0].transpose(0, 2, 1)
+            mirror = np.where(self.plain[:, None, None], 0.0, _MIRROR[:, None])
+            self.steps = steps[1:]
+            self.quad = (coef, basis @ np.concatenate([proj, mirror * proj], axis=2))
+        return self.steps, self.quad
 
     def _local_integrals(self, z) -> np.ndarray:
-        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
-        for every member, (k, Nz-1, 6), from ``quad``."""
-        offsets, rows = _gl_panels(self.solver.vgrid)
+        """Per interval [a_j, c_j] P- L_j and D P+ L_j of the local integral
+        L_j = int exp((c_j - t) A) z(t) dt for every member, node-major
+        (Nz-1, k, 12), from ``quad``."""
+        rows = _gl_panels(self.solver.vgrid)[1]
         k, nz = len(z), z.shape[-1]
-        if self.quad is None:
-            # basis rows (b, c) by output component i: B_b[i, c]
-            basis = _member_basis(self.prop).reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
-            self.quad = (self._exponential_rows(offsets), basis.reshape(k, 36, 6))
-        coef, basis = self.quad
+        coef, basis = self._forced_tables()[1]
         # w_q z(t_q) (member, interval, node, component): the real rows times the
         # (re, im) columns, per member as in a lone solve, in blocks of about
         # _EXP_CHUNK member-times whose temporaries are reused, not fresh pages
         zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
-        local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
+        local, width = np.empty((nz - 1, k, 12), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
             samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, 6)
-            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]
+            local[:, b] = ((coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]).transpose(1, 0, 2)
         return local
 
-    def _march(self, z, d) -> np.ndarray:
-        """Variation of constants for the matexp members, all marched at once,
-        as a view (k, 6, Nz) of node-major profiles: a first pass marches the
-        particular solution from y(0) = 0, whose value at b gives y(0); each
-        step is one product into its node plus the local integrals (0 unforced)."""
-        local = None
-        if z is not None and z.any():
-            local = np.ascontiguousarray(self._local_integrals(z).transpose(1, 0, 2))[..., None]
-        Y = np.zeros((len(self.step) + 1, len(self.members), 6, 1), dtype=complex)
-
-        def sweep():
-            for j, step in enumerate(self.step):
-                np.matmul(step, Y[j], out=Y[j + 1])
-                if local is not None:
-                    Y[j + 1] += local[j]
-
-        if local is not None:
-            sweep()
-        Y[0] = self.Binv @ (d[:, :, None] - self.Nmat @ Y[-1])
-        sweep()
-        return Y[..., 0].transpose(1, 2, 0)
+    def _particular(self, z) -> np.ndarray:
+        """y_p (k, 6, Nz) of the closed-form members for bulk forcing ``z``,
+        as a view: the forward sweep of the P- part and the backward sweep
+        of the P+ part, on D w+ with the same steps."""
+        k, nz = len(z), z.shape[-1]
+        S = self._forced_tables()[0]
+        local = self._local_integrals(z)
+        Y, back = np.zeros((2, nz, k, 6), dtype=complex)
+        for j in range(nz - 1):
+            np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
+            Y[j + 1] += local[j, :, :6]
+        for j in range(nz - 2, -1, -1):
+            np.matmul(S[j], (back[j + 1] - local[j, :, 6:])[..., None], out=back[j, ..., None])
+        Y += _MIRROR * back
+        return Y.transpose(1, 2, 0)
 
     def solve(self, z, d) -> np.ndarray:
         """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
         for none, and boundary data ``d`` (K, 6)."""
         d = np.asarray(d, dtype=complex)
-        Y = np.empty((len(self.backend), 6, self.solver.vgrid.count), dtype=complex)
+        forced = np.zeros(len(self.xis), dtype=bool) if z is None else z.any(axis=(1, 2))
+        self.backend, self.cond = self._backends(forced), self._cond.copy()
+        Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
         if self.members.size:
-            Y[self.members] = self._march(
-                None if z is None else z[self.members], d[self.members])
-        for i in np.flatnonzero(self.backend == "collocation"):
+            rhs, yp = d[self.members, :, None], None
+            if forced[self.members].any():
+                yp = self._particular(z[self.members])
+                rhs = rhs - self.Mmat @ yp[..., :1] - self.Nmat @ yp[..., -1:]
+            # the basis matrices times v (k, 6, 6) weight the coefficient rows
+            w = self.basis.reshape(-1, 6, 6, 6) @ (self.Kinv @ rhs)[:, None]
+            Yc = w[..., 0].transpose(0, 2, 1) @ self.coef
+            Y[self.members] = Yc if yp is None else Yc + yp
+        for i in np.flatnonzero(self.backend == BACKENDS[2]):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])
         return Y
@@ -660,67 +705,18 @@ def rho_of(p: PhysicalParams, xi, om_vn_surf):
             + 2j * np.pi * p.gamma * xi[..., 0])
 
 
-def _dichotomy(prop: np.ndarray, t: np.ndarray):
-    """E, O (k, 6, n) with exp(tA) P- = E + O, exp(-tA) P+ = E - O in the basis of
-    ``_member_basis`` (P+- = (I +- sign A)/2, xi != 0) at times t (n,) >= 0:
-    the even and odd parts of e^{-t|z|} over the eigenvalues +-m, +-l, +-l_h,
-    bounded as Re l, Re l_h >= m; delta = l - m = (tau/mu)/(l + m)."""
-    m, l, lh, r = (prop[:, i, None] for i in range(4))
-    z = t * (r / (l + m))           # t delta; psi(z) = (1 - e^{-z})/z, by its series near 0
-    small, zs = np.abs(z) < 1e-3, np.where(np.abs(z) < 1e-3, 1.0, z)
-    em, eh, zero = np.exp(-t * m.real), np.exp(-t * lh), np.zeros_like(z)
-    tp = em * t * np.where(small, 1 - z / 2 * (1 - z / 3 * (1 - z / 4 * (1 - z / 5))),
-                           -np.expm1(-zs) / zs)
-    return (np.stack([em / 2, -tp / (2 * (l + m)), zero, zero, eh / 2, zero], axis=1),
-            np.stack([zero, zero, -em / (2 * m), (em + m * tp) / (2 * l * m * (l + m)), zero,
-                      -eh / (2 * lh)], axis=1))
-
-
-@np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation
-def _twosided_profiles(solver: FrequencySolver, xis: np.ndarray):
-    """Unit normal stress profiles (k, 6, Nz) at ``xis`` (k, dim_h), xi != 0,
-    and cond_1(K) by the exponential dichotomy (Ascher, Mattheij & Russell 1995,
-    ch. 6): y(x) = C(x) v, C(x) = exp(xA) P- + exp((x-b)A) P+, K = M C(0) + N C(b)."""
-    s, nodes, n = solver, solver.vgrid.nodes, solver.vgrid.count
-    prop = _propagator(xis, s.p, s.gamma_tilde)
-    E, O = _dichotomy(prop, np.concatenate([nodes, nodes[-1] - nodes]))
-    coef = E[..., :n] + O[..., :n] + E[..., n:] - O[..., n:]
-    basis = _member_basis(prop)
-    ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
-    Mmat, Nmat = assemble_boundary(xis, s.p, s.alpha1, s.alpha2)
-    Kinv, cond = _inverse_and_cond(Mmat @ ends[:, 0] + Nmat @ ends[:, 1])
-    # the basis matrices times v (k, 6, 6) weight the coefficient rows
-    w = basis.reshape(-1, 6, 6, 6) @ (Kinv @ UNIT_NORMAL_STRESS)[:, None, :, None]
-    return w[..., 0].transpose(0, 2, 1) @ coef, cond
-
-
 def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
                     cond_limit: float = DEFAULT_COND_LIMIT):
     """Response profiles Y (K, 6, Nz) to a unit normal stress on the top at
     the frequencies ``xis`` (K, dim_h), with the backend and condition
-    estimate of each: the adjoint problem (gamma, 0, sigma1), in closed form.
-    At xi = 0, A is nilpotent (q = 1 and rho = 0) and y(x) = exp(xA) B^-1 d,
-    B = M + N exp(bA) (matexp, cond_1(B)); every other xi is two-sided
-    (cond_1(K)).  Where the condition exceeds ``cond_limit``, collocation
-    (its LAPACK estimate).
+    estimate of each: the unforced solve of the adjoint problem
+    (gamma, 0, sigma1) as one FrequencyStack.  At xi = 0, A is nilpotent,
+    and q = 1 and rho = 0 come out exactly.
     """
     xis = np.asarray(xis, dtype=float)
-    solver = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, cond_limit=cond_limit)
-    zero = ~xis.any(axis=-1)
-    Y = np.empty((len(xis), 6, vgrid.count), dtype=complex)
-    backend = np.where(zero, BACKENDS[0], BACKENDS[1]).astype(object)
-    cond = np.empty(len(xis))
-    if zero.any():
-        X, _ = _member_exponentials(_propagator(xis[zero], p, p.gamma), vgrid.nodes)
-        Mmat, Nmat = assemble_boundary(xis[zero], p, 0.0, p.sigma1)
-        Binv, cond[zero] = _inverse_and_cond(Mmat + Nmat @ X[:, -1])
-        Y[zero] = (X @ (Binv @ UNIT_NORMAL_STRESS)[:, None, :, None])[..., 0].transpose(0, 2, 1)
-    if not zero.all():
-        Y[~zero], cond[~zero] = _twosided_profiles(solver, xis[~zero])
-    for i in np.flatnonzero(cond > cond_limit):
-        backend[i] = BACKENDS[2]
-        Y[i], cond[i] = solver._solve_collocation(xis[i], None, UNIT_NORMAL_STRESS)
-    return Y, backend, cond
+    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, cond_limit=cond_limit).prepare(xis)
+    Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
+    return Y, stack.backend, stack.cond
 
 
 def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:

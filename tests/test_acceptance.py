@@ -47,9 +47,10 @@ def test_criterion_1_nilpotent_exponential():
     for p in (PSET1, PSET2):
         xi0 = np.zeros(p.dim_h)
         A0 = assemble_bulk_matrix(xi0, p, p.gamma)
-        E, ok = ode._member_exponentials(ode._propagator(xi0[None], p, p.gamma), p.depth)
-        assert ok.all()
-        for X in (matrix_exponential(A0, p.depth), E[0]):
+        prop = ode._propagator(xi0[None], p, p.gamma)
+        E = (ode._member_coefficients(prop, np.array([p.depth]))[0].T
+             @ ode._member_basis(prop)[0]).reshape(6, 6)
+        for X in (matrix_exponential(A0, p.depth), E):
             worst = max(worst, np.abs(X - (np.eye(6) + p.depth * A0)).max())
     _report("1 nilpotent exponential", worst < 1e-13, f"defect {worst:.2e}")
 
@@ -105,6 +106,26 @@ def test_criterion_4_highfreq_decay(rho_tables):
 
 # -- criterion 5 -------------------------------------------------------------
 
+def _dense_reference(p, vg, xi, gt, a1, a2, amps, d):
+    """Y (6, Nz) of dn y = A y + sum_k amps[:, k] cos(w_k x), w_k = k pi / b,
+    M y(0) + N y(b) = d, from the public assembly and ``matrix_exponential``:
+    exp(x Aug) of the augmented system (y, cos(w_k x), sin(w_k x)) carries
+    exp(xA) and the particular solution from y(0) = 0, and
+    B = M + N exp(bA) gives y(0)."""
+    n = amps.shape[1]
+    w, rows = np.arange(n) * np.pi / p.depth, 6 + np.arange(n)
+    aug = np.zeros((6 + 2 * n, 6 + 2 * n), dtype=complex)
+    aug[:6, :6] = assemble_bulk_matrix(xi, p, gt)
+    aug[:6, rows] = amps
+    aug[rows, rows + n], aug[rows + n, rows] = -w, w
+    Mm, Nm = assemble_boundary(xi, p, a1, a2)
+    start = np.zeros(6 + 2 * n, dtype=complex)
+    start[rows] = 1.0
+    Eb = matrix_exponential(aug, p.depth)
+    start[:6] = np.linalg.solve(Mm + Nm @ Eb[:6, :6], d - Nm @ (Eb[:6] @ start))
+    return (matrix_exponential(aug, vg.nodes)[:, :6] @ start).T
+
+
 def test_criterion_5_dual_backend():
     rng = np.random.default_rng(2024)
     worst_pair = 0.0
@@ -124,11 +145,16 @@ def test_criterion_5_dual_backend():
                 z[comp] += coefs[comp, k] * np.exp(-0.6 * k) * \
                     np.cos(k * np.pi * vg.nodes / p.depth)
         d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        Y1, b1, _ = FrequencySolver(p, vg, gt, a1, a2, split=np.inf).solve(xi, z, d)
-        Y2, b2, _ = FrequencySolver(p, vg, gt, a1, a2, split=-1.0).solve(xi, z, d)
-        assert (b1, b2) == ("matexp", "collocation")
-        rel = np.abs(Y1 - Y2).max() / np.abs(Y1).max()
-        worst_pair = max(worst_pair, rel)
+        # the production solve, collocation and a dense reference, pairwise
+        solver = FrequencySolver(p, vg, gt, a1, a2)
+        Y1, b1, _ = solver.solve(xi, z, d)
+        Y2, _ = solver._solve_collocation(np.array(xi), z, d)
+        amps = coefs * np.exp(-0.6 * np.arange(6))
+        amps[[0, 2]] = 0.0
+        Y3 = _dense_reference(p, vg, xi, gt, a1, a2, amps, d)
+        assert b1 == "twosided"
+        for Ya, Yb in ((Y1, Y2), (Y1, Y3), (Y3, Y2)):
+            worst_pair = max(worst_pair, np.abs(Ya - Yb).max() / np.abs(Ya).max())
 
     worst_manu = 0.0
     for p, seed in ((PSET1, 0), (PSET2, 1)):
@@ -144,9 +170,10 @@ def test_criterion_5_dual_backend():
                     for k in range(5))
         z = vg.differentiate(ystar) - A @ ystar
         d = Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
-        for split, backend in ((np.inf, "matexp"), (-1.0, "collocation")):
-            Y, used, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
-            assert used == backend
+        solver = FrequencySolver(p, vg, gt, a1, a2)
+        Y, used, _ = solver.solve(xi, z, d)
+        assert used == "twosided"
+        for Y in (Y, solver._solve_collocation(np.array(xi), z, d)[0]):
             worst_manu = max(worst_manu,
                              np.abs(Y - ystar).max() / np.abs(ystar).max())
     ok = worst_pair <= 1e-8 and worst_manu <= 1e-9

@@ -9,7 +9,7 @@ import pytest
 
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
-                              make_random_state)
+                              make_random_state, state_norm)
 from stripwave.odesystem import (FrequencySolver, FrequencyStack, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix)
 from stripwave.norms import ydata_norm
@@ -53,10 +53,11 @@ def test_stack_matches_single_solves(dim, seed, forced):
     p = _random_params(rng, dim)
     nz = 16
     vg = VerticalGrid(p.depth, nz)
-    # split 80: the matexp band reaches 2 pi |xi| b = 80, where cond(B)
-    # exceeds its limit and those members fall back to collocation
+    # at nz 16 the widest panel is 0.1045 b, so from 2 pi |xi| b near 29
+    # a member with bulk forcing passes _PANEL_LIMIT and falls back to
+    # collocation; one without keeps the closed form
     couplings = ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0))
-    solver = FrequencySolver(p, vg, *couplings[seed % 2], split=80.0)
+    solver = FrequencySolver(p, vg, *couplings[seed % 2])
     k = 24
     scale = np.concatenate([rng.uniform(0.05, 30.0, k - 4),
                             [45.0, 60.0, 75.0, 90.0]])
@@ -73,30 +74,32 @@ def test_stack_matches_single_solves(dim, seed, forced):
     _assert_rows_agree(Y, singles)
     assert list(stack.backend) == [s[1] for s in singles]
     assert np.allclose(stack.cond, [s[2] for s in singles], rtol=1e-12)
-    # three fallbacks inside the matexp band, one frequency beyond it
-    assert list(stack.backend[-4:]) == ["collocation"] * 4
+    # the last four lie beyond the panels' resolution; the 22nd has no bulk
+    # forcing
+    expect = ["collocation", "twosided", "collocation", "collocation"] if forced \
+        else ["twosided"] * 4
+    assert list(stack.backend[-4:]) == expect
 
 
 def test_stack_reuses_preparation_across_solves(monkeypatch):
-    # the coefficients of the step exponentials are made with the stack and
-    # those of the quadrature ones at its first solve with bulk forcing, for
-    # every member at once
+    # the dichotomy's halves at the nodes are made with the stack, and the
+    # steps' halves and the quadrature's coefficients at its first solve
+    # with bulk forcing, for every member at once
     import stripwave.odesystem as ode
     calls = []
-    real = ode._member_coefficients
+    for name in ("_dichotomy", "_member_coefficients"):
+        def counting(prop, t, real=getattr(ode, name), name=name):
+            calls.append((name, len(prop)))
+            return real(prop, t)
 
-    def counting(prop, t):
-        calls.append(len(prop))
-        return real(prop, t)
-
-    monkeypatch.setattr(ode, "_member_coefficients", counting)
+        monkeypatch.setattr(ode, name, counting)
     rng = np.random.default_rng(7)
     p = _random_params(rng, 2)
     vg = VerticalGrid(p.depth, 20)
     solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-3.0, 3.0, (12, 1))
     stack = solver.prepare(xis)
-    assert calls == [12, 12]            # B, then the step exponentials
+    assert calls == [("_dichotomy", 12)]
     for trial in range(4):
         z, d = _forcing(rng, 12, vg.count, vg, p.depth)
         if trial < 2:
@@ -105,7 +108,8 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
         if trial == 2:
             z[::3] = z[1]               # bulk forcing at new frequencies
         Y = stack.solve(z, d)
-        assert calls == [12, 12, 12]    # the quadrature ones, at trial 0
+        # the steps and the quadrature, at trial 0
+        assert calls == [("_dichotomy", 12), ("_dichotomy", 12), ("_member_coefficients", 12)]
         singles = [solver.solve(xi, z[i], d[i]) for i, xi in enumerate(xis)]
         del calls[3:]
         _assert_rows_agree(Y, singles)
@@ -116,8 +120,9 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
 @pytest.mark.parametrize("dim, nz", [(2, 48), (3, 24)])
 def test_stack_quadrature_cache_is_bounded(dim, nz):
     # the cached quadrature is the weighted coefficients (k, Nz-1, 6, 8) and
-    # each member's basis (k, 36, 6): at most k (48 (Nz-1) + 216) complex
-    # numbers, against k (Nz-1) 288 for 6x6 exponentials per node
+    # each member's basis times its two projections (k, 36, 12): at most
+    # k (48 (Nz-1) + 432) complex numbers, against k (Nz-1) 288 for 6x6
+    # exponentials per node
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
@@ -130,19 +135,18 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     k = len(stack.members)
     assert k == len(xis)
     assert all(a.dtype == complex and a.flags.c_contiguous for a in stack.quad)
-    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
+    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 432)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
-    # quadrature cache (5.4 MB together at wave-2d's forced stack, 86
-    # members at nz 48); the Taylor product writes the cache itself, and
-    # neither the closed forms nor the contraction, in calls and blocks of
-    # at most _EXP_CHUNK member-times, may add a temporary that grows with
-    # members times intervals.  The second stack (nz 12, 2 pi |xi| b in
-    # [10, 18]) sends 65% of its step and 26% of its quadrature member-times
-    # to the closed forms, more than one call.  Every member marches: its
-    # last 12 have cond_1(B) 1.0e12-1.4e12, so no cond_limit applies
+    # quadrature cache (6.0 MB together at wave-2d's forced stack, 86
+    # members at nz 48; peak 9.8 MiB); the Taylor product writes the cache
+    # itself, and neither the closed forms nor the contraction, in calls and
+    # blocks of at most _EXP_CHUNK member-times, may add a temporary that
+    # grows with members times intervals.  The second stack (nz 12,
+    # 2 pi |xi| b in [10, 18]) sends 26% of its quadrature member-times to
+    # the closed forms, more than one call, and every member is two-sided
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
@@ -158,8 +162,7 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
         tracemalloc.start()
         try:
-            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0,
-                                    cond_limit=np.inf).prepare(xis[:, None])
+            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis[:, None])
             stack.solve(z, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -194,8 +197,10 @@ def test_table_backend_at_bench_grids(name, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(FrequencyStack, "__init__", spy)
+    sweeps = []
+    monkeypatch.setattr(FrequencyStack, "_particular", lambda *args: sweeps.append(1))
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
-    assert stacks == []             # no symbol marches
+    assert stacks == [1] and sweeps == []       # one unforced stack, no sweep
     expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
     assert np.array_equal(table.backend, expect)
     # over the whole lattice: a stored index stands for pair_weight points
@@ -219,21 +224,52 @@ def _counting(monkeypatch, name):
 
 
 def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
-    # linear-deep's job: its data reaches 2 pi |xi| b = 16, inside the
-    # matexp band, so the 42 collocation members above split 30, which had
-    # no data, are no longer factored (84 LUs); the table's 64 members at
-    # xi != 0 are two-sided, with no LU either
+    # linear-deep's job: its data reaches 2 pi |xi| b = 16, and its 20
+    # forced members and the table's 64 members at xi != 0 are two-sided,
+    # with no LU; so is the same grid with content up to its cutoff, index
+    # 42 (2 pi |xi| b = 33.6), where the forward march had sent 20 members
+    # to collocation (80 LUs); both round-trip to 1e-10
+    dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+    grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
+    lus = _counting(monkeypatch, "lu_factor")
+    inv = LinearInverter(SymbolTable.build(grid, vg, p))
+    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 64
+    for jmax in (20, 42):
+        state = make_random_state(grid, vg, seed=3, jmax=jmax)
+        out = inv.invert(apply_linear_operator(state, p))
+        assert len(lus) == 0
+        solved = list(inv.backend[grid.half_mask])
+        assert solved.count("twosided") == jmax and solved.count(None) == 65 - jmax
+        out.axpy(-1.0, state)
+        assert state_norm(out) <= 1e-10 * state_norm(state)
+
+
+def test_inverter_forced_profiles_match_collocation_at_linear_deep(monkeypatch):
+    # linear-deep's job at lattice indices 18-20 (2 pi |xi| b = 14.4-16),
+    # where the forward march lost 6-7 digits: the inverter's forced
+    # profiles agree with collocation within 5e-12 of each frequency's
+    # largest profile value; collocation's own error here is about 1.5e-12
     dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
     data = apply_linear_operator(make_random_state(grid, vg, seed=3, jmax=20), p)
-    lus = _counting(monkeypatch, "lu_factor")
-    inv = LinearInverter(SymbolTable.build(grid, vg, p))
-    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 64
-    inv.invert(data)
-    assert len(lus) == 0
-    solved = list(inv.backend[grid.half_mask])
-    assert solved.count("matexp") == 20 and solved.count(None) == 45
+    solves = []
+    real = FrequencyStack.solve
+
+    def recording(self, z, d):
+        Y = real(self, z, d)
+        solves.append((self, z, d, Y))
+        return Y
+
+    monkeypatch.setattr(FrequencyStack, "solve", recording)
+    LinearInverter(SymbolTable.build(grid, vg, p)).invert(data)
+    [(stack, z, d, Y)] = [s for s in solves if s[1] is not None]
+    for j in (18, 19, 20):
+        [i] = np.flatnonzero(np.isclose(stack.xis[:, 0], j / box, rtol=1e-14))
+        Yc, _ = stack.solver._solve_collocation(stack.xis[i], z[i], d[i])
+        assert stack.backend[i] == "twosided"
+        assert np.abs(Y[i] - Yc).max() <= 5e-12 * np.abs(Yc).max()
 
 
 def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
@@ -258,7 +294,7 @@ def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     assert len(lus) == 0
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     assert summary["table_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
-    assert summary["inverter_solved"] == {"matexp": 20, "twosided": 0, "collocation": 0}
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
 
 
 def _without_low_modes(state, jmin):
@@ -334,8 +370,9 @@ def _data_everywhere(data):
 
 def test_inverter_backend_and_cond_match_single_solves():
     # the linear-deep lattice on a coarser vertical grid, with data at every
-    # frequency: matexp below 2 pi |xi| b = 30, 15 fallbacks inside that
-    # band, collocation above
+    # frequency: matexp at xi = 0, two-sided up to the panels' resolution
+    # (at nz 24 the widest panel is 0.068 b, so about 2 pi |xi| b = 44) and
+    # collocation beyond, with no fallback by condition
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid = FrequencyGrid(1, 2.5 * math.pi, 128)
     vg = VerticalGrid(1.0, 24)
@@ -351,26 +388,27 @@ def test_inverter_backend_and_cond_match_single_solves():
         _, used, cond = inv.solver.solve(vecs[idx], z, np.ones(6))
         assert inv.backend[idx] == used
         assert inv.cond[idx] == pytest.approx(cond, rel=1e-12)
-    scale = 2 * np.pi * np.sqrt(grid.xi2)
-    fallbacks = (inv.backend == "collocation") & (scale <= inv.solver.split)
-    assert int(fallbacks[grid.half_mask].sum()) == 15
+    half = list(inv.backend[grid.half_mask])
+    assert (half.count("matexp"), half.count("twosided"), half.count("collocation")) \
+        == (1, 54, 10)
+    assert [inv.solver.backend_for(xi) for xi in vecs[grid.half_mask]] == half
 
 
-# LinearInverter.cond on the half lattice of the grid below (index order),
-# measured when the inverter kept its collocation factorisations, with the
-# matexp members' cond_1(B) (the first five); at xi = 0, cond_1(B) = 1
-# since mu = kappa = 1
-LIFETIME_COND = [1.0, 9.516480e3, 5.151365e6, 1.004727e9, 1.335769e11,
-                 2.707794e5, 3.503076e5, 4.469473e5, 5.649699e5, 7.036378e5,
-                 8.647102e5, 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6,
-                 2.088663e6, 2.429065e6]
+# LinearInverter.cond on the half lattice of the grid below (index order):
+# cond_1(B) = 1 at xi = 0 since mu = kappa = 1, the two-sided members'
+# cond_1(K), and the collocation members' estimates, measured when the
+# inverter kept its collocation factorisations
+LIFETIME_COND = [1.0, 1.488048e2, 5.608653e2, 1.225209e3, 2.145234e3, 3.321238e3,
+                 4.753240e3, 6.441241e3, 8.385242e3, 1.058524e4, 1.304124e4,
+                 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6, 2.088663e6,
+                 2.429065e6]
 
 
 def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
-    # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: matexp up to 16,
-    # three fallbacks inside the inverter's band (20, 24, 28) and collocation
-    # above 30, so twelve collocation members; the table has sixteen
-    # two-sided members (every xi != 0), and no LU
+    # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: two-sided up to
+    # 40 and, beyond the panels' resolution at nz 24, collocation from 44,
+    # so six collocation members; the table has sixteen two-sided members
+    # (every xi != 0), and no LU
     import stripwave.odesystem as ode
     sizes = []
     real = ode.lu_factor
@@ -392,12 +430,12 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
         sizes.clear()
         inv.invert(data)
         # every inversion factors each member's Stokes and heat blocks anew
-        assert len(sizes) == 24 and sorted(set(sizes)) == [2 * 24, 4 * 24]
+        assert len(sizes) == 12 and sorted(set(sizes)) == [2 * 24, 4 * 24]
         records.append((inv.backend.copy(), inv.cond.copy()))
     (b_cold, c_cold), (b_warm, c_warm) = records
     assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
     half = grid.half_mask
-    assert list(inv.backend[half]) == ["matexp"] * 5 + ["collocation"] * 12
+    assert list(inv.backend[half]) == ["matexp"] + ["twosided"] * 10 + ["collocation"] * 6
     assert np.allclose(inv.cond[half], LIFETIME_COND, rtol=1e-6, atol=0.0)
 
 
@@ -466,15 +504,14 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
         vg = VerticalGrid(p.depth, nz)
         for gt, a1, a2 in ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0),
                            (p.gamma, p.sigma1, p.sigma1)):
-            solver = FrequencySolver(p, vg, gt, a1, a2, split=-1.0)
+            solver = FrequencySolver(p, vg, gt, a1, a2)
             direction = rng.standard_normal(dim - 1)
             for scale in (rng.uniform(0.05, 5.0), rng.uniform(5.0, 60.0)):
                 xi = direction / np.linalg.norm(direction) \
                     * scale / (2 * np.pi * p.depth)
                 z, d = _forcing(rng, 1, nz, vg, p.depth)
-                Y, used, cond = solver.solve(xi, z[0], d[0])
+                Y, cond = solver._solve_collocation(xi, z[0], d[0])
                 full, Yd = _dense_collocation(solver, xi, z[0], d[0])
-                assert used == "collocation"
                 peak = np.abs(Yd).max(axis=1)
                 assert np.all(np.abs(Y - Yd).max(axis=1) <= 1e-10 * peak)
                 assert 0.5 <= cond / np.linalg.cond(full, 1) <= 1.0 + 1e-9

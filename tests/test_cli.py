@@ -356,9 +356,8 @@ def test_perfbench_wave_gate_finds_the_forced_row(tmp_path):
 
 def test_linear_solve_records_inverter_work(tmp_path):
     # linear-deep's lattice and input state: its data reaches 2 pi |xi| b = 16,
-    # so the 20 frequencies with data are solved by matexp and none by
-    # collocation, though 42 frequencies lie above split 30; a forced solve
-    # is never two-sided
+    # so the 20 frequencies with data are two-sided and none is solved by
+    # collocation
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid, vg = FrequencyGrid(1, 2.5 * np.pi, 128), VerticalGrid(1.0, 32)
     indir = str(tmp_path / "ydata")
@@ -369,23 +368,25 @@ def test_linear_solve_records_inverter_work(tmp_path):
                                  "grid": {"box_len": 2.5 * np.pi, "modes": 128, "nz": 32}})
     assert main(["--config", path]) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["inverter_solved"] == {"matexp": 20, "twosided": 0, "collocation": 0}
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
     inv = cli.LinearInverter(SymbolTable.build(grid, vg, p))
     inv.invert(data)
     at = tuple(summary["inverter_max_cond_at"])
     assert summary["inverter_max_cond"] == inv.cond[at] == inv.cond.max()
-    assert inv.backend[at] == "matexp"
+    assert inv.backend[at] == "twosided"
 
 
 @pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
                                   "roundtrip-test", "asym-check", "symbols"])
 def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
-    # this grid has a collocation band (2 pi |xi| b up to 12.8), and every
-    # collocation system there has a condition estimate far above 1e3
+    # on this grid (2 pi |xi| b up to 12.8) every mode solves a member whose
+    # cond_1(K) passes 1e2 (the inversions' largest are 366 and 561, the
+    # table's 1.4e3), and every collocation system there has a condition
+    # estimate far above 1e2
     box = 2.5 * np.pi
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": 32, "nz": 32},
-           "backend": {"cond_limit": 1e3}, "fit": {"refine": False}}
+           "backend": {"cond_limit": 1e2}, "fit": {"refine": False}}
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         grid, vg = FrequencyGrid(1, box, 32), VerticalGrid(1.0, 32)
@@ -430,7 +431,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
             make_random_state(grid, VerticalGrid(1.0, nz), seed=1), p))
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 0
     [(table, kwargs)] = seen
-    assert kwargs == {"split": 0.3, "cond_limit": 1e11}
+    assert kwargs == {"cond_limit": 1e11}
     # the table solved exactly the frequencies whose data, at xi or -xi,
     # is nonzero, each two-sided but xi = 0; in dim_h 1 the lattice stores
     # xi >= 0, and the data at -xi is the conjugate
@@ -452,6 +453,16 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
                                        for b in ("matexp", "twosided", "collocation")}
     assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \
         == table.cond.max()
+    # split 0.3 and symbol_split 0.5 are accepted and change nothing: without
+    # them every file but the manifest (which echoes the config) is the same
+    cfg["out"] = str(tmp_path / "plain")
+    cfg["backend"] = {"cond_limit": 1e11}
+    assert main(["--config", _write_cfg(tmp_path, cfg, "plain.json")]) == 0
+    names = sorted(os.listdir(tmp_path / "out"))
+    assert names == sorted(os.listdir(tmp_path / "plain")) and len(names) > 1
+    for name in names:
+        if name != "manifest.json":
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_symbols_mode_records_table_solves(tmp_path):
@@ -673,7 +684,7 @@ steps["3D roundtrip-test"] = loaded()
 assert stripwave.cli.main(["--config", sys.argv[4]]) == 0
 steps["linear-solve"] = loaded()
 assert stripwave.cli.main(["--config", sys.argv[5]]) == 0
-steps["linear-solve, split below its data"] = loaded()
+steps["linear-solve, forced beyond the panels"] = loaded()
 print(json.dumps(steps))
 """
 
@@ -683,9 +694,9 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     # a small 2D nonlinear-solve (no LU, no expm) and a small 3D
     # roundtrip-test (diagonalized transverse solves) and a linear-solve
     # whose table is two-sided (j = 1 .. 14) leave scipy.linalg unloaded;
-    # the same linear-solve with backend.split 1, below its data
-    # (2 pi |xi| b = 0.8 |j|), solves its forced problems by collocation
-    # and loads it at their LUs
+    # a linear-solve at nz 24 whose data reach 2 pi |xi| b = 6.4 |j| = 64,
+    # beyond the panels' resolution from 44, solves its four forced
+    # problems there by collocation and loads it at their LUs
     wave = _write_cfg(tmp_path, {
         "mode": "nonlinear-solve", "params": {"dim": 2},
         "grid": {"box_len": 2 * np.pi * 10, "modes": 256, "nz": 48},
@@ -704,22 +715,24 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     linear = _write_cfg(tmp_path, {
         "mode": "linear-solve", "out": str(tmp_path / "lin"), "input": str(tmp_path / "ydata"),
         "grid": {"box_len": 2.5 * np.pi, "modes": 32, "nz": 24}}, "lin.json")
-    below = _write_cfg(tmp_path, {
-        "mode": "linear-solve", "out": str(tmp_path / "below"), "input": str(tmp_path / "ydata"),
-        "grid": {"box_len": 2.5 * np.pi, "modes": 32, "nz": 24},
-        "backend": {"split": 1.0}}, "below.json")
+    high = FrequencyGrid(1, 2.5 * np.pi / 8, 32)
+    write_ydata_csv(str(tmp_path / "high"), apply_linear_operator(
+        make_random_state(high, vg, seed=3, jmax=10), PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    beyond = _write_cfg(tmp_path, {
+        "mode": "linear-solve", "out": str(tmp_path / "beyond"), "input": str(tmp_path / "high"),
+        "grid": {"box_len": 2.5 * np.pi / 8, "modes": 32, "nz": 24}}, "beyond.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, wave, small, roundtrip, linear,
-                           below],
+                           beyond],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "import stripwave": False, "cli and wave-2d config": False,
         "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": False,
-        "linear-solve, split below its data": True}
+        "linear-solve, forced beyond the panels": True}
     summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
     assert summary["table_solved"] == {"matexp": 0, "twosided": 14, "collocation": 0}
-    summary = json.load(open(tmp_path / "below" / "manifest.json"))["summary"]
-    assert summary["inverter_solved"] == {"matexp": 1, "twosided": 0, "collocation": 13}
+    summary = json.load(open(tmp_path / "beyond" / "manifest.json"))["summary"]
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 6, "collocation": 4}

@@ -248,8 +248,9 @@ def test_pushforward_rejects_malformed_points_3d(points):
 
 
 def test_inverter_cond_limit_reaches_transverse_systems():
-    # at cond_limit 1e5 every stack member of this grid passes (matexp, with
-    # cond_1(B) below 40), while the transverse systems' condition bound
+    # at cond_limit 1e5 every stack member of this grid passes (matexp at
+    # xi = 0 and two-sided elsewhere, with cond_1(K) below 40), while the
+    # transverse systems' condition bound
     # reaches about 1.26e5: the inversion must stop there, and stop again when
     # retried, since the failed preparation is not kept
     grid, vg = FrequencyGrid(2, 20 * np.pi, 16), VerticalGrid(1.0, 24)
@@ -260,7 +261,7 @@ def test_inverter_cond_limit_reaches_transverse_systems():
         with pytest.raises(IllConditionedCollocation, match="transverse system"):
             inv.invert(data)
     stack = inv.solver.prepare(grid.xi_vectors[grid.half_mask])
-    assert set(stack.backend) == {"matexp"}
+    assert set(stack.backend) == {"matexp", "twosided"}
     assert stack.cond.max() < 40.0
 
 

@@ -10,7 +10,8 @@ from stripwave.linear import LinearInverter, LinearState
 from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_residual,
                                  picard_solve)
 from stripwave.norms import ydata_norm
-from stripwave.odesystem import UNIT_NORMAL_STRESS, FrequencySolver
+from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, assemble_boundary,
+                                 assemble_bulk_matrix, matrix_exponential)
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -22,9 +23,8 @@ def test_collocation_self_convergence_beyond_matexp():
     ximag = 150.0 / (2 * np.pi)
 
     def vn_surf(nz):
-        Y, backend, _ = FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1,
-                                        split=-1.0).solve([ximag], None, UNIT_NORMAL_STRESS)
-        assert backend == "collocation"
+        Y, _ = FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1
+                               )._solve_collocation(np.array([ximag]), None, UNIT_NORMAL_STRESS)
         return Y[1, -1]
 
     ref = vn_surf(160)
@@ -37,19 +37,21 @@ def test_collocation_self_convergence_beyond_matexp():
     assert errs[1] / errs[2] > (40 / 32) ** 2
 
 
-def test_matexp_refuses_far_beyond_split():
-    # at 2 pi |xi| b = 50 cond(B) is far beyond the limit: a member the
-    # split sends to matexp is solved by collocation instead
+def test_twosided_solves_far_beyond_cond_B_limit():
+    # at 2 pi |xi| b = 50, cond_1(B) of the forward march's B = M + N exp(bA)
+    # is far beyond the limit, while cond_1(K) of the dichotomy is about
+    # 2.1e4: the member is two-sided and within 1e-10 of collocation
     vg = VerticalGrid(1.0, 40)
     coefs = (P1.gamma, 0.0, P1.sigma1)
-    stack = FrequencySolver(P1, vg, *coefs, split=np.inf).prepare(np.array([[8.0]]))
-    assert list(stack.backend) == ["collocation"]
-    assert stack.cond[0] > stack.solver.cond_limit
-    d = np.zeros(6, dtype=complex)
-    d[4] = 1.0
-    Y = stack.solve(None, d[None])
-    Yc, backend, _ = FrequencySolver(P1, vg, *coefs, split=-1.0).solve([8.0], None, d)
-    assert backend == "collocation" and np.array_equal(Y[0], Yc)
+    solver = FrequencySolver(P1, vg, *coefs)
+    A = assemble_bulk_matrix([8.0], P1, P1.gamma)
+    Mm, Nm = assemble_boundary([8.0], P1, *coefs[1:])
+    assert np.linalg.cond(Mm + Nm @ matrix_exponential(A, 1.0), 1) > solver.cond_limit
+    stack = solver.prepare(np.array([[8.0]]))
+    assert list(stack.backend) == ["twosided"] and stack.cond[0] < 3e4
+    Y = stack.solve(None, UNIT_NORMAL_STRESS[None])
+    Yc, _ = solver._solve_collocation(np.array([8.0]), None, UNIT_NORMAL_STRESS)
+    assert np.abs(Y[0] - Yc).max() <= 1e-10 * np.abs(Yc).max()
 
 
 @pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")

@@ -151,26 +151,27 @@ def test_exp_stack_nan_member_raises():
 
 
 def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
-    # counts the calls of the closed-form propagator's coefficients, which
-    # make every exponential of a matexp solve
+    # counts the calls of the dichotomy's halves and of the propagator's
+    # coefficients (the panels' quadrature), which make every exponential of
+    # a closed-form forced solve
     import stripwave.odesystem as ode
-    real = ode._member_coefficients
     counts = {}
     for nz in (16, 48):
         calls = []
+        for name in ("_dichotomy", "_member_coefficients"):
+            def counting(*args, real=getattr(ode, name), name=name):
+                calls.append(name)
+                return real(*args)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ode, "_member_coefficients", counting)
+            monkeypatch.setattr(ode, name, counting)
         vg = VerticalGrid(P1.depth, nz)
         z = np.zeros((6, nz), dtype=complex)
         z[4] = np.cos(vg.nodes)
-        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0, split=np.inf)
-        assert solver.solve([0.4], z, np.zeros(6))[1] == "matexp"
-        counts[nz] = len(calls)
-    assert counts[16] == counts[48] > 0
+        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0)
+        assert solver.solve([0.4], z, np.zeros(6))[1] == "twosided"
+        counts[nz] = calls
+        monkeypatch.undo()
+    assert counts[16] == counts[48] == ["_dichotomy", "_dichotomy", "_member_coefficients"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +212,25 @@ def test_B_inverse_contract_moderate_xi():
         assert np.abs(B @ Binv - np.eye(6)).max() < 1e-10
 
 
-def test_B_ill_conditioned_falls_back():
-    # 2 pi |xi| b = 251: cond(B) is far beyond the limit, so a member the
-    # split sends to matexp is solved by collocation instead
-    stack = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1,
-                            split=np.inf).prepare(np.array([[40.0]]))
-    assert list(stack.backend) == ["collocation"]
-    assert stack.cond[0] > stack.solver.cond_limit
-    d = np.zeros((1, 6), dtype=complex)
-    d[0, 4] = 1.0
-    Y, backend, _ = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=-1.0).solve(
-        [40.0], None, UNIT_NORMAL_STRESS)
-    assert backend == "collocation" and np.array_equal(stack.solve(None, d)[0], Y)
+def test_B_ill_conditioned_falls_back(monkeypatch):
+    # at xi = 0, K is B = M + N exp(bA), with cond_1(B) = 4 at P2: beyond a
+    # cond_limit of 2 the member is solved by collocation instead (here at
+    # the default limit, which its estimate passes), bit for bit as
+    # collocation solves it alone, and keeps that solve's estimate
+    vg = VerticalGrid(P2.depth, 40)
+    real = FrequencySolver._solve_collocation
+
+    def default_limit(self, xi, z, d):
+        return real(FrequencySolver(self.p, self.vgrid, self.gamma_tilde, self.alpha1,
+                                    self.alpha2), xi, z, d)
+
+    monkeypatch.setattr(FrequencySolver, "_solve_collocation", default_limit)
+    stack = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1, cond_limit=2.0).prepare(
+        np.zeros((1, 1)))
+    assert list(stack.backend) == ["collocation"] and stack.cond[0] == 4.0
+    Y = stack.solve(None, UNIT_NORMAL_STRESS[None])
+    Yc, cc = default_limit(stack.solver, np.zeros(1), None, UNIT_NORMAL_STRESS)
+    assert np.array_equal(Y[0], Yc) and stack.cond[0] == cc > 2.0
 
 
 def test_inverse_and_cond_singular_member_alone():
@@ -242,28 +250,28 @@ def test_inverse_and_cond_singular_member_alone():
 
 
 def test_singular_B_member_falls_back_alone(monkeypatch):
-    # a zero exponential makes B = M, exactly singular: that member alone is
-    # solved by collocation, and the others as in a stack without it
+    # zero halves make C = 0 and K = 0, exactly singular: that member alone
+    # is solved by collocation, and the others as in a stack without it
     import stripwave.odesystem as ode
     xis = np.array([[0.3], [0.9], [1.4]])
     coefs = (P1.gamma, 0.0, P1.sigma1)
     d = np.zeros((3, 6), dtype=complex)
     d[:, 4] = 1.0
     Y0 = FrequencySolver(P1, VG, *coefs).prepare(xis).solve(None, d)
-    real = ode._member_exponentials
+    real = ode._dichotomy
 
     def singular(prop, t):
-        X, ok = real(prop, t)
-        X[1] = 0.0
-        return X, ok
+        rows = real(prop, t)
+        rows[1] = 0.0
+        return rows
 
-    monkeypatch.setattr(ode, "_member_exponentials", singular)
+    monkeypatch.setattr(ode, "_dichotomy", singular)
     stack = FrequencySolver(P1, VG, *coefs).prepare(xis)
-    assert list(stack.backend) == ["matexp", "collocation", "matexp"]
+    assert list(stack.backend) == ["twosided", "collocation", "twosided"]
     assert stack.cond[1] == np.inf
     Y = stack.solve(None, d)
     assert np.array_equal(Y[[0, 2]], Y0[[0, 2]])
-    Yc, _, _ = FrequencySolver(P1, VG, *coefs, split=-1.0).solve(xis[1], None, d[1])
+    Yc, _ = FrequencySolver(P1, VG, *coefs)._solve_collocation(xis[1], None, d[1])
     assert np.array_equal(Y[1], Yc)
 
 
@@ -287,8 +295,8 @@ def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
     assert list(backend) == ["twosided", "twosided", "collocation"]
     assert len(calls) == 1 and np.array_equal(calls[0], xis[2])
     assert np.array_equal(Y[:2], Y0[:2]) and np.array_equal(cond[:2], cond0[:2])
-    Yc, _, cc = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=-1.0).solve(
-        xis[2], None, UNIT_NORMAL_STRESS)
+    Yc, cc = real(FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1), xis[2], None,
+                  UNIT_NORMAL_STRESS)
     assert np.array_equal(Y[2], Yc) and cond[2] == cc > 1e6
 
 
@@ -319,18 +327,25 @@ def test_symbol_richardson_leading_coefficient(p):
     assert extrap.real == pytest.approx(target, rel=0.01)
 
 
+def _dense_symbol(p, vg, xi):
+    """exp(x_j A) B^-1 d at the nodes from ``matrix_exponential``, B = M + N exp(bA)."""
+    A = assemble_bulk_matrix(xi, p, p.gamma)
+    Mm, Nm = assemble_boundary(xi, p, 0.0, p.sigma1)
+    y0 = np.linalg.solve(Mm + Nm @ matrix_exponential(A, p.depth), UNIT_NORMAL_STRESS)
+    return (matrix_exponential(A, vg.nodes) @ y0).T
+
+
 def test_symbol_dual_backend_agreement():
-    # the forced march, the two-sided symbols and collocation, pairwise
+    # a dense reference, the two-sided symbols and collocation, pairwise
     for p in (P1, P2):
         vg = VerticalGrid(p.depth, 48)
         for ximag in (0.2, 0.7, 10.0 / (2 * np.pi * p.depth)):
             xis = np.array([[ximag]])
-            Ym, bm, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=np.inf).solve(
-                xis[0], None, UNIT_NORMAL_STRESS)
+            Ym = _dense_symbol(p, vg, xis[0])
             Yt, bt, _ = symbol_profiles(xis, p, vg)
-            Yc, bc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
+            Yc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1)._solve_collocation(
                 xis[0], None, UNIT_NORMAL_STRESS)
-            assert (bm, bt[0], bc) == ("matexp", "twosided", "collocation")
+            assert bt[0] == "twosided"
             for Y1, Y2 in ((Ym, Yt[0]), (Ym, Yc), (Yt[0], Yc)):
                 assert np.abs(Y1 - Y2).max() / np.abs(Y1).max() < 1e-8
 
@@ -347,9 +362,8 @@ def test_stiff_symbols_match_collocation():
     Y, backend, _ = symbol_profiles(xis, p, vg)
     assert "collocation" not in backend
     for xi, y in zip(xis, Y):
-        Yc, used, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
+        Yc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1)._solve_collocation(
             xi, None, UNIT_NORMAL_STRESS)
-        assert used == "collocation"
         assert np.abs(y - Yc).max() <= 1e-12 * np.abs(y).max()
 
 
@@ -434,16 +448,21 @@ def _manufactured(p, vg, xi, gt, a1, a2, seed=0):
     return ystar, z, d
 
 
-@pytest.mark.parametrize("backend", ["matexp", "collocation"])
+@pytest.mark.parametrize("backend", ["matexp", "twosided", "collocation"])
 def test_manufactured_solution(backend):
+    # the closed form at xi = 0 (matexp) and at 0.9 (two-sided), and
+    # collocation at 0.9
     for p, seed in ((P1, 0), (P2, 1)):
         vg = VerticalGrid(p.depth, 48)
-        xi = [0.9]
+        xi = [0.0 if backend == "matexp" else 0.9]
         gt, a1, a2 = -p.gamma, p.sigma1, 0.0
         ystar, z, d = _manufactured(p, vg, xi, gt, a1, a2, seed)
-        split = {"matexp": np.inf, "collocation": -1.0}[backend]
-        Y, used, _ = FrequencySolver(p, vg, gt, a1, a2, split=split).solve(xi, z, d)
-        assert used == backend
+        solver = FrequencySolver(p, vg, gt, a1, a2)
+        if backend == "collocation":
+            Y, _ = solver._solve_collocation(np.array(xi), z, d)
+        else:
+            Y, used, _ = solver.solve(xi, z, d)
+            assert used == backend
         assert np.abs(Y - ystar).max() / np.abs(ystar).max() < 1e-9
 
 
@@ -460,15 +479,16 @@ def test_forced_conjugate_symmetry():
     assert np.abs(Ym - np.conj(Yp)).max() < 1e-12
 
 
-def test_backend_fallback_above_split():
-    # beyond the matexp validity the solver silently switches to collocation
-    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1, split=30.0)
-    d = np.zeros(6, dtype=complex)
-    d[4] = 1.0
-    ximag = 10.0  # 2 pi |xi| b = 62.8 > 30
-    Y, used, _ = solver.solve([ximag], None, d)
-    assert used == "collocation"
+def test_forced_fallback_beyond_panel_resolution():
+    # at nz 40 the widest panel is 0.0403 b: at 2 pi |xi| b = 94 a solve with
+    # bulk forcing passes _PANEL_LIMIT and silently switches to collocation,
+    # and one without keeps the closed form
+    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
+    z, d = _forced_rows(15.0, G=np.cos(VG.nodes), k_n=1.0)
+    Y, used, _ = solver.solve([15.0], z, d)
+    assert used == "collocation" == solver.backend_for([15.0])
     assert np.isfinite(np.abs(Y).max())
+    assert solver.solve([15.0], None, d)[1] == "twosided"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The closed-form block propagator exp(tA) of the matexp backend against
-scipy's ``expm`` and 50-digit references, and the matexp profiles against a
-6x6 reference built from the public assembly and against collocation."""
+"""The closed-form block propagator exp(tA) and the dichotomy's decaying
+halves against scipy's ``expm`` and 50-digit references, and the closed-form
+profiles against a 6x6 reference built from the public assembly and against
+collocation."""
 
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import stripwave.odesystem as ode
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.linear import LinearInverter, apply_linear_operator, make_random_state
+from stripwave.linear import (LinearInverter, apply_linear_operator, make_random_state,
+                              state_norm)
 from stripwave.odesystem import (FrequencySolver, SymbolTable, assemble_boundary,
                                  assemble_bulk_matrix, matrix_exponential)
 from stripwave.params import PhysicalParams
@@ -43,9 +45,31 @@ def frequencies(draw, p, count, top=30.0):
     return direction * (scale / (2 * np.pi * p.depth))[:, None]
 
 
+@np.errstate(all="ignore")
+def _member_exponentials(prop, t):
+    """exp(tA), shape (k,) + t.shape + (6, 6), for the ``_propagator`` rows
+    ``prop``, with a mask of the members whose exponential is finite:
+    ``_member_coefficients`` times the basis."""
+    coef = ode._member_coefficients(prop, np.ravel(t)).transpose(0, 2, 1)
+    X = (coef @ ode._member_basis(prop)).reshape((len(prop),) + np.shape(t) + (6, 6))
+    return X, np.isfinite(X).reshape(len(prop), -1).all(axis=1)
+
+
 def _exponentials(xi, p, gamma_tilde, t):
     """The propagator at one frequency, with its finite mask."""
-    return ode._member_exponentials(ode._propagator(np.atleast_2d(xi), p, gamma_tilde), t)
+    return _member_exponentials(ode._propagator(np.atleast_2d(xi), p, gamma_tilde), t)
+
+
+def _closed_backend(xi, p):
+    """The closed form's label: exp(tA) itself (P- = I) below 2 pi |xi| b =
+    _DICHOTOMY_FROM, the dichotomy from there."""
+    low = 2 * np.pi * np.linalg.norm(xi) * p.depth < ode._DICHOTOMY_FROM
+    return "matexp" if low else "twosided"
+
+
+def _collocation(p, vg, coefs, xi, z, d):
+    """Profiles of one problem by collocation, the oracle."""
+    return FrequencySolver(p, vg, *coefs)._solve_collocation(np.asarray(xi, dtype=float), z, d)[0]
 
 
 def _assert_matches_references(X, xi, p, gamma_tilde, ts):
@@ -342,9 +366,9 @@ def _reference_profiles(solver, xi, d, v, lam):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_matexp_profiles_match_6x6_reference(data):
-    # Within 1e-12 of each profile's largest value while cond(B) <= 1e3.
-    # The forward march loses digits like cond(B) eps beyond that, whatever
-    # its exponentials (ROADMAP item 2), hence 1e-15 cond(B).
+    # Within 1e-12 of each profile's largest value while cond(B) <= 1e3,
+    # and 1e-15 cond(B) beyond: the reference solves B y(0) = d - N y_p(b),
+    # B = M + N exp(bA), and loses digits like cond(B) eps.
     p = data.draw(parameter_sets())
     k = 4
     xis = data.draw(frequencies(p, k))
@@ -361,11 +385,12 @@ def test_matexp_profiles_match_6x6_reference(data):
     z = v[:, :, None] * np.exp(lam[:, None] * solver.vgrid.nodes)[:, None]
     stack = solver.prepare(xis)
     Y = stack.solve(z if v.any() else None, d)
-    for i in np.flatnonzero(stack.backend == "matexp"):
+    for i in np.flatnonzero(stack.backend != "collocation"):
         ref = _reference_profiles(solver, xis[i], d[i], v[i], lam[i])
-        # the 2-norm cond(B) of the B the stack inverts (its cond is cond_1)
+        # the 2-norm cond(B) of the B the reference solves with
         Mmat, Nmat = assemble_boundary(xis[i], p, solver.alpha1, solver.alpha2)
-        B = Mmat + Nmat @ _exponentials(xis[i], p, solver.gamma_tilde, p.depth)[0][0]
+        A = assemble_bulk_matrix(xis[i], p, solver.gamma_tilde)
+        B = Mmat + Nmat @ matrix_exponential(A, p.depth)
         tol = 1e-12 * max(1.0, np.linalg.cond(B) / 1e3)
         assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
 
@@ -374,7 +399,8 @@ def test_matexp_profiles_match_6x6_reference(data):
 @given(st.data())
 def test_matexp_matches_collocation(data):
     # criterion 5's dual-backend check over random parameters: smooth random
-    # forcing of the forced components and boundary data, 2 pi |xi| b <= 10
+    # forcing of the forced components and boundary data, 2 pi |xi| b <= 10;
+    # the closed form is matexp at xi = 0 and two-sided elsewhere
     p = data.draw(parameter_sets())
     xi = data.draw(frequencies(p, 1, top=10.0))[0]
     adjoint = data.draw(st.booleans())
@@ -386,9 +412,9 @@ def test_matexp_matches_collocation(data):
     z = np.zeros((6, vg.count), dtype=complex)
     z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    Y1, backend1, _ = FrequencySolver(p, vg, *coefs, split=np.inf).solve(xi, z, d)
-    Y2, backend2, _ = FrequencySolver(p, vg, *coefs, split=-1.0).solve(xi, z, d)
-    assert (backend1, backend2) == ("matexp", "collocation")
+    Y1, backend1, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    Y2 = _collocation(p, vg, coefs, xi, z, d)
+    assert backend1 == _closed_backend(xi, p)
     assert np.abs(Y1 - Y2).max() <= 1e-8 * np.abs(Y1).max()
 
 
@@ -397,50 +423,63 @@ def test_matexp_matches_collocation(data):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
-    # the local integrals from the cached coefficients and basis against the
-    # 6x6 form sum_q w_q exp((c_j - t_q) A) z(t_q), with the exponentials of
-    # _member_exponentials, within 1e-10 of each member's largest integral
+    # the projections P- L_j and D P+ L_j of the local integrals from the
+    # cached coefficients and basis against the 6x6 form L_j = sum_q w_q
+    # exp((c_j - t_q) A) z(t_q), with the exponentials of _member_exponentials
+    # and P+- = (I +- signm(A))/2 from scipy (P- = I below _DICHOTOMY_FROM),
+    # within 1e-10 of each member's largest projected integral
+    from scipy.linalg import signm
     p = replace(data.draw(parameter_sets()), dim=dim)
     k = 5
     xis = data.draw(frequencies(p, k, top=10.0))
     coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
     solver = FrequencySolver(p, VerticalGrid(p.depth, nz), *coefs)
     stack = solver.prepare(xis)
-    assert (stack.backend == "matexp").all()
+    assert (stack.backend != "collocation").all()
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
-    got = stack._local_integrals(z)
+    got = stack._local_integrals(z).transpose(1, 0, 2)
     offsets, rows = ode._gl_panels(solver.vgrid)
     # the rows carry the Gauss-Legendre weights: they integrate x^3 over each interval
     nodes = solver.vgrid.nodes
     cubes = np.diff(nodes ** 4) / 4
     assert np.abs((rows @ nodes ** 3).reshape(nz - 1, 8).sum(axis=1) - cubes).max() \
         <= 1e-13 * cubes.max()
-    X, ok = ode._member_exponentials(stack.prop, offsets)
+    X, ok = _member_exponentials(stack.prop, offsets)
     assert ok.all()
     samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)     # w_q z(t_q)
-    want = np.einsum("kjqic,kcjq->kji", X, samples)
-    err = np.abs(got - want).max(axis=(1, 2))
-    assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
+    local = np.einsum("kjqic,kcjq->kji", X, samples)
+    for i, xi in enumerate(xis):
+        minus = np.eye(6)
+        if _closed_backend(xi, p) == "twosided":
+            minus = (minus - signm(assemble_bulk_matrix(xi, p, coefs[0]))) / 2
+        plus = np.diag(ode._MIRROR) @ (np.eye(6) - minus)
+        for part, P in ((got[i, :, :6], minus), (got[i, :, 6:], plus)):
+            want = local[i] @ P.T
+            assert np.abs(part - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_nonfinite_member_fails_alone():
     # NaN input, and 2 pi |xi| b = 2765, where cosh overflows
     xis = np.array([[np.nan], [1.0], [400.0]])
-    X, ok = ode._member_exponentials(ode._propagator(xis, P2D, P2D.gamma),
-                                     P2D.depth * TIMES)
+    X, ok = _member_exponentials(ode._propagator(xis, P2D, P2D.gamma), P2D.depth * TIMES)
     assert list(ok) == [False, True, False] and np.isfinite(X[1]).all()
-    # a matexp member whose exponential overflows falls back to collocation
-    # alone, and is solved as if the split had sent it there
+    # the dichotomy has no growing half: at 2765 an unforced member is
+    # two-sided with a finite cond_1(K), while the panels' exponentials of a
+    # forced one overflow, so it alone goes to collocation and is solved bit
+    # for bit as collocation solves it alone
     vg = VerticalGrid(P2D.depth, 16)
     coefs = (P2D.gamma, 0.0, P2D.sigma1)
-    stack = FrequencySolver(P2D, vg, *coefs, split=np.inf).prepare(xis[1:])
-    assert list(stack.backend) == ["matexp", "collocation"]
-    assert stack.cond[0] < stack.solver.cond_limit and stack.cond[1] == np.inf
-    Y = stack.solve(None, np.ones((2, 6)))
-    Yc, backend, _ = FrequencySolver(P2D, vg, *coefs, split=-1.0).solve(
-        xis[2], None, np.ones(6))
-    assert backend == "collocation" and np.array_equal(Y[1], Yc)
+    stack = FrequencySolver(P2D, vg, *coefs).prepare(xis[1:])
+    assert list(stack.backend) == ["twosided", "twosided"]
+    assert np.isfinite(stack.cond).all() and np.isfinite(stack.solve(None, np.ones((2, 6)))).all()
+    z = np.ones((2, 6, vg.count), dtype=complex)
+    z[:, [0, 2]] = 0.0
+    Y = stack.solve(z, np.ones((2, 6)))
+    assert list(stack.backend) == ["twosided", "collocation"]
+    assert np.array_equal(Y[1], _collocation(P2D, vg, coefs, xis[2], z[1], np.ones(6)))
+    lone, _, _ = FrequencySolver(P2D, vg, *coefs).solve(xis[1], z[0], np.ones(6))
+    assert np.abs(Y[0] - lone).max() <= 1e-13 * np.abs(lone).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -464,10 +503,11 @@ def test_production_makes_no_pade_calls(dim, monkeypatch):
     Y, backend, _ = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).solve(
         np.full(dim - 1, 0.4), z, np.ones(6))
     assert calls == []
-    assert backend == "matexp" and np.abs(Y).max() > 0
-    solved = [b for b in inverter.backend.ravel() if b is not None]
+    assert backend == "twosided" and np.abs(Y).max() > 0
+    solved = np.not_equal(inverter.backend, None)
     expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
-    assert np.array_equal(table.backend, expect) and solved and set(solved) == {"matexp"}
+    assert np.array_equal(table.backend, expect) and solved.any()
+    assert np.array_equal(inverter.backend[solved], expect[solved])
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +534,13 @@ def _dichotomy_references(xi, p, times):
 
 
 def _assert_dichotomy_matches(xi, p, times):
-    """E + O and E - O of ``_dichotomy`` times the basis, finite and within
-    1e-12 of each matrix's largest entry of its 50-digit reference."""
+    """``_dichotomy``'s rows and _FLIP times them, times the basis, finite and
+    within 1e-12 of each matrix's largest entry of its 50-digit reference."""
     prop = ode._propagator(np.atleast_2d(xi), p, p.gamma)
-    E, O = ode._dichotomy(prop, np.array(times))
+    minus = ode._dichotomy(prop, np.array(times))
     basis = ode._member_basis(prop)[0]
-    for rows, refs in zip((E + O, E - O), _dichotomy_references(xi, p, times)):
+    for rows, refs in zip((minus, ode._FLIP[:, None] * minus),
+                          _dichotomy_references(xi, p, times)):
         got = (rows[0].T @ basis).reshape(-1, 6, 6)
         assert np.isfinite(got).all()
         for X, ref in zip(got, refs):
@@ -540,16 +581,15 @@ def test_dichotomy_matches_mpmath_at_fixed_frequencies(p, direction, scale):
 
 
 def _assert_symbol_matches_collocation(nz, data, low, top):
-    """A drawn symbol at 2 pi |xi| b in (low, top] is two-sided and within
-    1e-10 of each profile's largest entry of collocation."""
+    """A drawn symbol at 2 pi |xi| b in (low, top] is in closed form and
+    within 1e-10 of each profile's largest entry of collocation."""
     p = data.draw(parameter_sets())
     xi = data.draw(frequencies(p, 1, top=top))[0]
     assume(2 * np.pi * np.linalg.norm(xi) * p.depth > low)
     vg = VerticalGrid(p.depth, nz)
     Y, backend, _ = ode.symbol_profiles(xi[None], p, vg)
-    Yc, used, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1, split=-1.0).solve(
-        xi, None, ode.UNIT_NORMAL_STRESS)
-    assert (backend[0], used) == ("twosided", "collocation")
+    Yc = _collocation(p, vg, (p.gamma, 0.0, p.sigma1), xi, None, ode.UNIT_NORMAL_STRESS)
+    assert backend[0] == _closed_backend(xi, p)
     assert np.abs(Y[0] - Yc).max() <= 1e-10 * np.abs(Yc).max()
 
 
@@ -566,6 +606,85 @@ def test_twosided_symbols_match_collocation(nz, data):
 @given(data=st.data())
 def test_low_twosided_symbols_match_collocation(nz, data):
     # at 2 pi |xi| b in (1e-6, 10], which the forward march solved before;
-    # below about 1e-154, m^2 underflows, K is not finite and collocation
-    # takes the member
+    # below 1e-3 the closed form is exp(tA) itself
     _assert_symbol_matches_collocation(nz, data, 1e-6, 10.0)
+
+
+def _smooth_forcing(rng, vg, p):
+    """Smooth random bulk forcing of the forced components (6, Nz) and
+    random boundary data (6,)."""
+    k = np.arange(6)[:, None]
+    modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
+    z = np.zeros((6, vg.count), dtype=complex)
+    z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
+    return z, rng.standard_normal(6) + 1j * rng.standard_normal(6)
+
+
+@pytest.mark.parametrize("nz", [80, 120])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_forced_matches_collocation(nz, data):
+    # forced solves at 2 pi |xi| b in (10, 100], both couplings: two-sided
+    # (the panels resolve them at these nz) and within 1e-10 of each
+    # profile's largest entry of collocation
+    p = data.draw(parameter_sets())
+    xi = data.draw(frequencies(p, 1, top=100.0))[0]
+    assume(2 * np.pi * np.linalg.norm(xi) * p.depth > 10.0)
+    coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
+    vg = VerticalGrid(p.depth, nz)
+    z, d = _smooth_forcing(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), vg, p)
+    Y, backend, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    Yc = _collocation(p, vg, coefs, xi, z, d)
+    assert backend == "twosided"
+    assert np.abs(Y - Yc).max() <= 1e-10 * np.abs(Yc).max()
+
+
+@pytest.mark.parametrize("nz", [24, 48])
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "beyond"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_manufactured_solutions_across_the_panel_limit(nz, inside, data):
+    # y* a random polynomial of degree 8, which the nodes differentiate and
+    # interpolate exactly, and z = D y* - A y*: where the widest panel h
+    # times max(m, |l|, |l_h|) is at most _PANEL_LIMIT the closed form is
+    # within 1e-11 of y*, and beyond it collocation, which the stack then
+    # chooses, within criterion 5's 1e-9
+    p = data.draw(parameter_sets())
+    vg = VerticalGrid(p.depth, nz)
+    h = np.diff(vg.nodes).max()
+    mh = data.draw(st.floats(0.0, 2.0) if inside else st.floats(3.01, 6.0))
+    angle = data.draw(st.floats(0.0, 2 * np.pi))
+    direction = (np.array([np.cos(angle), np.sin(angle)]) if p.dim_h == 2
+                 else np.array([np.sign(np.cos(angle))]))
+    xi = direction * mh / (2 * np.pi * h)
+    coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
+    rate = np.abs(ode._propagator(xi[None], p, coefs[0])[0, :3]).max()
+    assume((rate * h <= ode._PANEL_LIMIT) == inside)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    cheb = np.polynomial.chebyshev.chebvander(2 * vg.nodes / p.depth - 1, 8)
+    ystar = (rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))) @ cheb.T
+    A = assemble_bulk_matrix(xi, p, coefs[0])
+    Mm, Nm = assemble_boundary(xi, p, *coefs[1:])
+    z, d = vg.differentiate(ystar) - A @ ystar, Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
+    Y, backend, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    assert backend == (_closed_backend(xi, p) if inside else "collocation")
+    err = np.abs(Y - ystar).max() / np.abs(ystar).max()
+    assert err <= (1e-11 if inside else 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=parameter_sets(), cutoff=st.floats(10.0, 30.0), seed=st.integers(0, 2 ** 16))
+def test_roundtrip_near_the_cutoff(p, cutoff, seed):
+    # content up to the dealiasing cutoff (mode_decay 0.1) at nz 24: dim 2 at
+    # modes 48 and dim 3 at modes 24, the box set so that the content's
+    # largest 2 pi |xi| b (the corner (8, 8) in dim 3) is the cutoff; the
+    # state comes back within 1e-8
+    modes = 48 if p.dim == 2 else 24
+    jmax = modes // 3
+    top = jmax * (np.sqrt(2) if p.dim == 3 else 1.0)
+    grid = FrequencyGrid(p.dim_h, 2 * np.pi * top * p.depth / cutoff, modes)
+    vg = VerticalGrid(p.depth, 24)
+    st_in = make_random_state(grid, vg, seed=seed, jmax=jmax, mode_decay=0.1)
+    out = LinearInverter(SymbolTable(grid, vg, p)).invert(apply_linear_operator(st_in, p))
+    out.axpy(-1.0, st_in)
+    assert state_norm(out) <= 1e-8 * state_norm(st_in)
