@@ -514,10 +514,10 @@ class FrequencyStack:
         self.solver = solver
         self.xis = np.asarray(xis, dtype=float)
         prop = _propagator(self.xis, s.p, s.gamma_tilde)
-        n, plain = nodes.size, prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
-        rows = _minus_rows(prop, np.concatenate([nodes, nodes[-1] - nodes]), plain)
-        flip = np.where(plain[:, None], 0.0, _FLIP)
-        coef = rows[..., :n] + flip[..., None] * rows[..., n:]
+        plain = prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
+        # the Lobatto nodes are symmetric: b - x_j is x_{Nz-1-j} to rounding
+        rows = _minus_rows(prop, nodes, plain)
+        coef = rows + np.where(plain[:, None], 0.0, _FLIP)[..., None] * rows[..., ::-1]
         basis = _member_basis(prop)
         ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
         Mmat, Nmat = assemble_boundary(self.xis, s.p, s.alpha1, s.alpha2)
@@ -572,7 +572,7 @@ class FrequencyStack:
         local, width = np.empty((nz - 1, k, 12), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
             samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, 6)
-            local[:, b] = ((coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]).transpose(1, 0, 2)
+            local[:, b] = ((coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]).swapaxes(0, 1)
         return local
 
     def _particular(self, z) -> np.ndarray:
