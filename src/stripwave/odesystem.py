@@ -484,18 +484,18 @@ class FrequencyStack:
     the boundary matrices, (k, 6, 6).  An unforced solve is Y = C K^-1 d.
 
     Made at the first solve with bulk forcing: ``steps``, the bounded steps
-    S-_j = exp(h_j A) P-, (Nz-1, k, 6, 6); and ``quad``, the Gauss-Legendre
-    quadrature in the basis B_b: the coefficients coef_b(c_j - t_q), written
-    once and C-contiguous as (k, Nz-1, 6, 8), and each member's basis times
-    P-^T and (D P+)^T, (k, 36, 12), k (48 (Nz-1) + 432) complex numbers.
-    With D = diag(_MIRROR), D A D = -A, so S+_j = exp(-h_j A) P+ is
-    D S-_j D.  The local integral L_j = sum_q w_q exp((c_j - t_q) A) z(t_q)
-    is sum_b B_b (sum_q coef_b w_q z(t_q)), the weights in the rows of
-    ``_gl_panels``, and y_p = w- + w+ from w-_{j+1} = S-_j w-_j + P- L_j
-    forward from w-_0 = 0 and w+_j = S+_j (w+_{j+1} - L_j) backward from
-    w+_{Nz-1} = 0, swept as D w+_j = S-_j (D w+_{j+1} - D P+ L_j).  Every
-    solve solves every member: a caller leaves a frequency without data out
-    of the stack.
+    S-_j = exp(h_j A) P-, (Nz-1, k, 6, 6), with [P-^T | D], (k, 6, 12); and
+    ``quad``, the Gauss-Legendre quadrature in the basis B_b: the
+    coefficients coef_b(c_j - t_q), written once and C-contiguous as
+    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
+    k (48 (Nz-1) + 216) complex numbers.  With D = diag(_MIRROR),
+    D A D = -A, so S+_j = exp(-h_j A) P+ is D S-_j D.  The local integral
+    L_j = sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b
+    w_q z(t_q)), the weights in the rows of ``_gl_panels``, and y_p = w- + w+
+    from w-_{j+1} = S-_j w-_j + P- L_j forward from w-_0 = 0 and
+    w+_j = S+_j (w+_{j+1} - L_j) backward from w+_{Nz-1} = 0, swept as
+    D w+_j = S-_j (D w+_{j+1} - D L_j).  Every solve solves every member: a
+    caller leaves a frequency without data out of the stack.
 
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,
@@ -545,23 +545,21 @@ class FrequencyStack:
             rows = _minus_rows(self.prop, np.concatenate([[0.0], np.diff(vgrid.nodes)]),
                                self.plain)
             steps = (rows.transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
+            # the rows L_j^T times these give (P- L_j)^T and (D L_j)^T (0 where P+ = 0)
+            mirror = np.where(self.plain[:, None], 0.0, _MIRROR)[:, None] * np.eye(6)
+            self.steps = (steps[1:], np.concatenate([steps[0].transpose(0, 2, 1), mirror], axis=2))
             coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0])
             # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
             # member is solved by collocation; an unforced one gets L = 0
             coef[~np.isfinite(coef).all(axis=(1, 2, 3))] = 0.0
-            # basis rows (b, c) by output component i, B_b[i, c], times P-^T and
-            # (D P+)^T = D P-^T (0 where P+ = 0)
-            basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2).reshape(k, 36, 6)
-            proj = steps[0].transpose(0, 2, 1)
-            mirror = np.where(self.plain[:, None, None], 0.0, _MIRROR[:, None])
-            self.steps = steps[1:]
-            self.quad = (coef, basis @ np.concatenate([proj, mirror * proj], axis=2))
+            # basis rows (b, c) by output component i: B_b[i, c]
+            basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
+            self.quad = (coef, basis.reshape(k, 36, 6))
         return self.steps, self.quad
 
     def _local_integrals(self, z) -> np.ndarray:
-        """Per interval [a_j, c_j] P- L_j and D P+ L_j of the local integral
-        L_j = int exp((c_j - t) A) z(t) dt for every member, node-major
-        (Nz-1, k, 12), from ``quad``."""
+        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
+        for every member, (k, Nz-1, 6), from ``quad``."""
         rows = _gl_panels(self.solver.vgrid)[1]
         k, nz = len(z), z.shape[-1]
         coef, basis = self._forced_tables()[1]
@@ -569,10 +567,10 @@ class FrequencyStack:
         # (re, im) columns, per member as in a lone solve, in blocks of about
         # _EXP_CHUNK member-times whose temporaries are reused, not fresh pages
         zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
-        local, width = np.empty((nz - 1, k, 12), dtype=complex), max(1, _EXP_CHUNK // len(rows))
+        local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
             samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, 6)
-            local[:, b] = ((coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]).swapaxes(0, 1)
+            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]
         return local
 
     def _particular(self, z) -> np.ndarray:
@@ -580,8 +578,9 @@ class FrequencyStack:
         as a view: the forward sweep of the P- part and the backward sweep
         of the P+ part, on D w+ with the same steps."""
         k, nz = len(z), z.shape[-1]
-        S = self._forced_tables()[0]
-        local = self._local_integrals(z)
+        S, right = self._forced_tables()[0]
+        # P- L_j and D L_j, node-major; S-_j D L_j = S-_j D P+ L_j
+        local = np.ascontiguousarray((self._local_integrals(z) @ right).transpose(1, 0, 2))
         Y, back = np.zeros((2, nz, k, 6), dtype=complex)
         for j in range(nz - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
@@ -603,10 +602,12 @@ class FrequencyStack:
             if forced[self.members].any():
                 yp = self._particular(z[self.members])
                 rhs = rhs - self.Mmat @ yp[..., :1] - self.Nmat @ yp[..., -1:]
-            # the basis matrices times v (k, 6, 6) weight the coefficient rows
-            w = self.basis.reshape(-1, 6, 6, 6) @ (self.Kinv @ rhs)[:, None]
-            Yc = w[..., 0].transpose(0, 2, 1) @ self.coef
-            Y[self.members] = Yc if yp is None else Yc + yp
+            # the basis matrices times v, (k, b, 6), weight the coefficient rows
+            w = (self.basis.reshape(-1, 36, 6) @ (self.Kinv @ rhs)).reshape(-1, 6, 6)
+            Yc = w.transpose(0, 2, 1) @ self.coef
+            if yp is not None:
+                Yc += yp
+            Y[self.members] = Yc
         for i in np.flatnonzero(self.backend == BACKENDS[2]):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])

@@ -120,9 +120,8 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
 @pytest.mark.parametrize("dim, nz", [(2, 48), (3, 24)])
 def test_stack_quadrature_cache_is_bounded(dim, nz):
     # the cached quadrature is the weighted coefficients (k, Nz-1, 6, 8) and
-    # each member's basis times its two projections (k, 36, 12): at most
-    # k (48 (Nz-1) + 432) complex numbers, against k (Nz-1) 288 for 6x6
-    # exponentials per node
+    # each member's basis (k, 36, 6): at most k (48 (Nz-1) + 216) complex
+    # numbers, against k (Nz-1) 288 for 6x6 exponentials per node
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
@@ -135,7 +134,7 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     k = len(stack.members)
     assert k == len(xis)
     assert all(a.dtype == complex and a.flags.c_contiguous for a in stack.quad)
-    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 432)
+    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):

@@ -423,12 +423,9 @@ def test_matexp_matches_collocation(data):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
-    # the projections P- L_j and D P+ L_j of the local integrals from the
-    # cached coefficients and basis against the 6x6 form L_j = sum_q w_q
-    # exp((c_j - t_q) A) z(t_q), with the exponentials of _member_exponentials
-    # and P+- = (I +- signm(A))/2 from scipy (P- = I below _DICHOTOMY_FROM),
-    # within 1e-10 of each member's largest projected integral
-    from scipy.linalg import signm
+    # the local integrals from the cached coefficients and basis against the
+    # 6x6 form sum_q w_q exp((c_j - t_q) A) z(t_q), with the exponentials of
+    # _member_exponentials, within 1e-10 of each member's largest integral
     p = replace(data.draw(parameter_sets()), dim=dim)
     k = 5
     xis = data.draw(frequencies(p, k, top=10.0))
@@ -438,7 +435,7 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     assert (stack.backend != "collocation").all()
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
-    got = stack._local_integrals(z).transpose(1, 0, 2)
+    got = stack._local_integrals(z)
     offsets, rows = ode._gl_panels(solver.vgrid)
     # the rows carry the Gauss-Legendre weights: they integrate x^3 over each interval
     nodes = solver.vgrid.nodes
@@ -448,15 +445,9 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     X, ok = _member_exponentials(stack.prop, offsets)
     assert ok.all()
     samples = (z @ rows.T).reshape(k, 6, nz - 1, 8)     # w_q z(t_q)
-    local = np.einsum("kjqic,kcjq->kji", X, samples)
-    for i, xi in enumerate(xis):
-        minus = np.eye(6)
-        if _closed_backend(xi, p) == "twosided":
-            minus = (minus - signm(assemble_bulk_matrix(xi, p, coefs[0]))) / 2
-        plus = np.diag(ode._MIRROR) @ (np.eye(6) - minus)
-        for part, P in ((got[i, :, :6], minus), (got[i, :, 6:], plus)):
-            want = local[i] @ P.T
-            assert np.abs(part - want).max() <= 1e-10 * np.abs(want).max()
+    want = np.einsum("kjqic,kcjq->kji", X, samples)
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
 
 
 def test_nonfinite_member_fails_alone():
