@@ -563,14 +563,17 @@ class FrequencyStack:
         rows = _gl_panels(self.solver.vgrid)[1]
         k, nz = len(z), z.shape[-1]
         coef, basis = self._forced_tables()[1]
+        # only the forced components enter (forcing_rows leaves phi and delta 0)
+        cols = np.flatnonzero(z.any(axis=(0, 2)))
+        basis = basis.reshape(k, 6, 6, 6)[:, :, cols].reshape(k, -1, 6)
         # w_q z(t_q) (member, interval, node, component): the real rows times the
         # (re, im) columns, per member as in a lone solve, in blocks of about
         # _EXP_CHUNK member-times whose temporaries are reused, not fresh pages
-        zt = np.ascontiguousarray(z.transpose(0, 2, 1), dtype=complex).view(float)
+        zt = np.ascontiguousarray(z.transpose(0, 2, 1)[..., cols], dtype=complex).view(float)
         local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
-            samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, 6)
-            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 36) @ basis[b]
+            samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, cols.size)
+            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
         return local
 
     def _particular(self, z) -> np.ndarray:
