@@ -31,18 +31,9 @@ frequencies at once.  The backends:
 * ``twosided``: every other frequency.
 
 * ``collocation``: direct Chebyshev collocation of the first-order system,
+  in a Stokes and a heat block (``FrequencySolver._solve_collocation``),
   the fallback where K is not finite or ill-conditioned, and for bulk
-  forcing beyond the panels' resolution; the tests' oracle.  Its interior
-  rows never couple the Stokes unknowns (phi, psi, q, dn phi) with the heat
-  unknowns (delta, dn delta); only the tangential stress (alpha1 delta(b))
-  and the heat flux (alpha2 phi(b)) reach across.  So each frequency
-  factors a 4Nz Stokes block and a 2Nz heat block, and a solve joins them
-  through a 2x2 system for (phi(b), delta(b)).
-
-exp(tA) (``_member_coefficients``) is a Taylor product where t times a
-block's largest eigenvalue is at most 1 and cosh/sinh divided differences
-beyond; ``matrix_exponential``, a checked wrapper of scipy's ``expm``, is
-the tests' oracle.
+  forcing beyond the panels' resolution; the tests' oracle.
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
 do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
@@ -74,8 +65,8 @@ BACKENDS = ("matexp", "twosided", "collocation")
 # the widest panel times a member's largest rate max(m, |l|, |l_h|) up to
 # which the 8-point panels integrate exp((c_j - t) A) z to about 1e-12
 _PANEL_LIMIT = 3.0
-# D = diag(_MIRROR) has D A D = -A, so D exp(tA) P- D = exp(-tA) P+: its
-# rows are those of exp(tA) P- with the odd basis members' signs changed
+# D = diag(_MIRROR): D A D = -A, so D exp(tA) P- D = exp(-tA) P+, whose rows
+# are those of exp(tA) P- with the odd basis members' signs changed (_FLIP)
 _MIRROR = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
 _FLIP = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 # 2 pi |xi| b from which the dichotomy splits exp(tA): its 1/m terms cancel to
@@ -480,22 +471,28 @@ class FrequencyStack:
     Made with the stack, for the members whose K is finite and whose
     cond_1(K) is within the solver's limit: ``prop``, their ``_propagator``
     rows; ``coef``, C(x_j) at the nodes in the propagator's basis B_b (I_s,
-    P, A_s, A_s P, I_h, A_h), (k, 6, Nz); ``basis``, (k, 6, 36); ``Kinv`` and
-    the boundary matrices, (k, 6, 6).  An unforced solve is Y = C K^-1 d.
+    P, A_s, A_s P, I_h, A_h), (k, 6, Nz); ``basis``, (k, 6, 36); ``Kinv``
+    and the boundary matrices, (k, 6, 6).  An unforced solve is
+    Y = C K^-1 d at the nodes.
 
-    Made at the first solve with bulk forcing: ``steps``, the bounded steps
-    S-_j = exp(h_j A) P-, (Nz-1, k, 6, 6), with [P-^T | D], (k, 6, 12); and
+    A forced solve splits y_p by Q = P-, or by Q = I at the ``short``
+    members, where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the
+    dichotomy's 1/m terms would only add rounding.  Made at its first solve: ``steps``, the
+    bounded steps S_j = exp(h_j A) Q, (Nz-1, k, 6, 6), Q, Q C(0) and
+    exp(x_j A) Q at the nodes with the signs of exp(-x_j A) (I - Q); and
     ``quad``, the Gauss-Legendre quadrature in the basis B_b: the
     coefficients coef_b(c_j - t_q), written once and C-contiguous as
-    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
-    k (48 (Nz-1) + 216) complex numbers.  With D = diag(_MIRROR),
-    D A D = -A, so S+_j = exp(-h_j A) P+ is D S-_j D.  The local integral
-    L_j = sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b
-    w_q z(t_q)), the weights in the rows of ``_gl_panels``, and y_p = w- + w+
-    from w-_{j+1} = S-_j w-_j + P- L_j forward from w-_0 = 0 and
-    w+_j = S+_j (w+_{j+1} - L_j) backward from w+_{Nz-1} = 0, swept as
-    D w+_j = S-_j (D w+_{j+1} - D L_j).  Every solve solves every member: a
-    caller leaves a frequency without data out of the stack.
+    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6), k (48 (Nz-1) +
+    216) complex numbers.  The local integral L_j = sum_q w_q
+    exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q z(t_q)), the
+    weights in the rows of ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1})
+    A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j give v, and
+    y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from
+    w-_0 = Q C(0) v and w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward
+    from w+_{Nz-1} = (I - Q) v.  With D = diag(_MIRROR), D A D = -A, so
+    exp(-h_j A) P+ = D S_j D and the backward sweep runs on D w+ with the
+    same steps.  Every solve solves every member: a caller leaves a
+    frequency without data out of the stack.
 
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,
@@ -511,25 +508,25 @@ class FrequencyStack:
     @np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation
     def __init__(self, solver: FrequencySolver, xis):
         s, nodes = solver, solver.vgrid.nodes
-        self.solver = solver
-        self.xis = np.asarray(xis, dtype=float)
+        self.solver, self.xis = solver, np.asarray(xis, dtype=float)
         prop = _propagator(self.xis, s.p, s.gamma_tilde)
+        rate = np.abs(prop[:, :3]).max(axis=1)
         plain = prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
+        rows, flip = _minus_rows(prop, nodes, plain), np.where(plain[:, None], 0.0, _FLIP)[..., None]
         # the Lobatto nodes are symmetric: b - x_j is x_{Nz-1-j} to rounding
-        rows = _minus_rows(prop, nodes, plain)
-        coef = rows + np.where(plain[:, None], 0.0, _FLIP)[..., None] * rows[..., ::-1]
+        coef = rows + flip * rows[..., ::-1]
         basis = _member_basis(prop)
         ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
         Mmat, Nmat = assemble_boundary(self.xis, s.p, s.alpha1, s.alpha2)
         Kinv, self._cond = _inverse_and_cond(Mmat @ ends[:, 0] + Nmat @ ends[:, 1])
         self._closed = np.where(plain, BACKENDS[0], BACKENDS[1])
         self._conditioned = ok = self._cond <= s.cond_limit
-        self._coarse = np.diff(nodes).max() * np.abs(prop[:, :3]).max(axis=1) > _PANEL_LIMIT
-        self.backend = self._backends(np.zeros(len(plain), dtype=bool))
-        self.cond = self._cond.copy()
+        self._coarse = np.diff(nodes).max() * rate > _PANEL_LIMIT
+        self.backend, self.cond = self._backends(np.zeros(len(plain), dtype=bool)), self._cond.copy()
         self.members = np.flatnonzero(ok)
-        self.prop, self.plain, self.coef, self.basis = prop[ok], plain[ok], coef[ok], basis[ok]
+        self.prop, self.coef, self.basis = prop[ok], coef[ok], basis[ok]
         self.Kinv, self.Mmat, self.Nmat = Kinv[ok], Mmat[ok], Nmat[ok]
+        self.short = (plain | (rate * nodes[-1] <= 1.0))[ok]
         self.steps = self.quad = None
 
     def _backends(self, forced) -> np.ndarray:
@@ -540,14 +537,14 @@ class FrequencyStack:
     def _forced_tables(self):
         """``steps`` and ``quad``, made at the first solve with bulk forcing."""
         if self.quad is None:
-            vgrid, k = self.solver.vgrid, len(self.prop)
-            # exp(tA) P- at t = 0 and the widths h_j, node-major
-            rows = _minus_rows(self.prop, np.concatenate([[0.0], np.diff(vgrid.nodes)]),
-                               self.plain)
-            steps = (rows.transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
-            # the rows L_j^T times these give (P- L_j)^T and (D L_j)^T (0 where P+ = 0)
-            mirror = np.where(self.plain[:, None], 0.0, _MIRROR)[:, None] * np.eye(6)
-            self.steps = (steps[1:], np.concatenate([steps[0].transpose(0, 2, 1), mirror], axis=2))
+            vgrid, k, n = self.solver.vgrid, len(self.prop), self.solver.vgrid.count
+            # exp(tA) Q at t = 0 and the widths h_j, node-major, and at the nodes
+            t = np.concatenate([[0.0], np.diff(vgrid.nodes), vgrid.nodes])
+            rows = _minus_rows(self.prop, t, self.short)
+            steps = (rows[..., :n].transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
+            start = steps[0] @ (self.coef[:, None, :, 0] @ self.basis).reshape(k, 6, 6)
+            self.steps = (steps[1:], steps[0], start, rows[..., n:],
+                          np.where(self.short[:, None, None], 0.0, _FLIP[:, None]))
             coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0])
             # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
             # member is solved by collocation; an unforced one gets L = 0
@@ -576,20 +573,29 @@ class FrequencyStack:
             local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
         return local
 
-    def _particular(self, z) -> np.ndarray:
-        """y_p (k, 6, Nz) of the closed-form members for bulk forcing ``z``,
-        as a view: the forward sweep of the P- part and the backward sweep
-        of the P+ part, on D w+ with the same steps."""
+    def _forced(self, z, d) -> np.ndarray:
+        """Profiles (k, 6, Nz) of the closed-form members for bulk forcing
+        ``z`` and data ``d`` (k, 6, 1), as a view: v from the ends of y_p,
+        then the forward sweep of the Q part and the backward sweep of the
+        I - Q part on D w+."""
         k, nz = len(z), z.shape[-1]
-        S, right = self._forced_tables()[0]
-        # P- L_j and D L_j, node-major; S-_j D L_j = S-_j D P+ L_j
-        local = np.ascontiguousarray((self._local_integrals(z) @ right).transpose(1, 0, 2))
+        (S, Q, start, rows, flip), (_, basis) = self._forced_tables()
+        L = self._local_integrals(z)
+        # y_p(b) and -y_p(0) from the halves at the nodes x_{Nz-2-j} = b - x_{j+1} and x_{j+1}
+        halves = np.stack([rows[..., -2::-1], flip * rows[..., 1:]])
+        ends = ((halves @ L).reshape(2, k, 1, 36) @ basis).transpose(0, 1, 3, 2)
+        v = self.Kinv @ (d + self.Mmat @ ends[1] - self.Nmat @ ends[0])
+        # Q L_j and D L_j, node-major; S_j D L_j = S_j D (I - Q) L_j
+        mirror = flip[:, 0] * _MIRROR                       # 0 where Q = I
+        proj = np.ascontiguousarray((L @ Q.transpose(0, 2, 1)).transpose(1, 0, 2))
+        L = np.ascontiguousarray((L * mirror[:, None]).transpose(1, 0, 2))
         Y, back = np.zeros((2, nz, k, 6), dtype=complex)
+        Y[0], back[-1] = (start @ v)[..., 0], mirror * (v - Q @ v)[..., 0]
         for j in range(nz - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
-            Y[j + 1] += local[j, :, :6]
+            Y[j + 1] += proj[j]
         for j in range(nz - 2, -1, -1):
-            np.matmul(S[j], (back[j + 1] - local[j, :, 6:])[..., None], out=back[j, ..., None])
+            np.matmul(S[j], (back[j + 1] - L[j])[..., None], out=back[j, ..., None])
         Y += _MIRROR * back
         return Y.transpose(1, 2, 0)
 
@@ -600,17 +606,13 @@ class FrequencyStack:
         forced = np.zeros(len(self.xis), dtype=bool) if z is None else z.any(axis=(1, 2))
         self.backend, self.cond = self._backends(forced), self._cond.copy()
         Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
-        if self.members.size:
-            rhs, yp = d[self.members, :, None], None
-            if forced[self.members].any():
-                yp = self._particular(z[self.members])
-                rhs = rhs - self.Mmat @ yp[..., :1] - self.Nmat @ yp[..., -1:]
+        if self.members.size and forced[self.members].any():
+            Y[self.members] = self._forced(z[self.members], d[self.members, :, None])
+        elif self.members.size:
             # the basis matrices times v, (k, b, 6), weight the coefficient rows
-            w = (self.basis.reshape(-1, 36, 6) @ (self.Kinv @ rhs)).reshape(-1, 6, 6)
-            Yc = w.transpose(0, 2, 1) @ self.coef
-            if yp is not None:
-                Yc += yp
-            Y[self.members] = Yc
+            v = self.Kinv @ d[self.members, :, None]
+            w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
+            Y[self.members] = w.transpose(0, 2, 1) @ self.coef
         for i in np.flatnonzero(self.backend == BACKENDS[2]):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])
@@ -715,8 +717,7 @@ def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
     the frequencies ``xis`` (K, dim_h), with the backend and condition
     estimate of each: the unforced solve of the adjoint problem
     (gamma, 0, sigma1) as one FrequencyStack.  At xi = 0, A is nilpotent,
-    and q = 1 and rho = 0 come out exactly.
-    """
+    and q = 1 and rho = 0 come out exactly."""
     xis = np.asarray(xis, dtype=float)
     stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, cond_limit=cond_limit).prepare(xis)
     Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))

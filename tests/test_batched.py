@@ -84,7 +84,9 @@ def test_stack_matches_single_solves(dim, seed, forced):
 def test_stack_reuses_preparation_across_solves(monkeypatch):
     # the dichotomy's halves at the nodes are made with the stack, and the
     # steps' halves and the quadrature's coefficients at its first solve
-    # with bulk forcing, for every member at once
+    # with bulk forcing, for every member at once: exp(tA) itself for the
+    # members marched alone (max(m, |l|, |l_h|) b <= 1), the dichotomy for
+    # the others
     import stripwave.odesystem as ode
     calls = []
     for name in ("_dichotomy", "_member_coefficients"):
@@ -100,6 +102,10 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
     xis = rng.uniform(-3.0, 3.0, (12, 1))
     stack = solver.prepare(xis)
     assert calls == [("_dichotomy", 12)]
+    short = int(stack.short.sum())
+    assert 0 < short < 12
+    tables = [("_member_coefficients", short), ("_dichotomy", 12 - short),
+              ("_member_coefficients", 12)]
     for trial in range(4):
         z, d = _forcing(rng, 12, vg.count, vg, p.depth)
         if trial < 2:
@@ -109,9 +115,9 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
             z[::3] = z[1]               # bulk forcing at new frequencies
         Y = stack.solve(z, d)
         # the steps and the quadrature, at trial 0
-        assert calls == [("_dichotomy", 12), ("_dichotomy", 12), ("_member_coefficients", 12)]
+        assert calls == [("_dichotomy", 12)] + tables
         singles = [solver.solve(xi, z[i], d[i]) for i, xi in enumerate(xis)]
-        del calls[3:]
+        del calls[4:]
         _assert_rows_agree(Y, singles)
         if trial < 2:
             assert np.abs(Y[::4]).max() == 0.0
@@ -197,7 +203,7 @@ def test_table_backend_at_bench_grids(name, monkeypatch):
 
     monkeypatch.setattr(FrequencyStack, "__init__", spy)
     sweeps = []
-    monkeypatch.setattr(FrequencyStack, "_particular", lambda *args: sweeps.append(1))
+    monkeypatch.setattr(FrequencyStack, "_forced", lambda *args: sweeps.append(1))
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
     assert stacks == [1] and sweeps == []       # one unforced stack, no sweep
     expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
