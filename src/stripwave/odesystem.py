@@ -512,9 +512,9 @@ class FrequencyStack:
         prop = _propagator(self.xis, s.p, s.gamma_tilde)
         rate = np.abs(prop[:, :3]).max(axis=1)
         plain = prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
-        rows, flip = _minus_rows(prop, nodes, plain), np.where(plain[:, None], 0.0, _FLIP)[..., None]
+        rows = _minus_rows(prop, nodes, plain)
         # the Lobatto nodes are symmetric: b - x_j is x_{Nz-1-j} to rounding
-        coef = rows + flip * rows[..., ::-1]
+        coef = rows + np.where(plain[:, None], 0.0, _FLIP)[..., None] * rows[..., ::-1]
         basis = _member_basis(prop)
         ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
         Mmat, Nmat = assemble_boundary(self.xis, s.p, s.alpha1, s.alpha2)
@@ -542,9 +542,14 @@ class FrequencyStack:
             t = np.concatenate([[0.0], np.diff(vgrid.nodes), vgrid.nodes])
             rows = _minus_rows(self.prop, t, self.short)
             steps = (rows[..., :n].transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
-            start = steps[0] @ (self.coef[:, None, :, 0] @ self.basis).reshape(k, 6, 6)
-            self.steps = (steps[1:], steps[0], start, rows[..., n:],
-                          np.where(self.short[:, None, None], 0.0, _FLIP[:, None]))
+            Q, rows, C0 = steps[0], rows[..., n:], self.coef[:, None, :, 0] @ self.basis
+            D = np.where(self.short[:, None], 0.0, _MIRROR)[..., None] * np.eye(6)
+            flip = np.where(self.short[:, None], 0.0, _FLIP)[..., None]
+            # v to w-_0 = Q C(0) v and D w+_{Nz-1} = D (I - Q) v; L_j^T to (Q L_j)^T and
+            # (D L_j)^T; L to y_p(b) and -y_p(0) through b - x_{j+1} = x_{Nz-2-j} and x_{j+1}
+            self.steps = (steps[1:], np.concatenate([Q @ C0.reshape(k, 6, 6), D - D @ Q], axis=1),
+                          np.concatenate([Q.transpose(0, 2, 1), D], axis=2),
+                          np.concatenate([rows[..., -2::-1], flip * rows[..., 1:]], axis=1))
             coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0])
             # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
             # member is solved by collocation; an unforced one gets L = 0
@@ -574,29 +579,24 @@ class FrequencyStack:
         return local
 
     def _forced(self, z, d) -> np.ndarray:
-        """Profiles (k, 6, Nz) of the closed-form members for bulk forcing
-        ``z`` and data ``d`` (k, 6, 1), as a view: v from the ends of y_p,
-        then the forward sweep of the Q part and the backward sweep of the
-        I - Q part on D w+."""
+        """Profiles (k, 6, Nz) for bulk forcing ``z`` and data ``d`` (k, 6, 1),
+        as a view: v from the ends of y_p, then the forward sweep of the Q
+        part and the backward one of the I - Q part on D w+."""
         k, nz = len(z), z.shape[-1]
-        (S, Q, start, rows, flip), (_, basis) = self._forced_tables()
+        (S, starts, right, halves), (_, basis) = self._forced_tables()
         L = self._local_integrals(z)
-        # y_p(b) and -y_p(0) from the halves at the nodes x_{Nz-2-j} = b - x_{j+1} and x_{j+1}
-        halves = np.stack([rows[..., -2::-1], flip * rows[..., 1:]])
-        ends = ((halves @ L).reshape(2, k, 1, 36) @ basis).transpose(0, 1, 3, 2)
-        v = self.Kinv @ (d + self.Mmat @ ends[1] - self.Nmat @ ends[0])
-        # Q L_j and D L_j, node-major; S_j D L_j = S_j D (I - Q) L_j
-        mirror = flip[:, 0] * _MIRROR                       # 0 where Q = I
-        proj = np.ascontiguousarray((L @ Q.transpose(0, 2, 1)).transpose(1, 0, 2))
-        L = np.ascontiguousarray((L * mirror[:, None]).transpose(1, 0, 2))
+        ends = ((halves @ L).reshape(k, 2, 36) @ basis)[..., None]
+        v = self.Kinv @ (d + self.Mmat @ ends[:, 1] - self.Nmat @ ends[:, 0])
+        local = L @ right
         Y, back = np.zeros((2, nz, k, 6), dtype=complex)
-        Y[0], back[-1] = (start @ v)[..., 0], mirror * (v - Q @ v)[..., 0]
+        Y[0], back[-1] = (starts @ v).reshape(k, 2, 6).transpose(1, 0, 2)
         for j in range(nz - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
-            Y[j + 1] += proj[j]
+            Y[j + 1] += local[:, j, :6]
         for j in range(nz - 2, -1, -1):
-            np.matmul(S[j], (back[j + 1] - L[j])[..., None], out=back[j, ..., None])
-        Y += _MIRROR * back
+            np.matmul(S[j], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
+        back *= _MIRROR
+        Y += back
         return Y.transpose(1, 2, 0)
 
     def solve(self, z, d) -> np.ndarray:
