@@ -475,24 +475,23 @@ class FrequencyStack:
     and the boundary matrices, (k, 6, 6).  An unforced solve is
     Y = C K^-1 d at the nodes.
 
-    A forced solve splits y_p by Q = P-, or by Q = I at the ``short``
-    members, where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the
-    dichotomy's 1/m terms would only add rounding.  Made at its first solve: ``steps``, the
-    bounded steps S_j = exp(h_j A) Q, (Nz-1, k, 6, 6), Q, Q C(0) and
-    exp(x_j A) Q at the nodes with the signs of exp(-x_j A) (I - Q); and
-    ``quad``, the Gauss-Legendre quadrature in the basis B_b: the
-    coefficients coef_b(c_j - t_q), written once and C-contiguous as
-    (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6), k (48 (Nz-1) +
-    216) complex numbers.  The local integral L_j = sum_q w_q
-    exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q z(t_q)), the
-    weights in the rows of ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1})
-    A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j give v, and
-    y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from
-    w-_0 = Q C(0) v and w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward
-    from w+_{Nz-1} = (I - Q) v.  With D = diag(_MIRROR), D A D = -A, so
-    exp(-h_j A) P+ = D S_j D and the backward sweep runs on D w+ with the
-    same steps.  Every solve solves every member: a caller leaves a
-    frequency without data out of the stack.
+    A forced solve splits y_p by Q = P-, or by Q = I at the ``short`` members,
+    where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
+    1/m terms would only add rounding.  Made at its first solve: ``steps``, the
+    bounded steps S_j = exp(h_j A) Q, (Nz-1, k, 6, 6), and per member the maps
+    to the sweeps' starts, the projected L_j and the ends of y_p, from Q, C(0)
+    and exp(x_j A) Q at the nodes; and ``quad``, the Gauss-Legendre quadrature
+    in the basis B_b: the coefficients coef_b(c_j - t_q), written once and
+    C-contiguous as (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
+    k (48 (Nz-1) + 216) complex numbers.  The local integral L_j =
+    sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q z(t_q)),
+    the weights in the rows of ``_gl_panels``.  y_p(b) = sum_j exp((b -
+    x_{j+1}) A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j give v,
+    and y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from Q C(0) v and
+    w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward from (I - Q) v.
+    With D = diag(_MIRROR), D A D = -A, so exp(-h_j A) P+ = D S_j D and the
+    backward sweep runs on D w+ with the same steps.  Every solve solves every
+    member: a caller leaves a frequency without data out of the stack.
 
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,

@@ -145,8 +145,8 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
-    # quadrature cache (6.0 MB together at wave-2d's forced stack, 86
-    # members at nz 48; peak 9.8 MiB); the Taylor product writes the cache
+    # quadrature cache (6.7 MB together at wave-2d's forced stack, 86
+    # members at nz 48; peak 10.4 MiB); the Taylor product writes the cache
     # itself, and neither the closed forms nor the contraction, in calls and
     # blocks of at most _EXP_CHUNK member-times, may add a temporary that
     # grows with members times intervals.  The second stack (nz 12,
