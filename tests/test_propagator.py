@@ -395,23 +395,28 @@ def test_matexp_profiles_match_6x6_reference(data):
         assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
 
 
+def _smooth_forcing(rng, vg, p):
+    """Smooth random bulk forcing of the forced components (6, Nz) and
+    random boundary data (6,)."""
+    k = np.arange(6)[:, None]
+    modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
+    z = np.zeros((6, vg.count), dtype=complex)
+    z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
+    return z, rng.standard_normal(6) + 1j * rng.standard_normal(6)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_matexp_matches_collocation(data):
     # criterion 5's dual-backend check over random parameters: smooth random
     # forcing of the forced components and boundary data, 2 pi |xi| b <= 10;
-    # the closed form is matexp at xi = 0 and two-sided elsewhere
+    # the closed form is matexp below 2 pi |xi| b = 1e-3 and two-sided above
     p = data.draw(parameter_sets())
     xi = data.draw(frequencies(p, 1, top=10.0))[0]
     adjoint = data.draw(st.booleans())
     vg = VerticalGrid(p.depth, 48)
     coefs = (p.gamma, 0.0, p.sigma1) if adjoint else (-p.gamma, p.sigma1, 0.0)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    k = np.arange(6)[:, None]
-    modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
-    z = np.zeros((6, vg.count), dtype=complex)
-    z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
-    d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    z, d = _smooth_forcing(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), vg, p)
     Y1, backend1, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
     Y2 = _collocation(p, vg, coefs, xi, z, d)
     assert backend1 == _closed_backend(xi, p)
@@ -599,16 +604,6 @@ def test_low_twosided_symbols_match_collocation(nz, data):
     # at 2 pi |xi| b in (1e-6, 10], which the forward march solved before;
     # below 1e-3 the closed form is exp(tA) itself
     _assert_symbol_matches_collocation(nz, data, 1e-6, 10.0)
-
-
-def _smooth_forcing(rng, vg, p):
-    """Smooth random bulk forcing of the forced components (6, Nz) and
-    random boundary data (6,)."""
-    k = np.arange(6)[:, None]
-    modes = np.exp(-0.6 * k) * np.cos(k * np.pi * vg.nodes / p.depth)
-    z = np.zeros((6, vg.count), dtype=complex)
-    z[[1, 3, 4, 5]] = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) @ modes
-    return z, rng.standard_normal(6) + 1j * rng.standard_normal(6)
 
 
 @pytest.mark.parametrize("nz", [80, 120])
