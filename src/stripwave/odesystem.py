@@ -73,8 +73,8 @@ _FLIP = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 # about eps / (2 pi |xi| b), while below it exp(bA) is bounded and P- = I
 _DICHOTOMY_FROM = 1e-3
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
-# member-times per call of the closed forms and per block of the
-# quadrature contraction: about 1 MiB of temporaries
+# member-times per call of the closed forms and per block of the quadrature
+# contraction: about 1 MiB of temporaries, the samples and then Cr s over Ci s
 _EXP_CHUNK = 6144
 _STOKES = (0, 1, 3, 4)          # phi, psi, q, dn phi: the Stokes block
 
@@ -213,11 +213,11 @@ def _heat_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")      # overflow: the member falls back to collocation
-def _member_coefficients(prop: np.ndarray, t) -> np.ndarray:
+def _member_coefficients(prop: np.ndarray, t, split: bool = False) -> np.ndarray:
     """The coefficients of exp(tA) in the basis of ``_member_basis`` for
     every member of a stack with ``_propagator`` rows ``prop`` at every time
-    of ``t`` (..., n), shape (k,) + t.shape[:-1] + (6, n): the layout of the
-    quadrature cache.
+    of ``t`` (..., n), shape (k,) + t.shape[:-1] + (6, n), or with ``split``
+    real rows [Re; Im], (12, n): the layout of the quadrature cache.
 
     Where t max(|l|, m) <= 1 and t |l_h| <= 1 they are the Taylor method of
     Moler & Van Loan (SIAM Rev. 45, 2003), cut after t^19 (the first term
@@ -242,15 +242,18 @@ def _member_coefficients(prop: np.ndarray, t) -> np.ndarray:
     taylor[:, [0, 1, 4], 0::2] = taylor[:, [2, 3, 5], 1::2] = terms
     taylor = np.expand_dims(taylor / [factorial(p) for p in range(20)], tuple(range(1, t.ndim)))
     powers = t[..., None, :] ** np.arange(20)[:, None]
-    coef = np.empty((len(prop),) + t.shape[:-1] + (6, t.shape[-1]), dtype=complex)
-    for part, out in ((taylor.real, coef.real), (taylor.imag, coef.imag)):
+    coef = np.empty((len(prop),) + t.shape[:-1] + (12 if split else 6, t.shape[-1]),
+                    dtype=float if split else complex)
+    parts = (coef[..., :6, :], coef[..., 6:, :]) if split else (coef.real, coef.imag)
+    for part, out in zip((taylor.real, taylor.imag), parts):
         np.matmul(np.ascontiguousarray(part), powers, out=out)
     for cols, scale, forms in ((slice(0, 4), np.maximum(np.abs(l), m), _stokes_forms),
                                (slice(4, 6), np.abs(lh), _heat_forms)):
         flat = np.flatnonzero(np.multiply.outer(scale, t) > 1.0)
         for lo in range(0, flat.size, _EXP_CHUNK):
             at = np.unravel_index(flat[lo:lo + _EXP_CHUNK], (len(prop),) + t.shape)
-            coef[at[:-1] + (cols, at[-1])] = forms(prop[at[0], :4], t[at[1:]])
+            idx, form = at[:-1] + (cols, at[-1]), forms(prop[at[0], :4], t[at[1:]])
+            parts[0][idx], parts[1][idx] = form.real, form.imag
     return coef
 
 
@@ -477,21 +480,25 @@ class FrequencyStack:
 
     A forced solve splits y_p by Q = P-, or by Q = I at the ``short`` members,
     where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
-    1/m terms would only add rounding.  Made at its first solve: ``steps``, the
-    bounded steps S_j = exp(h_j A) Q, (Nz-1, k, 6, 6), and per member the maps
-    to the sweeps' starts, the projected L_j and the ends of y_p, from Q, C(0)
-    and exp(x_j A) Q at the nodes; and ``quad``, the Gauss-Legendre quadrature
-    in the basis B_b: the coefficients coef_b(c_j - t_q), written once and
-    C-contiguous as (k, Nz-1, 6, 8), and each member's basis, (k, 36, 6),
-    k (48 (Nz-1) + 216) complex numbers.  The local integral L_j =
-    sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q z(t_q)),
-    the weights in the rows of ``_gl_panels``.  y_p(b) = sum_j exp((b -
-    x_{j+1}) A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j give v,
-    and y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from Q C(0) v and
-    w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward from (I - Q) v.
-    With D = diag(_MIRROR), D A D = -A, so exp(-h_j A) P+ = D S_j D and the
-    backward sweep runs on D w+ with the same steps.  Every solve solves every
-    member: a caller leaves a frequency without data out of the stack.
+    1/m terms would only add rounding.  They come first (``members`` maps the
+    stack to ``xis``), so the two-sided members are a tail slice.  Made at its
+    first solve: ``steps``, the bounded steps S_j = exp(h_j A) Q,
+    (Nz-1, k, 6, 6), and per member the maps to the sweeps' starts, the
+    projected L_j and the ends of y_p, from Q, C(0) and exp(x_j A) Q at the
+    nodes, those of the I - Q part for the tail alone; and ``quad``, the
+    Gauss-Legendre quadrature in the basis B_b: the coefficients
+    coef_b(c_j - t_q) as real rows [Re; Im], written once and C-contiguous as
+    (k, Nz-1, 12, 8), and each member's basis, (k, 36, 6), 16 k (48 (Nz-1) +
+    216) bytes.  The local integral L_j = sum_q w_q exp((c_j - t_q) A) z(t_q)
+    is sum_b B_b (sum_q coef_b w_q z(t_q)), the weights in the rows of
+    ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1}) A) Q L_j and y_p(0) =
+    -sum_j exp(-x_{j+1} A) (I - Q) L_j give v, and y = w- + w+ from w-_{j+1} =
+    S_j w-_j + Q L_j forward from Q C(0) v and w+_j = exp(-h_j A) (I - Q)
+    (w+_{j+1} - L_j) backward from (I - Q) v on the tail (on the head Q = I,
+    w+ = 0).  With D = diag(_MIRROR), D A D = -A, so exp(-h_j A) P+ = D S_j D
+    and the backward sweep runs on D w+ with the same steps.  Every solve
+    solves every member: a caller leaves a frequency without data out of the
+    stack.
 
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,
@@ -522,10 +529,11 @@ class FrequencyStack:
         self._conditioned = ok = self._cond <= s.cond_limit
         self._coarse = np.diff(nodes).max() * rate > _PANEL_LIMIT
         self.backend, self.cond = self._backends(np.zeros(len(plain), dtype=bool)), self._cond.copy()
-        self.members = np.flatnonzero(ok)
-        self.prop, self.coef, self.basis = prop[ok], coef[ok], basis[ok]
-        self.Kinv, self.Mmat, self.Nmat = Kinv[ok], Mmat[ok], Nmat[ok]
-        self.short = (plain | (rate * nodes[-1] <= 1.0))[ok]
+        short = plain | (rate * nodes[-1] <= 1.0)
+        self.members = m = np.flatnonzero(ok)[np.argsort(~short[ok], kind="stable")]
+        self.prop, self.coef, self.basis = prop[m], coef[m], basis[m]
+        self.Kinv, self.Mmat, self.Nmat = Kinv[m], Mmat[m], Nmat[m]
+        self.short, self._tail = short[m], slice(np.count_nonzero(short[m]), None)
         self.steps = self.quad = None
 
     def _backends(self, forced) -> np.ndarray:
@@ -537,19 +545,19 @@ class FrequencyStack:
         """``steps`` and ``quad``, made at the first solve with bulk forcing."""
         if self.quad is None:
             vgrid, k, n = self.solver.vgrid, len(self.prop), self.solver.vgrid.count
-            # exp(tA) Q at t = 0 and the widths h_j, node-major, and at the nodes
+            # exp(tA) Q at t = 0 and the widths h_j, written node-major, and at the nodes
             t = np.concatenate([[0.0], np.diff(vgrid.nodes), vgrid.nodes])
-            rows = _minus_rows(self.prop, t, self.short)
-            steps = (rows[..., :n].transpose(2, 0, 1)[:, :, None] @ self.basis).reshape(-1, k, 6, 6)
-            Q, rows, C0 = steps[0], rows[..., n:], self.coef[:, None, :, 0] @ self.basis
-            D = np.where(self.short[:, None], 0.0, _MIRROR)[..., None] * np.eye(6)
-            flip = np.where(self.short[:, None], 0.0, _FLIP)[..., None]
-            # v to w-_0 = Q C(0) v and D w+_{Nz-1} = D (I - Q) v; L_j^T to (Q L_j)^T and
-            # (D L_j)^T; L to y_p(b) and -y_p(0) through b - x_{j+1} = x_{Nz-2-j} and x_{j+1}
-            self.steps = (steps[1:], np.concatenate([Q @ C0.reshape(k, 6, 6), D - D @ Q], axis=1),
-                          np.concatenate([Q.transpose(0, 2, 1), D], axis=2),
-                          np.concatenate([rows[..., -2::-1], flip * rows[..., 1:]], axis=1))
-            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0])
+            rows, steps = _minus_rows(self.prop, t, self.short), np.empty((n, k, 36), dtype=complex)
+            np.matmul(rows[..., :n].transpose(0, 2, 1), self.basis, out=steps.transpose(1, 0, 2))
+            steps, rows = steps.reshape(n, k, 6, 6), rows[..., n:]
+            Q, C0 = steps[0, self._tail], (self.coef[:, None, :, 0] @ self.basis).reshape(k, 6, 6)
+            C0[self._tail], D = Q @ C0[self._tail], np.diag(_MIRROR)
+            # v to w-_0 = Q C(0) v and, on the tail, D w+_{Nz-1} = D (I - Q) v, L_j^T to (Q L_j)^T,
+            # (D L_j)^T; L to y_p(b) by b - x_{j+1} = x_{Nz-2-j} and, on the tail, -y_p(0) by x_{j+1}
+            right = np.concatenate([Q.transpose(0, 2, 1), np.broadcast_to(D, Q.shape)], axis=2)
+            self.steps = (steps[1:], C0, D - D @ Q, right, np.ascontiguousarray(rows[..., -2::-1]),
+                          _FLIP[:, None] * rows[self._tail, :, 1:])
+            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0], split=True)
             # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
             # member is solved by collocation; an unforced one gets L = 0
             coef[~np.isfinite(coef).all(axis=(1, 2, 3))] = 0.0
@@ -567,35 +575,42 @@ class FrequencyStack:
         # only the forced components enter (forcing_rows leaves phi and delta 0)
         cols = np.flatnonzero(z.any(axis=(0, 2)))
         basis = basis.reshape(k, 6, 6, 6)[:, :, cols].reshape(k, -1, 6)
-        # w_q z(t_q) (member, interval, node, component): the real rows times the
-        # (re, im) columns, per member as in a lone solve, in blocks of about
-        # _EXP_CHUNK member-times whose temporaries are reused, not fresh pages
+        # s = w_q z(t_q) (member, interval, node, component (re, im)): the real rows times the
+        # (re, im) columns per member as in a lone solve; coef_b's real rows [Re; Im] times s,
+        # combined as C s = Cr s + i (Ci s), meet the basis in blocks of _EXP_CHUNK member-times
         zt = np.ascontiguousarray(z.transpose(0, 2, 1)[..., cols], dtype=complex).view(float)
         local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
-            samples = (rows @ zt[b]).view(complex).reshape(-1, nz - 1, 8, cols.size)
-            local[b] = (coef[b] @ samples).reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
+            parts = (coef[b] @ (rows @ zt[b]).reshape(-1, nz - 1, 8, 2 * cols.size)).view(complex)
+            cs = np.multiply(parts[:, :, 6:], 1j)
+            cs += parts[:, :, :6]
+            local[b] = cs.reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
+            del parts, cs
         return local
 
     def _forced(self, z, d) -> np.ndarray:
         """Profiles (k, 6, Nz) for bulk forcing ``z`` and data ``d`` (k, 6, 1),
-        as a view: v from the ends of y_p, then the forward sweep of the Q
-        part and the backward one of the I - Q part on D w+."""
-        k, nz = len(z), z.shape[-1]
-        (S, starts, right, halves), (_, basis) = self._forced_tables()
+        as a view: v from the ends of y_p, then the forward sweep of the Q part
+        over every member and the backward one of the I - Q part on D w+ over
+        the two-sided tail alone."""
+        k, nz, tail = len(z), z.shape[-1], self._tail
+        (S, starts, back_start, right, to_b, to_0), (_, basis) = self._forced_tables()
         L = self._local_integrals(z)
-        ends = ((halves @ L).reshape(k, 2, 36) @ basis)[..., None]
+        ends = np.zeros((k, 2, 36), dtype=complex)     # y_p(b), and on the tail -y_p(0)
+        ends[:, 0], ends[tail, 1] = (to_b @ L).reshape(k, 36), (to_0 @ L[tail]).reshape(-1, 36)
+        ends = (ends @ basis)[..., None]
         v = self.Kinv @ (d + self.Mmat @ ends[:, 1] - self.Nmat @ ends[:, 0])
-        local = L @ right
-        Y, back = np.zeros((2, nz, k, 6), dtype=complex)
-        Y[0], back[-1] = (starts @ v).reshape(k, 2, 6).transpose(1, 0, 2)
+        local = L[tail] @ right
+        L[tail] = local[..., :6]
+        Y, back = np.zeros((nz, k, 6), dtype=complex), np.zeros((nz, len(local), 6), dtype=complex)
+        Y[0], back[-1] = (starts @ v)[..., 0], (back_start @ v[tail])[..., 0]
         for j in range(nz - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
-            Y[j + 1] += local[:, j, :6]
+            Y[j + 1] += L[:, j]
         for j in range(nz - 2, -1, -1):
-            np.matmul(S[j], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
+            np.matmul(S[j, tail], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
         back *= _MIRROR
-        Y += back
+        Y[:, tail] += back
         return Y.transpose(1, 2, 0)
 
     def solve(self, z, d) -> np.ndarray:

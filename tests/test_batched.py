@@ -90,9 +90,9 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
     import stripwave.odesystem as ode
     calls = []
     for name in ("_dichotomy", "_member_coefficients"):
-        def counting(prop, t, real=getattr(ode, name), name=name):
+        def counting(prop, *args, real=getattr(ode, name), name=name, **kwargs):
             calls.append((name, len(prop)))
-            return real(prop, t)
+            return real(prop, *args, **kwargs)
 
         monkeypatch.setattr(ode, name, counting)
     rng = np.random.default_rng(7)
@@ -125,9 +125,10 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
 
 @pytest.mark.parametrize("dim, nz", [(2, 48), (3, 24)])
 def test_stack_quadrature_cache_is_bounded(dim, nz):
-    # the cached quadrature is the weighted coefficients (k, Nz-1, 6, 8) and
-    # each member's basis (k, 36, 6): at most k (48 (Nz-1) + 216) complex
-    # numbers, against k (Nz-1) 288 for 6x6 exponentials per node
+    # the cached quadrature is the weighted coefficients as real rows
+    # [Re; Im], (k, Nz-1, 12, 8), and each member's complex basis (k, 36, 6):
+    # at most 16 k (48 (Nz-1) + 216) bytes, against 16 k (Nz-1) 288 for 6x6
+    # exponentials per node
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
@@ -139,19 +140,24 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     stack.solve(z, d)
     k = len(stack.members)
     assert k == len(xis)
-    assert all(a.dtype == complex and a.flags.c_contiguous for a in stack.quad)
-    assert sum(a.size for a in stack.quad) <= k * (48 * (nz - 1) + 216)
+    coef, basis = stack.quad
+    assert coef.dtype == float and coef.shape == (k, nz - 1, 12, 8) and basis.dtype == complex
+    assert all(a.flags.c_contiguous for a in stack.quad)
+    assert sum(a.nbytes for a in stack.quad) <= 16 * k * (48 * (nz - 1) + 216)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
     # quadrature cache (6.7 MB together at wave-2d's forced stack, 86
-    # members at nz 48; peak 10.4 MiB); the Taylor product writes the cache
-    # itself, and neither the closed forms nor the contraction, in calls and
-    # blocks of at most _EXP_CHUNK member-times, may add a temporary that
-    # grows with members times intervals.  The second stack (nz 12,
-    # 2 pi |xi| b in [10, 18]) sends 26% of its quadrature member-times to
-    # the closed forms, more than one call, and every member is two-sided
+    # members at nz 48; peak 10.2 MiB); the Taylor product writes the cache
+    # itself, the closed forms write its real and imaginary rows, and neither
+    # they nor the contraction, in calls and blocks of at most _EXP_CHUNK
+    # member-times, may add a temporary that grows with members times
+    # intervals.  The second stack (nz 12, 2 pi |xi| b in [10, 18]) sends 26%
+    # of its quadrature member-times to the closed forms, more than one call,
+    # and every member is two-sided (peak 11.6 MiB).  The third is
+    # roundtrip-3d's inverter stack, 144 members at nz 24, 113 of them swept
+    # forward alone (5.5 MB kept, peak 8.9 MiB)
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
@@ -159,22 +165,58 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
             calls.append(len(t))
             return real(scalars, t)
         monkeypatch.setattr(ode, name, counting)
-    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
-    for nz, xis in ((48, np.arange(86) / (20 * np.pi)),
-                    (12, np.linspace(10.0, 18.0, 300) / (2 * np.pi))):
+    j1, j2 = np.meshgrid(np.arange(9), np.arange(-8, 9), indexing="ij")
+    half = (j1 > 0) | (j2 > 0)
+    for dim, nz, xis in ((2, 48, np.arange(86)[:, None] / (20 * np.pi)),
+                         (2, 12, np.linspace(10.0, 18.0, 300)[:, None] / (2 * np.pi)),
+                         (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi))):
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         vg = VerticalGrid(p.depth, nz)
         rng = np.random.default_rng(0)
         z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
         tracemalloc.start()
         try:
-            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis[:, None])
+            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
             stack.solve(z, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(stack.members) == len(xis)
         assert peak <= 14 * 2 ** 20
+    assert int(stack.short.sum()) == 113
     assert max(calls) == ode._EXP_CHUNK        # a full call, and none larger
+
+
+def test_two_sided_members_form_the_stack_tail():
+    # the members swept forward alone (Q = I) lead the stack and the two-sided
+    # ones form its tail, where alone the backward sweep runs; forward-alone
+    # and two-sided frequencies interleave in xis, over several quadrature
+    # blocks, and every row still matches a lone solve in xis order
+    import stripwave.odesystem as ode
+    rng = np.random.default_rng(11)
+    p = _random_params(rng, 3)
+    nz = 24
+    vg = VerticalGrid(p.depth, nz)
+    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    k = 100
+    direction = rng.standard_normal((k, 2))
+    xis = direction / np.linalg.norm(direction, axis=1, keepdims=True) \
+        * (rng.uniform(0.05, 3.0, k) / (2 * np.pi * p.depth))[:, None]
+    z, d = _forcing(rng, k, nz, vg, p.depth)
+    stack = solver.prepare(xis)
+    assert len(stack.members) == k > ode._EXP_CHUNK // (8 * (nz - 1))
+    short = np.zeros(k, dtype=bool)
+    short[stack.members] = stack.short
+    head = int(short.sum())
+    assert 0 < head < k and not short[:head].all()     # interleaved in xis
+    assert stack.short[:head].all() and not stack.short[head:].any()
+    for forcing in (z, None):
+        Y = stack.solve(forcing, d)
+        singles = [solver.solve(xi, None if forcing is None else forcing[i], d[i])
+                   for i, xi in enumerate(xis)]
+        _assert_rows_agree(Y, singles)
+        assert list(stack.backend) == [s[1] for s in singles]
+        assert np.allclose(stack.cond, [s[2] for s in singles], rtol=1e-12)
 
 
 # the three benchmark grids: (dim, box_len, modes, nz)

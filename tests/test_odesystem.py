@@ -159,9 +159,9 @@ def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
     for nz in (16, 48):
         calls = []
         for name in ("_dichotomy", "_member_coefficients"):
-            def counting(*args, real=getattr(ode, name), name=name):
+            def counting(*args, real=getattr(ode, name), name=name, **kwargs):
                 calls.append(name)
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(ode, name, counting)
         vg = VerticalGrid(P1.depth, nz)
