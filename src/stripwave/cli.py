@@ -26,11 +26,10 @@ from .params import estimate_q_norms, check_parameter_gate, validate_params
 
 
 def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
-    """Linear inverter on an empty symbol table, with the config's backend
-    section."""
-    b = config.raw["backend"]
-    table = SymbolTable(grid, vgrid, config.params(), cond_limit=b["cond_limit"])
-    return LinearInverter(table, cond_limit=b["cond_limit"])
+    """Linear inverter on an empty symbol table with the config's
+    conditioning limit."""
+    return LinearInverter(SymbolTable(grid, vgrid, config.params(),
+                                      cond_limit=config.raw["backend"]["cond_limit"]))
 
 
 def _record_solves(summary: dict, grid, **solved_by):

@@ -21,7 +21,7 @@ _DEFAULTS = {
                "gamma": 1.0, "sigma0": 1.0, "sigma1": 0.1, "dim": 2},
     "closure": {"visc": "newtonian", "heat": "fourier", "sigma": "smooth"},
     "grid": {"box_len": 2.0 * math.pi * 10.0, "modes": 256, "nz": 48},
-    "backend": {"split": 30.0, "symbol_split": 10.0, "cond_limit": 1e12},
+    "backend": {"cond_limit": 1e12},
     "tol": {"picard": 1e-9, "roundtrip": 1e-6, "fit_rel": 0.01,
             "stability": 0.10},
     "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 3},
@@ -99,10 +99,6 @@ class RunConfig:
         amplitude = r["forcing"]["amplitude"]
         if not math.isfinite(amplitude):
             raise ConfigError(f"forcing.amplitude must be finite, got {amplitude!r}")
-        # split and symbol_split reach no solver and are kept so old configs load
-        for key in ("split", "symbol_split"):
-            if math.isnan(r["backend"][key]):
-                raise ConfigError(f"backend.{key} must not be NaN")
         try:
             checked_xi_seq(r["fit"]["xi_seq"])
         except (TypeError, ValueError) as exc:

@@ -36,9 +36,8 @@ from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
                      conjugate_mirror, gather_index, reflect, support)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
-from .odesystem import (DEFAULT_COND_LIMIT, FrequencySolver,
-                        SymbolTable, forcing_rows, transverse_factor,
-                        transverse_solve)
+from .odesystem import (FrequencySolver, SymbolTable, forcing_rows,
+                        transverse_factor, transverse_solve)
 from .params import PhysicalParams
 
 
@@ -233,28 +232,29 @@ class LinearInverter:
     forms the data less the surface terms, and the forcing, only at the
     half-lattice frequencies where the data is nonzero, solves those where
     the forcing is nonzero (in dim_h = 2 the transverse forcing counts too)
-    and writes zero at the others.  It prepares one FrequencyStack at
-    exactly those frequencies and, in dim_h = 2, the transverse factors (a
-    diagonal scaling each, no LU) where the transverse forcing is nonzero,
-    each again at the union when its data reaches outside them.  At xi = 0
-    the longitudinal direction is the first horizontal axis and, in
-    dim_h = 2, the transverse one the second.  Each inversion fills
-    ``backend`` and ``cond``, lattice arrays shaped like SymbolTable's: the
-    backend of each solved frequency and its condition estimate, None and
-    0 where no solve was made; a transverse bound beyond the limit raises.
+    and writes zero at the others.  In dim_h = 2 it first factors the
+    transverse problems (a diagonal scaling each, no LU) where the
+    transverse forcing is nonzero, anew at every inversion.  It keeps one
+    FrequencyStack prepared at the frequencies it solves, prepared again at
+    the union when its data reaches outside them.  At xi = 0 the longitudinal
+    direction is the first horizontal axis and, in dim_h = 2, the
+    transverse one the second.  The conditioning limit is the table's.
+    Each inversion fills ``backend`` and ``cond``, lattice arrays shaped
+    like SymbolTable's: the backend of each solved frequency and its
+    condition estimate, None and 0 where no solve was made; a transverse
+    bound beyond the limit raises.
     """
 
-    def __init__(self, table: SymbolTable, cond_limit: float = DEFAULT_COND_LIMIT):
+    def __init__(self, table: SymbolTable):
         self.table = table
         p = table.params
         self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0,
-                                      cond_limit=cond_limit)
+                                      cond_limit=table.cond_limit)
         self.backend = None
         self.cond = None
-        # the half-lattice frequencies of the stack and of the transverse factors
+        # the half-lattice frequencies of the stack
         self._prepared = np.zeros(int(table.grid.half_mask.sum()), dtype=bool)
-        self._factored = self._prepared.copy()
-        self._stack = self._factors = None
+        self._stack = None
 
     def _solve_half(self, data: YData, at, out: LinearState):
         """The forced problems, data less out.eta's surface terms, at the
@@ -281,12 +281,9 @@ class LinearInverter:
             k_perp = perp[:, 0] * kd[0] + perp[:, 1] * kd[1]
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
-            if not self._factored[rows[transverse]].all():
-                factored = self._factored.copy()
-                factored[rows[transverse]] = True
-                self._factors = transverse_factor(xis[factored], p, vgrid,
-                                                  -p.gamma, self.solver.cond_limit)
-                self._factored = factored
+            if transverse.any():
+                factors = transverse_factor(xis[rows[transverse]], p, vgrid,
+                                            -p.gamma, self.solver.cond_limit)
         if not self._prepared[rows[live]].all():
             prepared = self._prepared.copy()
             prepared[rows[live]] = True
@@ -310,10 +307,7 @@ class LinearInverter:
         u[n - 1, at] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
-            basis, scale, bound = self._factors
-            member = (np.cumsum(self._factored) - 1)[rows[transverse]]
-            beta = transverse_solve((basis, scale[member], bound),
-                                    f_perp[transverse], k_perp[transverse])
+            beta = transverse_solve(factors, f_perp[transverse], k_perp[transverse])
             u[:2, flat[transverse]] += beta * perp[transverse].T[..., None]
         out.psi.rows()[0, at] = Y[:, 2]
         out.pres.rows()[0, at] = Y[:, 3]

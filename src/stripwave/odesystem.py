@@ -30,10 +30,10 @@ frequencies at once.  The backends:
 
 * ``twosided``: every other frequency.
 
-* ``collocation``: direct Chebyshev collocation of the first-order system,
-  in a Stokes and a heat block (``FrequencySolver._solve_collocation``),
-  the fallback where K is not finite or ill-conditioned, and for bulk
-  forcing beyond the panels' resolution; the tests' oracle.
+* ``collocation``: direct Chebyshev collocation of the first-order system
+  as one dense 6Nz system (``FrequencySolver._solve_collocation``), the
+  fallback where K is not finite or ill-conditioned, and for bulk forcing
+  beyond the panels' resolution; the tests' oracle.
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
 do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
@@ -341,19 +341,6 @@ def lu_factor(a: np.ndarray, **options):
     return factor(a, **options)
 
 
-# The Stokes and heat blocks of the collocation system: their components,
-# and the entry (row, column) of N by which the other block reaches each,
-# held in the top row of q (tangential stress, -alpha1 m delta(b)) and of
-# dn delta (heat flux, alpha2 m phi(b)).
-_BLOCKS = ((_STOKES, (3, 2)), ((2, 5), (5, 0)))
-
-
-def _boundary_rows(comps, nz: int) -> list:
-    """Rows of a block's system that hold the boundary conditions: the bottom
-    node of phi, psi and delta (M = [I 0]), the top node of the others."""
-    return [r * nz + (0 if c < 3 else nz - 1) for r, c in enumerate(comps)]
-
-
 @lru_cache(maxsize=8)
 def _gl_panels(vgrid: VerticalGrid):
     """Composite Gauss-Legendre panels of the vertical grid, shared by every
@@ -392,67 +379,38 @@ class FrequencySolver:
     def _solve_collocation(self, xi, z_profile, d_vec):
         """Collocation solve at one frequency; returns (Y, cond_estimate).
 
-        Factors the Stokes and heat blocks and solves each against the data
-        and its coupling column: the other block's top value (delta(b) or
-        phi(b)) times its entry of N, placed in its row.  The 2x2 system for
-        phi(b) and delta(b), which lead their blocks (index nz-1), joins
-        them; it is unit triangular for the forward and the adjoint problem.
+        The system kron(I6, D) - kron(A, I_nz) (Trefethen, Spectral Methods in
+        MATLAB, SIAM 2000, ch. 6 and 13) with the boundary rows in place of
+        the interior equation: the bottom node of phi, psi and delta takes
+        its row of M, the top node of the others its row of N.  One LU, its
+        LAPACK 1-norm condition estimate checked against cond_limit, and one
+        solve.
         """
         from scipy.linalg import lapack, lu_solve
         nz = self.vgrid.count
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
-        z = np.zeros((6, nz), dtype=complex) if z_profile is None \
-            else np.asarray(z_profile, dtype=complex)
-        d = np.asarray(d_vec, dtype=complex)
-        # kron(I, D) - kron(A, I_nz) over the block's components, block by
-        # block into the Fortran-ordered array that lu_factor overwrites.
-        # Each block is computed as the kron difference computes it, so the
-        # signed zeros off the block diagonals (which reach the solution,
-        # e.g. phi(0) = -0) are kept.
-        D = self.vgrid.diff
-        kron_blocks = (0.0 * D, D)
-        eye = np.eye(nz)
-        sols, coupling, conds = [], [], []
-        for comps, (row, col) in _BLOCKS:
-            n = len(comps) * nz
-            sys = np.empty((n, n), dtype=complex, order="F")
-            for r, cr in enumerate(comps):
-                for c, cc in enumerate(comps):
-                    np.subtract(kron_blocks[cr == cc], A[cr, cc] * eye,
-                                out=sys[r * nz:(r + 1) * nz, c * nz:(c + 1) * nz])
-            rows = _boundary_rows(comps, nz)
-            for cr, br in zip(comps, rows):
-                sys[br] = 0.0
-                # the bottom row of a component meets every component's
-                # bottom node, the top row every top node
-                sys[br, br % nz::nz] = (Mmat if cr < 3 else Nmat)[cr, list(comps)]
-            # column sums over C-ordered magnitudes round as np.linalg.norm(sys, 1)
-            # does on a C-ordered system
-            anorm = float(np.abs(sys, order="C").sum(axis=0).max())
-            lu = lu_factor(sys, overwrite_a=True)
-            cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
-            if cond > self.cond_limit:
-                raise IllConditionedCollocation(
-                    f"collocation condition estimate {cond:.3g} beyond "
-                    f"{self.cond_limit:.3g}", cond_estimate=cond)
-            e = np.zeros(n, dtype=complex)
-            e[rows[comps.index(row)]] = Nmat[row, col]
-            coupling.append(lu_solve(lu, e))
-            rhs = z[list(comps)].reshape(-1)        # a copy (fancy index)
-            rhs[rows] = d[list(comps)]
-            sols.append(lu_solve(lu, rhs, overwrite_b=True))
-            conds.append(cond)
-        x, w = sols
-        gs, gh = coupling
-        t = nz - 1
-        det = 1.0 - gs[t] * gh[t]
-        phi_b = (x[t] - gs[t] * w[t]) / det
-        delta_b = (w[t] - gh[t] * x[t]) / det
-        Y = np.empty((6, nz), dtype=complex)
-        Y[list(_BLOCKS[0][0])] = (x - delta_b * gs).reshape(-1, nz)
-        Y[list(_BLOCKS[1][0])] = (w - phi_b * gh).reshape(-1, nz)
-        return Y, max(conds)
+        # computed as the kron difference computes it, so the signed zeros off
+        # the diagonal blocks (which reach the solution, e.g. phi(0) = -0) are
+        # kept; in place, which saves one complex 6Nz temporary
+        sys = np.kron(A, np.eye(nz))
+        np.subtract(np.kron(np.eye(6), self.vgrid.diff), sys, out=sys)
+        rows = [c * nz + (0 if c < 3 else nz - 1) for c in range(6)]
+        for c, row in enumerate(rows):
+            sys[row] = 0.0
+            # a bottom row meets every component's bottom node, a top row every top node
+            sys[row, row % nz::nz] = (Mmat if c < 3 else Nmat)[c]
+        anorm = np.linalg.norm(sys, 1)
+        lu = lu_factor(sys)
+        cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
+        if cond > self.cond_limit:
+            raise IllConditionedCollocation(
+                f"collocation condition estimate {cond:.3g} beyond "
+                f"{self.cond_limit:.3g}", cond_estimate=cond)
+        rhs = np.zeros(6 * nz, dtype=complex) if z_profile is None \
+            else np.array(z_profile, dtype=complex).reshape(-1)
+        rhs[rows] = d_vec
+        return lu_solve(lu, rhs, overwrite_b=True).reshape(6, nz), cond
 
     # -- public entry ----------------------------------------------------------
 
@@ -503,12 +461,11 @@ class FrequencyStack:
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,
     where its widest panel times its largest rate max(m, |l|, |l_h|)
-    exceeds _PANEL_LIMIT.  A collocation member's Stokes and heat blocks are
-    factored at every solve and dropped after the member is solved, so one
-    member's pair of factorisations is alive at a time.  ``backend`` and
-    ``cond`` (K,) record what each member was solved with at the last
-    solve: cond_1(K), or for collocation the larger of its blocks' LAPACK
-    estimates.
+    exceeds _PANEL_LIMIT.  A collocation member's system is factored at
+    every solve and dropped after the member is solved, so one member's
+    system is alive at a time.  ``backend`` and ``cond`` (K,) record what
+    each member was solved with at the last solve: cond_1(K), or for
+    collocation its system's LAPACK estimate.
     """
 
     @np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation

@@ -323,7 +323,7 @@ def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     # linear-deep's job through the CLI: its data stops at |j| = 20
     # (2 pi |xi| b = 16) and has no mean, so its symbol table solves
     # j = 1 .. 20 only, all two-sided; as collocation members they would
-    # make two LUs (Stokes and heat block) each
+    # make one LU each
     import json
     from stripwave.cli import run
     from stripwave.config import RunConfig
@@ -444,7 +444,8 @@ def test_inverter_backend_and_cond_match_single_solves():
 # LinearInverter.cond on the half lattice of the grid below (index order):
 # cond_1(B) = 1 at xi = 0 since mu = kappa = 1, the two-sided members'
 # cond_1(K), and the collocation members' estimates, measured when the
-# inverter kept its collocation factorisations
+# inverter kept its collocation factorisations; the whole 6Nz system's LAPACK
+# estimate equals them to 7 digits
 LIFETIME_COND = [1.0, 1.488048e2, 5.608653e2, 1.225209e3, 2.145234e3, 3.321238e3,
                  4.753240e3, 6.441241e3, 8.385242e3, 1.058524e4, 1.304124e4,
                  1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6, 2.088663e6,
@@ -476,8 +477,8 @@ def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
     for _ in ("cold", "warm"):
         sizes.clear()
         inv.invert(data)
-        # every inversion factors each member's Stokes and heat blocks anew
-        assert len(sizes) == 12 and sorted(set(sizes)) == [2 * 24, 4 * 24]
+        # every inversion factors each member's 6Nz system anew
+        assert sizes == [6 * 24] * 6
         records.append((inv.backend.copy(), inv.cond.copy()))
     (b_cold, c_cold), (b_warm, c_warm) = records
     assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
@@ -503,12 +504,14 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
     for seed in (1, 2):
         st = make_random_state(grid, vg, seed=seed, jmax=2)
         data = apply_linear_operator(st, p)
+        factored.clear()
         out = inv.invert(data)
+        # each inversion factors each of its transverse frequencies once
+        assert factored and len(factored) == len(set(factored))
         assert np.abs(out.u.data[0]).max() > 0
         back = apply_linear_operator(out, p)
         back.axpy(-1.0, data)
         assert ydata_norm(back) / ydata_norm(data) <= 1e-6
-    assert factored and len(factored) == len(set(factored))
 
 
 def _dense_collocation(solver, xi, z, d):
@@ -562,19 +565,40 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
                 peak = np.abs(Yd).max(axis=1)
                 assert np.all(np.abs(Y - Yd).max(axis=1) <= 1e-10 * peak)
                 assert 0.5 <= cond / np.linalg.cond(full, 1) <= 1.0 + 1e-9
-    # every collocation solve factors the Stokes (4 Nz) and heat (2 Nz) blocks
-    assert sizes and set(sizes) == {4 * nz, 2 * nz}
-    assert sizes.count(4 * nz) == sizes.count(2 * nz)
+    # every collocation solve factors one 6 Nz system
+    assert sizes == [6 * nz] * 36
 
 
-@pytest.mark.parametrize("mode, frequencies", [("nonlinear-solve", 0), ("roundtrip-test", 144)])
+def test_collocation_solve_peak_memory():
+    # nz 120, the largest grid of any collocation comparison: the 6Nz system
+    # (7.9 MiB of complex128), its LU and their temporaries stay within 24 MiB
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    vg = VerticalGrid(1.0, 120)
+    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    z, d = _forcing(np.random.default_rng(5), 2, 120, vg, 1.0)
+    xi = np.array([60.0 / (2 * np.pi)])
+    # first a solve outside the trace: scipy.linalg imported, the grid's tables built
+    Y0, _ = solver._solve_collocation(xi, z[1], d[1])
+    tracemalloc.start()
+    try:
+        Y, _ = solver._solve_collocation(xi, z[1], d[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, Y0)
+    assert peak <= 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode, frequencies", [("nonlinear-solve", []),
+                                               ("roundtrip-test", [144] * 12)],
+                         ids=["nonlinear-solve-0", "roundtrip-test-144"])
 def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mode, frequencies):
     # box 20 pi, modes 32, nz 24: every symbol and stack member is matexp and
     # the transverse solves are diagonalized, so neither mode makes an LU.
     # Every forcing preset depends on x_1 alone, so the 3D nonlinear solve is
     # x_2-invariant, has no transverse forcing and hands no frequency to
-    # transverse_factor; roundtrip-3d hands it each of the 144 half-lattice
-    # frequencies of its states once
+    # transverse_factor; each of roundtrip-3d's 12 inversions hands it the 144
+    # half-lattice frequencies of its state
     import stripwave.linear as linear
     from stripwave.cli import run
     from stripwave.config import RunConfig
@@ -594,4 +618,4 @@ def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mo
         "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3},
         "roundtrip": {"count": 12}, "seed": 3})) == 0
     assert len(counted) == 0
-    assert sum(handed) == frequencies
+    assert handed == frequencies

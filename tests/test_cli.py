@@ -410,7 +410,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     class Recording(cli.LinearInverter):
         def __init__(self, table, **kwargs):
             super().__init__(table, **kwargs)
-            seen.append((table, kwargs))
+            seen.append((table, kwargs, self))
 
         def invert(self, data):
             # every lattice point where some part of some inverted data is nonzero
@@ -423,15 +423,17 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
            "grid": {"box_len": box, "modes": modes, "nz": nz},
            "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
            "roundtrip": {"count": 1},
-           "backend": {"split": 0.3, "symbol_split": 0.5, "cond_limit": 1e11}}
+           "backend": {"cond_limit": 1e11}}
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         cfg["input"] = str(tmp_path / "ydata")
         write_ydata_csv(cfg["input"], apply_linear_operator(
             make_random_state(grid, VerticalGrid(1.0, nz), seed=1), p))
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 0
-    [(table, kwargs)] = seen
-    assert kwargs == {"cond_limit": 1e11}
+    [(table, kwargs, inverter)] = seen
+    # one conditioning limit, set on the table, which the inverter's solver takes
+    assert kwargs == {}
+    assert table.cond_limit == inverter.solver.cond_limit == 1e11
     # the table solved exactly the frequencies whose data, at xi or -xi,
     # is nonzero, each two-sided but xi = 0; in dim_h 1 the lattice stores
     # xi >= 0, and the data at -xi is the conjugate
@@ -440,12 +442,6 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     assert solved.any() and not solved.all()
     assert np.array_equal((table.backend == "twosided")[solved], (grid.xi2 > 0)[solved])
     assert (table.backend[~solved] == None).all()  # noqa: E711
-    # symbol_split 0.5 is accepted and changes nothing: the table equals
-    # one built with the cond_limit alone
-    plain = SymbolTable(grid, VerticalGrid(1.0, nz), table.params, cond_limit=1e11)
-    plain.solve(solved)
-    for name in ("y", "rho", "backend", "cond"):
-        assert np.array_equal(getattr(plain, name), getattr(table, name))
     # the manifest records the table's half lattice and its worst cond
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     half = table.backend[grid.half_mask]
@@ -453,16 +449,6 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
                                        for b in ("matexp", "twosided", "collocation")}
     assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \
         == table.cond.max()
-    # split 0.3 and symbol_split 0.5 are accepted and change nothing: without
-    # them every file but the manifest (which echoes the config) is the same
-    cfg["out"] = str(tmp_path / "plain")
-    cfg["backend"] = {"cond_limit": 1e11}
-    assert main(["--config", _write_cfg(tmp_path, cfg, "plain.json")]) == 0
-    names = sorted(os.listdir(tmp_path / "out"))
-    assert names == sorted(os.listdir(tmp_path / "plain")) and len(names) > 1
-    for name in names:
-        if name != "manifest.json":
-            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_symbols_mode_records_table_solves(tmp_path):
@@ -564,7 +550,9 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
     ({"mode": "nonlinear-solve", "closure": {"visc": "foo"}, **SMALL}, "closure.visc"),
     ({"mode": "nonlinear-solve", "tol": {"picard": "x"}, **SMALL}, "tol.picard"),
     ({"mode": "roundtrip-test", "tol": {"roundtrip": "x"}, **SMALL}, "tol.roundtrip"),
-    ({"mode": "nonlinear-solve", "backend": {"split": "x"}, **SMALL}, "backend.split"),
+    # the retired backend.split and backend.symbol_split are unknown keys, whatever their value
+    ({"mode": "nonlinear-solve", "backend": {"split": "x"}, **SMALL},
+     "unknown config keys: ['backend.split']"),
     ({"backend": {"cond_limit": -1}, **SMALL}, "backend.cond_limit"),
     ({"mode": "roundtrip-test", "seed": "x", **SMALL}, "seed"),
     ({"out": 5, **SMALL}, "out"),
@@ -588,8 +576,9 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
     ({"grid": {"box_len": INF, "modes": 16, "nz": 24}}, "grid.box_len"),
     ({"mode": "nonlinear-solve", "forcing": {"amplitude": NAN}, **SMALL},
      "forcing.amplitude"),
-    ({"backend": {"split": NAN}, **SMALL}, "backend.split"),
-    ({"backend": {"symbol_split": NAN}, **SMALL}, "backend.symbol_split"),
+    ({"backend": {"split": NAN}, **SMALL}, "unknown config keys: ['backend.split']"),
+    ({"backend": {"symbol_split": NAN}, **SMALL},
+     "unknown config keys: ['backend.symbol_split']"),
 ], ids=["count-0", "maxiter-negative", "box-negative", "modes-float", "visc-unknown",
         "picard-tol-string", "roundtrip-tol-string", "split-string",
         "cond-limit-negative", "seed-string", "out-number", "mu-string", "dim-float",

@@ -251,11 +251,10 @@ def test_inverter_cond_limit_reaches_transverse_systems():
     # at cond_limit 1e5 every stack member of this grid passes (matexp at
     # xi = 0 and two-sided elsewhere, with cond_1(K) below 40), while the
     # transverse systems' condition bound
-    # reaches about 1.26e5: the inversion must stop there, and stop again when
-    # retried, since the failed preparation is not kept
+    # reaches about 1.26e5: the inversion, which takes the table's limit, must
+    # stop there, and stop again when retried
     grid, vg = FrequencyGrid(2, 20 * np.pi, 16), VerticalGrid(1.0, 24)
-    inv = LinearInverter(SymbolTable.build(grid, vg, P3, cond_limit=1e5),
-                         cond_limit=1e5)
+    inv = LinearInverter(SymbolTable.build(grid, vg, P3, cond_limit=1e5))
     data = apply_linear_operator(make_random_state(grid, vg, seed=1), P3)
     for _ in range(2):
         with pytest.raises(IllConditionedCollocation, match="transverse system"):
