@@ -382,26 +382,27 @@ class FrequencySolver:
         The system kron(I6, D) - kron(A, I_nz) (Trefethen, Spectral Methods in
         MATLAB, SIAM 2000, ch. 6 and 13) with the boundary rows in place of
         the interior equation: the bottom node of phi, psi and delta takes
-        its row of M, the top node of the others its row of N.  One LU, its
-        LAPACK 1-norm condition estimate checked against cond_limit, and one
-        solve.
+        its row of M, the top node of the others its row of N, in one
+        Fortran-ordered buffer that the LU overwrites.  One LU, its LAPACK
+        1-norm condition estimate checked against cond_limit, and one solve.
         """
         from scipy.linalg import lapack, lu_solve
-        nz = self.vgrid.count
+        nz, D = self.vgrid.count, self.vgrid.diff.T
         A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
         Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
-        # computed as the kron difference computes it, so the signed zeros off
-        # the diagonal blocks (which reach the solution, e.g. phi(0) = -0) are
-        # kept; in place, which saves one complex 6Nz temporary
-        sys = np.kron(A, np.eye(nz))
-        np.subtract(np.kron(np.eye(6), self.vgrid.diff), sys, out=sys)
+        # the system's transpose, C-ordered: kron(A^T, I), each block subtracted in place from
+        # D^T or 0.0 D^T as kron(I6, D) - kron(A, I) computes it (signed zeros reach Y)
+        blocks = np.kron(np.ascontiguousarray(A.T), np.eye(nz)).reshape(6, nz, 6, nz)
+        for i, j in np.ndindex(6, 6):
+            np.subtract(D if i == j else 0.0 * D, blocks[i, :, j], out=blocks[i, :, j])
+        sys = blocks.reshape(6 * nz, 6 * nz).T         # the system, Fortran-ordered
         rows = [c * nz + (0 if c < 3 else nz - 1) for c in range(6)]
         for c, row in enumerate(rows):
             sys[row] = 0.0
             # a bottom row meets every component's bottom node, a top row every top node
             sys[row, row % nz::nz] = (Mmat if c < 3 else Nmat)[c]
-        anorm = np.linalg.norm(sys, 1)
-        lu = lu_factor(sys)
+        anorm = lapack.zlange("1", sys)
+        lu = lu_factor(sys, overwrite_a=True)
         cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
         if cond > self.cond_limit:
             raise IllConditionedCollocation(
@@ -439,24 +440,25 @@ class FrequencyStack:
     A forced solve splits y_p by Q = P-, or by Q = I at the ``short`` members,
     where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
     1/m terms would only add rounding.  They come first (``members`` maps the
-    stack to ``xis``), so the two-sided members are a tail slice.  Made at its
-    first solve: ``steps``, the bounded steps S_j = exp(h_j A) Q,
-    (Nz-1, k, 6, 6), and per member the maps to the sweeps' starts, the
-    projected L_j and the ends of y_p, from Q, C(0) and exp(x_j A) Q at the
-    nodes, those of the I - Q part for the tail alone; and ``quad``, the
-    Gauss-Legendre quadrature in the basis B_b: the coefficients
-    coef_b(c_j - t_q) as real rows [Re; Im], written once and C-contiguous as
-    (k, Nz-1, 12, 8), and each member's basis, (k, 36, 6), 16 k (48 (Nz-1) +
-    216) bytes.  The local integral L_j = sum_q w_q exp((c_j - t_q) A) z(t_q)
-    is sum_b B_b (sum_q coef_b w_q z(t_q)), the weights in the rows of
-    ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1}) A) Q L_j and y_p(0) =
-    -sum_j exp(-x_{j+1} A) (I - Q) L_j give v, and y = w- + w+ from w-_{j+1} =
-    S_j w-_j + Q L_j forward from Q C(0) v and w+_j = exp(-h_j A) (I - Q)
-    (w+_{j+1} - L_j) backward from (I - Q) v on the tail (on the head Q = I,
-    w+ = 0).  With D = diag(_MIRROR), D A D = -A, so exp(-h_j A) P+ = D S_j D
-    and the backward sweep runs on D w+ with the same steps.  Every solve
-    solves every member: a caller leaves a frequency without data out of the
-    stack.
+    stack to ``xis``; a run of them is gathered as a slice), so the two-sided
+    members are a tail slice.  Made at its first forced solve, once per pair
+    of mirrored panels (h_j = h_{Nz-2-j}: panel j reads entry min(j, Nz-2-j)):
+    ``steps``, the bounded steps S_j = exp(h_j A) Q, (Nz // 2, k, 6, 6), and
+    per member the maps to the sweeps' starts, the projected L_j and the ends
+    of y_p, from Q, C(0) and exp(x_j A) Q at the nodes, those of the I - Q
+    part for the tail alone; and ``quad``, the Gauss-Legendre quadrature in
+    the basis B_b: the coefficients coef_b(c_j - t_q) as real rows [Re; Im],
+    C-contiguous (k, Nz // 2, 12, 8), and each member's basis, (k, 36, 6),
+    16 k (48 (Nz // 2) + 216) bytes.  The local integral L_j =
+    sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q
+    z(t_q)), the weights in the rows of ``_gl_panels``.  y_p(b) = sum_j
+    exp((b - x_{j+1}) A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j
+    give v, and y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from
+    Q C(0) v and w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward from
+    (I - Q) v on the tail (on the head Q = I, w+ = 0).  With D = diag(_MIRROR),
+    D A D = -A, so exp(-h_j A) P+ = D S_j D and the backward sweep runs on
+    D w+ with the same steps.  Every solve solves every member: a caller
+    leaves a frequency without data out of the stack.
 
     Collocation solves a member instead where K is not finite or cond_1(K)
     exceeds the solver's limit, and, at a solve with bulk forcing at it,
@@ -488,6 +490,7 @@ class FrequencyStack:
         self.backend, self.cond = self._backends(np.zeros(len(plain), dtype=bool)), self._cond.copy()
         short = plain | (rate * nodes[-1] <= 1.0)
         self.members = m = np.flatnonzero(ok)[np.argsort(~short[ok], kind="stable")]
+        self._at = slice(m[0], m[-1] + 1) if m.size and (np.diff(m) == 1).all() else m
         self.prop, self.coef, self.basis = prop[m], coef[m], basis[m]
         self.Kinv, self.Mmat, self.Nmat = Kinv[m], Mmat[m], Nmat[m]
         self.short, self._tail = short[m], slice(np.count_nonzero(short[m]), None)
@@ -501,9 +504,9 @@ class FrequencyStack:
     def _forced_tables(self):
         """``steps`` and ``quad``, made at the first solve with bulk forcing."""
         if self.quad is None:
-            vgrid, k, n = self.solver.vgrid, len(self.prop), self.solver.vgrid.count
-            # exp(tA) Q at t = 0 and the widths h_j, written node-major, and at the nodes
-            t = np.concatenate([[0.0], np.diff(vgrid.nodes), vgrid.nodes])
+            vgrid, k, n = self.solver.vgrid, len(self.prop), self.solver.vgrid.count // 2 + 1
+            # exp(tA) Q at t = 0 and the widths h_j, j < Nz // 2, node-major, and at the nodes
+            t = np.concatenate([[0.0], np.diff(vgrid.nodes)[:n - 1], vgrid.nodes])
             rows, steps = _minus_rows(self.prop, t, self.short), np.empty((n, k, 36), dtype=complex)
             np.matmul(rows[..., :n].transpose(0, 2, 1), self.basis, out=steps.transpose(1, 0, 2))
             steps, rows = steps.reshape(n, k, 6, 6), rows[..., n:]
@@ -514,7 +517,7 @@ class FrequencyStack:
             right = np.concatenate([Q.transpose(0, 2, 1), np.broadcast_to(D, Q.shape)], axis=2)
             self.steps = (steps[1:], C0, D - D @ Q, right, np.ascontiguousarray(rows[..., -2::-1]),
                           _FLIP[:, None] * rows[self._tail, :, 1:])
-            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0], split=True)
+            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0][:n - 1], split=True)
             # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
             # member is solved by collocation; an unforced one gets L = 0
             coef[~np.isfinite(coef).all(axis=(1, 2, 3))] = 0.0
@@ -527,7 +530,7 @@ class FrequencyStack:
         """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
         for every member, (k, Nz-1, 6), from ``quad``."""
         rows = _gl_panels(self.solver.vgrid)[1]
-        k, nz = len(z), z.shape[-1]
+        k, nz, h = len(z), z.shape[-1], z.shape[-1] // 2
         coef, basis = self._forced_tables()[1]
         # only the forced components enter (forcing_rows leaves phi and delta 0)
         cols = np.flatnonzero(z.any(axis=(0, 2)))
@@ -538,7 +541,11 @@ class FrequencyStack:
         zt = np.ascontiguousarray(z.transpose(0, 2, 1)[..., cols], dtype=complex).view(float)
         local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
-            parts = (coef[b] @ (rows @ zt[b]).reshape(-1, nz - 1, 8, 2 * cols.size)).view(complex)
+            s = (rows @ zt[b]).reshape(-1, nz - 1, 8, 2 * cols.size)
+            parts = np.empty(s.shape[:2] + (12, cols.size), dtype=complex)
+            np.matmul(coef[b], s[:, :h], out=parts.view(float)[:, :h])
+            np.matmul(coef[b, nz - 2 - h::-1], s[:, h:], out=parts.view(float)[:, h:])
+            del s       # before C s is made, so that it reuses the freed memory
             cs = np.multiply(parts[:, :, 6:], 1j)
             cs += parts[:, :, :6]
             local[b] = cs.reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
@@ -561,11 +568,12 @@ class FrequencyStack:
         L[tail] = local[..., :6]
         Y, back = np.zeros((nz, k, 6), dtype=complex), np.zeros((nz, len(local), 6), dtype=complex)
         Y[0], back[-1] = (starts @ v)[..., 0], (back_start @ v[tail])[..., 0]
+        S = [S[min(j, nz - 2 - j)] for j in range(nz - 1)]     # h_j = h_{nz-2-j}
         for j in range(nz - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
             Y[j + 1] += L[:, j]
         for j in range(nz - 2, -1, -1):
-            np.matmul(S[j, tail], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
+            np.matmul(S[j][tail], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
         back *= _MIRROR
         Y[:, tail] += back
         return Y.transpose(1, 2, 0)
@@ -578,12 +586,12 @@ class FrequencyStack:
         self.backend, self.cond = self._backends(forced), self._cond.copy()
         Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
         if self.members.size and forced[self.members].any():
-            Y[self.members] = self._forced(z[self.members], d[self.members, :, None])
+            Y[self._at] = self._forced(z[self._at], d[self.members, :, None])
         elif self.members.size:
             # the basis matrices times v, (k, b, 6), weight the coefficient rows
             v = self.Kinv @ d[self.members, :, None]
             w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
-            Y[self.members] = w.transpose(0, 2, 1) @ self.coef
+            Y[self._at] = w.transpose(0, 2, 1) @ self.coef
         for i in np.flatnonzero(self.backend == BACKENDS[2]):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])

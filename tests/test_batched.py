@@ -10,7 +10,8 @@ import pytest
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state, state_norm)
-from stripwave.odesystem import (FrequencySolver, FrequencyStack, SymbolTable,
+from stripwave.odesystem import (_MIRROR, FrequencySolver, FrequencyStack, SymbolTable,
+                                 _gl_panels, _member_coefficients, _minus_rows,
                                  assemble_boundary, assemble_bulk_matrix)
 from stripwave.norms import ydata_norm
 from stripwave.params import PhysicalParams
@@ -126,9 +127,10 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
 @pytest.mark.parametrize("dim, nz", [(2, 48), (3, 24)])
 def test_stack_quadrature_cache_is_bounded(dim, nz):
     # the cached quadrature is the weighted coefficients as real rows
-    # [Re; Im], (k, Nz-1, 12, 8), and each member's complex basis (k, 36, 6):
-    # at most 16 k (48 (Nz-1) + 216) bytes, against 16 k (Nz-1) 288 for 6x6
-    # exponentials per node
+    # [Re; Im] of the lower half of the mirror-symmetric panels,
+    # (k, Nz // 2, 12, 8), and each member's complex basis (k, 36, 6): at
+    # most 16 k (48 (Nz // 2) + 216) bytes, against 16 k (Nz-1) 288 for 6x6
+    # exponentials per node; the steps are kept for the same panels
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
@@ -141,23 +143,26 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     k = len(stack.members)
     assert k == len(xis)
     coef, basis = stack.quad
-    assert coef.dtype == float and coef.shape == (k, nz - 1, 12, 8) and basis.dtype == complex
+    assert coef.dtype == float and coef.shape == (k, nz // 2, 12, 8) and basis.dtype == complex
     assert all(a.flags.c_contiguous for a in stack.quad)
-    assert sum(a.nbytes for a in stack.quad) <= 16 * k * (48 * (nz - 1) + 216)
+    assert sum(a.nbytes for a in stack.quad) <= 16 * k * (48 * (nz // 2) + 216)
+    assert stack.steps[0].shape == (nz // 2, k, 6, 6)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
-    # quadrature cache (6.7 MB together at wave-2d's forced stack, 86
-    # members at nz 48; peak 10.2 MiB); the Taylor product writes the cache
-    # itself, the closed forms write its real and imaginary rows, and neither
-    # they nor the contraction, in calls and blocks of at most _EXP_CHUNK
-    # member-times, may add a temporary that grows with members times
-    # intervals.  The second stack (nz 12, 2 pi |xi| b in [10, 18]) sends 26%
-    # of its quadrature member-times to the closed forms, more than one call,
-    # and every member is two-sided (peak 11.6 MiB).  The third is
+    # quadrature cache of the lower half of the mirrored panels (4.0 MB
+    # together at wave-2d's forced stack, 86 members at nz 48; peak 7.3 MiB);
+    # the Taylor product writes the cache itself, the closed forms write its
+    # real and imaginary rows, and neither they nor the contraction, in calls
+    # and blocks of at most _EXP_CHUNK member-times, may add a temporary that
+    # grows with members times intervals.  The second stack (600 members at
+    # nz 12, 2 pi |xi| b in [10, 18]) sends 27% of its quadrature
+    # member-times to the closed forms, more than one full call, and every
+    # member is two-sided (9.6 MB kept, peak 17.8 MiB).  The third is
     # roundtrip-3d's inverter stack, 144 members at nz 24, 113 of them swept
-    # forward alone (5.5 MB kept, peak 8.9 MiB)
+    # forward alone (3.3 MB kept, peak 6.9 MiB).  Each bound is its stack's
+    # peak times 1.21, the margin of the former 14 MiB over 11.6, rounded up
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
@@ -167,9 +172,9 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         monkeypatch.setattr(ode, name, counting)
     j1, j2 = np.meshgrid(np.arange(9), np.arange(-8, 9), indexing="ij")
     half = (j1 > 0) | (j2 > 0)
-    for dim, nz, xis in ((2, 48, np.arange(86)[:, None] / (20 * np.pi)),
-                         (2, 12, np.linspace(10.0, 18.0, 300)[:, None] / (2 * np.pi)),
-                         (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi))):
+    for dim, nz, xis, bound in ((2, 48, np.arange(86)[:, None] / (20 * np.pi), 9),
+                                (2, 12, np.linspace(10.0, 18.0, 600)[:, None] / (2 * np.pi), 22),
+                                (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi), 9)):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         vg = VerticalGrid(p.depth, nz)
         rng = np.random.default_rng(0)
@@ -182,9 +187,87 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(stack.members) == len(xis)
-        assert peak <= 14 * 2 ** 20
+        assert peak <= bound * 2 ** 20
     assert int(stack.short.sum()) == 113
     assert max(calls) == ode._EXP_CHUNK        # a full call, and none larger
+
+
+@pytest.mark.parametrize("depth", [0.5, 1.0, 1.4])
+def test_panels_are_mirror_symmetric(depth):
+    # a forced stack keeps its steps and quadrature for panels j < Nz // 2
+    # and reads panel j from entry min(j, Nz-2-j): the Chebyshev-Lobatto
+    # panels j and Nz-2-j have the same Gauss-Legendre offsets, to a few
+    # ulps of the depth (at most 3, at depth 1.4 and nz 56), and widths
+    for nz in range(4, 121):
+        vg = VerticalGrid(depth, nz)
+        offsets, h = _gl_panels(vg)[0], np.diff(vg.nodes)
+        assert np.abs(offsets - offsets[::-1]).max() <= 4 * np.spacing(depth)
+        assert np.all(np.abs(h - h[::-1]) <= 1e-12 * h)
+
+
+def _full_table_profiles(stack, z, d):
+    """The forced profiles of ``stack``'s members, (k, 6, Nz) in stack order,
+    from a step exp(h_j A) Q and quadrature coefficients for every panel at
+    its own width and offsets: the ends of y_p give v, then w- is swept
+    forward from Q C(0) v and, on the two-sided members, D w+ backward from
+    D (I - Q) v."""
+    vg = stack.solver.vgrid
+    nodes, nz, k = vg.nodes, vg.count, len(stack.prop)
+    offsets, rows = _gl_panels(vg)
+    z, d = z[stack.members], d[stack.members]
+    basis = stack.basis.reshape(k, 6, 6, 6)
+
+    def matrices(coef):             # coefficients (k, 6, ...) to (k, ..., 6, 6)
+        return np.einsum("kb...,kbic->k...ic", coef, basis)
+
+    E = matrices(_minus_rows(stack.prop, np.concatenate([[0.0], np.diff(nodes), nodes]),
+                             stack.short))
+    Q, S, X = E[:, 0], E[:, 1:nz], E[:, nz:]
+    quad = matrices(_member_coefficients(stack.prop, offsets).transpose(0, 2, 1, 3))
+    samples = np.einsum("pn,kcn->kpc", rows, z).reshape(k, nz - 1, 8, 6)
+    L = np.einsum("kjqic,kjqc->kji", quad, samples)
+    # y_p(b) = sum_j exp(x_{Nz-2-j} A) Q L_j and, on the two-sided members,
+    # y_p(0) = -sum_j D exp(x_{j+1} A) P- D L_j
+    two = ~stack.short
+    yb = np.einsum("kjic,kjc->ki", X[:, nz - 2::-1], L)
+    y0 = -_MIRROR * np.einsum("kjic,kjc->ki", X[:, 1:], L * _MIRROR) * two[:, None]
+    v = (stack.Kinv @ (d - (stack.Mmat @ y0[..., None])[..., 0]
+                       - (stack.Nmat @ yb[..., None])[..., 0])[..., None])[..., 0]
+    Y = np.zeros((k, nz, 6), dtype=complex)
+    Y[:, 0] = (Q @ matrices(stack.coef[..., 0]) @ v[..., None])[..., 0]
+    for j in range(nz - 1):
+        Y[:, j + 1] = (S[:, j] @ Y[:, j, :, None])[..., 0] + (Q @ L[:, j, :, None])[..., 0]
+    back = np.zeros((k, nz, 6), dtype=complex)
+    back[:, -1] = _MIRROR * ((np.eye(6) - Q) @ v[..., None])[..., 0]
+    for j in range(nz - 2, -1, -1):
+        back[:, j] = (S[:, j] @ (back[:, j + 1] - L[:, j] * _MIRROR)[..., None])[..., 0]
+    Y += back * _MIRROR * two[:, None, None]
+    return Y.transpose(0, 2, 1)
+
+
+def test_forced_profiles_match_full_table_reference():
+    # the three workloads' inverter stacks (wave-2d: 86 members at nz 48;
+    # roundtrip-3d: 144 at nz 24, 113 swept forward alone; linear-deep: 20
+    # at nz 80, 2 pi |xi| b up to 16) and an nz-12 stack whose quadrature
+    # uses the closed forms (2 pi |xi| b in [10, 18]): the profiles from the
+    # half tables agree with a full-table forced solve within 1e-13 of each
+    # frequency's largest value
+    j1, j2 = np.meshgrid(np.arange(9), np.arange(-8, 9), indexing="ij")
+    half = (j1 > 0) | (j2 > 0)
+    for dim, nz, xis in ((2, 48, np.arange(86)[:, None] / (20 * np.pi)),
+                         (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi)),
+                         (2, 80, np.arange(1, 21)[:, None] / (2.5 * np.pi)),
+                         (2, 12, np.linspace(10.0, 18.0, 40)[:, None] / (2 * np.pi))):
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+        vg = VerticalGrid(p.depth, nz)
+        z, d = _forcing(np.random.default_rng(nz), len(xis), nz, vg, p.depth)
+        stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
+        Y = stack.solve(z, d)[stack.members]
+        assert len(stack.members) == len(xis) and "collocation" not in stack.backend
+        assert stack.steps[0].shape[0] == nz // 2 and stack.quad[0].shape[1] == nz // 2
+        ref = _full_table_profiles(stack, z, d)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(Y - ref).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_two_sided_members_form_the_stack_tail():
@@ -394,6 +477,47 @@ def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
     assert inv.cond.tobytes() == fresh.cond.tobytes()
 
 
+def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
+    # live rows that are the stack's members in order go to the stack with
+    # no stack-sized zero padding: all rows, the forcing rows themselves; one
+    # live row of two (data at one frequency, so the rows gain xi = 0), that
+    # row.  After the support shrinks, the stack's other members are padded,
+    # and every output is bit for bit what a fresh inverter gives
+    import stripwave.linear as linear
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
+    table = SymbolTable.build(grid, vg, p)
+    made, handed = [], []
+    forcing, solve = linear.forcing_rows, FrequencyStack.solve
+
+    def making(*args):
+        made.append(forcing(*args))
+        return made[-1]
+
+    def handing(stack, z, d):
+        handed.append((len(stack.xis), z, d))
+        return solve(stack, z, d)
+
+    monkeypatch.setattr(linear, "forcing_rows", making)
+    monkeypatch.setattr(FrequencyStack, "solve", handing)
+    state = make_random_state(grid, vg, seed=4, jmax=3)
+    inv = LinearInverter(table)
+    inv.invert(apply_linear_operator(state, p))
+    (k, z, d), = handed
+    assert k == 3 and z is made[-1][0] and d is made[-1][1]
+    for part in state.parts():
+        part.data[:, np.arange(grid.freq_shape[0]) != 2] = 0.0
+    data = apply_linear_operator(state, p)
+    expect = LinearInverter(table).invert(data)
+    (k, z, d), rows = handed[-1], made[-1][0]
+    assert k == len(z) == len(d) == 1 and len(rows) == 2 and not rows[0].any()
+    out = inv.invert(data)
+    (k, z, d) = handed[-1]
+    assert k == len(z) == len(d) == 3
+    for part, ref in zip(out.parts(), expect.parts()):
+        assert part.data.tobytes() == ref.data.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_invert_zero_data_makes_no_solve(dim, monkeypatch):
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
@@ -571,7 +695,8 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
 
 def test_collocation_solve_peak_memory():
     # nz 120, the largest grid of any collocation comparison: the 6Nz system
-    # (7.9 MiB of complex128), its LU and their temporaries stay within 24 MiB
+    # (7.9 MiB of complex128) is assembled in Fortran order and factored in
+    # place, with no second system-sized array (peak 8.4 MiB), within 12 MiB
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     vg = VerticalGrid(1.0, 120)
     solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
@@ -586,7 +711,7 @@ def test_collocation_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert np.array_equal(Y, Y0)
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("mode, frequencies", [("nonlinear-solve", []),
