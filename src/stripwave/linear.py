@@ -289,21 +289,19 @@ class LinearInverter:
             prepared[rows[live]] = True
             self._stack = self.solver.prepare(xis[prepared])
             self._prepared = prepared
+        Y = np.zeros((len(rows), 6, vgrid.count), dtype=complex)
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
-            # the stack member of each live row; the stack's members in order go as they are
+            # the stack member of each live row
             member = (np.cumsum(self._prepared) - 1)[rows[live]]
-            if np.array_equal(member, np.arange(len(self._stack.xis))):
-                solved = self._stack.solve(*((z, d) if live.all() else (z[live], d[live])))
+            if live.all() and np.array_equal(member, np.arange(len(self._stack.xis))):
+                Y = self._stack.solve(z, d)     # every row live, the stack's members in order
             else:       # the other members get no data
                 zs, ds = (np.zeros((len(self._stack.xis),) + a.shape[1:], complex) for a in (z, d))
                 zs[member], ds[member] = z[live], d[live]
-                solved = self._stack.solve(zs, ds)[member]
+                Y[live] = self._stack.solve(zs, ds)[member]
             np.put(backend, flat[live], self._stack.backend[member])
             np.put(cond, flat[live], self._stack.cond[member])
-        Y = solved if live.size and live.all() else np.zeros((len(rows), 6, vgrid.count), complex)
-        if live.any() and not live.all():
-            Y[live] = solved
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
         u = out.u.rows()

@@ -440,9 +440,9 @@ class FrequencyStack:
     A forced solve splits y_p by Q = P-, or by Q = I at the ``short`` members,
     where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
     1/m terms would only add rounding.  They come first (``members`` maps the
-    stack to ``xis``; a run of them is gathered as a slice), so the two-sided
-    members are a tail slice.  Made at its first forced solve, once per pair
-    of mirrored panels (h_j = h_{Nz-2-j}: panel j reads entry min(j, Nz-2-j)):
+    stack to ``xis``), so the two-sided members are a tail slice.  Made at
+    its first forced solve, once per pair of mirrored panels
+    (h_j = h_{Nz-2-j}: panel j reads entry min(j, Nz-2-j)):
     ``steps``, the bounded steps S_j = exp(h_j A) Q, (Nz // 2, k, 6, 6), and
     per member the maps to the sweeps' starts, the projected L_j and the ends
     of y_p, from Q, C(0) and exp(x_j A) Q at the nodes, those of the I - Q
@@ -490,7 +490,6 @@ class FrequencyStack:
         self.backend, self.cond = self._backends(np.zeros(len(plain), dtype=bool)), self._cond.copy()
         short = plain | (rate * nodes[-1] <= 1.0)
         self.members = m = np.flatnonzero(ok)[np.argsort(~short[ok], kind="stable")]
-        self._at = slice(m[0], m[-1] + 1) if m.size and (np.diff(m) == 1).all() else m
         self.prop, self.coef, self.basis = prop[m], coef[m], basis[m]
         self.Kinv, self.Mmat, self.Nmat = Kinv[m], Mmat[m], Nmat[m]
         self.short, self._tail = short[m], slice(np.count_nonzero(short[m]), None)
@@ -586,12 +585,12 @@ class FrequencyStack:
         self.backend, self.cond = self._backends(forced), self._cond.copy()
         Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
         if self.members.size and forced[self.members].any():
-            Y[self._at] = self._forced(z[self._at], d[self.members, :, None])
+            Y[self.members] = self._forced(z[self.members], d[self.members, :, None])
         elif self.members.size:
             # the basis matrices times v, (k, b, 6), weight the coefficient rows
             v = self.Kinv @ d[self.members, :, None]
             w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
-            Y[self._at] = w.transpose(0, 2, 1) @ self.coef
+            Y[self.members] = w.transpose(0, 2, 1) @ self.coef
         for i in np.flatnonzero(self.backend == BACKENDS[2]):
             Y[i], self.cond[i] = self.solver._solve_collocation(
                 self.xis[i], None if z is None else z[i], d[i])

@@ -248,7 +248,8 @@ def _full_table_profiles(stack, z, d):
 def test_forced_profiles_match_full_table_reference():
     # the three workloads' inverter stacks (wave-2d: 86 members at nz 48;
     # roundtrip-3d: 144 at nz 24, 113 swept forward alone; linear-deep: 20
-    # at nz 80, 2 pi |xi| b up to 16) and an nz-12 stack whose quadrature
+    # at nz 80, 2 pi |xi| b up to 16) and stacks at nz 12 and, with no
+    # self-mirrored middle panel, nz 25 over the band where the quadrature
     # uses the closed forms (2 pi |xi| b in [10, 18]): the profiles from the
     # half tables agree with a full-table forced solve within 1e-13 of each
     # frequency's largest value
@@ -257,7 +258,8 @@ def test_forced_profiles_match_full_table_reference():
     for dim, nz, xis in ((2, 48, np.arange(86)[:, None] / (20 * np.pi)),
                          (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi)),
                          (2, 80, np.arange(1, 21)[:, None] / (2.5 * np.pi)),
-                         (2, 12, np.linspace(10.0, 18.0, 40)[:, None] / (2 * np.pi))):
+                         (2, 12, np.linspace(10.0, 18.0, 40)[:, None] / (2 * np.pi)),
+                         (2, 25, np.linspace(10.0, 18.0, 40)[:, None] / (2 * np.pi))):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         vg = VerticalGrid(p.depth, nz)
         z, d = _forcing(np.random.default_rng(nz), len(xis), nz, vg, p.depth)
@@ -478,11 +480,12 @@ def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
 
 
 def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
-    # live rows that are the stack's members in order go to the stack with
-    # no stack-sized zero padding: all rows, the forcing rows themselves; one
-    # live row of two (data at one frequency, so the rows gain xi = 0), that
-    # row.  After the support shrinks, the stack's other members are padded,
-    # and every output is bit for bit what a fresh inverter gives
+    # forcing rows that are all live and the stack's members in order go to
+    # the stack as they are, with no stack-sized zero padding; one live row
+    # of two (data at one frequency, so the rows gain xi = 0) is padded to
+    # its one-member stack.  After the support shrinks, the stack's other
+    # members are padded, and every output is bit for bit what a fresh
+    # inverter gives
     import stripwave.linear as linear
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid, vg = FrequencyGrid(1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
