@@ -152,17 +152,17 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
     # quadrature cache of the lower half of the mirrored panels (4.0 MB
-    # together at wave-2d's forced stack, 86 members at nz 48; peak 7.3 MiB);
+    # together at wave-2d's forced stack, 86 members at nz 48; peak 7.7 MiB);
     # the Taylor product writes the cache itself, the closed forms write its
     # real and imaginary rows, and neither they nor the contraction, in calls
     # and blocks of at most _EXP_CHUNK member-times, may add a temporary that
     # grows with members times intervals.  The second stack (600 members at
     # nz 12, 2 pi |xi| b in [10, 18]) sends 27% of its quadrature
     # member-times to the closed forms, more than one full call, and every
-    # member is two-sided (9.6 MB kept, peak 17.8 MiB).  The third is
+    # member is two-sided (9.6 MB kept, peak 18.4 MiB).  The third is
     # roundtrip-3d's inverter stack, 144 members at nz 24, 113 of them swept
-    # forward alone (3.3 MB kept, peak 6.9 MiB).  Each bound is its stack's
-    # peak times 1.21, the margin of the former 14 MiB over 11.6, rounded up
+    # forward alone (3.3 MB kept, peak 6.9 MiB).  Each bound is the least
+    # whole MiB at least 1.17 times its stack's peak
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
