@@ -250,8 +250,8 @@ def full_report(p: PhysicalParams, grid, vgrid, refine: bool = True,
                 xi_seq=(1e-2, 5e-3, 2.5e-3), rel_tol: float = 0.01,
                 stability_tol: float = 0.10,
                 cond_limit: float = DEFAULT_COND_LIMIT) -> AsymptoticReport:
-    """Every claim; the fits and both tables fall back to collocation beyond
-    ``cond_limit``."""
+    """Every claim; a fit or table frequency beyond ``cond_limit`` raises
+    IllConditionedCollocation."""
     rows = theorem_fit_rows(p, vgrid, xi_seq=xi_seq, rel_tol=rel_tol, cond_limit=cond_limit)
     table = SymbolTable.build(grid, vgrid, p, cond_limit=cond_limit)
     refined = None

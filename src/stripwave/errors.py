@@ -14,14 +14,13 @@ class SurfaceTooLarge(StripwaveError):
 
 
 class NumericallySingular(StripwaveError):
-    """A non-finite input or an overflowed result of the tests' oracle
-    ``odesystem.matrix_exponential`` (the solvers fall back to collocation
-    instead of raising it), or a transverse operator whose eigenvalues are
-    not all real and positive."""
+    """A transverse operator whose eigenvalues are not all real and positive."""
 
 
 class IllConditionedCollocation(StripwaveError):
-    """Collocation system condition estimate exceeded the configured limit."""
+    """A per-frequency system's condition number, cond_1(K) of the closed
+    form or the transverse bound, is not finite or exceeds the configured
+    limit; the message names the frequency."""
 
     def __init__(self, message, cond_estimate=None):
         super().__init__(message)

@@ -22,18 +22,15 @@ splits into a Stokes and a heat block whose eigenvalues have real parts at
 least m = 2 pi |xi|, so both halves decay and each is six closed-form
 coefficients times fixed matrices (``_dichotomy``); y_p is one forward and
 one backward sweep of bounded steps over composite Gauss-Legendre panels,
-and cond_1(K) grows like (2 pi |xi| b)^2.  A FrequencyStack solves many
-frequencies at once.  The backends:
+each Chebyshev interval split into as many equal subpanels as keep every
+step within _PANEL_LIMIT, and cond_1(K) grows like (2 pi |xi| b)^2; beyond
+the solver's ``cond_limit`` it raises IllConditionedCollocation.  A
+FrequencyStack solves many frequencies at once.  The backends:
 
 * ``matexp``: 2 pi |xi| b below _DICHOTOMY_FROM (on a lattice, xi = 0 alone),
   where P- = I, C(x) = exp(xA) and K = B = M + N exp(bA).
 
 * ``twosided``: every other frequency.
-
-* ``collocation``: direct Chebyshev collocation of the first-order system
-  as one dense 6Nz system (``FrequencySolver._solve_collocation``), the
-  fallback where K is not finite or ill-conditioned, and for bulk forcing
-  beyond the panels' resolution; the tests' oracle.
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
 do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
@@ -61,9 +58,10 @@ from .grids import VerticalGrid, read_only
 from .params import PhysicalParams
 
 DEFAULT_COND_LIMIT = 1e12
-BACKENDS = ("matexp", "twosided", "collocation")
-# the widest panel times a member's largest rate max(m, |l|, |l_h|) up to
-# which the 8-point panels integrate exp((c_j - t) A) z to about 1e-12
+BACKENDS = ("matexp", "twosided")
+# a forced sweep's widest panel times a member's largest rate max(m, |l|,
+# |l_h|) up to which the 8-point panels integrate exp((c_j - t) A) z to about
+# 1e-12; a member beyond it splits every panel into subpanels
 _PANEL_LIMIT = 3.0
 # D = diag(_MIRROR): D A D = -A, so D exp(tA) P- D = exp(-tA) P+, whose rows
 # are those of exp(tA) P- with the odd basis members' signs changed (_FLIP)
@@ -137,29 +135,6 @@ def assemble_boundary(xi, p: PhysicalParams, alpha1: float, alpha2: float):
 
 
 # ---------------------------------------------------------------------------
-# Matrix exponential (the tests' oracle for the closed-form propagator)
-# ---------------------------------------------------------------------------
-
-def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
-    """exp(t M) by scipy's ``expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 2009).
-
-    ``M`` is one matrix (n, n) or a stack (..., n, n); ``t`` is a scalar or an
-    array broadcast against the stack shape.  ``expm`` treats each member on
-    its own, so a stack equals one-at-a-time calls bit for bit.  A non-finite
-    input or an overflowed result raises NumericallySingular.
-    """
-    A = np.asarray(t)[..., None, None] * np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(A)):
-        raise NumericallySingular("non-finite matrix handed to the exponential")
-    from scipy.linalg import expm
-    X = expm(A)
-    if not np.all(np.isfinite(X)):
-        raise NumericallySingular("matrix exponential overflowed")
-    return X
-
-
-# ---------------------------------------------------------------------------
 # Closed-form block propagator exp(tA)
 # ---------------------------------------------------------------------------
 
@@ -212,7 +187,6 @@ def _heat_forms(scalars: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.stack([cx * cy + 1j * (sx * sy), t * ((sx * cy + 1j * (cx * sy)) / tlh)], axis=-1)
 
 
-@np.errstate(all="ignore")      # overflow: the member falls back to collocation
 def _member_coefficients(prop: np.ndarray, t, split: bool = False) -> np.ndarray:
     """The coefficients of exp(tA) in the basis of ``_member_basis`` for
     every member of a stack with ``_propagator`` rows ``prop`` at every time
@@ -334,33 +308,31 @@ def forcing_rows(p: PhysicalParams, vgrid: VerticalGrid, m, f_long, f_n, G, L,
     return z, d
 
 
-def lu_factor(a: np.ndarray, **options):
-    """scipy's ``lu_factor``.  scipy.linalg is imported at the first LU (or
-    ``expm``), so a run that makes neither never loads it."""
-    from scipy.linalg import lu_factor as factor
-    return factor(a, **options)
-
-
 @lru_cache(maxsize=8)
-def _gl_panels(vgrid: VerticalGrid):
-    """Composite Gauss-Legendre panels of the vertical grid, shared by every
-    solver and frequency on it: per interval [a_j, c_j] and node t_q the
-    offsets c_j - t_q, (Nz-1, 8), and the real interpolation rows at the t_q
-    times their weights, (8 (Nz-1), Nz) interval-major."""
+def _gl_panels(vgrid: VerticalGrid, r: int):
+    """Composite Gauss-Legendre panels of the sweep that splits every
+    interval of the vertical grid into ``r`` equal subpanels, shared by every
+    solver and frequency on the grid: the sweep's r (Nz-1) + 1 nodes,
+    mirror-symmetric as the Lobatto nodes are; per subpanel [a_j, c_j] and
+    node t_q the offsets c_j - t_q, (r (Nz-1), 8); and the real
+    interpolation rows from the Nz node values at the t_q times their
+    weights, (8 r (Nz-1), Nz) subpanel-major."""
     nodes = vgrid.nodes
+    if r > 1:
+        fine = nodes[:-1, None] + np.diff(nodes)[:, None] * (np.arange(r) / r)
+        nodes = np.append(fine, nodes[-1])
     a, c = nodes[:-1, None], nodes[1:, None]
     h = c - a
     tq = 0.5 * (c + a) + 0.5 * h * _GL_NODES
     rows = (0.5 * h * _GL_WEIGHTS)[..., None] * vgrid.interp_weights(tq)
-    return read_only(c - tq, rows.reshape(-1, nodes.size))
+    return read_only(nodes, c - tq, rows.reshape(-1, vgrid.count))
 
 
 class FrequencySolver:
     """Per-frequency solver for fixed coefficients (params, transport speed
     gamma_tilde, coupling placement alpha1/alpha2, vertical grid).
-    ``prepare`` readies a set of frequencies as one FrequencyStack, which
-    chooses each member's backend; ``solve`` is the stack of a single
-    frequency.
+    ``prepare`` readies a set of frequencies as one FrequencyStack; ``solve``
+    is the stack of a single frequency.
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
@@ -369,51 +341,6 @@ class FrequencySolver:
         self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
         self.alpha1, self.alpha2 = alpha1, alpha2
         self.cond_limit = cond_limit
-
-    def backend_for(self, xi) -> str:
-        """The backend of a solve with bulk forcing at ``xi``."""
-        return self.prepare(_xi_array(xi)[None])._backends(np.ones(1, dtype=bool))[0]
-
-    # -- collocation backend ---------------------------------------------------
-
-    def _solve_collocation(self, xi, z_profile, d_vec):
-        """Collocation solve at one frequency; returns (Y, cond_estimate).
-
-        The system kron(I6, D) - kron(A, I_nz) (Trefethen, Spectral Methods in
-        MATLAB, SIAM 2000, ch. 6 and 13) with the boundary rows in place of
-        the interior equation: the bottom node of phi, psi and delta takes
-        its row of M, the top node of the others its row of N, in one
-        Fortran-ordered buffer that the LU overwrites.  One LU, its LAPACK
-        1-norm condition estimate checked against cond_limit, and one solve.
-        """
-        from scipy.linalg import lapack, lu_solve
-        nz, D = self.vgrid.count, self.vgrid.diff.T
-        A = assemble_bulk_matrix(xi, self.p, self.gamma_tilde)
-        Mmat, Nmat = assemble_boundary(xi, self.p, self.alpha1, self.alpha2)
-        # the system's transpose, C-ordered: kron(A^T, I), each block subtracted in place from
-        # D^T or 0.0 D^T as kron(I6, D) - kron(A, I) computes it (signed zeros reach Y)
-        blocks = np.kron(np.ascontiguousarray(A.T), np.eye(nz)).reshape(6, nz, 6, nz)
-        for i, j in np.ndindex(6, 6):
-            np.subtract(D if i == j else 0.0 * D, blocks[i, :, j], out=blocks[i, :, j])
-        sys = blocks.reshape(6 * nz, 6 * nz).T         # the system, Fortran-ordered
-        rows = [c * nz + (0 if c < 3 else nz - 1) for c in range(6)]
-        for c, row in enumerate(rows):
-            sys[row] = 0.0
-            # a bottom row meets every component's bottom node, a top row every top node
-            sys[row, row % nz::nz] = (Mmat if c < 3 else Nmat)[c]
-        anorm = lapack.zlange("1", sys)
-        lu = lu_factor(sys, overwrite_a=True)
-        cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
-        if cond > self.cond_limit:
-            raise IllConditionedCollocation(
-                f"collocation condition estimate {cond:.3g} beyond "
-                f"{self.cond_limit:.3g}", cond_estimate=cond)
-        rhs = np.zeros(6 * nz, dtype=complex) if z_profile is None \
-            else np.array(z_profile, dtype=complex).reshape(-1)
-        rhs[rows] = d_vec
-        return lu_solve(lu, rhs, overwrite_b=True).reshape(6, nz), cond
-
-    # -- public entry ----------------------------------------------------------
 
     def prepare(self, xis) -> "FrequencyStack":
         """Prepared solves at the frequencies ``xis`` (K, dim_h)."""
@@ -430,171 +357,185 @@ class FrequencySolver:
 class FrequencyStack:
     """One FrequencySolver prepared at K frequencies, in closed form.
 
-    Made with the stack, for the members whose K is finite and whose
-    cond_1(K) is within the solver's limit: ``prop``, their ``_propagator``
-    rows; ``coef``, C(x_j) at the nodes in the propagator's basis B_b (I_s,
-    P, A_s, A_s P, I_h, A_h), (k, 6, Nz); ``basis``, (k, 6, 36); ``Kinv``
-    and the boundary matrices, (k, 6, 6).  An unforced solve is
-    Y = C K^-1 d at the nodes.
-
-    A forced solve splits y_p by Q = P-, or by Q = I at the ``short`` members,
-    where exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
-    1/m terms would only add rounding.  They come first (``members`` maps the
-    stack to ``xis``), so the two-sided members are a tail slice.  Made at
-    its first forced solve, once per pair of mirrored panels
-    (h_j = h_{Nz-2-j}: panel j reads entry min(j, Nz-2-j)):
-    ``steps``, the bounded steps S_j = exp(h_j A) Q, (Nz // 2, k, 6, 6), and
-    per member the maps to the sweeps' starts, the projected L_j and the ends
-    of y_p, from Q, C(0) and exp(x_j A) Q at the nodes, those of the I - Q
-    part for the tail alone; and ``quad``, the Gauss-Legendre quadrature in
-    the basis B_b: the coefficients coef_b(c_j - t_q) as real rows [Re; Im],
-    C-contiguous (k, Nz // 2, 12, 8), and each member's basis, (k, 36, 6),
-    16 k (48 (Nz // 2) + 216) bytes.  The local integral L_j =
-    sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q
-    z(t_q)), the weights in the rows of ``_gl_panels``.  y_p(b) = sum_j
-    exp((b - x_{j+1}) A) Q L_j and y_p(0) = -sum_j exp(-x_{j+1} A) (I - Q) L_j
-    give v, and y = w- + w+ from w-_{j+1} = S_j w-_j + Q L_j forward from
-    Q C(0) v and w+_j = exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward from
-    (I - Q) v on the tail (on the head Q = I, w+ = 0).  With D = diag(_MIRROR),
-    D A D = -A, so exp(-h_j A) P+ = D S_j D and the backward sweep runs on
-    D w+ with the same steps.  Every solve solves every member: a caller
-    leaves a frequency without data out of the stack.
-
-    Collocation solves a member instead where K is not finite or cond_1(K)
-    exceeds the solver's limit, and, at a solve with bulk forcing at it,
-    where its widest panel times its largest rate max(m, |l|, |l_h|)
-    exceeds _PANEL_LIMIT.  A collocation member's system is factored at
-    every solve and dropped after the member is solved, so one member's
-    system is alive at a time.  ``backend`` and ``cond`` (K,) record what
-    each member was solved with at the last solve: cond_1(K), or for
-    collocation its system's LAPACK estimate.
+    ``backend`` and ``cond`` (K,) give each frequency's backend and
+    cond_1(K); a K that is not finite or whose cond_1(K) exceeds the
+    solver's limit raises IllConditionedCollocation naming its frequency.
+    The stack keeps its members in the order ``members`` (into ``xis``):
+    ``prop``, their ``_propagator`` rows; ``coef``, C(x_j) at the nodes in
+    the propagator's basis B_b (I_s, P, A_s, A_s P, I_h, A_h), (k, 6, Nz);
+    ``basis``, (k, 6, 36); ``Kinv`` and the boundary matrices, (k, 6, 6).
+    An unforced solve is Y = C K^-1 d at the nodes.  A forced one is solved
+    by ``sweeps``, one ``_Sweep`` per number r = max(1, ceil(h max(m, |l|,
+    |l_h|) / _PANEL_LIMIT)) of subpanels, h the widest interval; its members
+    are a slice of the stack, and its ``short`` members lead it.  Every
+    solve solves every member: a caller leaves a frequency without data out
+    of the stack.
     """
 
-    @np.errstate(all="ignore")      # a non-finite K: the member falls back to collocation
+    @np.errstate(all="ignore")      # a non-finite member's K raises below
     def __init__(self, solver: FrequencySolver, xis):
         s, nodes = solver, solver.vgrid.nodes
         self.solver, self.xis = solver, np.asarray(xis, dtype=float)
         prop = _propagator(self.xis, s.p, s.gamma_tilde)
         rate = np.abs(prop[:, :3]).max(axis=1)
         plain = prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
-        rows = _minus_rows(prop, nodes, plain)
-        # the Lobatto nodes are symmetric: b - x_j is x_{Nz-1-j} to rounding
-        coef = rows + np.where(plain[:, None], 0.0, _FLIP)[..., None] * rows[..., ::-1]
-        basis = _member_basis(prop)
-        ends = (coef[..., [0, -1]].transpose(0, 2, 1) @ basis).reshape(-1, 2, 6, 6)
-        Mmat, Nmat = assemble_boundary(self.xis, s.p, s.alpha1, s.alpha2)
-        Kinv, self._cond = _inverse_and_cond(Mmat @ ends[:, 0] + Nmat @ ends[:, 1])
-        self._closed = np.where(plain, BACKENDS[0], BACKENDS[1])
-        self._conditioned = ok = self._cond <= s.cond_limit
-        self._coarse = np.diff(nodes).max() * rate > _PANEL_LIMIT
-        self.backend, self.cond = self._backends(np.zeros(len(plain), dtype=bool)), self._cond.copy()
         short = plain | (rate * nodes[-1] <= 1.0)
-        self.members = m = np.flatnonzero(ok)[np.argsort(~short[ok], kind="stable")]
-        self.prop, self.coef, self.basis = prop[m], coef[m], basis[m]
-        self.Kinv, self.Mmat, self.Nmat = Kinv[m], Mmat[m], Nmat[m]
-        self.short, self._tail = short[m], slice(np.count_nonzero(short[m]), None)
-        self.steps = self.quad = None
+        panels = np.maximum(1.0, np.ceil(np.diff(nodes).max() * rate / _PANEL_LIMIT))
+        self.backend = np.where(plain, *BACKENDS).astype(object)
+        self.members = m = np.lexsort((~short, panels))
+        self.prop, self.short, plain, panels = prop[m], short[m], plain[m], panels[m]
+        rows = _minus_rows(self.prop, nodes, plain)
+        # the Lobatto nodes are symmetric: b - x_j is x_{Nz-1-j} to rounding
+        self.coef = np.where(plain[:, None], 0.0, _FLIP)[..., None] * rows[..., ::-1]
+        self.coef += rows
+        del rows
+        self.basis = _member_basis(self.prop)
+        ends = (self.coef[..., [0, -1]].transpose(0, 2, 1) @ self.basis).reshape(-1, 2, 6, 6)
+        self.Mmat, self.Nmat = assemble_boundary(self.xis[m], s.p, s.alpha1, s.alpha2)
+        self.Kinv, cond = _inverse_and_cond(self.Mmat @ ends[:, 0] + self.Nmat @ ends[:, 1])
+        if not (cond <= s.cond_limit).all():
+            worst = int(np.argmax(cond))
+            raise IllConditionedCollocation(
+                f"cond_1(K) {cond[worst]:.3g} beyond {s.cond_limit:.3g} at xi = "
+                f"{tuple(self.xis[m[worst]].tolist())}", cond_estimate=float(cond[worst]))
+        self.cond = np.empty_like(cond)
+        self.cond[m] = cond
+        starts = np.flatnonzero(np.diff(panels, prepend=0.0)).tolist()
+        self.sweeps = [_Sweep(self, slice(lo, hi), int(panels[lo]))
+                       for lo, hi in zip(starts, starts[1:] + [len(m)])]
 
-    def _backends(self, forced) -> np.ndarray:
-        """Each member's backend at a solve with bulk forcing at ``forced`` (K,)."""
-        return np.where(self._conditioned & ~(forced & self._coarse),
-                        self._closed, BACKENDS[2]).astype(object)
+    def solve(self, z, d) -> np.ndarray:
+        """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
+        for none, and boundary data ``d`` (K, 6)."""
+        d, m = np.asarray(d, dtype=complex), self.members
+        Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
+        if z is not None and z.any():
+            z, d = z[m], d[m, :, None]
+            for sweep in self.sweeps:
+                Y[m[sweep.at]] = sweep.solve(z[sweep.at], d[sweep.at])
+        else:
+            # the basis matrices times v, (k, b, 6), weight the coefficient rows
+            v = self.Kinv @ d[m, :, None]
+            w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
+            Y[m] = w.transpose(0, 2, 1) @ self.coef
+        return Y
 
-    def _forced_tables(self):
-        """``steps`` and ``quad``, made at the first solve with bulk forcing."""
+
+class _Sweep:
+    """The forced solves of the stack members ``at`` (a slice), on the sweep
+    that splits every interval into ``r`` subpanels (``_gl_panels``, N
+    nodes), each at most _PANEL_LIMIT over the members' largest rate
+    max(m, |l|, |l_h|), so that the 8-point panels integrate
+    exp((c_j - t) A) z to about 1e-12.
+
+    y_p splits by Q = P-, or by Q = I at the ``short`` members, where
+    exp(bA) is bounded (max(m, |l|, |l_h|) b <= 1): there the dichotomy's
+    1/m terms would only add rounding.  They lead, so the two-sided members
+    are a tail slice.  Made at the first solve, once per pair of mirrored
+    subpanels (h_j = h_{N-2-j}: subpanel j reads entry min(j, N-2-j)):
+    ``steps``, the bounded steps S_j = exp(h_j A) Q, (N // 2, k, 6, 6), and
+    per member the maps to the sweeps' starts, the projected L_j and the ends
+    of y_p, from Q, C(0) and exp(x_j A) Q at the sweep's nodes, those of the
+    I - Q part for the tail alone; and ``quad``, the Gauss-Legendre
+    quadrature in the basis B_b: the coefficients coef_b(c_j - t_q) as real
+    rows [Re; Im], C-contiguous (k, N // 2, 12, 8), and each member's basis,
+    (k, 36, 6), 16 k (48 (N // 2) + 216) bytes.  The local integral L_j =
+    sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q
+    z(t_q)), the weights and the interpolation from the Nz nodes in the rows
+    of ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1}) A) Q L_j and y_p(0)
+    = -sum_j exp(-x_{j+1} A) (I - Q) L_j give v, and y = w- + w+ from
+    w-_{j+1} = S_j w-_j + Q L_j forward from Q C(0) v and w+_j =
+    exp(-h_j A) (I - Q) (w+_{j+1} - L_j) backward from (I - Q) v on the tail
+    (on the head Q = I, w+ = 0).  With D = diag(_MIRROR), D A D = -A, so
+    exp(-h_j A) P+ = D S_j D and the backward sweep runs on D w+ with the
+    same steps.  The profiles are every r-th node's.
+    """
+
+    def __init__(self, stack: FrequencyStack, at: slice, r: int):
+        self.at, self.r, self.vgrid = at, r, stack.solver.vgrid
+        self.prop, self.coef, self.basis, self.short, self.Kinv, self.Mmat, self.Nmat = (
+            a[at] for a in (stack.prop, stack.coef, stack.basis, stack.short, stack.Kinv,
+                            stack.Mmat, stack.Nmat))
+        self._tail = slice(np.count_nonzero(self.short), None)
+        self.steps = self.quad = self.rows = None
+
+    def _tables(self):
+        """``steps``, ``quad`` and the panels' ``rows``, made at the first
+        solve; the rows are kept, since a stack of more sweeps than the
+        panels' cache holds would rebuild them at every solve."""
         if self.quad is None:
-            vgrid, k, n = self.solver.vgrid, len(self.prop), self.solver.vgrid.count // 2 + 1
-            # exp(tA) Q at t = 0 and the widths h_j, j < Nz // 2, node-major, and at the nodes
-            t = np.concatenate([[0.0], np.diff(vgrid.nodes)[:n - 1], vgrid.nodes])
+            (nodes, offsets, self.rows), k = _gl_panels(self.vgrid, self.r), len(self.prop)
+            n = len(nodes) // 2 + 1
+            # exp(tA) Q at t = 0 and the widths h_j, j < N // 2, node-major, and at the nodes
+            t = np.concatenate([[0.0], np.diff(nodes)[:n - 1], nodes])
             rows, steps = _minus_rows(self.prop, t, self.short), np.empty((n, k, 36), dtype=complex)
             np.matmul(rows[..., :n].transpose(0, 2, 1), self.basis, out=steps.transpose(1, 0, 2))
             steps, rows = steps.reshape(n, k, 6, 6), rows[..., n:]
             Q, C0 = steps[0, self._tail], (self.coef[:, None, :, 0] @ self.basis).reshape(k, 6, 6)
             C0[self._tail], D = Q @ C0[self._tail], np.diag(_MIRROR)
-            # v to w-_0 = Q C(0) v and, on the tail, D w+_{Nz-1} = D (I - Q) v, L_j^T to (Q L_j)^T,
-            # (D L_j)^T; L to y_p(b) by b - x_{j+1} = x_{Nz-2-j} and, on the tail, -y_p(0) by x_{j+1}
+            # v to w-_0 = Q C(0) v and, on the tail, D w+_{N-1} = D (I - Q) v, L_j^T to (Q L_j)^T,
+            # (D L_j)^T; L to y_p(b) by b - x_{j+1} = x_{N-2-j} and, on the tail, -y_p(0) by x_{j+1}
             right = np.concatenate([Q.transpose(0, 2, 1), np.broadcast_to(D, Q.shape)], axis=2)
             self.steps = (steps[1:], C0, D - D @ Q, right, np.ascontiguousarray(rows[..., -2::-1]),
                           _FLIP[:, None] * rows[self._tail, :, 1:])
-            coef = _member_coefficients(self.prop, _gl_panels(vgrid)[0][:n - 1], split=True)
-            # exp(h A) overflows only far beyond _PANEL_LIMIT, where a forced
-            # member is solved by collocation; an unforced one gets L = 0
-            coef[~np.isfinite(coef).all(axis=(1, 2, 3))] = 0.0
+            coef = _member_coefficients(self.prop, offsets[:n - 1], split=True)
             # basis rows (b, c) by output component i: B_b[i, c]
             basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
             self.quad = (coef, basis.reshape(k, 36, 6))
         return self.steps, self.quad
 
     def _local_integrals(self, z) -> np.ndarray:
-        """Per interval [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
-        for every member, (k, Nz-1, 6), from ``quad``."""
-        rows = _gl_panels(self.solver.vgrid)[1]
-        k, nz, h = len(z), z.shape[-1], z.shape[-1] // 2
-        coef, basis = self._forced_tables()[1]
+        """Per subpanel [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
+        for every member, (k, N-1, 6), from ``quad``."""
+        coef, basis = self._tables()[1]
+        rows, k = self.rows, len(z)
+        n = len(rows) // 8 + 1
+        h = n // 2
         # only the forced components enter (forcing_rows leaves phi and delta 0)
         cols = np.flatnonzero(z.any(axis=(0, 2)))
         basis = basis.reshape(k, 6, 6, 6)[:, :, cols].reshape(k, -1, 6)
-        # s = w_q z(t_q) (member, interval, node, component (re, im)): the real rows times the
+        # s = w_q z(t_q) (member, subpanel, node, component (re, im)): the real rows times the
         # (re, im) columns per member as in a lone solve; coef_b's real rows [Re; Im] times s,
         # combined as C s = Cr s + i (Ci s), meet the basis in blocks of _EXP_CHUNK member-times
         zt = np.ascontiguousarray(z.transpose(0, 2, 1)[..., cols], dtype=complex).view(float)
-        local, width = np.empty((k, nz - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
+        local, width = np.empty((k, n - 1, 6), dtype=complex), max(1, _EXP_CHUNK // len(rows))
         for b in (slice(lo, lo + width) for lo in range(0, k, width)):
-            s = (rows @ zt[b]).reshape(-1, nz - 1, 8, 2 * cols.size)
+            s = (rows @ zt[b]).reshape(-1, n - 1, 8, 2 * cols.size)
             parts = np.empty(s.shape[:2] + (12, cols.size), dtype=complex)
             np.matmul(coef[b], s[:, :h], out=parts.view(float)[:, :h])
-            np.matmul(coef[b, nz - 2 - h::-1], s[:, h:], out=parts.view(float)[:, h:])
+            np.matmul(coef[b, n - 2 - h::-1], s[:, h:], out=parts.view(float)[:, h:])
             del s       # before C s is made, so that it reuses the freed memory
             cs = np.multiply(parts[:, :, 6:], 1j)
             cs += parts[:, :, :6]
-            local[b] = cs.reshape(-1, nz - 1, 6 * cols.size) @ basis[b]
+            local[b] = cs.reshape(-1, n - 1, 6 * cols.size) @ basis[b]
             del parts, cs
         return local
 
-    def _forced(self, z, d) -> np.ndarray:
-        """Profiles (k, 6, Nz) for bulk forcing ``z`` and data ``d`` (k, 6, 1),
-        as a view: v from the ends of y_p, then the forward sweep of the Q part
-        over every member and the backward one of the I - Q part on D w+ over
-        the two-sided tail alone."""
-        k, nz, tail = len(z), z.shape[-1], self._tail
-        (S, starts, back_start, right, to_b, to_0), (_, basis) = self._forced_tables()
+    def solve(self, z, d) -> np.ndarray:
+        """Profiles (k, 6, Nz) for bulk forcing ``z`` (k, 6, Nz) and data
+        ``d`` (k, 6, 1), as a view: v from the ends of y_p, then the forward
+        sweep of the Q part over every member and the backward one of the
+        I - Q part on D w+ over the two-sided tail alone."""
+        (S, starts, back_start, right, to_b, to_0), (_, basis) = self._tables()
         L = self._local_integrals(z)
+        k, n, tail = len(z), L.shape[1] + 1, self._tail
         ends = np.zeros((k, 2, 36), dtype=complex)     # y_p(b), and on the tail -y_p(0)
         ends[:, 0], ends[tail, 1] = (to_b @ L).reshape(k, 36), (to_0 @ L[tail]).reshape(-1, 36)
         ends = (ends @ basis)[..., None]
         v = self.Kinv @ (d + self.Mmat @ ends[:, 1] - self.Nmat @ ends[:, 0])
         local = L[tail] @ right
         L[tail] = local[..., :6]
-        Y, back = np.zeros((nz, k, 6), dtype=complex), np.zeros((nz, len(local), 6), dtype=complex)
+        Y, back = np.zeros((n, k, 6), dtype=complex), np.zeros((n, len(local), 6), dtype=complex)
         Y[0], back[-1] = (starts @ v)[..., 0], (back_start @ v[tail])[..., 0]
-        S = [S[min(j, nz - 2 - j)] for j in range(nz - 1)]     # h_j = h_{nz-2-j}
-        for j in range(nz - 1):
+        S = [S[min(j, n - 2 - j)] for j in range(n - 1)]     # h_j = h_{n-2-j}
+        for j in range(n - 1):
             np.matmul(S[j], Y[j, ..., None], out=Y[j + 1, ..., None])
             Y[j + 1] += L[:, j]
-        for j in range(nz - 2, -1, -1):
+        for j in range(n - 2, -1, -1):
             np.matmul(S[j][tail], (back[j + 1] - local[:, j, 6:])[..., None], out=back[j, ..., None])
         back *= _MIRROR
         Y[:, tail] += back
-        return Y.transpose(1, 2, 0)
-
-    def solve(self, z, d) -> np.ndarray:
-        """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
-        for none, and boundary data ``d`` (K, 6)."""
-        d = np.asarray(d, dtype=complex)
-        forced = np.zeros(len(self.xis), dtype=bool) if z is None else z.any(axis=(1, 2))
-        self.backend, self.cond = self._backends(forced), self._cond.copy()
-        Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
-        if self.members.size and forced[self.members].any():
-            Y[self.members] = self._forced(z[self.members], d[self.members, :, None])
-        elif self.members.size:
-            # the basis matrices times v, (k, b, 6), weight the coefficient rows
-            v = self.Kinv @ d[self.members, :, None]
-            w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
-            Y[self.members] = w.transpose(0, 2, 1) @ self.coef
-        for i in np.flatnonzero(self.backend == BACKENDS[2]):
-            Y[i], self.cond[i] = self.solver._solve_collocation(
-                self.xis[i], None if z is None else z[i], d[i])
-        return Y
+        return Y[::self.r].transpose(1, 2, 0)
 
 
 @lru_cache(maxsize=8)

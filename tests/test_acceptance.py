@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stripwave.odesystem as ode
+from oracles import matrix_exponential, solve_collocation
 from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    fit_lf_coefficient, LF_COEFFICIENTS)
 from stripwave.cli import run
@@ -23,8 +24,7 @@ from stripwave.nonlinear import (ForcingData, make_forcing_preset,
                                  nonlinear_residual, picard_solve)
 from stripwave.norms import x_norm, ydata_norm
 from stripwave.odesystem import (FrequencySolver, SymbolTable,
-                                 assemble_boundary, assemble_bulk_matrix,
-                                 matrix_exponential, solve_symbol)
+                                 assemble_boundary, assemble_bulk_matrix, solve_symbol)
 from stripwave.params import PhysicalParams, make_constitutive
 
 PSET1 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1,
@@ -148,7 +148,7 @@ def test_criterion_5_dual_backend():
         # the production solve, collocation and a dense reference, pairwise
         solver = FrequencySolver(p, vg, gt, a1, a2)
         Y1, b1, _ = solver.solve(xi, z, d)
-        Y2, _ = solver._solve_collocation(np.array(xi), z, d)
+        Y2, _ = solve_collocation(solver, np.array(xi), z, d)
         amps = coefs * np.exp(-0.6 * np.arange(6))
         amps[[0, 2]] = 0.0
         Y3 = _dense_reference(p, vg, xi, gt, a1, a2, amps, d)
@@ -173,7 +173,7 @@ def test_criterion_5_dual_backend():
         solver = FrequencySolver(p, vg, gt, a1, a2)
         Y, used, _ = solver.solve(xi, z, d)
         assert used == "twosided"
-        for Y in (Y, solver._solve_collocation(np.array(xi), z, d)[0]):
+        for Y in (Y, solve_collocation(solver, np.array(xi), z, d)[0]):
             worst_manu = max(worst_manu,
                              np.abs(Y - ystar).max() / np.abs(ystar).max())
     ok = worst_pair <= 1e-8 and worst_manu <= 1e-9
@@ -305,7 +305,7 @@ def test_criterion_10_determinism(tmp_path):
         reports.append(open(os.path.join(out, "roundtrip_report.json"), "rb").read())
     same_reports = reports[0] == reports[1]
 
-    # linear-solve at a grid with collocation members (2 pi |xi| b up to 12.8)
+    # linear-solve at a grid of two-sided members (2 pi |xi| b up to 12.8)
     box, modes, nz = 2.5 * np.pi, 32, 32
     indir = str(tmp_path / "det_input")
     state = make_random_state(FrequencyGrid(1, box, modes), VerticalGrid(1.0, nz),

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import solve_collocation
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state, state_norm)
-from stripwave.odesystem import (_MIRROR, FrequencySolver, FrequencyStack, SymbolTable,
-                                 _gl_panels, _member_coefficients, _minus_rows,
-                                 assemble_boundary, assemble_bulk_matrix)
+from stripwave.odesystem import (_MIRROR, BACKENDS, FrequencySolver, FrequencyStack,
+                                 SymbolTable, _Sweep, _gl_panels, _member_coefficients,
+                                 _minus_rows, assemble_boundary,
+                                 assemble_bulk_matrix)
 from stripwave.norms import ydata_norm
 from stripwave.params import PhysicalParams
 
@@ -55,8 +57,7 @@ def test_stack_matches_single_solves(dim, seed, forced):
     nz = 16
     vg = VerticalGrid(p.depth, nz)
     # at nz 16 the widest panel is 0.1045 b, so from 2 pi |xi| b near 29
-    # a member with bulk forcing passes _PANEL_LIMIT and falls back to
-    # collocation; one without keeps the closed form
+    # a member's sweep splits each interval into subpanels
     couplings = ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0))
     solver = FrequencySolver(p, vg, *couplings[seed % 2])
     k = 24
@@ -75,11 +76,10 @@ def test_stack_matches_single_solves(dim, seed, forced):
     _assert_rows_agree(Y, singles)
     assert list(stack.backend) == [s[1] for s in singles]
     assert np.allclose(stack.cond, [s[2] for s in singles], rtol=1e-12)
-    # the last four lie beyond the panels' resolution; the 22nd has no bulk
-    # forcing
-    expect = ["collocation", "twosided", "collocation", "collocation"] if forced \
-        else ["twosided"] * 4
-    assert list(stack.backend[-4:]) == expect
+    # the last four lie beyond the panels' resolution, on sweeps of 2 to 4
+    # subpanels per interval
+    assert list(stack.backend[-4:]) == ["twosided"] * 4
+    assert [s.r for s in stack.sweeps] == [1, 2, 3, 4]
 
 
 def test_stack_reuses_preparation_across_solves(monkeypatch):
@@ -136,17 +136,17 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     vg = VerticalGrid(p.depth, nz)
     solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-1.0, 1.0, (20, dim - 1))
-    stack = solver.prepare(xis)
-    assert stack.quad is None
+    [sweep] = solver.prepare(xis).sweeps
+    assert sweep.quad is None and sweep.r == 1
     z, d = _forcing(rng, len(xis), nz, vg, p.depth)
-    stack.solve(z, d)
-    k = len(stack.members)
+    sweep.solve(z, d[..., None])
+    k = len(sweep.prop)
     assert k == len(xis)
-    coef, basis = stack.quad
+    coef, basis = sweep.quad
     assert coef.dtype == float and coef.shape == (k, nz // 2, 12, 8) and basis.dtype == complex
-    assert all(a.flags.c_contiguous for a in stack.quad)
-    assert sum(a.nbytes for a in stack.quad) <= 16 * k * (48 * (nz // 2) + 216)
-    assert stack.steps[0].shape == (nz // 2, k, 6, 6)
+    assert all(a.flags.c_contiguous for a in sweep.quad)
+    assert sum(a.nbytes for a in sweep.quad) <= 16 * k * (48 * (nz // 2) + 216)
+    assert sweep.steps[0].shape == (nz // 2, k, 6, 6)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
@@ -192,15 +192,86 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
     assert max(calls) == ode._EXP_CHUNK        # a full call, and none larger
 
 
+def test_stack_preparation_peak_memory():
+    # the stack orders its members first and builds every kept table in that
+    # order, so its preparation traces at most 1.6 times what it keeps: 600
+    # members at nz 12 (4.2 MiB kept, peak 6.3 MiB) and the dealiased half
+    # lattice of a modes-96 3D job, 2112 members at nz 32 (18.5 MiB kept,
+    # peak 26.0 MiB)
+    j1, j2 = np.meshgrid(np.arange(33), np.arange(-32, 33), indexing="ij")
+    half = (j1 > 0) | (j2 > 0)
+    for dim, nz, xis in ((2, 12, np.linspace(10.0, 18.0, 600)[:, None] / (2 * np.pi)),
+                         (3, 32, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi))):
+        p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
+        solver = FrequencySolver(p, VerticalGrid(p.depth, nz), -p.gamma, p.sigma1, 0.0)
+        solver.prepare(xis[:3])         # the grid's tables, outside the trace
+        tracemalloc.start()
+        try:
+            stack = solver.prepare(xis)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stack.members) == len(xis)
+        assert peak <= 1.6 * kept
+
+
+def test_far_member_sweeps_apart():
+    # 600 forced members at nz 24 and one at 2 pi |xi| b = 500, whose sweep
+    # splits each interval into 12 subpanels: its own sweep keeps the others'
+    # tables at the grid's panels, so the preparation and first solve trace
+    # at most 1.25 times what the stack without it traces (29.6 MiB both);
+    # with the grid's panels built outside the trace.  The members stay bit
+    # for bit what the smaller stack gives
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    vg = VerticalGrid(p.depth, 24)
+    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    xis = np.vstack([np.linspace(10.0, 18.0, 600)[:, None], [[500.0]]]) / (2 * np.pi)
+    z, d = _forcing(np.random.default_rng(0), len(xis), vg.count, vg, p.depth)
+    z[::3] = z[1]
+    solver.prepare(xis[[0, -1]]).solve(z[[0, -1]], d[[0, -1]])
+    peaks, profiles = [], []
+    for k in (600, 601):
+        tracemalloc.start()
+        try:
+            stack = solver.prepare(xis[:k])
+            profiles.append(stack.solve(z[:k], d[:k]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [(s.r, s.at) for s in stack.sweeps] == [(1, slice(0, 600)), (12, slice(600, 601))]
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert np.array_equal(profiles[1][:600], profiles[0]) and np.isfinite(profiles[1]).all()
+
+
+def test_warm_solve_builds_no_panels():
+    # 2 pi |xi| b up to 500 at nz 24 makes 12 sweeps, more than the panels'
+    # cache holds; each sweep keeps its panels' rows, so a warm solve
+    # builds none
+    import stripwave.odesystem as ode
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
+    vg = VerticalGrid(p.depth, 24)
+    xis = np.linspace(1.0, 500.0, 40)[:, None] / (2 * np.pi)
+    stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
+    assert len(stack.sweeps) == 12 > ode._gl_panels.cache_info().maxsize
+    z, d = _forcing(np.random.default_rng(1), len(xis), vg.count, vg, p.depth)
+    Y = stack.solve(z, d)
+    built = ode._gl_panels.cache_info().misses
+    assert np.array_equal(stack.solve(z, d), Y)
+    assert ode._gl_panels.cache_info().misses == built
+
+
 @pytest.mark.parametrize("depth", [0.5, 1.0, 1.4])
 def test_panels_are_mirror_symmetric(depth):
-    # a forced stack keeps its steps and quadrature for panels j < Nz // 2
-    # and reads panel j from entry min(j, Nz-2-j): the Chebyshev-Lobatto
-    # panels j and Nz-2-j have the same Gauss-Legendre offsets, to a few
-    # ulps of the depth (at most 3, at depth 1.4 and nz 56), and widths
-    for nz in range(4, 121):
+    # a forced sweep keeps its steps and quadrature for subpanels j < N // 2
+    # and reads subpanel j from entry min(j, N-2-j): the Chebyshev-Lobatto
+    # panels j and N-2-j, whole or split into r equal subpanels, have the
+    # same Gauss-Legendre offsets, to a few ulps of the depth (at most 3, at
+    # depth 1.4 and nz 56), and widths
+    for nz, r in [(nz, 1) for nz in range(4, 121)] + [(nz, 5) for nz in range(4, 41)]:
         vg = VerticalGrid(depth, nz)
-        offsets, h = _gl_panels(vg)[0], np.diff(vg.nodes)
+        nodes, offsets, _ = _gl_panels(vg, r)
+        h = np.diff(nodes)
+        assert len(h) == r * (nz - 1)
         assert np.abs(offsets - offsets[::-1]).max() <= 4 * np.spacing(depth)
         assert np.all(np.abs(h - h[::-1]) <= 1e-12 * h)
 
@@ -213,7 +284,7 @@ def _full_table_profiles(stack, z, d):
     D (I - Q) v."""
     vg = stack.solver.vgrid
     nodes, nz, k = vg.nodes, vg.count, len(stack.prop)
-    offsets, rows = _gl_panels(vg)
+    _, offsets, rows = _gl_panels(vg, 1)
     z, d = z[stack.members], d[stack.members]
     basis = stack.basis.reshape(k, 6, 6, 6)
 
@@ -265,8 +336,8 @@ def test_forced_profiles_match_full_table_reference():
         z, d = _forcing(np.random.default_rng(nz), len(xis), nz, vg, p.depth)
         stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
         Y = stack.solve(z, d)[stack.members]
-        assert len(stack.members) == len(xis) and "collocation" not in stack.backend
-        assert stack.steps[0].shape[0] == nz // 2 and stack.quad[0].shape[1] == nz // 2
+        [sweep] = stack.sweeps
+        assert sweep.steps[0].shape[0] == nz // 2 and sweep.quad[0].shape[1] == nz // 2
         ref = _full_table_profiles(stack, z, d)
         scale = np.abs(ref).max(axis=(1, 2))
         assert np.all(np.abs(Y - ref).max(axis=(1, 2)) <= 1e-13 * scale)
@@ -310,10 +381,9 @@ BENCH_GRIDS = {
     "roundtrip-3d": (3, 2 * math.pi * 10, 32, 24),
     "linear-deep": (2, 2.5 * math.pi, 128, 80),
 }
-# SymbolTable.backend counts (matexp, twosided, collocation): xi = 0 in
-# closed form (matexp), every other symbol two-sided
-BENCH_BACKENDS = {"wave-2d": (1, 255, 0), "roundtrip-3d": (1, 1023, 0),
-                  "linear-deep": (1, 127, 0)}
+# SymbolTable.backend counts (matexp, twosided): xi = 0 in closed form
+# (matexp), every other symbol two-sided
+BENCH_BACKENDS = {"wave-2d": (1, 255), "roundtrip-3d": (1, 1023), "linear-deep": (1, 127)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_GRIDS))
@@ -330,14 +400,14 @@ def test_table_backend_at_bench_grids(name, monkeypatch):
 
     monkeypatch.setattr(FrequencyStack, "__init__", spy)
     sweeps = []
-    monkeypatch.setattr(FrequencyStack, "_forced", lambda *args: sweeps.append(1))
+    monkeypatch.setattr(_Sweep, "solve", lambda *args: sweeps.append(1))
     table = SymbolTable.build(grid, VerticalGrid(1.0, nz), p)
     assert stacks == [1] and sweeps == []       # one unforced stack, no sweep
     expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
     assert np.array_equal(table.backend, expect)
     # over the whole lattice: a stored index stands for pair_weight points
     counts = tuple(int(((table.backend == b) * grid.pair_weight).sum())
-                   for b in ("matexp", "twosided", "collocation"))
+                   for b in BACKENDS)
     assert counts == BENCH_BACKENDS[name]
 
 
@@ -357,20 +427,18 @@ def _counting(monkeypatch, name):
 
 def test_inverter_makes_no_lu_at_linear_deep(monkeypatch):
     # linear-deep's job: its data reaches 2 pi |xi| b = 16, and its 20
-    # forced members and the table's 64 members at xi != 0 are two-sided,
-    # with no LU; so is the same grid with content up to its cutoff, index
-    # 42 (2 pi |xi| b = 33.6), where the forward march had sent 20 members
-    # to collocation (80 LUs); both round-trip to 1e-10
+    # forced members and the table's 64 members at xi != 0 are two-sided;
+    # so is the same grid with content up to its cutoff, index 42
+    # (2 pi |xi| b = 33.6), where the forward march had sent 20 members to
+    # collocation; both round-trip to 1e-10
     dim, box, modes, nz = BENCH_GRIDS["linear-deep"]
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, box, modes), VerticalGrid(1.0, nz)
-    lus = _counting(monkeypatch, "lu_factor")
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
-    assert len(lus) == 0 and list(inv.table.backend[grid.half_mask]).count("twosided") == 64
+    assert list(inv.table.backend[grid.half_mask]).count("twosided") == 64
     for jmax in (20, 42):
         state = make_random_state(grid, vg, seed=3, jmax=jmax)
         out = inv.invert(apply_linear_operator(state, p))
-        assert len(lus) == 0
         solved = list(inv.backend[grid.half_mask])
         assert solved.count("twosided") == jmax and solved.count(None) == 65 - jmax
         out.axpy(-1.0, state)
@@ -399,7 +467,7 @@ def test_inverter_forced_profiles_match_collocation_at_linear_deep(monkeypatch):
     [(stack, z, d, Y)] = [s for s in solves if s[1] is not None]
     for j in (18, 19, 20):
         [i] = np.flatnonzero(np.isclose(stack.xis[:, 0], j / box, rtol=1e-14))
-        Yc, _ = stack.solver._solve_collocation(stack.xis[i], z[i], d[i])
+        Yc, _ = solve_collocation(stack.solver, stack.xis[i], z[i], d[i])
         assert stack.backend[i] == "twosided"
         assert np.abs(Y[i] - Yc).max() <= 5e-12 * np.abs(Yc).max()
 
@@ -407,8 +475,7 @@ def test_inverter_forced_profiles_match_collocation_at_linear_deep(monkeypatch):
 def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     # linear-deep's job through the CLI: its data stops at |j| = 20
     # (2 pi |xi| b = 16) and has no mean, so its symbol table solves
-    # j = 1 .. 20 only, all two-sided; as collocation members they would
-    # make one LU each
+    # j = 1 .. 20 only, all two-sided
     import json
     from stripwave.cli import run
     from stripwave.config import RunConfig
@@ -421,12 +488,10 @@ def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
     state = make_random_state(cfg.frequency_grid(), cfg.vertical_grid(),
                               seed=3, jmax=20)
     write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(state, cfg.params()))
-    lus = _counting(monkeypatch, "lu_factor")
     assert run(cfg) == 0
-    assert len(lus) == 0
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
-    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 0, "twosided": 20}
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20}
 
 
 def _without_low_modes(state, jmin):
@@ -528,9 +593,8 @@ def test_invert_zero_data_makes_no_solve(dim, monkeypatch):
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
     data = apply_linear_operator(LinearState.zeros(grid, vg), p)
     exps = _counting(monkeypatch, "_member_coefficients")
-    lus = _counting(monkeypatch, "lu_factor")
     out = inv.invert(data)
-    assert exps == [] and lus == []
+    assert exps == []
     assert all(np.abs(part.data).max() == 0.0 for part in out.parts())
     assert set(inv.backend.ravel()) == {None} and inv.cond.max() == 0.0
 
@@ -544,9 +608,9 @@ def _data_everywhere(data):
 
 def test_inverter_backend_and_cond_match_single_solves():
     # the linear-deep lattice on a coarser vertical grid, with data at every
-    # frequency: matexp at xi = 0, two-sided up to the panels' resolution
-    # (at nz 24 the widest panel is 0.068 b, so about 2 pi |xi| b = 44) and
-    # collocation beyond, with no fallback by condition
+    # frequency: matexp at xi = 0 and two-sided elsewhere, beyond the
+    # panels' resolution (at nz 24 the widest panel is 0.068 b, so about
+    # 2 pi |xi| b = 44) on sweeps of subpanels
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid = FrequencyGrid(1, 2.5 * math.pi, 128)
     vg = VerticalGrid(1.0, 24)
@@ -562,56 +626,7 @@ def test_inverter_backend_and_cond_match_single_solves():
         _, used, cond = inv.solver.solve(vecs[idx], z, np.ones(6))
         assert inv.backend[idx] == used
         assert inv.cond[idx] == pytest.approx(cond, rel=1e-12)
-    half = list(inv.backend[grid.half_mask])
-    assert (half.count("matexp"), half.count("twosided"), half.count("collocation")) \
-        == (1, 54, 10)
-    assert [inv.solver.backend_for(xi) for xi in vecs[grid.half_mask]] == half
-
-
-# LinearInverter.cond on the half lattice of the grid below (index order):
-# cond_1(B) = 1 at xi = 0 since mu = kappa = 1, the two-sided members'
-# cond_1(K), and the collocation members' estimates, measured when the
-# inverter kept its collocation factorisations; the whole 6Nz system's LAPACK
-# estimate equals them to 7 digits
-LIFETIME_COND = [1.0, 1.488048e2, 5.608653e2, 1.225209e3, 2.145234e3, 3.321238e3,
-                 4.753240e3, 6.441241e3, 8.385242e3, 1.058524e4, 1.304124e4,
-                 1.049932e6, 1.261102e6, 1.506056e6, 1.781545e6, 2.088663e6,
-                 2.429065e6]
-
-
-def test_collocation_factors_live_only_inside_a_solve(monkeypatch):
-    # data at every frequency, 2 pi |xi| b = 4, 8, ..., 64: two-sided up to
-    # 40 and, beyond the panels' resolution at nz 24, collocation from 44,
-    # so six collocation members; the table has sixteen two-sided members
-    # (every xi != 0), and no LU
-    import stripwave.odesystem as ode
-    sizes = []
-    real = ode.lu_factor
-
-    def counting(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(ode, "lu_factor", counting)
-    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
-    grid = FrequencyGrid(1, 0.5 * math.pi, 32)
-    vg = VerticalGrid(1.0, 24)
-    table = SymbolTable.build(grid, vg, p)
-    assert len(sizes) == 0 and list(table.backend[grid.half_mask]).count("twosided") == 16
-    inv = LinearInverter(table)
-    data = _data_everywhere(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
-    records = []
-    for _ in ("cold", "warm"):
-        sizes.clear()
-        inv.invert(data)
-        # every inversion factors each member's 6Nz system anew
-        assert sizes == [6 * 24] * 6
-        records.append((inv.backend.copy(), inv.cond.copy()))
-    (b_cold, c_cold), (b_warm, c_warm) = records
-    assert np.array_equal(b_cold, b_warm) and np.array_equal(c_cold, c_warm)
-    half = grid.half_mask
-    assert list(inv.backend[half]) == ["matexp"] + ["twosided"] * 10 + ["collocation"] * 6
-    assert np.allclose(inv.cond[half], LIFETIME_COND, rtol=1e-6, atol=0.0)
+    assert list(inv.backend[grid.half_mask]) == ["matexp"] + ["twosided"] * 64
 
 
 def test_transverse_factored_once_per_frequency(monkeypatch):
@@ -664,17 +679,18 @@ def _dense_collocation(solver, xi, z, d):
 @pytest.mark.parametrize("nz", [16, 24, 48])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
-    # six parameter sets per case, 36 in all, each with the adjoint, the
-    # forward and a two-sided coupling
-    import stripwave.odesystem as ode
+    # the tests' collocation oracle against the dense system: six parameter
+    # sets per case, 36 in all, each with the adjoint, the forward and a
+    # two-sided coupling
+    import oracles
     sizes = []
-    real = ode.lu_factor
+    real = oracles.lu_factor
 
     def recording(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(ode, "lu_factor", recording)
+    monkeypatch.setattr(oracles, "lu_factor", recording)
     rng = np.random.default_rng(100 * dim + nz)
     for _ in range(6):
         p = _random_params(rng, dim)
@@ -687,7 +703,7 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
                 xi = direction / np.linalg.norm(direction) \
                     * scale / (2 * np.pi * p.depth)
                 z, d = _forcing(rng, 1, nz, vg, p.depth)
-                Y, cond = solver._solve_collocation(xi, z[0], d[0])
+                Y, cond = solve_collocation(solver, xi, z[0], d[0])
                 full, Yd = _dense_collocation(solver, xi, z[0], d[0])
                 peak = np.abs(Yd).max(axis=1)
                 assert np.all(np.abs(Y - Yd).max(axis=1) <= 1e-10 * peak)
@@ -696,33 +712,11 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
     assert sizes == [6 * nz] * 36
 
 
-def test_collocation_solve_peak_memory():
-    # nz 120, the largest grid of any collocation comparison: the 6Nz system
-    # (7.9 MiB of complex128) is assembled in Fortran order and factored in
-    # place, with no second system-sized array (peak 8.4 MiB), within 12 MiB
-    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
-    vg = VerticalGrid(1.0, 120)
-    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
-    z, d = _forcing(np.random.default_rng(5), 2, 120, vg, 1.0)
-    xi = np.array([60.0 / (2 * np.pi)])
-    # first a solve outside the trace: scipy.linalg imported, the grid's tables built
-    Y0, _ = solver._solve_collocation(xi, z[1], d[1])
-    tracemalloc.start()
-    try:
-        Y, _ = solver._solve_collocation(xi, z[1], d[1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(Y, Y0)
-    assert peak <= 12 * 2 ** 20
-
-
 @pytest.mark.parametrize("mode, frequencies", [("nonlinear-solve", []),
                                                ("roundtrip-test", [144] * 12)],
                          ids=["nonlinear-solve-0", "roundtrip-test-144"])
 def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mode, frequencies):
-    # box 20 pi, modes 32, nz 24: every symbol and stack member is matexp and
-    # the transverse solves are diagonalized, so neither mode makes an LU.
+    # box 20 pi, modes 32, nz 24, with the transverse solves diagonalized.
     # Every forcing preset depends on x_1 alone, so the 3D nonlinear solve is
     # x_2-invariant, has no transverse forcing and hands no frequency to
     # transverse_factor; each of roundtrip-3d's 12 inversions hands it the 144
@@ -730,7 +724,6 @@ def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mo
     import stripwave.linear as linear
     from stripwave.cli import run
     from stripwave.config import RunConfig
-    counted = _counting(monkeypatch, "lu_factor")
     handed = []
     real = linear.transverse_factor
 
@@ -745,5 +738,4 @@ def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mo
         "closure": {"visc": "tempdep", "heat": "tempdep", "sigma": "smooth"},
         "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": 3},
         "roundtrip": {"count": 12}, "seed": 3})) == 0
-    assert len(counted) == 0
     assert handed == frequencies

@@ -356,8 +356,7 @@ def test_perfbench_wave_gate_finds_the_forced_row(tmp_path):
 
 def test_linear_solve_records_inverter_work(tmp_path):
     # linear-deep's lattice and input state: its data reaches 2 pi |xi| b = 16,
-    # so the 20 frequencies with data are two-sided and none is solved by
-    # collocation
+    # and the 20 frequencies with data are two-sided
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid, vg = FrequencyGrid(1, 2.5 * np.pi, 128), VerticalGrid(1.0, 32)
     indir = str(tmp_path / "ydata")
@@ -368,7 +367,7 @@ def test_linear_solve_records_inverter_work(tmp_path):
                                  "grid": {"box_len": 2.5 * np.pi, "modes": 128, "nz": 32}})
     assert main(["--config", path]) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20, "collocation": 0}
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20}
     inv = cli.LinearInverter(SymbolTable.build(grid, vg, p))
     inv.invert(data)
     at = tuple(summary["inverter_max_cond_at"])
@@ -381,8 +380,7 @@ def test_linear_solve_records_inverter_work(tmp_path):
 def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
     # on this grid (2 pi |xi| b up to 12.8) every mode solves a member whose
     # cond_1(K) passes 1e2 (the inversions' largest are 366 and 561, the
-    # table's 1.4e3), and every collocation system there has a condition
-    # estimate far above 1e2
+    # table's 1.4e3): the run exits 1 and its summary names the frequency
     box = 2.5 * np.pi
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": 32, "nz": 32},
@@ -396,7 +394,8 @@ def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 1
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     assert summary["ok"] is False
-    assert summary["error"].startswith("IllConditionedCollocation:")
+    assert summary["error"].startswith("IllConditionedCollocation: cond_1(K) ")
+    assert "beyond 100 at xi = (" in summary["error"]
 
 
 @pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
@@ -446,7 +445,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
     half = table.backend[grid.half_mask]
     assert summary["table_solved"] == {b: int((half == b).sum())
-                                       for b in ("matexp", "twosided", "collocation")}
+                                       for b in ("matexp", "twosided")}
     assert summary["table_max_cond"] == table.cond[tuple(summary["table_max_cond_at"])] \
         == table.cond.max()
 
@@ -458,7 +457,7 @@ def test_symbols_mode_records_table_solves(tmp_path):
     out = tmp_path / "sym"
     assert run(RunConfig.from_dict({"mode": "symbols", "out": str(out)})) == 0
     summary = json.load(open(out / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 1, "twosided": 128, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 1, "twosided": 128}
     assert summary["table_max_cond_at"] == [128]
     assert summary["table_max_cond"] < 1e4
 
@@ -528,7 +527,7 @@ def test_stalled_solve_writes_trace(tmp_path):
     assert summary["inverter_solved"]["matexp"] > 0
     # the table solved xi = 0 and the 5 modes inside the 2/3 cutoff of 16,
     # where the residuals live, not all 9 of the half lattice
-    assert summary["table_solved"] == {"matexp": 1, "twosided": 5, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 1, "twosided": 5}
     assert summary["error"].startswith(("Diverged", "NotConverged"))
 
 
@@ -678,14 +677,14 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
+def test_scipy_linalg_never_loads(tmp_path):
     # a fresh interpreter: importing the package, loading the wave-2d config,
-    # a small 2D nonlinear-solve (no LU, no expm) and a small 3D
-    # roundtrip-test (diagonalized transverse solves) and a linear-solve
-    # whose table is two-sided (j = 1 .. 14) leave scipy.linalg unloaded;
-    # a linear-solve at nz 24 whose data reach 2 pi |xi| b = 6.4 |j| = 64,
-    # beyond the panels' resolution from 44, solves its four forced
-    # problems there by collocation and loads it at their LUs
+    # a small 2D nonlinear-solve, a small 3D roundtrip-test (diagonalized
+    # transverse solves), a linear-solve whose table is two-sided
+    # (j = 1 .. 14) and a linear-solve at nz 24 whose data reach
+    # 2 pi |xi| b = 6.4 |j| = 64, beyond the panels' resolution from 44
+    # (its four forced problems there are solved on sweeps of subpanels),
+    # all leave scipy.linalg unloaded
     wave = _write_cfg(tmp_path, {
         "mode": "nonlinear-solve", "params": {"dim": 2},
         "grid": {"box_len": 2 * np.pi * 10, "modes": 256, "nz": 48},
@@ -720,8 +719,8 @@ def test_scipy_linalg_loads_only_at_the_first_lu(tmp_path):
     assert json.loads(done.stdout) == {
         "import stripwave": False, "cli and wave-2d config": False,
         "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": False,
-        "linear-solve, forced beyond the panels": True}
+        "linear-solve, forced beyond the panels": False}
     summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
-    assert summary["table_solved"] == {"matexp": 0, "twosided": 14, "collocation": 0}
+    assert summary["table_solved"] == {"matexp": 0, "twosided": 14}
     summary = json.load(open(tmp_path / "beyond" / "manifest.json"))["summary"]
-    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 6, "collocation": 4}
+    assert summary["inverter_solved"] == {"matexp": 0, "twosided": 10}

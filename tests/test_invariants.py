@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import matrix_exponential, solve_collocation
 from stripwave.errors import NotConverged, SurfaceTooLarge
 from stripwave.fields import SurfaceSpectral
 from stripwave.grids import FrequencyGrid, VerticalGrid
@@ -11,20 +12,20 @@ from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_res
                                  picard_solve)
 from stripwave.norms import ydata_norm
 from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, assemble_boundary,
-                                 assemble_bulk_matrix, matrix_exponential)
+                                 assemble_bulk_matrix)
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
 
 
 def test_collocation_self_convergence_beyond_matexp():
-    # at 2 pi |xi| b = 150 only collocation is usable; its error against a
+    # the tests' collocation oracle at 2 pi |xi| b = 150: its error against a
     # fine reference drops much faster than any fixed algebraic order
     ximag = 150.0 / (2 * np.pi)
 
     def vn_surf(nz):
-        Y, _ = FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1
-                               )._solve_collocation(np.array([ximag]), None, UNIT_NORMAL_STRESS)
+        Y, _ = solve_collocation(FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1),
+                                 np.array([ximag]), None, UNIT_NORMAL_STRESS)
         return Y[1, -1]
 
     ref = vn_surf(160)
@@ -50,7 +51,7 @@ def test_twosided_solves_far_beyond_cond_B_limit():
     stack = solver.prepare(np.array([[8.0]]))
     assert list(stack.backend) == ["twosided"] and stack.cond[0] < 3e4
     Y = stack.solve(None, UNIT_NORMAL_STRESS[None])
-    Yc, _ = solver._solve_collocation(np.array([8.0]), None, UNIT_NORMAL_STRESS)
+    Yc, _ = solve_collocation(solver, np.array([8.0]), None, UNIT_NORMAL_STRESS)
     assert np.abs(Y[0] - Yc).max() <= 1e-10 * np.abs(Yc).max()
 
 

@@ -1,15 +1,16 @@
+import re
 from math import factorial
 
 import numpy as np
 import pytest
 
+from oracles import matrix_exponential, solve_collocation
 from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.grids import VerticalGrid
 from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, SymbolTable,
-                                 assemble_boundary,
-                                 assemble_bulk_matrix, forcing_rows,
-                                 matrix_exponential, solve_symbol, symbol_profiles,
-                                 transverse_factor, transverse_solve)
+                                 assemble_boundary, assemble_bulk_matrix, forcing_rows,
+                                 solve_symbol, symbol_profiles, transverse_factor,
+                                 transverse_solve)
 from stripwave.params import PhysicalParams
 from stripwave.grids import FrequencyGrid
 
@@ -212,25 +213,19 @@ def test_B_inverse_contract_moderate_xi():
         assert np.abs(B @ Binv - np.eye(6)).max() < 1e-10
 
 
-def test_B_ill_conditioned_falls_back(monkeypatch):
+def test_B_ill_conditioned_falls_back():
     # at xi = 0, K is B = M + N exp(bA), with cond_1(B) = 4 at P2: beyond a
-    # cond_limit of 2 the member is solved by collocation instead (here at
-    # the default limit, which its estimate passes), bit for bit as
-    # collocation solves it alone, and keeps that solve's estimate
+    # cond_limit of 2 the preparation raises the typed error, which names
+    # the frequency and carries cond_1(B); within the default limit the
+    # member keeps it
     vg = VerticalGrid(P2.depth, 40)
-    real = FrequencySolver._solve_collocation
-
-    def default_limit(self, xi, z, d):
-        return real(FrequencySolver(self.p, self.vgrid, self.gamma_tilde, self.alpha1,
-                                    self.alpha2), xi, z, d)
-
-    monkeypatch.setattr(FrequencySolver, "_solve_collocation", default_limit)
-    stack = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1, cond_limit=2.0).prepare(
-        np.zeros((1, 1)))
-    assert list(stack.backend) == ["collocation"] and stack.cond[0] == 4.0
-    Y = stack.solve(None, UNIT_NORMAL_STRESS[None])
-    Yc, cc = default_limit(stack.solver, np.zeros(1), None, UNIT_NORMAL_STRESS)
-    assert np.array_equal(Y[0], Yc) and stack.cond[0] == cc > 2.0
+    solver = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1, cond_limit=2.0)
+    with pytest.raises(IllConditionedCollocation,
+                       match=r"cond_1\(K\) 4 beyond 2 at xi = \(0\.0,\)") as raised:
+        solver.prepare(np.zeros((1, 1)))
+    assert raised.value.cond_estimate == 4.0
+    stack = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1).prepare(np.zeros((1, 1)))
+    assert list(stack.backend) == ["matexp"] and stack.cond[0] == 4.0
 
 
 def test_inverse_and_cond_singular_member_alone():
@@ -250,14 +245,11 @@ def test_inverse_and_cond_singular_member_alone():
 
 
 def test_singular_B_member_falls_back_alone(monkeypatch):
-    # zero halves make C = 0 and K = 0, exactly singular: that member alone
-    # is solved by collocation, and the others as in a stack without it
+    # zero halves make C = 0 and K = 0, exactly singular: the preparation
+    # raises the typed error naming that member's frequency, with cond inf
     import stripwave.odesystem as ode
     xis = np.array([[0.3], [0.9], [1.4]])
     coefs = (P1.gamma, 0.0, P1.sigma1)
-    d = np.zeros((3, 6), dtype=complex)
-    d[:, 4] = 1.0
-    Y0 = FrequencySolver(P1, VG, *coefs).prepare(xis).solve(None, d)
     real = ode._dichotomy
 
     def singular(prop, t):
@@ -266,38 +258,23 @@ def test_singular_B_member_falls_back_alone(monkeypatch):
         return rows
 
     monkeypatch.setattr(ode, "_dichotomy", singular)
-    stack = FrequencySolver(P1, VG, *coefs).prepare(xis)
-    assert list(stack.backend) == ["twosided", "collocation", "twosided"]
-    assert stack.cond[1] == np.inf
-    Y = stack.solve(None, d)
-    assert np.array_equal(Y[[0, 2]], Y0[[0, 2]])
-    Yc, _ = FrequencySolver(P1, VG, *coefs)._solve_collocation(xis[1], None, d[1])
-    assert np.array_equal(Y[1], Yc)
+    with pytest.raises(IllConditionedCollocation,
+                       match=r"cond_1\(K\) inf beyond 1e\+12 at xi = \(0\.9,\)") as raised:
+        FrequencySolver(P1, VG, *coefs).prepare(xis)
+    assert raised.value.cond_estimate == np.inf
 
 
-def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
+def test_twosided_member_beyond_cond_limit_falls_back_alone():
     # 2 pi |xi| b = 2, 12 and 100, all two-sided: cond_1(K) 38, 1.3e3, and
-    # 8.3e4, beyond a cond_limit of 2e4: that member alone is solved by
-    # collocation (here at the default limit, which its estimate of about
-    # 1e7 passes) and keeps that solve's estimate
+    # 8.3e4, beyond a cond_limit of 2e4: the solve raises the typed error
+    # naming the last frequency, with its cond_1(K)
     xis = np.array([[2.0], [12.0], [100.0]]) / (2 * np.pi)
-    Y0, backend0, cond0 = symbol_profiles(xis, P1, VG)
+    _, backend0, cond0 = symbol_profiles(xis, P1, VG)
     assert list(backend0) == ["twosided"] * 3 and 2e4 < cond0[2] < 1e5
-    calls, real = [], FrequencySolver._solve_collocation
-
-    def default_limit(self, xi, z, d):
-        calls.append(xi)
-        return real(FrequencySolver(self.p, self.vgrid, self.gamma_tilde, self.alpha1,
-                                    self.alpha2), xi, z, d)
-
-    monkeypatch.setattr(FrequencySolver, "_solve_collocation", default_limit)
-    Y, backend, cond = symbol_profiles(xis, P1, VG, cond_limit=2e4)
-    assert list(backend) == ["twosided", "twosided", "collocation"]
-    assert len(calls) == 1 and np.array_equal(calls[0], xis[2])
-    assert np.array_equal(Y[:2], Y0[:2]) and np.array_equal(cond[:2], cond0[:2])
-    Yc, cc = real(FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1), xis[2], None,
-                  UNIT_NORMAL_STRESS)
-    assert np.array_equal(Y[2], Yc) and cond[2] == cc > 1e6
+    with pytest.raises(IllConditionedCollocation,
+                       match=re.escape(f"beyond 2e+04 at xi = ({float(xis[2, 0])!r},)")) as raised:
+        symbol_profiles(xis, P1, VG, cond_limit=2e4)
+    assert raised.value.cond_estimate == cond0[2]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +320,8 @@ def test_symbol_dual_backend_agreement():
             xis = np.array([[ximag]])
             Ym = _dense_symbol(p, vg, xis[0])
             Yt, bt, _ = symbol_profiles(xis, p, vg)
-            Yc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1)._solve_collocation(
-                xis[0], None, UNIT_NORMAL_STRESS)
+            Yc, _ = solve_collocation(FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1),
+                                      xis[0], None, UNIT_NORMAL_STRESS)
             assert bt[0] == "twosided"
             for Y1, Y2 in ((Ym, Yt[0]), (Ym, Yc), (Yt[0], Yc)):
                 assert np.abs(Y1 - Y2).max() / np.abs(Y1).max() < 1e-8
@@ -362,8 +339,8 @@ def test_stiff_symbols_match_collocation():
     Y, backend, _ = symbol_profiles(xis, p, vg)
     assert "collocation" not in backend
     for xi, y in zip(xis, Y):
-        Yc, _ = FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1)._solve_collocation(
-            xi, None, UNIT_NORMAL_STRESS)
+        Yc, _ = solve_collocation(FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1),
+                                  xi, None, UNIT_NORMAL_STRESS)
         assert np.abs(y - Yc).max() <= 1e-12 * np.abs(y).max()
 
 
@@ -459,7 +436,7 @@ def test_manufactured_solution(backend):
         ystar, z, d = _manufactured(p, vg, xi, gt, a1, a2, seed)
         solver = FrequencySolver(p, vg, gt, a1, a2)
         if backend == "collocation":
-            Y, _ = solver._solve_collocation(np.array(xi), z, d)
+            Y, _ = solve_collocation(solver, np.array(xi), z, d)
         else:
             Y, used, _ = solver.solve(xi, z, d)
             assert used == backend
@@ -480,13 +457,15 @@ def test_forced_conjugate_symmetry():
 
 
 def test_forced_fallback_beyond_panel_resolution():
-    # at nz 40 the widest panel is 0.0403 b: at 2 pi |xi| b = 94 a solve with
-    # bulk forcing passes _PANEL_LIMIT and silently switches to collocation,
-    # and one without keeps the closed form
+    # at nz 40 the widest panel is 0.0403 b: at 2 pi |xi| b = 94 the widest
+    # panel times the member's largest rate passes _PANEL_LIMIT, so its
+    # forced sweep splits each interval in two; with bulk forcing or
+    # without, the member is two-sided
     solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
+    assert [s.r for s in solver.prepare(np.array([[15.0]])).sweeps] == [2]
     z, d = _forced_rows(15.0, G=np.cos(VG.nodes), k_n=1.0)
     Y, used, _ = solver.solve([15.0], z, d)
-    assert used == "collocation" == solver.backend_for([15.0])
+    assert used == "twosided"
     assert np.isfinite(np.abs(Y).max())
     assert solver.solve([15.0], None, d)[1] == "twosided"
 

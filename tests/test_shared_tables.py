@@ -41,7 +41,7 @@ def _cached_arrays() -> list:
     """Every array of the four caches, from one grid of each kind."""
     vg = VerticalGrid(1.0, 12)
     return ([getattr(vg, name) for name in VERTICAL] + _lattice_arrays(FrequencyGrid(2, 3.0, 8))
-            + list(ode._gl_panels(vg)) + list(ode._transverse_basis(vg, 1.0)[:3]))
+            + list(ode._gl_panels(vg, 1)) + list(ode._transverse_basis(vg, 1.0)[:3]))
 
 
 def test_equal_grids_share_their_tables():
@@ -53,7 +53,7 @@ def test_equal_grids_share_their_tables():
     assert all(getattr(f, name) is getattr(g, name) for name in LATTICE)
     assert FrequencyGrid(1, 3.0, 8).xi2 is not f.xi2
     # the panels and the transverse basis are keyed by the (equal) grid
-    assert all(x is y for x, y in zip(ode._gl_panels(a), ode._gl_panels(b)))
+    assert all(x is y for x, y in zip(ode._gl_panels(a, 1), ode._gl_panels(b, 1)))
     assert all(x is y for x, y in zip(ode._transverse_basis(a, 1.0)[:3],
                                       ode._transverse_basis(b, 1.0)[:3]))
     # equality and hashing read the parameters only, as before
@@ -62,7 +62,7 @@ def test_equal_grids_share_their_tables():
 
 def test_every_cached_array_is_read_only():
     arrays = _cached_arrays()
-    assert len(arrays) == 4 + 7 + 2 + 3
+    assert len(arrays) == 4 + 7 + 3 + 3
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -109,8 +109,8 @@ def test_panels_equal_a_fresh_computation(depth, count):
     h = c - a
     tq = 0.5 * (c + a) + 0.5 * h * gl_nodes
     rows = (0.5 * h * gl_weights)[..., None] * vg.interp_weights(tq)
-    offsets, got = ode._gl_panels(vg)
-    assert _bits(offsets, c - tq)
+    same, offsets, got = ode._gl_panels(vg, 1)
+    assert same is vg.nodes and _bits(offsets, c - tq)
     assert _bits(got, rows.reshape(-1, nodes.size))
 
 
@@ -136,7 +136,7 @@ def test_every_cache_stays_within_its_size():
     for i in range(16 + 4):
         vg = VerticalGrid(1.0 + i / 64, 6)
         FrequencyGrid(1, 1.0 + i / 64, 4)
-        ode._gl_panels(vg)
+        ode._gl_panels(vg, 1)
         ode._transverse_basis(vg, 1.0)
         for cache, maxsize in caches.items():
             assert cache.cache_info().currsize <= maxsize
