@@ -25,13 +25,6 @@ from .odesystem import BACKENDS, SymbolTable
 from .params import estimate_q_norms, check_parameter_gate, validate_params
 
 
-def _inverter(config: RunConfig, grid, vgrid) -> LinearInverter:
-    """Linear inverter on an empty symbol table with the config's
-    conditioning limit."""
-    return LinearInverter(SymbolTable(grid, vgrid, config.params(),
-                                      cond_limit=config.raw["backend"]["cond_limit"]))
-
-
 def _record_solves(summary: dict, grid, **solved_by):
     """Into the summary under each name of ``solved_by``: the half-lattice
     frequencies that its value (a symbol table so far, or an inverter in its
@@ -76,7 +69,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
     mode = r["mode"]
 
     if mode == "symbols":
-        table = SymbolTable.build(grid, vgrid, p, cond_limit=r["backend"]["cond_limit"])
+        table = SymbolTable.build(grid, vgrid, p)
         _record_solves(summary, grid, table=table)
         # one row per half-lattice frequency in the field CSVs' order: xi,
         # the surface traces of psi, delta and q, rho, `backend` and `cond`
@@ -99,8 +92,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         report = full_report(p, grid, vgrid, refine=r["fit"]["refine"],
                              xi_seq=tuple(r["fit"]["xi_seq"]),
                              rel_tol=r["tol"]["fit_rel"],
-                             stability_tol=r["tol"]["stability"],
-                             cond_limit=r["backend"]["cond_limit"])
+                             stability_tol=r["tol"]["stability"])
         write_json(os.path.join(outdir, "asym_report.json"), report.to_jsonable())
         summary["claims"] = len(report.rows)
         summary["ok"] = report.passed()
@@ -109,7 +101,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not r["input"]:
             raise ConfigError("linear-solve requires input: directory of data CSVs")
         data = read_ydata_csv(r["input"])
-        inv = _inverter(config, data.grid, data.vgrid)
+        inv = LinearInverter(SymbolTable(data.grid, data.vgrid, p))
         state = inv.invert(data)
         _record_solves(summary, data.grid, table=inv.table, inverter=inv)
         back = apply_linear_operator(state, p)
@@ -137,7 +129,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
         if not ok_gate:
             raise ConfigError(f"parameter gate failed (margin {margin:.3e})")
         forcing = config.forcing()
-        inv = _inverter(config, grid, vgrid)
+        inv = LinearInverter(SymbolTable(grid, vgrid, p))
         trace_path = os.path.join(outdir, "solve_trace.json")
         try:
             trace = picard_solve(forcing, p, c, grid, vgrid, tol=r["tol"]["picard"],
@@ -165,7 +157,7 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
             summary["contraction_per_amplitude"] = trace.contraction[0] / trace.amplitude_used
 
     elif mode == "roundtrip-test":
-        inv = _inverter(config, grid, vgrid)
+        inv = LinearInverter(SymbolTable(grid, vgrid, p))
         rng_seed = r["seed"]
         worst_data, worst_state = 0.0, 0.0
         for trial in range(r["roundtrip"]["count"]):

@@ -21,7 +21,6 @@ _DEFAULTS = {
                "gamma": 1.0, "sigma0": 1.0, "sigma1": 0.1, "dim": 2},
     "closure": {"visc": "newtonian", "heat": "fourier", "sigma": "smooth"},
     "grid": {"box_len": 2.0 * math.pi * 10.0, "modes": 256, "nz": 48},
-    "backend": {"cond_limit": 1e12},
     "tol": {"picard": 1e-9, "roundtrip": 1e-6, "fit_rel": 0.01,
             "stability": 0.10},
     "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 3},
@@ -92,10 +91,9 @@ class RunConfig:
             if val < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
         # "not > 0" also rejects the NaN that json reads
-        for key, val in [("backend.cond_limit", r["backend"]["cond_limit"])] + [
-                (f"tol.{k}", v) for k, v in r["tol"].items()]:
+        for key, val in r["tol"].items():
             if not val > 0:
-                raise ConfigError(f"{key} must be positive, got {val!r}")
+                raise ConfigError(f"tol.{key} must be positive, got {val!r}")
         amplitude = r["forcing"]["amplitude"]
         if not math.isfinite(amplitude):
             raise ConfigError(f"forcing.amplitude must be finite, got {amplitude!r}")

@@ -19,8 +19,8 @@ class NumericallySingular(StripwaveError):
 
 class IllConditionedCollocation(StripwaveError):
     """A per-frequency system's condition number, cond_1(K) of the closed
-    form or the transverse bound, is not finite or exceeds the configured
-    limit; the message names the frequency."""
+    form or the transverse bound, is not finite or exceeds
+    odesystem.COND_LIMIT; the message names the frequency and the limit."""
 
     def __init__(self, message, cond_estimate=None):
         super().__init__(message)

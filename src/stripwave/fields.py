@@ -291,9 +291,10 @@ def read_field_csv(path):
     bit for bit, +0 where a row is absent, completed by ``conjugate_mirror``.
     A sidecar with no ``layout`` key reads as the full layout, whose rows
     must be Hermitian to rounding.  A missing or unreadable file, a bad
-    sidecar, a non-numeric cell, a bad row or layout, a row count other than
-    the sidecar's ``rows`` (a sidecar without it is not checked), or a full
-    file that is not Hermitian raises ConfigError naming the file."""
+    sidecar, a non-numeric cell, a bad row (its index, or a value that is
+    not finite) or layout, a row count other than the sidecar's ``rows`` (a
+    sidecar without it is not checked), or a full file that is not
+    Hermitian raises ConfigError naming the file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
@@ -325,7 +326,7 @@ def read_field_csv(path):
         half = np.zeros(grid.phys_shape, dtype=bool)
         half[:grid.modes // 2 + 1] = grid.half_mask
         rows = on_lattice(half, len(shape)) if layout == "half" else True
-        index = _row_index(path, table[:, :len(shape)], np.broadcast_to(rows, shape))
+        index = _row_index(path, table, np.broadcast_to(rows, shape))
         data.real[index], data.imag[index] = table[:, -2], table[:, -1]
     if meta.get("rows", len(table)) != len(table):
         raise ConfigError(f"{path}: {len(table)} data rows, the sidecar says {meta['rows']!r}")
@@ -338,18 +339,21 @@ def read_field_csv(path):
     return SpectralField(grid, vgrid, data) if bulk else SurfaceSpectral(grid, data)
 
 
-def _row_index(path, raw, rows):
-    """The lattice index of every row of a field CSV, from its float index
-    columns ``raw``.  ConfigError names the first row whose index is not an
-    integer, lies off the lattice, repeats an earlier row's or lies off the
-    entries that ``rows``, a boolean array of the field's shape, allows."""
+def _row_index(path, table, rows):
+    """The lattice index of every row of a field CSV, from the float index
+    columns that lead each row of ``table``.  ConfigError names the first
+    row whose index is not an integer, lies off the lattice, repeats an
+    earlier row's or lies off the entries that ``rows``, a boolean array of
+    the field's shape, allows, or whose re or im value is not finite."""
+    raw = table[:, :rows.ndim]
     whole = np.all(raw == np.floor(raw), axis=1)
     inside = np.all((raw >= 0) & (raw < rows.shape), axis=1)
     index = tuple(np.where((whole & inside)[:, None], raw, 0).astype(np.intp).T)
     repeated = np.ones(len(raw), dtype=bool)
     repeated[np.unique(np.ravel_multi_index(index, rows.shape), return_index=True)[1]] = False
     problems = (("a non-integer index", ~whole), ("an index off the lattice", ~inside),
-                ("a repeated index", repeated), ("an index off the half lattice", ~rows[index]))
+                ("a repeated index", repeated), ("an index off the half lattice", ~rows[index]),
+                ("a value that is not finite", ~np.isfinite(table[:, rows.ndim:]).all(axis=1)))
     bad = np.logical_or.reduce([flags for _, flags in problems])
     if bad.any():
         row = int(np.argmax(bad))

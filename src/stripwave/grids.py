@@ -208,10 +208,6 @@ class FrequencyGrid:
         return (self.modes,) * self.dim_h
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.box_len
-
-    @property
     def xi_max(self) -> float:
         return self.modes / (2.0 * self.box_len)
 
@@ -222,9 +218,6 @@ class FrequencyGrid:
         """Collocation points, shape phys_shape + (dim_h,)."""
         x = self.nodes_1d()
         return np.stack(np.meshgrid(*[x] * self.dim_h, indexing="ij"), axis=-1)
-
-    def cell_volume(self) -> float:
-        return (self.box_len / self.modes) ** self.dim_h
 
     def box_volume(self) -> float:
         return self.box_len ** self.dim_h

@@ -59,10 +59,6 @@ class LinearState(FieldTuple):
                    SpectralField.zeros(grid, vgrid, 1),
                    SurfaceSpectral.zeros(grid, 1))
 
-    def bottom_trace_defect(self) -> float:
-        return float(max(np.abs(self.u.data[..., 0]).max(),
-                         np.abs(self.psi.data[..., 0]).max()))
-
     def enforce_real(self):
         for part in self.parts():
             part.enforce_real()
@@ -238,18 +234,17 @@ class LinearInverter:
     FrequencyStack prepared at the frequencies it solves, prepared again at
     the union when its data reaches outside them.  At xi = 0 the longitudinal
     direction is the first horizontal axis and, in dim_h = 2, the
-    transverse one the second.  The conditioning limit is the table's.
-    Each inversion fills ``backend`` and ``cond``, lattice arrays shaped
-    like SymbolTable's: the backend of each solved frequency and its
-    condition estimate, None and 0 where no solve was made; a transverse
-    bound beyond the limit raises.
+    transverse one the second.  Each inversion fills ``backend`` and
+    ``cond``, lattice arrays shaped like SymbolTable's: the backend of each
+    solved frequency and its condition estimate, None and 0 where no solve
+    was made; a cond_1(K) or transverse bound beyond odesystem.COND_LIMIT
+    raises.
     """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         p = table.params
-        self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0,
-                                      cond_limit=table.cond_limit)
+        self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0)
         self.backend = None
         self.cond = None
         # the half-lattice frequencies of the stack
@@ -282,8 +277,7 @@ class LinearInverter:
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
             if transverse.any():
-                factors = transverse_factor(xis[rows[transverse]], p, vgrid,
-                                            -p.gamma, self.solver.cond_limit)
+                factors = transverse_factor(xis[rows[transverse]], p, vgrid, -p.gamma)
         if not self._prepared[rows[live]].all():
             prepared = self._prepared.copy()
             prepared[rows[live]] = True

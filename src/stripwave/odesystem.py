@@ -24,8 +24,8 @@ coefficients times fixed matrices (``_dichotomy``); y_p is one forward and
 one backward sweep of bounded steps over composite Gauss-Legendre panels,
 each Chebyshev interval split into as many equal subpanels as keep every
 step within _PANEL_LIMIT, and cond_1(K) grows like (2 pi |xi| b)^2; beyond
-the solver's ``cond_limit`` it raises IllConditionedCollocation.  A
-FrequencyStack solves many frequencies at once.  The backends:
+COND_LIMIT it raises IllConditionedCollocation.  A FrequencyStack solves
+many frequencies at once.  The backends:
 
 * ``matexp``: 2 pi |xi| b below _DICHOTOMY_FROM (on a lattice, xi = 0 alone),
   where P- = I, C(x) = exp(xA) and K = B = M + N exp(bA).
@@ -57,7 +57,9 @@ from .fields import conjugate_mirror
 from .grids import VerticalGrid, read_only
 from .params import PhysicalParams
 
-DEFAULT_COND_LIMIT = 1e12
+# the largest cond_1(K), or transverse condition bound, that a solve accepts;
+# read at each check, so a test may substitute it
+COND_LIMIT = 1e12
 BACKENDS = ("matexp", "twosided")
 # a forced sweep's widest panel times a member's largest rate max(m, |l|,
 # |l_h|) up to which the 8-point panels integrate exp((c_j - t) A) z to about
@@ -336,11 +338,9 @@ class FrequencySolver:
     """
 
     def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
-                 gamma_tilde: float, alpha1: float, alpha2: float,
-                 cond_limit: float = DEFAULT_COND_LIMIT):
+                 gamma_tilde: float, alpha1: float, alpha2: float):
         self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
         self.alpha1, self.alpha2 = alpha1, alpha2
-        self.cond_limit = cond_limit
 
     def prepare(self, xis) -> "FrequencyStack":
         """Prepared solves at the frequencies ``xis`` (K, dim_h)."""
@@ -358,8 +358,8 @@ class FrequencyStack:
     """One FrequencySolver prepared at K frequencies, in closed form.
 
     ``backend`` and ``cond`` (K,) give each frequency's backend and
-    cond_1(K); a K that is not finite or whose cond_1(K) exceeds the
-    solver's limit raises IllConditionedCollocation naming its frequency.
+    cond_1(K); a K that is not finite or whose cond_1(K) exceeds
+    COND_LIMIT raises IllConditionedCollocation naming its frequency.
     The stack keeps its members in the order ``members`` (into ``xis``):
     ``prop``, their ``_propagator`` rows; ``coef``, C(x_j) at the nodes in
     the propagator's basis B_b (I_s, P, A_s, A_s P, I_h, A_h), (k, 6, Nz);
@@ -393,10 +393,10 @@ class FrequencyStack:
         ends = (self.coef[..., [0, -1]].transpose(0, 2, 1) @ self.basis).reshape(-1, 2, 6, 6)
         self.Mmat, self.Nmat = assemble_boundary(self.xis[m], s.p, s.alpha1, s.alpha2)
         self.Kinv, cond = _inverse_and_cond(self.Mmat @ ends[:, 0] + self.Nmat @ ends[:, 1])
-        if not (cond <= s.cond_limit).all():
+        if not (cond <= COND_LIMIT).all():
             worst = int(np.argmax(cond))
             raise IllConditionedCollocation(
-                f"cond_1(K) {cond[worst]:.3g} beyond {s.cond_limit:.3g} at xi = "
+                f"cond_1(K) {cond[worst]:.3g} beyond {COND_LIMIT:.3g} at xi = "
                 f"{tuple(self.xis[m[worst]].tolist())}", cond_estimate=float(cond[worst]))
         self.cond = np.empty_like(cond)
         self.cond[m] = cond
@@ -558,8 +558,7 @@ def _transverse_basis(vgrid: VerticalGrid, mu: float):
                      np.vstack([V, -top @ V])) + (mu * D[T, T], np.linalg.cond(V) ** 2)
 
 
-def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
-                      gamma_tilde: float, cond_limit: float = DEFAULT_COND_LIMIT):
+def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid, gamma_tilde: float):
     """The scalar transverse velocity problems at the frequencies ``xis``
     (K, 2) (horizontal dimension two only),
 
@@ -570,7 +569,7 @@ def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
     1 / (sigma + Lambda) (K, Nz-2) with sigma = gamma_tilde 2 pi i xi_1 +
     mu 4 pi^2 |xi|^2, and the bound cond2(V)^2 max|sigma + lambda| /
     min|sigma + lambda| on cond2(sigma I + Abar), (K,).  A bound beyond
-    cond_limit raises IllConditionedCollocation naming the worst frequency.
+    COND_LIMIT raises IllConditionedCollocation naming the worst frequency.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.shape[-1] != 2:
@@ -580,10 +579,10 @@ def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid,
     shift = (2j * np.pi * gamma_tilde * xis[:, 0] + p.mu * m * m)[:, None] + basis[0]
     size = np.abs(shift)
     cond = basis[-1] * size.max(axis=1) / size.min(axis=1)
-    if cond.size and cond.max() > cond_limit:
+    if cond.size and cond.max() > COND_LIMIT:
         worst = int(np.argmax(cond))
         raise IllConditionedCollocation(
-            f"transverse system condition bound {cond[worst]:.3g} beyond {cond_limit:.3g} "
+            f"transverse system condition bound {cond[worst]:.3g} beyond {COND_LIMIT:.3g} "
             f"at xi = {tuple(xis[worst].tolist())}", cond_estimate=float(cond[worst]))
     return basis, 1.0 / shift, cond
 
@@ -630,15 +629,14 @@ def rho_of(p: PhysicalParams, xi, om_vn_surf):
             + 2j * np.pi * p.gamma * xi[..., 0])
 
 
-def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid,
-                    cond_limit: float = DEFAULT_COND_LIMIT):
+def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid):
     """Response profiles Y (K, 6, Nz) to a unit normal stress on the top at
     the frequencies ``xis`` (K, dim_h), with the backend and condition
     estimate of each: the unforced solve of the adjoint problem
     (gamma, 0, sigma1) as one FrequencyStack.  At xi = 0, A is nilpotent,
     and q = 1 and rho = 0 come out exactly."""
     xis = np.asarray(xis, dtype=float)
-    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1, cond_limit=cond_limit).prepare(xis)
+    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1).prepare(xis)
     Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
     return Y, stack.backend, stack.cond
 
@@ -661,9 +659,8 @@ class SymbolTable:
     ``build`` solves them all.
     """
 
-    def __init__(self, grid, vgrid, p: PhysicalParams,
-                 cond_limit: float = DEFAULT_COND_LIMIT):
-        self.grid, self.vgrid, self.params, self.cond_limit = grid, vgrid, p, cond_limit
+    def __init__(self, grid, vgrid, p: PhysicalParams):
+        self.grid, self.vgrid, self.params = grid, vgrid, p
         self.y = np.zeros(grid.freq_shape + (6, vgrid.count), dtype=complex)
         self.rho = np.zeros(grid.freq_shape, dtype=complex)
         self.backend = np.full(grid.freq_shape, None, dtype=object)
@@ -671,9 +668,8 @@ class SymbolTable:
         self.solved = np.zeros(grid.freq_shape, dtype=bool)
 
     @classmethod
-    def build(cls, grid, vgrid, p: PhysicalParams,
-              cond_limit: float = DEFAULT_COND_LIMIT) -> "SymbolTable":
-        return cls(grid, vgrid, p, cond_limit).solve(grid.half_mask)
+    def build(cls, grid, vgrid, p: PhysicalParams) -> "SymbolTable":
+        return cls(grid, vgrid, p).solve(grid.half_mask)
 
     def solve(self, mask: np.ndarray) -> "SymbolTable":
         """Solve the half-lattice frequencies of the lattice mask ``mask``
@@ -682,8 +678,7 @@ class SymbolTable:
         new = mask & grid.half_mask & ~self.solved
         if new.any():
             xis = grid.xi_vectors[new]
-            Y, self.backend[new], self.cond[new] = symbol_profiles(
-                xis, p, self.vgrid, self.cond_limit)
+            Y, self.backend[new], self.cond[new] = symbol_profiles(xis, p, self.vgrid)
             self.y[new], self.rho[new] = Y, rho_of(p, xis, Y[:, 1, -1])
             self.y, self.rho, self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (
                 self.y, self.rho, self.backend, self.cond))

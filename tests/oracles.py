@@ -8,6 +8,7 @@ from scipy.linalg import expm, lapack
 from scipy.linalg import lu_factor as _lu_factor
 from scipy.linalg import lu_solve
 
+from stripwave import odesystem
 from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.odesystem import assemble_boundary, assemble_bulk_matrix
 
@@ -44,7 +45,7 @@ def solve_collocation(solver, xi, z_profile, d_vec):
     the interior equation: the bottom node of phi, psi and delta takes
     its row of M, the top node of the others its row of N, in one
     Fortran-ordered buffer that the LU overwrites.  One LU, its LAPACK
-    1-norm condition estimate checked against the solver's cond_limit, and
+    1-norm condition estimate checked against odesystem.COND_LIMIT, and
     one solve.
     """
     nz, D = solver.vgrid.count, solver.vgrid.diff.T
@@ -64,10 +65,10 @@ def solve_collocation(solver, xi, z_profile, d_vec):
     anorm = lapack.zlange("1", sys)
     lu = lu_factor(sys, overwrite_a=True)
     cond = 1.0 / max(lapack.zgecon(lu[0], anorm)[0], np.finfo(float).tiny)
-    if cond > solver.cond_limit:
+    if cond > odesystem.COND_LIMIT:
         raise IllConditionedCollocation(
             f"collocation condition estimate {cond:.3g} beyond "
-            f"{solver.cond_limit:.3g}", cond_estimate=cond)
+            f"{odesystem.COND_LIMIT:.3g}", cond_estimate=cond)
     rhs = np.zeros(6 * nz, dtype=complex) if z_profile is None \
         else np.array(z_profile, dtype=complex).reshape(-1)
     rhs[rows] = d_vec

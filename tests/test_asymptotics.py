@@ -177,8 +177,9 @@ def test_continuity_across_unit_circle(tables):
     coarse, _ = tables
     grid = coarse.grid
     xi = grid.xi_axes[0]
-    below = np.argmin(np.abs(xi - (1.0 - grid.spacing)))
-    above = np.argmin(np.abs(xi - (1.0 + grid.spacing)))
+    spacing = 1.0 / grid.box_len
+    below = np.argmin(np.abs(xi - (1.0 - spacing)))
+    above = np.argmin(np.abs(xi - (1.0 + spacing)))
     r1 = coarse.rho[below]
     r2 = coarse.rho[above]
     assert abs(r1 - r2) < 0.2 * abs(r1)

@@ -113,9 +113,10 @@ def test_symbols_mode(tmp_path):
     assert len(rows) == 10  # header + one per half-lattice point
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["summary"]["ok"] is True
-    # manifest echoes every tolerance and threshold
-    assert "tol" in manifest["config"] and "backend" in manifest["config"]
-    assert manifest["config"]["backend"]["cond_limit"] == 1e12
+    # manifest echoes every tolerance and threshold; the conditioning limit
+    # is no setting, so there is no backend section
+    assert manifest["config"]["tol"] == cfg.raw["tol"]
+    assert "backend" not in manifest["config"]
 
 
 def test_asym_check_mode(tmp_path):
@@ -235,6 +236,15 @@ def _foreign_h(box_len, modes):
     return defect
 
 
+def _nan_in_g(indir):
+    # a NaN in the re column of g.csv's first data row
+    path = indir / "g.csv"
+    header, first, *rest = path.read_text().splitlines()
+    first = first.split(",")
+    first[-2] = "nan"
+    path.write_text("\n".join([header, ",".join(first), *rest]) + "\n")
+
+
 @pytest.mark.parametrize("mode, defect, name", [
     ("linear-solve", _edit_sidecar(lambda m: {k: v for k, v in m.items() if k != "dim_h"}), "g"),
     ("linear-solve", _edit_sidecar(lambda m: {k: v for k, v in m.items() if k != "depth"}), "g"),
@@ -245,12 +255,14 @@ def _foreign_h(box_len, modes):
     ("norms", _foreign_h(8 * np.pi, 16), "h"),
     ("linear-solve", _foreign_h(8 * np.pi, 16), "h"),
     ("linear-solve", _foreign_h(6 * np.pi, 32), "h"),
+    ("norms", _nan_in_g, "g"),
 ], ids=["no-dim_h", "no-depth", "modes-5", "nz-2", "json-list", "comps-7",
-        "norms-box", "linear-box", "linear-modes"])
+        "norms-box", "linear-box", "linear-modes", "norms-nan"])
 def test_malformed_or_mixed_grid_input_exits_2(tmp_path, capsys, mode, defect, name):
     # a sidecar that lacks a key, holds a rejected grid or count or is no
-    # object, and a data file from another grid are config errors naming
-    # the file: exit 2, not a traceback, a silent failure or a mixed report
+    # object, a data file from another grid and a value that is not finite
+    # are config errors naming the file: exit 2, not a traceback, a silent
+    # failure or a mixed report
     grid, vg = FrequencyGrid(1, 6 * np.pi, 16), VerticalGrid(1.0, 24)
     indir = tmp_path / "ydata"
     write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
@@ -377,14 +389,17 @@ def test_linear_solve_records_inverter_work(tmp_path):
 
 @pytest.mark.parametrize("mode", ["linear-solve", "nonlinear-solve",
                                   "roundtrip-test", "asym-check", "symbols"])
-def test_backend_cond_limit_reaches_solve_modes(tmp_path, mode):
+def test_backend_cond_limit_reaches_solve_modes(tmp_path, monkeypatch, mode):
     # on this grid (2 pi |xi| b up to 12.8) every mode solves a member whose
     # cond_1(K) passes 1e2 (the inversions' largest are 366 and 561, the
-    # table's 1.4e3): the run exits 1 and its summary names the frequency
+    # table's 1.4e3): under a limit of 1e2 the run exits 1 and its summary
+    # names the frequency and the limit
+    import stripwave.odesystem as ode
+    monkeypatch.setattr(ode, "COND_LIMIT", 1e2)
     box = 2.5 * np.pi
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": 32, "nz": 32},
-           "backend": {"cond_limit": 1e2}, "fit": {"refine": False}}
+           "fit": {"refine": False}}
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         grid, vg = FrequencyGrid(1, box, 32), VerticalGrid(1.0, 32)
@@ -421,8 +436,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     cfg = {"mode": mode, "out": str(tmp_path / "out"),
            "grid": {"box_len": box, "modes": modes, "nz": nz},
            "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
-           "roundtrip": {"count": 1},
-           "backend": {"cond_limit": 1e11}}
+           "roundtrip": {"count": 1}}
     if mode == "linear-solve":
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
         cfg["input"] = str(tmp_path / "ydata")
@@ -430,9 +444,8 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
             make_random_state(grid, VerticalGrid(1.0, nz), seed=1), p))
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 0
     [(table, kwargs, inverter)] = seen
-    # one conditioning limit, set on the table, which the inverter's solver takes
-    assert kwargs == {}
-    assert table.cond_limit == inverter.solver.cond_limit == 1e11
+    # the inverter is built on the table alone
+    assert kwargs == {} and inverter.table is table
     # the table solved exactly the frequencies whose data, at xi or -xi,
     # is nonzero, each two-sided but xi = 0; in dim_h 1 the lattice stores
     # xi >= 0, and the data at -xi is the conjugate
@@ -549,10 +562,10 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
     ({"mode": "nonlinear-solve", "closure": {"visc": "foo"}, **SMALL}, "closure.visc"),
     ({"mode": "nonlinear-solve", "tol": {"picard": "x"}, **SMALL}, "tol.picard"),
     ({"mode": "roundtrip-test", "tol": {"roundtrip": "x"}, **SMALL}, "tol.roundtrip"),
-    # the retired backend.split and backend.symbol_split are unknown keys, whatever their value
+    # the retired backend section is an unknown key, whatever it holds
     ({"mode": "nonlinear-solve", "backend": {"split": "x"}, **SMALL},
-     "unknown config keys: ['backend.split']"),
-    ({"backend": {"cond_limit": -1}, **SMALL}, "backend.cond_limit"),
+     "unknown config keys: ['backend']"),
+    ({"backend": {"cond_limit": -1}, **SMALL}, "unknown config keys: ['backend']"),
     ({"mode": "roundtrip-test", "seed": "x", **SMALL}, "seed"),
     ({"out": 5, **SMALL}, "out"),
     ({"params": {"mu": "x"}, **SMALL}, "params.mu"),
@@ -575,16 +588,16 @@ SMALL = {"grid": {"modes": 16, "nz": 24}}
     ({"grid": {"box_len": INF, "modes": 16, "nz": 24}}, "grid.box_len"),
     ({"mode": "nonlinear-solve", "forcing": {"amplitude": NAN}, **SMALL},
      "forcing.amplitude"),
-    ({"backend": {"split": NAN}, **SMALL}, "unknown config keys: ['backend.split']"),
-    ({"backend": {"symbol_split": NAN}, **SMALL},
-     "unknown config keys: ['backend.symbol_split']"),
+    ({"backend": {"split": NAN}, **SMALL}, "unknown config keys: ['backend']"),
+    ({"backend": {"symbol_split": NAN}, **SMALL}, "unknown config keys: ['backend']"),
+    ({"backend": {"cond_limit": 1e12}, **SMALL}, "unknown config keys: ['backend']"),
 ], ids=["count-0", "maxiter-negative", "box-negative", "modes-float", "visc-unknown",
         "picard-tol-string", "roundtrip-tol-string", "split-string",
         "cond-limit-negative", "seed-string", "out-number", "mu-string", "dim-float",
         "amplitude-string", "xi-seq-empty", "xi-seq-increasing", "mode-index-aliased",
         "roundtrip-tol-negative", "picard-tol-negative", "fit-rel-zero",
         "stability-nan", "seed-negative", "box-nan", "box-inf", "amplitude-nan",
-        "split-nan", "symbol-split-nan"])
+        "split-nan", "symbol-split-nan", "cond-limit-default"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, cfg, key):
     # rejected at load, before any output, by a message naming the key
     path = _write_cfg(tmp_path, {"out": str(tmp_path / "out"), **cfg})

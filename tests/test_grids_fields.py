@@ -177,7 +177,7 @@ def test_parseval_2d():
     grid = FrequencyGrid(2, 5.0, 16)
     phys = rng.standard_normal((1, 16, 16))
     f = SurfaceSpectral(grid, to_coeff(phys, grid))
-    phys_l2 = grid.cell_volume() * (np.abs(phys) ** 2).sum()
+    phys_l2 = (grid.box_len / grid.modes) ** 2 * (np.abs(phys) ** 2).sum()
     spec_l2 = grid.box_volume() * (grid.pair_weight * np.abs(f.data) ** 2).sum()
     assert spec_l2 == pytest.approx(phys_l2, rel=1e-10)
 
@@ -583,6 +583,8 @@ def _surface_file(tmp_path, rows, layout=None):
     (["0,1,1,0", "0,3,1,0"], "half", "data row 2 (0, 3) has an index off the half lattice"),
     (["0,1,1"], None, "rows have 3 columns, expected 4"),
     (["0,1,1,0"], "quarter", "unknown layout 'quarter'"),
+    (["0,1,nan,0"], None, "data row 1 (0, 1) has a value that is not finite"),
+    (["0,0,1,0", "0,1,1,inf"], None, "data row 2 (0, 1) has a value that is not finite"),
 ])
 def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
     path = _surface_file(tmp_path, rows, layout)

@@ -2,8 +2,9 @@
 private name and every public function or class the package defines is read
 somewhere in it or re-exported, every defaulted parameter is passed by some
 call, the package depends on nothing beyond the standard library and
-numpy, so it imports scipy nowhere, and one real transform pair in ``ops``
-is its only FFT."""
+numpy, so it imports scipy nowhere, one real transform pair in ``ops``
+is its only FFT, and the conditioning limit is a constant of ``odesystem``
+that no other module reads."""
 
 import ast
 import sys
@@ -386,3 +387,44 @@ def test_cache_detector_flags_unbounded_caches():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+def conditioning_limits(source: str) -> list:
+    """(line, text) of each parameter, keyword argument or attribute named
+    ``cond_limit`` and each read or import of the name ``COND_LIMIT``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "cond_limit":
+            found.append((node.lineno, "cond_limit"))
+        elif isinstance(node, ast.Attribute) and node.attr == "cond_limit":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "COND_LIMIT" \
+                and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, "COND_LIMIT"))
+        elif isinstance(node, ast.Attribute) and node.attr == "COND_LIMIT":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name == "COND_LIMIT"]
+    return sorted(found)
+
+
+def test_conditioning_limit_detector_flags_parameters_and_reads():
+    source = ("from .odesystem import COND_LIMIT\nfrom . import odesystem\n"
+              "COND_LIMIT = 1e12\n"
+              "def f(x, cond_limit=1e12):\n    return x > odesystem.COND_LIMIT\n"
+              "def g(x, *, cond_limit):\n    return x > COND_LIMIT\n"
+              "def h(limit):\n    return limit\n"
+              "h(s.cond_limit)\nf(1, cond_limit=2)\n")
+    assert conditioning_limits(source) == [
+        (1, "import COND_LIMIT"), (4, "cond_limit"), (5, "odesystem.COND_LIMIT"),
+        (6, "cond_limit"), (7, "COND_LIMIT"), (10, "s.cond_limit"), (11, "cond_limit")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_conditioning_limit_in_odesystem(path):
+    # no function takes or passes the limit, no object holds it, and
+    # odesystem alone reads its constant, at each check
+    found = conditioning_limits(path.read_text())
+    assert found == ([] if path.name != "odesystem.py"
+                     else [(line, "COND_LIMIT") for line, name in found if name == "COND_LIMIT"])

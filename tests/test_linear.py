@@ -206,7 +206,8 @@ def test_invert_realness(inverter):
 def test_bottom_traces_of_inverse(inverter):
     data = apply_linear_operator(make_random_state(GRID, VG, seed=12), P1)
     st = inverter.invert(data)
-    assert st.bottom_trace_defect() < 1e-10
+    # u and psi vanish on the bottom
+    assert max(np.abs(st.u.data[..., 0]).max(), np.abs(st.psi.data[..., 0]).max()) < 1e-10
 
 
 @pytest.mark.parametrize("seed,fresh", [(3, False), (8, True)],

@@ -213,19 +213,23 @@ def test_B_inverse_contract_moderate_xi():
         assert np.abs(B @ Binv - np.eye(6)).max() < 1e-10
 
 
-def test_B_ill_conditioned_falls_back():
+def test_B_ill_conditioned_falls_back(monkeypatch):
     # at xi = 0, K is B = M + N exp(bA), with cond_1(B) = 4 at P2: beyond a
-    # cond_limit of 2 the preparation raises the typed error, which names
-    # the frequency and carries cond_1(B); within the default limit the
-    # member keeps it
+    # limit of 2 the preparation raises the typed error, which names the
+    # frequency and carries cond_1(B); at a limit of 4, and within the
+    # default one, the member keeps it
+    import stripwave.odesystem as ode
     vg = VerticalGrid(P2.depth, 40)
-    solver = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1, cond_limit=2.0)
+    solver = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1)
+    stack = solver.prepare(np.zeros((1, 1)))
+    assert list(stack.backend) == ["matexp"] and stack.cond[0] == 4.0
+    monkeypatch.setattr(ode, "COND_LIMIT", 2.0)
     with pytest.raises(IllConditionedCollocation,
                        match=r"cond_1\(K\) 4 beyond 2 at xi = \(0\.0,\)") as raised:
         solver.prepare(np.zeros((1, 1)))
     assert raised.value.cond_estimate == 4.0
-    stack = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1).prepare(np.zeros((1, 1)))
-    assert list(stack.backend) == ["matexp"] and stack.cond[0] == 4.0
+    monkeypatch.setattr(ode, "COND_LIMIT", 4.0)
+    assert solver.prepare(np.zeros((1, 1))).cond[0] == 4.0
 
 
 def test_inverse_and_cond_singular_member_alone():
@@ -264,16 +268,18 @@ def test_singular_B_member_falls_back_alone(monkeypatch):
     assert raised.value.cond_estimate == np.inf
 
 
-def test_twosided_member_beyond_cond_limit_falls_back_alone():
+def test_twosided_member_beyond_cond_limit_falls_back_alone(monkeypatch):
     # 2 pi |xi| b = 2, 12 and 100, all two-sided: cond_1(K) 38, 1.3e3, and
-    # 8.3e4, beyond a cond_limit of 2e4: the solve raises the typed error
-    # naming the last frequency, with its cond_1(K)
+    # 8.3e4, beyond a limit of 2e4: the solve raises the typed error naming
+    # the last frequency, with its cond_1(K)
+    import stripwave.odesystem as ode
     xis = np.array([[2.0], [12.0], [100.0]]) / (2 * np.pi)
     _, backend0, cond0 = symbol_profiles(xis, P1, VG)
     assert list(backend0) == ["twosided"] * 3 and 2e4 < cond0[2] < 1e5
+    monkeypatch.setattr(ode, "COND_LIMIT", 2e4)
     with pytest.raises(IllConditionedCollocation,
                        match=re.escape(f"beyond 2e+04 at xi = ({float(xis[2, 0])!r},)")) as raised:
-        symbol_profiles(xis, P1, VG, cond_limit=2e4)
+        symbol_profiles(xis, P1, VG)
     assert raised.value.cond_estimate == cond0[2]
 
 
@@ -579,17 +585,22 @@ def test_transverse_solve_matches_manufactured_discrete_solution(nz):
     assert worst <= worst_dense
 
 
-def test_transverse_cond_limit_names_the_worst_frequency():
+def test_transverse_cond_limit_names_the_worst_frequency(monkeypatch):
     # a larger |sigma| lifts the smallest |sigma + lambda| most, so the
     # lowest frequency has the largest bound; a limit just below it raises
-    # and names that frequency, a limit at it passes
+    # and names that frequency and the limit, a limit at it passes
+    import stripwave.odesystem as ode
     xis = np.array([[3.0, -2.0], [0.1, 0.0], [0.5, 0.5]])
     cond = transverse_factor(xis, P3, VG, P3.gamma)[2]
     assert np.argmax(cond) == 1
+    monkeypatch.setattr(ode, "COND_LIMIT", 0.999 * cond[1])
     with pytest.raises(IllConditionedCollocation,
-                       match=r"transverse system condition bound .* at xi = \(0\.1, 0\.0\)"):
-        transverse_factor(xis, P3, VG, P3.gamma, cond_limit=0.999 * cond[1])
-    assert np.array_equal(transverse_factor(xis, P3, VG, P3.gamma, cond_limit=cond[1])[2], cond)
+                       match=r"transverse system condition bound .* beyond "
+                             + re.escape(f"{0.999 * cond[1]:.3g} at xi = (0.1, 0.0)")) as raised:
+        transverse_factor(xis, P3, VG, P3.gamma)
+    assert raised.value.cond_estimate == cond[1]
+    monkeypatch.setattr(ode, "COND_LIMIT", cond[1])
+    assert np.array_equal(transverse_factor(xis, P3, VG, P3.gamma)[2], cond)
 
 
 @pytest.mark.parametrize("lam", [[1.0, -2.0, 3.0], [1.0, 2.0 + 1e-3j, 2.0 - 1e-3j]],
