@@ -44,7 +44,10 @@ def _record_solves(summary: dict, grid, **solved_by):
 def run(config: RunConfig) -> int:
     r = config.raw
     outdir = r["out"]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir!r}: {exc.strerror}") from exc
     summary = {"mode": r["mode"], "ok": True}
     try:
         bad = validate_params(config.params())

@@ -31,7 +31,6 @@ class FlatteningFields:
 
     a_last: np.ndarray       # A[:, n-1], (n,) + phys_shape + (Nz,)
     j_field: np.ndarray      # phys_shape (vertically constant)
-    eta_bound: float
     eta_phys: np.ndarray     # phys_shape
     grad_eta_phys: np.ndarray  # (dim_h,) + phys_shape
 
@@ -57,8 +56,7 @@ def build_flattening(eta: SurfaceSpectral, grid: FrequencyGrid,
     a_last[:-1] = -vgrid.nodes * (grad_p / (b + eta_p))[..., None]
     a_last[-1] = (b / (b + eta_p))[..., None]
     J = 1.0 + eta_p / b
-    return FlatteningFields(a_last=a_last, j_field=J, eta_bound=bound,
-                            eta_phys=eta_p, grad_eta_phys=grad_p)
+    return FlatteningFields(a_last=a_last, j_field=J, eta_phys=eta_p, grad_eta_phys=grad_p)
 
 
 def flattening_points(eta_phys: np.ndarray, grid: FrequencyGrid,

@@ -162,12 +162,9 @@ def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
 def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral:
     """Per-frequency pairing of the data against the adjoint response symbols,
     computed where some part of the data is nonzero and exactly zero elsewhere."""
-    return _pairing_at(data, table, gather_index(support(data)))
-
-
-def _pairing_at(data: YData, table: SymbolTable, at) -> SurfaceSpectral:
     grid, vgrid = data.grid, data.vgrid
     n = grid.dim_h + 1
+    at = gather_index(support(data))
     f, g, l, k, h, m = (part.rows(at) for part in data.parts())
     y = table.y.reshape((-1,) + table.y.shape[grid.dim_h:])
     y_long, y_vn, y_temp, y_q = (np.conj(y[at, row]) for row in range(4))
@@ -231,14 +228,14 @@ class LinearInverter:
     and writes zero at the others.  In dim_h = 2 it first factors the
     transverse problems (a diagonal scaling each, no LU) where the
     transverse forcing is nonzero, anew at every inversion.  It keeps one
-    FrequencyStack prepared at the frequencies it solves, prepared again at
-    the union when its data reaches outside them.  At xi = 0 the longitudinal
-    direction is the first horizontal axis and, in dim_h = 2, the
-    transverse one the second.  Each inversion fills ``backend`` and
-    ``cond``, lattice arrays shaped like SymbolTable's: the backend of each
-    solved frequency and its condition estimate, None and 0 where no solve
-    was made; a cond_1(K) or transverse bound beyond odesystem.COND_LIMIT
-    raises.
+    FrequencyStack, prepared at exactly the frequencies the last inversion
+    solved, in lattice order, and prepares it again when an inversion solves
+    any other set.  At xi = 0 the longitudinal direction is the first
+    horizontal axis and, in dim_h = 2, the transverse one the second.  Each
+    inversion fills ``backend`` and ``cond``, lattice arrays shaped like
+    SymbolTable's: the backend of each solved frequency and its condition
+    estimate, None and 0 where no solve was made; a cond_1(K) or transverse
+    bound beyond odesystem.COND_LIMIT raises.
     """
 
     def __init__(self, table: SymbolTable):
@@ -247,8 +244,6 @@ class LinearInverter:
         self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0)
         self.backend = None
         self.cond = None
-        # the half-lattice frequencies of the stack
-        self._prepared = np.zeros(int(table.grid.half_mask.sum()), dtype=bool)
         self._stack = None
 
     def _solve_half(self, data: YData, at, out: LinearState):
@@ -257,13 +252,13 @@ class LinearInverter:
         u, psi and pres there into out."""
         p, grid, vgrid = self.table.params, data.grid, data.vgrid
         n = grid.dim_h + 1
-        xis = grid.xi_vectors[grid.half_mask]
-        # half-lattice positions, and flat indices as an array: fd and kd are copies
-        rows, flat = (np.cumsum(grid.half_mask) - 1)[at], np.arange(grid.xi2.size)[at]
+        # flat indices as an array: fd and kd are copies
+        flat = np.arange(grid.xi2.size)[at]
+        xis = grid.xi_vectors.reshape(-1, grid.dim_h)[flat]
         unit, mag = _unit_xi(grid, flat)
         fd, kd, g, l, m = (part.rows(flat) for part in (data.f, data.k, data.g, data.l, data.m))
         eta = out.eta.rows()[0, flat]
-        dh = [2j * np.pi * xi_ax for xi_ax in grid.xi_vectors.reshape(-1, grid.dim_h)[flat].T]
+        dh = [2j * np.pi * xi_ax for xi_ax in xis.T]
         for ax in range(grid.dim_h):
             fd[ax] = fd[ax] - p.grav * (eta * dh[ax])[..., None]
         kd[n - 1] = kd[n - 1] - p.sigma0 * sum(eta * d * d for d in dh)
@@ -277,25 +272,20 @@ class LinearInverter:
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
             if transverse.any():
-                factors = transverse_factor(xis[rows[transverse]], p, vgrid, -p.gamma)
-        if not self._prepared[rows[live]].all():
-            prepared = self._prepared.copy()
-            prepared[rows[live]] = True
-            self._stack = self.solver.prepare(xis[prepared])
-            self._prepared = prepared
-        Y = np.zeros((len(rows), 6, vgrid.count), dtype=complex)
+                factors = transverse_factor(xis[transverse], p, vgrid, -p.gamma)
+        Y = np.zeros((len(flat), 6, vgrid.count), dtype=complex)
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
-            # the stack member of each live row
-            member = (np.cumsum(self._prepared) - 1)[rows[live]]
-            if live.all() and np.array_equal(member, np.arange(len(self._stack.xis))):
-                Y = self._stack.solve(z, d)     # every row live, the stack's members in order
-            else:       # the other members get no data
-                zs, ds = (np.zeros((len(self._stack.xis),) + a.shape[1:], complex) for a in (z, d))
-                zs[member], ds[member] = z[live], d[live]
-                Y[live] = self._stack.solve(zs, ds)[member]
-            np.put(backend, flat[live], self._stack.backend[member])
-            np.put(cond, flat[live], self._stack.cond[member])
+            every = live.all()      # then z and d go as they are, and the profiles are Y
+            solved = xis if every else xis[live]
+            if self._stack is None or not np.array_equal(solved, self._stack.xis):
+                self._stack = self.solver.prepare(solved)
+            if every:
+                Y = self._stack.solve(z, d)
+            else:
+                Y[live] = self._stack.solve(z[live], d[live])
+            np.put(backend, flat[live], self._stack.backend)
+            np.put(cond, flat[live], self._stack.cond)
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
         u = out.u.rows()
@@ -316,13 +306,13 @@ class LinearInverter:
             raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
                              f"is built for {table.grid}, {table.vgrid}")
         live = support(data)
-        at, pair_at = gather_index(live & grid.half_mask), gather_index(live)
+        at = gather_index(live & grid.half_mask)
         # the symbols where some part of the data is nonzero at xi or -xi,
         # which differs from xi only on the self-paired planes
         live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
         table.solve(live)
         out = LinearState.zeros(grid, vgrid)
-        out.eta = solve_surface(_pairing_at(data, table, pair_at), table)
+        out.eta = solve_surface(compatibility_functional(data, table), table)
         self._solve_half(data, at, out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)

@@ -438,8 +438,8 @@ class _Sweep:
     of y_p, from Q, C(0) and exp(x_j A) Q at the sweep's nodes, those of the
     I - Q part for the tail alone; and ``quad``, the Gauss-Legendre
     quadrature in the basis B_b: the coefficients coef_b(c_j - t_q) as real
-    rows [Re; Im], C-contiguous (k, N // 2, 12, 8), and each member's basis,
-    (k, 36, 6), 16 k (48 (N // 2) + 216) bytes.  The local integral L_j =
+    rows [Re; Im], C-contiguous (k, N // 2, 12, 8), 16 k 48 (N // 2) bytes;
+    the basis itself is the stack's ``basis``.  The local integral L_j =
     sum_q w_q exp((c_j - t_q) A) z(t_q) is sum_b B_b (sum_q coef_b w_q
     z(t_q)), the weights and the interpolation from the Nz nodes in the rows
     of ``_gl_panels``.  y_p(b) = sum_j exp((b - x_{j+1}) A) Q L_j and y_p(0)
@@ -478,22 +478,20 @@ class _Sweep:
             right = np.concatenate([Q.transpose(0, 2, 1), np.broadcast_to(D, Q.shape)], axis=2)
             self.steps = (steps[1:], C0, D - D @ Q, right, np.ascontiguousarray(rows[..., -2::-1]),
                           _FLIP[:, None] * rows[self._tail, :, 1:])
-            coef = _member_coefficients(self.prop, offsets[:n - 1], split=True)
-            # basis rows (b, c) by output component i: B_b[i, c]
-            basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)
-            self.quad = (coef, basis.reshape(k, 36, 6))
+            self.quad = _member_coefficients(self.prop, offsets[:n - 1], split=True)
         return self.steps, self.quad
 
     def _local_integrals(self, z) -> np.ndarray:
         """Per subpanel [a_j, c_j] the integral of exp((c_j - t) A) z(t) dt
         for every member, (k, N-1, 6), from ``quad``."""
-        coef, basis = self._tables()[1]
+        coef = self._tables()[1]
         rows, k = self.rows, len(z)
         n = len(rows) // 8 + 1
         h = n // 2
-        # only the forced components enter (forcing_rows leaves phi and delta 0)
+        # only the forced components enter (forcing_rows leaves phi and delta 0); the
+        # basis rows (b, c) of those c by output component i: B_b[i, c]
         cols = np.flatnonzero(z.any(axis=(0, 2)))
-        basis = basis.reshape(k, 6, 6, 6)[:, :, cols].reshape(k, -1, 6)
+        basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2)[:, :, cols].reshape(k, -1, 6)
         # s = w_q z(t_q) (member, subpanel, node, component (re, im)): the real rows times the
         # (re, im) columns per member as in a lone solve; coef_b's real rows [Re; Im] times s,
         # combined as C s = Cr s + i (Ci s), meet the basis in blocks of _EXP_CHUNK member-times
@@ -516,11 +514,12 @@ class _Sweep:
         ``d`` (k, 6, 1), as a view: v from the ends of y_p, then the forward
         sweep of the Q part over every member and the backward one of the
         I - Q part on D w+ over the two-sided tail alone."""
-        (S, starts, back_start, right, to_b, to_0), (_, basis) = self._tables()
+        S, starts, back_start, right, to_b, to_0 = self._tables()[0]
         L = self._local_integrals(z)
         k, n, tail = len(z), L.shape[1] + 1, self._tail
         ends = np.zeros((k, 2, 36), dtype=complex)     # y_p(b), and on the tail -y_p(0)
         ends[:, 0], ends[tail, 1] = (to_b @ L).reshape(k, 36), (to_0 @ L[tail]).reshape(-1, 36)
+        basis = self.basis.reshape(k, 6, 6, 6).transpose(0, 1, 3, 2).reshape(k, 36, 6)
         ends = (ends @ basis)[..., None]
         v = self.Kinv @ (d + self.Mmat @ ends[:, 1] - self.Nmat @ ends[:, 0])
         local = L[tail] @ right

@@ -12,7 +12,7 @@ factor of 2 on the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class ConstitutiveSet:
     phi_heat: object
     sigma_fn: object
     sigma_prime: object
-    names: dict = field(default_factory=dict)
 
 
 def _tempdep_factor(r):
@@ -113,8 +112,7 @@ def make_constitutive(p: PhysicalParams, visc="newtonian", heat="fourier",
     else:
         raise ValueError(f"unknown sigma closure sigma={sigma!r}")
 
-    return ConstitutiveSet(gamma_visc, phi_heat, sigma_fn, sigma_prime,
-                           names={"visc": visc, "heat": heat, "sigma": sigma})
+    return ConstitutiveSet(gamma_visc, phi_heat, sigma_fn, sigma_prime)
 
 
 def verify_constitutive_linearization(c: ConstitutiveSet, p: PhysicalParams,

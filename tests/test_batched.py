@@ -1,6 +1,7 @@
 """The batched per-frequency layer: a FrequencyStack solves K frequencies as
 stacks and must agree with K single-frequency solves of the same solver."""
 
+import json
 import math
 import tracemalloc
 
@@ -128,9 +129,9 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
 def test_stack_quadrature_cache_is_bounded(dim, nz):
     # the cached quadrature is the weighted coefficients as real rows
     # [Re; Im] of the lower half of the mirror-symmetric panels,
-    # (k, Nz // 2, 12, 8), and each member's complex basis (k, 36, 6): at
-    # most 16 k (48 (Nz // 2) + 216) bytes, against 16 k (Nz-1) 288 for 6x6
-    # exponentials per node; the steps are kept for the same panels
+    # (k, Nz // 2, 12, 8), with the basis read from the stack's: at most
+    # 16 k 48 (Nz // 2) bytes, against 16 k (Nz-1) 288 for 6x6 exponentials
+    # per node; the steps are kept for the same panels
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
@@ -142,16 +143,16 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     sweep.solve(z, d[..., None])
     k = len(sweep.prop)
     assert k == len(xis)
-    coef, basis = sweep.quad
-    assert coef.dtype == float and coef.shape == (k, nz // 2, 12, 8) and basis.dtype == complex
-    assert all(a.flags.c_contiguous for a in sweep.quad)
-    assert sum(a.nbytes for a in sweep.quad) <= 16 * k * (48 * (nz // 2) + 216)
+    coef = sweep.quad
+    assert coef.dtype == float and coef.shape == (k, nz // 2, 12, 8)
+    assert coef.flags.c_contiguous
+    assert coef.nbytes <= 16 * k * 48 * (nz // 2)
     assert sweep.steps[0].shape == (nz // 2, k, 6, 6)
 
 
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
-    # quadrature cache of the lower half of the mirrored panels (4.0 MB
+    # quadrature cache of the lower half of the mirrored panels (3.7 MB
     # together at wave-2d's forced stack, 86 members at nz 48; peak 7.7 MiB);
     # the Taylor product writes the cache itself, the closed forms write its
     # real and imaginary rows, and neither they nor the contraction, in calls
@@ -159,9 +160,9 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
     # grows with members times intervals.  The second stack (600 members at
     # nz 12, 2 pi |xi| b in [10, 18]) sends 27% of its quadrature
     # member-times to the closed forms, more than one full call, and every
-    # member is two-sided (9.6 MB kept, peak 18.4 MiB).  The third is
+    # member is two-sided (7.5 MB kept, peak 18.4 MiB).  The third is
     # roundtrip-3d's inverter stack, 144 members at nz 24, 113 of them swept
-    # forward alone (3.3 MB kept, peak 6.9 MiB).  Each bound is the least
+    # forward alone (2.9 MB kept, peak 6.4 MiB).  Each bound is the least
     # whole MiB at least 1.17 times its stack's peak
     import stripwave.odesystem as ode
     calls = []
@@ -174,7 +175,7 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
     half = (j1 > 0) | (j2 > 0)
     for dim, nz, xis, bound in ((2, 48, np.arange(86)[:, None] / (20 * np.pi), 9),
                                 (2, 12, np.linspace(10.0, 18.0, 600)[:, None] / (2 * np.pi), 22),
-                                (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi), 9)):
+                                (3, 24, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi), 8)):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         vg = VerticalGrid(p.depth, nz)
         rng = np.random.default_rng(0)
@@ -337,7 +338,7 @@ def test_forced_profiles_match_full_table_reference():
         stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
         Y = stack.solve(z, d)[stack.members]
         [sweep] = stack.sweeps
-        assert sweep.steps[0].shape[0] == nz // 2 and sweep.quad[0].shape[1] == nz // 2
+        assert sweep.steps[0].shape[0] == nz // 2 and sweep.quad.shape[1] == nz // 2
         ref = _full_table_profiles(stack, z, d)
         scale = np.abs(ref).max(axis=(1, 2))
         assert np.all(np.abs(Y - ref).max(axis=(1, 2)) <= 1e-13 * scale)
@@ -508,9 +509,9 @@ def _without_low_modes(state, jmin):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
+def test_inverter_prepares_again_at_the_new_support(dim, monkeypatch):
     # data on S1 (indices up to 2), then on S2 (2 to 4): the second inversion
-    # prepares at the union and returns, bit for bit, what a fresh inverter
+    # prepares at S2 alone and returns, bit for bit, what a fresh inverter
     # returns for S2, with exact zeros where S2 has no data
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
@@ -531,10 +532,12 @@ def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
         return prepare(xis, *args, **kwargs)
 
     inv.solver.prepare = counting
-    inv.invert(data1)
-    out = inv.invert(data2)
     half = grid.half_mask
-    assert prepared == [(support[0] & half).sum(), ((support[0] | support[1]) & half).sum()]
+    inv.invert(data1)
+    assert np.array_equal(inv._stack.xis, grid.xi_vectors[support[0] & half])
+    out = inv.invert(data2)
+    assert np.array_equal(inv._stack.xis, grid.xi_vectors[support[1] & half])
+    assert prepared == [(support[0] & half).sum(), (support[1] & half).sum()]
     fresh = LinearInverter(table)
     expect = fresh.invert(data2)
     for part, ref in zip(out.parts(), expect.parts()):
@@ -545,12 +548,11 @@ def test_inverter_prepares_again_at_the_union(dim, monkeypatch):
 
 
 def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
-    # forcing rows that are all live and the stack's members in order go to
-    # the stack as they are, with no stack-sized zero padding; one live row
-    # of two (data at one frequency, so the rows gain xi = 0) is padded to
-    # its one-member stack.  After the support shrinks, the stack's other
-    # members are padded, and every output is bit for bit what a fresh
-    # inverter gives
+    # forcing rows that are all live go to the stack as they are; of two
+    # rows with one live (data at one frequency, so the rows gain xi = 0),
+    # the one-member stack gets the live row alone.  After the support
+    # shrinks, the stack is prepared again at the one live row, and every
+    # output is bit for bit what a fresh inverter gives
     import stripwave.linear as linear
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid, vg = FrequencyGrid(1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
@@ -581,9 +583,45 @@ def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
     assert k == len(z) == len(d) == 1 and len(rows) == 2 and not rows[0].any()
     out = inv.invert(data)
     (k, z, d) = handed[-1]
-    assert k == len(z) == len(d) == 3
+    assert k == len(z) == len(d) == 1
     for part, ref in zip(out.parts(), expect.parts()):
         assert part.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("dim, mode_index, grid", [(2, 2, {"modes": 32, "nz": 24}),
+                                                   (3, 1, {"modes": 16, "nz": 24})])
+def test_picard_prepares_its_inverter_stack_once(tmp_path, monkeypatch, dim, mode_index, grid):
+    # every Picard step inverts a residual on the same half-lattice support,
+    # so the inverter prepares its stack at the first step and solves every
+    # later one on it
+    from stripwave import cli
+    prepared, inverted = [], []
+
+    class Counting(cli.LinearInverter):
+        def __init__(self, table):
+            super().__init__(table)
+            prepare = self.solver.prepare
+
+            def counting(xis):
+                prepared.append(len(xis))
+                return prepare(xis)
+
+            self.solver.prepare = counting
+
+        def invert(self, data):
+            inverted.append(self)
+            return super().invert(data)
+
+    monkeypatch.setattr(cli, "LinearInverter", Counting)
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "mode": "nonlinear-solve", "out": str(out), "params": {"dim": dim}, "grid": grid,
+        "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": mode_index}}))
+    assert cli.main(["--config", str(path)]) == 0
+    iterations = json.load(open(out / "solve_trace.json"))["iterations"]
+    assert len(inverted) == iterations >= 2 and len(set(inverted)) == 1
+    assert len(prepared) == 1 and prepared[0] == len(inverted[0]._stack.xis) > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -608,6 +608,22 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, cfg, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["", "file", "file/sub"], ids=["empty", "file", "below-file"])
+def test_bad_output_path_exits_2(tmp_path, capsys, out):
+    # an empty output path in the config, and an existing file or a path
+    # below one given by --out, cannot be made a directory: a config error
+    # naming the path (exit 2), not a numerical failure with a traceback
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / out) if out else ""
+    cfg = {"mode": "symbols", **SMALL}
+    argv = (["--config", _write_cfg(tmp_path, cfg), "--out", path] if out
+            else ["--config", _write_cfg(tmp_path, {**cfg, "out": path})])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {path!r}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid", [{"modes": 48}, {"box_len": 2.0, "modes": 64}])
 def test_parameter_gate_samples_up_to_xi_max(tmp_path, monkeypatch, grid):
     # five geometric samples ending at the grid's xi_max, whatever the grid;

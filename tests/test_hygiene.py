@@ -140,8 +140,9 @@ def test_private_detector_flags_unread_and_keeps_read():
 def test_no_unread_private_names():
     root = SRC.parent.parent
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    # this file's own AST code (node.names, n.attr, ...) reads no field of the package
     readers = [p.read_text() for d in ("tests", "perfbench")
-               for p in sorted((root / d).rglob("*.py"))]
+               for p in sorted((root / d).rglob("*.py")) if p.name != "test_hygiene.py"]
     assert unread_names(sources, readers) == []
 
 
