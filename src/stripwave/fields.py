@@ -12,12 +12,13 @@ completes them, ``enforce_real`` makes them Hermitian and zeroes Nyquist.
 
 Every artifact file is written by ``write_csv`` or ``write_json``, the one
 CSV and the one JSON format of the package; a field CSV holds the nonzero
-rows of the half lattice.
+rows of the half lattice.  ``write_csv``'s text, from a numpy kernel, is
+byte-identical to %d / %.17g / %s; an entry it cannot certify takes %.17g.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import os
 import warnings
@@ -219,26 +220,115 @@ class YData(FieldTuple):
 # The artifact formats: CSV (fields, symbols, samples) and JSON
 # ---------------------------------------------------------------------------
 
-_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
-# CSV rows formatted per block: bounds the Python objects alive at a time
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 4096   # CSV rows formatted per block: bounds the arrays alive at a time
+_GAP = 0xFF         # fills the bytes a cell leaves unused; no UTF-8 text holds it
 
 
 def write_csv(path, header, columns):
     """The one CSV format: a header line, then one row per entry of the
     equal-length 1-D ``columns``, formatted %d for integer columns, %.17g
-    for float columns and %s otherwise, with CRLF line ends."""
+    for float columns and %s otherwise, with CRLF line ends, from blocks of
+    byte cells; ValueError when ``header`` names more or fewer, or none."""
+    if not columns or len(header) != len(columns):
+        raise ValueError(f"a CSV header of {len(header)} names for {len(columns)} columns")
     size = len(columns[0])
     if any(len(col) != size for col in columns):
         raise ValueError("CSV columns must have equal lengths")
-    row = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, size, _CSV_BLOCK):
-            block = [col[lo:lo + _CSV_BLOCK].tolist() for col in columns]
-            # one format call per block, row-major through the columns
-            fh.write(row * len(block[0])
-                     % tuple(itertools.chain.from_iterable(zip(*block))))
+            cells = [_cells(col[lo:lo + _CSV_BLOCK]) for col in columns]
+            comma, end = (np.broadcast_to(np.frombuffer(s, np.uint8), (len(cells[0]), len(s)))
+                          for s in (b",", b"\r\n"))
+            row = np.hstack([part for cell in cells for part in (cell, comma)][:-1] + [end])
+            fh.write(row.tobytes().translate(None, bytes([_GAP])).decode())
+
+
+def _cells(col):
+    """The entries of the 1-D array ``col`` as rows of byte cells: integers
+    below 10^4 from a table, floats by _float_cells, and each entry it cannot
+    certify, or of another kind, by Python's own format."""
+    kind = col.dtype.kind
+    if kind in "iu" and col.min() >= 0 and col.max() < 10 ** 4:
+        return _digit_tables()[0].take(col, axis=0)
+    out, slow = (_float_cells(col.astype(np.float64)) if kind == "f" and col.itemsize <= 8
+                 else (np.empty((len(col), 0), np.uint8), slice(None)))
+    form = "%.17g" if kind == "f" else "%d" if kind in "iu" else "%s"
+    raw = [(form % (v,)).encode() for v in col[slow].tolist()]
+    width = max([out.shape[1], *map(len, raw)])
+    out = np.pad(out, ((0, 0), (0, width - out.shape[1])), constant_values=_GAP)
+    out[slow] = np.frombuffer(b"".join(b.ljust(width, b"\xff") for b in raw),
+                              np.uint8).reshape(len(raw), width)
+    return out
+
+
+def _split(v):
+    """Veltkamp's split of ``v`` into two halves of 26 bits each (hi, lo)."""
+    c = v * 134217729.0
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+@functools.lru_cache(maxsize=1024)
+def _decade(E):
+    """For the decimal exponent E: hi, its _split and lo, where 10^(16-E) = hi + lo
+    and each is correctly rounded; and the 48 bytes of a cell for a + and a -
+    value: sign, a small value's lead "0.0..", per digit a 0 and the point or a gap, exponent."""
+    num, den = (10 ** (16 - E), 1) if E <= 16 else (1, 10 ** (E - 16))
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    fixed, small = -4 <= E < 17, -4 <= E < 0
+    at = -1 if small else E if fixed else 0         # the digit the point follows
+    text = ((b"0." + b"0" * (-E - 1) if small else b"").ljust(5, b"\xff")
+            + b"".join(b"\0." if i == at else b"\0\xff" for i in range(17))
+            + (b"" if fixed else b"e%+03d" % E).ljust(8, b"\xff"))
+    return (hi, *_split(hi), (num * d - n * den) / (den * d)), b"\xff" + text + b"-" + text
+
+
+@functools.lru_cache(maxsize=1)
+def _digit_tables():
+    """Built at first use: the cells of the integers 0 .. 9999; their four digits,
+    zero-padded, as (digit, 0) byte pairs in one '<u8'; at g 10^4 + v, the digits
+    a value shows through v's last nonzero digit when v is its group g = 0 .. 3
+    after the first digit (1 if v = 0); per m = 0 .. 17, the gaps past m digits."""
+    quads = (np.arange(10 ** 4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])) % 10 + 48
+    lead = np.logical_or.accumulate(quads > 48, axis=1) | (np.arange(4) == 3)
+    last = np.where(quads > 48, np.arange(2, 18, dtype=np.uint8).reshape(4, 1, 4), 1).max(axis=2)
+    j = np.arange(48) - 6
+    gaps = (j >= 0) & (j < 34) & (j // 2 + j % 2 >= np.arange(18)[:, None])
+    return (np.where(lead, quads, _GAP).astype(np.uint8), quads.astype("<u2").view("<u8").ravel(),
+            last.ravel(), (gaps * _GAP).astype(np.uint8).view("<u8"))
+
+
+def _float_cells(x):
+    """'%.17g' % v for each entry v of the float64 array ``x``, as rows of 48
+    byte cells, and the entries it cannot certify (Grisu's design: Loitsch,
+    PLDI 2010).  With E = floor(log10 |v|), P = |v| 10^(16-E) rounds to the 17
+    digits D = p + rint(q): p = fl(|v| hi), q its error by Dekker's exact
+    product plus |v| lo, off P by < 2^-53 (|v lo| + 2^5) + 2^-106 1e17 < 1e-14.
+    Uncertified: |v| outside [1e-280, 1e280] (where a step could overflow or
+    underflow; nan, inf), P outside [1e16, 1e17 - 1/2) or within 2^-40 of a tie."""
+    a, zero = np.abs(x), x == 0
+    fast = zero | ((a >= 1e-280) & (a <= 1e280))
+    a[~fast | zero] = 2.0                   # any finite value: these cells are replaced
+    E = np.floor(np.log10(a)).astype(np.int64)
+    consts, rows = zip(*map(_decade, range(E.min(), E.max() + 1)))
+    hi, hh, hl, lo = np.array(consts).T.take(E - E.min(), axis=1)
+    (ah, al), p = _split(a), a * hi
+    q = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    D = np.where(zero, 0, p.astype(np.int64) + np.rint(q).astype(np.int64))
+    fast &= (((p - 1e16) + q >= 2.0 ** -40) & (D < 10 ** 17)
+             & (np.abs(q - np.floor(q) - 0.5) >= 2.0 ** -40))
+    G = D // np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None]
+    Q = G[1:] - G[:-1] * 10 ** 4            # the digits after the first in groups of 4
+    _, pairs, last, gaps = _digit_tables()
+    keep = np.where(E > 16, 0, E + 1)       # %g's integer digits
+    m = np.maximum(last.take(Q + 10 ** 4 * np.arange(4)[:, None]).max(axis=0), keep)
+    table = (np.frombuffer(b"".join(rows), "<u8").reshape(-1, 1, 6) | gaps).reshape(-1, 6)
+    out = table.take(((E - E.min()) * 2 + np.signbit(x)) * 18 + m, axis=0)
+    out[:, 0] |= (G[0].astype("<u8") + 48) << 48
+    out[:, 1:5] |= pairs.take(Q.T)
+    return out.view(np.uint8), np.flatnonzero(~fast)
 
 
 def write_json(path, payload):

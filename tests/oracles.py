@@ -1,7 +1,10 @@
-"""The tests' oracles for the closed-form solves of ``stripwave.odesystem``:
+"""The tests' oracles: for the closed-form solves of ``stripwave.odesystem``,
 scipy's matrix exponential and dense Chebyshev collocation of the
-first-order system.  Neither is on a production path, so scipy is needed
-by the tests alone."""
+first-order system; for ``stripwave.fields.write_csv``, a writer that
+formats every row with Python's ``%`` operator.  None of them is on a
+production path, so scipy is needed by the tests alone."""
+
+import itertools
 
 import numpy as np
 from scipy.linalg import expm, lapack
@@ -73,3 +76,24 @@ def solve_collocation(solver, xi, z_profile, d_vec):
         else np.array(z_profile, dtype=complex).reshape(-1)
     rhs[rows] = d_vec
     return lu_solve(lu, rhs, overwrite_b=True).reshape(6, nz), cond
+
+
+_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}
+
+
+def write_csv(path, header, columns):
+    """The CSV that ``stripwave.fields.write_csv`` must write, byte for byte:
+    a header line, then one row per entry of the equal-length 1-D
+    ``columns``, formatted %d for integer columns, %.17g for float columns
+    and %s otherwise, with CRLF line ends, by one ``%`` call per block of
+    4096 rows."""
+    size = len(columns[0])
+    if any(len(col) != size for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    row = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, size, 4096):
+            block = [col[lo:lo + 4096].tolist() for col in columns]
+            fh.write(row * len(block[0])
+                     % tuple(itertools.chain.from_iterable(zip(*block))))

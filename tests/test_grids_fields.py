@@ -654,3 +654,9 @@ def test_write_json_and_write_csv_bytes(tmp_path):
         b"n,x,tag\r\n3,0.10000000000000001,matexp\r\n-1,-0,collocation\r\n")
     with pytest.raises(ValueError, match="equal lengths"):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+    # a header must name every column, and a table has at least one
+    with pytest.raises(ValueError, match="header of 1 names for 2 columns"):
+        write_csv(tmp_path / "bad.csv", ["a"], [np.arange(2), np.arange(2.0)])
+    with pytest.raises(ValueError, match="header of 1 names for 0 columns"):
+        write_csv(tmp_path / "bad.csv", ["a"], [])
+    assert not (tmp_path / "bad.csv").exists()
