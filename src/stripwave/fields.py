@@ -181,11 +181,6 @@ class FieldTuple:
             mine.data += a * theirs.data
         return self
 
-    def scale(self, a: float):
-        for part in self.parts():
-            part.data *= a
-        return self
-
 
 @dataclass
 class YData(FieldTuple):

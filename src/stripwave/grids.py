@@ -111,10 +111,6 @@ class VerticalGrid:
         for f, table in zip(fields(self)[2:], _vertical_tables(float(self.depth), int(self.count))):
             object.__setattr__(self, f.name, table)
 
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Integral over [0, depth]; values indexed by node on the last axis."""
-        return values @ self.weights
-
     def differentiate(self, values: np.ndarray) -> np.ndarray:
         """d/dx_n along the last axis."""
         return values @ self.diff.T

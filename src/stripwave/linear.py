@@ -33,11 +33,10 @@ import numpy as np
 
 from .errors import RhoVanishing
 from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
-                     conjugate_mirror, gather_index, reflect, support)
+                     conjugate_mirror, gather_index, support)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
-from .odesystem import (FrequencySolver, SymbolTable, forcing_rows,
-                        transverse_factor, transverse_solve)
+from .odesystem import FrequencySolver, SymbolTable, forcing_rows, transverse_solve
 from .params import PhysicalParams
 
 
@@ -159,12 +158,22 @@ def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_grids(table: SymbolTable, *grids):
+    """ValueError unless the data's lattice (and vertical grid) are the table's."""
+    if grids != (table.grid, table.vgrid)[:len(grids)]:
+        raise ValueError(f"data on {', '.join(map(str, grids))}; the symbol table "
+                         f"is built for {table.grid}, {table.vgrid}")
+
+
 def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral:
-    """Per-frequency pairing of the data against the adjoint response symbols,
-    computed where some part of the data is nonzero and exactly zero elsewhere."""
+    """Per-frequency pairing of the data against the adjoint response symbols
+    at the half-lattice frequencies where some part of the data is nonzero,
+    zero at the others, completed by ``conjugate_mirror``: the data is read
+    on grid.half_mask alone.  ValueError if the table is on other grids."""
     grid, vgrid = data.grid, data.vgrid
+    _check_grids(table, grid, vgrid)
     n = grid.dim_h + 1
-    at = gather_index(support(data))
+    at = gather_index(support(data) & grid.half_mask)
     f, g, l, k, h, m = (part.rows(at) for part in data.parts())
     y = table.y.reshape((-1,) + table.y.shape[grid.dim_h:])
     y_long, y_vn, y_temp, y_q = (np.conj(y[at, row]) for row in range(4))
@@ -180,6 +189,7 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     xi_val += h[0]
     pairing = SurfaceSpectral.zeros(grid)
     pairing.rows()[0, at] = xi_val
+    pairing.data = conjugate_mirror(pairing.data, grid)
     return pairing
 
 
@@ -191,9 +201,11 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
     available directly from its coefficients.  Raises RhoVanishing when a
     solved |rho| is at most 1e-13 times its certified lower-bound scale,
     which signals mis-assembled symbols, and ValueError when the pairing is
-    nonzero off the zero mode where the table has no symbol.
+    nonzero off the zero mode where the table has no symbol, or lies on
+    another lattice than the table's.
     """
     grid = pairing.grid
+    _check_grids(table, grid)
     p = table.params
     rho = table.rho
     mag2 = grid.xi2
@@ -219,17 +231,16 @@ def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectr
 class LinearInverter:
     """Caches the per-frequency machinery for repeated inversions.
 
-    An inversion first extends its symbol table to the half-lattice
-    frequencies where some part of its data is nonzero at xi or -xi; the
-    pairing is zero, and no symbol is needed, at every other one.  It then
-    forms the data less the surface terms, and the forcing, only at the
-    half-lattice frequencies where the data is nonzero, solves those where
-    the forcing is nonzero (in dim_h = 2 the transverse forcing counts too)
-    and writes zero at the others.  In dim_h = 2 it first factors the
-    transverse problems (a diagonal scaling each, no LU) where the
-    transverse forcing is nonzero, anew at every inversion.  It keeps one
-    FrequencyStack, prepared at exactly the frequencies the last inversion
-    solved, in lattice order, and prepares it again when an inversion solves
+    An inversion reads its data on the half lattice alone and completes each
+    part of its result by ``conjugate_mirror``.  It solves its symbol table
+    at the half-lattice frequencies where some part of the data is nonzero,
+    forms the data less the surface terms, and the forcing, there, solves
+    those where the forcing is nonzero (in dim_h = 2 the transverse forcing
+    counts too) and writes zero at the others.  In dim_h = 2 it first solves
+    the transverse problems (a diagonal scaling each, no LU) where the
+    transverse forcing is nonzero, so an ill-conditioned one raises before
+    any preparation.  It keeps one FrequencyStack, prepared at exactly the
+    frequencies the last inversion solved, in lattice order, and prepares it again when an inversion solves
     any other set.  At xi = 0 the longitudinal direction is the first
     horizontal axis and, in dim_h = 2, the transverse one the second.  Each
     inversion fills ``backend`` and ``cond``, lattice arrays shaped like
@@ -272,18 +283,14 @@ class LinearInverter:
             transverse = f_perp.any(axis=1) | (k_perp != 0)
             live |= transverse
             if transverse.any():
-                factors = transverse_factor(xis[transverse], p, vgrid, -p.gamma)
+                beta, _ = transverse_solve(xis[transverse], p, vgrid, -p.gamma,
+                                           f_perp[transverse], k_perp[transverse])
         Y = np.zeros((len(flat), 6, vgrid.count), dtype=complex)
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
-            every = live.all()      # then z and d go as they are, and the profiles are Y
-            solved = xis if every else xis[live]
-            if self._stack is None or not np.array_equal(solved, self._stack.xis):
-                self._stack = self.solver.prepare(solved)
-            if every:
-                Y = self._stack.solve(z, d)
-            else:
-                Y[live] = self._stack.solve(z[live], d[live])
+            if self._stack is None or not np.array_equal(xis[live], self._stack.xis):
+                self._stack = self.solver.prepare(xis[live])
+            Y[live] = self._stack.solve(z[live], d[live])
             np.put(backend, flat[live], self._stack.backend)
             np.put(cond, flat[live], self._stack.cond)
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
@@ -294,7 +301,6 @@ class LinearInverter:
         u[n - 1, at] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
-            beta = transverse_solve(factors, f_perp[transverse], k_perp[transverse])
             u[:2, flat[transverse]] += beta * perp[transverse].T[..., None]
         out.psi.rows()[0, at] = Y[:, 2]
         out.pres.rows()[0, at] = Y[:, 3]
@@ -302,18 +308,12 @@ class LinearInverter:
     def invert(self, data: YData) -> LinearState:
         table = self.table
         grid, vgrid = data.grid, data.vgrid
-        if (grid, vgrid) != (table.grid, table.vgrid):
-            raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
-                             f"is built for {table.grid}, {table.vgrid}")
-        live = support(data)
-        at = gather_index(live & grid.half_mask)
-        # the symbols where some part of the data is nonzero at xi or -xi,
-        # which differs from xi only on the self-paired planes
-        live[[0, -1]] |= reflect(live[[0, -1]], grid, 0)
+        _check_grids(table, grid, vgrid)
+        live = support(data) & grid.half_mask
         table.solve(live)
         out = LinearState.zeros(grid, vgrid)
         out.eta = solve_surface(compatibility_functional(data, table), table)
-        self._solve_half(data, at, out)
+        self._solve_half(data, gather_index(live), out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
         return out

@@ -33,8 +33,9 @@ many frequencies at once.  The backends:
 * ``twosided``: every other frequency.
 
 In 3D the transverse velocity solves a scalar problem whose boundary rows
-do not depend on xi: ``transverse_factor`` diagonalizes it once per vertical
-grid and viscosity, and each frequency is a diagonal scaling, with no LU.
+do not depend on xi: it is diagonalized once per vertical grid and
+viscosity, and ``transverse_solve`` solves each frequency by a diagonal
+scaling, with no LU.
 
 The homogeneous solve with d = (0,0,0,0,1,0) yields the response symbols to
 a unit normal stress on the top boundary; their top traces assemble the
@@ -557,49 +558,43 @@ def _transverse_basis(vgrid: VerticalGrid, mu: float):
                      np.vstack([V, -top @ V])) + (mu * D[T, T], np.linalg.cond(V) ** 2)
 
 
-def transverse_factor(xis, p: PhysicalParams, vgrid: VerticalGrid, gamma_tilde: float):
+def transverse_solve(xis, p: PhysicalParams, vgrid: VerticalGrid, gamma_tilde: float,
+                     f_transverse, k_transverse):
     """The scalar transverse velocity problems at the frequencies ``xis``
     (K, 2) (horizontal dimension two only),
 
     gamma_tilde 2 pi i xi_1 beta - mu (dn^2 - 4 pi^2 |xi|^2) beta = f,
     beta(0) = 0, -mu dn beta(b) = k,
 
-    readied for ``transverse_solve`` with no LU: ``_transverse_basis``,
-    1 / (sigma + Lambda) (K, Nz-2) with sigma = gamma_tilde 2 pi i xi_1 +
-    mu 4 pi^2 |xi|^2, and the bound cond2(V)^2 max|sigma + lambda| /
-    min|sigma + lambda| on cond2(sigma I + Abar), (K,).  A bound beyond
-    COND_LIMIT raises IllConditionedCollocation naming the worst frequency.
+    f (K, Nz), k (K,), with no LU: on ``_transverse_basis`` each frequency is
+    the scaling 1 / (sigma + Lambda), sigma = gamma_tilde 2 pi i xi_1 +
+    mu 4 pi^2 |xi|^2, and the shared real rows act on its (re, im) columns,
+    so its beta does not depend on the batch.  Returns beta (K, Nz) and the
+    bound cond2(V)^2 max|sigma + lambda| / min|sigma + lambda| on
+    cond2(sigma I + Abar), (K,); a bound beyond COND_LIMIT raises
+    IllConditionedCollocation naming the worst frequency, before any solve.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.shape[-1] != 2:
         raise ValueError("transverse problems only arise for dim_h = 2")
-    basis = _transverse_basis(vgrid, float(p.mu))
+    lam, left, right, top, vcond = _transverse_basis(vgrid, float(p.mu))
     m = 2.0 * np.pi * np.sqrt(np.vecdot(xis, xis))
-    shift = (2j * np.pi * gamma_tilde * xis[:, 0] + p.mu * m * m)[:, None] + basis[0]
+    shift = (2j * np.pi * gamma_tilde * xis[:, 0] + p.mu * m * m)[:, None] + lam
     size = np.abs(shift)
-    cond = basis[-1] * size.max(axis=1) / size.min(axis=1)
+    cond = vcond * size.max(axis=1) / size.min(axis=1)
     if cond.size and cond.max() > COND_LIMIT:
         worst = int(np.argmax(cond))
         raise IllConditionedCollocation(
             f"transverse system condition bound {cond[worst]:.3g} beyond {COND_LIMIT:.3g} "
             f"at xi = {tuple(xis[worst].tolist())}", cond_estimate=float(cond[worst]))
-    return basis, 1.0 / shift, cond
-
-
-def transverse_solve(factors, f_transverse, k_transverse) -> np.ndarray:
-    """beta (K, Nz) from the factors of ``transverse_factor``, the forcing
-    f (K, Nz) and the top data k (K,).  The shared real rows act on each
-    frequency's (re, im) columns, one product per frequency, so a
-    frequency's beta does not depend on the batch around it."""
-    (_, left, right, top, _), scale, _ = factors
     rhs = np.concatenate([np.asarray(f_transverse)[:, 1:-1],
                           np.asarray(k_transverse)[:, None]], axis=1, dtype=complex)
     k, n = rhs.shape[0], rhs.shape[1] - 1
-    y = (left @ rhs.view(float).reshape(k, n + 1, 2)).view(complex)[..., 0] * scale
+    y = (left @ rhs.view(float).reshape(k, n + 1, 2)).view(complex)[..., 0] * (1.0 / shift)
     beta = np.zeros((k, n + 2), dtype=complex)
     beta[:, 1:] = (right @ y.view(float).reshape(k, n, 2)).view(complex)[..., 0]
     beta[:, -1] -= rhs[:, -1] / top
-    return beta
+    return beta, cond
 
 
 # ---------------------------------------------------------------------------

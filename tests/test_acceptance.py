@@ -219,7 +219,8 @@ def test_criterion_7_linearization_consistency():
             f.data *= eps
         scaled.eta.data *= eps
         r = nonlinear_residual(scaled, ForcingData(), PSET1, c)
-        r.scale(1.0 / eps)
+        for part in r.parts():
+            part.data *= 1.0 / eps
         r.axpy(-1.0, lin)
         errs.append(ydata_norm(r) / denom)
     slopes = [np.log10(errs[i] / errs[i + 1]) for i in range(2)]

@@ -548,7 +548,7 @@ def test_inverter_prepares_again_at_the_new_support(dim, monkeypatch):
 
 
 def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
-    # forcing rows that are all live go to the stack as they are; of two
+    # forcing rows that are all live go to the stack unchanged; of two
     # rows with one live (data at one frequency, so the rows gain xi = 0),
     # the one-member stack gets the live row alone.  After the support
     # shrinks, the stack is prepared again at the one live row, and every
@@ -574,7 +574,7 @@ def test_inverter_hands_its_stack_the_forcing_rows_as_they_are(monkeypatch):
     inv = LinearInverter(table)
     inv.invert(apply_linear_operator(state, p))
     (k, z, d), = handed
-    assert k == 3 and z is made[-1][0] and d is made[-1][1]
+    assert k == 3 and np.array_equal(z, made[-1][0]) and np.array_equal(d, made[-1][1])
     for part in state.parts():
         part.data[:, np.arange(grid.freq_shape[0]) != 2] = 0.0
     data = apply_linear_operator(state, p)
@@ -674,19 +674,19 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
     vg = VerticalGrid(1.0, 16)
     inv = LinearInverter(SymbolTable.build(grid, vg, p))
     factored = []
-    real = linear.transverse_factor
+    real = linear.transverse_solve
 
     def counting(xis, *args, **kwargs):
         factored.extend(tuple(np.round(xi, 12)) for xi in xis)
         return real(xis, *args, **kwargs)
 
-    monkeypatch.setattr(linear, "transverse_factor", counting)
+    monkeypatch.setattr(linear, "transverse_solve", counting)
     for seed in (1, 2):
         st = make_random_state(grid, vg, seed=seed, jmax=2)
         data = apply_linear_operator(st, p)
         factored.clear()
         out = inv.invert(data)
-        # each inversion factors each of its transverse frequencies once
+        # each inversion solves each of its transverse frequencies once
         assert factored and len(factored) == len(set(factored))
         assert np.abs(out.u.data[0]).max() > 0
         back = apply_linear_operator(out, p)
@@ -757,19 +757,19 @@ def test_transverse_factors_only_where_transverse_data(tmp_path, monkeypatch, mo
     # box 20 pi, modes 32, nz 24, with the transverse solves diagonalized.
     # Every forcing preset depends on x_1 alone, so the 3D nonlinear solve is
     # x_2-invariant, has no transverse forcing and hands no frequency to
-    # transverse_factor; each of roundtrip-3d's 12 inversions hands it the 144
+    # transverse_solve; each of roundtrip-3d's 12 inversions hands it the 144
     # half-lattice frequencies of its state
     import stripwave.linear as linear
     from stripwave.cli import run
     from stripwave.config import RunConfig
     handed = []
-    real = linear.transverse_factor
+    real = linear.transverse_solve
 
     def recording(xis, *args, **kwargs):
         handed.append(len(xis))
         return real(xis, *args, **kwargs)
 
-    monkeypatch.setattr(linear, "transverse_factor", recording)
+    monkeypatch.setattr(linear, "transverse_solve", recording)
     assert run(RunConfig.from_dict({
         "mode": mode, "out": str(tmp_path / "out"), "params": {"dim": 3},
         "grid": {"box_len": 2 * math.pi * 10, "modes": 32, "nz": 24},

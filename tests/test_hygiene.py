@@ -1,10 +1,11 @@
 """Source hygiene: every name a module of the package imports is used, every
 private name and every public function or class the package defines is read
-somewhere in it or re-exported, every defaulted parameter is passed by some
-call, the package depends on nothing beyond the standard library and
-numpy, so it imports scipy nowhere, one real transform pair in ``ops``
-is its only FFT, and the conditioning limit is a constant of ``odesystem``
-that no other module reads."""
+somewhere in it or re-exported, every public method is read by the package
+or the benchmark, every defaulted parameter is passed by some call, the
+package depends on nothing beyond the standard library and numpy, so it
+imports scipy nowhere, one real transform pair in ``ops`` is its only FFT,
+and the conditioning limit is a constant of ``odesystem`` that no other
+module reads."""
 
 import ast
 import sys
@@ -144,6 +145,55 @@ def test_no_unread_private_names():
     readers = [p.read_text() for d in ("tests", "perfbench")
                for p in sorted((root / d).rglob("*.py")) if p.name != "test_hygiene.py"]
     assert unread_names(sources, readers) == []
+
+
+# public methods that only the tests read, on purpose: the tests' Hermitian
+# oracle and README's documented lookup of one table row
+TEST_ONLY_METHODS = frozenset({"_LatticeField.hermitian_defect", "SymbolTable.entry"})
+
+
+def methods_no_reader_reaches(sources: dict, readers=()) -> list:
+    """(module, line, "Class.method") of each public method of a class in
+    ``sources`` ({module: source}) that no attribute read in ``sources`` or
+    in ``readers`` (more sources) reaches.  A bare name, a parameter or a
+    docstring that spells the method does not count as a read."""
+    attrs = {n.attr for source in [*sources.values(), *readers]
+             for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((module, f.lineno, f"{cls.name}.{f.name}")
+                  for module, source in sources.items()
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, ast.FunctionDef)
+                  and not f.name.startswith("_") and f.name not in attrs)
+
+
+def test_method_detector_flags_methods_no_attribute_reaches():
+    sources = {
+        "a": ("class Grid:\n"
+              "    def integrate(self, values):\n"
+              "        \"\"\"integrate over the grid\"\"\"\n"
+              "        integrate = values.sum()\n        return integrate\n"
+              "    def differentiate(self, values):\n        return values\n"
+              "    def scale(self, a):\n        return a\n"
+              "    def _private(self):\n        return 0\n"
+              "    @property\n    def size(self):\n        return self.differentiate(1)\n"),
+        "b": "def integrate(x):\n    return x\nprint(integrate(Grid().size), scale)\n",
+    }
+    # a reader outside the sources reaches a method as an attribute
+    assert methods_no_reader_reaches(sources, ["Grid().scale(2)\n"]) == [
+        ("a", 2, "Grid.integrate")]
+    assert methods_no_reader_reaches(sources) == [
+        ("a", 2, "Grid.integrate"), ("a", 8, "Grid.scale")]
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    # a method the package and the benchmark never call is dead code that
+    # the tests keep alive, unless it is kept on purpose
+    root = SRC.parent.parent
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for p in sorted((root / "perfbench").rglob("*.py"))]
+    assert [m for m in methods_no_reader_reaches(sources, readers)
+            if m[2] not in TEST_ONLY_METHODS] == []
 
 
 def _calls_by_name(sources) -> dict:

@@ -180,7 +180,8 @@ def test_invert_linearity(inverter):
     x1 = inverter.invert(d1)
     x2 = inverter.invert(d2)
     combo = d1.copy()
-    combo.scale(0.7)
+    for part in combo.parts():
+        part.data *= 0.7
     combo.axpy(-1.3, d2)
     xc = inverter.invert(combo)
     expect = x1.copy()
@@ -224,15 +225,46 @@ def test_invert_data_misfit(table, inverter, seed, fresh):
 @pytest.mark.parametrize("grid,vgrid", [
     (FrequencyGrid(1, 2 * np.pi * 5, 16), VerticalGrid(1.0, 16)),
     (FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 20)),
-], ids=["box", "nz"])
+    (FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(2.0, 16)),
+], ids=["box", "nz", "depth"])
 def test_invert_rejects_data_on_another_grid(grid, vgrid):
     # a 20 pi table used to invert data on a 10 pi box without complaint, to a
-    # data misfit of 0.16 (0.012 for the same state on its own grid)
-    inv = LinearInverter(SymbolTable.build(FrequencyGrid(1, 2 * np.pi * 10, 16),
-                                           VerticalGrid(1.0, 16), P1))
+    # data misfit of 0.16 (0.012 for the same state on its own grid), and the
+    # surface stage alone paired data on another box and depth 0.107 off the
+    # right pairing.  The inverse and the pairing refuse a table on another
+    # lattice or vertical grid; a pairing carries no vertical grid, so
+    # solve_surface refuses a table on another lattice
+    table = SymbolTable.build(FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 16), P1)
     data = apply_linear_operator(make_random_state(grid, vgrid, seed=1), P1)
     with pytest.raises(ValueError, match="symbol table"):
-        inv.invert(data)
+        LinearInverter(table).invert(data)
+    with pytest.raises(ValueError, match="symbol table"):
+        compatibility_functional(data, table)
+    if grid != table.grid:
+        with pytest.raises(ValueError, match="symbol table"):
+            solve_surface(SurfaceSpectral.zeros(grid), table)
+
+
+def test_inverse_reads_the_data_on_the_half_lattice_alone():
+    # noise at every entry off grid.half_mask, each part's: the pairing and
+    # every part of the inverse are bit for bit those of the clean data, and
+    # eta is exactly Hermitian (an inverse that read those entries gave eta a
+    # Hermitian defect of 43 here)
+    p3 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 3)
+    grid, vg = FrequencyGrid(2, 2 * np.pi * 3, 16), VerticalGrid(1.0, 20)
+    table = SymbolTable.build(grid, vg, p3)
+    clean = apply_linear_operator(make_random_state(grid, vg, seed=4, jmax=3), p3)
+    noisy = clean.copy()
+    rng = np.random.default_rng(8)
+    for part in noisy.parts():
+        shape = part.data[:, ~grid.half_mask].shape
+        part.data[:, ~grid.half_mask] += rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out, expect = LinearInverter(table).invert(noisy), LinearInverter(table).invert(clean)
+    for part, ref in zip(out.parts(), expect.parts()):
+        assert part.data.tobytes() == ref.data.tobytes()
+    assert out.eta.hermitian_defect() == 0.0 and np.abs(out.eta.data).max() > 0
+    assert (compatibility_functional(noisy, table).data.tobytes()
+            == compatibility_functional(clean, table).data.tobytes())
 
 
 def test_roundtrip_dim3():

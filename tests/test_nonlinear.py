@@ -120,7 +120,8 @@ def test_derivative_at_zero_is_linear_operator():
     errs = []
     for eps in (1e-3, 1e-4, 1e-5):
         r = nonlinear_residual(_scaled(st, eps), ForcingData(), P1, C_SMOOTH)
-        r.scale(1.0 / eps)
+        for part in r.parts():
+            part.data *= 1.0 / eps
         r.axpy(-1.0, lin)
         errs.append(ydata_norm(r) / denom)
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=0.1)

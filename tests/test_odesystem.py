@@ -9,8 +9,7 @@ from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.grids import VerticalGrid
 from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix, forcing_rows,
-                                 solve_symbol, symbol_profiles, transverse_factor,
-                                 transverse_solve)
+                                 solve_symbol, symbol_profiles, transverse_solve)
 from stripwave.params import PhysicalParams
 from stripwave.grids import FrequencyGrid
 
@@ -485,8 +484,8 @@ P3 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1, sigma0=1,
 
 
 def test_transverse_zero():
-    lu = transverse_factor([[0.4, -0.3]], P3, VG, P3.gamma)
-    beta = transverse_solve(lu, np.zeros((1, VG.count)), np.zeros(1))
+    beta, _ = transverse_solve([[0.4, -0.3]], P3, VG, P3.gamma, np.zeros((1, VG.count)),
+                               np.zeros(1))
     assert np.abs(beta).max() == 0.0
 
 
@@ -498,7 +497,7 @@ def test_transverse_manufactured():
     t = 2j * np.pi * P3.gamma * xi[0]
     f = t * bstar - P3.mu * (vg.differentiate(vg.differentiate(bstar)) - m * m * bstar)
     k = -P3.mu * vg.differentiate(bstar)[-1]
-    beta = transverse_solve(transverse_factor([xi], P3, vg, P3.gamma), [f], [k])
+    beta, _ = transverse_solve([xi], P3, vg, P3.gamma, [f], [k])
     assert np.abs(beta[0] - bstar).max() < 1e-9
 
 
@@ -506,30 +505,28 @@ def test_transverse_nonsingular_scan():
     # homogeneous problem has only the trivial solution across frequencies
     rng = np.random.default_rng(2)
     ximag = np.array([0.05, 0.3, 1.1, 3.0])
-    lu = transverse_factor(np.stack([ximag, 0.5 * ximag], axis=1), P3, VG, P3.gamma)
+    xis = np.stack([ximag, 0.5 * ximag], axis=1)
     k = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    beta = transverse_solve(lu, np.zeros((4, VG.count)), k)
+    beta, _ = transverse_solve(xis, P3, VG, P3.gamma, np.zeros((4, VG.count)), k)
     assert np.isfinite(np.abs(beta).max())
-    beta0 = transverse_solve(lu, np.zeros((4, VG.count)), np.zeros(4))
+    beta0, _ = transverse_solve(xis, P3, VG, P3.gamma, np.zeros((4, VG.count)), np.zeros(4))
     assert np.abs(beta0).max() == 0.0
 
 
 def test_transverse_batch_matches_single_systems():
-    # the batched factors and solve agree bit for bit with a factorisation
-    # and a solve per frequency: every frequency shares the one basis and is
-    # solved by its own products
+    # the batched solve agrees bit for bit with a solve per frequency: every
+    # frequency shares the one cached basis and is solved by its own products
+    import stripwave.odesystem as ode
     rng = np.random.default_rng(5)
     xis = rng.uniform(-2.0, 2.0, (12, 2))
-    basis, scale, cond = transverse_factor(xis, P3, VG, P3.gamma)
     f = rng.standard_normal((12, VG.count)) + 1j * rng.standard_normal((12, VG.count))
     k = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    beta = transverse_solve((basis, scale, cond), f, k)
+    beta, cond = transverse_solve(xis, P3, VG, P3.gamma, f, k)
+    misses = ode._transverse_basis.cache_info().misses
     for i, xi in enumerate(xis):
-        basis1, scale1, cond1 = transverse_factor(xi[None], P3, VG, P3.gamma)
-        assert basis1 is basis
-        assert np.array_equal(scale1[0], scale[i]) and cond1[0] == cond[i]
-        assert np.array_equal(transverse_solve((basis1, scale1, cond1), f[i:i + 1],
-                                               k[i:i + 1])[0], beta[i])
+        beta1, cond1 = transverse_solve(xi[None], P3, VG, P3.gamma, f[i:i + 1], k[i:i + 1])
+        assert cond1[0] == cond[i] and np.array_equal(beta1[0], beta[i])
+    assert ode._transverse_basis.cache_info().misses == misses
 
 
 def _bordered_transverse(p, vg, gamma_tilde, xi):
@@ -567,8 +564,7 @@ def test_transverse_solve_matches_manufactured_discrete_solution(nz):
         bstar = np.sin(1.7 * z / depth) * (1 + 0.5j) + z * z * np.exp(-z) * (0.3 - 1j)
         systems = [_bordered_transverse(p, vg, gamma, xi) for xi in xis]
         rhs = np.stack([L @ bstar for L in systems])
-        factors = transverse_factor(xis, p, vg, gamma)
-        beta = transverse_solve(factors, rhs, rhs[:, -1])
+        beta, conds = transverse_solve(xis, p, vg, gamma, rhs, rhs[:, -1])
         rhs[:, 0] = 0.0
         dense = np.stack([np.linalg.solve(L, r) for L, r in zip(systems, rhs)])
         peak = np.abs(bstar).max()
@@ -579,7 +575,7 @@ def test_transverse_solve_matches_manufactured_discrete_solution(nz):
         D = vg.diff
         D2, inner = D @ D, slice(1, -1)
         Abar = -mu * (D2[inner, inner] - np.outer(D2[inner, -1], D[-1, inner]) / D[-1, -1])
-        for xi, cond in zip(xis, factors[2]):
+        for xi, cond in zip(xis, conds):
             sigma = 2j * np.pi * gamma * xi[0] + mu * 4 * np.pi ** 2 * (xi @ xi)
             assert cond >= np.linalg.cond(sigma * np.eye(nz - 2) + Abar)
     assert worst <= worst_dense
@@ -591,16 +587,17 @@ def test_transverse_cond_limit_names_the_worst_frequency(monkeypatch):
     # and names that frequency and the limit, a limit at it passes
     import stripwave.odesystem as ode
     xis = np.array([[3.0, -2.0], [0.1, 0.0], [0.5, 0.5]])
-    cond = transverse_factor(xis, P3, VG, P3.gamma)[2]
+    f, k = np.zeros((3, VG.count)), np.zeros(3)
+    cond = transverse_solve(xis, P3, VG, P3.gamma, f, k)[1]
     assert np.argmax(cond) == 1
     monkeypatch.setattr(ode, "COND_LIMIT", 0.999 * cond[1])
     with pytest.raises(IllConditionedCollocation,
                        match=r"transverse system condition bound .* beyond "
                              + re.escape(f"{0.999 * cond[1]:.3g} at xi = (0.1, 0.0)")) as raised:
-        transverse_factor(xis, P3, VG, P3.gamma)
+        transverse_solve(xis, P3, VG, P3.gamma, f, k)
     assert raised.value.cond_estimate == cond[1]
     monkeypatch.setattr(ode, "COND_LIMIT", cond[1])
-    assert np.array_equal(transverse_factor(xis, P3, VG, P3.gamma)[2], cond)
+    assert np.array_equal(transverse_solve(xis, P3, VG, P3.gamma, f, k)[1], cond)
 
 
 @pytest.mark.parametrize("lam", [[1.0, -2.0, 3.0], [1.0, 2.0 + 1e-3j, 2.0 - 1e-3j]],
@@ -613,12 +610,12 @@ def test_transverse_eigenvalues_off_the_positive_axis_raise(monkeypatch, lam):
     vg = VerticalGrid(1.3, 5)
     monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array(lam), np.eye(3, dtype=np.array(lam).dtype)))
     with pytest.raises(NumericallySingular, match="off the positive axis"):
-        transverse_factor([[0.4, -0.3]], P3, vg, P3.gamma)
+        transverse_solve([[0.4, -0.3]], P3, vg, P3.gamma, np.zeros((1, 5)), np.zeros(1))
 
 
 def test_transverse_requires_dim3():
     with pytest.raises(ValueError):
-        transverse_factor([[0.4]], P1, VG, P1.gamma)
+        transverse_solve([[0.4]], P1, VG, P1.gamma, np.zeros((1, VG.count)), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
