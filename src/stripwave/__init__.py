@@ -10,8 +10,8 @@ from .fields import (SpectralField, SurfaceSpectral, YData, read_ydata_csv,
 from .norms import (sobolev_norm, surface_sobolev_norm, x_norm, hdot_neg1,
                     check_divergence_trace, ydata_norm)
 from .geometry import FlatteningFields, build_flattening, mean_curvature
-from .odesystem import (FrequencySolver, SymbolEntry, SymbolTable,
-                        assemble_bulk_matrix, assemble_boundary, solve_symbol)
+from .odesystem import (FrequencyStack, SymbolTable, assemble_bulk_matrix,
+                        assemble_boundary)
 from .asymptotics import (AsymptoticReport, fit_lf_coefficient,
                           check_rho_bounds, check_highfreq_decay, full_report)
 from .linear import (LinearState, apply_linear_operator, compatibility_functional, solve_surface,

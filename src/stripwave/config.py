@@ -103,7 +103,7 @@ class RunConfig:
             raise ConfigError(f"fit.xi_seq: {exc}") from exc
         # bad physical parameters are left to run(), which records them in a
         # failed manifest; the grids, closures and forcing read them, so
-        # wait for those
+        # wait for those; nonlinear-solve alone reads the forcing
         if not validate_params(self.params()):
             for section, build in (("grid", self.frequency_grid),
                                    ("grid", self.vertical_grid),
@@ -112,7 +112,8 @@ class RunConfig:
                     build()
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{section}: {exc}") from exc
-            self.forcing()
+            if r["mode"] == "nonlinear-solve":
+                self.forcing()
 
     # -- constructors for the working objects ---------------------------------
 

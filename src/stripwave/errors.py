@@ -48,7 +48,8 @@ class SolverFailure(StripwaveError):
 
 
 class Diverged(SolverFailure):
-    """Residual contraction factor >= 1 for several consecutive steps."""
+    """Residual contraction factor >= 1 for several consecutive steps, or a
+    residual norm that is not finite."""
 
 
 class NotConverged(SolverFailure):

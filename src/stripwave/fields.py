@@ -34,9 +34,7 @@ from .ops import on_lattice
 def reflect(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:
     """``data`` reflected through xi = 0 on the horizontal axes after
     ``first``: the value at -xi on the planes k1 = 0 and modes/2."""
-    for ax in range(first + 1, first + grid.dim_h):
-        data = np.flip(np.roll(data, -1, axis=ax), axis=ax)
-    return data
+    return np.take(data, grid.mirror, axis=first + 1) if grid.dim_h == 2 else data
 
 
 def conjugate_mirror(data: np.ndarray, grid: FrequencyGrid, first: int = 1) -> np.ndarray:

@@ -148,7 +148,7 @@ def _lattice_tables(dim_h: int, box_len: float, modes: int) -> tuple:
     return (xi_axes,) + read_only(xi_vectors, (xi_vectors ** 2).sum(axis=-1), pair,
                                   np.logical_and.outer(*keep) if dim_h == 2 else keep[0],
                                   # off the planes all, on them k2 = 0 .. modes/2 (all in dim_h 1)
-                                  (pair == 2) | (index[-1] >= 0))
+                                  (pair == 2) | (index[-1] >= 0), -j % modes)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ class FrequencyGrid:
     every +-xi pair and the self-paired ones (xi = 0 and the Nyquist
     indices): every stored index off the planes k1 = 0 and modes/2, and half
     of each plane, whose other half holds the conjugates.  The per-frequency
-    solves visit these frequencies, in the order of np.nonzero."""
+    solves visit these frequencies, in the order of np.nonzero.  ``mirror``,
+    per index of an axis of all modes, that of -j."""
 
     dim_h: int
     box_len: float
@@ -181,6 +182,7 @@ class FrequencyGrid:
     pair_weight: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     half_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    mirror: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_integer(self.dim_h) or self.dim_h not in (1, 2):

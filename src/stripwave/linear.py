@@ -36,7 +36,7 @@ from .fields import (FieldTuple, SpectralField, SurfaceSpectral, YData,
                      conjugate_mirror, gather_index, support)
 from .grids import FrequencyGrid, VerticalGrid
 from .norms import sobolev_norm, x_norm
-from .odesystem import FrequencySolver, SymbolTable, forcing_rows, transverse_solve
+from .odesystem import FrequencyStack, SymbolTable, forcing_rows, transverse_solve
 from .params import PhysicalParams
 
 
@@ -251,8 +251,6 @@ class LinearInverter:
 
     def __init__(self, table: SymbolTable):
         self.table = table
-        p = table.params
-        self.solver = FrequencySolver(p, table.vgrid, -p.gamma, p.sigma1, 0.0)
         self.backend = None
         self.cond = None
         self._stack = None
@@ -289,7 +287,7 @@ class LinearInverter:
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
             if self._stack is None or not np.array_equal(xis[live], self._stack.xis):
-                self._stack = self.solver.prepare(xis[live])
+                self._stack = FrequencyStack(p, vgrid, -p.gamma, p.sigma1, 0.0, xis[live])
             Y[live] = self._stack.solve(z[live], d[live])
             np.put(backend, flat[live], self._stack.backend)
             np.put(cond, flat[live], self._stack.cond)

@@ -78,11 +78,11 @@ def make_forcing_preset(name: str, amplitude: float, grid: FrequencyGrid,
                         depth: float, mode_index: int = 3) -> ForcingData:
     """Built-in forcing families used by the command line and the tests.
 
-    The forced lattice mode must survive the 2/3 rule: |mode_index| <=
+    The forced lattice mode must survive the 2/3 rule: 0 <= mode_index <=
     modes // 3.
     """
-    if abs(mode_index) > grid.modes // 3:
-        raise ConfigError(f"forcing mode_index {mode_index} beyond the 2/3 "
+    if not 0 <= mode_index <= grid.modes // 3:
+        raise ConfigError(f"forcing mode_index {mode_index} outside 0 .. the 2/3 "
                           f"cutoff {grid.modes // 3} of {grid.modes} modes")
     xi0 = mode_index / grid.box_len
     n = grid.dim_h + 1
@@ -254,9 +254,11 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
     by ``inverter`` (by default one on an empty SymbolTable).
 
     The forcing is solved at the amplitude given, or not at all: a contraction
-    factor >= 1 three times in a row raises Diverged, an exhausted budget
-    NotConverged, each carrying the trace so far; ``trace.state`` is always
-    the state whose residual is ``trace.residuals[-1]``.
+    factor >= 1 three times in a row, or a residual norm that is not finite,
+    raises Diverged (the latter naming the first slot whose coefficients are
+    not finite, if one is), an exhausted budget NotConverged, each carrying
+    the trace so far; ``trace.state`` is always the state whose residual is
+    ``trace.residuals[-1]``.
     """
     bad = validate_params(p)
     if bad:
@@ -281,6 +283,11 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
             factor = rn / prev if prev > 0 else 0.0
             trace.contraction.append(factor)
             rising = rising + 1 if factor >= 1.0 else 0
+        if not np.isfinite(rn):
+            slots = [f.name for f, part in zip(fields(resid), resid.parts())
+                     if not np.isfinite(part.data).all()]
+            where = f", first not finite in slot {slots[0]}" if slots else ""
+            raise Diverged(f"residual {rn} at iteration {it}{where}", trace=trace)
         if rn < tol:
             trace.converged = True
             return trace

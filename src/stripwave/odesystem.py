@@ -46,7 +46,6 @@ surface multiplier rho(xi) = (sigma0 4 pi^2 |xi|^2 + grav) conj(psi(b))
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -315,7 +314,7 @@ def forcing_rows(p: PhysicalParams, vgrid: VerticalGrid, m, f_long, f_n, G, L,
 def _gl_panels(vgrid: VerticalGrid, r: int):
     """Composite Gauss-Legendre panels of the sweep that splits every
     interval of the vertical grid into ``r`` equal subpanels, shared by every
-    solver and frequency on the grid: the sweep's r (Nz-1) + 1 nodes,
+    stack and frequency on the grid: the sweep's r (Nz-1) + 1 nodes,
     mirror-symmetric as the Lobatto nodes are; per subpanel [a_j, c_j] and
     node t_q the offsets c_j - t_q, (r (Nz-1), 8); and the real
     interpolation rows from the Nz node values at the t_q times their
@@ -331,32 +330,10 @@ def _gl_panels(vgrid: VerticalGrid, r: int):
     return read_only(nodes, c - tq, rows.reshape(-1, vgrid.count))
 
 
-class FrequencySolver:
-    """Per-frequency solver for fixed coefficients (params, transport speed
-    gamma_tilde, coupling placement alpha1/alpha2, vertical grid).
-    ``prepare`` readies a set of frequencies as one FrequencyStack; ``solve``
-    is the stack of a single frequency.
-    """
-
-    def __init__(self, p: PhysicalParams, vgrid: VerticalGrid,
-                 gamma_tilde: float, alpha1: float, alpha2: float):
-        self.p, self.vgrid, self.gamma_tilde = p, vgrid, gamma_tilde
-        self.alpha1, self.alpha2 = alpha1, alpha2
-
-    def prepare(self, xis) -> "FrequencyStack":
-        """Prepared solves at the frequencies ``xis`` (K, dim_h)."""
-        return FrequencyStack(self, xis)
-
-    def solve(self, xi, z_profile, d_vec):
-        """Solve one forced problem; returns (Y, backend_used, cond_estimate)."""
-        stack = self.prepare(_xi_array(xi)[None])
-        z = None if z_profile is None else np.asarray(z_profile, dtype=complex)[None]
-        Y = stack.solve(z, np.asarray(d_vec, dtype=complex)[None])
-        return Y[0], stack.backend[0], float(stack.cond[0])
-
-
 class FrequencyStack:
-    """One FrequencySolver prepared at K frequencies, in closed form.
+    """The problems of fixed coefficients (params ``p``, vertical grid
+    ``vgrid``, transport speed gamma_tilde, coupling placement alpha1/alpha2)
+    prepared at the K frequencies ``xis`` (K, dim_h), in closed form.
 
     ``backend`` and ``cond`` (K,) give each frequency's backend and
     cond_1(K); a K that is not finite or whose cond_1(K) exceeds
@@ -374,10 +351,10 @@ class FrequencyStack:
     """
 
     @np.errstate(all="ignore")      # a non-finite member's K raises below
-    def __init__(self, solver: FrequencySolver, xis):
-        s, nodes = solver, solver.vgrid.nodes
-        self.solver, self.xis = solver, np.asarray(xis, dtype=float)
-        prop = _propagator(self.xis, s.p, s.gamma_tilde)
+    def __init__(self, p: PhysicalParams, vgrid: VerticalGrid, gamma_tilde: float,
+                 alpha1: float, alpha2: float, xis):
+        self.vgrid, self.xis, nodes = vgrid, np.asarray(xis, dtype=float), vgrid.nodes
+        prop = _propagator(self.xis, p, gamma_tilde)
         rate = np.abs(prop[:, :3]).max(axis=1)
         plain = prop[:, 0].real * nodes[-1] < _DICHOTOMY_FROM
         short = plain | (rate * nodes[-1] <= 1.0)
@@ -392,7 +369,7 @@ class FrequencyStack:
         del rows
         self.basis = _member_basis(self.prop)
         ends = (self.coef[..., [0, -1]].transpose(0, 2, 1) @ self.basis).reshape(-1, 2, 6, 6)
-        self.Mmat, self.Nmat = assemble_boundary(self.xis[m], s.p, s.alpha1, s.alpha2)
+        self.Mmat, self.Nmat = assemble_boundary(self.xis[m], p, alpha1, alpha2)
         self.Kinv, cond = _inverse_and_cond(self.Mmat @ ends[:, 0] + self.Nmat @ ends[:, 1])
         if not (cond <= COND_LIMIT).all():
             worst = int(np.argmax(cond))
@@ -409,7 +386,7 @@ class FrequencyStack:
         """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
         for none, and boundary data ``d`` (K, 6)."""
         d, m = np.asarray(d, dtype=complex), self.members
-        Y = np.empty((len(self.xis), 6, self.solver.vgrid.count), dtype=complex)
+        Y = np.empty((len(self.xis), 6, self.vgrid.count), dtype=complex)
         if z is not None and z.any():
             z, d = z[m], d[m, :, None]
             for sweep in self.sweeps:
@@ -453,7 +430,7 @@ class _Sweep:
     """
 
     def __init__(self, stack: FrequencyStack, at: slice, r: int):
-        self.at, self.r, self.vgrid = at, r, stack.solver.vgrid
+        self.at, self.r, self.vgrid = at, r, stack.vgrid
         self.prop, self.coef, self.basis, self.short, self.Kinv, self.Mmat, self.Nmat = (
             a[at] for a in (stack.prop, stack.coef, stack.basis, stack.short, stack.Kinv,
                             stack.Mmat, stack.Nmat))
@@ -605,16 +582,6 @@ def transverse_solve(xis, p: PhysicalParams, vgrid: VerticalGrid, gamma_tilde: f
 UNIT_NORMAL_STRESS, = read_only(np.array([0, 0, 0, 0, 1, 0], dtype=complex))
 
 
-@dataclass
-class SymbolEntry:
-    """Response profiles to a unit normal stress at one frequency."""
-
-    y: np.ndarray                  # (6, Nz); y[1, -1] is psi(b), y[2, -1] delta(b)
-    rho: complex
-    backend: str
-    cond: float
-
-
 def rho_of(p: PhysicalParams, xi, om_vn_surf):
     """rho at one frequency, or per frequency for a stack xi (..., dim_h)."""
     xi = _xi_array(xi)
@@ -630,16 +597,9 @@ def symbol_profiles(xis, p: PhysicalParams, vgrid: VerticalGrid):
     (gamma, 0, sigma1) as one FrequencyStack.  At xi = 0, A is nilpotent,
     and q = 1 and rho = 0 come out exactly."""
     xis = np.asarray(xis, dtype=float)
-    stack = FrequencySolver(p, vgrid, p.gamma, 0.0, p.sigma1).prepare(xis)
+    stack = FrequencyStack(p, vgrid, p.gamma, 0.0, p.sigma1, xis)
     Y = stack.solve(None, np.broadcast_to(UNIT_NORMAL_STRESS, (len(xis), 6)))
     return Y, stack.backend, stack.cond
-
-
-def solve_symbol(xi, p: PhysicalParams, vgrid: VerticalGrid) -> SymbolEntry:
-    """``symbol_profiles`` at one frequency, as a table row."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    Y, backend, cond = symbol_profiles(xi[None], p, vgrid)
-    return SymbolEntry(Y[0], rho_of(p, xi, Y[0, 1, -1]), backend[0], float(cond[0]))
 
 
 class SymbolTable:
@@ -678,9 +638,3 @@ class SymbolTable:
                 self.y, self.rho, self.backend, self.cond))
             self.solved = np.not_equal(self.backend, None)
         return self
-
-    def entry(self, idx) -> SymbolEntry:
-        """View of one lattice point as a SymbolEntry."""
-        idx = tuple(idx)
-        return SymbolEntry(self.y[idx], complex(self.rho[idx]), self.backend[idx],
-                           float(self.cond[idx]))

@@ -1,10 +1,15 @@
 """The tests' oracles: for the closed-form solves of ``stripwave.odesystem``,
 scipy's matrix exponential and dense Chebyshev collocation of the
-first-order system; for ``stripwave.fields.write_csv``, a writer that
-formats every row with Python's ``%`` operator.  None of them is on a
-production path, so scipy is needed by the tests alone."""
+first-order system, and one-frequency solves as one-member stacks; for
+``stripwave.fields.write_csv``, a writer that formats every row with
+Python's ``%`` operator.  None of them is on a production path, so scipy is
+needed by the tests alone.
+
+A problem's coefficients ``coefs`` are (gamma_tilde, alpha1, alpha2), as
+``FrequencyStack`` takes them after the params and the vertical grid."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, lapack
@@ -13,7 +18,38 @@ from scipy.linalg import lu_solve
 
 from stripwave import odesystem
 from stripwave.errors import IllConditionedCollocation, NumericallySingular
-from stripwave.odesystem import assemble_boundary, assemble_bulk_matrix
+from stripwave.odesystem import (FrequencyStack, assemble_boundary, assemble_bulk_matrix,
+                                 rho_of, symbol_profiles)
+
+
+def one_frequency(xi) -> np.ndarray:
+    """The frequency ``xi`` (a scalar or (dim_h,)) as a stack of one, (1, dim_h)."""
+    return np.atleast_1d(np.asarray(xi, dtype=float))[None]
+
+
+def solve_one(p, vgrid, coefs, xi, z_profile, d_vec):
+    """One forced problem at ``xi`` as a one-member FrequencyStack, bulk
+    forcing ``z_profile`` (6, Nz) or None; returns (Y, backend, cond)."""
+    stack = FrequencyStack(p, vgrid, *coefs, one_frequency(xi))
+    z = None if z_profile is None else np.asarray(z_profile, dtype=complex)[None]
+    Y = stack.solve(z, np.asarray(d_vec, dtype=complex)[None])
+    return Y[0], stack.backend[0], float(stack.cond[0])
+
+
+class Symbol(NamedTuple):
+    """Response profiles to a unit normal stress at one frequency."""
+
+    y: np.ndarray                  # (6, Nz); y[1, -1] is psi(b), y[2, -1] delta(b)
+    rho: complex
+    backend: str
+    cond: float
+
+
+def solve_symbol(xi, p, vgrid) -> Symbol:
+    """``symbol_profiles`` at the one frequency ``xi``."""
+    xis = one_frequency(xi)
+    Y, backend, cond = symbol_profiles(xis, p, vgrid)
+    return Symbol(Y[0], rho_of(p, xis[0], Y[0, 1, -1]), backend[0], float(cond[0]))
 
 
 def matrix_exponential(M: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
@@ -39,9 +75,9 @@ def lu_factor(a: np.ndarray, **options):
     return _lu_factor(a, **options)
 
 
-def solve_collocation(solver, xi, z_profile, d_vec):
-    """Collocation solve of ``solver``'s problem at one frequency; returns
-    (Y, cond_estimate).
+def solve_collocation(p, vgrid, coefs, xi, z_profile, d_vec):
+    """Collocation solve of the problem with coefficients ``coefs`` at one
+    frequency; returns (Y, cond_estimate).
 
     The system kron(I6, D) - kron(A, I_nz) (Trefethen, Spectral Methods in
     MATLAB, SIAM 2000, ch. 6 and 13) with the boundary rows in place of
@@ -51,9 +87,10 @@ def solve_collocation(solver, xi, z_profile, d_vec):
     1-norm condition estimate checked against odesystem.COND_LIMIT, and
     one solve.
     """
-    nz, D = solver.vgrid.count, solver.vgrid.diff.T
-    A = assemble_bulk_matrix(xi, solver.p, solver.gamma_tilde)
-    Mmat, Nmat = assemble_boundary(xi, solver.p, solver.alpha1, solver.alpha2)
+    nz, D = vgrid.count, vgrid.diff.T
+    gamma_tilde, alpha1, alpha2 = coefs
+    A = assemble_bulk_matrix(xi, p, gamma_tilde)
+    Mmat, Nmat = assemble_boundary(xi, p, alpha1, alpha2)
     # the system's transpose, C-ordered: kron(A^T, I), each block subtracted in place from
     # D^T or 0.0 D^T as kron(I6, D) - kron(A, I) computes it (signed zeros reach Y)
     blocks = np.kron(np.ascontiguousarray(A.T), np.eye(nz)).reshape(6, nz, 6, nz)

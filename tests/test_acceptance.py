@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stripwave.odesystem as ode
-from oracles import matrix_exponential, solve_collocation
+from oracles import matrix_exponential, solve_collocation, solve_one
 from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    fit_lf_coefficient, LF_COEFFICIENTS)
 from stripwave.cli import run
@@ -23,8 +23,7 @@ from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator
 from stripwave.nonlinear import (ForcingData, make_forcing_preset,
                                  nonlinear_residual, picard_solve)
 from stripwave.norms import x_norm, ydata_norm
-from stripwave.odesystem import (FrequencySolver, SymbolTable,
-                                 assemble_boundary, assemble_bulk_matrix, solve_symbol)
+from stripwave.odesystem import SymbolTable, assemble_boundary, assemble_bulk_matrix
 from stripwave.params import PhysicalParams, make_constitutive
 
 PSET1 = PhysicalParams(mu=1, kappa=1, grav=1, depth=1, gamma=1,
@@ -146,9 +145,8 @@ def test_criterion_5_dual_backend():
                     np.cos(k * np.pi * vg.nodes / p.depth)
         d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         # the production solve, collocation and a dense reference, pairwise
-        solver = FrequencySolver(p, vg, gt, a1, a2)
-        Y1, b1, _ = solver.solve(xi, z, d)
-        Y2, _ = solve_collocation(solver, np.array(xi), z, d)
+        Y1, b1, _ = solve_one(p, vg, (gt, a1, a2), xi, z, d)
+        Y2, _ = solve_collocation(p, vg, (gt, a1, a2), np.array(xi), z, d)
         amps = coefs * np.exp(-0.6 * np.arange(6))
         amps[[0, 2]] = 0.0
         Y3 = _dense_reference(p, vg, xi, gt, a1, a2, amps, d)
@@ -170,10 +168,9 @@ def test_criterion_5_dual_backend():
                     for k in range(5))
         z = vg.differentiate(ystar) - A @ ystar
         d = Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
-        solver = FrequencySolver(p, vg, gt, a1, a2)
-        Y, used, _ = solver.solve(xi, z, d)
+        Y, used, _ = solve_one(p, vg, (gt, a1, a2), xi, z, d)
         assert used == "twosided"
-        for Y in (Y, solve_collocation(solver, np.array(xi), z, d)[0]):
+        for Y in (Y, solve_collocation(p, vg, (gt, a1, a2), np.array(xi), z, d)[0]):
             worst_manu = max(worst_manu,
                              np.abs(Y - ystar).max() / np.abs(ystar).max())
     ok = worst_pair <= 1e-8 and worst_manu <= 1e-9
@@ -248,8 +245,7 @@ def test_criterion_8_heat_driven_wave(picard_setup):
                                   mode_index=j0)
     trace = picard_solve(forcing, PSET1, c, grid, vg, tol=1e-9,
                          inverter=inv)
-    e = table.entry((j0,))
-    floor = 0.1 * amp * abs(np.conj(e.y[2, -1]) / e.rho)
+    floor = 0.1 * amp * abs(np.conj(table.y[j0, 2, -1]) / table.rho[j0])
     eta_norm = x_norm(trace.state.eta, 2.5)
     ok = (trace.converged and trace.residuals[-1] <= 1e-9
           and max(trace.contraction) <= 0.5 and eta_norm >= floor)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import solve_symbol
 from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
                                    fit_lf_coefficient, full_report,
                                    LF_COEFFICIENTS, richardson_limit,
@@ -10,7 +11,7 @@ from stripwave.asymptotics import (check_highfreq_decay, check_rho_bounds,
 from stripwave.errors import NonConvergent
 from stripwave.fields import write_json
 from stripwave.grids import FrequencyGrid, VerticalGrid
-from stripwave.odesystem import SymbolTable, solve_symbol
+from stripwave.odesystem import SymbolTable
 from stripwave.params import PhysicalParams
 
 P1 = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)

@@ -1,5 +1,5 @@
 """The batched per-frequency layer: a FrequencyStack solves K frequencies as
-stacks and must agree with K single-frequency solves of the same solver."""
+stacks and must agree with K one-member stacks of the same problem."""
 
 import json
 import math
@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import solve_collocation
+from oracles import solve_collocation, solve_one
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state, state_norm)
-from stripwave.odesystem import (_MIRROR, BACKENDS, FrequencySolver, FrequencyStack,
+from stripwave.odesystem import (_MIRROR, BACKENDS, FrequencyStack,
                                  SymbolTable, _Sweep, _gl_panels, _member_coefficients,
                                  _minus_rows, assemble_boundary,
                                  assemble_bulk_matrix)
@@ -60,7 +60,7 @@ def test_stack_matches_single_solves(dim, seed, forced):
     # at nz 16 the widest panel is 0.1045 b, so from 2 pi |xi| b near 29
     # a member's sweep splits each interval into subpanels
     couplings = ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0))
-    solver = FrequencySolver(p, vg, *couplings[seed % 2])
+    coefs = couplings[seed % 2]
     k = 24
     scale = np.concatenate([rng.uniform(0.05, 30.0, k - 4),
                             [45.0, 60.0, 75.0, 90.0]])
@@ -70,9 +70,9 @@ def test_stack_matches_single_solves(dim, seed, forced):
     z, d = _forcing(rng, k, nz, vg, p.depth)
     if not forced:
         z = None
-    stack = solver.prepare(xis)
+    stack = FrequencyStack(p, vg, *coefs, xis)
     Y = stack.solve(z, d)
-    singles = [solver.solve(xi, None if z is None else z[i], d[i])
+    singles = [solve_one(p, vg, coefs, xi, None if z is None else z[i], d[i])
                for i, xi in enumerate(xis)]
     _assert_rows_agree(Y, singles)
     assert list(stack.backend) == [s[1] for s in singles]
@@ -100,9 +100,9 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
     rng = np.random.default_rng(7)
     p = _random_params(rng, 2)
     vg = VerticalGrid(p.depth, 20)
-    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    coefs = (-p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-3.0, 3.0, (12, 1))
-    stack = solver.prepare(xis)
+    stack = FrequencyStack(p, vg, *coefs, xis)
     assert calls == [("_dichotomy", 12)]
     short = int(stack.short.sum())
     assert 0 < short < 12
@@ -118,7 +118,7 @@ def test_stack_reuses_preparation_across_solves(monkeypatch):
         Y = stack.solve(z, d)
         # the steps and the quadrature, at trial 0
         assert calls == [("_dichotomy", 12)] + tables
-        singles = [solver.solve(xi, z[i], d[i]) for i, xi in enumerate(xis)]
+        singles = [solve_one(p, vg, coefs, xi, z[i], d[i]) for i, xi in enumerate(xis)]
         del calls[4:]
         _assert_rows_agree(Y, singles)
         if trial < 2:
@@ -135,9 +135,8 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     rng = np.random.default_rng(dim)
     p = _random_params(rng, dim)
     vg = VerticalGrid(p.depth, nz)
-    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = rng.uniform(-1.0, 1.0, (20, dim - 1))
-    [sweep] = solver.prepare(xis).sweeps
+    [sweep] = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis).sweeps
     assert sweep.quad is None and sweep.r == 1
     z, d = _forcing(rng, len(xis), nz, vg, p.depth)
     sweep.solve(z, d[..., None])
@@ -182,7 +181,7 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
         tracemalloc.start()
         try:
-            stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
+            stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis)
             stack.solve(z, d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -204,11 +203,11 @@ def test_stack_preparation_peak_memory():
     for dim, nz, xis in ((2, 12, np.linspace(10.0, 18.0, 600)[:, None] / (2 * np.pi)),
                          (3, 32, np.stack([j1[half], j2[half]], axis=1) / (20 * np.pi))):
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
-        solver = FrequencySolver(p, VerticalGrid(p.depth, nz), -p.gamma, p.sigma1, 0.0)
-        solver.prepare(xis[:3])         # the grid's tables, outside the trace
+        args = (p, VerticalGrid(p.depth, nz), -p.gamma, p.sigma1, 0.0)
+        FrequencyStack(*args, xis[:3])      # the grid's tables, outside the trace
         tracemalloc.start()
         try:
-            stack = solver.prepare(xis)
+            stack = FrequencyStack(*args, xis)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -225,16 +224,15 @@ def test_far_member_sweeps_apart():
     # for bit what the smaller stack gives
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     vg = VerticalGrid(p.depth, 24)
-    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
     xis = np.vstack([np.linspace(10.0, 18.0, 600)[:, None], [[500.0]]]) / (2 * np.pi)
     z, d = _forcing(np.random.default_rng(0), len(xis), vg.count, vg, p.depth)
     z[::3] = z[1]
-    solver.prepare(xis[[0, -1]]).solve(z[[0, -1]], d[[0, -1]])
+    FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis[[0, -1]]).solve(z[[0, -1]], d[[0, -1]])
     peaks, profiles = [], []
     for k in (600, 601):
         tracemalloc.start()
         try:
-            stack = solver.prepare(xis[:k])
+            stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis[:k])
             profiles.append(stack.solve(z[:k], d[:k]))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -252,7 +250,7 @@ def test_warm_solve_builds_no_panels():
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     vg = VerticalGrid(p.depth, 24)
     xis = np.linspace(1.0, 500.0, 40)[:, None] / (2 * np.pi)
-    stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
+    stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis)
     assert len(stack.sweeps) == 12 > ode._gl_panels.cache_info().maxsize
     z, d = _forcing(np.random.default_rng(1), len(xis), vg.count, vg, p.depth)
     Y = stack.solve(z, d)
@@ -283,7 +281,7 @@ def _full_table_profiles(stack, z, d):
     its own width and offsets: the ends of y_p give v, then w- is swept
     forward from Q C(0) v and, on the two-sided members, D w+ backward from
     D (I - Q) v."""
-    vg = stack.solver.vgrid
+    vg = stack.vgrid
     nodes, nz, k = vg.nodes, vg.count, len(stack.prop)
     _, offsets, rows = _gl_panels(vg, 1)
     z, d = z[stack.members], d[stack.members]
@@ -335,7 +333,7 @@ def test_forced_profiles_match_full_table_reference():
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         vg = VerticalGrid(p.depth, nz)
         z, d = _forcing(np.random.default_rng(nz), len(xis), nz, vg, p.depth)
-        stack = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).prepare(xis)
+        stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis)
         Y = stack.solve(z, d)[stack.members]
         [sweep] = stack.sweeps
         assert sweep.steps[0].shape[0] == nz // 2 and sweep.quad.shape[1] == nz // 2
@@ -354,13 +352,13 @@ def test_two_sided_members_form_the_stack_tail():
     p = _random_params(rng, 3)
     nz = 24
     vg = VerticalGrid(p.depth, nz)
-    solver = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0)
+    coefs = (-p.gamma, p.sigma1, 0.0)
     k = 100
     direction = rng.standard_normal((k, 2))
     xis = direction / np.linalg.norm(direction, axis=1, keepdims=True) \
         * (rng.uniform(0.05, 3.0, k) / (2 * np.pi * p.depth))[:, None]
     z, d = _forcing(rng, k, nz, vg, p.depth)
-    stack = solver.prepare(xis)
+    stack = FrequencyStack(p, vg, *coefs, xis)
     assert len(stack.members) == k > ode._EXP_CHUNK // (8 * (nz - 1))
     short = np.zeros(k, dtype=bool)
     short[stack.members] = stack.short
@@ -369,7 +367,7 @@ def test_two_sided_members_form_the_stack_tail():
     assert stack.short[:head].all() and not stack.short[head:].any()
     for forcing in (z, None):
         Y = stack.solve(forcing, d)
-        singles = [solver.solve(xi, None if forcing is None else forcing[i], d[i])
+        singles = [solve_one(p, vg, coefs, xi, None if forcing is None else forcing[i], d[i])
                    for i, xi in enumerate(xis)]
         _assert_rows_agree(Y, singles)
         assert list(stack.backend) == [s[1] for s in singles]
@@ -468,7 +466,7 @@ def test_inverter_forced_profiles_match_collocation_at_linear_deep(monkeypatch):
     [(stack, z, d, Y)] = [s for s in solves if s[1] is not None]
     for j in (18, 19, 20):
         [i] = np.flatnonzero(np.isclose(stack.xis[:, 0], j / box, rtol=1e-14))
-        Yc, _ = solve_collocation(stack.solver, stack.xis[i], z[i], d[i])
+        Yc, _ = solve_collocation(p, vg, (-p.gamma, p.sigma1, 0.0), stack.xis[i], z[i], d[i])
         assert stack.backend[i] == "twosided"
         assert np.abs(Y[i] - Yc).max() <= 5e-12 * np.abs(Yc).max()
 
@@ -513,6 +511,7 @@ def test_inverter_prepares_again_at_the_new_support(dim, monkeypatch):
     # data on S1 (indices up to 2), then on S2 (2 to 4): the second inversion
     # prepares at S2 alone and returns, bit for bit, what a fresh inverter
     # returns for S2, with exact zeros where S2 has no data
+    import stripwave.linear as linear
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
     grid, vg = FrequencyGrid(dim - 1, 2 * np.pi * 2, 16), VerticalGrid(1.0, 16)
     table = SymbolTable.build(grid, vg, p)
@@ -525,13 +524,12 @@ def test_inverter_prepares_again_at_the_new_support(dim, monkeypatch):
     assert (support[0] & support[1]).any() and (support[1] & ~support[0]).any()
     inv = LinearInverter(table)
     prepared = []
-    prepare = inv.solver.prepare
 
-    def counting(xis, *args, **kwargs):
-        prepared.append(len(xis))
-        return prepare(xis, *args, **kwargs)
+    def counting(*args):
+        prepared.append(len(args[-1]))
+        return FrequencyStack(*args)
 
-    inv.solver.prepare = counting
+    monkeypatch.setattr(linear, "FrequencyStack", counting)
     half = grid.half_mask
     inv.invert(data1)
     assert np.array_equal(inv._stack.xis, grid.xi_vectors[support[0] & half])
@@ -594,24 +592,20 @@ def test_picard_prepares_its_inverter_stack_once(tmp_path, monkeypatch, dim, mod
     # every Picard step inverts a residual on the same half-lattice support,
     # so the inverter prepares its stack at the first step and solves every
     # later one on it
+    import stripwave.linear as linear
     from stripwave import cli
     prepared, inverted = [], []
 
+    def counting(*args):
+        prepared.append(len(args[-1]))
+        return FrequencyStack(*args)
+
     class Counting(cli.LinearInverter):
-        def __init__(self, table):
-            super().__init__(table)
-            prepare = self.solver.prepare
-
-            def counting(xis):
-                prepared.append(len(xis))
-                return prepare(xis)
-
-            self.solver.prepare = counting
-
         def invert(self, data):
             inverted.append(self)
             return super().invert(data)
 
+    monkeypatch.setattr(linear, "FrequencyStack", counting)
     monkeypatch.setattr(cli, "LinearInverter", Counting)
     out = tmp_path / "out"
     path = tmp_path / "cfg.json"
@@ -661,7 +655,7 @@ def test_inverter_backend_and_cond_match_single_solves():
     z[[0, 2]] = 0.0
     vecs = grid.xi_vectors
     for idx in np.ndindex(grid.freq_shape):
-        _, used, cond = inv.solver.solve(vecs[idx], z, np.ones(6))
+        _, used, cond = solve_one(p, vg, (-p.gamma, p.sigma1, 0.0), vecs[idx], z, np.ones(6))
         assert inv.backend[idx] == used
         assert inv.cond[idx] == pytest.approx(cond, rel=1e-12)
     assert list(inv.backend[grid.half_mask]) == ["matexp"] + ["twosided"] * 64
@@ -694,13 +688,14 @@ def test_transverse_factored_once_per_frequency(monkeypatch):
         assert ydata_norm(back) / ydata_norm(data) <= 1e-6
 
 
-def _dense_collocation(solver, xi, z, d):
-    """The whole 6Nz collocation system, assembled as kron(I6, D) - kron(A, I)
-    with the boundary rows replaced, and its dense solution."""
-    nz = solver.vgrid.count
-    A = assemble_bulk_matrix(xi, solver.p, solver.gamma_tilde)
-    _, Nmat = assemble_boundary(xi, solver.p, solver.alpha1, solver.alpha2)
-    full = np.kron(np.eye(6), solver.vgrid.diff) - np.kron(A, np.eye(nz))
+def _dense_collocation(p, vg, coefs, xi, z, d):
+    """The whole 6Nz collocation system of the problem with coefficients
+    ``coefs``, assembled as kron(I6, D) - kron(A, I) with the boundary rows
+    replaced, and its dense solution."""
+    nz, (gamma_tilde, alpha1, alpha2) = vg.count, coefs
+    A = assemble_bulk_matrix(xi, p, gamma_tilde)
+    _, Nmat = assemble_boundary(xi, p, alpha1, alpha2)
+    full = np.kron(np.eye(6), vg.diff) - np.kron(A, np.eye(nz))
     bottom_rows = [c * nz for c in range(3)]
     top_rows = [(3 + r) * nz + nz - 1 for r in range(3)]
     for c, row in enumerate(bottom_rows):
@@ -733,16 +728,15 @@ def test_collocation_blocks_match_dense_system(monkeypatch, dim, nz):
     for _ in range(6):
         p = _random_params(rng, dim)
         vg = VerticalGrid(p.depth, nz)
-        for gt, a1, a2 in ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0),
-                           (p.gamma, p.sigma1, p.sigma1)):
-            solver = FrequencySolver(p, vg, gt, a1, a2)
+        for coefs in ((p.gamma, 0.0, p.sigma1), (-p.gamma, p.sigma1, 0.0),
+                      (p.gamma, p.sigma1, p.sigma1)):
             direction = rng.standard_normal(dim - 1)
             for scale in (rng.uniform(0.05, 5.0), rng.uniform(5.0, 60.0)):
                 xi = direction / np.linalg.norm(direction) \
                     * scale / (2 * np.pi * p.depth)
                 z, d = _forcing(rng, 1, nz, vg, p.depth)
-                Y, cond = solve_collocation(solver, xi, z[0], d[0])
-                full, Yd = _dense_collocation(solver, xi, z[0], d[0])
+                Y, cond = solve_collocation(p, vg, coefs, xi, z[0], d[0])
+                full, Yd = _dense_collocation(p, vg, coefs, xi, z[0], d[0])
                 peak = np.abs(Yd).max(axis=1)
                 assert np.all(np.abs(Y - Yd).max(axis=1) <= 1e-10 * peak)
                 assert 0.5 <= cond / np.linalg.cond(full, 1) <= 1.0 + 1e-9

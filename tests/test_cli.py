@@ -522,9 +522,9 @@ def _failed_solve(tmp_path, cfg):
     out = tmp_path / "nl"
     path = _write_cfg(tmp_path, dict(cfg, mode="nonlinear-solve", out=str(out)))
     assert main(["--config", path]) == 1
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["ok"] is False
-    trace = json.load(open(out / "solve_trace.json"))
+    trace = json.loads((out / "solve_trace.json").read_text())
     assert trace["converged"] is False
     return summary, trace
 
@@ -549,6 +549,42 @@ def test_exhausted_budget_writes_trace(tmp_path):
         "grid": {"modes": 16, "nz": 24}, "maxiter": 0,
         "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2}})
     assert len(trace["residuals"]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore::stripwave.errors.AliasingWarning")
+def test_nonfinite_residual_diverges_at_once(tmp_path):
+    # at depth 1e-300 the first update makes the residual's norm overflow
+    # (its coefficients stay finite): the solve stops there as Diverged with
+    # both residuals in its trace, instead of inverting non-finite data until
+    # the budget of 50 runs out
+    summary, trace = _failed_solve(tmp_path, {
+        "params": {"depth": 1e-300}, "grid": {"modes": 8, "nz": 8},
+        "forcing": {"mode_index": 2}})
+    assert len(trace["residuals"]) == 2 and np.isfinite(trace["residuals"][0])
+    assert trace["residuals"][1] == np.inf and trace["iterations"] == 1
+    assert summary["error"] == "Diverged: residual inf at iteration 1"
+
+
+def test_forcing_is_validated_only_by_nonlinear_solve(tmp_path, capsys):
+    # the default forcing's mode_index 3 lies beyond the cutoff 2 of 8 modes:
+    # symbols reads no forcing and runs, nonlinear-solve refuses it
+    cfg = {"grid": {"modes": 8, "nz": 8}, "out": str(tmp_path / "out")}
+    assert main(["--config", _write_cfg(tmp_path, dict(cfg, mode="symbols"))]) == 0
+    capsys.readouterr()
+    assert main(["--config", _write_cfg(tmp_path, dict(cfg, mode="nonlinear-solve"))]) == 2
+    assert capsys.readouterr().err == ("config error: forcing mode_index 3 outside 0 .. the "
+                                       "2/3 cutoff 2 of 8 modes\n")
+
+
+def test_negative_mode_index_is_refused(tmp_path, capsys):
+    # -1 would solve the +1 problem and record -1: refused at load
+    path = _write_cfg(tmp_path, {"mode": "nonlinear-solve", "out": str(tmp_path / "out"),
+                                 "grid": {"modes": 16, "nz": 24},
+                                 "forcing": {"mode_index": -1}})
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: forcing mode_index -1 outside 0")
+    assert not (tmp_path / "out").exists()
 
 
 SMALL = {"grid": {"modes": 16, "nz": 24}}

@@ -11,7 +11,7 @@ from stripwave.linear import LinearInverter, LinearState
 from stripwave.nonlinear import (ForcingData, make_forcing_preset, nonlinear_residual,
                                  picard_solve)
 from stripwave.norms import ydata_norm
-from stripwave.odesystem import (COND_LIMIT, UNIT_NORMAL_STRESS, FrequencySolver,
+from stripwave.odesystem import (COND_LIMIT, UNIT_NORMAL_STRESS, FrequencyStack,
                                  assemble_boundary, assemble_bulk_matrix)
 from stripwave.params import PhysicalParams, estimate_q_norms, make_constitutive
 
@@ -24,7 +24,7 @@ def test_collocation_self_convergence_beyond_matexp():
     ximag = 150.0 / (2 * np.pi)
 
     def vn_surf(nz):
-        Y, _ = solve_collocation(FrequencySolver(P1, VerticalGrid(1.0, nz), P1.gamma, 0.0, P1.sigma1),
+        Y, _ = solve_collocation(P1, VerticalGrid(1.0, nz), (P1.gamma, 0.0, P1.sigma1),
                                  np.array([ximag]), None, UNIT_NORMAL_STRESS)
         return Y[1, -1]
 
@@ -44,14 +44,13 @@ def test_twosided_solves_far_beyond_cond_B_limit():
     # 2.1e4: the member is two-sided and within 1e-10 of collocation
     vg = VerticalGrid(1.0, 40)
     coefs = (P1.gamma, 0.0, P1.sigma1)
-    solver = FrequencySolver(P1, vg, *coefs)
     A = assemble_bulk_matrix([8.0], P1, P1.gamma)
     Mm, Nm = assemble_boundary([8.0], P1, *coefs[1:])
     assert np.linalg.cond(Mm + Nm @ matrix_exponential(A, 1.0), 1) > COND_LIMIT
-    stack = solver.prepare(np.array([[8.0]]))
+    stack = FrequencyStack(P1, vg, *coefs, np.array([[8.0]]))
     assert list(stack.backend) == ["twosided"] and stack.cond[0] < 3e4
     Y = stack.solve(None, UNIT_NORMAL_STRESS[None])
-    Yc, _ = solve_collocation(solver, np.array([8.0]), None, UNIT_NORMAL_STRESS)
+    Yc, _ = solve_collocation(P1, vg, coefs, np.array([8.0]), None, UNIT_NORMAL_STRESS)
     assert np.abs(Y[0] - Yc).max() <= 1e-10 * np.abs(Yc).max()
 
 

@@ -164,8 +164,7 @@ def test_invert_heat_only_formula(table, inverter):
     data = YData.zeros(GRID, VG)
     data.m.data[0, 4] = 0.7         # and 0.7 at -4, its mirror
     st = inverter.invert(data)
-    e = table.entry((4,))
-    expect = np.conj(e.y[2, -1]) * 0.7 / e.rho
+    expect = np.conj(table.y[4, 2, -1]) * 0.7 / table.rho[4]
     assert st.eta.data[0, 4] == pytest.approx(expect, rel=1e-12)
     assert np.abs(st.eta.data[0, 4]) > 0
     # the recovered state reproduces the data, h included (never imposed)

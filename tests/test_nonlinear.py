@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stripwave.errors import AliasingWarning, ConfigError, PointOutsideDomain
+from stripwave.errors import AliasingWarning, ConfigError, Diverged, PointOutsideDomain
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
                               make_random_state, state_norm)
@@ -278,11 +278,26 @@ def test_picard_heat_driven(table, inverter):
     assert tr.residuals[-1] <= 1e-9
     assert max(tr.contraction) <= 0.5
     # the wave is real and its surface amplitude matches the linear response
-    e = table.entry((3,))
-    linear_amp = abs(np.conj(e.y[2, -1]) * (amp / 2) / e.rho)
+    linear_amp = abs(np.conj(table.y[3, 2, -1]) * (amp / 2) / table.rho[3])
     got = abs(tr.state.eta.data[0, 3])
     assert got == pytest.approx(linear_amp, rel=1e-3)
     assert got > 0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+def test_picard_names_the_first_nonfinite_slot():
+    # a heat-flux source finite at rest (x_n = b) and NaN above it: the first
+    # update raises the surface somewhere, so the second residual's heat-flux
+    # slot m is NaN, and the solve stops there, naming it
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 10, 32), VerticalGrid(1.0, 16)
+    forcing = ForcingData(h=lambda pts: np.cos(0.3 * pts[..., 0])
+                          + np.sqrt(vg.depth - pts[..., -1]), amplitude=1e-3)
+    with pytest.raises(Diverged, match=r"^residual nan at iteration 1, first not finite "
+                                       r"in slot m$") as raised:
+        picard_solve(forcing, P1, C_SMOOTH, grid, vg)
+    trace = raised.value.trace
+    assert len(trace.residuals) == 2 and np.isfinite(trace.residuals[0])
+    assert np.isnan(trace.residuals[1]) and trace.iterations == 1
 
 
 def test_picard_amplitude_scaling(inverter):

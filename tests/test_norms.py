@@ -99,9 +99,20 @@ def test_hdot_single_mode():
 
 
 def test_hdot_zero_mode_obstruction():
+    # a nonzero mean has no finite order -1 norm: the seminorm leaves the
+    # zero mode out, and the divergence-trace check reports it as
+    # zero_mode_abs, the obstruction
     f = SurfaceSpectral.zeros(GRID)
     f.data[0, 0] = 1.0
-    assert hdot_neg1(f) == float("inf")
+    assert hdot_neg1(f) == 0.0
+    data = YData.zeros(GRID, VG)
+    data.h = f
+    rep = check_divergence_trace(data)
+    assert rep.zero_mode_abs == 1.0 and rep.residual_hneg1 == 0.0
+    f.data[0, 2] = 3.0
+    mean_free = SurfaceSpectral(GRID, f.data.copy())
+    mean_free.data[0, 0] = 0.0
+    assert hdot_neg1(f) == hdot_neg1(mean_free) > 0.0
 
 
 def test_hdot_of_derivative_finite():

@@ -4,12 +4,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from oracles import matrix_exponential, solve_collocation
+from oracles import matrix_exponential, solve_collocation, solve_one, solve_symbol
 from stripwave.errors import IllConditionedCollocation, NumericallySingular
 from stripwave.grids import VerticalGrid
-from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencySolver, SymbolTable,
+from stripwave.odesystem import (UNIT_NORMAL_STRESS, FrequencyStack, SymbolTable,
                                  assemble_boundary, assemble_bulk_matrix, forcing_rows,
-                                 solve_symbol, symbol_profiles, transverse_solve)
+                                 symbol_profiles, transverse_solve)
 from stripwave.params import PhysicalParams
 from stripwave.grids import FrequencyGrid
 
@@ -167,8 +167,8 @@ def test_forced_matexp_prep_calls_independent_of_nz(monkeypatch):
         vg = VerticalGrid(P1.depth, nz)
         z = np.zeros((6, nz), dtype=complex)
         z[4] = np.cos(vg.nodes)
-        solver = FrequencySolver(P1, vg, -P1.gamma, P1.sigma1, 0.0)
-        assert solver.solve([0.4], z, np.zeros(6))[1] == "twosided"
+        assert solve_one(P1, vg, (-P1.gamma, P1.sigma1, 0.0), [0.4], z, np.zeros(6))[1] \
+            == "twosided"
         counts[nz] = calls
         monkeypatch.undo()
     assert counts[16] == counts[48] == ["_dichotomy", "_dichotomy", "_member_coefficients"]
@@ -219,16 +219,16 @@ def test_B_ill_conditioned_falls_back(monkeypatch):
     # default one, the member keeps it
     import stripwave.odesystem as ode
     vg = VerticalGrid(P2.depth, 40)
-    solver = FrequencySolver(P2, vg, P2.gamma, 0.0, P2.sigma1)
-    stack = solver.prepare(np.zeros((1, 1)))
+    args = (P2, vg, P2.gamma, 0.0, P2.sigma1, np.zeros((1, 1)))
+    stack = FrequencyStack(*args)
     assert list(stack.backend) == ["matexp"] and stack.cond[0] == 4.0
     monkeypatch.setattr(ode, "COND_LIMIT", 2.0)
     with pytest.raises(IllConditionedCollocation,
                        match=r"cond_1\(K\) 4 beyond 2 at xi = \(0\.0,\)") as raised:
-        solver.prepare(np.zeros((1, 1)))
+        FrequencyStack(*args)
     assert raised.value.cond_estimate == 4.0
     monkeypatch.setattr(ode, "COND_LIMIT", 4.0)
-    assert solver.prepare(np.zeros((1, 1))).cond[0] == 4.0
+    assert FrequencyStack(*args).cond[0] == 4.0
 
 
 def test_inverse_and_cond_singular_member_alone():
@@ -263,7 +263,7 @@ def test_singular_B_member_falls_back_alone(monkeypatch):
     monkeypatch.setattr(ode, "_dichotomy", singular)
     with pytest.raises(IllConditionedCollocation,
                        match=r"cond_1\(K\) inf beyond 1e\+12 at xi = \(0\.9,\)") as raised:
-        FrequencySolver(P1, VG, *coefs).prepare(xis)
+        FrequencyStack(P1, VG, *coefs, xis)
     assert raised.value.cond_estimate == np.inf
 
 
@@ -325,8 +325,8 @@ def test_symbol_dual_backend_agreement():
             xis = np.array([[ximag]])
             Ym = _dense_symbol(p, vg, xis[0])
             Yt, bt, _ = symbol_profiles(xis, p, vg)
-            Yc, _ = solve_collocation(FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1),
-                                      xis[0], None, UNIT_NORMAL_STRESS)
+            Yc, _ = solve_collocation(p, vg, (p.gamma, 0.0, p.sigma1), xis[0], None,
+                                      UNIT_NORMAL_STRESS)
             assert bt[0] == "twosided"
             for Y1, Y2 in ((Ym, Yt[0]), (Ym, Yc), (Yt[0], Yc)):
                 assert np.abs(Y1 - Y2).max() / np.abs(Y1).max() < 1e-8
@@ -344,8 +344,7 @@ def test_stiff_symbols_match_collocation():
     Y, backend, _ = symbol_profiles(xis, p, vg)
     assert "collocation" not in backend
     for xi, y in zip(xis, Y):
-        Yc, _ = solve_collocation(FrequencySolver(p, vg, p.gamma, 0.0, p.sigma1),
-                                  xi, None, UNIT_NORMAL_STRESS)
+        Yc, _ = solve_collocation(p, vg, (p.gamma, 0.0, p.sigma1), xi, None, UNIT_NORMAL_STRESS)
         assert np.abs(y - Yc).max() <= 1e-12 * np.abs(y).max()
 
 
@@ -396,14 +395,12 @@ def _forced_rows(xi, G=None, k_n=0.0):
 
 
 def test_forced_zero_data():
-    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
-    Y, _, _ = solver.solve([0.5], *_forced_rows(0.5))
+    Y, _, _ = solve_one(P1, VG, (P1.gamma, 0.0, P1.sigma1), [0.5], *_forced_rows(0.5))
     assert np.abs(Y).max() < 1e-14
 
 
 def test_forced_unit_stress_matches_symbol():
-    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
-    Y, _, _ = solver.solve([0.5], *_forced_rows(0.5, k_n=1.0))
+    Y, _, _ = solve_one(P1, VG, (P1.gamma, 0.0, P1.sigma1), [0.5], *_forced_rows(0.5, k_n=1.0))
     e = solve_symbol([0.5], P1, VG)
     assert np.abs(Y - e.y).max() < 1e-12
 
@@ -437,13 +434,12 @@ def test_manufactured_solution(backend):
     for p, seed in ((P1, 0), (P2, 1)):
         vg = VerticalGrid(p.depth, 48)
         xi = [0.0 if backend == "matexp" else 0.9]
-        gt, a1, a2 = -p.gamma, p.sigma1, 0.0
-        ystar, z, d = _manufactured(p, vg, xi, gt, a1, a2, seed)
-        solver = FrequencySolver(p, vg, gt, a1, a2)
+        coefs = (-p.gamma, p.sigma1, 0.0)
+        ystar, z, d = _manufactured(p, vg, xi, *coefs, seed)
         if backend == "collocation":
-            Y, _ = solve_collocation(solver, np.array(xi), z, d)
+            Y, _ = solve_collocation(p, vg, coefs, np.array(xi), z, d)
         else:
-            Y, used, _ = solver.solve(xi, z, d)
+            Y, used, _ = solve_one(p, vg, coefs, xi, z, d)
             assert used == backend
         assert np.abs(Y - ystar).max() / np.abs(ystar).max() < 1e-9
 
@@ -455,9 +451,9 @@ def test_forced_conjugate_symmetry():
     z[0] = 0.0
     z[2] = 0.0
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    solver = FrequencySolver(P1, vg, P1.gamma, 0.0, P1.sigma1)
-    Yp, _, _ = solver.solve([0.45], z, d)
-    Ym, _, _ = solver.solve([-0.45], np.conj(z), np.conj(d))
+    coefs = (P1.gamma, 0.0, P1.sigma1)
+    Yp, _, _ = solve_one(P1, vg, coefs, [0.45], z, d)
+    Ym, _, _ = solve_one(P1, vg, coefs, [-0.45], np.conj(z), np.conj(d))
     assert np.abs(Ym - np.conj(Yp)).max() < 1e-12
 
 
@@ -466,13 +462,13 @@ def test_forced_fallback_beyond_panel_resolution():
     # panel times the member's largest rate passes _PANEL_LIMIT, so its
     # forced sweep splits each interval in two; with bulk forcing or
     # without, the member is two-sided
-    solver = FrequencySolver(P1, VG, P1.gamma, 0.0, P1.sigma1)
-    assert [s.r for s in solver.prepare(np.array([[15.0]])).sweeps] == [2]
+    coefs = (P1.gamma, 0.0, P1.sigma1)
+    assert [s.r for s in FrequencyStack(P1, VG, *coefs, np.array([[15.0]])).sweeps] == [2]
     z, d = _forced_rows(15.0, G=np.cos(VG.nodes), k_n=1.0)
-    Y, used, _ = solver.solve([15.0], z, d)
+    Y, used, _ = solve_one(P1, VG, coefs, [15.0], z, d)
     assert used == "twosided"
     assert np.isfinite(np.abs(Y).max())
-    assert solver.solve([15.0], None, d)[1] == "twosided"
+    assert solve_one(P1, VG, coefs, [15.0], None, d)[1] == "twosided"
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +625,8 @@ def test_table_mirror_consistency():
     assert table.rho.shape == (9,) and table.y.shape == (9, 6, VG.count)
     for j in (1, 5):
         direct = solve_symbol([-grid.xi_axes[0][j]], P1, VG)
-        stored = table.entry((j,))
-        assert np.abs(np.conj(stored.y) - direct.y).max() < 1e-12
-        assert np.conj(stored.rho) == pytest.approx(direct.rho)
+        assert np.abs(np.conj(table.y[j]) - direct.y).max() < 1e-12
+        assert np.conj(table.rho[j]) == pytest.approx(direct.rho)
 
 
 def test_table_2d_small():
@@ -647,8 +642,7 @@ def test_table_2d_small():
             minus = rho[0, -j] if i == 0 else solve_symbol(-vecs[i, j], P3, vg).rho
             assert minus == pytest.approx(np.conj(rho[i, j]))
     # at xi_1 = 0 the symbols are real and rho is gamma-independent
-    e = table.entry((0, 2))
-    assert abs(e.rho.imag) < 1e-12
+    assert abs(table.rho[0, 2].imag) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -12,11 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stripwave.odesystem as ode
-from oracles import matrix_exponential, solve_collocation
+from oracles import matrix_exponential, solve_collocation, solve_one
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, apply_linear_operator, make_random_state,
                               state_norm)
-from stripwave.odesystem import (FrequencySolver, SymbolTable, assemble_boundary,
+from stripwave.odesystem import (FrequencyStack, SymbolTable, assemble_boundary,
                                  assemble_bulk_matrix)
 from stripwave.params import PhysicalParams
 
@@ -70,7 +70,7 @@ def _closed_backend(xi, p):
 
 def _collocation(p, vg, coefs, xi, z, d):
     """Profiles of one problem by collocation, the oracle."""
-    return solve_collocation(FrequencySolver(p, vg, *coefs), np.asarray(xi, dtype=float), z, d)[0]
+    return solve_collocation(p, vg, coefs, np.asarray(xi, dtype=float), z, d)[0]
 
 
 def _assert_matches_references(X, xi, p, gamma_tilde, ts):
@@ -347,20 +347,20 @@ def test_propagator_matches_50_digit_references(case):
     assert np.linalg.norm(X - ref, 2) <= 1e-15 * np.linalg.norm(ref, 2)
 
 
-def _reference_profiles(solver, xi, d, v, lam):
-    """Y (6, Nz) of dn y = A y + v exp(lam x), M y(0) + N y(b) = d from
-    the public assembly and ``matrix_exponential``: exp(x Aug) of the
-    augmented 7x7 system (y, exp(lam x)) carries exp(xA) and the particular
-    solution int_0^x exp((x-s)A) v exp(lam s) ds."""
-    p = solver.p
+def _reference_profiles(p, vg, coefs, xi, d, v, lam):
+    """Y (6, Nz) of dn y = A y + v exp(lam x), M y(0) + N y(b) = d with
+    coefficients ``coefs`` from the public assembly and
+    ``matrix_exponential``: exp(x Aug) of the augmented 7x7 system
+    (y, exp(lam x)) carries exp(xA) and the particular solution
+    int_0^x exp((x-s)A) v exp(lam s) ds."""
     aug = np.zeros((7, 7), dtype=complex)
-    aug[:6, :6] = assemble_bulk_matrix(xi, p, solver.gamma_tilde)
+    aug[:6, :6] = assemble_bulk_matrix(xi, p, coefs[0])
     aug[:6, 6] = v
     aug[6, 6] = lam
-    Mmat, Nmat = assemble_boundary(xi, p, solver.alpha1, solver.alpha2)
+    Mmat, Nmat = assemble_boundary(xi, p, *coefs[1:])
     Eb = matrix_exponential(aug, p.depth)
     y0 = np.linalg.solve(Mmat + Nmat @ Eb[:6, :6], d - Nmat @ Eb[:6, 6])
-    E = matrix_exponential(aug, solver.vgrid.nodes)
+    E = matrix_exponential(aug, vg.nodes)
     return (E[:, :6, :6] @ y0 + E[:, :6, 6]).T
 
 
@@ -374,23 +374,22 @@ def test_matexp_profiles_match_6x6_reference(data):
     k = 4
     xis = data.draw(frequencies(p, k))
     adjoint = data.draw(st.booleans())
-    solver = FrequencySolver(p, VerticalGrid(p.depth, data.draw(st.sampled_from([16, 24]))),
-                             *((p.gamma, 0.0, p.sigma1) if adjoint
-                               else (-p.gamma, p.sigma1, 0.0)))
+    vg = VerticalGrid(p.depth, data.draw(st.sampled_from([16, 24])))
+    coefs = (p.gamma, 0.0, p.sigma1) if adjoint else (-p.gamma, p.sigma1, 0.0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.standard_normal((k, 6)) + 1j * rng.standard_normal((k, 6))
     v = np.zeros((k, 6), dtype=complex)
     if data.draw(st.booleans()):
         v[:, [1, 3, 4, 5]] = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
     lam = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
-    z = v[:, :, None] * np.exp(lam[:, None] * solver.vgrid.nodes)[:, None]
-    stack = solver.prepare(xis)
+    z = v[:, :, None] * np.exp(lam[:, None] * vg.nodes)[:, None]
+    stack = FrequencyStack(p, vg, *coefs, xis)
     Y = stack.solve(z if v.any() else None, d)
     for i in range(k):
-        ref = _reference_profiles(solver, xis[i], d[i], v[i], lam[i])
+        ref = _reference_profiles(p, vg, coefs, xis[i], d[i], v[i], lam[i])
         # the 2-norm cond(B) of the B the reference solves with
-        Mmat, Nmat = assemble_boundary(xis[i], p, solver.alpha1, solver.alpha2)
-        A = assemble_bulk_matrix(xis[i], p, solver.gamma_tilde)
+        Mmat, Nmat = assemble_boundary(xis[i], p, *coefs[1:])
+        A = assemble_bulk_matrix(xis[i], p, coefs[0])
         B = Mmat + Nmat @ matrix_exponential(A, p.depth)
         tol = 1e-12 * max(1.0, np.linalg.cond(B) / 1e3)
         assert np.all(np.abs(Y[i] - ref).max(axis=1) <= tol * np.abs(ref).max(axis=1))
@@ -418,7 +417,7 @@ def test_matexp_matches_collocation(data):
     vg = VerticalGrid(p.depth, 48)
     coefs = (p.gamma, 0.0, p.sigma1) if adjoint else (-p.gamma, p.sigma1, 0.0)
     z, d = _smooth_forcing(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), vg, p)
-    Y1, backend1, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    Y1, backend1, _ = solve_one(p, vg, coefs, xi, z, d)
     Y2 = _collocation(p, vg, coefs, xi, z, d)
     assert backend1 == _closed_backend(xi, p)
     assert np.abs(Y1 - Y2).max() <= 1e-8 * np.abs(Y1).max()
@@ -436,14 +435,14 @@ def test_coefficient_quadrature_matches_matrix_form(dim, nz, data):
     k = 5
     xis = data.draw(frequencies(p, k, top=10.0))
     coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
-    solver = FrequencySolver(p, VerticalGrid(p.depth, nz), *coefs)
-    [sweep] = solver.prepare(xis).sweeps
+    vg = VerticalGrid(p.depth, nz)
+    [sweep] = FrequencyStack(p, vg, *coefs, xis).sweeps
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.standard_normal((k, 6, nz)) + 1j * rng.standard_normal((k, 6, nz))
     got = sweep._local_integrals(z)
-    _, offsets, rows = ode._gl_panels(solver.vgrid, 1)
+    _, offsets, rows = ode._gl_panels(vg, 1)
     # the rows carry the Gauss-Legendre weights: they integrate x^3 over each interval
-    nodes = solver.vgrid.nodes
+    nodes = vg.nodes
     cubes = np.diff(nodes ** 4) / 4
     assert np.abs((rows @ nodes ** 3).reshape(nz - 1, 8).sum(axis=1) - cubes).max() \
         <= 1e-13 * cubes.max()
@@ -466,7 +465,7 @@ def test_nonfinite_member_fails_alone():
     # is solved as alone
     vg = VerticalGrid(P2D.depth, 16)
     coefs = (P2D.gamma, 0.0, P2D.sigma1)
-    stack = FrequencySolver(P2D, vg, *coefs).prepare(xis[1:])
+    stack = FrequencyStack(P2D, vg, *coefs, xis[1:])
     assert list(stack.backend) == ["twosided", "twosided"] and len(stack.sweeps) == 2
     assert np.isfinite(stack.cond).all() and np.isfinite(stack.solve(None, np.ones((2, 6)))).all()
     z = np.ones((2, 6, vg.count), dtype=complex)
@@ -474,7 +473,7 @@ def test_nonfinite_member_fails_alone():
     Y = stack.solve(z, np.ones((2, 6)))
     assert np.isfinite(Y).all()
     for i in range(2):
-        lone, _, _ = FrequencySolver(P2D, vg, *coefs).solve(xis[1 + i], z[i], np.ones(6))
+        lone, _, _ = solve_one(P2D, vg, coefs, xis[1 + i], z[i], np.ones(6))
         assert np.abs(Y[i] - lone).max() <= 1e-13 * np.abs(lone).max()
 
 
@@ -490,8 +489,8 @@ def test_production_makes_no_pade_calls(dim):
     inverter.invert(apply_linear_operator(make_random_state(grid, vg, seed=1), p))
     z = np.zeros((6, vg.count), dtype=complex)
     z[4] = np.cos(vg.nodes)
-    Y, backend, _ = FrequencySolver(p, vg, -p.gamma, p.sigma1, 0.0).solve(
-        np.full(dim - 1, 0.4), z, np.ones(6))
+    Y, backend, _ = solve_one(p, vg, (-p.gamma, p.sigma1, 0.0), np.full(dim - 1, 0.4), z,
+                              np.ones(6))
     assert backend == "twosided" and np.abs(Y).max() > 0
     solved = np.not_equal(inverter.backend, None)
     expect = np.where(grid.xi2 == 0, "matexp", "twosided").astype(object)
@@ -612,7 +611,7 @@ def test_forced_matches_collocation(nz, data):
     coefs = (p.gamma, 0.0, p.sigma1) if data.draw(st.booleans()) else (-p.gamma, p.sigma1, 0.0)
     vg = VerticalGrid(p.depth, nz)
     z, d = _smooth_forcing(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), vg, p)
-    Y, backend, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    Y, backend, _ = solve_one(p, vg, coefs, xi, z, d)
     Yc = _collocation(p, vg, coefs, xi, z, d)
     assert backend == "twosided"
     assert np.abs(Y - Yc).max() <= 1e-10 * np.abs(Yc).max()
@@ -638,7 +637,7 @@ def test_forced_beyond_the_panels_matches_fine_collocation(data):
     for nz in (24, 48, 80):
         vg = VerticalGrid(p.depth, nz)
         z, d = _smooth_forcing(np.random.default_rng(seed), vg, p)
-        Y, backend, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+        Y, backend, _ = solve_one(p, vg, coefs, xi, z, d)
         ref = Yf @ fine.interp_weights(vg.nodes).T
         assert backend == "twosided"
         assert np.abs(Y - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -673,7 +672,7 @@ def test_manufactured_solutions_across_the_panel_limit(nz, band, data):
     A = assemble_bulk_matrix(xi, p, coefs[0])
     Mm, Nm = assemble_boundary(xi, p, *coefs[1:])
     z, d = vg.differentiate(ystar) - A @ ystar, Mm @ ystar[:, 0] + Nm @ ystar[:, -1]
-    Y, backend, _ = FrequencySolver(p, vg, *coefs).solve(xi, z, d)
+    Y, backend, _ = solve_one(p, vg, coefs, xi, z, d)
     assert backend == _closed_backend(xi, p)
     assert np.abs(Y - ystar).max() / np.abs(ystar).max() <= tol
 
