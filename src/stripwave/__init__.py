@@ -14,7 +14,7 @@ from .odesystem import (FrequencyStack, SymbolTable, assemble_bulk_matrix,
                         assemble_boundary)
 from .asymptotics import (AsymptoticReport, fit_lf_coefficient,
                           check_rho_bounds, check_highfreq_decay, full_report)
-from .linear import (LinearState, apply_linear_operator, compatibility_functional, solve_surface,
+from .linear import (LinearState, apply_linear_operator, solve_surface,
                      LinearInverter, state_norm, make_random_state)
 from .nonlinear import (ForcingData, SolveTrace, nonlinear_residual,
                         picard_solve, pushforward_eulerian,

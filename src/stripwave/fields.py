@@ -324,11 +324,22 @@ def _float_cells(x):
     return out.view(np.uint8), np.flatnonzero(~fast)
 
 
+def _strict_json(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return str(float(obj)) if isinstance(obj, (float, np.floating)) and not np.isfinite(obj) else obj
+
+
 def write_json(path, payload):
-    """The one JSON format: 2-space indent, sorted keys, numpy scalars as
-    floats and a trailing newline."""
+    """The one JSON format, strict RFC 8259: 2-space indent, sorted keys,
+    numpy scalars as floats, a non-finite float as the string that float()
+    reads back ("inf", "-inf", "nan"), and a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -146,7 +146,7 @@ def apply_linear_operator(state: LinearState, p: PhysicalParams) -> YData:
 
 
 # ---------------------------------------------------------------------------
-# Compatibility functional and the multiplier solve
+# The surface stage: the compatibility pairing and the multiplier solve
 # ---------------------------------------------------------------------------
 
 def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -158,22 +158,25 @@ def _long_amplitude(vec: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_grids(table: SymbolTable, *grids):
-    """ValueError unless the data's lattice (and vertical grid) are the table's."""
-    if grids != (table.grid, table.vgrid)[:len(grids)]:
-        raise ValueError(f"data on {', '.join(map(str, grids))}; the symbol table "
-                         f"is built for {table.grid}, {table.vgrid}")
+def solve_surface(data: YData, table: SymbolTable) -> SurfaceSpectral:
+    """The surface stage: etahat = pairing/rho off the zero mode, where the
+    pairing of the data against the adjoint response symbols is formed at
+    the half-lattice frequencies where some part of the data is nonzero
+    (the table is solved there first), zero at the others, and completed by
+    ``conjugate_mirror``: the data is read on grid.half_mask alone.
 
-
-def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral:
-    """Per-frequency pairing of the data against the adjoint response symbols
-    at the half-lattice frequencies where some part of the data is nonzero,
-    zero at the others, completed by ``conjugate_mirror``: the data is read
-    on grid.half_mask alone.  ValueError if the table is on other grids."""
+    Raises ValueError if the table is on another lattice or vertical grid,
+    and RhoVanishing when a solved |rho| is at most 1e-13 times its
+    certified lower-bound scale, which signals mis-assembled symbols.
+    """
     grid, vgrid = data.grid, data.vgrid
-    _check_grids(table, grid, vgrid)
+    if (grid, vgrid) != (table.grid, table.vgrid):
+        raise ValueError(f"data on {grid}, {vgrid}; the symbol table "
+                         f"is built for {table.grid}, {table.vgrid}")
     n = grid.dim_h + 1
-    at = gather_index(support(data) & grid.half_mask)
+    live = support(data) & grid.half_mask
+    table.solve(live)
+    at = gather_index(live)
     f, g, l, k, h, m = (part.rows(at) for part in data.parts())
     y = table.y.reshape((-1,) + table.y.shape[grid.dim_h:])
     y_long, y_vn, y_temp, y_q = (np.conj(y[at, row]) for row in range(4))
@@ -187,40 +190,20 @@ def compatibility_functional(data: YData, table: SymbolTable) -> SurfaceSpectral
     xi_val -= k_long * y_long[..., -1] + k[n - 1] * y_vn[..., -1]
     xi_val += m[0] * y_temp[..., -1]
     xi_val += h[0]
-    pairing = SurfaceSpectral.zeros(grid)
-    pairing.rows()[0, at] = xi_val
-    pairing.data = conjugate_mirror(pairing.data, grid)
-    return pairing
+    pairing = np.zeros(grid.freq_shape, dtype=complex)
+    pairing.reshape(-1)[at] = xi_val
+    pairing = conjugate_mirror(pairing, grid, 0)
 
-
-def solve_surface(pairing: SurfaceSpectral, table: SymbolTable) -> SurfaceSpectral:
-    """etahat = pairing/rho at the table's solved frequencies off the zero
-    mode; everywhere else etahat is zero.
-
-    The zero-mode magnitude of the pairing is an incompatibility diagnostic
-    available directly from its coefficients.  Raises RhoVanishing when a
-    solved |rho| is at most 1e-13 times its certified lower-bound scale,
-    which signals mis-assembled symbols, and ValueError when the pairing is
-    nonzero off the zero mode where the table has no symbol, or lies on
-    another lattice than the table's.
-    """
-    grid = pairing.grid
-    _check_grids(table, grid)
-    p = table.params
-    rho = table.rho
-    mag2 = grid.xi2
+    p, rho, mag2 = table.params, table.rho, grid.xi2
     scale = p.grav + p.sigma0 * 4.0 * np.pi ** 2 * mag2 \
         + 2.0 * np.pi * np.abs(p.gamma * grid.xi_vectors[..., 0])
     nz = (mag2 > 0) & table.solved
-    for error, what, at in (
-            (RhoVanishing, "|rho| ~ 0", (np.abs(rho) <= 1e-13 * scale) & nz),
-            (ValueError, "no symbol for a nonzero pairing",
-             (pairing.data[0] != 0) & (mag2 > 0) & ~table.solved)):
-        if at.any():
-            index = tuple(int(i) for i in np.argwhere(at)[0])
-            raise error(f"{what} at lattice index {index}")
+    vanishing = (np.abs(rho) <= 1e-13 * scale) & nz
+    if vanishing.any():
+        index = tuple(int(i) for i in np.argwhere(vanishing)[0])
+        raise RhoVanishing(f"|rho| ~ 0 at lattice index {index}")
     eta = np.zeros(grid.freq_shape, dtype=complex)
-    eta[nz] = pairing.data[0][nz] / rho[nz]
+    eta[nz] = pairing[nz] / rho[nz]
     return SurfaceSpectral(grid, eta)
 
 
@@ -304,14 +287,10 @@ class LinearInverter:
         out.pres.rows()[0, at] = Y[:, 3]
 
     def invert(self, data: YData) -> LinearState:
-        table = self.table
-        grid, vgrid = data.grid, data.vgrid
-        _check_grids(table, grid, vgrid)
-        live = support(data) & grid.half_mask
-        table.solve(live)
-        out = LinearState.zeros(grid, vgrid)
-        out.eta = solve_surface(compatibility_functional(data, table), table)
-        self._solve_half(data, gather_index(live), out)
+        grid = data.grid
+        out = LinearState.zeros(grid, data.vgrid)
+        out.eta = solve_surface(data, self.table)
+        self._solve_half(data, gather_index(support(data) & grid.half_mask), out)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
         return out

@@ -274,8 +274,9 @@ def picard_solve(forcing: ForcingData, p: PhysicalParams, c: ConstitutiveSet,
     state = trace.state = LinearState.zeros(grid, vgrid)
     rising = 0
     for it in range(maxiter + 1):
-        resid = nonlinear_residual(state, forcing, p, c)
-        rn = ydata_norm(resid)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises Diverged below
+            resid = nonlinear_residual(state, forcing, p, c)
+            rn = ydata_norm(resid)
         trace.residuals.append(rn)
         trace.iterations = it
         if len(trace.residuals) > 1:

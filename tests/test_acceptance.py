@@ -5,7 +5,7 @@ per criterion.
 """
 
 import json
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,7 +287,7 @@ def test_criterion_10_determinism(tmp_path):
             "grid": {"modes": 64, "nz": 32},
         })
         assert run(cfg) == 0
-        blobs.append(open(os.path.join(out, "symbols.csv"), "rb").read())
+        blobs.append(Path(out, "symbols.csv").read_bytes())
     same_symbols = blobs[0] == blobs[1]
 
     reports = []
@@ -299,7 +299,7 @@ def test_criterion_10_determinism(tmp_path):
             "roundtrip": {"count": 2},
         })
         assert run(cfg) == 0
-        reports.append(open(os.path.join(out, "roundtrip_report.json"), "rb").read())
+        reports.append(Path(out, "roundtrip_report.json").read_bytes())
     same_reports = reports[0] == reports[1]
 
     # linear-solve at a grid of two-sided members (2 pi |xi| b up to 12.8)
@@ -316,7 +316,7 @@ def test_criterion_10_determinism(tmp_path):
             "grid": {"box_len": box, "modes": modes, "nz": nz},
         })
         assert run(cfg) == 0
-        linear.append([open(os.path.join(out, name), "rb").read()
+        linear.append([Path(out, name).read_bytes()
                        for name in ("u.csv", "psi.csv", "pres.csv", "eta.csv",
                                     "linear_report.json")])
     same_linear = linear[0] == linear[1]
@@ -344,7 +344,7 @@ def test_criterion_10_determinism(tmp_path):
                 "fit": {"refine": False},
             })
             assert run(cfg) == 0
-            reruns[key].append([open(os.path.join(out, name), "rb").read()
+            reruns[key].append([Path(out, name).read_bytes()
                                 for name in names])
     same_nonlinear = all(reruns[key][0] == reruns[key][1]
                          for key in ("nonlinear-solve", "nonlinear-solve-3d"))

@@ -4,6 +4,7 @@ stacks and must agree with K one-member stacks of the same problem."""
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,7 +489,7 @@ def test_linear_solve_makes_no_lu_at_linear_deep(tmp_path, monkeypatch):
                               seed=3, jmax=20)
     write_ydata_csv(str(tmp_path / "ydata"), apply_linear_operator(state, cfg.params()))
     assert run(cfg) == 0
-    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
     assert summary["table_solved"] == {"matexp": 0, "twosided": 20}
     assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20}
 
@@ -613,7 +614,7 @@ def test_picard_prepares_its_inverter_stack_once(tmp_path, monkeypatch, dim, mod
         "mode": "nonlinear-solve", "out": str(out), "params": {"dim": dim}, "grid": grid,
         "forcing": {"preset": "mixed", "amplitude": 1e-3, "mode_index": mode_index}}))
     assert cli.main(["--config", str(path)]) == 0
-    iterations = json.load(open(out / "solve_trace.json"))["iterations"]
+    iterations = json.loads((out / "solve_trace.json").read_text())["iterations"]
     assert len(inverted) == iterations >= 2 and len(set(inverted)) == 1
     assert len(prepared) == 1 and prepared[0] == len(inverted[0]._stack.xis) > 0
 

@@ -76,7 +76,7 @@ def test_bad_params_write_failed_manifest(tmp_path):
     out = tmp_path / "bad"
     path = _write_cfg(tmp_path, {"params": {"mu": -1}, "out": str(out)})
     assert main(["--config", path]) == 2
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["ok"] is False
     assert summary["error"] == "ConfigError: mu must be positive"
 
@@ -99,7 +99,7 @@ def test_bad_grid_params_write_failed_manifest(tmp_path, params, error):
     out = tmp_path / "bad"
     path = _write_cfg(tmp_path, {"params": params, "out": str(out)})
     assert main(["--config", path]) == 2
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["ok"] is False
     assert summary["error"] == f"ConfigError: {error}"
 
@@ -109,9 +109,9 @@ def test_symbols_mode(tmp_path):
     cfg = RunConfig.from_dict({"mode": "symbols",
                                "grid": {"modes": 16, "nz": 24}, "out": out})
     assert run(cfg) == 0
-    rows = open(os.path.join(out, "symbols.csv")).read().strip().splitlines()
+    rows = Path(out, "symbols.csv").read_text().strip().splitlines()
     assert len(rows) == 10  # header + one per half-lattice point
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["summary"]["ok"] is True
     # manifest echoes every tolerance and threshold; the conditioning limit
     # is no setting, so there is no backend section
@@ -127,7 +127,7 @@ def test_asym_check_mode(tmp_path):
         "fit": {"refine": False, "xi_seq": [1e-2, 5e-3, 2.5e-3]},
     })
     assert run(cfg) == 0
-    rep = json.load(open(os.path.join(out, "asym_report.json")))
+    rep = json.loads(Path(out, "asym_report.json").read_text())
     assert len(rep) >= 8
     assert all(row["verdict"] == "pass" for row in rep)
 
@@ -142,7 +142,7 @@ def test_asym_report_is_standard_json_without_high_frequencies(tmp_path):
 
     def refuse(name):
         raise ValueError(f"{name} is not standard JSON")
-    rep = json.loads(open(os.path.join(out, "asym_report.json")).read(), parse_constant=refuse)
+    rep = json.loads(Path(out, "asym_report.json").read_text(), parse_constant=refuse)
     row = next(r for r in rep if r["claim"] == "rho lower bound |xi|>1")
     assert row["verdict"] == "fail" and "no lattice points" in row["detail"]["note"]
     assert [row["fitted"], row["margin"], row["detail"]["refined"],
@@ -161,7 +161,7 @@ def test_linear_solve_mode(tmp_path):
                                "out": out,
                                "grid": {"modes": 32, "nz": 32}})
     assert run(cfg) == 0
-    rep = json.load(open(os.path.join(out, "linear_report.json")))
+    rep = json.loads(Path(out, "linear_report.json").read_text())
     assert rep["roundtrip_misfit"] < 1e-6
     assert os.path.exists(os.path.join(out, "eta.csv"))
 
@@ -304,9 +304,9 @@ def test_solver_fields_are_written_on_the_half_lattice(tmp_path, monkeypatch, di
         "grid": grid, "params": {"dim": dim}})) == 0
     assert len(written) == 8
     for path, field in written:
-        meta = json.load(open(path + ".json"))
+        meta = json.loads(Path(path + ".json").read_text())
         assert meta["layout"] == "half"
-        rows = len(open(path, "rb").read().split(b"\r\n")) - 2
+        rows = len(Path(path).read_bytes().split(b"\r\n")) - 2
         nonzero = field.data != 0
         assert rows == meta["rows"] == np.count_nonzero(_half_entries(field) & nonzero)
         back = read_field_csv(path).data
@@ -378,7 +378,7 @@ def test_linear_solve_records_inverter_work(tmp_path):
     path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": indir, "out": str(out),
                                  "grid": {"box_len": 2.5 * np.pi, "modes": 128, "nz": 32}})
     assert main(["--config", path]) == 0
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["inverter_solved"] == {"matexp": 0, "twosided": 20}
     inv = cli.LinearInverter(SymbolTable.build(grid, vg, p))
     inv.invert(data)
@@ -407,7 +407,7 @@ def test_backend_cond_limit_reaches_solve_modes(tmp_path, monkeypatch, mode):
         write_ydata_csv(cfg["input"],
                         apply_linear_operator(make_random_state(grid, vg, seed=1), p))
     assert main(["--config", _write_cfg(tmp_path, cfg)]) == 1
-    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
     assert summary["ok"] is False
     assert summary["error"].startswith("IllConditionedCollocation: cond_1(K) ")
     assert "beyond 100 at xi = (" in summary["error"]
@@ -455,7 +455,7 @@ def test_backend_section_reaches_table_and_inverter(tmp_path, monkeypatch, mode)
     assert np.array_equal((table.backend == "twosided")[solved], (grid.xi2 > 0)[solved])
     assert (table.backend[~solved] == None).all()  # noqa: E711
     # the manifest records the table's half lattice and its worst cond
-    summary = json.load(open(tmp_path / "out" / "manifest.json"))["summary"]
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
     half = table.backend[grid.half_mask]
     assert summary["table_solved"] == {b: int((half == b).sum())
                                        for b in ("matexp", "twosided")}
@@ -469,7 +469,7 @@ def test_symbols_mode_records_table_solves(tmp_path):
     # at the highest frequency
     out = tmp_path / "sym"
     assert run(RunConfig.from_dict({"mode": "symbols", "out": str(out)})) == 0
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["table_solved"] == {"matexp": 1, "twosided": 128}
     assert summary["table_max_cond_at"] == [128]
     assert summary["table_max_cond"] < 1e4
@@ -490,11 +490,11 @@ def test_nonlinear_solve_mode(tmp_path):
         "forcing": {"preset": "heat-only", "amplitude": 1e-3, "mode_index": 2},
     })
     assert run(cfg) == 0
-    trace = json.load(open(os.path.join(out, "solve_trace.json")))
+    trace = json.loads(Path(out, "solve_trace.json").read_text())
     assert trace["converged"] is True
     assert trace["residuals"][-1] <= 1e-9
     assert os.path.exists(os.path.join(out, "eulerian.csv"))
-    summary = json.load(open(os.path.join(out, "manifest.json")))["summary"]
+    summary = json.loads(Path(out, "manifest.json").read_text())["summary"]
     assert summary["amplitude_requested"] == summary["amplitude_used"] == 1e-3
     assert summary["contraction_per_amplitude"] == trace["contraction"][0] / 1e-3
     assert summary["gate_q1"] > 0 and summary["gate_margin"] > 0
@@ -508,7 +508,7 @@ def test_failed_gate_records_q1_and_margin(tmp_path, capsys):
                                  "params": {"sigma1": 10.0}, **SMALL})
     assert main(["--config", path]) == 2
     assert "parameter gate failed" in capsys.readouterr().err
-    summary = json.load(open(out / "manifest.json"))["summary"]
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["ok"] is False
     q1 = summary["gate_q1"]
     assert q1 > 0
@@ -551,19 +551,24 @@ def test_exhausted_budget_writes_trace(tmp_path):
     assert len(trace["residuals"]) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                            "ignore::stripwave.errors.AliasingWarning")
+@pytest.mark.filterwarnings("ignore::stripwave.errors.AliasingWarning")
 def test_nonfinite_residual_diverges_at_once(tmp_path):
     # at depth 1e-300 the first update makes the residual's norm overflow
     # (its coefficients stay finite): the solve stops there as Diverged with
     # both residuals in its trace, instead of inverting non-finite data until
-    # the budget of 50 runs out
+    # the budget of 50 runs out, and raises no numpy overflow warning.  The
+    # trace is strict JSON: inf is written as the string "inf"
     summary, trace = _failed_solve(tmp_path, {
         "params": {"depth": 1e-300}, "grid": {"modes": 8, "nz": 8},
         "forcing": {"mode_index": 2}})
     assert len(trace["residuals"]) == 2 and np.isfinite(trace["residuals"][0])
-    assert trace["residuals"][1] == np.inf and trace["iterations"] == 1
+    assert float(trace["residuals"][1]) == np.inf and trace["iterations"] == 1
+    assert trace["contraction"] == ["inf"]
     assert summary["error"] == "Diverged: residual inf at iteration 1"
+
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+    json.loads((tmp_path / "nl" / "solve_trace.json").read_text(), parse_constant=refuse)
 
 
 def test_forcing_is_validated_only_by_nonlinear_solve(tmp_path, capsys):
@@ -691,7 +696,7 @@ def test_roundtrip_mode_and_exit(tmp_path):
         "roundtrip": {"count": 2},
     })
     assert run(cfg) == 0
-    rep = json.load(open(os.path.join(out, "roundtrip_report.json")))
+    rep = json.loads(Path(out, "roundtrip_report.json").read_text())
     assert rep["max_data_misfit"] < 1e-6
 
 
@@ -706,7 +711,7 @@ def test_norms_mode(tmp_path):
     cfg = RunConfig.from_dict({"mode": "norms", "input": indir, "out": out,
                                "grid": {"modes": 16, "nz": 24}})
     assert run(cfg) == 0
-    rep = json.load(open(os.path.join(out, "norms_report.json")))
+    rep = json.loads(Path(out, "norms_report.json").read_text())
     assert rep["ydata_norm"] > 0
 
 
@@ -716,7 +721,7 @@ def test_cli_overrides(tmp_path):
                                  "out": str(tmp_path / "a")})
     rc = main(["--config", path, "--out", str(tmp_path / "b"), "--seed", "3"])
     assert rc == 0
-    manifest = json.load(open(tmp_path / "b" / "manifest.json"))
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
 
 
@@ -785,7 +790,7 @@ def test_scipy_linalg_never_loads(tmp_path):
         "import stripwave": False, "cli and wave-2d config": False,
         "nonlinear-solve": False, "3D roundtrip-test": False, "linear-solve": False,
         "linear-solve, forced beyond the panels": False}
-    summary = json.load(open(tmp_path / "lin" / "manifest.json"))["summary"]
+    summary = json.loads((tmp_path / "lin" / "manifest.json").read_text())["summary"]
     assert summary["table_solved"] == {"matexp": 0, "twosided": 14}
-    summary = json.load(open(tmp_path / "beyond" / "manifest.json"))["summary"]
+    summary = json.loads((tmp_path / "beyond" / "manifest.json").read_text())["summary"]
     assert summary["inverter_solved"] == {"matexp": 0, "twosided": 10}

@@ -647,6 +647,10 @@ def test_write_json_and_write_csv_bytes(tmp_path):
     assert (tmp_path / "p.json").read_bytes() == (
         b'{\n  "alpha": [\n    1,\n    0.10000000149011612,\n    null\n  ],\n'
         b'  "mid": {\n    "a": "x",\n    "b": true\n  },\n  "zeta": 0.1\n}\n')
+    # strict RFC 8259: a non-finite float is the string float() reads back
+    write_json(tmp_path / "n.json", {"r": (np.inf, -np.inf, np.nan, np.float32("inf"), 1.5)})
+    assert (tmp_path / "n.json").read_bytes() == (
+        b'{\n  "r": [\n    "inf",\n    "-inf",\n    "nan",\n    "inf",\n    1.5\n  ]\n}\n')
     write_csv(tmp_path / "c.csv", ["n", "x", "tag"],
               [np.array([3, -1], dtype=np.int32), np.array([0.1, -0.0]),
                np.array(["matexp", "collocation"], dtype=object)])

@@ -1,12 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from stripwave.errors import RhoVanishing
-from stripwave.fields import SpectralField, SurfaceSpectral, YData
+from stripwave.fields import SpectralField, SurfaceSpectral, YData, support
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
-                              compatibility_functional, make_random_state,
-                              solve_surface, state_norm)
+                              make_random_state, solve_surface, state_norm)
 from stripwave.norms import check_divergence_trace, sobolev_norm, ydata_norm
 from stripwave.odesystem import SymbolTable
 from stripwave.params import PhysicalParams
@@ -73,47 +74,48 @@ def test_apply_divergence_trace_finite_with_surface():
 
 def test_xi_of_zero_data(table):
     data = YData.zeros(GRID, VG)
-    Xi = compatibility_functional(data, table)
-    assert np.abs(Xi.data).max() == 0.0
+    eta = solve_surface(data, table)
+    assert np.abs(eta.data * table.rho).max() == 0.0
 
 
 def test_xi_h_only(table):
+    # h enters the pairing alone and unweighted: eta = h/rho there, 0 elsewhere
     data = YData.zeros(GRID, VG)
     data.h.data[0, 3] = 1.5 - 0.5j
-    Xi = compatibility_functional(data, table)
-    assert Xi.data[0, 3] == pytest.approx(1.5 - 0.5j)
-    others = np.abs(Xi.data[0])
+    eta = solve_surface(data, table)
+    assert eta.data[0, 3] == (1.5 - 0.5j) / table.rho[3]
+    others = np.abs(eta.data[0] * table.rho)
     others[3] = 0.0
     assert others.max() == 0.0
 
 
 def test_xi_vanishes_on_images_without_surface(table):
-    # the compatibility functional annihilates images of surface-free states
+    # the compatibility pairing annihilates images of surface-free states
     st = make_random_state(GRID, VG, seed=42)
     st.eta.data[:] = 0.0
     data = apply_linear_operator(st, P1)
-    Xi = compatibility_functional(data, table)
-    assert np.abs(Xi.data).max() < 1e-10 * ydata_norm(data)
+    eta = solve_surface(data, table)
+    assert np.abs(eta.data * table.rho).max() < 1e-10 * ydata_norm(data)
 
 
 def test_solve_surface_trivial_and_unit(table):
-    Xi = SurfaceSpectral.zeros(GRID)
-    eta = solve_surface(Xi, table)
+    eta = solve_surface(YData.zeros(GRID, VG), table)
     assert np.abs(eta.data).max() == 0.0
 
-    Xi = SurfaceSpectral(GRID, table.rho[None].copy())
+    # h = rho pairs to rho, so eta is 1 off the zero mode
+    data = YData.zeros(GRID, VG)
+    data.h.data[0] = table.rho
     zero = (0,) * GRID.dim_h
-    eta = solve_surface(Xi, table)
+    eta = solve_surface(data, table)
     expect = np.ones(GRID.freq_shape, dtype=complex)
     expect[zero] = 0.0
     assert np.abs(eta.data[0] - expect).max() < 1e-12
 
 
 def test_solve_surface_realness(table):
-    rng = np.random.default_rng(0)
     st = make_random_state(GRID, VG, seed=17)
     data = apply_linear_operator(st, P1)
-    eta = solve_surface(compatibility_functional(data, table), table)
+    eta = solve_surface(data, table)
     assert eta.hermitian_defect() < 1e-10
 
 
@@ -122,22 +124,21 @@ def test_solve_surface_rho_floor(table):
     broken = copy.copy(table)
     broken.rho = table.rho.copy()
     broken.rho[5] = 0.0
-    Xi = SurfaceSpectral.zeros(GRID)
     with pytest.raises(RhoVanishing):
-        solve_surface(Xi, broken)
+        solve_surface(YData.zeros(GRID, VG), broken)
 
 
-def test_solve_surface_refuses_unsolved_pairing():
-    # the table knows |j| <= 2 only: a pairing there divides, at |j| = 3 it
-    # would divide by a placeholder rho of 0
+def test_solve_surface_extends_a_partial_table(table):
+    # the table knows |j| <= 2 only: the surface stage solves it where the
+    # data reaches (|j| <= 8 here) before it pairs, so the eta there is a
+    # built table's bit for bit, and zero beyond
     partial = SymbolTable(GRID, VG, P1).solve(np.abs(GRID.xi_axes[0]) < 2.5 / GRID.box_len)
-    pairing = SurfaceSpectral.zeros(GRID)
-    pairing.data[0, 2] = 1.0        # and at -2, its mirror
-    eta = solve_surface(pairing, partial)
-    assert eta.data[0, 2] == 1.0 / partial.rho[2] and (eta.data[0, 3:] == 0).all()
-    pairing.data[0, 3] = 1e-30      # and at -3, its mirror
-    with pytest.raises(ValueError, match=r"lattice index \(3,\)"):
-        solve_surface(pairing, partial)
+    assert not partial.solved[3]
+    data = apply_linear_operator(make_random_state(GRID, VG, seed=17), P1)
+    eta, expect = solve_surface(data, partial).data[0], solve_surface(data, table).data[0]
+    live = support(data)
+    assert eta[live].tobytes() == expect[live].tobytes() and not eta[~live].any()
+    assert partial.solved[3] and eta[3] != 0
 
 
 def test_invert_zero(inverter):
@@ -228,20 +229,18 @@ def test_invert_data_misfit(table, inverter, seed, fresh):
 ], ids=["box", "nz", "depth"])
 def test_invert_rejects_data_on_another_grid(grid, vgrid):
     # a 20 pi table used to invert data on a 10 pi box without complaint, to a
-    # data misfit of 0.16 (0.012 for the same state on its own grid), and the
+    # data misfit of 0.16 (0.012 for the same state on its own grid), the
     # surface stage alone paired data on another box and depth 0.107 off the
-    # right pairing.  The inverse and the pairing refuse a table on another
-    # lattice or vertical grid; a pairing carries no vertical grid, so
-    # solve_surface refuses a table on another lattice
+    # right pairing, and divided a pairing by the rho of a table at another
+    # depth, an eta 0.22 off.  The inverse and the surface stage refuse a
+    # table on another lattice or vertical grid, naming both
     table = SymbolTable.build(FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 16), P1)
     data = apply_linear_operator(make_random_state(grid, vgrid, seed=1), P1)
     with pytest.raises(ValueError, match="symbol table"):
         LinearInverter(table).invert(data)
-    with pytest.raises(ValueError, match="symbol table"):
-        compatibility_functional(data, table)
-    if grid != table.grid:
-        with pytest.raises(ValueError, match="symbol table"):
-            solve_surface(SurfaceSpectral.zeros(grid), table)
+    with pytest.raises(ValueError, match=re.escape(f"data on {grid}, {vgrid}; the symbol table "
+                                                   f"is built for {table.grid}, {table.vgrid}")):
+        solve_surface(data, table)
 
 
 def test_inverse_reads_the_data_on_the_half_lattice_alone():
@@ -262,8 +261,8 @@ def test_inverse_reads_the_data_on_the_half_lattice_alone():
     for part, ref in zip(out.parts(), expect.parts()):
         assert part.data.tobytes() == ref.data.tobytes()
     assert out.eta.hermitian_defect() == 0.0 and np.abs(out.eta.data).max() > 0
-    assert (compatibility_functional(noisy, table).data.tobytes()
-            == compatibility_functional(clean, table).data.tobytes())
+    assert (solve_surface(noisy, table).data.tobytes()
+            == solve_surface(clean, table).data.tobytes())
 
 
 def test_roundtrip_dim3():
