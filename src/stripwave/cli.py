@@ -2,7 +2,7 @@
 
 Every run writes a manifest echoing the fully resolved configuration next to
 its data artifacts.  Exit code 0 means all checks in the mode passed, 1 a
-numerical failure, 2 a configuration problem.
+numerical failure, 2 a configuration problem or a grid too large for memory.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ def _record_solves(summary: dict, grid, **solved_by):
         summary[f"{name}_solved"] = {b: half.count(b) for b in BACKENDS}
         summary[f"{name}_max_cond"] = float(solved.cond[worst])
         summary[f"{name}_max_cond_at"] = [int(i) for i in worst]
+
+
+def _roundtrip_trial(inv: LinearInverter, seed: int):
+    """The data and state misfits of one random state's round trip through
+    the forward map and ``inv``; its arrays are released when it returns."""
+    t = inv.table
+    st = make_random_state(t.grid, t.vgrid, seed=seed)
+    data = apply_linear_operator(st, t.params)
+    st2 = inv.invert(data)
+    back = apply_linear_operator(st2, t.params).axpy(-1.0, data)
+    return ydata_norm(back) / ydata_norm(data), state_norm(st2.axpy(-1.0, st)) / state_norm(st)
 
 
 def run(config: RunConfig) -> int:
@@ -161,17 +172,9 @@ def _dispatch(config: RunConfig, summary: dict) -> int:
 
     elif mode == "roundtrip-test":
         inv = LinearInverter(SymbolTable(grid, vgrid, p))
-        rng_seed = r["seed"]
-        worst_data, worst_state = 0.0, 0.0
-        for trial in range(r["roundtrip"]["count"]):
-            st = make_random_state(grid, vgrid, seed=rng_seed + trial)
-            data = apply_linear_operator(st, p)
-            st2 = inv.invert(data)
-            back = apply_linear_operator(st2, p)
-            back.axpy(-1.0, data)
-            worst_data = max(worst_data, ydata_norm(back) / ydata_norm(data))
-            st2.axpy(-1.0, st)
-            worst_state = max(worst_state, state_norm(st2) / state_norm(st))
+        misfits = [_roundtrip_trial(inv, r["seed"] + trial)
+                   for trial in range(r["roundtrip"]["count"])]
+        worst_data, worst_state = (max(m) for m in zip(*misfits))
         _record_solves(summary, grid, table=inv.table, inverter=inv)
         write_json(os.path.join(outdir, "roundtrip_report.json"), {
             "count": r["roundtrip"]["count"],
@@ -226,6 +229,9 @@ def main(argv=None) -> int:
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"config error: {cfg.out_of_memory()}", file=sys.stderr)
         return 2
     except (SolverFailure, StripwaveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

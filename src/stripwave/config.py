@@ -112,6 +112,8 @@ class RunConfig:
                     build()
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{section}: {exc}") from exc
+                except MemoryError:
+                    raise self.out_of_memory() from None
             if r["mode"] == "nonlinear-solve":
                 self.forcing()
 
@@ -137,6 +139,10 @@ class RunConfig:
 
     def vertical_grid(self) -> VerticalGrid:
         return VerticalGrid(self.raw["params"]["depth"], self.raw["grid"]["nz"])
+
+    def out_of_memory(self) -> ConfigError:
+        return ConfigError("out of memory for this grid (dim {params[dim]}, modes {grid[modes]}, "
+                           "nz {grid[nz]})".format(**self.raw))
 
     def manifest(self) -> dict:
         return json.loads(json.dumps(self.raw))

@@ -238,10 +238,10 @@ class LinearInverter:
         self.cond = None
         self._stack = None
 
-    def _solve_half(self, data: YData, at, out: LinearState):
-        """The forced problems, data less out.eta's surface terms, at the
-        flat half-lattice indices ``at`` as one FrequencyStack solve; writes
-        u, psi and pres there into out."""
+    def _solve_half(self, data: YData, at, eta: SurfaceSpectral) -> LinearState:
+        """The forced problems, data less eta's surface terms, at the flat
+        half-lattice indices ``at`` as one FrequencyStack solve: the state made
+        after it, with eta and the profiles there, zero at every other row."""
         p, grid, vgrid = self.table.params, data.grid, data.vgrid
         n = grid.dim_h + 1
         # flat indices as an array: fd and kd are copies
@@ -249,11 +249,11 @@ class LinearInverter:
         xis = grid.xi_vectors.reshape(-1, grid.dim_h)[flat]
         unit, mag = _unit_xi(grid, flat)
         fd, kd, g, l, m = (part.rows(flat) for part in (data.f, data.k, data.g, data.l, data.m))
-        eta = out.eta.rows()[0, flat]
+        eta_at = eta.rows()[0, flat]
         dh = [2j * np.pi * xi_ax for xi_ax in xis.T]
         for ax in range(grid.dim_h):
-            fd[ax] = fd[ax] - p.grav * (eta * dh[ax])[..., None]
-        kd[n - 1] = kd[n - 1] - p.sigma0 * sum(eta * d * d for d in dh)
+            fd[ax] = fd[ax] - p.grav * (eta_at * dh[ax])[..., None]
+        kd[n - 1] = kd[n - 1] - p.sigma0 * sum(eta_at * d * d for d in dh)
         z, d = forcing_rows(p, vgrid, 2.0 * np.pi * mag, _long_amplitude(fd, unit),
                             fd[n - 1], g[0], l[0], _long_amplitude(kd, unit), kd[n - 1], m[0])
         live = z.any(axis=(1, 2)) | d.any(axis=1)
@@ -266,31 +266,33 @@ class LinearInverter:
             if transverse.any():
                 beta, _ = transverse_solve(xis[transverse], p, vgrid, -p.gamma,
                                            f_perp[transverse], k_perp[transverse])
-        Y = np.zeros((len(flat), 6, vgrid.count), dtype=complex)
+        # the live rows alone; Y, their forcing, becomes their profiles
+        Y, d, rows = z[live], d[live], flat[live]
+        del z
         backend, cond = np.full(grid.freq_shape, None, dtype=object), np.zeros(grid.freq_shape)
         if live.any():
             if self._stack is None or not np.array_equal(xis[live], self._stack.xis):
                 self._stack = FrequencyStack(p, vgrid, -p.gamma, p.sigma1, 0.0, xis[live])
-            Y[live] = self._stack.solve(z[live], d[live])
-            np.put(backend, flat[live], self._stack.backend)
-            np.put(cond, flat[live], self._stack.cond)
+            Y = self._stack.solve(Y, d)
+            np.put(backend, rows, self._stack.backend)
+            np.put(cond, rows, self._stack.cond)
         self.backend, self.cond = (conjugate_mirror(a, grid, 0) for a in (backend, cond))
 
+        out = LinearState(*LinearState.zeros(grid, vgrid).parts()[:3], eta)
         u = out.u.rows()
-        for j in range(grid.dim_h):
-            u[j, at] = -1j * Y[:, 0] * unit[:, j, None]
-        u[n - 1, at] = Y[:, 1]
+        u[:grid.dim_h, rows] = -1j * Y[:, 0] * unit[live].T[..., None]
+        u[n - 1, rows] = Y[:, 1]
         if grid.dim_h == 2 and transverse.any():
             # beta perp is added only where the transverse forcing is nonzero
             u[:2, flat[transverse]] += beta * perp[transverse].T[..., None]
-        out.psi.rows()[0, at] = Y[:, 2]
-        out.pres.rows()[0, at] = Y[:, 3]
+        out.psi.rows()[0, rows] = Y[:, 2]
+        out.pres.rows()[0, rows] = Y[:, 3]
+        return out
 
     def invert(self, data: YData) -> LinearState:
         grid = data.grid
-        out = LinearState.zeros(grid, data.vgrid)
-        out.eta = solve_surface(data, self.table)
-        self._solve_half(data, gather_index(support(data) & grid.half_mask), out)
+        eta = solve_surface(data, self.table)
+        out = self._solve_half(data, gather_index(support(data) & grid.half_mask), eta)
         for part in (out.u, out.psi, out.pres):
             part.data = conjugate_mirror(part.data, grid)
         return out

@@ -386,16 +386,17 @@ class FrequencyStack:
         """Profiles Y (K, 6, Nz) for bulk forcing ``z`` (K, 6, Nz), or None
         for none, and boundary data ``d`` (K, 6)."""
         d, m = np.asarray(d, dtype=complex), self.members
-        Y = np.empty((len(self.xis), 6, self.vgrid.count), dtype=complex)
         if z is not None and z.any():
-            z, d = z[m], d[m, :, None]
-            for sweep in self.sweeps:
-                Y[m[sweep.at]] = sweep.solve(z[sweep.at], d[sweep.at])
+            # each sweep gathers its members' forcing; Y is made after the last
+            parts = [(m[s.at], s.solve(z[m[s.at]], d[m[s.at], :, None])) for s in self.sweeps]
         else:
             # the basis matrices times v, (k, b, 6), weight the coefficient rows
             v = self.Kinv @ d[m, :, None]
             w = (self.basis.reshape(-1, 36, 6) @ v).reshape(-1, 6, 6)
-            Y[m] = w.transpose(0, 2, 1) @ self.coef
+            parts = [(m, w.transpose(0, 2, 1) @ self.coef)]
+        Y = np.empty((len(self.xis), 6, self.vgrid.count), dtype=complex)
+        for at, part in parts:
+            Y[at] = part
         return Y
 
 

@@ -2,13 +2,15 @@
 scipy's matrix exponential and dense Chebyshev collocation of the
 first-order system, and one-frequency solves as one-member stacks; for
 ``stripwave.fields.write_csv``, a writer that formats every row with
-Python's ``%`` operator.  None of them is on a production path, so scipy is
-needed by the tests alone.
+Python's ``%`` operator; and ``traced_peak``, the memory tests' one use of
+tracemalloc.  None of them is on a production path, so scipy is needed by
+the tests alone.
 
 A problem's coefficients ``coefs`` are (gamma_tilde, alpha1, alpha2), as
 ``FrequencyStack`` takes them after the params and the vertical grid."""
 
 import itertools
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -134,3 +136,16 @@ def write_csv(path, header, columns):
             block = [col[lo:lo + 4096].tolist() for col in columns]
             fh.write(row * len(block[0])
                      % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` under tracemalloc: its result, the bytes still traced
+    when it returns (kept) and the traced peak.  What was allocated before
+    the call is not traced."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak

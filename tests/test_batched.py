@@ -3,13 +3,12 @@ stacks and must agree with K one-member stacks of the same problem."""
 
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import solve_collocation, solve_one
+from oracles import solve_collocation, solve_one, traced_peak
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearInverter, LinearState, apply_linear_operator,
                               make_random_state, state_norm)
@@ -150,20 +149,27 @@ def test_stack_quadrature_cache_is_bounded(dim, nz):
     assert sweep.steps[0].shape == (nz // 2, k, 6, 6)
 
 
+def _prepare_and_solve(p, vg, xis, z, d):
+    """The stack of the inverter's problem at ``xis`` and its profiles."""
+    stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis)
+    return stack, stack.solve(z, d)
+
+
 def test_cold_forced_solve_peak_memory(monkeypatch):
     # a cold preparation and first forced solve keeps the steps and the
     # quadrature cache of the lower half of the mirrored panels (3.7 MB
-    # together at wave-2d's forced stack, 86 members at nz 48; peak 7.7 MiB);
+    # together at wave-2d's forced stack, 86 members at nz 48; peak 7.3 MiB);
     # the Taylor product writes the cache itself, the closed forms write its
     # real and imaginary rows, and neither they nor the contraction, in calls
     # and blocks of at most _EXP_CHUNK member-times, may add a temporary that
     # grows with members times intervals.  The second stack (600 members at
     # nz 12, 2 pi |xi| b in [10, 18]) sends 27% of its quadrature
     # member-times to the closed forms, more than one full call, and every
-    # member is two-sided (7.5 MB kept, peak 18.4 MiB).  The third is
+    # member is two-sided (7.5 MB kept, peak 17.8 MiB).  The third is
     # roundtrip-3d's inverter stack, 144 members at nz 24, 113 of them swept
-    # forward alone (2.9 MB kept, peak 6.4 MiB).  Each bound is the least
-    # whole MiB at least 1.17 times its stack's peak
+    # forward alone (2.9 MB kept, peak 6.1 MiB).  Each bound is the least
+    # whole MiB at least 1.17 times its stack's peak when the solve still
+    # made its output before its sweeps (7.7, 18.4 and 6.4 MiB)
     import stripwave.odesystem as ode
     calls = []
     for name in ("_stokes_forms", "_heat_forms"):
@@ -180,17 +186,31 @@ def test_cold_forced_solve_peak_memory(monkeypatch):
         vg = VerticalGrid(p.depth, nz)
         rng = np.random.default_rng(0)
         z, d = _forcing(rng, len(xis), vg.count, vg, p.depth)
-        tracemalloc.start()
-        try:
-            stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis)
-            stack.solve(z, d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (stack, _), _, peak = traced_peak(_prepare_and_solve, p, vg, xis, z, d)
         assert len(stack.members) == len(xis)
         assert peak <= bound * 2 ** 20
     assert int(stack.short.sum()) == 113
     assert max(calls) == ode._EXP_CHUNK        # a full call, and none larger
+
+
+def test_warm_inversion_peak_memory():
+    # a warm inversion traces its stack's tables, one solve's temporaries and
+    # its result, which it makes after the forced solve: at roundtrip-3d's
+    # grid (3D modes 32, nz 24, box 20 pi) inverting seed 4 after seed 3
+    # peaks at 2.87 MiB.  A zero-filled result alive through the sweep, or
+    # the stack's output made before its sweeps, breaks the bound, the least
+    # whole MiB at least 1.17 times that peak
+    p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 3)
+    grid, vg = FrequencyGrid(2, 20 * np.pi, 32), VerticalGrid(1.0, 24)
+    inv = LinearInverter(SymbolTable(grid, vg, p))
+    inv.invert(apply_linear_operator(make_random_state(grid, vg, seed=3), p))
+    stack = inv._stack
+    data = apply_linear_operator(make_random_state(grid, vg, seed=4), p)
+    state, _, peak = traced_peak(inv.invert, data)
+    assert inv._stack is stack and len(stack.xis) == 144
+    assert peak <= 4 * 2 ** 20
+    back = apply_linear_operator(state, p).axpy(-1.0, data)
+    assert ydata_norm(back) <= 1e-6 * ydata_norm(data)
 
 
 def test_stack_preparation_peak_memory():
@@ -206,12 +226,7 @@ def test_stack_preparation_peak_memory():
         p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, dim)
         args = (p, VerticalGrid(p.depth, nz), -p.gamma, p.sigma1, 0.0)
         FrequencyStack(*args, xis[:3])      # the grid's tables, outside the trace
-        tracemalloc.start()
-        try:
-            stack = FrequencyStack(*args, xis)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        stack, kept, peak = traced_peak(FrequencyStack, *args, xis)
         assert len(stack.members) == len(xis)
         assert peak <= 1.6 * kept
 
@@ -220,7 +235,7 @@ def test_far_member_sweeps_apart():
     # 600 forced members at nz 24 and one at 2 pi |xi| b = 500, whose sweep
     # splits each interval into 12 subpanels: its own sweep keeps the others'
     # tables at the grid's panels, so the preparation and first solve trace
-    # at most 1.25 times what the stack without it traces (29.6 MiB both);
+    # at most 1.25 times what the stack without it traces (28.3 MiB both);
     # with the grid's panels built outside the trace.  The members stay bit
     # for bit what the smaller stack gives
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
@@ -231,13 +246,9 @@ def test_far_member_sweeps_apart():
     FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis[[0, -1]]).solve(z[[0, -1]], d[[0, -1]])
     peaks, profiles = [], []
     for k in (600, 601):
-        tracemalloc.start()
-        try:
-            stack = FrequencyStack(p, vg, -p.gamma, p.sigma1, 0.0, xis[:k])
-            profiles.append(stack.solve(z[:k], d[:k]))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        (stack, profile), _, peak = traced_peak(_prepare_and_solve, p, vg, xis[:k], z[:k], d[:k])
+        profiles.append(profile)
+        peaks.append(peak)
     assert [(s.r, s.at) for s in stack.sweeps] == [(1, slice(0, 600)), (12, slice(600, 601))]
     assert peaks[1] <= 1.25 * peaks[0]
     assert np.array_equal(profiles[1][:600], profiles[0]) and np.isfinite(profiles[1]).all()

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripwave import cli, fields
+from oracles import traced_peak
+from stripwave import cli, config, fields
 from stripwave.cli import main, run
 from stripwave.config import RunConfig
 from stripwave.errors import ConfigError
@@ -51,7 +52,6 @@ def test_config_rejects_odd_modes():
 
 def test_config_defaults_are_copied():
     # a fit section without xi_seq gets a copy of the default list
-    from stripwave import config
     cfg = RunConfig.from_dict({"fit": {"refine": False}})
     cfg.raw["fit"]["xi_seq"].append(1e-4)
     assert config._DEFAULTS["fit"]["xi_seq"] == [1e-2, 5e-3, 2.5e-3]
@@ -698,6 +698,59 @@ def test_roundtrip_mode_and_exit(tmp_path):
     assert run(cfg) == 0
     rep = json.loads(Path(out, "roundtrip_report.json").read_text())
     assert rep["max_data_misfit"] < 1e-6
+
+
+def test_roundtrip_peak_does_not_grow_with_count(tmp_path):
+    # each trial's state, data, inverse and misfit tuple are released before
+    # the next trial draws, so after a warm-up run that builds the grid's
+    # shared tables four trials trace within 64 KiB of one at 3D modes 16,
+    # nz 12, a quarter of one state there: a trial that outlives its loop
+    # step breaks it.  The peak is what is checked: at nz 12 the round trip
+    # may miss its tolerance (ROADMAP item 2) and exit 1
+    def job(name, count):
+        cfg = {"mode": "roundtrip-test", "params": {"dim": 3}, "roundtrip": {"count": count},
+               "grid": {"modes": 16, "nz": 12}, "out": str(tmp_path / name)}
+        return ["--config", _write_cfg(tmp_path, cfg, f"{name}.json")]
+
+    assert main(job("warm", 1)) in (0, 1)
+    peaks = {}
+    for count in (1, 4):
+        rc, _, peaks[count] = traced_peak(main, job(f"count{count}", count))
+        assert rc in (0, 1)
+        assert json.loads((tmp_path / f"count{count}" / "roundtrip_report.json")
+                          .read_text())["count"] == count
+    assert peaks[4] <= peaks[1] + 64 * 2 ** 10
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 EiB")
+
+
+OUT_OF_MEMORY = "config error: out of memory for this grid (dim 3, modes 16, nz 12)\n"
+
+
+def test_out_of_memory_while_validating_exits_2(tmp_path, capsys, monkeypatch):
+    # validation builds the grids: a grid too large for memory is refused
+    # with one line naming it, no traceback and no output
+    monkeypatch.setattr(config, "FrequencyGrid", _out_of_memory)
+    path = _write_cfg(tmp_path, {"params": {"dim": 3}, "grid": {"modes": 16, "nz": 12},
+                                 "out": str(tmp_path / "out")})
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err == OUT_OF_MEMORY
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_while_running_exits_2(tmp_path, capsys, monkeypatch):
+    # out of memory in a run: the same line, and a failed manifest that
+    # records the MemoryError
+    monkeypatch.setattr(cli, "SymbolTable", _out_of_memory)
+    path = _write_cfg(tmp_path, {"mode": "roundtrip-test", "params": {"dim": 3},
+                                 "grid": {"modes": 16, "nz": 12}, "out": str(tmp_path / "out")})
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err == OUT_OF_MEMORY
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert summary["ok"] is False
+    assert summary["error"] == "MemoryError: Unable to allocate 8.00 EiB"
 
 
 def test_norms_mode(tmp_path):

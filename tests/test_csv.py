@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,12 +178,8 @@ def test_write_csv_memory_stays_small(tmp_path):
     n = 100_000
     cols = [np.arange(n) % 3, np.arange(n), rng.integers(0, 80, n),
             rng.standard_normal(n) * 1e-5, rng.standard_normal(n)]
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "big.csv", ["comp", "k1", "node", "re", "im"], cols)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = oracles.traced_peak(write_csv, tmp_path / "big.csv",
+                                     ["comp", "k1", "node", "re", "im"], cols)
     assert peak <= 4 * 2 ** 20
 
 

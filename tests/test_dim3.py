@@ -1,11 +1,11 @@
 """Three-dimensional (two horizontal directions) end-to-end coverage."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import traced_peak
 from stripwave.cli import main
 from stripwave.errors import IllConditionedCollocation
 from stripwave.fields import read_field_csv
@@ -230,12 +230,7 @@ def test_grid_samples_peak_memory():
     grid = FrequencyGrid(2, 20 * np.pi, 64)
     vg = VerticalGrid(1.0, 16)
     st = make_random_state(grid, vg, seed=3, jmax=4, eta_scale=0.05)
-    tracemalloc.start()
-    try:
-        eulerian_grid_samples(st)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(eulerian_grid_samples, st)
     assert peak <= 40 * 2 ** 20
 
 

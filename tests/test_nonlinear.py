@@ -1,9 +1,9 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oracles import traced_peak
 from stripwave.errors import AliasingWarning, ConfigError, Diverged, PointOutsideDomain
 from stripwave.grids import FrequencyGrid, VerticalGrid
 from stripwave.linear import (LinearState, LinearInverter, apply_linear_operator,
@@ -104,12 +104,7 @@ def test_residual_peak_memory(grid, vg, guard):
     c = make_constitutive(p, visc="tempdep", heat="tempdep", sigma="smooth")
     st = _scaled(make_random_state(grid, vg, seed=5, jmax=5, eta_scale=0.5), 1e-2)
     forcing = make_forcing_preset("mixed", 1e-3, grid, 1.0)
-    tracemalloc.start()
-    try:
-        nonlinear_residual(st, forcing, p, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_peak(nonlinear_residual, st, forcing, p, c)
     assert peak / (np.prod(grid.phys_shape) * vg.count * 8) <= guard
 
 
