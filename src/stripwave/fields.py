@@ -383,71 +383,60 @@ def read_ydata_csv(dirpath) -> YData:
 def read_field_csv(path):
     """The field that ``write_field_csv`` wrote to ``path``: its rows' values
     bit for bit, +0 where a row is absent, completed by ``conjugate_mirror``.
-    A sidecar with no ``layout`` key reads as the full layout, whose rows
-    must be Hermitian to rounding.  A missing or unreadable file, a bad
-    sidecar, a non-numeric cell, a bad row (its index, or a value that is
-    not finite) or layout, a row count other than the sidecar's ``rows`` (a
-    sidecar without it is not checked), or a full file that is not
-    Hermitian raises ConfigError naming the file."""
+    A missing or unreadable file, a sidecar unlike the writer's (a key missing
+    or bad, a layout not "half", a grid too large for memory), a non-numeric
+    cell, a bad row (its index, or a value that is not finite) or a row count
+    other than the sidecar's ``rows`` raises ConfigError naming the file."""
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
         with warnings.catch_warnings():     # a field of zeros has no rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:      # missing, not JSON, not numbers
+    except (OSError, ValueError, MemoryError) as exc:   # missing, not JSON, not numbers, too big
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: the sidecar is not a JSON object")
-    layout = meta.get("layout", "full")
-    if layout not in ("full", "half"):
-        raise ConfigError(f"{path}: unknown layout {layout!r}")
     try:
+        if meta["layout"] != "half":
+            raise ValueError(f"unknown layout {meta['layout']!r}, expected 'half'")
         grid = FrequencyGrid(meta["dim_h"], meta["box_len"], meta["modes"])
         if meta["kind"] not in ("bulk", "surface"):
             raise ValueError(f"kind must be 'bulk' or 'surface', got {meta['kind']!r}")
-        bulk = meta["kind"] == "bulk"
+        bulk, count = meta["kind"] == "bulk", meta["rows"]
         vgrid = VerticalGrid(meta["depth"], meta["nz"]) if bulk else None
-        # rows index the whole lattice; a half file's lie on its half
-        shape = (meta["comps"],) + grid.phys_shape + ((vgrid.count,) if bulk else ())
+        if type(meta["comps"]) is not int or meta["comps"] < 1:     # JSON's true is no count
+            raise ValueError(f"comps must be a positive integer, got {meta['comps']!r}")
+        shape = (meta["comps"],) + grid.freq_shape + ((vgrid.count,) if bulk else ())
         data = np.zeros(shape, dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:     # a key, grid or count missing or bad
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:   # a key missing or bad
         raise ConfigError(f"{path}: bad sidecar ({type(exc).__name__}: {exc})") from exc
     if table.size:
-        if table.shape[1] != len(shape) + 2:
-            raise ConfigError(f"{path}: rows have {table.shape[1]} columns, "
-                              f"expected {len(shape) + 2}")
-        half = np.zeros(grid.phys_shape, dtype=bool)
-        half[:grid.modes // 2 + 1] = grid.half_mask
-        rows = on_lattice(half, len(shape)) if layout == "half" else True
-        index = _row_index(path, table, np.broadcast_to(rows, shape))
+        index = _row_index(path, table, shape, grid.half_mask)
         data.real[index], data.imag[index] = table[:, -2], table[:, -1]
-    if meta.get("rows", len(table)) != len(table):
-        raise ConfigError(f"{path}: {len(table)} data rows, the sidecar says {meta['rows']!r}")
-    if layout == "full":        # the lattice reflected through xi = 0 is its conjugate
-        defect = np.abs(reflect(np.flip(np.roll(data, -1, axis=1), axis=1), grid)
-                        - np.conj(data)).max(initial=0.0)
-        if defect > 1e-12 * np.abs(data).max(initial=0.0):
-            raise ConfigError(f"{path}: the field is not Hermitian (defect {defect:.3g})")
-    data = conjugate_mirror(data[:, :grid.modes // 2 + 1], grid)
+    if count != len(table):
+        raise ConfigError(f"{path}: {len(table)} data rows, the sidecar says {count!r}")
+    data = conjugate_mirror(data, grid)
     return SpectralField(grid, vgrid, data) if bulk else SurfaceSpectral(grid, data)
 
 
-def _row_index(path, table, rows):
-    """The lattice index of every row of a field CSV, from the float index
-    columns that lead each row of ``table``.  ConfigError names the first
-    row whose index is not an integer, lies off the lattice, repeats an
-    earlier row's or lies off the entries that ``rows``, a boolean array of
-    the field's shape, allows, or whose re or im value is not finite."""
-    raw = table[:, :rows.ndim]
+def _row_index(path, table, shape, half_mask):
+    """The array index, for ``shape``, of each row of a field CSV's ``table``.
+    ConfigError names a table without an index column per axis and re, im,
+    or the first row whose index is not an integer, lies off the array or
+    ``half_mask`` or repeats an earlier row's, or whose value is not finite."""
+    if table.shape[1] != len(shape) + 2:
+        raise ConfigError(f"{path}: rows have {table.shape[1]} columns, expected {len(shape) + 2}")
+    raw = table[:, :len(shape)]
     whole = np.all(raw == np.floor(raw), axis=1)
-    inside = np.all((raw >= 0) & (raw < rows.shape), axis=1)
+    inside = np.all((raw >= 0) & (raw < shape), axis=1)
     index = tuple(np.where((whole & inside)[:, None], raw, 0).astype(np.intp).T)
     repeated = np.ones(len(raw), dtype=bool)
-    repeated[np.unique(np.ravel_multi_index(index, rows.shape), return_index=True)[1]] = False
+    repeated[np.unique(np.ravel_multi_index(index, shape), return_index=True)[1]] = False
     problems = (("a non-integer index", ~whole), ("an index off the lattice", ~inside),
-                ("a repeated index", repeated), ("an index off the half lattice", ~rows[index]),
-                ("a value that is not finite", ~np.isfinite(table[:, rows.ndim:]).all(axis=1)))
+                ("a repeated index", repeated),
+                ("an index off the half lattice", ~half_mask[index[1:1 + half_mask.ndim]]),
+                ("a value that is not finite", ~np.isfinite(table[:, len(shape):]).all(axis=1)))
     bad = np.logical_or.reduce([flags for _, flags in problems])
     if bad.any():
         row = int(np.argmax(bad))

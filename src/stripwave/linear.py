@@ -266,6 +266,7 @@ class LinearInverter:
             if transverse.any():
                 beta, _ = transverse_solve(xis[transverse], p, vgrid, -p.gamma,
                                            f_perp[transverse], k_perp[transverse])
+        fd = kd = g = l = m = f_perp = k_perp = None    # nothing reads the data rows past here
         # the live rows alone; Y, their forcing, becomes their profiles
         Y, d, rows = z[live], d[live], flat[live]
         del z

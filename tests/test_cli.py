@@ -753,6 +753,23 @@ def test_out_of_memory_while_running_exits_2(tmp_path, capsys, monkeypatch):
     assert summary["error"] == "MemoryError: Unable to allocate 8.00 EiB"
 
 
+def test_out_of_memory_while_reading_names_the_file(tmp_path, capsys, monkeypatch):
+    # a sidecar whose grid is too large for memory is the input file's error:
+    # one line naming the CSV, not the config's grid, and a failed manifest
+    grid, vg = FrequencyGrid(1, 2 * np.pi * 10, 16), VerticalGrid(1.0, 24)
+    indir = tmp_path / "ydata"
+    write_ydata_csv(str(indir), apply_linear_operator(make_random_state(grid, vg, seed=1),
+                                                      PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)))
+    monkeypatch.setattr(fields, "FrequencyGrid", _out_of_memory)
+    path = _write_cfg(tmp_path, {"mode": "linear-solve", "input": str(indir),
+                                 "out": str(tmp_path / "out"), "grid": {"modes": 16, "nz": 24}})
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err == (f"config error: {indir / 'f.csv'}: bad sidecar "
+                                       "(MemoryError: Unable to allocate 8.00 EiB)\n")
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert summary["ok"] is False
+
+
 def test_norms_mode(tmp_path):
     p = PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2)
     grid = FrequencyGrid(1, 2 * np.pi * 10, 16)

@@ -159,7 +159,7 @@ def test_lattice_sum_vs_direct_sum(dim_h, trailing):
     assert np.abs(out - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_parseval_random(seed):
     rng = np.random.default_rng(seed)
@@ -328,41 +328,53 @@ def _read_field_csv_rows(path, shape):
     return data
 
 
-def test_full_layout_directory_reads_as_before(tmp_path):
-    # a data directory in the full layout with sidecars that have no layout
-    # key, as files were written before the half layout, gives linear-solve
-    # the same report as the half-layout directory write_ydata_csv writes
-    from stripwave.cli import run
-    from stripwave.config import RunConfig
+def test_full_layout_directory_is_refused(tmp_path, capsys):
+    # one field format: a data directory in the full layout (rows on the
+    # whole lattice, sidecars without a layout key), as files were written
+    # before the half layout, or one whose sidecars lack the row count, is
+    # refused by linear-solve and norms with exit 2, one line naming its first
+    # file and the key, no traceback and a manifest that says ok false; the
+    # half directory, with or without its zero rows, gives one report
+    from stripwave.cli import main
     from stripwave.linear import apply_linear_operator, make_random_state
     from stripwave.params import PhysicalParams
     grid, vg = FrequencyGrid(1, 2.5 * np.pi, 16), VerticalGrid(1.0, 24)
     data = apply_linear_operator(make_random_state(grid, vg, seed=2, jmax=5),
                                  PhysicalParams(1, 1, 1, 1, 1, 1, 0.1, 2))
-    write_ydata_csv(tmp_path / "half", data)
+    for src in ("half", "uncounted"):
+        write_ydata_csv(tmp_path / src, data)
     os.makedirs(tmp_path / "full")
+    os.makedirs(tmp_path / "dense")
     for name, part in zip("fglkhm", data.parts()):
-        _write_field_csv_rows(tmp_path / "full" / f"{name}.csv", part, whole=True)
-        meta = {"dim_h": 1, "box_len": grid.box_len, "modes": 16, "comps": part.comps,
-                "real_flag": True}
-        if isinstance(part, SpectralField):
-            meta.update(kind="bulk", depth=1.0, nz=24)
-        else:
-            meta.update(kind="surface")
-        write_json(tmp_path / "full" / f"{name}.csv.json", meta)
-        half_meta = json.loads((tmp_path / "half" / f"{name}.csv.json").read_text())
+        meta = json.loads((tmp_path / "half" / f"{name}.csv.json").read_text())
         # the half file holds the nonzero entries: f has 240 of its 432
-        rows = np.count_nonzero(part.data)
-        assert half_meta == dict(meta, layout="half", rows=rows)
-        assert name != "f" or rows == 240
-    reports = []
-    for src in ("half", "full"):
-        out = tmp_path / f"lin_{src}"
-        assert run(RunConfig.from_dict({
-            "mode": "linear-solve", "input": str(tmp_path / src), "out": str(out),
-            "grid": {"box_len": 2.5 * np.pi, "modes": 16, "nz": 24}})) == 0
-        reports.append((out / "linear_report.json").read_bytes())
-    assert reports[0] == reports[1]
+        assert meta["layout"] == "half" and meta["rows"] == np.count_nonzero(part.data)
+        assert name != "f" or meta["rows"] == 240
+        old = {key: value for key, value in meta.items() if key not in ("layout", "rows")}
+        _write_field_csv_rows(tmp_path / "full" / f"{name}.csv", part, whole=True)
+        write_json(tmp_path / "full" / f"{name}.csv.json", old)
+        write_json(tmp_path / "uncounted" / f"{name}.csv.json", dict(old, layout="half"))
+        _write_field_csv_rows(tmp_path / "dense" / f"{name}.csv", part, dense=True)
+        write_json(tmp_path / "dense" / f"{name}.csv.json",
+                   dict(meta, rows=np.count_nonzero(_half_entries(part))))
+
+    def solve(mode, src):
+        out = tmp_path / f"{mode}_{src}"
+        write_json(tmp_path / "cfg.json", {"mode": mode, "input": str(tmp_path / src),
+                                           "out": str(out), "grid": {"box_len": 2.5 * np.pi,
+                                                                     "modes": 16, "nz": 24}})
+        code = main(["--config", str(tmp_path / "cfg.json")])
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        return code, capsys.readouterr().err, summary["ok"], out
+
+    for mode in ("linear-solve", "norms"):
+        for src, key in (("full", "layout"), ("uncounted", "rows")):
+            first = tmp_path / src / "f.csv"
+            assert solve(mode, src)[:3] == (
+                2, f"config error: {first}: bad sidecar (KeyError: {key!r})\n", False)
+    reports = [solve("linear-solve", src) for src in ("half", "dense")]
+    assert [report[:3] for report in reports] == [(0, "", True)] * 2
+    assert len({(out / "linear_report.json").read_bytes() for *_, out in reports}) == 1
 
 
 def _awkward_values(rng, shape):
@@ -512,7 +524,7 @@ def test_hermitian_bulk_csv_bytes_pinned(tmp_path):
 def test_truncated_field_csv_is_refused(tmp_path):
     # a bulk field cut at a line boundary no longer reads as if whole, with
     # its missing rows as zeros: the sidecar's row count names the cut.  A
-    # sidecar without the count, as written before it, is not checked
+    # sidecar without the count, as written before it, is refused naming it
     grid, vg = FrequencyGrid(1, 2.0, 8), VerticalGrid(1.0, 6)
     field = SpectralField(grid, vg, np.arange(2 * 5 * 6).reshape(2, 5, 6) + 0.5j)
     path = tmp_path / "u.csv"
@@ -525,8 +537,9 @@ def test_truncated_field_csv_is_refused(tmp_path):
     meta = json.loads(sidecar.read_text())
     del meta["rows"]
     sidecar.write_text(json.dumps(meta))
-    assert np.array_equal(read_field_csv(path).data[0, :3], field.data[0, :3])
-    path.write_bytes(whole)
+    with pytest.raises(ConfigError, match=r"u\.csv: bad sidecar \(KeyError: 'rows'\)"):
+        read_field_csv(path)
+    write_field_csv(path, field)
     assert np.array_equal(read_field_csv(path).data, field.data)
 
 
@@ -562,17 +575,20 @@ def test_field_of_zeros_is_a_header_that_counts_its_rows(tmp_path, bulk):
         read_field_csv(path)
 
 
-def _surface_file(tmp_path, rows, layout=None):
-    """A modes-4 surface field CSV with the given data rows."""
-    meta = {"box_len": 2.0, "comps": 1, "dim_h": 1, "kind": "surface", "modes": 4,
-            "real_flag": True}
-    if layout is not None:
-        meta["layout"] = layout
-    write_json(tmp_path / "s.csv.json", meta)
+def _surface_file(tmp_path, rows, layout="half"):
+    """A modes-4 surface field CSV with the given data rows and the sidecar
+    write_field_csv writes for them, whose layout is ``layout``, or which has
+    no layout key for None."""
+    meta = {"box_len": 2.0, "comps": 1, "dim_h": 1, "kind": "surface", "layout": layout,
+            "modes": 4, "real_flag": True, "rows": len(rows)}
+    write_json(tmp_path / "s.csv.json",
+               {key: value for key, value in meta.items() if value is not None})
     (tmp_path / "s.csv").write_text("comp,k1,re,im\n" + "".join(r + "\n" for r in rows))
     return tmp_path / "s.csv"
 
 
+# a layout None is the writer's; a modes-4 1D field stores k1 = 0 .. 2, all
+# of them on its half lattice, so k1 = 3 lies off the stored lattice
 @pytest.mark.parametrize("rows, layout, message", [
     (["0,0,1,0", "0,-1,1,0"], None, "data row 2 (0, -1) has an index off the lattice"),
     (["0,1.7,1,0"], None, "data row 1 (0, 1.7) has a non-integer index"),
@@ -580,14 +596,14 @@ def _surface_file(tmp_path, rows, layout=None):
     (["0,9,1,0"], None, "data row 1 (0, 9) has an index off the lattice"),
     (["1,0,1,0"], None, "data row 1 (1, 0) has an index off the lattice"),
     (["0,nan,1,0"], None, "data row 1 (0, nan) has a non-integer index"),
-    (["0,1,1,0", "0,3,1,0"], "half", "data row 2 (0, 3) has an index off the half lattice"),
+    (["0,1,1,0", "0,3,1,0"], "half", "data row 2 (0, 3) has an index off the lattice"),
     (["0,1,1"], None, "rows have 3 columns, expected 4"),
     (["0,1,1,0"], "quarter", "unknown layout 'quarter'"),
     (["0,1,nan,0"], None, "data row 1 (0, 1) has a value that is not finite"),
     (["0,0,1,0", "0,1,1,inf"], None, "data row 2 (0, 1) has a value that is not finite"),
 ])
 def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
-    path = _surface_file(tmp_path, rows, layout)
+    path = _surface_file(tmp_path, rows, layout or "half")
     with pytest.raises(ConfigError, match=r"s\.csv: ") as err:
         read_field_csv(path)
     assert message in str(err.value)
@@ -596,11 +612,13 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, layout, message):
 @pytest.mark.parametrize("bulk, key, value", [
     (False, "dim_h", True), (False, "box_len", True), (True, "depth", True),
     (False, "dim_h", 1.0), (False, "box_len", "5"), (True, "kind", "Bulk"),
+    (True, "comps", 0), (False, "comps", True),
 ], ids=["dim_h-true", "box_len-true", "depth-true", "dim_h-float", "box_len-string",
-        "kind-capitalised"])
+        "kind-capitalised", "comps-zero", "comps-true"])
 def test_field_csv_refuses_sidecar_values_of_the_wrong_type(tmp_path, bulk, key, value):
-    # JSON's true is no number, 1.0 no dimension, "5" no length and "Bulk" no
-    # kind: each is a ConfigError naming the file and the key
+    # JSON's true is no number, 1.0 no dimension, "5" no length, "Bulk" no
+    # kind and 0 no component count: each is a ConfigError naming the file
+    # and the key
     grid, vg = FrequencyGrid(1, 2.0, 8), VerticalGrid(1.0, 6)
     field = SpectralField(grid, vg, np.ones((1, 5, 6))) if bulk \
         else SurfaceSpectral(grid, np.ones((1, 5)))
@@ -612,32 +630,142 @@ def test_field_csv_refuses_sidecar_values_of_the_wrong_type(tmp_path, bulk, key,
         read_field_csv(path)
 
 
-def test_field_csv_layouts_read_the_same(tmp_path):
-    # a full file may list its rows in any order; a half file with the same
-    # half-lattice rows reads to the same stored half of the Hermitian field
-    full = _surface_file(tmp_path, ["0,3,0.5,0.25", "0,0,1,0", "0,2,-2,0", "0,1,0.5,-0.25"])
-    want = [1.0, 0.5 - 0.25j, -2.0]
-    assert np.array_equal(read_field_csv(full).data[0], want)
-    half = _surface_file(tmp_path, ["0,1,0.5,-0.25", "0,0,1,0"], "half")
+def test_field_csv_rows_read_in_any_order(tmp_path):
+    # a half file may list its rows in any order and reads to the same stored
+    # half; a full file (rows on the whole lattice, no layout key) is refused
+    # naming the key, whether its rows are Hermitian or not
+    half = _surface_file(tmp_path, ["0,1,0.5,-0.25", "0,0,1,0"])
     assert np.array_equal(read_field_csv(half).data[0], [1.0, 0.5 - 0.25j, 0.0])
-
-
-def test_full_file_must_be_hermitian(tmp_path):
-    # a full file keeps its stored half only if the rest mirrors it
-    path = _surface_file(tmp_path, ["0,0,1,0", "0,1,0.5,-0.25", "0,2,-2,0", "0,3,0.5,0.5"])
-    with pytest.raises(ConfigError, match=r"s\.csv: the field is not Hermitian"):
-        read_field_csv(path)
+    for conj in ("0.25", "0.5"):
+        full = _surface_file(tmp_path, ["0,3,0.5," + conj, "0,0,1,0", "0,2,-2,0",
+                                        "0,1,0.5,-0.25"], None)
+        with pytest.raises(ConfigError, match=r"s\.csv: bad sidecar \(KeyError: 'layout'\)"):
+            read_field_csv(full)
 
 
 def test_half_file_rejects_rows_off_the_half_lattice(tmp_path):
     # dim_h 2, modes 4: on the plane k1 = 0, k2 = 3 is the mirror of k2 = 1
     write_json(tmp_path / "s.csv.json", {"box_len": 2.0, "comps": 1, "dim_h": 2,
                                          "kind": "surface", "layout": "half",
-                                         "modes": 4, "real_flag": True})
+                                         "modes": 4, "real_flag": True, "rows": 2})
     (tmp_path / "s.csv").write_text("comp,k1,k2,re,im\n0,1,3,1,0\n0,0,3,1,0\n")
     with pytest.raises(ConfigError, match=r"data row 2 \(0, 0, 3\) has an index "
                                           r"off the half lattice"):
         read_field_csv(tmp_path / "s.csv")
+
+
+_CELLS = ("", "abc", "nan", "inf", "-0", "0.5", "1e400", "-1", "99", "0x1", "1,2")
+_SIDECAR_VALUES = (None, True, False, 0, -1, 1, 2, 5, 1.5, float("nan"), "4", "half", [], {})
+
+
+def _mutate(draw, path, sidecar):
+    """A drawn edit of a written field CSV or its sidecar: a sidecar key
+    deleted or given another value, or rows cut, reordered or repeated, a
+    column dropped or added or a cell replaced.  True when the file still
+    holds the field."""
+    if draw(st.booleans()):
+        meta = json.loads(sidecar.read_text())
+        key = draw(st.sampled_from(sorted(meta)))
+        if draw(st.booleans()):
+            del meta[key]
+        else:
+            meta[key] = draw(st.sampled_from(_SIDECAR_VALUES))
+        sidecar.write_text(json.dumps(meta))
+        return False
+    whole = path.read_bytes()
+    head, *rows = whole.split(b"\r\n")[:-1]
+    kind = draw(st.sampled_from(["cut", "order", "repeat", "column", "extra", "cell"]))
+    if kind == "cut":
+        path.write_bytes(whole[:draw(st.integers(0, len(whole) - 1))])
+        return False
+    if not rows:
+        return True
+    if kind == "order":
+        rows = draw(st.permutations(rows))
+    elif kind == "repeat":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    else:
+        at = draw(st.integers(0, len(rows) - 1))
+        cells = rows[at].split(b",")
+        col = draw(st.integers(0, len(cells) - 1))
+        if kind == "column":
+            del cells[col]
+        elif kind == "extra":
+            cells.insert(col, b"0")
+        else:
+            cells[col] = draw(st.sampled_from(_CELLS)).encode()
+        rows[at] = b",".join(cells)
+    path.write_bytes(b"\r\n".join([head, *rows, b""]))
+    return kind == "order"
+
+
+def _fuzz_field(dim_h, modes, comps, nz, seed):
+    """A real field, bulk at ``nz`` nodes or surface for None, whose entries
+    span the double range, with zeros that keep the signs of both parts."""
+    grid, rng = FrequencyGrid(dim_h, 2.5, modes), np.random.default_rng(seed)
+    field = (SurfaceSpectral.zeros(grid, comps) if nz is None
+             else SpectralField.zeros(grid, VerticalGrid(0.8, nz), comps))
+    shape = field.data.shape
+    values = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+              + 1j * rng.standard_normal(shape))
+    field.data = conjugate_mirror(values * (rng.random(shape) < 0.3), grid)
+    return field
+
+
+def _read_or_refuse(path):
+    """read_field_csv(path), checked to write and read back bit for bit, or
+    None where it raises ConfigError, checked to start with the path."""
+    try:
+        back = read_field_csv(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return None
+    again = path.with_name("again.csv")
+    write_field_csv(again, back)
+    twice = read_field_csv(again)
+    assert type(twice) is type(back) and twice.grid == back.grid
+    assert getattr(twice, "vgrid", None) == getattr(back, "vgrid", None)
+    assert np.array_equal(twice.data.view(np.uint64), back.data.view(np.uint64))
+    return back
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_read_field_csv_reads_the_writers_files_or_refuses_naming_them(tmp_path_factory, data):
+    # a written field, then an edit of its file or sidecar: the reader returns
+    # a field that writes and reads back bit for bit (the field the file held
+    # before if the edit kept it), or raises ConfigError whose message starts
+    # with the path, and raises nothing else
+    draw = data.draw
+    nz = draw(st.one_of(st.none(), st.integers(4, 12)))
+    field = _fuzz_field(draw(st.integers(1, 2)), draw(st.sampled_from(range(4, 17, 2))),
+                        draw(st.integers(1, 3)), nz, draw(st.integers(0, 2 ** 32 - 1)))
+    path = tmp_path_factory.mktemp("fuzz") / "u.csv"
+    write_field_csv(path, field)
+    want = read_field_csv(path)
+    kept = _mutate(draw, path, path.with_name("u.csv.json"))
+    back = _read_or_refuse(path)
+    if kept:
+        assert type(back) is type(want)
+        assert np.array_equal(back.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim_h", [1, 2])
+@pytest.mark.parametrize("nz", [None, 5], ids=["surface", "bulk"])
+def test_read_field_csv_takes_every_sidecar_edit_or_refuses_it(tmp_path, dim_h, nz):
+    # each key of the sidecar deleted, and given each value of another type
+    # or size: the reader returns a field that writes and reads back bit for
+    # bit, or raises ConfigError naming the file; a deleted key is refused
+    # unless the reader does not read it
+    path, sidecar = tmp_path / "u.csv", tmp_path / "u.csv.json"
+    write_field_csv(path, _fuzz_field(dim_h, 6, 2, nz, 5))
+    meta = json.loads(sidecar.read_text())
+    for key in meta:
+        sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != key}))
+        assert (_read_or_refuse(path) is None) == (key != "real_flag")
+        for value in _SIDECAR_VALUES:
+            sidecar.write_text(json.dumps({**meta, key: value}))
+            _read_or_refuse(path)
 
 
 def test_write_json_and_write_csv_bytes(tmp_path):
