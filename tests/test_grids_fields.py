@@ -630,12 +630,19 @@ def test_field_csv_refuses_sidecar_values_of_the_wrong_type(tmp_path, bulk, key,
         read_field_csv(path)
 
 
-def test_field_csv_rows_read_in_any_order(tmp_path):
-    # a half file may list its rows in any order and reads to the same stored
-    # half; a full file (rows on the whole lattice, no layout key) is refused
-    # naming the key, whether its rows are Hermitian or not
-    half = _surface_file(tmp_path, ["0,1,0.5,-0.25", "0,0,1,0"])
-    assert np.array_equal(read_field_csv(half).data[0], [1.0, 0.5 - 0.25j, 0.0])
+def test_field_csv_layouts_read_the_same(tmp_path):
+    # one layout: a half file reads to the same stored half whatever the
+    # order of its rows and whether or not it lists its zero rows
+    want = [1.0, 0.5 - 0.25j, 0.0]
+    for rows in (["0,1,0.5,-0.25", "0,0,1,0"], ["0,0,1,0", "0,1,0.5,-0.25"],
+                 ["0,2,0,0", "0,0,1,0", "0,1,0.5,-0.25"]):
+        assert np.array_equal(read_field_csv(_surface_file(tmp_path, rows)).data[0], want)
+
+
+def test_full_file_must_be_hermitian(tmp_path):
+    # the reader keeps no Hermitian check of its own: a full file (rows on the
+    # whole lattice, no layout key) is refused naming the key, whether its
+    # rows mirror each other or not
     for conj in ("0.25", "0.5"):
         full = _surface_file(tmp_path, ["0,3,0.5," + conj, "0,0,1,0", "0,2,-2,0",
                                         "0,1,0.5,-0.25"], None)
